@@ -7,8 +7,10 @@ unseen in training) or from a projection of pretrained schema vectors.
 Intermediate layers aggregate incoming messages per edge type, optionally
 weighted by target-aware attention, with a residual combination; the last
 layer updates only the target with equal-weight aggregation.  A disclosing
-variant adds a one-hop aggregate over the unpruned union subgraph, fused by
-summation or concatenation before the linear scorer.
+variant adds a one-hop aggregate over the target's neighbors in the unpruned
+union subgraph (the triples sharing an entity with it, read from the graph
+without building that subgraph's relation view), fused by summation or
+concatenation before the linear scorer.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ class SubgraphSample:
 
     rvg: RelationViewGraph
     pruned: PrunedNeighborhood
-    disclosing: tuple = ()  # ((node index, label), ...) or () when unused
+    disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
     target_label: int = 0
 
 

@@ -3,11 +3,16 @@
 Around a target triple (u, r_t, v) two entity subgraphs are cut out of a
 knowledge graph: the *enclosing* subgraph (intersection of the K-hop
 neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
-union, unpruned).  Either one is then turned into a relation-view graph: a
+union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Message
 passing only ever needs the part of that graph that can reach the target
-node within K steps, which prune_to_target computes as frontier sets.
+node within K steps, which prune_to_target computes as frontier sets.  The
+model reads only the target's one-hop in-neighbors in the disclosing view,
+and those are exactly the triples sharing an entity with the target, so
+disclosing_neighbors reads them straight off the adjacency indexes;
+extract_disclosing builds the whole union subgraph only for inspection
+(`rmpi dump-subgraph --kind disclosing`).
 """
 
 from __future__ import annotations
@@ -267,10 +272,27 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
     return PrunedNeighborhood(frontiers=tuple(frontiers), edges=edges, in_edges=in_edges)
 
 
-def disclosing_one_hop(rvg: RelationViewGraph) -> list[tuple[int, int]]:
-    """One-hop incoming neighbors of the target node, as (node index, label)."""
-    srcs = {src for src, _, dst in rvg.edges if dst == rvg.target_index}
-    return [(i, rvg.labels[i]) for i in sorted(srcs)]
+def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:
+    """One-hop neighborhood of the target in its disclosing view, as
+    (parent-graph triple index, label) in ascending index order.
+
+    Every triple instance incident to u or v shares an entity with the target
+    and so has at least one typed edge into it, for any K >= 1; no other
+    triple does.  Each instance is listed once, self-loops and triples
+    touching both endpoints included, and instances equal to the target are
+    skipped as extract_disclosing skips them.
+    """
+    target = Triple(*target)
+    u, _, v = target
+    idxs = set()
+    for e in {u, v}:
+        idxs.update(idx for _, _, idx in graph.out_adj.get(e, ()))
+        idxs.update(idx for _, _, idx in graph.in_adj.get(e, ()))
+    return tuple(
+        (i, graph.triples[i].relation)
+        for i in sorted(idxs)
+        if graph.triples[i] != target
+    )
 
 
 def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:

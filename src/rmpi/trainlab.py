@@ -32,8 +32,7 @@ from .rmpnet import (
     score_sample,
 )
 from .subgraph import (
-    disclosing_one_hop,
-    extract_disclosing,
+    disclosing_neighbors,
     extract_enclosing,
     prune_to_target,
     to_relation_view,
@@ -42,6 +41,9 @@ from .subgraph import (
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
 FORMAT_VERSION = 1
+# Layout of a pickled SubgraphSample; part of the on-disk cache key, so bump
+# it whenever build_sample's output changes.
+SAMPLE_FORMAT = 2
 
 
 class TrainError(Exception):
@@ -75,14 +77,10 @@ class TrainConfig:
 
 def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> SubgraphSample:
     rvg = to_relation_view(extract_enclosing(graph, triple, config.hops))
-    disc = ()
-    if config.use_disclosing:
-        drvg = to_relation_view(extract_disclosing(graph, triple, config.hops))
-        disc = tuple(disclosing_one_hop(drvg))
     return SubgraphSample(
         rvg=rvg,
         pruned=prune_to_target(rvg, config.hops),
-        disclosing=disc,
+        disclosing=disclosing_neighbors(graph, triple) if config.use_disclosing else (),
         target_label=triple.relation,
     )
 
@@ -118,7 +116,8 @@ class SampleCache:
         for t in self.graph.triples:
             h.update(f"{t.head},{t.relation},{t.tail};".encode())
         h.update(
-            f"K={self.config.hops};ne={self.config.use_disclosing}".encode()
+            f"K={self.config.hops};ne={self.config.use_disclosing};"
+            f"format={SAMPLE_FORMAT}".encode()
         )
         return h.hexdigest()[:16]
 

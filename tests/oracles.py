@@ -151,6 +151,13 @@ def disclosing_subgraph(graph, target, k):
     return entities, induced
 
 
+def disclosing_one_hop(rvg):
+    """View-route disclosing neighborhood: one-hop incoming neighbors of the
+    target node of a relation-view graph, as (node index, label)."""
+    srcs = {src for src, _, dst in rvg.edges if dst == rvg.target_index}
+    return [(i, rvg.labels[i]) for i in sorted(srcs)]
+
+
 def moving_average(xs, window=10):
     xs = np.asarray(xs, dtype=float)
     return np.array([xs[max(0, i - window + 1) : i + 1].mean() for i in range(len(xs))])

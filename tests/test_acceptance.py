@@ -34,7 +34,6 @@ from rmpi.subgraph import (
     extract_enclosing,
     prune_to_target,
     to_relation_view,
-    disclosing_one_hop,
 )
 from rmpi.trainlab import Checkpoint, SampleCache, TrainConfig, build_sample, train
 

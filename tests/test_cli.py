@@ -348,6 +348,22 @@ def test_dump_subgraph_prints_nodes(tmp_path, capsys):
     assert "#node\t" in out
 
 
+def test_dump_subgraph_disclosing_kind(tmp_path, capsys):
+    data = bench_dir(tmp_path)
+    code = main(
+        ["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
+         "--tail", "a3", "--hop", "1", "--kind", "disclosing"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    # N1(a0) | N1(a3) covers all six entities: every row but the target
+    # instance, then the target itself
+    assert lines[0] == "#nodes\t10\ttarget\t9"
+    nodes = [tuple(l.split("\t")[2:]) for l in lines if l.startswith("#node\t")]
+    assert nodes[-1] == ("a0", "q0", "a3")
+    assert sorted(nodes[:-1]) == sorted(r for r in TRAIN_ROWS if r != ("a0", "q0", "a3"))
+
+
 def test_dump_subgraph_unknown_name(tmp_path, capsys):
     data = bench_dir(tmp_path)
     code = main(

@@ -24,7 +24,6 @@ from rmpi.rmpnet import (
 )
 from rmpi.subgraph import (
     RelationViewGraph,
-    disclosing_one_hop,
     extract_disclosing,
     extract_enclosing,
     prune_to_target,
@@ -50,7 +49,7 @@ def build_sample(graph, target, config):
     disc = ()
     if config.use_disclosing:
         drvg = to_relation_view(extract_disclosing(graph, target, config.hops))
-        disc = tuple(disclosing_one_hop(drvg))
+        disc = tuple(oracles.disclosing_one_hop(drvg))
     return SubgraphSample(
         rvg=rvg, pruned=pruned, disclosing=disc, target_label=target.relation
     )

@@ -9,7 +9,7 @@ from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
     SubgraphError,
     RelationViewGraph,
-    disclosing_one_hop,
+    disclosing_neighbors,
     dump_relation_view,
     extract_disclosing,
     extract_enclosing,
@@ -335,7 +335,7 @@ def test_cumulative_frontier_union():
 def test_disclosing_one_hop_four_triple_example():
     g, target = four_triple_graph()
     rvg = to_relation_view(extract_disclosing(g, target, 1))
-    neigh = disclosing_one_hop(rvg)
+    neigh = oracles.disclosing_one_hop(rvg)
     # all four graph triples touch the target entities A or C
     assert [i for i, _ in neigh] == [0, 1, 2, 3]
     assert [lab for _, lab in neigh] == [0, 1, 2, 3]
@@ -345,14 +345,14 @@ def test_disclosing_one_hop_isolated_target():
     vocab = make_vocab(4, 2)
     g = KnowledgeGraph(vocab, [Triple(2, 0, 3)])
     rvg = to_relation_view(extract_disclosing(g, Triple(0, 1, 1), 1))
-    assert disclosing_one_hop(rvg) == []
+    assert oracles.disclosing_one_hop(rvg) == []
 
 
 def test_disclosing_one_hop_singleton():
     vocab = make_vocab(3, 2)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 2)])
     rvg = to_relation_view(extract_disclosing(g, Triple(0, 1, 1), 1))
-    assert disclosing_one_hop(rvg) == [(0, 0)]
+    assert oracles.disclosing_one_hop(rvg) == [(0, 0)]
 
 
 def test_one_hop_neighbors_share_an_entity_with_target():
@@ -362,9 +362,66 @@ def test_one_hop_neighbors_share_an_entity_with_target():
         target = Triple(int(rng.integers(8)), 3, int(rng.integers(8)))
         rvg = to_relation_view(extract_disclosing(g, target, 2))
         tset = {target.head, target.tail}
-        for i, _ in disclosing_one_hop(rvg):
+        for i, _ in oracles.disclosing_one_hop(rvg):
             h, _, t = rvg.nodes[i]
             assert {h, t} & tset
+
+
+# ------------------------------------------------------- disclosing read
+
+def view_route(graph, target, k):
+    """disclosing_one_hop over the full disclosing view, keyed by graph index."""
+    sub = extract_disclosing(graph, target, k)
+    neigh = oracles.disclosing_one_hop(to_relation_view(sub))
+    return tuple((sub.source_indexes[i], lab) for i, lab in neigh)
+
+
+def test_disclosing_neighbors_match_view_route_on_random_graphs():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        g = random_graph(rng, 10, 4, 20)
+        member = g.triples[int(rng.integers(g.num_triples))]
+        other = Triple(int(rng.integers(10)), int(rng.integers(4)), int(rng.integers(10)))
+        for target in (member, other):
+            got = disclosing_neighbors(g, target)
+            for k in (1, 2, 3):
+                assert got == view_route(g, target, k)
+
+
+def hand_graph():
+    # entities 1 and 5 are isolated
+    return KnowledgeGraph(
+        make_vocab(6, 4),
+        [
+            Triple(0, 1, 2),
+            Triple(0, 0, 0),  # self-loop on u
+            Triple(0, 1, 2),  # duplicate instance
+            Triple(0, 2, 2),  # parallel
+            Triple(2, 3, 0),  # inverse
+            Triple(3, 0, 4),  # unrelated
+            Triple(2, 0, 3),
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "target,want",
+    [
+        # every instance equal to the target is skipped, the rest listed once
+        (Triple(0, 1, 2), ((1, 0), (3, 2), (4, 3), (6, 0))),
+        # not a member: the target's twins are ordinary neighbors
+        (Triple(0, 3, 2), ((0, 1), (1, 0), (2, 1), (3, 2), (4, 3), (6, 0))),
+        # u == v, equal to the self-loop instance
+        (Triple(0, 0, 0), ((0, 1), (2, 1), (3, 2), (4, 3))),
+        # isolated endpoints
+        (Triple(1, 0, 5), ()),
+    ],
+)
+def test_disclosing_neighbors_hand_cases(target, want):
+    g = hand_graph()
+    assert disclosing_neighbors(g, target) == want
+    for k in (1, 2, 3):
+        assert view_route(g, target, k) == want
 
 
 # ------------------------------------------------------- dump

@@ -3,8 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from rmpi import trainlab
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
 from rmpi.rmpnet import ModelConfig, init_params
+from rmpi.subgraph import disclosing_neighbors
 from rmpi.trainlab import (
     Checkpoint,
     SampleCache,
@@ -146,6 +148,15 @@ def test_train_sample_invariants():
         TrainSample(pos, Triple(pos.head, (pos.relation + 1) % 2, pos.tail), sub, sub)
 
 
+def test_build_sample_reads_disclosing_neighbors():
+    graph = random_graph(np.random.default_rng(8), 10, 3, 24)
+    ne = ModelConfig(dim=4, hops=2, use_disclosing=True)
+    base = ModelConfig(dim=4, hops=2)
+    for target in graph.triples[:6] + [Triple(0, 1, 9), Triple(3, 2, 3)]:
+        assert build_sample(graph, target, ne).disclosing == disclosing_neighbors(graph, target)
+        assert build_sample(graph, target, base).disclosing == ()
+
+
 # ---------------------------------------------------------------- cache
 
 def test_cache_retains_graph_triples_only():
@@ -187,6 +198,20 @@ def test_cache_ignores_corrupt_file(tmp_path):
     rebuilt = SampleCache(graph, config, cache_dir=str(tmp_path))
     assert rebuilt._store == {}
     assert rebuilt.sample(graph.triples[0]) == cache.sample(graph.triples[0])
+
+
+def test_cache_ignores_file_of_another_sample_format(tmp_path, monkeypatch):
+    graph = random_graph(np.random.default_rng(4), 6, 2, 10)
+    config = ModelConfig(dim=4, hops=2, use_disclosing=True)
+    monkeypatch.setattr(trainlab, "SAMPLE_FORMAT", trainlab.SAMPLE_FORMAT - 1)
+    stale = SampleCache(graph, config, cache_dir=str(tmp_path))
+    stale.sample(graph.triples[0])
+    stale.flush()
+    monkeypatch.undo()
+    fresh = SampleCache(graph, config, cache_dir=str(tmp_path))
+    assert os.path.isfile(stale._path)
+    assert fresh._path != stale._path
+    assert fresh._store == {}
 
 
 def test_cache_precompute_workers_match():
