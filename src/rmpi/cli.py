@@ -42,7 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-CACHE_ENV = "RMPI_CACHE_DIR"
 MANIFEST_FILE = "run_manifest.json"
 
 DATA_ERRORS = (
@@ -121,11 +120,6 @@ def _flags(args) -> dict:
 # ------------------------------------------------------------------ helpers
 
 def _model_config(args, schema_vectors=None) -> ModelConfig:
-    if args.hop != args.layers:
-        raise UsageError(
-            f"--hop {args.hop} and --layers {args.layers} must agree: one "
-            "message-passing layer runs per hop"
-        )
     use_disclosing, target_attention = VARIANTS[args.variant]
     kwargs = {}
     if schema_vectors:
@@ -169,7 +163,6 @@ def cmd_train(args) -> int:
     schema_vectors = _load_schema_vectors(args)
     model = _model_config(args, schema_vectors)
     bench = load_benchmark(args.data)
-    cache_dir = os.environ.get(CACHE_ENV)
 
     aucs = []
     for run in range(args.runs):
@@ -188,8 +181,6 @@ def cmd_train(args) -> int:
         ckpt = train(
             bench, config,
             schema_vectors=schema_vectors,
-            cache_dir=cache_dir,
-            workers=args.workers,
             log=lambda msg: print(msg),
         )
         save_checkpoint(ckpt, out_dir)
@@ -334,9 +325,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--hop", type=int, default=2, help="subgraph radius")
-        p.add_argument("--layers", type=int, default=2,
-                       help="message-passing layers; must equal --hop")
+        p.add_argument("--hop", type=int, default=2,
+                       help="subgraph radius and message-passing depth")
         p.add_argument("--dim", type=int, default=32)
         p.add_argument("--dropout", type=float, default=0.5)
         p.add_argument("--variant", choices=sorted(VARIANTS), default="base")
@@ -357,7 +347,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--runs", type=int, default=1,
                          help="repeat with derived seeds and report the mean")
-    p_train.add_argument("--workers", type=int, default=1)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -43,9 +43,17 @@ class Var:
 
 
 class Tape:
-    """Recorded operation graph plus a registry of named parameters."""
+    """Recorded operation graph plus a registry of named parameters.
 
-    def __init__(self) -> None:
+    A tape made with record=False computes the same values but records
+    nothing: each node keeps no parents and no backward rule, and the tape
+    keeps no node, so an intermediate value is freed as soon as the forward
+    pass drops it instead of living, in a reference cycle with the tape,
+    until the cyclic garbage collector runs.
+    """
+
+    def __init__(self, record: bool = True) -> None:
+        self.record = record
         self._nodes: list[Var] = []
         self._params: dict[str, Var] = {}
 
@@ -54,6 +62,8 @@ class Tape:
         for p in parents:
             if p.tape is not self:
                 raise NumkitError("operands recorded on different tapes")
+        if not self.record:
+            return Var(self, -1, value)
         v = Var(self, len(self._nodes), value, tuple(parents), vjp)
         self._nodes.append(v)
         return v
@@ -75,6 +85,8 @@ class Tape:
         """
         if loss.tape is not self:
             raise NumkitError("loss recorded on a different tape")
+        if not self.record:
+            raise NumkitError("backward on a tape made with record=False")
         if loss.value.shape != ():
             raise NumkitError(f"loss must be scalar, got shape {loss.value.shape}")
         for node in self._nodes:

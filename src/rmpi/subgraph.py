@@ -61,12 +61,8 @@ class RelationViewGraph:
 @dataclass(frozen=True)
 class PrunedNeighborhood:
     frontiers: tuple[frozenset[int], ...]  # N^0 .. N^K
-    edges: tuple[tuple[int, int, int], ...]  # every edge whose dst sits in N^0..N^(K-1)
-    in_edges: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)  # dst -> ((src, type), ...)
-
-    @property
-    def depth(self) -> int:
-        return len(self.frontiers) - 1
+    # dst -> ((src, type), ...) for every dst in N^0..N^(K-1)
+    in_edges: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
 
     def cumulative(self, j: int) -> set[int]:
         """N^0 ∪ ... ∪ N^j."""
@@ -243,9 +239,9 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
 
     N^k collects every node with a typed edge into some node of N^(k-1);
     frontiers are not cumulative, so a node (the target included) can appear
-    in several of them.  The induced edge list keeps exactly the edges whose
-    destination lies in N^0..N^(K-1): those are all the messages any layer
-    of a depth-K pass can consume.
+    in several of them.  in_edges keeps the incoming edges of exactly the
+    nodes in N^0..N^(K-1): those are all the messages any layer of a depth-K
+    pass can consume.
     """
     if k < 1:
         raise SubgraphError(f"depth must be >= 1, got {k}")
@@ -265,11 +261,10 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
     receivers: set[int] = set()
     for f in frontiers[:-1]:
         receivers.update(f)
-    edges = tuple(e for e in rvg.edges if e[2] in receivers)
     in_edges = {
         dst: tuple(sorted(in_adj.get(dst, ()))) for dst in receivers
     }
-    return PrunedNeighborhood(frontiers=tuple(frontiers), edges=edges, in_edges=in_edges)
+    return PrunedNeighborhood(frontiers=tuple(frontiers), in_edges=in_edges)
 
 
 def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:

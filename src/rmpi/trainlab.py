@@ -11,11 +11,8 @@ directories holding a JSON manifest plus a packed float32 parameter block.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +38,6 @@ from .subgraph import (
 CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
 FORMAT_VERSION = 1
-# Layout of a pickled SubgraphSample; part of the on-disk cache key, so bump
-# it whenever build_sample's output changes.
-SAMPLE_FORMAT = 2
 
 
 class TrainError(Exception):
@@ -85,56 +79,19 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
     )
 
 
-def _build_one(args):
-    graph, triple, config = args
-    return triple, build_sample(graph, triple, config)
-
-
 class SampleCache:
-    """Extraction cache for one graph, keyed by (triple, K, NE-flag).
+    """In-memory extraction memo for one graph and one model config.
 
     Only triples that belong to the graph (training positives, scored
-    repeatedly across epochs) are retained; transient negatives are built on
-    the fly so memory stays bounded by the graph size.  With `cache_dir`
-    set, the retained part persists to disk keyed by graph and config
-    content.
+    repeatedly across epochs) are retained; transient negatives and
+    held-out targets are built on the fly so memory stays bounded by the
+    graph size.
     """
 
-    def __init__(self, graph: KnowledgeGraph, config: ModelConfig, cache_dir: str | None = None):
+    def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
         self.graph = graph
         self.config = config
         self._store: dict[Triple, SubgraphSample] = {}
-        self._path = None
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            self._path = os.path.join(cache_dir, f"subgraphs-{self._digest()}.pkl")
-            self._load_disk()
-
-    def _digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.graph.vocab.digest().encode())
-        for t in self.graph.triples:
-            h.update(f"{t.head},{t.relation},{t.tail};".encode())
-        h.update(
-            f"K={self.config.hops};ne={self.config.use_disclosing};"
-            f"format={SAMPLE_FORMAT}".encode()
-        )
-        return h.hexdigest()[:16]
-
-    def _load_disk(self):
-        if self._path and os.path.isfile(self._path):
-            try:
-                with open(self._path, "rb") as fh:
-                    self._store = pickle.load(fh)
-            except Exception:
-                self._store = {}  # stale or corrupt cache: rebuild
-
-    def flush(self):
-        if self._path:
-            tmp = self._path + ".tmp"
-            with open(tmp, "wb") as fh:
-                pickle.dump(self._store, fh)
-            os.replace(tmp, self._path)
 
     def sample(self, triple: Triple) -> SubgraphSample:
         got = self._store.get(triple)
@@ -145,18 +102,9 @@ class SampleCache:
             self._store[triple] = built
         return built
 
-    def precompute(self, triples, workers: int = 1):
-        todo = [t for t in triples if t not in self._store]
-        if not todo:
-            return
-        if workers <= 1:
-            for t in todo:
-                self.sample(t)
-            return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(self.graph, t, self.config) for t in todo]
-            for triple, sample in pool.map(_build_one, jobs, chunksize=64):
-                self._store[triple] = sample
+    def precompute(self, triples):
+        for t in triples:
+            self.sample(t)
 
 
 @dataclass(frozen=True)
@@ -354,21 +302,19 @@ def score_triples(
     lookup=None,
     schema_vectors: dict[int, np.ndarray] | None = None,
     run_seed: int = 0,
-    training: bool = False,
-    drop_rng=None,
 ) -> np.ndarray:
-    """Dropout-off scores for a list of triples, one tape per triple."""
+    """Dropout-off scores for a list of triples, one non-recording tape per triple."""
     out = np.empty(len(triples))
     for i, triple in enumerate(triples):
         sample = cache.sample(Triple(*triple))
-        tape = Tape()
+        tape = Tape(record=False)
         pvars = bind_params(tape, params)
         source = FeatureSource(
             tape, pvars, config,
             lookup=lookup, schema_vectors=schema_vectors, run_seed=run_seed,
         )
         out[i] = float(
-            score_sample(sample, source, pvars, config, training, drop_rng).value
+            score_sample(sample, source, pvars, config).value
         )
     return out
 
@@ -379,8 +325,6 @@ def train(
     benchmark: Benchmark,
     config: TrainConfig,
     schema_vectors: dict[str, np.ndarray] | None = None,
-    cache_dir: str | None = None,
-    workers: int = 1,
     log=None,
 ) -> Checkpoint:
     """Margin-ranking training with per-epoch validation model selection."""
@@ -400,9 +344,9 @@ def train(
     seen = vocab.seen_relations()
     lookup = lambda label: label if label in seen else None
 
-    cache = SampleCache(graph, mc, cache_dir=cache_dir)
+    cache = SampleCache(graph, mc)
     positives = list(graph.triples)
-    cache.precompute(positives, workers=workers)
+    cache.precompute(positives)
 
     rng_shuffle = np.random.default_rng([config.seed, 101])
     rng_neg = np.random.default_rng([config.seed, 102])
@@ -488,7 +432,6 @@ def train(
             best_epoch = epoch
             say(f"epoch {epoch}: train loss {train_losses[-1]:.4f} (no validation)")
 
-    cache.flush()
     return Checkpoint(
         config=mc,
         params=best_params,

@@ -246,8 +246,7 @@ def _train_and_classify(bench, model, seeds, epochs, schema_vectors=None):
     checkpoints = []
     for seed in seeds:
         config = TrainConfig(model=model, epochs=epochs, seed=seed)
-        ckpt = train(bench, config, schema_vectors=schema_vectors,
-                     cache_dir=os.environ.get("RMPI_CACHE_DIR"))
+        ckpt = train(bench, config, schema_vectors=schema_vectors)
         cache = SampleCache(bench.test_graph, model)
         result = classify(ckpt, bench.test_graph, bench.test, seed=seed,
                           schema_vectors=schema_vectors, cache=cache)

@@ -75,12 +75,6 @@ def test_help_exits_zero(capsys):
     assert "train" in capsys.readouterr().out
 
 
-def test_hop_layers_disagreement(tmp_path):
-    data = bench_dir(tmp_path)
-    code = main(train_args(data, tmp_path / "out", ["--hop", "2", "--layers", "3"]))
-    assert code == 1
-
-
 def test_invalid_choice_is_usage_error(tmp_path):
     data = bench_dir(tmp_path)
     code = main(["eval", "--ckpt", "x", "--data", str(data), "--task", "sort"])
@@ -172,27 +166,6 @@ def test_train_multi_run_layout(tmp_path):
     assert any(
         not np.array_equal(a.params[name], b.params[name]) for name in a.params
     )
-
-
-def test_train_cache_env_writes_cache(tmp_path, monkeypatch):
-    data = bench_dir(tmp_path)
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("RMPI_CACHE_DIR", str(cache_dir))
-    assert main(train_args(data, tmp_path / "ckpt", ["--epochs", "1"])) == 0
-    stored = list(cache_dir.glob("subgraphs-*.pkl"))
-    assert len(stored) == 1
-
-
-def test_train_workers_flag(tmp_path):
-    data = bench_dir(tmp_path)
-    out_serial = tmp_path / "s"
-    out_parallel = tmp_path / "p"
-    assert main(train_args(data, out_serial, ["--epochs", "1"])) == 0
-    assert main(train_args(data, out_parallel, ["--epochs", "1", "--workers", "2"])) == 0
-    a = load_checkpoint(str(out_serial))
-    b = load_checkpoint(str(out_parallel))
-    for name in a.params:
-        assert np.array_equal(a.params[name], b.params[name])
 
 
 # ---------------------------------------------------------------- eval

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,38 @@ def test_shape_mismatches_raise():
         nk.softmax(t.const(np.zeros(0)))
     with pytest.raises(NumkitError):
         nk.row(t.const(np.ones((2, 2))), 5)
+
+
+def test_unrecorded_tape_same_values_no_nodes():
+    rng = np.random.default_rng(4)
+    M, x = rng.normal(size=(3, 3)), rng.normal(size=3)
+
+    def forward(t):
+        h = nk.leaky_relu(nk.matvec(t.const(M), t.const(x)), 0.2)
+        return nk.dot(nk.softmax(h), nk.relu(h))
+
+    recorded, unrecorded = Tape(), Tape(record=False)
+    assert forward(unrecorded).value == forward(recorded).value
+    assert unrecorded._nodes == [] and recorded._nodes
+    with pytest.raises(NumkitError):
+        unrecorded.backward(forward(unrecorded))
+
+
+def test_unrecorded_tape_leaves_no_reference_cycle():
+    def garbage_after(record):
+        x = Tape(record=record).const(np.ones(4))
+        for _ in range(50):
+            x = nk.relu(nk.add(x, x))
+        del x
+        return gc.collect()
+
+    gc.disable()
+    try:
+        gc.collect()
+        assert garbage_after(True) > 0  # a recording tape and its nodes form a cycle
+        assert garbage_after(False) == 0  # freed by reference counting
+    finally:
+        gc.enable()
 
 
 def test_non_finite_rejected():

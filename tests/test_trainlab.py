@@ -1,11 +1,13 @@
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from rmpi import trainlab
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
-from rmpi.rmpnet import ModelConfig, init_params
+from rmpi.numkit import Tape
+from rmpi.rmpnet import FeatureSource, ModelConfig, bind_params, init_params, score_sample
 from rmpi.subgraph import disclosing_neighbors
 from rmpi.trainlab import (
     Checkpoint,
@@ -157,6 +159,20 @@ def test_build_sample_reads_disclosing_neighbors():
         assert build_sample(graph, target, base).disclosing == ()
 
 
+@pytest.mark.parametrize("use_disclosing", [False, True])
+def test_score_triples_matches_recorded_forward(use_disclosing):
+    graph = random_graph(np.random.default_rng(6), 10, 3, 24)
+    config = ModelConfig(dim=4, hops=2, use_disclosing=use_disclosing)
+    params = init_params(config, 3, np.random.default_rng(1))
+    triples = graph.triples[:5] + [Triple(0, 1, 9), Triple(3, 2, 3)]
+    got = trainlab.score_triples(params, config, SampleCache(graph, config), triples)
+    for score, t in zip(got, triples):
+        tape = Tape()
+        pvars = bind_params(tape, params)
+        source = FeatureSource(tape, pvars, config)
+        assert score == float(score_sample(build_sample(graph, t, config), source, pvars, config).value)
+
+
 # ---------------------------------------------------------------- cache
 
 def test_cache_retains_graph_triples_only():
@@ -174,56 +190,21 @@ def test_cache_retains_graph_triples_only():
     assert cache.sample(member) == build_sample(graph, member, config)
 
 
-def test_cache_disk_round_trip(tmp_path):
-    graph = random_graph(np.random.default_rng(4), 8, 2, 16)
-    config = ModelConfig(dim=4, hops=2)
-    cache = SampleCache(graph, config, cache_dir=str(tmp_path))
-    for t in graph.triples:
-        cache.sample(t)
-    cache.flush()
-    reloaded = SampleCache(graph, config, cache_dir=str(tmp_path))
-    assert set(reloaded._store) == set(cache._store)
-    for t in graph.triples:
-        assert reloaded.sample(t) == cache.sample(t)
+def test_train_builds_each_positive_once(monkeypatch):
+    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
+    graph = bench.train
+    built = Counter()
+    inner = trainlab.build_sample
 
+    def counting(g, triple, config):
+        built[triple] += 1
+        return inner(g, triple, config)
 
-def test_cache_ignores_corrupt_file(tmp_path):
-    graph = random_graph(np.random.default_rng(4), 6, 2, 10)
-    config = ModelConfig(dim=4, hops=2)
-    cache = SampleCache(graph, config, cache_dir=str(tmp_path))
-    cache.sample(graph.triples[0])
-    cache.flush()
-    with open(cache._path, "wb") as fh:
-        fh.write(b"not a pickle")
-    rebuilt = SampleCache(graph, config, cache_dir=str(tmp_path))
-    assert rebuilt._store == {}
-    assert rebuilt.sample(graph.triples[0]) == cache.sample(graph.triples[0])
-
-
-def test_cache_ignores_file_of_another_sample_format(tmp_path, monkeypatch):
-    graph = random_graph(np.random.default_rng(4), 6, 2, 10)
-    config = ModelConfig(dim=4, hops=2, use_disclosing=True)
-    monkeypatch.setattr(trainlab, "SAMPLE_FORMAT", trainlab.SAMPLE_FORMAT - 1)
-    stale = SampleCache(graph, config, cache_dir=str(tmp_path))
-    stale.sample(graph.triples[0])
-    stale.flush()
-    monkeypatch.undo()
-    fresh = SampleCache(graph, config, cache_dir=str(tmp_path))
-    assert os.path.isfile(stale._path)
-    assert fresh._path != stale._path
-    assert fresh._store == {}
-
-
-def test_cache_precompute_workers_match():
-    graph = random_graph(np.random.default_rng(5), 10, 2, 24)
-    config = ModelConfig(dim=4, hops=2)
-    serial = SampleCache(graph, config)
-    serial.precompute(graph.triples, workers=1)
-    parallel = SampleCache(graph, config)
-    parallel.precompute(graph.triples, workers=2)
-    assert set(serial._store) == set(parallel._store)
-    for t in serial._store:
-        assert serial._store[t] == parallel._store[t]
+    monkeypatch.setattr(trainlab, "build_sample", counting)
+    train(bench, small_config(epochs=3, patience=5))
+    on_graph = {t: n for t, n in built.items() if graph.has_triple(t)}
+    assert on_graph == {t: 1 for t in graph.triples}
+    assert sum(built.values()) > len(on_graph)  # negatives are built on the fly
 
 
 # ---------------------------------------------------------------- checkpoints
