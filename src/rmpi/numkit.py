@@ -1,11 +1,14 @@
-"""Dense linear algebra with reverse-mode differentiation on a tape.
+"""Array operations with reverse-mode differentiation on a tape.
 
 Values are numpy float64 arrays: matrices (2-d), vectors (1-d) and scalars
 (0-d).  Every operation appends a node to a Tape; backward() walks the tape
 in reverse creation order and accumulates vector-Jacobian products.  This is
-the smallest machinery that supports the model: matrix-vector products,
-elementwise nonlinearities, softmax, dot products and a few structural ops.
-No broadcasting, no GPU, no sparse kernels.
+the smallest machinery that runs the model over a batch of graphs: matrices
+applied to rows (`grouped_apply`, several at once to groups of rows), row
+gathers (`take`), gathered rows summed into segments
+(`gather_sum`), softmaxes within segments, row-wise dot products,
+elementwise nonlinearities and a few structural ops.  Operand shapes are
+checked rather than broadcast.  No GPU, no sparse kernels.
 """
 
 from __future__ import annotations
@@ -78,6 +81,16 @@ class Tape:
         self._params[name] = v
         return v
 
+    def clear(self) -> None:
+        """Forget every recorded node and parameter.
+
+        A recording tape and its nodes reference each other, so without
+        this their arrays stay alive until the cyclic garbage collector
+        runs, however early the caller drops them.
+        """
+        self._nodes.clear()
+        self._params.clear()
+
     def backward(self, loss: Var) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss for every registered parameter.
 
@@ -112,24 +125,175 @@ class Tape:
 
 # ------------------------------------------------------------------ ops
 
-def matvec(M: Var, x: Var) -> Var:
-    if M.value.ndim != 2 or x.value.ndim != 1 or M.value.shape[1] != x.value.shape[0]:
-        raise NumkitError(f"matvec shape mismatch: {M.value.shape} @ {x.value.shape}")
-    out = M.value @ x.value
+def _index(idx, size: int, what: str) -> np.ndarray:
+    """A 1-d integer index array whose entries all lie in [0, size)."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1:
+        raise NumkitError(f"{what} expects a 1-d index, got shape {idx.shape}")
+    # viewed as unsigned, a negative index is larger than any size
+    if idx.size and idx.view(np.uintp).max() >= size:
+        raise NumkitError(f"{what} index out of range for size {size}")
+    return idx
+
+
+GATHER_CHUNK = 512  # rows gather_sum gathers at once
+
+
+def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[idx[i]] += rows[i] for every i, the rows of each index summed in order.
+
+    A stable sort makes each index one run, which one reduceat sums; for
+    many rows this is several times faster than np.add.at.
+    """
+    if idx.size:
+        if (idx[1:] < idx[:-1]).any():
+            order = np.argsort(idx, kind="stable")
+            idx, rows = idx[order], rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+        out[idx[starts]] += np.add.reduceat(rows, starts, axis=0)
+    return out
+
+
+def _chunks(seg: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Row ranges of about `size` rows that never split a run of equal ids."""
+    if len(seg) <= size:
+        return [(0, len(seg))]
+    starts = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+    at = np.searchsorted(starts, np.arange(size, len(seg), size))
+    cuts = sorted(set(starts[at[at < len(starts)]].tolist()))
+    return list(zip([0] + cuts, cuts + [len(seg)]))
+
+
+BLAS_CALL_SIZE = 1 << 18  # multiply-adds per BLAS call in _product
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, computed a block of rows of a at a time.
+
+    Each block is small enough that BLAS runs it on the calling thread.  A
+    larger product makes OpenBLAS start worker threads, which then
+    busy-wait between the model's many small products: training took twice
+    the CPU time, and scoring spent it on later triples too.
+    """
+    rows = max(1, BLAS_CALL_SIZE // max(1, a.shape[1] * b.shape[1]))
+    if a.shape[0] <= rows:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[0], rows):
+        np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    return out
+
+
+def grouped_apply(x: Var, ws: list[Var]) -> Var:
+    """(n, p) rows out[r] = sum over i of ws[i] @ x[k * r + i], for k = len(ws).
+
+    x holds k rows, of width q, per output row, and ws are k (p, q)
+    matrices; the k products and their sum run as one product of the rows
+    regrouped to (n, k * q) with the matrices side by side.  With one
+    matrix w this is x @ w.T, w applied to every row.
+    """
+    k = len(ws)
+    rows, q = x.value.shape if x.value.ndim == 2 else (0, 0)
+    p = ws[0].value.shape[0] if ws else 0
+    if not ws or not q or rows % k or any(w.value.shape != (p, q) for w in ws):
+        shapes = [w.value.shape for w in ws]
+        raise NumkitError(f"grouped_apply shape mismatch: {x.value.shape} by {shapes}")
+    flat = x.value.reshape(rows // k, k * q)
+    side = np.concatenate([w.value for w in ws], axis=1)  # (p, k * q)
 
     def vjp(g):
-        return np.outer(g, x.value), M.value.T @ g
+        return (_product(g, side).reshape(x.value.shape),) + tuple(
+            np.split(_product(g.T, flat), k, axis=1)
+        )
 
-    return M.tape._record(out, (M, x), vjp)
+    return x.tape._record(_product(flat, side.T), (x, *ws), vjp)
+
+
+def take(x: Var, idx) -> Var:
+    """Rows x[idx]; an index may repeat, and a row no index names gets no gradient."""
+    if x.value.ndim < 1:
+        raise NumkitError("take expects an array with rows")
+    idx = _index(idx, x.value.shape[0], "take")
+
+    def vjp(g):
+        return (_scatter_add(np.zeros_like(x.value), idx, g),)
+
+    return x.tape._record(x.value[idx], (x,), vjp)
+
+
+def gather_sum(x: Var, src, seg, n: int, weights: Var | None = None) -> Var:
+    """(n, d) sums out[s] = sum of weights[i] * x[src[i]] over the i with seg[i] == s.
+
+    Rows of x are gathered by src, scaled by the optional weights and summed
+    into segments, a chunk of GATHER_CHUNK rows at a time, so live memory
+    does not grow with the number of rows gathered.  A chunk ends only where
+    a run of equal segment ids ends, so every segment is summed in row order
+    whatever the chunking.  An empty segment sums to zeros.
+    """
+    if x.value.ndim != 2:
+        raise NumkitError(f"gather_sum expects a matrix, got shape {x.value.shape}")
+    src = _index(src, x.value.shape[0], "gather_sum")
+    seg = _index(seg, n, "gather_sum")
+    if seg.shape != src.shape:
+        raise NumkitError(f"gather_sum needs one segment per row: {seg.shape} vs {src.shape}")
+    if weights is not None and weights.value.shape != src.shape:
+        raise NumkitError(f"gather_sum needs one weight per row: {weights.value.shape}")
+    w = None if weights is None else weights.value
+    chunks = _chunks(seg, GATHER_CHUNK)
+    out = np.zeros((n, x.value.shape[1]))
+    for lo, hi in chunks:
+        rows = x.value[src[lo:hi]]
+        if w is not None:
+            rows *= w[lo:hi, None]
+        _scatter_add(out, seg[lo:hi], rows)
+
+    def vjp(g):
+        dx = np.zeros_like(x.value)
+        dw = None if w is None else np.empty_like(w)
+        for lo, hi in chunks:
+            back = g[seg[lo:hi]]
+            if w is not None:
+                dw[lo:hi] = np.einsum("ij,ij->i", back, x.value[src[lo:hi]])
+                back *= w[lo:hi, None]
+            _scatter_add(dx, src[lo:hi], back)
+        return dx, dw
+
+    parents = (x,) if weights is None else (x, weights)
+    return x.tape._record(out, parents, vjp)
+
+
+def segment_softmax(x: Var, seg, n: int) -> Var:
+    """Softmax of a vector within each of n segments, each shifted by its own maximum."""
+    seg = _index(seg, n, "segment_softmax")
+    if x.value.ndim != 1 or seg.shape != x.value.shape:
+        raise NumkitError(f"segment_softmax needs one id per entry: {seg.shape} vs {x.value.shape}")
+    top = np.full(n, -np.inf)
+    np.maximum.at(top, seg, x.value)
+    e = np.exp(x.value - top[seg])
+    y = e / np.bincount(seg, weights=e, minlength=n)[seg]
+
+    def vjp(g):
+        return (y * (g - np.bincount(seg, weights=g * y, minlength=n)[seg]),)
+
+    return x.tape._record(y, (x,), vjp)
+
+
+def rowdot(a: Var, b: Var) -> Var:
+    """(n,) dot products of matching rows of two (n, d) matrices."""
+    if a.value.ndim != 2 or a.value.shape != b.value.shape:
+        raise NumkitError(f"rowdot shape mismatch: {a.value.shape} vs {b.value.shape}")
+
+    def vjp(g):
+        return g[:, None] * b.value, g[:, None] * a.value
+
+    return a.tape._record(np.einsum("ij,ij->i", a.value, b.value), (a, b), vjp)
 
 
 def relu(x: Var) -> Var:
-    mask = x.value > 0
-
     def vjp(g):
-        return (g * mask,)
+        return (g * (x.value > 0),)
 
-    return x.tape._record(np.where(mask, x.value, 0.0), (x,), vjp)
+    return x.tape._record(np.maximum(x.value, 0.0), (x,), vjp)
 
 
 def leaky_relu(x: Var, slope: float = 0.2) -> Var:
@@ -185,13 +349,6 @@ def sub(x: Var, y: Var) -> Var:
     return x.tape._record(x.value - y.value, (x, y), vjp)
 
 
-def scale(x: Var, c: float) -> Var:
-    def vjp(g):
-        return (g * c,)
-
-    return x.tape._record(x.value * c, (x,), vjp)
-
-
 def shift(x: Var, c: float) -> Var:
     def vjp(g):
         return (g,)
@@ -199,79 +356,19 @@ def shift(x: Var, c: float) -> Var:
     return x.tape._record(x.value + c, (x,), vjp)
 
 
-def add_n(xs: list[Var]) -> Var:
-    if not xs:
-        raise NumkitError("add_n of nothing")
-    shape = xs[0].value.shape
-    for x in xs[1:]:
-        if x.value.shape != shape:
-            raise NumkitError("add_n shape mismatch")
+def concat(xs: list[Var], axis: int = 0) -> Var:
+    """Arrays of equal rank joined along one axis."""
+    values = [x.value for x in xs]
+    try:
+        out = np.concatenate(values, axis=axis)
+    except ValueError as exc:
+        shapes = [v.shape for v in values]
+        raise NumkitError(f"concat shape mismatch: {shapes} along {axis}") from exc
 
     def vjp(g):
-        return tuple(g for _ in xs)
+        return tuple(np.split(g, np.cumsum([v.shape[axis] for v in values])[:-1], axis=axis))
 
-    total = xs[0].value.copy()
-    for x in xs[1:]:
-        total += x.value
-    return xs[0].tape._record(total, tuple(xs), vjp)
-
-
-def weighted_sum(alpha: Var, vectors: list[Var]) -> Var:
-    """sum_i alpha[i] * vectors[i] for a vector of weights."""
-    n = alpha.value.shape[0] if alpha.value.ndim == 1 else -1
-    if n != len(vectors) or n == 0:
-        raise NumkitError("weighted_sum arity mismatch")
-    d = vectors[0].value.shape
-    for v in vectors:
-        if v.value.shape != d:
-            raise NumkitError("weighted_sum shape mismatch")
-    out = np.zeros(d)
-    for a, v in zip(alpha.value, vectors):
-        out += a * v.value
-
-    def vjp(g):
-        da = np.array([float(g @ v.value) for v in vectors])
-        return (da,) + tuple(a * g for a in alpha.value)
-
-    return alpha.tape._record(out, (alpha,) + tuple(vectors), vjp)
-
-
-def stack(scalars: list[Var]) -> Var:
-    if not scalars:
-        raise NumkitError("stack of nothing")
-    for s in scalars:
-        if s.value.shape != ():
-            raise NumkitError("stack expects scalars")
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(scalars)))
-
-    return scalars[0].tape._record(
-        np.array([s.value for s in scalars]), tuple(scalars), vjp
-    )
-
-
-def concat(x: Var, y: Var) -> Var:
-    if x.value.ndim != 1 or y.value.ndim != 1:
-        raise NumkitError("concat expects vectors")
-    nx = x.value.shape[0]
-
-    def vjp(g):
-        return g[:nx], g[nx:]
-
-    return x.tape._record(np.concatenate([x.value, y.value]), (x, y), vjp)
-
-
-def row(M: Var, i: int) -> Var:
-    if M.value.ndim != 2 or not (0 <= i < M.value.shape[0]):
-        raise NumkitError(f"row {i} out of range for shape {M.value.shape}")
-
-    def vjp(g):
-        out = np.zeros_like(M.value)
-        out[i] = g
-        return (out,)
-
-    return M.tape._record(M.value[i].copy(), (M,), vjp)
+    return xs[0].tape._record(out, tuple(xs), vjp)
 
 
 # ------------------------------------------------------------------ adam

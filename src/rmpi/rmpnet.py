@@ -11,18 +11,26 @@ variant adds a one-hop aggregate over the target's neighbors in the unpruned
 union subgraph (the triples sharing an entity with it, read from the graph
 without building that subgraph's relation view), fused by summation or
 concatenation before the linear scorer.
+
+Everything runs as array operations over a batch.  The samples are stacked
+into one block-diagonal graph, their distinct labels resolved once into a
+feature table.  Each layer then gathers the source features of every
+(destination, edge type) group and sums them, softmax-weighted within the
+group under attention, and transforms the group sums by their edge types'
+weights in one matrix product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit as nk
 from .numkit import Tape, Var
-from .subgraph import NUM_EDGE_TYPES, PrunedNeighborhood, RelationViewGraph
+from .subgraph import NO_EDGES, NUM_EDGE_TYPES, PrunedNeighborhood, RelationViewGraph
 
 FUSION_MODES = ("sum", "conc")
 INIT_MODES = ("random", "schema")
@@ -129,11 +137,11 @@ def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Var]:
 class FeatureSource:
     """Resolves relation labels to initial feature vectors on one tape.
 
-    Features are cached per label, so two nodes sharing a relation get the
-    very same tape node and gradients flow into one embedding row.  `lookup`
-    maps a label to its embedding-table row, or None for relations that have
-    no learned row (unseen at training time); those draw a fresh vector from
-    the initializer distribution, seeded per run and per label.
+    `table(labels)` gives one row per label.  `lookup` maps a label to its
+    embedding-table row, or None for relations that have no learned row
+    (unseen at training time); those take a fresh vector from the
+    initializer distribution, seeded per run and per label.  In schema mode
+    every row is the projection of the label's pretrained vector.
     """
 
     def __init__(
@@ -151,182 +159,26 @@ class FeatureSource:
         self.lookup = lookup if lookup is not None else (lambda label: label)
         self.schema_vectors = schema_vectors
         self.run_seed = run_seed
-        self._cache: dict[int, Var] = {}
 
-    def h0(self, label: int) -> Var:
-        got = self._cache.get(label)
-        if got is not None:
-            return got
+    def table(self, labels) -> Var:
+        """(len(labels), d) initial features, row i for labels[i]."""
+        labels = [int(label) for label in labels]
         cfg = self.config
         if cfg.init_mode == "schema":
-            if self.schema_vectors is None or label not in self.schema_vectors:
-                raise ModelError(f"no schema vector for relation id {label}")
-            vec = self.tape.const(self.schema_vectors[label])
-            out = nk.matvec(self.pvars["schema_w1"], nk.matvec(self.pvars["schema_w2"], vec))
-        else:
-            row_idx = self.lookup(label)
-            if row_idx is not None:
-                out = nk.row(self.pvars["rel_emb"], row_idx)
-            else:
-                out = self.tape.const(fresh_unseen_vector(self.run_seed, label, cfg.dim))
-        self._cache[label] = out
-        return out
-
-
-def initial_features(rvg: RelationViewGraph, source: FeatureSource, nodes=None) -> dict[int, Var]:
-    """h0 per node index (all nodes by default, or a restriction)."""
-    which = range(rvg.num_nodes) if nodes is None else sorted(nodes)
-    return {i: source.h0(rvg.labels[i]) for i in which}
-
-
-def _drop_edges(incoming, config, training, drop_rng):
-    if not training or config.edge_dropout <= 0 or not incoming:
-        return incoming
-    if drop_rng is None:
-        raise ModelError("training-mode forward needs a dropout stream")
-    return tuple(e for e in incoming if drop_rng.random() >= config.edge_dropout)
-
-
-def _aggregate(pvars, feats, target_feat, srcs_by_type, layer, config, attention):
-    """Sum over edge types of (optionally attention-weighted) transformed messages."""
-    parts = []
-    for etype in sorted(srcs_by_type):
-        srcs = srcs_by_type[etype]
-        w = pvars[layer_param(layer, etype)]
-        transformed = [nk.matvec(w, feats[s]) for s in srcs]
-        if attention:
-            logits = nk.stack(
-                [nk.leaky_relu(nk.dot(target_feat, feats[s]), config.leaky_slope) for s in srcs]
-            )
-            parts.append(nk.weighted_sum(nk.softmax(logits), transformed))
-        else:
-            parts.append(transformed[0] if len(transformed) == 1 else nk.add_n(transformed))
-    if not parts:
-        return None
-    return nk.relu(parts[0] if len(parts) == 1 else nk.add_n(parts))
-
-
-def _group_incoming(pruned: PrunedNeighborhood, node: int, config, training, drop_rng):
-    incoming = _drop_edges(pruned.in_edges.get(node, ()), config, training, drop_rng)
-    groups: dict[int, list[int]] = {}
-    for src, etype in incoming:
-        groups.setdefault(etype, []).append(src)
-    return groups
-
-
-def message_layer(
-    rvg: RelationViewGraph,
-    pruned: PrunedNeighborhood,
-    feats: dict[int, Var],
-    layer: int,
-    pvars: dict[str, Var],
-    config: ModelConfig,
-    training: bool = False,
-    drop_rng=None,
-) -> dict[int, Var]:
-    """One intermediate layer: update every node still useful to the target.
-
-    At layer k that is the union N^0..N^(K-k).  Each updated node aggregates
-    its (possibly dropped) incoming messages per edge type and adds its own
-    previous feature.  Attention weights compare neighbors against the
-    target's most recently computed feature.
-    """
-    K = config.hops
-    if not (1 <= layer < K):
-        raise ModelError(f"intermediate layer index {layer} out of range for depth {K}")
-    target = rvg.target_index
-    try:
-        target_feat = feats[target]
-    except KeyError:
-        raise ModelError("target feature missing from schedule") from None
-    out: dict[int, Var] = {}
-    for node in sorted(pruned.cumulative(K - layer)):
-        groups = _group_incoming(pruned, node, config, training, drop_rng)
-        try:
-            agg = _aggregate(
-                pvars, feats, target_feat, groups, layer, config, config.target_attention
-            )
-            prev = feats[node]
-        except KeyError as missing:
-            raise ModelError(f"feature for node {missing} missing from schedule") from None
-        out[node] = prev if agg is None else nk.add(agg, prev)
-    return out
-
-
-def final_layer(
-    rvg: RelationViewGraph,
-    pruned: PrunedNeighborhood,
-    feats: dict[int, Var],
-    pvars: dict[str, Var],
-    config: ModelConfig,
-    training: bool = False,
-    drop_rng=None,
-) -> Var:
-    """Last layer: equal-weight aggregation into the target node only."""
-    target = rvg.target_index
-    groups = _group_incoming(pruned, target, config, training, drop_rng)
-    try:
-        agg = _aggregate(pvars, feats, feats[target], groups, config.hops, config, False)
-        prev = feats[target]
-    except KeyError as missing:
-        raise ModelError(f"feature for node {missing} missing from schedule") from None
-    return prev if agg is None else nk.add(agg, prev)
-
-
-def propagate(
-    rvg: RelationViewGraph,
-    pruned: PrunedNeighborhood,
-    source: FeatureSource,
-    pvars: dict[str, Var],
-    config: ModelConfig,
-    training: bool = False,
-    drop_rng=None,
-) -> Var:
-    """Full depth-K pass over the pruned neighborhood; returns h_target^K."""
-    feats = initial_features(rvg, source, pruned.cumulative(config.hops))
-    for layer in range(1, config.hops):
-        feats = message_layer(rvg, pruned, feats, layer, pvars, config, training, drop_rng)
-    return final_layer(rvg, pruned, feats, pvars, config, training, drop_rng)
-
-
-def disclosing_aggregate(
-    neigh: list[tuple[int, int]],
-    target_label: int,
-    source: FeatureSource,
-    pvars: dict[str, Var],
-    config: ModelConfig,
-) -> Var:
-    """Attention-weighted one-hop aggregate over the disclosing neighborhood.
-
-    Works on initial features only.  Empty neighborhood yields a zero
-    vector, which keeps the fused score well defined when the target has no
-    connected context at all.
-    """
-    if not neigh:
-        return source.tape.const(np.zeros(config.dim))
-    w = pvars["disc_w"]
-    wt = nk.matvec(w, source.h0(target_label))
-    transformed = [nk.matvec(w, source.h0(label)) for _, label in neigh]
-    logits = nk.stack(
-        [nk.leaky_relu(nk.dot(wt, tv), config.leaky_slope) for tv in transformed]
-    )
-    return nk.relu(nk.weighted_sum(nk.softmax(logits), transformed))
-
-
-def score(h_target: Var, h_disc: Var | None, pvars: dict[str, Var], config: ModelConfig) -> Var:
-    """Scalar plausibility of the target triple."""
-    if config.use_disclosing:
-        if h_disc is None:
-            raise ModelError("disclosing variant needs the one-hop aggregate")
-        if config.fusion == "sum":
-            fused = nk.add(h_target, h_disc)
-        else:
-            fused = nk.matvec(pvars["fusion_w"], nk.concat(h_target, h_disc))
-    else:
-        if h_disc is not None:
-            raise ModelError("base variant must not receive a disclosing aggregate")
-        fused = h_target
-    return nk.dot(nk.row(pvars["score_w"], 0), fused)
+            for label in labels:
+                if self.schema_vectors is None or label not in self.schema_vectors:
+                    raise ModelError(f"no schema vector for relation id {label}")
+            vecs = self.tape.const(np.stack([self.schema_vectors[label] for label in labels]))
+            return _apply(self.pvars["schema_w1"], _apply(self.pvars["schema_w2"], vecs))
+        emb = self.pvars["rel_emb"]
+        rows = [self.lookup(label) for label in labels]
+        unseen = [label for label, row in zip(labels, rows) if row is None]
+        if unseen:
+            draws = [fresh_unseen_vector(self.run_seed, label, cfg.dim) for label in unseen]
+            extra = iter(range(emb.value.shape[0], emb.value.shape[0] + len(unseen)))
+            rows = [next(extra) if row is None else row for row in rows]
+            emb = nk.concat([emb, self.tape.const(np.stack(draws))])
+        return nk.take(emb, rows)
 
 
 @dataclass(frozen=True)
@@ -339,20 +191,198 @@ class SubgraphSample:
     target_label: int = 0
 
 
+@dataclass(frozen=True)
+class SampleBatch:
+    """Samples stacked into one block-diagonal relation-view graph.
+
+    The node ids of a sample are offset by the node counts of the samples
+    before it, so no edge joins two samples.  The *_rows arrays index
+    `labels`, the batch's distinct relation labels, which are the rows of
+    its feature table.
+    """
+
+    labels: np.ndarray  # (L,) distinct labels, ascending
+    node_rows: np.ndarray  # (N,) label row per node
+    node_sample: np.ndarray  # (N,) sample per node
+    targets: np.ndarray  # (B,) node id of each sample's target
+    layer_edges: tuple  # per layer, (E_k, 3) (src, type, dst) over node ids
+    disc_rows: np.ndarray  # (M,) label row per disclosing neighbor
+    disc_sample: np.ndarray  # (M,) sample per disclosing neighbor
+    target_rows: np.ndarray  # (B,) label row of each sample's target relation
+
+    @property
+    def size(self) -> int:
+        return len(self.targets)
+
+
+def stack_samples(samples) -> SampleBatch:
+    """One block-diagonal graph of a sequence of samples pruned to one depth."""
+    samples = list(samples)
+    if not samples:
+        raise ModelError("cannot score an empty batch")
+    depths = {len(s.pruned.layer_edges) for s in samples}
+    if len(depths) != 1:
+        raise ModelError(f"samples pruned to different depths: {sorted(depths)}")
+    sizes = [s.rvg.num_nodes for s in samples]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    node_labels = [label for s in samples for label in s.rvg.labels]
+    disc_labels = [label for s in samples for _, label in s.disclosing]
+    target_labels = [s.target_label for s in samples]
+    labels = sorted(set(node_labels).union(disc_labels, target_labels))
+    row = {label: i for i, label in enumerate(labels)}
+
+    def rows(of):
+        return np.array([row[label] for label in of], dtype=np.intp)
+
+    sample_ids = np.arange(len(samples))
+    return SampleBatch(
+        labels=np.array(labels),
+        node_rows=rows(node_labels),
+        node_sample=np.repeat(sample_ids, sizes),
+        targets=np.array([off + s.rvg.target_index for off, s in zip(offsets, samples)]),
+        layer_edges=tuple(
+            _offset_edges([s.pruned.layer_edges[k] for s in samples], offsets)
+            for k in range(depths.pop())
+        ),
+        disc_rows=rows(disc_labels),
+        disc_sample=np.repeat(sample_ids, [len(s.disclosing) for s in samples]),
+        target_rows=rows(target_labels),
+    )
+
+
+def _offset_edges(per_sample, offsets) -> np.ndarray:
+    shifted = [e + (off, 0, off) if off else e for e, off in zip(per_sample, offsets) if len(e)]
+    if len(shifted) == 1:
+        return shifted[0]
+    return np.concatenate(shifted) if shifted else NO_EDGES
+
+
+def _apply(w: Var, x: Var) -> Var:
+    """W applied to every row of x."""
+    return nk.grouped_apply(x, [w])
+
+
+def propagate(
+    batch: SampleBatch,
+    table: Var,
+    pvars: dict[str, Var],
+    config: ModelConfig,
+    training: bool = False,
+    drop_rng=None,
+) -> Var:
+    """h_target^K of every sample, (B, d), after K layers over the batch.
+
+    Layer k < K updates every node that can still reach its target, N^0 ..
+    N^(K-k): per edge type it sums the transformed features of its incoming
+    neighbors, with target-aware attention weights normalised within each
+    (node, type) group when configured, and adds its own previous feature
+    to the rectified total.  A node with no incoming message keeps its
+    feature.  Layer K updates only the targets, with equal weights.  In
+    training, every edge of a layer is dropped independently with the
+    configured probability, one Boolean mask per layer from drop_rng.
+    """
+    K = config.hops
+    if len(batch.layer_edges) != K:
+        raise ModelError(f"samples pruned to depth {len(batch.layer_edges)}, model depth {K}")
+    dropping = training and config.edge_dropout > 0
+    if dropping and drop_rng is None:
+        raise ModelError("training-mode forward needs a dropout stream")
+    if not any(len(edges) for edges in batch.layer_edges):
+        return nk.take(table, batch.node_rows[batch.targets])
+    h = nk.take(table, batch.node_rows)
+    for layer, edges in enumerate(batch.layer_edges, start=1):
+        if dropping and len(edges):
+            edges = edges[drop_rng.random(len(edges)) >= config.edge_dropout]
+        if layer == K:  # only the targets, each its sample's one receiver
+            prev = nk.take(h, batch.targets)
+            if len(edges):
+                seg = batch.node_sample[edges[:, 2]]
+                prev = nk.add(_aggregate(h, edges, seg, batch.size, layer, pvars, None), prev)
+            return prev
+        if not len(edges):
+            continue
+        scores = None
+        if config.target_attention:
+            anchors = nk.take(h, batch.targets[batch.node_sample])
+            scores = nk.leaky_relu(nk.rowdot(h, anchors), config.leaky_slope)
+        n = len(batch.node_rows)
+        h = nk.add(_aggregate(h, edges, edges[:, 2], n, layer, pvars, scores), h)
+    return h
+
+
+def _aggregate(h: Var, edges, seg, n_out: int, layer: int, pvars, scores: Var | None) -> Var:
+    """(n_out, d) rectified sums over each receiver seg[i] of W_type h_src.
+
+    The sources of each (receiver, type) group are summed first, weighted by
+    a softmax of their scores within the group when scores are given; the
+    group sums are then transformed by their types' weights in one product.
+    """
+    src, etype = edges[:, 0], edges[:, 1]
+    groups = seg * NUM_EDGE_TYPES + etype
+    n_groups = n_out * NUM_EDGE_TYPES
+    weights = None
+    if scores is not None:
+        weights = nk.segment_softmax(nk.take(scores, src), groups, n_groups)
+    summed = nk.gather_sum(h, src, groups, n_groups, weights)  # row r * 6 + e: type e into r
+    typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
+    return nk.relu(nk.grouped_apply(summed, typed))
+
+
+def disclosing_aggregate(
+    batch: SampleBatch,
+    table: Var,
+    pvars: dict[str, Var],
+    config: ModelConfig,
+) -> Var:
+    """Attention-weighted one-hop aggregate over each sample's disclosing
+    neighborhood, (B, d).
+
+    Works on initial features only.  An empty neighborhood yields a zero
+    row, which keeps the fused score well defined when the target has no
+    connected context at all.
+    """
+    if not len(batch.disc_rows):
+        return table.tape.const(np.zeros((batch.size, config.dim)))
+    transformed = _apply(pvars["disc_w"], table)  # W h0 per distinct label
+    neigh = nk.take(transformed, batch.disc_rows)
+    anchors = nk.take(transformed, batch.target_rows[batch.disc_sample])
+    logits = nk.leaky_relu(nk.rowdot(neigh, anchors), config.leaky_slope)
+    alpha = nk.segment_softmax(logits, batch.disc_sample, batch.size)
+    return nk.relu(
+        nk.gather_sum(transformed, batch.disc_rows, batch.disc_sample, batch.size, alpha)
+    )
+
+
+def score(h_target: Var, h_disc: Var | None, pvars: dict[str, Var], config: ModelConfig) -> Var:
+    """(B,) plausibility of each target triple from its (B, d) representation."""
+    if config.use_disclosing:
+        if h_disc is None:
+            raise ModelError("disclosing variant needs the one-hop aggregate")
+        if config.fusion == "sum":
+            fused = nk.add(h_target, h_disc)
+        else:
+            fused = _apply(pvars["fusion_w"], nk.concat([h_target, h_disc], axis=1))
+    else:
+        if h_disc is not None:
+            raise ModelError("base variant must not receive a disclosing aggregate")
+        fused = h_target
+    weights = nk.take(pvars["score_w"], np.zeros(fused.value.shape[0], dtype=np.intp))
+    return nk.rowdot(fused, weights)
+
+
 def score_sample(
-    sample: SubgraphSample,
+    samples,
     source: FeatureSource,
     pvars: dict[str, Var],
     config: ModelConfig,
     training: bool = False,
     drop_rng=None,
 ) -> Var:
-    h_target = propagate(
-        sample.rvg, sample.pruned, source, pvars, config, training, drop_rng
-    )
+    """(B,) scores of a sequence of samples, run as one stacked graph."""
+    batch = stack_samples(samples)
+    table = source.table(batch.labels)
+    h_target = propagate(batch, table, pvars, config, training, drop_rng)
     h_disc = None
     if config.use_disclosing:
-        h_disc = disclosing_aggregate(
-            list(sample.disclosing), sample.target_label, source, pvars, config
-        )
+        h_disc = disclosing_aggregate(batch, table, pvars, config)
     return score(h_target, h_disc, pvars, config)

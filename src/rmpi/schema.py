@@ -216,7 +216,8 @@ def load_vectors(directory: str) -> dict[str, np.ndarray]:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     dim = int(manifest["dim"])
-    raw = open(block_path, "rb").read()
+    with open(block_path, "rb") as fh:
+        raw = fh.read()
     out = {}
     for entry in manifest["entries"]:
         off = int(entry["offset"])

@@ -7,7 +7,8 @@ union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Message
 passing only ever needs the part of that graph that can reach the target
-node within K steps, which prune_to_target computes as frontier sets.  The
+node within K steps, which prune_to_target computes as frontier sets and,
+per layer, as the int arrays of edges the message-passing engine reads.  The
 model reads only the target's one-hop in-neighbors in the disclosing view,
 and those are exactly the triples sharing an entity with the target, so
 disclosing_neighbors reads them straight off the adjacency indexes;
@@ -17,7 +18,10 @@ extract_disclosing builds the whole union subgraph only for inspection
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .kgstore import KnowledgeGraph, Triple, khop_neighbors
 
@@ -61,8 +65,11 @@ class RelationViewGraph:
 @dataclass(frozen=True)
 class PrunedNeighborhood:
     frontiers: tuple[frozenset[int], ...]  # N^0 .. N^K
-    # dst -> ((src, type), ...) for every dst in N^0..N^(K-1)
-    in_edges: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
+    # Per layer k = 1..K, the edges that layer consumes, those with dst in
+    # N^0..N^(K-k): an (E_k, 3) int array of (src, type, dst) rows sorted by
+    # (dst, type, src), the order a layer sums its messages in.  A function of
+    # the relation view and the frontiers, so equality ignores it.
+    layer_edges: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     def cumulative(self, j: int) -> set[int]:
         """N^0 ∪ ... ∪ N^j."""
@@ -70,6 +77,10 @@ class PrunedNeighborhood:
         for f in self.frontiers[: j + 1]:
             out.update(f)
         return out
+
+
+NO_EDGES = np.empty((0, 3), dtype=np.int32)
+NO_EDGES.flags.writeable = False
 
 
 def _induced_triples(graph: KnowledgeGraph, entities: set[int], target: Triple):
@@ -239,32 +250,39 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
 
     N^k collects every node with a typed edge into some node of N^(k-1);
     frontiers are not cumulative, so a node (the target included) can appear
-    in several of them.  in_edges keeps the incoming edges of exactly the
-    nodes in N^0..N^(K-1): those are all the messages any layer of a depth-K
-    pass can consume.
+    in several of them.  Layer k of a depth-K pass updates N^0..N^(K-k), so
+    it consumes exactly the edges into those nodes; layer_edges holds them.
+    A view without edges shares one empty array per layer.
     """
     if k < 1:
         raise SubgraphError(f"depth must be >= 1, got {k}")
     if not (0 <= rvg.target_index < rvg.num_nodes):
         raise SubgraphError(f"invalid target index {rvg.target_index}")
+    if not rvg.edges:
+        return PrunedNeighborhood(
+            frontiers=(frozenset([rvg.target_index]),) + (frozenset(),) * k,
+            layer_edges=(NO_EDGES,) * k,
+        )
 
-    in_adj: dict[int, list[tuple[int, int]]] = {}
-    for src, et, dst in rvg.edges:
-        in_adj.setdefault(dst, []).append((src, et))
+    # fromiter: np.array on the tuples would take twice the time and a
+    # temporary several times the array's size
+    flat = itertools.chain.from_iterable(rvg.edges)
+    edges = np.fromiter(flat, dtype=np.int32, count=3 * len(rvg.edges)).reshape(-1, 3)
+    src, dst = edges[:, 0], edges[:, 2]
+    member = np.zeros((k + 1, rvg.num_nodes), dtype=bool)  # member[j]: N^j
+    member[0, rvg.target_index] = True
+    for j in range(1, k + 1):
+        member[j, src[member[j - 1, dst]]] = True
 
-    frontiers = [frozenset([rvg.target_index])]
-    for _ in range(k):
-        prev = frontiers[-1]
-        nxt = {src for dst in prev for (src, _) in in_adj.get(dst, ())}
-        frontiers.append(frozenset(nxt))
-
-    receivers: set[int] = set()
-    for f in frontiers[:-1]:
-        receivers.update(f)
-    in_edges = {
-        dst: tuple(sorted(in_adj.get(dst, ()))) for dst in receivers
-    }
-    return PrunedNeighborhood(frontiers=tuple(frontiers), in_edges=in_edges)
+    receivers = np.logical_or.accumulate(member[:k], axis=0)  # row j: N^0..N^j
+    edges = edges[receivers[k - 1, dst]]  # layer 1's; every later layer's are among them
+    edges = edges[np.lexsort((edges[:, 0], edges[:, 1], edges[:, 2]))]
+    return PrunedNeighborhood(
+        frontiers=tuple(frozenset(np.flatnonzero(row).tolist()) for row in member),
+        layer_edges=(edges,) + tuple(
+            edges[receivers[k - layer, edges[:, 2]]] for layer in range(2, k + 1)
+        ),
+    )
 
 
 def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:

@@ -1,11 +1,12 @@
 """Training: negative sampling, subgraph batching, margin ranking, checkpoints.
 
-One training step scores a batch of positives against sampled negatives on a
-shared tape, applies the margin ranking loss and one Adam update.  After
-every epoch the model is scored on the held-out validation targets
-(classification AUC-PR against a fixed negative set) and the best-scoring
-parameters are kept, with early stopping on patience.  Checkpoints are
-directories holding a JSON manifest plus a packed float32 parameter block.
+One training step scores a batch of positives and their sampled negatives in
+one forward pass on one tape, applies the margin ranking loss and one Adam
+update.  After every epoch the model is scored on the held-out validation
+targets (classification AUC-PR against a fixed negative set) and the
+best-scoring parameters are kept, with early stopping on patience.
+Checkpoints are directories holding a JSON manifest plus a packed float32
+parameter block.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def load_checkpoint(directory: str) -> Checkpoint:
         raise TrainError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}"
         )
-    raw = open(params_path, "rb").read()
+    with open(params_path, "rb") as fh:
+        raw = fh.read()
     params = {}
     offset = 0
     for entry in manifest["params"]:
@@ -303,19 +305,23 @@ def score_triples(
     schema_vectors: dict[int, np.ndarray] | None = None,
     run_seed: int = 0,
 ) -> np.ndarray:
-    """Dropout-off scores for a list of triples, one non-recording tape per triple."""
+    """Dropout-off scores for a list of triples, one forward per triple.
+
+    Each triple is a batch of its own, since one batch would hold the
+    intermediate arrays of all its triples at once, and a rank query scores
+    50.  The triples share one non-recording tape, which keeps no node, so
+    each triple's arrays are freed as soon as its forward returns.
+    """
+    tape = Tape(record=False)
+    pvars = bind_params(tape, params)
+    source = FeatureSource(
+        tape, pvars, config,
+        lookup=lookup, schema_vectors=schema_vectors, run_seed=run_seed,
+    )
     out = np.empty(len(triples))
     for i, triple in enumerate(triples):
         sample = cache.sample(Triple(*triple))
-        tape = Tape(record=False)
-        pvars = bind_params(tape, params)
-        source = FeatureSource(
-            tape, pvars, config,
-            lookup=lookup, schema_vectors=schema_vectors, run_seed=run_seed,
-        )
-        out[i] = float(
-            score_sample(sample, source, pvars, config).value
-        )
+        out[i] = score_sample([sample], source, pvars, config).value[0]
     return out
 
 
@@ -384,31 +390,32 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [positives[i] for i in order[start : start + config.batch_size]]
+            samples = []  # each positive, then its negatives
+            for pos in batch:
+                pos_sub = cache.sample(pos)
+                samples.append(pos_sub)
+                for _ in range(config.num_negatives):
+                    neg = sample_negative(pos, graph, rng_neg, config.negative_retries)
+                    neg_sub = cache.sample(neg)
+                    TrainSample(pos, neg, pos_sub, neg_sub)  # invariant check
+                    samples.append(neg_sub)
             tape = Tape()
             pvars = bind_params(tape, params)
             source = FeatureSource(
                 tape, pvars, mc,
                 lookup=lookup, schema_vectors=id_vectors, run_seed=config.seed,
             )
-            terms = []
-            for pos in batch:
-                pos_sub = cache.sample(pos)
-                pos_score = score_sample(
-                    pos_sub, source, pvars, mc, training=True, drop_rng=rng_drop
-                )
-                for _ in range(config.num_negatives):
-                    neg = sample_negative(pos, graph, rng_neg, config.negative_retries)
-                    neg_sub = cache.sample(neg)
-                    TrainSample(pos, neg, pos_sub, neg_sub)  # invariant check
-                    neg_score = score_sample(
-                        neg_sub, source, pvars, mc, training=True, drop_rng=rng_drop
-                    )
-                    terms.append(
-                        nk.relu(nk.shift(nk.sub(neg_score, pos_score), config.margin))
-                    )
-            loss = terms[0] if len(terms) == 1 else nk.add_n(terms)
+            scores = score_sample(
+                samples, source, pvars, mc, training=True, drop_rng=rng_drop
+            )
+            positions = np.arange(len(samples)).reshape(len(batch), -1)
+            pos_scores = nk.take(scores, np.repeat(positions[:, 0], config.num_negatives))
+            neg_scores = nk.take(scores, positions[:, 1:].ravel())
+            hinges = nk.relu(nk.shift(nk.sub(neg_scores, pos_scores), config.margin))
+            loss = nk.dot(hinges, tape.const(np.ones(hinges.value.shape)))
             epoch_loss += float(loss.value)
             grads = tape.backward(loss)
+            tape.clear()  # frees the step's arrays now, not at the next full collection
             _, adam_state = adam_step(params, grads, adam_state, lr=config.lr)
 
         train_losses.append(epoch_loss / max(1, len(positives)))

@@ -17,7 +17,7 @@ from synth import make_vocab, random_graph, toy_benchmark
 
 from rmpi.evalbench import auc_pr, classify, rank_entities, rank_of, rank_queries, recombine
 from rmpi.kgstore import KnowledgeGraph, Triple, load_benchmark
-from rmpi.numkit import Tape, softmax
+from rmpi.numkit import Tape, dot, softmax
 from rmpi.rmpnet import (
     ModelConfig,
     SubgraphSample,
@@ -25,6 +25,7 @@ from rmpi.rmpnet import (
     init_params,
     propagate,
     score_sample,
+    stack_samples,
     FeatureSource,
 )
 from rmpi.schema import load_schema, pretrain, save_vectors, load_vectors
@@ -134,14 +135,15 @@ def test_criterion_02_pruned_propagation_equals_full_graph():
         sample = build_sample(g, target, config)
         tape = Tape()
         pvars = bind_params(tape, params)
-        h_target = propagate(sample.rvg, sample.pruned, _source(tape, pvars, config),
-                             pvars, config)
+        batch = stack_samples([sample])
+        table = _source(tape, pvars, config).table(batch.labels)
+        h_target = propagate(batch, table, pvars, config)
         h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
         want = oracles.full_forward(
             sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
             h0, params, config.hops, config.leaky_slope, config.target_attention,
         )
-        np.testing.assert_allclose(h_target.value, want, atol=1e-9)
+        np.testing.assert_allclose(h_target.value[0], want, atol=1e-9)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"100 pruning checks took {elapsed:.1f}s"
     print(f"criterion 2 PASS: pruned == full propagation (1e-9) in {elapsed:.1f}s")
@@ -170,13 +172,13 @@ def test_criterion_03_gradients_match_finite_differences():
                 tape = Tape()
                 pvars = bind_params(tape, p)
                 return float(
-                    score_sample(sample, _source(tape, pvars, config), pvars, config).value
+                    score_sample([sample], _source(tape, pvars, config), pvars, config).value[0]
                 )
 
             tape = Tape()
             pvars = bind_params(tape, params)
-            out = score_sample(sample, _source(tape, pvars, config), pvars, config)
-            grads = tape.backward(out)
+            out = score_sample([sample], _source(tape, pvars, config), pvars, config)
+            grads = tape.backward(dot(out, tape.const(np.ones(1))))
             worst = max(worst, oracles.check_grads(loss_fn, grads, params))
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"gradient suite took {elapsed:.1f}s"
@@ -365,10 +367,10 @@ def test_criterion_09_empty_subgraph_robustness():
         assert sample.rvg.edges == ()
         tape = Tape()
         pvars = bind_params(tape, init_params(config, 3, np.random.default_rng(9)))
-        out = score_sample(sample, _source(tape, pvars, config), pvars, config)
-        assert np.isfinite(out.value)
+        out = score_sample([sample], _source(tape, pvars, config), pvars, config)
+        assert np.isfinite(out.value).all()
         key = (config.use_disclosing, config.target_attention, config.fusion)
-        scores[key] = float(out.value)
+        scores[key] = float(out.value[0])
 
     # NE variants must react to the disclosing neighborhood, base must not
     ne_config = ModelConfig(dim=4, hops=2, edge_dropout=0.0, use_disclosing=True)
@@ -388,7 +390,7 @@ def test_criterion_09_empty_subgraph_robustness():
     def run(cfg, s):
         tape = Tape()
         pvars = bind_params(tape, params)
-        return float(score_sample(s, _source(tape, pvars, cfg), pvars, cfg).value)
+        return float(score_sample([s], _source(tape, pvars, cfg), pvars, cfg).value[0])
 
     assert run(ne_config, sample) != run(ne_config, relabeled)
 
@@ -400,9 +402,9 @@ def test_criterion_09_empty_subgraph_robustness():
         pvars = bind_params(tape, base_params)
         return float(
             score_sample(
-                SubgraphSample(rvg=s.rvg, pruned=s.pruned, target_label=s.target_label),
+                [SubgraphSample(rvg=s.rvg, pruned=s.pruned, target_label=s.target_label)],
                 _source(tape, pvars, base_config), pvars, base_config,
-            ).value
+            ).value[0]
         )
 
     assert run_base(sample) == run_base(relabeled)

@@ -31,10 +31,110 @@ def test_leaky_relu_values():
 
 
 def test_matvec_identity():
+    # the model applies a matrix to every row vector
     t = Tape()
-    x = np.array([1.0, -2.0, 0.5])
-    y = nk.matvec(t.const(np.eye(3)), t.const(x))
+    x = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.5]])
+    y = nk.grouped_apply(t.const(x), [t.const(np.eye(3))])
     np.testing.assert_allclose(y.value, x, atol=0)
+
+
+def test_grouped_apply_values():
+    rng = np.random.default_rng(15)
+    t = Tape()
+    x = rng.normal(size=(6, 4))  # two output rows of three groups
+    ws = [rng.normal(size=(2, 4)) for _ in range(3)]
+    out = nk.grouped_apply(t.const(x), [t.const(w) for w in ws]).value
+    want = [sum(ws[i] @ x[3 * r + i] for i in range(3)) for r in range(2)]
+    np.testing.assert_allclose(out, want, atol=1e-12)
+    with pytest.raises(NumkitError):
+        nk.grouped_apply(t.const(x[:5]), [t.const(w) for w in ws])  # 5 rows, groups of 3
+    with pytest.raises(NumkitError):
+        nk.grouped_apply(t.const(x), [t.const(w) for w in ws[:2]] + [t.const(ws[2][:, :3])])
+
+
+def test_products_in_blocks_equal_one_product(monkeypatch):
+    rng = np.random.default_rng(13)
+    x, g = rng.normal(size=(74, 3)), rng.normal(size=(37, 5))
+    w0, w1 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+
+    def run():
+        t = Tape()
+        out = nk.grouped_apply(t.param("x", x), [t.param("w0", w0), t.param("w1", w1)])
+        grads = t.backward(summed(t, out, g))
+        return out.value, grads["x"], grads["w0"], grads["w1"]
+
+    whole = run()
+    np.testing.assert_allclose(whole[0], x[0::2] @ w0.T + x[1::2] @ w1.T, atol=1e-12)
+    monkeypatch.setattr(nk, "BLAS_CALL_SIZE", 60)  # one or two rows per call
+    for got, want in zip(run(), whole):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_take_values_repeat_and_skip_rows():
+    t = Tape()
+    x = np.arange(8.0).reshape(4, 2)
+    np.testing.assert_array_equal(nk.take(t.const(x), [2, 0, 2]).value, x[[2, 0, 2]])
+    np.testing.assert_array_equal(nk.take(t.const(x[:, 0]), [3, 3]).value, [6.0, 6.0])
+    assert nk.take(t.const(x), []).value.shape == (0, 2)
+
+
+def test_gather_sum_values_with_empty_segments():
+    t = Tape()
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    # row 3 gathered twice, row 1 never; segments 1 and 4 are empty, and
+    # segment 0 is split into two runs
+    out = nk.gather_sum(t.const(x), [0, 3, 2, 3], [0, 2, 2, 0], 5).value
+    np.testing.assert_array_equal(out, [[8, 10], [0, 0], [12, 14], [0, 0], [0, 0]])
+    weighted = nk.gather_sum(t.const(x), [0, 3, 2], [1, 1, 0], 2, t.const([2.0, 0.5, -1.0]))
+    np.testing.assert_array_equal(weighted.value, [[-5, -6], [5.5, 8]])
+    assert nk.gather_sum(t.const(x), [], [], 2).value.tolist() == [[0, 0], [0, 0]]
+
+
+def test_gather_sum_chunks_sum_each_segment_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(6, 3))
+    src = rng.integers(6, size=40)
+    seg = np.sort(rng.integers(7, size=40))
+    weights = rng.normal(size=40)
+
+    def run():
+        t = Tape()
+        return nk.gather_sum(t.const(x), src, seg, 7, t.const(weights)).value
+
+    whole = run()
+    monkeypatch.setattr(nk, "GATHER_CHUNK", 3)
+    assert run().tobytes() == whole.tobytes()
+    np.testing.assert_allclose(whole, [
+        sum(w * x[s] for s, g, w in zip(src, seg, weights) if g == k) + np.zeros(3)
+        for k in range(7)
+    ], atol=1e-12)
+
+
+def test_segment_softmax_values():
+    t = Tape()
+    x = np.array([1.0, 2.0, 0.5, 700.0, 701.0])
+    seg = [0, 0, 3, 1, 1]
+    y = nk.segment_softmax(t.const(x), seg, 4).value
+    e = np.exp([-1.0, 0.0])
+    np.testing.assert_allclose(y[:2], e / e.sum(), atol=1e-15)
+    assert y[2] == 1.0  # a segment of one
+    np.testing.assert_allclose(y[3:], y[:2], atol=1e-15)  # shifted by its own maximum
+
+
+def test_rowdot_values():
+    t = Tape()
+    a = np.array([[1.0, 2.0], [3.0, -1.0]])
+    b = np.array([[0.5, 0.5], [2.0, 4.0]])
+    np.testing.assert_array_equal(nk.rowdot(t.const(a), t.const(b)).value, [1.5, 2.0])
+
+
+def test_concat_rows_and_columns():
+    t = Tape()
+    a, b = np.ones((2, 3)), np.zeros((1, 3))
+    assert nk.concat([t.const(a), t.const(b)]).value.shape == (3, 3)
+    assert nk.concat([t.const(a), t.const(a)], axis=1).value.shape == (2, 6)
+    with pytest.raises(NumkitError):
+        nk.concat([t.const(a), t.const(b)], axis=1)
 
 
 def test_relu_values():
@@ -48,7 +148,9 @@ def test_shape_mismatches_raise():
     M = t.const(np.ones((2, 3)))
     x = t.const(np.ones(2))
     with pytest.raises(NumkitError):
-        nk.matvec(M, x)
+        nk.grouped_apply(M, [t.const(np.ones((2, 2)))])
+    with pytest.raises(NumkitError):
+        nk.grouped_apply(x, [M])
     with pytest.raises(NumkitError):
         nk.dot(t.const(np.ones(2)), t.const(np.ones(3)))
     with pytest.raises(NumkitError):
@@ -56,7 +158,21 @@ def test_shape_mismatches_raise():
     with pytest.raises(NumkitError):
         nk.softmax(t.const(np.zeros(0)))
     with pytest.raises(NumkitError):
-        nk.row(t.const(np.ones((2, 2))), 5)
+        nk.take(t.const(np.ones((2, 2))), [5])
+    with pytest.raises(NumkitError):
+        nk.take(t.const(np.ones((2, 2))), [-1])
+    with pytest.raises(NumkitError):
+        nk.gather_sum(M, [0, 1], [0, 2], 2)  # segment id out of range
+    with pytest.raises(NumkitError):
+        nk.gather_sum(M, [0, 2], [0, 1], 2)  # row index out of range
+    with pytest.raises(NumkitError):
+        nk.gather_sum(M, [0, 1], [0], 2)  # one segment per row
+    with pytest.raises(NumkitError):
+        nk.gather_sum(M, [0, 1], [0, 1], 2, t.const(np.ones(3)))  # one weight per row
+    with pytest.raises(NumkitError):
+        nk.segment_softmax(x, [0, 0, 0], 1)
+    with pytest.raises(NumkitError):
+        nk.rowdot(M, t.const(np.ones((3, 2))))
 
 
 def test_unrecorded_tape_same_values_no_nodes():
@@ -64,7 +180,7 @@ def test_unrecorded_tape_same_values_no_nodes():
     M, x = rng.normal(size=(3, 3)), rng.normal(size=3)
 
     def forward(t):
-        h = nk.leaky_relu(nk.matvec(t.const(M), t.const(x)), 0.2)
+        h = nk.leaky_relu(nk.rowdot(t.const(M), nk.take(t.const(x[None]), [0, 0, 0])), 0.2)
         return nk.dot(nk.softmax(h), nk.relu(h))
 
     recorded, unrecorded = Tape(), Tape(record=False)
@@ -87,6 +203,26 @@ def test_unrecorded_tape_leaves_no_reference_cycle():
         gc.collect()
         assert garbage_after(True) > 0  # a recording tape and its nodes form a cycle
         assert garbage_after(False) == 0  # freed by reference counting
+    finally:
+        gc.enable()
+
+
+def test_cleared_tape_leaves_no_reference_cycle():
+    def garbage_after(clear):
+        t = Tape()
+        x = t.param("x", np.ones(4))
+        for _ in range(50):
+            x = nk.relu(nk.add(x, x))
+        if clear:
+            t.clear()
+        del x, t
+        return gc.collect()
+
+    gc.disable()
+    try:
+        gc.collect()
+        assert garbage_after(False) > 0
+        assert garbage_after(True) == 0  # freed by reference counting
     finally:
         gc.enable()
 
@@ -119,8 +255,9 @@ def test_forward_determinism_bitwise():
 
     def run():
         t = Tape()
-        out = nk.softmax(nk.leaky_relu(nk.matvec(t.const(M), t.const(x))))
-        return out.value.tobytes()
+        h = nk.grouped_apply(t.const(x[None]), [t.const(M)])  # (1, 4)
+        logits = nk.leaky_relu(nk.rowdot(t.const(M), nk.take(h, [0, 0, 0, 0])))
+        return nk.segment_softmax(logits, [0, 0, 1, 1], 2).value.tobytes()
 
     assert run() == run()
 
@@ -179,22 +316,32 @@ def test_duplicate_param_name_rejected():
 
 # ------------------------------------------------------- finite differences
 
-def test_grad_matvec_dot():
-    rng = np.random.default_rng(0)
-    params = {"M": rng.normal(size=(3, 4)), "x": rng.normal(size=4)}
-    c = rng.normal(size=3)
+def summed(t, rows, weights):
+    """Scalar sum of rowdot(rows, weights), weights given as a constant."""
+    r = nk.rowdot(rows, t.const(weights))
+    return nk.dot(r, t.const(np.ones(r.value.shape)))
 
+
+def grad_check(build, params):
+    """Tape gradients of build(tape, params) against finite differences."""
     def loss_fn(p):
-        t = Tape()
-        M = t.param("M", p["M"])
-        x = t.param("x", p["x"])
-        return float(nk.dot(nk.matvec(M, x), t.const(c)).value)
+        return float(build(Tape(), p).value)
 
     t = Tape()
-    M = t.param("M", params["M"])
-    x = t.param("x", params["x"])
-    grads = t.backward(nk.dot(nk.matvec(M, x), t.const(c)))
-    check_grads(loss_fn, grads, params)
+    check_grads(loss_fn, t.backward(build(t, params)), params)
+
+
+def test_grad_matvec_dot():
+    rng = np.random.default_rng(0)
+    params = {"M": rng.normal(size=(3, 4)), "x": rng.normal(size=(2, 4))}
+    c = rng.normal(size=(2, 3))
+
+    def build(t, p):
+        M = t.param("M", p["M"])
+        x = t.param("x", p["x"])
+        return summed(t, nk.grouped_apply(x, [M]), c)
+
+    grad_check(build, params)
 
 
 def test_grad_relu_leaky_chain():
@@ -228,69 +375,104 @@ def test_grad_softmax():
 
 
 def test_grad_weighted_sum_with_attention_shape():
+    # softmax-weighted sums of gathered rows per segment: unsorted ids,
+    # segment 2 empty, row 0 gathered twice and row 2 never
     rng = np.random.default_rng(3)
-    params = {
-        "logits": rng.normal(size=3),
-        "v0": rng.normal(size=4),
-        "v1": rng.normal(size=4),
-        "v2": rng.normal(size=4),
-    }
-    c = rng.normal(size=4)
+    params = {"logits": rng.normal(size=5), "v": rng.normal(size=(4, 4))}
+    src = [0, 1, 3, 0, 1]
+    seg = [1, 0, 1, 1, 3]
+    c = rng.normal(size=(4, 4))
 
     def build(t, p):
-        alpha = nk.softmax(t.param("logits", p["logits"]))
-        vs = [t.param(k, p[k]) for k in ("v0", "v1", "v2")]
-        return nk.dot(nk.weighted_sum(alpha, vs), t.const(c))
+        alpha = nk.segment_softmax(t.param("logits", p["logits"]), seg, 4)
+        return summed(t, nk.gather_sum(t.param("v", p["v"]), src, seg, 4, alpha), c)
 
-    def loss_fn(p):
-        t = Tape()
-        return float(build(t, p).value)
+    grad_check(build, params)
 
-    t = Tape()
-    grads = t.backward(build(t, params))
-    check_grads(loss_fn, grads, params)
+
+def test_grad_gather_sum_in_chunks(monkeypatch):
+    monkeypatch.setattr(nk, "GATHER_CHUNK", 2)
+    rng = np.random.default_rng(9)
+    params = {"x": rng.normal(size=(5, 3)), "w": rng.normal(size=9)}
+    src = [4, 0, 0, 2, 4, 1, 1, 0, 2]
+    seg = [0, 0, 0, 2, 2, 3, 5, 5, 5]  # segments 1 and 4 empty
+    c = rng.normal(size=(6, 3))
+
+    def build(t, p):
+        out = nk.gather_sum(t.param("x", p["x"]), src, seg, 6, t.param("w", p["w"]))
+        return summed(t, out, c)
+
+    grad_check(build, params)
 
 
 def test_grad_stack_concat_row():
+    # rows gathered with a repeat and a row left out, stacked under more rows,
+    # then joined side by side
     rng = np.random.default_rng(4)
-    params = {"M": rng.normal(size=(3, 4)), "x": rng.normal(size=4), "y": rng.normal(size=2)}
-    c = rng.normal(size=8)  # stack(2) ++ y(2) ++ row(4)
+    params = {"M": rng.normal(size=(3, 4)), "y": rng.normal(size=(2, 4))}
+    c = rng.normal(size=(5, 8))
 
     def build(t, p):
-        M = t.param("M", p["M"])
-        x = t.param("x", p["x"])
-        y = t.param("y", p["y"])
-        s = nk.stack([nk.dot(nk.row(M, 0), x), nk.dot(nk.row(M, 2), x)])
-        return nk.dot(nk.concat(nk.concat(s, y), nk.row(M, 1)), t.const(c))
+        rows = nk.take(t.param("M", p["M"]), [2, 0, 2])
+        stacked = nk.concat([rows, t.param("y", p["y"])])
+        return summed(t, nk.concat([stacked, stacked], axis=1), c)
 
-    def loss_fn(p):
-        t = Tape()
-        return float(build(t, p).value)
-
-    t = Tape()
-    grads = t.backward(build(t, params))
-    check_grads(loss_fn, grads, params)
+    grad_check(build, params)
 
 
-def test_grad_add_sub_scale_shift_add_n():
+def test_grad_take_vector_repeats():
+    rng = np.random.default_rng(6)
+    params = {"x": rng.normal(size=6)}
+    c = rng.normal(size=5)
+
+    def build(t, p):
+        return nk.dot(nk.take(t.param("x", p["x"]), [5, 1, 1, 0, 5]), t.const(c))
+
+    grad_check(build, params)
+
+
+def test_grad_grouped_apply():
+    rng = np.random.default_rng(14)
+    params = {"x": rng.normal(size=(6, 4)), "w0": rng.normal(size=(3, 4)),
+              "w1": rng.normal(size=(3, 4))}
+    c = rng.normal(size=(3, 3))
+
+    def build(t, p):
+        ws = [t.param("w0", p["w0"]), t.param("w1", p["w1"])]
+        return summed(t, nk.grouped_apply(t.param("x", p["x"]), ws), c)
+
+    grad_check(build, params)
+
+
+def test_grad_rowdot_both_operands():
+    rng = np.random.default_rng(7)
+    params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
+    c = rng.normal(size=3)
+
+    def build(t, p):
+        return nk.dot(nk.rowdot(t.param("a", p["a"]), t.param("b", p["b"])), t.const(c))
+
+    grad_check(build, params)
+
+
+def test_grad_add_sub_scale_shift():
     rng = np.random.default_rng(5)
-    params = {"a": rng.normal(size=4), "b": rng.normal(size=4), "c": rng.normal(size=4)}
-    w = rng.normal(size=4)
+    params = {
+        "a": rng.normal(size=(2, 4)), "b": rng.normal(size=(2, 4)),
+        "c": rng.normal(size=(2, 4)), "s": rng.normal(size=2),
+    }
+    w = rng.normal(size=(2, 4))
 
     def build(t, p):
         a = t.param("a", p["a"])
         b = t.param("b", p["b"])
         c = t.param("c", p["c"])
-        u = nk.add_n([nk.scale(a, 1.7), nk.sub(b, c), nk.shift(a, 0.3)])
-        return nk.dot(u, t.const(w))
+        s = t.param("s", p["s"])
+        scaled = nk.gather_sum(a, [0, 1], [0, 1], 2, s)  # row i of a times s[i]
+        u = nk.add(nk.add(scaled, nk.sub(b, c)), nk.shift(a, 0.3))
+        return summed(t, u, w)
 
-    def loss_fn(p):
-        t = Tape()
-        return float(build(t, p).value)
-
-    t = Tape()
-    grads = t.backward(build(t, params))
-    check_grads(loss_fn, grads, params)
+    grad_check(build, params)
 
 
 # ------------------------------------------------------------- adam

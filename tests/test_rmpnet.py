@@ -12,15 +12,13 @@ from rmpi.rmpnet import (
     SubgraphSample,
     bind_params,
     disclosing_aggregate,
-    final_layer,
     fresh_unseen_vector,
     init_params,
-    initial_features,
     layer_param,
-    message_layer,
     propagate,
     score,
     score_sample,
+    stack_samples,
 )
 from rmpi.subgraph import (
     RelationViewGraph,
@@ -55,13 +53,38 @@ def build_sample(graph, target, config):
     )
 
 
+def view_sample(rvg, hops, disclosing=()):
+    return SubgraphSample(
+        rvg=rvg, pruned=prune_to_target(rvg, hops), disclosing=disclosing,
+        target_label=rvg.labels[rvg.target_index],
+    )
+
+
 def run_score(graph, target, config, params, run_seed=0, training=False, drop_rng=None):
     sample = build_sample(graph, target, config)
     tape = Tape()
     pvars = bind_params(tape, params)
     source = make_source(tape, pvars, config, run_seed=run_seed)
-    out = score_sample(sample, source, pvars, config, training=training, drop_rng=drop_rng)
-    return float(out.value), tape, out
+    out = score_sample([sample], source, pvars, config, training=training, drop_rng=drop_rng)
+    return float(out.value[0]), tape, out
+
+
+def target_features(samples, source, pvars, config):
+    """propagate over the stacked samples, initial features from source."""
+    batch = stack_samples(samples)
+    return propagate(batch, source.table(batch.labels), pvars, config)
+
+
+def propagate_from(tape, sample, feature_by_label, pvars, config):
+    """propagate over one sample whose nodes start from the given features."""
+    batch = stack_samples([sample])
+    table = tape.const(np.stack([feature_by_label[label] for label in batch.labels]))
+    return propagate(batch, table, pvars, config).value[0]
+
+
+def total(out):
+    """Scalar sum of a (B,) score Var, for backward."""
+    return nk.dot(out, out.tape.const(np.ones(out.value.shape)))
 
 
 # ----------------------------------------------------- initial features
@@ -73,24 +96,22 @@ def test_seen_relation_reads_embedding_row():
     tape = Tape()
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config, num_seen=5)
-    np.testing.assert_array_equal(src.h0(3).value, params["rel_emb"][3])
+    np.testing.assert_array_equal(src.table([3, 1]).value, params["rel_emb"][[3, 1]])
 
 
 def test_shared_label_shares_feature_node():
-    config = ModelConfig(dim=4, edge_dropout=0.0)
-    params = init_params(config, 5, np.random.default_rng(0))
-    tape = Tape()
-    pvars = bind_params(tape, params)
-    src = make_source(tape, pvars, config)
     rvg = RelationViewGraph(
         nodes=(Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2)),
         labels=(2, 2, 1),
         edges=(),
         target_index=2,
     )
-    feats = initial_features(rvg, src)
-    assert feats[0] is feats[1]
-    assert feats[0] is not feats[2]
+    batch = stack_samples([view_sample(rvg, 2)])
+    # one feature row per distinct label: nodes sharing a relation read the
+    # same row, so their gradients meet in one embedding row
+    assert list(batch.labels) == [1, 2]
+    assert batch.node_rows[0] == batch.node_rows[1]
+    assert batch.node_rows[0] != batch.node_rows[2]
 
 
 def test_unseen_relation_draw_is_per_run_and_per_label():
@@ -99,8 +120,7 @@ def test_unseen_relation_draw_is_per_run_and_per_label():
     tape = Tape()
     pvars = bind_params(tape, params)
     src_a = make_source(tape, pvars, config, num_seen=2, run_seed=7)
-    v5 = src_a.h0(5).value
-    v6 = src_a.h0(6).value
+    v5, v6 = src_a.table([5, 6]).value
     assert not np.array_equal(v5, v6)
     # same run seed reproduces the draw, different seed changes it
     np.testing.assert_array_equal(v5, fresh_unseen_vector(7, 5, 8))
@@ -125,7 +145,7 @@ def test_schema_projection_identity_padded():
     tape = Tape()
     pvars = bind_params(tape, params)
     src = FeatureSource(tape, pvars, config, schema_vectors={4: onto})
-    np.testing.assert_allclose(src.h0(4).value, [0.0, 1.0, 0.0], atol=0)
+    np.testing.assert_allclose(src.table([4]).value[0], [0.0, 1.0, 0.0], atol=0)
 
 
 def test_schema_mode_missing_vector_errors():
@@ -135,7 +155,7 @@ def test_schema_mode_missing_vector_errors():
     pvars = bind_params(tape, params)
     src = FeatureSource(tape, pvars, config, schema_vectors={0: np.zeros(300)})
     with pytest.raises(ModelError, match="schema vector"):
-        src.h0(1)
+        src.table([0, 1])
 
 
 # ----------------------------------------------------- single layers
@@ -145,6 +165,13 @@ def fixed_identity_params(config, num_relations=6):
     for k in range(1, config.hops + 1):
         for e in range(6):
             params[layer_param(k, e)] = np.eye(config.dim)
+    return params
+
+
+def silence_layer(params, config, layer):
+    """Zero one layer's weights, so that layer passes its input through."""
+    for e in range(6):
+        params[layer_param(layer, e)] = np.zeros((config.dim, config.dim))
     return params
 
 
@@ -160,44 +187,45 @@ def star_rvg():
 
 def test_message_layer_single_neighbor_identity():
     config = ModelConfig(hops=2, dim=3, target_attention=True, edge_dropout=0.0)
-    params = fixed_identity_params(config)
-    rvg = star_rvg()
-    pruned = prune_to_target(rvg, 2)
-    tape = Tape()
-    pvars = bind_params(tape, params)
+    sample = view_sample(star_rvg(), 2)
     h_i = np.array([0.2, -0.4, 1.0])
     h_j = np.array([0.5, -1.0, 2.0])
-    feats = {0: tape.const(h_i), 1: tape.const(h_j)}
-    out = message_layer(rvg, pruned, feats, 1, pvars, config)
-    np.testing.assert_allclose(out[0].value, np.maximum(h_j, 0) + h_i, atol=1e-12)
-    # neighbor node itself has no incoming edges: pure residual
-    np.testing.assert_allclose(out[1].value, h_j, atol=0)
+    tape = Tape()
+    # layer 1 alone: the final layer's zero weights pass the target through
+    pvars = bind_params(tape, silence_layer(fixed_identity_params(config), config, 2))
+    out = propagate_from(tape, sample, {0: h_i, 1: h_j}, pvars, config)
+    np.testing.assert_allclose(out, np.maximum(h_j, 0) + h_i, atol=1e-12)
+    # the neighbor itself has no incoming edges: pure residual, so the final
+    # layer's identity message from it is relu(h_j) again
+    tape = Tape()
+    pvars = bind_params(tape, fixed_identity_params(config))
+    out = propagate_from(tape, sample, {0: h_i, 1: h_j}, pvars, config)
+    np.testing.assert_allclose(out, np.maximum(h_j, 0) + (np.maximum(h_j, 0) + h_i), atol=0)
 
 
 def test_message_layer_relu_clips():
     config = ModelConfig(hops=2, dim=2, edge_dropout=0.0)
-    params = fixed_identity_params(config)
-    rvg = star_rvg()
-    pruned = prune_to_target(rvg, 2)
+    params = silence_layer(fixed_identity_params(config), config, 2)
     tape = Tape()
     pvars = bind_params(tape, params)
-    feats = {0: tape.const(np.zeros(2)), 1: tape.const(np.array([1.0, -2.0]))}
-    out = message_layer(rvg, pruned, feats, 1, pvars, config)
-    np.testing.assert_allclose(out[0].value, [1.0, 0.0], atol=0)
+    out = propagate_from(
+        tape, view_sample(star_rvg(), 2), {0: np.zeros(2), 1: np.array([1.0, -2.0])},
+        pvars, config,
+    )
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=0)
 
 
 def test_message_layer_schedule_violation():
+    # the layers a batch was pruned for must be the model's layers
     config = ModelConfig(hops=2, dim=2, edge_dropout=0.0)
     params = fixed_identity_params(config)
-    rvg = star_rvg()
-    pruned = prune_to_target(rvg, 2)
     tape = Tape()
     pvars = bind_params(tape, params)
-    feats = {0: tape.const(np.zeros(2))}  # neighbor feature missing
-    with pytest.raises(ModelError, match="schedule"):
-        message_layer(rvg, pruned, feats, 1, pvars, config)
-    with pytest.raises(ModelError, match="layer index"):
-        message_layer(rvg, pruned, feats, 2, pvars, config)
+    table = tape.const(np.zeros((2, 2)))
+    with pytest.raises(ModelError, match="depth"):
+        propagate(stack_samples([view_sample(star_rvg(), 1)]), table, pvars, config)
+    with pytest.raises(ModelError, match="depths"):
+        stack_samples([view_sample(star_rvg(), 1), view_sample(star_rvg(), 2)])
 
 
 def test_final_layer_no_neighbors_keeps_previous():
@@ -206,24 +234,23 @@ def test_final_layer_no_neighbors_keeps_previous():
     rvg = RelationViewGraph(
         nodes=(Triple(0, 0, 1),), labels=(0,), edges=(), target_index=0
     )
-    pruned = prune_to_target(rvg, 2)
     tape = Tape()
     pvars = bind_params(tape, params)
     prev = np.array([0.3, -0.7, 0.1])
-    out = final_layer(rvg, pruned, {0: tape.const(prev)}, pvars, config)
-    np.testing.assert_allclose(out.value, prev, atol=0)
+    out = propagate_from(tape, view_sample(rvg, 2), {0: prev}, pvars, config)
+    np.testing.assert_allclose(out, prev, atol=0)
 
 
 def test_final_layer_one_neighbor_identity():
     config = ModelConfig(hops=1, dim=2, edge_dropout=0.0)
     params = fixed_identity_params(config)
-    rvg = star_rvg()
-    pruned = prune_to_target(rvg, 1)
     tape = Tape()
     pvars = bind_params(tape, params)
-    feats = {0: tape.const(np.array([0.5, 0.5])), 1: tape.const(np.array([1.0, 2.0]))}
-    out = final_layer(rvg, pruned, feats, pvars, config)
-    np.testing.assert_allclose(out.value, [1.5, 2.5], atol=0)
+    out = propagate_from(
+        tape, view_sample(star_rvg(), 1), {0: np.array([0.5, 0.5]), 1: np.array([1.0, 2.0])},
+        pvars, config,
+    )
+    np.testing.assert_allclose(out, [1.5, 2.5], atol=0)
 
 
 def test_final_layer_two_edge_types_sum_plus_residual():
@@ -236,19 +263,17 @@ def test_final_layer_two_edge_types_sum_plus_residual():
         edges=((1, 0, 0), (2, 3, 0)),
         target_index=0,
     )
-    pruned = prune_to_target(rvg, 1)
     tape = Tape()
     pvars = bind_params(tape, params)
     h = {i: np.array([0.3 * i + 0.1, -0.2 * i]) for i in range(3)}
-    feats = {i: tape.const(v) for i, v in h.items()}
-    out = final_layer(rvg, pruned, feats, pvars, config)
+    out = propagate_from(tape, view_sample(rvg, 1), h, pvars, config)
     want = (
         np.maximum(
             params[layer_param(1, 0)] @ h[1] + params[layer_param(1, 3)] @ h[2], 0
         )
         + h[0]
     )
-    np.testing.assert_allclose(out.value, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_attention_groups_normalize_per_edge_type():
@@ -264,42 +289,35 @@ def test_attention_groups_normalize_per_edge_type():
         edges=((1, 0, 0), (2, 3, 0), (0, 1, 1)),
         target_index=0,
     )
-    pruned = prune_to_target(rvg, 2)
+    sample = view_sample(rvg, 2)
     scores = []
     for config in (config_ta, config_eq):
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        h = propagate(rvg, pruned, src, pvars, config)
-        scores.append(h.value.copy())
+        h = target_features([sample], src, pvars, config)
+        scores.append(h.value[0].copy())
     np.testing.assert_allclose(scores[0], scores[1], atol=1e-12)
 
 
 def test_attention_identical_neighbors_average():
     # two same-type neighbors with identical features: weighted sum with
-    # attention gives exactly one message, plain sum gives two
-    config = ModelConfig(hops=1, dim=3, target_attention=True, edge_dropout=0.0)
-    params = fixed_identity_params(config)
+    # attention gives exactly one message, plain sum gives two.  The final
+    # layer ignores attention, so a 2-hop config with a silenced final layer
+    # shows the attention layer's output.
     rvg = RelationViewGraph(
         nodes=(Triple(0, 0, 1), Triple(2, 1, 0), Triple(3, 1, 0)),
         labels=(0, 1, 1),
         edges=((1, 2, 0), (2, 2, 0)),
         target_index=0,
     )
-    pruned = prune_to_target(rvg, 1)
-    tape = Tape()
-    pvars = bind_params(tape, params)
-    src = make_source(tape, pvars, config)
-    # final layer ignores attention; use a 2-hop config to hit message_layer
     config2 = ModelConfig(hops=2, dim=3, target_attention=True, edge_dropout=0.0)
-    params2 = fixed_identity_params(config2)
-    pruned2 = prune_to_target(rvg, 2)
+    params2 = silence_layer(fixed_identity_params(config2), config2, 2)
     tape2 = Tape()
     pvars2 = bind_params(tape2, params2)
     v = np.array([0.4, 0.7, -0.2])
-    feats = {0: tape2.const(np.zeros(3)), 1: tape2.const(v), 2: tape2.const(v)}
-    out = message_layer(rvg, pruned2, feats, 1, pvars2, config2)
-    np.testing.assert_allclose(out[0].value, np.maximum(v, 0), atol=1e-12)
+    out = propagate_from(tape2, view_sample(rvg, 2), {0: np.zeros(3), 1: v}, pvars2, config2)
+    np.testing.assert_allclose(out, np.maximum(v, 0), atol=1e-12)
 
 
 # ----------------------------------------------------- score
@@ -310,8 +328,8 @@ def test_score_linear_example():
     params["score_w"] = np.ones((1, 4))
     tape = Tape()
     pvars = bind_params(tape, params)
-    h = tape.const(np.array([1.0, 2.0, 0.0, 0.0]))
-    assert float(score(h, None, pvars, config).value) == pytest.approx(3.0)
+    h = tape.const(np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.5]]))
+    np.testing.assert_allclose(score(h, None, pvars, config).value, [3.0, -0.5])
 
 
 def test_score_sum_fusion_with_zero_disc_equals_base():
@@ -319,11 +337,11 @@ def test_score_sum_fusion_with_zero_disc_equals_base():
     params = init_params(config_ne, 2, np.random.default_rng(1))
     tape = Tape()
     pvars = bind_params(tape, params)
-    h = tape.const(np.array([0.5, -1.0, 2.0, 0.3]))
-    zero = tape.const(np.zeros(4))
-    with_disc = float(score(h, zero, pvars, config_ne).value)
+    h = tape.const(np.array([[0.5, -1.0, 2.0, 0.3]]))
+    zero = tape.const(np.zeros((1, 4)))
+    with_disc = float(score(h, zero, pvars, config_ne).value[0])
     config_base = ModelConfig(dim=4, edge_dropout=0.0)
-    base = float(score(h, None, pvars, config_base).value)
+    base = float(score(h, None, pvars, config_base).value[0])
     assert with_disc == pytest.approx(base)
 
 
@@ -334,10 +352,10 @@ def test_score_conc_with_stacked_identity_equals_sum():
     config_sum = ModelConfig(dim=3, use_disclosing=True, fusion="sum", edge_dropout=0.0)
     tape = Tape()
     pvars = bind_params(tape, params)
-    h = tape.const(np.array([0.1, 0.2, 0.3]))
-    hd = tape.const(np.array([-0.3, 0.5, 0.0]))
-    assert float(score(h, hd, pvars, config_conc).value) == pytest.approx(
-        float(score(h, hd, pvars, config_sum).value)
+    h = tape.const(np.array([[0.1, 0.2, 0.3]]))
+    hd = tape.const(np.array([[-0.3, 0.5, 0.0]]))
+    assert float(score(h, hd, pvars, config_conc).value[0]) == pytest.approx(
+        float(score(h, hd, pvars, config_sum).value[0])
     )
 
 
@@ -347,7 +365,7 @@ def test_score_argument_mismatch_errors():
     params = init_params(config_ne, 2, np.random.default_rng(0))
     tape = Tape()
     pvars = bind_params(tape, params)
-    h = tape.const(np.zeros(3))
+    h = tape.const(np.zeros((1, 3)))
     with pytest.raises(ModelError):
         score(h, None, pvars, config_ne)
     with pytest.raises(ModelError):
@@ -356,15 +374,25 @@ def test_score_argument_mismatch_errors():
 
 # ----------------------------------------------------- disclosing
 
+def disclose(neigh, target_label, source, pvars, config):
+    """disclosing_aggregate of one target with the given neighborhood."""
+    rvg = RelationViewGraph(
+        nodes=(Triple(0, target_label, 1),), labels=(target_label,), edges=(),
+        target_index=0,
+    )
+    batch = stack_samples([view_sample(rvg, config.hops, tuple(neigh))])
+    return disclosing_aggregate(batch, source.table(batch.labels), pvars, config).value[0]
+
+
 def test_disclosing_single_neighbor():
     config = ModelConfig(dim=3, use_disclosing=True, edge_dropout=0.0)
     params = init_params(config, 4, np.random.default_rng(3))
     tape = Tape()
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config)
-    out = disclosing_aggregate([(0, 2)], 1, src, pvars, config)
+    out = disclose([(0, 2)], 1, src, pvars, config)
     want = np.maximum(params["disc_w"] @ params["rel_emb"][2], 0)
-    np.testing.assert_allclose(out.value, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_disclosing_empty_is_zero():
@@ -373,9 +401,7 @@ def test_disclosing_empty_is_zero():
     tape = Tape()
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config)
-    np.testing.assert_array_equal(
-        disclosing_aggregate([], 1, src, pvars, config).value, np.zeros(5)
-    )
+    np.testing.assert_array_equal(disclose([], 1, src, pvars, config), np.zeros(5))
 
 
 def test_disclosing_identical_neighbors_halve():
@@ -384,9 +410,9 @@ def test_disclosing_identical_neighbors_halve():
     tape = Tape()
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config)
-    one = disclosing_aggregate([(0, 2)], 1, src, pvars, config)
-    two = disclosing_aggregate([(0, 2), (5, 2)], 1, src, pvars, config)
-    np.testing.assert_allclose(two.value, one.value, atol=1e-12)
+    one = disclose([(0, 2)], 1, src, pvars, config)
+    two = disclose([(0, 2), (5, 2)], 1, src, pvars, config)
+    np.testing.assert_allclose(two, one, atol=1e-12)
 
 
 def test_disclosing_matches_scalar_oracle():
@@ -397,12 +423,12 @@ def test_disclosing_matches_scalar_oracle():
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config)
     neigh = [(0, 1), (1, 3), (2, 5), (3, 1)]
-    out = disclosing_aggregate(neigh, 2, src, pvars, config)
+    out = disclose(neigh, 2, src, pvars, config)
     h0 = {lab: params["rel_emb"][lab] for lab in (1, 2, 3, 5)}
     want = oracles.disclosing_forward(
         [lab for _, lab in neigh], 2, h0, params["disc_w"], 0.2, 4
     )
-    np.testing.assert_allclose(out.value, want, atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 # ----------------------------------------------------- composed forward
@@ -433,14 +459,14 @@ def test_full_forward_matches_scalar_oracle_across_variants():
             tape = Tape()
             pvars = bind_params(tape, params)
             src = make_source(tape, pvars, config)
-            h_target = propagate(sample.rvg, sample.pruned, src, pvars, config)
+            h_target = target_features([sample], src, pvars, config)
 
             h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
             want_h = oracles.full_forward(
                 sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
                 h0, params, config.hops, config.leaky_slope, config.target_attention,
             )
-            np.testing.assert_allclose(h_target.value, want_h, atol=1e-9)
+            np.testing.assert_allclose(h_target.value[0], want_h, atol=1e-9)
 
 
 def test_score_sample_matches_scalar_oracle_end_to_end():
@@ -484,7 +510,7 @@ def test_pruning_exactness_unit():
             tape = Tape()
             pvars = bind_params(tape, params)
             src = make_source(tape, pvars, config)
-            via_pruned = propagate(sample.rvg, sample.pruned, src, pvars, config).value
+            via_pruned = target_features([sample], src, pvars, config).value[0]
             h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
             via_full = oracles.full_forward(
                 sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
@@ -504,8 +530,8 @@ def test_unseen_relabeled_forward_is_finite():
         pvars = bind_params(tape, params)
         # every label reported unseen: nothing may touch the embedding table
         src = FeatureSource(tape, pvars, config, lookup=lambda label: None, run_seed=3)
-        out = score_sample(sample, src, pvars, config)
-        assert np.isfinite(out.value)
+        out = score_sample([sample], src, pvars, config)
+        assert np.isfinite(out.value).all()
 
 
 def test_dropout_off_forward_is_bitwise_deterministic():
@@ -594,6 +620,92 @@ def test_ne_score_depends_on_disclosing_labels():
     assert b_a == pytest.approx(b_b, abs=1e-12)  # base variant is blind to context
 
 
+# ----------------------------------------------------- batches
+
+def mixed_batch_targets():
+    """A graph and targets covering what a batch can mix: enclosing views
+    with and without edges, self-loops, isolated endpoints, a duplicate
+    target and relations without a learned row (labels 3 and 4 are unseen
+    under seen_lookup(3))."""
+    graph = random_graph(np.random.default_rng(62), 12, 5, 16)  # 0 and 1 isolated
+    targets = [
+        graph.triples[0], Triple(0, 4, 0), graph.triples[2], Triple(1, 3, 8),
+        graph.triples[0], Triple(2, 4, 2), graph.triples[5],
+    ]
+    return graph, targets
+
+
+def score_batch(samples, config, params, **kwargs):
+    tape = Tape()
+    pvars = bind_params(tape, params)
+    source = make_source(tape, pvars, config, num_seen=3)
+    return score_sample(samples, source, pvars, config, **kwargs).value
+
+
+def test_batch_scores_equal_samples_scored_alone():
+    graph, targets = mixed_batch_targets()
+    for config in variant_configs():
+        params = init_params(config, 5, np.random.default_rng(7))
+        samples = [build_sample(graph, t, config) for t in targets]
+        edges = [len(s.pruned.layer_edges[0]) for s in samples]
+        assert 0 in edges and max(edges) > 0
+        batched = score_batch(samples, config, params)
+        alone = [score_batch([s], config, params)[0] for s in samples]
+        np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-12)
+
+
+def test_identical_samples_score_bitwise_equal_at_any_position():
+    graph, targets = mixed_batch_targets()
+    for config in variant_configs():
+        params = init_params(config, 5, np.random.default_rng(8))
+        samples = [build_sample(graph, t, config) for t in targets]
+        for i in range(len(samples)):
+            # sample i sits at position i and again at position 2i + 1
+            got = score_batch(samples[:i] + [samples[i]] + samples, config, params)
+            assert got[i].tobytes() == got[2 * i + 1].tobytes()
+
+
+def test_batched_margin_loss_gradients_match_finite_differences():
+    from oracles import check_grads
+
+    graph, targets = mixed_batch_targets()
+    margin = 5.0
+    for config in variant_configs(dim=3):
+        params = init_params(config, 5, np.random.default_rng(13))
+        samples = [build_sample(graph, t, config) for t in (targets[0], targets[2], targets[6])]
+
+        def margin_loss(tape, p):
+            pvars = bind_params(tape, p)
+            scores = score_sample(samples, make_source(tape, pvars, config, num_seen=3),
+                                  pvars, config)
+            # the first sample is the positive, the other two its negatives
+            gaps = nk.sub(nk.take(scores, [1, 2]), nk.take(scores, [0, 0]))
+            return total(nk.relu(nk.shift(gaps, margin)))
+
+        tape = Tape()
+        loss = margin_loss(tape, params)
+        assert float(loss.value) > 0
+        check_grads(lambda p: float(margin_loss(Tape(), p).value), tape.backward(loss), params)
+
+
+def test_training_tape_size_does_not_grow_with_batch():
+    graph = random_graph(np.random.default_rng(67), 8, 4, 40)
+    config = ModelConfig(hops=2, dim=4, target_attention=True, use_disclosing=True,
+                         edge_dropout=0.5)
+    params = init_params(config, 4, np.random.default_rng(0))
+    sample = build_sample(graph, graph.triples[0], config)
+    assert len(sample.pruned.layer_edges[-1]) >= 10
+
+    def tape_nodes(copies):
+        tape = Tape()
+        pvars = bind_params(tape, params)
+        score_sample([sample] * copies, make_source(tape, pvars, config), pvars, config,
+                     training=True, drop_rng=np.random.default_rng(1))
+        return len(tape._nodes)
+
+    assert tape_nodes(32) == tape_nodes(2)
+
+
 # ----------------------------------------------------- gradients
 
 def test_composed_gradients_match_finite_differences():
@@ -610,13 +722,13 @@ def test_composed_gradients_match_finite_differences():
             tape = Tape()
             pvars = bind_params(tape, p)
             src = make_source(tape, pvars, config)
-            return float(score_sample(sample, src, pvars, config).value)
+            return float(score_sample([sample], src, pvars, config).value[0])
 
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        out = score_sample(sample, src, pvars, config)
-        grads = tape.backward(out)
+        out = score_sample([sample], src, pvars, config)
+        grads = tape.backward(total(out))
         check_grads(loss_fn, grads, params)
 
 

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,17 @@ def test_export_round_trip_exact_at_float32(tmp_path):
     for name in names:
         want = emb.vector(name).astype("<f4").astype(np.float64)
         np.testing.assert_array_equal(loaded[name], want)
+
+
+def test_load_vectors_closes_its_files(tmp_path):
+    path = write_schema(tmp_path / "s.tsv", [("a", "rdfs:subPropertyOf", "b")])
+    out = tmp_path / "vecs"
+    save_vectors(pretrain(load_schema(path), dim=4, epochs=1, seed=0), str(out))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_vectors(str(out))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_export_manifest_offsets(tmp_path):

@@ -262,10 +262,8 @@ def make_rvg(n, edges, target):
 
 
 def pruned_edges(pn):
-    """(src, type, dst) of every edge kept in the pruned in-edge map, sorted."""
-    return tuple(sorted(
-        (src, et, dst) for dst, incoming in pn.in_edges.items() for src, et in incoming
-    ))
+    """(src, type, dst) of every edge the first layer consumes, sorted."""
+    return tuple(sorted(tuple(e) for e in pn.layer_edges[0].tolist()))
 
 
 def test_prune_star_two_layers():

@@ -1,4 +1,6 @@
+import gc
 import os
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -170,7 +172,7 @@ def test_score_triples_matches_recorded_forward(use_disclosing):
         tape = Tape()
         pvars = bind_params(tape, params)
         source = FeatureSource(tape, pvars, config)
-        assert score == float(score_sample(build_sample(graph, t, config), source, pvars, config).value)
+        assert score == score_sample([build_sample(graph, t, config)], source, pvars, config).value[0]
 
 
 # ---------------------------------------------------------------- cache
@@ -240,6 +242,15 @@ def test_checkpoint_round_trip(tmp_path):
         stored = value.astype(np.float32).astype(np.float64)
         assert back.params[name].dtype == np.float64
         assert np.array_equal(back.params[name], stored)
+
+
+def test_checkpoint_load_closes_its_files(tmp_path):
+    save_checkpoint(make_checkpoint(), str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(str(tmp_path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_checkpoint_resave_identical_bytes(tmp_path):
