@@ -5,10 +5,14 @@ knowledge graph: the *enclosing* subgraph (intersection of the K-hop
 neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
 union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
-and six typed edges describing how two triples share entities.  Message
-passing only ever needs the part of that graph that can reach the target
-node within K steps, which prune_to_target computes as frontier sets and,
-per layer, as the int arrays of edges the message-passing engine reads.  The
+and six typed edges describing how two triples share entities.  Each edge
+type matches one end of a triple with one end of another, so
+to_relation_view builds the edges as one join of the triples' ends grouped
+by entity, into a read-only (E, 3) int32 array of (src, type, dst) rows
+sorted by (dst, type, src).  Message passing only ever needs the part of
+that graph that can reach the target node within K steps, which
+prune_to_target computes as frontier sets and, per layer, as the masked
+subsets of that array the message-passing engine reads.  The
 model reads only the target's one-hop in-neighbors in the disclosing view,
 and those are exactly the triples sharing an entity with the target, so
 disclosing_neighbors reads them straight off the adjacency indexes;
@@ -18,7 +22,6 @@ extract_disclosing builds the whole union subgraph only for inspection
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +57,10 @@ class EntitySubgraph:
 class RelationViewGraph:
     nodes: tuple[Triple, ...]
     labels: tuple[int, ...]  # relation id per node
-    edges: tuple[tuple[int, int, int], ...]  # (src, edge_type, dst), sorted
+    # (E, 3) int32 rows (src, edge_type, dst), sorted by (dst, type, src),
+    # the order pruning and the layers read them; read-only.  Equality
+    # compares the nodes, labels and target only, as for layer_edges below.
+    edges: np.ndarray = field(repr=False, compare=False)
     target_index: int
 
     @property
@@ -184,27 +190,25 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
     )
 
 
-def _pair_edge_types(n1: Triple, n2: Triple, suppress_merged: bool) -> list[int]:
-    h1, _, t1 = n1
-    h2, _, t2 = n2
-    types = []
-    para = h1 == h2 and t1 == t2
-    loop = h1 == t2 and t1 == h2
-    if para:
-        types.append(PARA)
-    if loop:
-        types.append(LOOP)
-    if not (para and suppress_merged):
-        if h1 == h2:
-            types.append(H_H)
-        if t1 == t2:
-            types.append(T_T)
-    if not (loop and suppress_merged):
-        if h1 == t2:
-            types.append(H_T)
-        if t1 == h2:
-            types.append(T_H)
-    return types
+# Most rows the join in to_relation_view may hold: the sum over entities of
+# the squared number of triple ends there, a little above the view's edge
+# count.  Building a view peaks at about 62 bytes per row (3.9M edges took
+# 231 MB over the process's base, and scoring that view with the base model,
+# d=32, K=2, stayed under that peak), so a view at this ceiling needs about
+# 0.5 GB.  The largest benchmark view has about 250k edges, 1/33 of it.  A
+# larger view raises SubgraphError, which the CLI reports with exit code 2,
+# rather than running the machine out of memory.
+MAX_JOIN_ROWS = 1 << 23
+
+# Edge type of a join row by 4 * twin + 2 * (src end is a tail) + (dst end
+# is a tail), where twin says the pair also matches at its other two ends
+# (parallel or inverse triples); row [suppress_merged], -1 drops the row.
+# A twin pair has all four basic rows; with suppression its H-H row becomes
+# PARA, its H-T row LOOP, and T-T and T-H go.
+_EDGE_TYPE = np.array([
+    [H_H, H_T, T_H, T_T, H_H, H_T, T_H, T_T],
+    [H_H, H_T, T_H, T_T, PARA, LOOP, -1, -1],
+])
 
 
 def to_relation_view(sub: EntitySubgraph, suppress_merged: bool = True) -> RelationViewGraph:
@@ -217,32 +221,79 @@ def to_relation_view(sub: EntitySubgraph, suppress_merged: bool = True) -> Relat
     and a LOOP match hides H-T/T-H, so a message is never double-counted by
     a generic pattern subsumed in a specific one.
     """
-    nodes = sub.triples
-    by_entity: dict[int, list[int]] = {}
-    for i, (h, _, t) in enumerate(nodes):
-        by_entity.setdefault(h, []).append(i)
-        if t != h:
-            by_entity.setdefault(t, []).append(i)
-
-    pairs: set[tuple[int, int]] = set()
-    for members in by_entity.values():
-        for i in members:
-            for j in members:
-                if i != j:
-                    pairs.add((i, j))
-
-    edges = []
-    for i, j in pairs:
-        for et in _pair_edge_types(nodes[i], nodes[j], suppress_merged):
-            edges.append((i, et, j))
-    edges.sort()
-
+    heads, labels, tails = zip(*sub.triples)
     return RelationViewGraph(
-        nodes=tuple(nodes),
-        labels=tuple(t.relation for t in nodes),
-        edges=tuple(edges),
+        nodes=tuple(sub.triples),
+        labels=labels,
+        edges=_view_edges(heads, tails, sub.target, suppress_merged),
         target_index=sub.target_position,
     )
+
+
+def _view_edges(heads: tuple, tails: tuple, target: Triple, suppress_merged: bool) -> np.ndarray:
+    """The edges of to_relation_view, by one join of the triples' ends.
+
+    Every edge type matches one end of the source triple with one end of
+    the destination, so the edges are the pairs of ends at one entity: the
+    ends are sorted by entity, and each end meets every end of its group.
+    """
+    n = len(heads)
+    if n < 2:
+        return NO_EDGES
+    inc = np.array(heads + tails)  # entity at end k: triple k % n, a tail when k >= n
+    mate = np.array(tails + heads)  # entity at the other end of end k's triple
+    order = inc.argsort()
+    ent = inc[order]
+    lo, hi = ent.searchsorted(ent), ent.searchsorted(ent, "right")
+    size = hi - lo  # per sorted end, the number of ends at its entity
+    stop = size.cumsum()  # the join rows of sorted end p end at stop[p]
+    rows = int(stop[-1])  # each end meets its whole group, itself included
+    if rows == 2 * n:  # no entity has two ends
+        return NO_EDGES
+    if rows > MAX_JOIN_ROWS:
+        raise SubgraphError(
+            f"relation view of target {target} needs {rows} join rows, "
+            f"over the limit of {MAX_JOIN_ROWS}"
+        )
+    node, tail, mate = order % n, (order >= n).view(np.int8), mate[order]  # per sorted end
+    # The rows pair dst end p, repeated size[p] times, with each src end of
+    # its group, lo[p] .. hi[p]-1.  Row arrays are updated in place, so that
+    # few of them are alive at once.
+    s = np.arange(rows)
+    s -= (stop - hi).repeat(size)
+    dst, src = node.repeat(size), node[s]
+    code = (mate.repeat(size) == mate[s]).view(np.int8)  # _EDGE_TYPE's column
+    code <<= 1
+    code += tail[s]
+    code <<= 1
+    code += tail.repeat(size)
+    s = None
+    etype = _EDGE_TYPE[int(suppress_merged)][code]
+    keep = src != dst
+    keep &= etype >= 0
+    bits = n.bit_length()  # key: dst, then 3 bits of type (6 types), then `bits` of src
+    key = dst
+    key <<= 3
+    key += etype
+    key <<= bits
+    key += src
+    if suppress_merged:
+        key = key[keep]
+    else:  # a twin pair's H-H and H-T rows also give its PARA and LOOP edges
+        extra = keep & (code >> 1 == 2)
+        merged = _EDGE_TYPE[1][code[extra]] - etype[extra]
+        key = np.concatenate((key[keep], key[extra] + (merged << bits)))
+    if not len(key):
+        return NO_EDGES
+    key.sort()  # the order pruning and the layers read
+    edges = np.empty((len(key), 3), dtype=np.int32)
+    edges[:, 0] = key & ((1 << bits) - 1)
+    key >>= bits
+    edges[:, 1] = key & 7
+    key >>= 3
+    edges[:, 2] = key
+    edges.flags.writeable = False
+    return edges
 
 
 def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
@@ -251,36 +302,33 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
     N^k collects every node with a typed edge into some node of N^(k-1);
     frontiers are not cumulative, so a node (the target included) can appear
     in several of them.  Layer k of a depth-K pass updates N^0..N^(K-k), so
-    it consumes exactly the edges into those nodes; layer_edges holds them.
-    A view without edges shares one empty array per layer.
+    it consumes exactly the edges into those nodes; layer_edges holds them,
+    masked subsets of the view's edges and so in the view's (dst, type, src)
+    order.  A view without edges shares one empty array per layer.
     """
     if k < 1:
         raise SubgraphError(f"depth must be >= 1, got {k}")
     if not (0 <= rvg.target_index < rvg.num_nodes):
         raise SubgraphError(f"invalid target index {rvg.target_index}")
-    if not rvg.edges:
+    edges = rvg.edges
+    if not len(edges):
         return PrunedNeighborhood(
             frontiers=(frozenset([rvg.target_index]),) + (frozenset(),) * k,
             layer_edges=(NO_EDGES,) * k,
         )
 
-    # fromiter: np.array on the tuples would take twice the time and a
-    # temporary several times the array's size
-    flat = itertools.chain.from_iterable(rvg.edges)
-    edges = np.fromiter(flat, dtype=np.int32, count=3 * len(rvg.edges)).reshape(-1, 3)
     src, dst = edges[:, 0], edges[:, 2]
     member = np.zeros((k + 1, rvg.num_nodes), dtype=bool)  # member[j]: N^j
-    member[0, rvg.target_index] = True
+    member[0][rvg.target_index] = True
     for j in range(1, k + 1):
-        member[j, src[member[j - 1, dst]]] = True
+        member[j][src[member[j - 1][dst]]] = True
 
     receivers = np.logical_or.accumulate(member[:k], axis=0)  # row j: N^0..N^j
-    edges = edges[receivers[k - 1, dst]]  # layer 1's; every later layer's are among them
-    edges = edges[np.lexsort((edges[:, 0], edges[:, 1], edges[:, 2]))]
+    edges = edges[receivers[k - 1][dst]]  # layer 1's; every later layer's are among them
     return PrunedNeighborhood(
-        frontiers=tuple(frozenset(np.flatnonzero(row).tolist()) for row in member),
+        frontiers=tuple(frozenset(row.nonzero()[0].tolist()) for row in member),
         layer_edges=(edges,) + tuple(
-            edges[receivers[k - layer, edges[:, 2]]] for layer in range(2, k + 1)
+            edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
         ),
     )
 
@@ -309,7 +357,8 @@ def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[i
 
 
 def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:
-    """Text form for eyeballing and diffing: node table, then sorted edges."""
+    """Text form for eyeballing and diffing: node table, then the edges
+    sorted by (src, type, dst)."""
     def ent(e):
         return vocab.entity_names[e] if vocab is not None else str(e)
 
@@ -319,6 +368,7 @@ def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:
     lines = [f"#nodes\t{rvg.num_nodes}\ttarget\t{rvg.target_index}"]
     for i, t in enumerate(rvg.nodes):
         lines.append(f"#node\t{i}\t{ent(t.head)}\t{rel(t.relation)}\t{ent(t.tail)}")
-    for src, et, dst in rvg.edges:
+    edges = rvg.edges
+    for src, et, dst in edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))].tolist():
         lines.append(f"{src}\t{EDGE_TYPE_NAMES[et]}\t{dst}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,13 @@ def make_vocab(n_entities: int, n_relations: int, seen: set[int] | None = None) 
     return vocab
 
 
+def edge_array(*rows) -> np.ndarray:
+    """(src, type, dst) rows as a relation view stores its edges: an (E, 3)
+    int32 array sorted by (dst, type, src)."""
+    rows = sorted(rows, key=lambda e: (e[2], e[1], e[0]))
+    return np.array(rows, dtype=np.int32).reshape(-1, 3)
+
+
 def random_graph(
     rng: np.random.Generator,
     n_entities: int,

@@ -5,7 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
+from rmpi import subgraph
 from rmpi.cli import main
+from rmpi.kgstore import Triple, load_benchmark
 from rmpi.schema import load_vectors
 from rmpi.trainlab import load_checkpoint
 
@@ -345,3 +347,18 @@ def test_dump_subgraph_unknown_name(tmp_path, capsys):
     )
     assert code == 2
     assert "unknown entity" in capsys.readouterr().err
+
+
+def test_dump_subgraph_over_edge_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    data = bench_dir(tmp_path)
+    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    code = main(
+        ["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
+         "--tail", "a3"]
+    )
+    assert code == 2
+    vocab = load_benchmark(str(data)).vocab
+    target = Triple(vocab.entity_id("a0"), vocab.relation_id("q0"), vocab.entity_id("a3"))
+    err = capsys.readouterr().err
+    assert f"relation view of target {target} needs" in err
+    assert "limit of 10" in err

@@ -27,7 +27,7 @@ from rmpi.subgraph import (
     prune_to_target,
     to_relation_view,
 )
-from synth import random_graph
+from synth import edge_array, random_graph
 
 
 def seen_lookup(num_seen):
@@ -103,7 +103,7 @@ def test_shared_label_shares_feature_node():
     rvg = RelationViewGraph(
         nodes=(Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2)),
         labels=(2, 2, 1),
-        edges=(),
+        edges=edge_array(),
         target_index=2,
     )
     batch = stack_samples([view_sample(rvg, 2)])
@@ -180,7 +180,7 @@ def star_rvg():
     return RelationViewGraph(
         nodes=(Triple(0, 0, 1), Triple(2, 1, 0)),
         labels=(0, 1),
-        edges=((1, 2, 0),),
+        edges=edge_array((1, 2, 0)),
         target_index=0,
     )
 
@@ -232,7 +232,7 @@ def test_final_layer_no_neighbors_keeps_previous():
     config = ModelConfig(hops=2, dim=3, edge_dropout=0.0)
     params = fixed_identity_params(config)
     rvg = RelationViewGraph(
-        nodes=(Triple(0, 0, 1),), labels=(0,), edges=(), target_index=0
+        nodes=(Triple(0, 0, 1),), labels=(0,), edges=edge_array(), target_index=0
     )
     tape = Tape()
     pvars = bind_params(tape, params)
@@ -260,7 +260,7 @@ def test_final_layer_two_edge_types_sum_plus_residual():
     rvg = RelationViewGraph(
         nodes=(Triple(0, 0, 1), Triple(1, 1, 2), Triple(2, 2, 0)),
         labels=(0, 1, 2),
-        edges=((1, 0, 0), (2, 3, 0)),
+        edges=edge_array((1, 0, 0), (2, 3, 0)),
         target_index=0,
     )
     tape = Tape()
@@ -286,7 +286,7 @@ def test_attention_groups_normalize_per_edge_type():
     rvg = RelationViewGraph(
         nodes=(Triple(0, 0, 1), Triple(1, 1, 2), Triple(0, 2, 3)),
         labels=(0, 1, 2),
-        edges=((1, 0, 0), (2, 3, 0), (0, 1, 1)),
+        edges=edge_array((1, 0, 0), (2, 3, 0), (0, 1, 1)),
         target_index=0,
     )
     sample = view_sample(rvg, 2)
@@ -308,7 +308,7 @@ def test_attention_identical_neighbors_average():
     rvg = RelationViewGraph(
         nodes=(Triple(0, 0, 1), Triple(2, 1, 0), Triple(3, 1, 0)),
         labels=(0, 1, 1),
-        edges=((1, 2, 0), (2, 2, 0)),
+        edges=edge_array((1, 2, 0), (2, 2, 0)),
         target_index=0,
     )
     config2 = ModelConfig(hops=2, dim=3, target_attention=True, edge_dropout=0.0)
@@ -377,7 +377,7 @@ def test_score_argument_mismatch_errors():
 def disclose(neigh, target_label, source, pvars, config):
     """disclosing_aggregate of one target with the given neighborhood."""
     rvg = RelationViewGraph(
-        nodes=(Triple(0, target_label, 1),), labels=(target_label,), edges=(),
+        nodes=(Triple(0, target_label, 1),), labels=(target_label,), edges=edge_array(),
         target_index=0,
     )
     batch = stack_samples([view_sample(rvg, config.hops, tuple(neigh))])

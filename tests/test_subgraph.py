@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rmpi import subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
+from rmpi.rmpnet import ModelConfig
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
+    NO_EDGES,
     SubgraphError,
     RelationViewGraph,
     disclosing_neighbors,
@@ -16,7 +21,8 @@ from rmpi.subgraph import (
     prune_to_target,
     to_relation_view,
 )
-from synth import make_vocab, random_graph
+from rmpi.trainlab import build_sample
+from synth import edge_array, make_vocab, random_graph
 
 
 def named_edges(rvg):
@@ -149,7 +155,7 @@ def test_relation_view_single_node():
     sub = extract_enclosing(g, Triple(0, 1, 1), 1)
     rvg = to_relation_view(sub)
     assert rvg.num_nodes == 1
-    assert rvg.edges == ()
+    assert rvg.edges.shape == (0, 3)
     assert rvg.target_index == 0
     assert rvg.labels == (1,)
 
@@ -249,6 +255,80 @@ def test_edge_types_sound_against_their_definitions(n_entities, n_triples, seed)
             assert (s, "H-T", d) not in e and (s, "T-H", d) not in e
 
 
+def hub_graph():
+    """A hub, entity 0, with 165 triple ends, among them parallel, inverse,
+    self-loop and duplicate triples: the hub's ends include both ends of one
+    triple."""
+    rows = [Triple(0, i % 4, i) if i % 3 else Triple(i, i % 4, 0) for i in range(1, 161)]
+    rows += [
+        Triple(0, 2, 1),  # parallel to (0, 1, 1)
+        Triple(0, 2, 1),  # duplicate of it
+        Triple(1, 0, 0),  # inverse of both
+        Triple(0, 3, 0),  # self-loops, one on the hub
+        Triple(2, 1, 2),
+        Triple(1, 2, 2),
+        Triple(3, 1, 1),
+    ]
+    return KnowledgeGraph(make_vocab(161, 5), rows), Triple(0, 4, 1)
+
+
+@pytest.mark.parametrize("suppress", [True, False])
+def test_relation_view_matches_pairwise_oracle_at_hub_scale(suppress):
+    g, target = hub_graph()
+    sub = extract_disclosing(g, target, 1)
+    assert len(sub.triples) == g.num_triples + 1
+    rvg = to_relation_view(sub, suppress_merged=suppress)
+    want = oracles.relation_view_edges(sub.triples, suppress_merged=suppress)
+    assert len(want) > 20000
+    assert named_edges(rvg) == want
+    assert len(rvg.edges) == len(want)  # no edge listed twice
+
+
+@pytest.mark.parametrize("suppress", [True, False])
+def test_relation_view_edge_array_contract(suppress):
+    g, target = hub_graph()
+    rvg = to_relation_view(extract_disclosing(g, target, 1), suppress_merged=suppress)
+    e = rvg.edges
+    assert e.dtype == np.int32
+    assert e.ndim == 2 and e.shape[1] == 3 and len(e) > 0
+    # strictly increasing (dst, type, src): sorted, and no row twice
+    key = (e[:, 2].astype(np.int64) * len(EDGE_TYPE_NAMES) + e[:, 1]) * rvg.num_nodes + e[:, 0]
+    assert (np.diff(key) > 0).all()
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0, 0] = 1
+
+
+def test_views_without_shared_entities_share_the_empty_edge_array():
+    vocab = make_vocab(4, 2)
+    one_node = to_relation_view(
+        extract_enclosing(KnowledgeGraph(vocab, [Triple(2, 0, 3)]), Triple(0, 1, 1), 1)
+    )
+    assert one_node.num_nodes == 1
+    assert one_node.edges is NO_EDGES
+    assert all(e is NO_EDGES for e in prune_to_target(one_node, 2).layer_edges)
+    # two nodes sharing no entity; a self-loop shares only with itself
+    for first in (Triple(2, 0, 3), Triple(2, 0, 2)):
+        sub = subgraph.EntitySubgraph(
+            entities=frozenset({0, 1, first.head, first.tail}),
+            triples=(first, Triple(0, 1, 1)),
+            source_indexes=(0, None),
+            target=Triple(0, 1, 1),
+            kind="disclosing",
+        )
+        for suppress in (True, False):
+            assert to_relation_view(sub, suppress_merged=suppress).edges is NO_EDGES
+
+
+def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
+    g, target = hub_graph()
+    config = ModelConfig(dim=4, hops=1)
+    assert build_sample(g, target, config).rvg.num_nodes > 4
+    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs")):
+        build_sample(g, target, config)
+
+
 # ------------------------------------------------------- pruning
 
 def make_rvg(n, edges, target):
@@ -256,7 +336,7 @@ def make_rvg(n, edges, target):
     return RelationViewGraph(
         nodes=tuple(Triple(0, 0, 0) for _ in range(n)),
         labels=tuple(0 for _ in range(n)),
-        edges=tuple(sorted(edges)),
+        edges=edge_array(*edges),
         target_index=target,
     )
 
@@ -318,14 +398,15 @@ def test_prune_matches_reverse_bfs_oracle(n_entities, n_triples, k, seed):
     target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
     rvg = to_relation_view(extract_enclosing(g, target, k))
     pn = prune_to_target(rvg, k)
-    want_frontiers, want_edges = oracles.prune_frontiers(rvg.edges, rvg.target_index, k)
+    rows = [tuple(e) for e in rvg.edges.tolist()]
+    want_frontiers, want_edges = oracles.prune_frontiers(rows, rvg.target_index, k)
     assert [set(f) for f in pn.frontiers] == want_frontiers
     assert set(pruned_edges(pn)) == want_edges
     # prune closure: every frontier node reaches the previous frontier
     for depth in range(1, len(pn.frontiers)):
         prev = pn.frontiers[depth - 1]
         for node in pn.frontiers[depth]:
-            assert any(s == node and d in prev for (s, _, d) in rvg.edges)
+            assert any(s == node and d in prev for (s, _, d) in rows)
 
 
 def test_cumulative_frontier_union():
@@ -445,3 +526,56 @@ def test_dump_relation_view_format():
         for a, n, b in (l.split("\t") for l in lines if not l.startswith("#"))
     }
     assert parsed == named_edges(rvg)
+
+
+# Dump text recorded from the pairwise view build that the entity join
+# replaced: the dump's format and edge order must not change.
+DUMPS = {
+    "four-enclosing": (
+        "#nodes\t4\ttarget\t3\n#node\t0\te0\tr0\te1\n#node\t1\te1\tr1\te2\n"
+        "#node\t2\te0\tr2\te2\n#node\t3\te0\tr4\te2\n0\tT-H\t1\n0\tH-H\t2\n"
+        "0\tH-H\t3\n1\tH-T\t0\n1\tT-T\t2\n1\tT-T\t3\n2\tH-H\t0\n2\tT-T\t1\n"
+        "2\tPARA\t3\n3\tH-H\t0\n3\tT-T\t1\n3\tPARA\t2\n"
+    ),
+    "four-disclosing": (
+        "#nodes\t5\ttarget\t4\n#node\t0\te0\tr0\te1\n#node\t1\te1\tr1\te2\n"
+        "#node\t2\te0\tr2\te2\n#node\t3\te2\tr3\te3\n#node\t4\te0\tr4\te2\n"
+        "0\tT-H\t1\n0\tH-H\t2\n0\tH-H\t4\n1\tH-T\t0\n1\tT-H\t3\n1\tT-T\t2\n"
+        "1\tT-T\t4\n2\tT-H\t3\n2\tH-H\t0\n2\tT-T\t1\n2\tPARA\t4\n3\tH-T\t1\n"
+        "3\tH-T\t2\n3\tH-T\t4\n4\tT-H\t3\n4\tH-H\t0\n4\tT-T\t1\n4\tPARA\t2\n"
+    ),
+    "hand-enclosing": (
+        "#nodes\t6\ttarget\t5\n#node\t0\te0\tr1\te2\n#node\t1\te0\tr0\te0\n"
+        "#node\t2\te0\tr1\te2\n#node\t3\te0\tr2\te2\n#node\t4\te2\tr3\te0\n"
+        "#node\t5\te0\tr3\te2\n0\tH-T\t1\n0\tH-H\t1\n0\tPARA\t2\n0\tPARA\t3\n"
+        "0\tPARA\t5\n0\tLOOP\t4\n1\tH-T\t4\n1\tT-H\t0\n1\tT-H\t2\n1\tT-H\t3\n"
+        "1\tT-H\t5\n1\tH-H\t0\n1\tH-H\t2\n1\tH-H\t3\n1\tH-H\t5\n1\tT-T\t4\n"
+        "2\tH-T\t1\n2\tH-H\t1\n2\tPARA\t0\n2\tPARA\t3\n2\tPARA\t5\n2\tLOOP\t4\n"
+        "3\tH-T\t1\n3\tH-H\t1\n3\tPARA\t0\n3\tPARA\t2\n3\tPARA\t5\n3\tLOOP\t4\n"
+        "4\tT-H\t1\n4\tT-T\t1\n4\tLOOP\t0\n4\tLOOP\t2\n4\tLOOP\t3\n4\tLOOP\t5\n"
+        "5\tH-T\t1\n5\tH-H\t1\n5\tPARA\t0\n5\tPARA\t2\n5\tPARA\t3\n5\tLOOP\t4\n"
+    ),
+    "hand-disclosing": (
+        "#nodes\t7\ttarget\t6\n#node\t0\te0\tr1\te2\n#node\t1\te0\tr0\te0\n"
+        "#node\t2\te0\tr1\te2\n#node\t3\te0\tr2\te2\n#node\t4\te2\tr3\te0\n"
+        "#node\t5\te2\tr0\te3\n#node\t6\te0\tr3\te2\n0\tH-T\t1\n0\tT-H\t5\n"
+        "0\tH-H\t1\n0\tPARA\t2\n0\tPARA\t3\n0\tPARA\t6\n0\tLOOP\t4\n1\tH-T\t4\n"
+        "1\tT-H\t0\n1\tT-H\t2\n1\tT-H\t3\n1\tT-H\t6\n1\tH-H\t0\n1\tH-H\t2\n"
+        "1\tH-H\t3\n1\tH-H\t6\n1\tT-T\t4\n2\tH-T\t1\n2\tT-H\t5\n2\tH-H\t1\n"
+        "2\tPARA\t0\n2\tPARA\t3\n2\tPARA\t6\n2\tLOOP\t4\n3\tH-T\t1\n3\tT-H\t5\n"
+        "3\tH-H\t1\n3\tPARA\t0\n3\tPARA\t2\n3\tPARA\t6\n3\tLOOP\t4\n4\tT-H\t1\n"
+        "4\tH-H\t5\n4\tT-T\t1\n4\tLOOP\t0\n4\tLOOP\t2\n4\tLOOP\t3\n4\tLOOP\t6\n"
+        "5\tH-T\t0\n5\tH-T\t2\n5\tH-T\t3\n5\tH-T\t6\n5\tH-H\t4\n6\tH-T\t1\n"
+        "6\tT-H\t5\n6\tH-H\t1\n6\tPARA\t0\n6\tPARA\t2\n6\tPARA\t3\n6\tLOOP\t4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUMPS))
+def test_dump_relation_view_text_unchanged(case):
+    # the hand graph's target (0, 3, 2) is not a member, so both instances of
+    # (0, 1, 2) stay beside the self-loop (0, 0, 0)
+    graph, target = four_triple_graph() if case.startswith("four") else (hand_graph(), Triple(0, 3, 2))
+    extract = extract_enclosing if case.endswith("enclosing") else extract_disclosing
+    rvg = to_relation_view(extract(graph, target, 1))
+    assert dump_relation_view(rvg, graph.vocab) == DUMPS[case]
