@@ -20,18 +20,12 @@ import time
 
 import numpy as np
 
+from rmpi.cli import VARIANTS
 from rmpi.evalbench import classify, rank_queries
 from rmpi.kgstore import load_benchmark
 from rmpi.rmpnet import ModelConfig
 from rmpi.schema import load_schema, pretrain
 from rmpi.trainlab import TrainConfig, train
-
-VARIANTS = {
-    "base": (False, False),
-    "ne": (True, False),
-    "ta": (False, True),
-    "ne-ta": (True, True),
-}
 
 
 def model_for(args, variant, init_mode="random"):

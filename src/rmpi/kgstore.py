@@ -6,14 +6,20 @@ files share one entity/relation id space; relations that never occur in the
 training graph are flagged unseen.  Duplicate lines are kept as distinct
 triple instances because downstream graphs treat every edge instance as a
 node of its own.
+
+A graph keeps one adjacency index, `incident`: each entity maps to the
+(other end, triple index) pairs of the triples it is an end of, listed in
+the order the triples were added.  Edges are read undirected, so a triple
+is listed under both of its ends and a self-loop once, under its entity.
+`bfs` is the one breadth-first search over such an index; extraction runs
+it on the graph's index and on the index of an induced subgraph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable, KeysView, NamedTuple
 
 
 class KGError(Exception):
@@ -103,19 +109,18 @@ class Vocabulary:
 
 
 class KnowledgeGraph:
-    """A multiset of triples over a shared vocabulary, with adjacency indexes.
+    """A multiset of triples over a shared vocabulary, with an incidence index.
 
-    Adjacency entries carry the index of the triple instance so that edge
-    instances (not just endpoint pairs) can be recovered.
+    `incident` maps each entity to the (other end, triple index) pairs of
+    its triples, so edge instances (not just endpoint pairs) can be
+    recovered; `entities` is a read-only view of its keys.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
         self.vocab = vocab
         self.triples: list[Triple] = []
-        self.out_adj: dict[int, list[tuple[int, int, int]]] = {}  # head -> [(rel, tail, idx)]
-        self.in_adj: dict[int, list[tuple[int, int, int]]] = {}  # tail -> [(rel, head, idx)]
+        self.incident: dict[int, list[tuple[int, int]]] = {}
         self._members: set[Triple] = set()
-        self.entities: set[int] = set()
         self._entity_list: list[int] | None = None
         for t in triples:
             self.add(Triple(*t))
@@ -126,14 +131,14 @@ class KnowledgeGraph:
             raise KGError(f"entity id out of range in {t}")
         if not (0 <= t.relation < nr):
             raise KGError(f"relation id out of range in {t}")
-        idx = len(self.triples)
+        link(self.incident, t.head, t.tail, len(self.triples))
         self.triples.append(t)
-        self.out_adj.setdefault(t.head, []).append((t.relation, t.tail, idx))
-        self.in_adj.setdefault(t.tail, []).append((t.relation, t.head, idx))
         self._members.add(t)
-        self.entities.add(t.head)
-        self.entities.add(t.tail)
         self._entity_list = None
+
+    @property
+    def entities(self) -> KeysView[int]:
+        return self.incident.keys()
 
     @property
     def num_triples(self) -> int:
@@ -148,13 +153,34 @@ class KnowledgeGraph:
             self._entity_list = sorted(self.entities)
         return self._entity_list
 
-    def undirected_neighbors(self, e: int) -> set[int]:
-        out = {t for (_, t, _) in self.out_adj.get(e, ())}
-        out.update(h for (_, h, _) in self.in_adj.get(e, ()))
-        return out
-
     def relations(self) -> frozenset[int]:
         return frozenset(t.relation for t in self.triples)
+
+
+def link(incident: dict, head: int, tail: int, idx) -> None:
+    """List triple idx under both of its ends in an incidence index, a
+    self-loop once."""
+    incident.setdefault(head, []).append((tail, idx))
+    if tail != head:
+        incident.setdefault(tail, []).append((head, idx))
+
+
+def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
+    """Entities within k undirected hops of start in an incidence index,
+    mapped to their hop distance; start is at distance 0."""
+    dist = {start: 0}
+    frontier = [start]
+    d = 0
+    while frontier and d < k:
+        d += 1
+        nxt = []
+        for e in frontier:
+            for n, _ in incident.get(e, ()):
+                if n not in dist:
+                    dist[n] = d
+                    nxt.append(n)
+        frontier = nxt
+    return dist
 
 
 def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> dict[int, int]:
@@ -167,18 +193,7 @@ def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> dict[int, int]
         raise KGError(f"unknown entity id: {center}")
     if k < 0:
         raise KGError(f"negative hop count: {k}")
-    dist = {center: 0}
-    frontier = deque([center])
-    while frontier:
-        e = frontier.popleft()
-        d = dist[e]
-        if d == k:
-            continue
-        for n in graph.undirected_neighbors(e):
-            if n not in dist:
-                dist[n] = d + 1
-                frontier.append(n)
-    return dist
+    return bfs(graph.incident, center, k)
 
 
 class Benchmark(NamedTuple):

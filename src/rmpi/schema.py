@@ -218,6 +218,11 @@ def load_vectors(directory: str) -> dict[str, np.ndarray]:
     dim = int(manifest["dim"])
     with open(block_path, "rb") as fh:
         raw = fh.read()
+    need = max((int(e["offset"]) + 4 * dim for e in manifest["entries"]), default=0)
+    if need > len(raw):
+        raise SchemaError(
+            f"vector block {block_path} holds {len(raw)} bytes; the manifest needs {need}"
+        )
     out = {}
     for entry in manifest["entries"]:
         off = int(entry["offset"])

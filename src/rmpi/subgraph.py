@@ -15,7 +15,7 @@ prune_to_target computes as frontier sets and, per layer, as the masked
 subsets of that array the message-passing engine reads.  The
 model reads only the target's one-hop in-neighbors in the disclosing view,
 and those are exactly the triples sharing an entity with the target, so
-disclosing_neighbors reads them straight off the adjacency indexes;
+disclosing_neighbors reads them straight off the graph's incidence index;
 extract_disclosing builds the whole union subgraph only for inspection
 (`rmpi dump-subgraph --kind disclosing`).
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kgstore import KnowledgeGraph, Triple, khop_neighbors
+from .kgstore import KnowledgeGraph, Triple, bfs, khop_neighbors, link
 
 # Edge types of the relation view.  For an ordered pair n1=(h1,_,t1),
 # n2=(h2,_,t2) the basic patterns are single shared-position matches; PARA
@@ -89,32 +89,35 @@ NO_EDGES = np.empty((0, 3), dtype=np.int32)
 NO_EDGES.flags.writeable = False
 
 
-def _induced_triples(graph: KnowledgeGraph, entities: set[int], target: Triple):
-    """Triples with both endpoints inside `entities`, skipping instances equal
-    to the target so that the injected target edge stays unique."""
+def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[int]:
+    """Indices, ascending, of the triples with both ends inside `entities`,
+    skipping instances equal to the target so that the injected target edge
+    stays unique."""
+    triples = graph.triples
     picked = []
     for e in entities:
-        for rel, tail, idx in graph.out_adj.get(e, ()):
-            if tail in entities and graph.triples[idx] != target:
+        for other, idx in graph.incident.get(e, ()):
+            # a triple is listed under both ends: take it at its smaller one
+            if other >= e and other in entities and triples[idx] != target:
                 picked.append(idx)
     picked.sort()
     return picked
 
 
-def _bfs_in_triples(adj: dict[int, set[int]], start: int, limit: int) -> dict[int, int]:
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier and d < limit:
-        d += 1
-        nxt = []
-        for e in frontier:
-            for n in adj.get(e, ()):
-                if n not in dist:
-                    dist[n] = d
-                    nxt.append(n)
-        frontier = nxt
-    return dist
+def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str) -> EntitySubgraph:
+    """The subgraph of the triples idxs, with the target appended last."""
+    triples = [graph.triples[i] for i in idxs]
+    entities = {target.head, target.tail}
+    for h, _, t in triples:
+        entities.add(h)
+        entities.add(t)
+    return EntitySubgraph(
+        entities=frozenset(entities),
+        triples=tuple(triples) + (target,),
+        source_indexes=tuple(idxs) + (None,),
+        target=target,
+        kind=kind,
+    )
 
 
 def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
@@ -130,41 +133,18 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     if k < 1:
         raise SubgraphError(f"hop count must be >= 1, got {k}")
     u, _, v = target
-    du = khop_neighbors(graph, u, k)
-    dv = khop_neighbors(graph, v, k)
-    common = set(du) & set(dv)
+    common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
     common.update((u, v))
-
     idxs = _induced_triples(graph, common, target)
 
-    # undirected adjacency of the induced subgraph, target edge included
-    adj: dict[int, set[int]] = {}
+    inner: dict[int, list] = {}  # incidence index of the induced subgraph
+    link(inner, u, v, None)
     for i in idxs:
         h, _, t = graph.triples[i]
-        adj.setdefault(h, set()).add(t)
-        adj.setdefault(t, set()).add(h)
-    adj.setdefault(u, set()).add(v)
-    adj.setdefault(v, set()).add(u)
-
-    su = _bfs_in_triples(adj, u, k)
-    sv = _bfs_in_triples(adj, v, k)
-    kept = {e for e in common if e in su and e in sv}
-    kept.update((u, v))
-
-    idxs = [i for i in idxs if graph.triples[i][0] in kept and graph.triples[i][2] in kept]
-    entities = {u, v}
-    for i in idxs:
-        h, _, t = graph.triples[i]
-        entities.add(h)
-        entities.add(t)
-
-    return EntitySubgraph(
-        entities=frozenset(entities),
-        triples=tuple(graph.triples[i] for i in idxs) + (target,),
-        source_indexes=tuple(idxs) + (None,),
-        target=target,
-        kind="enclosing",
-    )
+        link(inner, h, t, i)
+    kept = bfs(inner, u, k).keys() & bfs(inner, v, k).keys()
+    idxs = [i for i in idxs if graph.triples[i].head in kept and graph.triples[i].tail in kept]
+    return _subgraph(graph, idxs, target, "enclosing")
 
 
 def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
@@ -173,21 +153,8 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
     if k < 1:
         raise SubgraphError(f"hop count must be >= 1, got {k}")
     u, _, v = target
-    entities = set(khop_neighbors(graph, u, k)) | set(khop_neighbors(graph, v, k))
-    entities.update((u, v))
-    idxs = _induced_triples(graph, entities, target)
-    covered = {u, v}
-    for i in idxs:
-        h, _, t = graph.triples[i]
-        covered.add(h)
-        covered.add(t)
-    return EntitySubgraph(
-        entities=frozenset(covered),
-        triples=tuple(graph.triples[i] for i in idxs) + (target,),
-        source_indexes=tuple(idxs) + (None,),
-        target=target,
-        kind="disclosing",
-    )
+    entities = khop_neighbors(graph, u, k).keys() | khop_neighbors(graph, v, k).keys()
+    return _subgraph(graph, _induced_triples(graph, entities, target), target, "disclosing")
 
 
 # Most rows the join in to_relation_view may hold: the sum over entities of
@@ -345,10 +312,7 @@ def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[i
     """
     target = Triple(*target)
     u, _, v = target
-    idxs = set()
-    for e in {u, v}:
-        idxs.update(idx for _, _, idx in graph.out_adj.get(e, ()))
-        idxs.update(idx for _, _, idx in graph.in_adj.get(e, ()))
+    idxs = {idx for e in (u, v) for _, idx in graph.incident.get(e, ())}
     return tuple(
         (i, graph.triples[i].relation)
         for i in sorted(idxs)

@@ -108,22 +108,6 @@ class SampleCache:
             self.sample(t)
 
 
-@dataclass(frozen=True)
-class TrainSample:
-    pos: Triple
-    neg: Triple
-    pos_sub: SubgraphSample
-    neg_sub: SubgraphSample
-
-    def __post_init__(self):
-        if self.neg.relation != self.pos.relation:
-            raise TrainError("negative must keep the positive's relation")
-        head_changed = self.neg.head != self.pos.head
-        tail_changed = self.neg.tail != self.pos.tail
-        if head_changed and tail_changed:
-            raise TrainError("negative may differ in head or tail, not both")
-
-
 # ------------------------------------------------------------------ sampling
 
 def sample_negative(
@@ -162,14 +146,12 @@ def sample_negative(
     return cand
 
 
-def margin_loss(pos_scores, neg_scores, margin: float) -> float:
-    if len(pos_scores) != len(neg_scores):
-        raise TrainError(
-            f"score list length mismatch: {len(pos_scores)} vs {len(neg_scores)}"
-        )
-    return float(
-        sum(max(0.0, n - p + margin) for p, n in zip(pos_scores, neg_scores))
-    )
+def margin_loss(pos: nk.Var, neg: nk.Var, margin: float) -> nk.Var:
+    """Sum over pairs of max(0, neg - pos + margin), on the scores' tape."""
+    if pos.shape != neg.shape:
+        raise TrainError(f"score shape mismatch: {pos.shape} vs {neg.shape}")
+    hinges = nk.relu(nk.shift(nk.sub(neg, pos), margin))
+    return nk.dot(hinges, hinges.tape.const(np.ones(hinges.shape)))
 
 
 # ------------------------------------------------------------------ checkpoint
@@ -226,16 +208,19 @@ def load_checkpoint(directory: str) -> Checkpoint:
         )
     with open(params_path, "rb") as fh:
         raw = fh.read()
+    shapes = [tuple(entry["shape"]) for entry in manifest["params"]]
+    counts = [int(np.prod(shape)) for shape in shapes]
+    if len(raw) != 4 * sum(counts):
+        raise TrainError(
+            f"parameter block {params_path} holds {len(raw)} bytes, "
+            f"not the {4 * sum(counts)} its manifest lists"
+        )
     params = {}
     offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, shape, count in zip(manifest["params"], shapes, counts):
         vec = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         params[entry["name"]] = vec.reshape(shape).astype(np.float64)
         offset += count * 4
-    if offset != len(raw):
-        raise TrainError("parameter block size does not match manifest")
     return Checkpoint(
         config=ModelConfig.from_dict(manifest["model_config"]),
         params=params,
@@ -392,13 +377,10 @@ def train(
             batch = [positives[i] for i in order[start : start + config.batch_size]]
             samples = []  # each positive, then its negatives
             for pos in batch:
-                pos_sub = cache.sample(pos)
-                samples.append(pos_sub)
+                samples.append(cache.sample(pos))
                 for _ in range(config.num_negatives):
                     neg = sample_negative(pos, graph, rng_neg, config.negative_retries)
-                    neg_sub = cache.sample(neg)
-                    TrainSample(pos, neg, pos_sub, neg_sub)  # invariant check
-                    samples.append(neg_sub)
+                    samples.append(cache.sample(neg))
             tape = Tape()
             pvars = bind_params(tape, params)
             source = FeatureSource(
@@ -409,10 +391,11 @@ def train(
                 samples, source, pvars, mc, training=True, drop_rng=rng_drop
             )
             positions = np.arange(len(samples)).reshape(len(batch), -1)
-            pos_scores = nk.take(scores, np.repeat(positions[:, 0], config.num_negatives))
-            neg_scores = nk.take(scores, positions[:, 1:].ravel())
-            hinges = nk.relu(nk.shift(nk.sub(neg_scores, pos_scores), config.margin))
-            loss = nk.dot(hinges, tape.const(np.ones(hinges.value.shape)))
+            loss = margin_loss(
+                nk.take(scores, np.repeat(positions[:, 0], config.num_negatives)),
+                nk.take(scores, positions[:, 1:].ravel()),
+                config.margin,
+            )
             epoch_loss += float(loss.value)
             grads = tape.backward(loss)
             tape.clear()  # frees the step's arrays now, not at the next full collection

@@ -194,6 +194,15 @@ def test_eval_classify_report(tmp_path, capsys):
     assert (report / "run_manifest.json").is_file()
 
 
+def test_eval_truncated_params_is_data_error(tmp_path, capsys):
+    data, ckpt = trained_checkpoint(tmp_path)
+    params = ckpt / "params.bin"
+    params.write_bytes(params.read_bytes()[:-8])
+    code = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert code == 2
+    assert "parameter block" in capsys.readouterr().err
+
+
 def test_eval_rank_report(tmp_path):
     data, ckpt = trained_checkpoint(tmp_path)
     report = tmp_path / "report"

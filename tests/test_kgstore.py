@@ -74,8 +74,15 @@ def test_duplicate_triples_are_distinct_instances():
     vocab = make_vocab(2, 1)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(0, 0, 1)])
     assert g.num_triples == 2
-    assert len(g.out_adj[0]) == 2
-    assert {idx for (_, _, idx) in g.out_adj[0]} == {0, 1}
+    assert len(g.incident[0]) == 2
+    assert {idx for (_, idx) in g.incident[0]} == {0, 1}
+
+
+def test_incidence_lists_self_loop_once_and_parallel_pair_twice():
+    vocab = make_vocab(3, 2)
+    g = KnowledgeGraph(vocab, [Triple(0, 0, 0), Triple(0, 0, 1), Triple(1, 1, 0)])
+    assert g.incident == {0: [(0, 0), (1, 1), (1, 2)], 1: [(0, 1), (0, 2)]}
+    assert sorted(g.entities) == [0, 1]
 
 
 def test_out_of_range_ids_rejected():

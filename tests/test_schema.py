@@ -198,6 +198,16 @@ def test_export_manifest_offsets(tmp_path):
     assert (out / "vectors.bin").stat().st_size == 2 * 4 * 4
 
 
+def test_load_vectors_rejects_truncated_block(tmp_path):
+    path = write_schema(tmp_path / "s.tsv", [("a", "rdfs:subPropertyOf", "b")])
+    out = tmp_path / "vecs"
+    save_vectors(pretrain(load_schema(path), dim=4, epochs=1, seed=0), str(out))
+    block = out / "vectors.bin"
+    block.write_bytes(block.read_bytes()[:-8])
+    with pytest.raises(SchemaError, match="vector block"):
+        load_vectors(str(out))
+
+
 def test_load_vectors_missing_files(tmp_path):
     with pytest.raises(SchemaError, match="missing vector file"):
         load_vectors(str(tmp_path / "nope"))

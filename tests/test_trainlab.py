@@ -16,7 +16,6 @@ from rmpi.trainlab import (
     SampleCache,
     TrainConfig,
     TrainError,
-    TrainSample,
     build_sample,
     load_checkpoint,
     margin_loss,
@@ -117,15 +116,21 @@ def test_negative_replacement_distribution():
     assert scipy_stats.chisquare(counts[2:]).pvalue > 0.01
 
 
+def hinge(pos, neg, margin):
+    tape = Tape()
+    return margin_loss(tape.const(pos), tape.const(neg), margin).value
+
+
 def test_margin_loss_examples():
-    assert margin_loss([5.0], [1.0], 10.0) == 6.0
-    assert margin_loss([5.0, 3.0], [1.0, -2.0], 1.0) == 0.0  # separated by >= margin
-    assert margin_loss([2.0, 2.0], [0.0, 5.0], 1.0) == 4.0
+    assert hinge([5.0], [1.0], 10.0) == 6.0
+    assert hinge([5.0, 3.0], [1.0, -2.0], 1.0) == 0.0  # separated by >= margin
+    assert hinge([2.0, 2.0], [0.0, 5.0], 1.0) == 4.0
 
 
 def test_margin_loss_length_mismatch():
+    tape = Tape()
     with pytest.raises(TrainError):
-        margin_loss([1.0, 2.0], [0.0], 1.0)
+        margin_loss(tape.const([1.0, 2.0]), tape.const([0.0]), 1.0)
 
 
 def test_margin_loss_zero_iff_separated():
@@ -134,22 +139,9 @@ def test_margin_loss_zero_iff_separated():
         pos = rng.normal(size=4)
         neg = rng.normal(size=4)
         gamma = float(rng.uniform(0.1, 3.0))
-        loss = margin_loss(pos, neg, gamma)
+        loss = hinge(pos, neg, gamma)
         assert loss >= 0.0
         assert (loss == 0.0) == bool(np.all(pos - neg >= gamma))
-
-
-def test_train_sample_invariants():
-    graph = random_graph(np.random.default_rng(0), 6, 2, 12)
-    config = ModelConfig(dim=4, hops=2)
-    pos = graph.triples[0]
-    sub = build_sample(graph, pos, config)
-    ok = Triple(pos.head, pos.relation, (pos.tail + 1) % 6)
-    TrainSample(pos, ok, sub, build_sample(graph, ok, config))
-    with pytest.raises(TrainError):
-        TrainSample(pos, Triple((pos.head + 1) % 6, pos.relation, (pos.tail + 1) % 6), sub, sub)
-    with pytest.raises(TrainError):
-        TrainSample(pos, Triple(pos.head, (pos.relation + 1) % 2, pos.tail), sub, sub)
 
 
 def test_build_sample_reads_disclosing_neighbors():
@@ -267,6 +259,16 @@ def test_checkpoint_missing_file(tmp_path):
     save_checkpoint(ckpt, str(tmp_path))
     os.remove(tmp_path / "params.bin")
     with pytest.raises(TrainError, match="missing"):
+        load_checkpoint(str(tmp_path))
+
+
+@pytest.mark.parametrize("cut", [-8, -1, 4])
+def test_checkpoint_rejects_params_block_of_wrong_length(tmp_path, cut):
+    save_checkpoint(make_checkpoint(), str(tmp_path))
+    params = tmp_path / "params.bin"
+    raw = params.read_bytes()
+    params.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+    with pytest.raises(TrainError, match="parameter block"):
         load_checkpoint(str(tmp_path))
 
 
