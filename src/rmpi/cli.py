@@ -146,6 +146,17 @@ def _load_schema_vectors(args):
     return load_vectors(args.schema_vectors)
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_hits(text: str):
     try:
         values = tuple(int(part) for part in text.split(","))
@@ -345,7 +356,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--patience", type=int, default=10)
     p_train.add_argument("--negatives", type=int, default=1)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--runs", type=int, default=1,
+    p_train.add_argument("--runs", type=_count, default=1,
                          help="repeat with derived seeds and report the mean")
     p_train.set_defaults(func=cmd_train)
 
@@ -354,7 +365,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", default=".")
     p_eval.add_argument("--task", choices=["classify", "rank"], default="classify")
-    p_eval.add_argument("--neg", type=int, default=49)
+    p_eval.add_argument("--neg", type=_count, default=49)
     p_eval.add_argument("--hits", type=_parse_hits, default=(1, 5, 10))
     p_eval.add_argument("--side", choices=["head", "tail", "both"], default="both")
     p_eval.add_argument("--schema-vectors")

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import numkit as nk
 from .numkit import Tape, Var
-from .subgraph import NO_EDGES, NUM_EDGE_TYPES, PrunedNeighborhood, RelationViewGraph
+from .subgraph import NO_EDGES, NUM_EDGE_TYPES, RelationViewGraph
 
 FUSION_MODES = ("sum", "conc")
 INIT_MODES = ("random", "schema")
@@ -67,18 +67,7 @@ class ModelConfig:
             raise ModelError("dimensions must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "hops": self.hops,
-            "dim": self.dim,
-            "leaky_slope": self.leaky_slope,
-            "edge_dropout": self.edge_dropout,
-            "use_disclosing": self.use_disclosing,
-            "target_attention": self.target_attention,
-            "fusion": self.fusion,
-            "init_mode": self.init_mode,
-            "schema_hidden": self.schema_hidden,
-            "schema_dim": self.schema_dim,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -186,7 +175,9 @@ class SubgraphSample:
     """Model-ready extraction product for one target triple."""
 
     rvg: RelationViewGraph
-    pruned: PrunedNeighborhood
+    # per layer 1..K, the (E_k, 3) edges it reads (prune_to_target): a
+    # function of rvg and the depth, so equality ignores it
+    pruned: tuple = field(repr=False, compare=False)
     disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
     target_label: int = 0
 
@@ -220,7 +211,7 @@ def stack_samples(samples) -> SampleBatch:
     samples = list(samples)
     if not samples:
         raise ModelError("cannot score an empty batch")
-    depths = {len(s.pruned.layer_edges) for s in samples}
+    depths = {len(s.pruned) for s in samples}
     if len(depths) != 1:
         raise ModelError(f"samples pruned to different depths: {sorted(depths)}")
     sizes = [s.rvg.num_nodes for s in samples]
@@ -241,7 +232,7 @@ def stack_samples(samples) -> SampleBatch:
         node_sample=np.repeat(sample_ids, sizes),
         targets=np.array([off + s.rvg.target_index for off, s in zip(offsets, samples)]),
         layer_edges=tuple(
-            _offset_edges([s.pruned.layer_edges[k] for s in samples], offsets)
+            _offset_edges([s.pruned[k] for s in samples], offsets)
             for k in range(depths.pop())
         ),
         disc_rows=rows(disc_labels),

@@ -207,15 +207,25 @@ def save_vectors(emb: SchemaEmbedding, out_dir: str, names=None) -> None:
 
 
 def load_vectors(directory: str) -> dict[str, np.ndarray]:
-    """Read back an exported vector directory as name -> float64 vector."""
+    """Read back an exported vector directory as name -> float64 vector;
+    SchemaError when a file is missing or the manifest is malformed."""
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     block_path = os.path.join(directory, BLOCK_NAME)
     for p in (manifest_path, block_path):
         if not os.path.isfile(p):
             raise SchemaError(f"missing vector file: {p}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        return _vectors(manifest, block_path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed vector manifest {manifest_path}: {exc!r}") from exc
+
+
+def _vectors(manifest: dict, block_path: str) -> dict[str, np.ndarray]:
     dim = int(manifest["dim"])
+    if dim < 1:
+        raise SchemaError(f"vector width must be >= 1, got {dim}")
     with open(block_path, "rb") as fh:
         raw = fh.read()
     need = max((int(e["offset"]) + 4 * dim for e in manifest["entries"]), default=0)

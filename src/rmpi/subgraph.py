@@ -9,15 +9,16 @@ and six typed edges describing how two triples share entities.  Each edge
 type matches one end of a triple with one end of another, so
 to_relation_view builds the edges as one join of the triples' ends grouped
 by entity, into a read-only (E, 3) int32 array of (src, type, dst) rows
-sorted by (dst, type, src).  Message passing only ever needs the part of
-that graph that can reach the target node within K steps, which
-prune_to_target computes as frontier sets and, per layer, as the masked
-subsets of that array the message-passing engine reads.  The
-model reads only the target's one-hop in-neighbors in the disclosing view,
-and those are exactly the triples sharing an entity with the target, so
-disclosing_neighbors reads them straight off the graph's incidence index;
-extract_disclosing builds the whole union subgraph only for inspection
-(`rmpi dump-subgraph --kind disclosing`).
+sorted by (dst, type, src).  A pair of parallel or inverse triples gets a
+PARA or LOOP edge in place of the generic matches that pattern covers.
+Message passing only ever needs the part of that graph that can reach the
+target node within K steps: prune_to_target returns, per layer, the masked
+subset of that array the layer reads.  The model reads only the target's
+one-hop in-neighbors in the disclosing view, and those are exactly the
+triples sharing an entity with the target, so disclosing_neighbors reads
+them straight off the graph's incidence index; extract_disclosing builds
+the whole union subgraph only for inspection (`rmpi dump-subgraph --kind
+disclosing`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class SubgraphError(Exception):
 
 @dataclass(frozen=True)
 class EntitySubgraph:
-    entities: frozenset[int]
     triples: tuple[Triple, ...]  # target instance is always the last element
     source_indexes: tuple  # parent-graph triple index per element, None for the target
     target: Triple
@@ -59,30 +59,13 @@ class RelationViewGraph:
     labels: tuple[int, ...]  # relation id per node
     # (E, 3) int32 rows (src, edge_type, dst), sorted by (dst, type, src),
     # the order pruning and the layers read them; read-only.  Equality
-    # compares the nodes, labels and target only, as for layer_edges below.
+    # compares the nodes, labels and target only.
     edges: np.ndarray = field(repr=False, compare=False)
     target_index: int
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class PrunedNeighborhood:
-    frontiers: tuple[frozenset[int], ...]  # N^0 .. N^K
-    # Per layer k = 1..K, the edges that layer consumes, those with dst in
-    # N^0..N^(K-k): an (E_k, 3) int array of (src, type, dst) rows sorted by
-    # (dst, type, src), the order a layer sums its messages in.  A function of
-    # the relation view and the frontiers, so equality ignores it.
-    layer_edges: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-
-    def cumulative(self, j: int) -> set[int]:
-        """N^0 ∪ ... ∪ N^j."""
-        out: set[int] = set()
-        for f in self.frontiers[: j + 1]:
-            out.update(f)
-        return out
 
 
 NO_EDGES = np.empty((0, 3), dtype=np.int32)
@@ -106,14 +89,8 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
 
 def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str) -> EntitySubgraph:
     """The subgraph of the triples idxs, with the target appended last."""
-    triples = [graph.triples[i] for i in idxs]
-    entities = {target.head, target.tail}
-    for h, _, t in triples:
-        entities.add(h)
-        entities.add(t)
     return EntitySubgraph(
-        entities=frozenset(entities),
-        triples=tuple(triples) + (target,),
+        triples=tuple(graph.triples[i] for i in idxs) + (target,),
         source_indexes=tuple(idxs) + (None,),
         target=target,
         kind=kind,
@@ -169,35 +146,31 @@ MAX_JOIN_ROWS = 1 << 23
 
 # Edge type of a join row by 4 * twin + 2 * (src end is a tail) + (dst end
 # is a tail), where twin says the pair also matches at its other two ends
-# (parallel or inverse triples); row [suppress_merged], -1 drops the row.
-# A twin pair has all four basic rows; with suppression its H-H row becomes
-# PARA, its H-T row LOOP, and T-T and T-H go.
-_EDGE_TYPE = np.array([
-    [H_H, H_T, T_H, T_T, H_H, H_T, T_H, T_T],
-    [H_H, H_T, T_H, T_T, PARA, LOOP, -1, -1],
-])
+# (parallel or inverse triples); -1 drops the row.  A twin pair has all four
+# basic rows: its H-H row becomes PARA, its H-T row LOOP, and T-T and T-H go.
+_EDGE_TYPE = np.array([H_H, H_T, T_H, T_T, PARA, LOOP, -1, -1])
 
 
-def to_relation_view(sub: EntitySubgraph, suppress_merged: bool = True) -> RelationViewGraph:
+def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
     """Directed typed graph over triple instances.
 
     An edge n1 -> n2 of some type means n1's feature flows to n2; both
     directions of a pair are classified independently.  A pair sharing
-    entities at several positions yields several typed edges.  With
-    suppress_merged (the default) a PARA match hides H-H/T-T for that pair
-    and a LOOP match hides H-T/T-H, so a message is never double-counted by
-    a generic pattern subsumed in a specific one.
+    entities at several positions yields several typed edges, except that a
+    PARA match always hides H-H/T-T for that pair and a LOOP match hides
+    H-T/T-H, so a message is never double-counted by a generic pattern
+    subsumed in a specific one.
     """
     heads, labels, tails = zip(*sub.triples)
     return RelationViewGraph(
         nodes=tuple(sub.triples),
         labels=labels,
-        edges=_view_edges(heads, tails, sub.target, suppress_merged),
+        edges=_view_edges(heads, tails, sub.target),
         target_index=sub.target_position,
     )
 
 
-def _view_edges(heads: tuple, tails: tuple, target: Triple, suppress_merged: bool) -> np.ndarray:
+def _view_edges(heads: tuple, tails: tuple, target: Triple) -> np.ndarray:
     """The edges of to_relation_view, by one join of the triples' ends.
 
     Every edge type matches one end of the source triple with one end of
@@ -235,7 +208,7 @@ def _view_edges(heads: tuple, tails: tuple, target: Triple, suppress_merged: boo
     code <<= 1
     code += tail.repeat(size)
     s = None
-    etype = _EDGE_TYPE[int(suppress_merged)][code]
+    etype = _EDGE_TYPE[code]
     keep = src != dst
     keep &= etype >= 0
     bits = n.bit_length()  # key: dst, then 3 bits of type (6 types), then `bits` of src
@@ -244,12 +217,7 @@ def _view_edges(heads: tuple, tails: tuple, target: Triple, suppress_merged: boo
     key += etype
     key <<= bits
     key += src
-    if suppress_merged:
-        key = key[keep]
-    else:  # a twin pair's H-H and H-T rows also give its PARA and LOOP edges
-        extra = keep & (code >> 1 == 2)
-        merged = _EDGE_TYPE[1][code[extra]] - etype[extra]
-        key = np.concatenate((key[keep], key[extra] + (merged << bits)))
+    key = key[keep]
     if not len(key):
         return NO_EDGES
     key.sort()  # the order pruning and the layers read
@@ -263,15 +231,16 @@ def _view_edges(heads: tuple, tails: tuple, target: Triple, suppress_merged: boo
     return edges
 
 
-def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
-    """Frontier sets N^0..N^K walking incoming edges back from the target.
+def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:
+    """The edges each layer of a depth-k pass reads, layers 1..k.
 
-    N^k collects every node with a typed edge into some node of N^(k-1);
-    frontiers are not cumulative, so a node (the target included) can appear
-    in several of them.  Layer k of a depth-K pass updates N^0..N^(K-k), so
-    it consumes exactly the edges into those nodes; layer_edges holds them,
-    masked subsets of the view's edges and so in the view's (dst, type, src)
-    order.  A view without edges shares one empty array per layer.
+    Walking incoming edges back from the target, N^j collects every node
+    with a typed edge into some node of N^(j-1), so N^0 ∪ ... ∪ N^j holds
+    the nodes that reach the target within j steps.  Layer k' updates the nodes
+    of N^0 ∪ ... ∪ N^(k-k'), so it reads exactly the edges into them: an
+    (E_k', 3) array, a masked subset of the view's edges and so in the
+    view's (dst, type, src) order.  A view without edges shares one empty
+    array per layer.
     """
     if k < 1:
         raise SubgraphError(f"depth must be >= 1, got {k}")
@@ -279,24 +248,18 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> PrunedNeighborhood:
         raise SubgraphError(f"invalid target index {rvg.target_index}")
     edges = rvg.edges
     if not len(edges):
-        return PrunedNeighborhood(
-            frontiers=(frozenset([rvg.target_index]),) + (frozenset(),) * k,
-            layer_edges=(NO_EDGES,) * k,
-        )
+        return (NO_EDGES,) * k
 
     src, dst = edges[:, 0], edges[:, 2]
-    member = np.zeros((k + 1, rvg.num_nodes), dtype=bool)  # member[j]: N^j
-    member[0][rvg.target_index] = True
-    for j in range(1, k + 1):
-        member[j][src[member[j - 1][dst]]] = True
+    receivers = np.zeros((k, rvg.num_nodes), dtype=bool)  # row j: N^0 .. N^j
+    receivers[0][rvg.target_index] = True
+    for j in range(1, k):
+        receivers[j] = receivers[j - 1]
+        receivers[j][src[receivers[j - 1][dst]]] = True
 
-    receivers = np.logical_or.accumulate(member[:k], axis=0)  # row j: N^0..N^j
     edges = edges[receivers[k - 1][dst]]  # layer 1's; every later layer's are among them
-    return PrunedNeighborhood(
-        frontiers=tuple(frozenset(row.nonzero()[0].tolist()) for row in member),
-        layer_edges=(edges,) + tuple(
-            edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
-        ),
+    return (edges,) + tuple(
+        edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
     )
 
 

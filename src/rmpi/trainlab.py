@@ -55,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 10
     num_negatives: int = 1
-    negative_retries: int = 5  # extra draws avoiding graph collisions
 
     def __post_init__(self):
         if self.margin <= 0:
@@ -64,8 +63,6 @@ class TrainConfig:
             raise TrainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0 or self.patience < 1 or self.num_negatives < 1:
             raise TrainError("epochs must be >= 0, patience and negatives >= 1")
-        if self.negative_retries < 0:
-            raise TrainError("negative retries must be >= 0")
 
 
 # ------------------------------------------------------------------ samples
@@ -195,13 +192,24 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
+    """Read a checkpoint directory; TrainError when a file is missing or
+    its manifest is not the JSON object save_checkpoint writes."""
     manifest_path = os.path.join(directory, CHECKPOINT_MANIFEST)
     params_path = os.path.join(directory, CHECKPOINT_PARAMS)
     for p in (manifest_path, params_path):
         if not os.path.isfile(p):
             raise TrainError(f"missing checkpoint file: {p}")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise TrainError(f"checkpoint manifest {manifest_path} is not a JSON object")
+        return _checkpoint(manifest, params_path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrainError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from exc
+
+
+def _checkpoint(manifest: dict, params_path: str) -> Checkpoint:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise TrainError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}"
@@ -345,9 +353,7 @@ def train(
     rng_valneg = np.random.default_rng([config.seed, 104])
 
     valid = list(benchmark.valid)
-    valid_negatives = [
-        sample_negative(t, graph, rng_valneg, config.negative_retries) for t in valid
-    ]
+    valid_negatives = [sample_negative(t, graph, rng_valneg) for t in valid]
 
     def validation_auc() -> float | None:
         if not valid:
@@ -379,7 +385,7 @@ def train(
             for pos in batch:
                 samples.append(cache.sample(pos))
                 for _ in range(config.num_negatives):
-                    neg = sample_negative(pos, graph, rng_neg, config.negative_retries)
+                    neg = sample_negative(pos, graph, rng_neg)
                     samples.append(cache.sample(neg))
             tape = Tape()
             pvars = bind_params(tape, params)

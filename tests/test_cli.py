@@ -89,6 +89,22 @@ def test_bad_hits_list_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--ckpt", "x", "--task", "rank", "--neg", "0"],  # no candidates to rank
+        ["eval", "--ckpt", "x", "--task", "rank", "--neg", "-1"],
+        ["train", "--out", "out", "--runs", "0"],  # no run at all
+    ],
+    ids=["neg-0", "neg-negative", "runs-0"],
+)
+def test_count_flags_below_one_are_usage_errors(tmp_path, capsys, command):
+    data = bench_dir(tmp_path)
+    assert main(command[:1] + ["--data", str(data)] + command[1:]) == 1
+    assert "must be >= 1" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
 def test_schema_init_requires_vectors(tmp_path):
     data = bench_dir(tmp_path)
     code = main(train_args(data, tmp_path / "out", ["--init", "schema"]))
@@ -203,6 +219,32 @@ def test_eval_truncated_params_is_data_error(tmp_path, capsys):
     assert "parameter block" in capsys.readouterr().err
 
 
+def rewrite_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_text(p.read_text()[:-20]),  # truncated
+        lambda p: p.write_text("[1, 2]"),  # not an object
+        lambda p: rewrite_json(p, lambda m: {k: v for k, v in m.items() if k != "params"}),
+        lambda p: rewrite_json(p, lambda m: {**m, "params": 5}),
+        lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "width": 3}}),
+        lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "hops": "2"}}),
+    ],
+    ids=["truncated", "not-object", "no-params", "params-int", "config-key", "config-type"],
+)
+def test_eval_malformed_checkpoint_manifest_is_data_error(tmp_path, capsys, corrupt):
+    data, ckpt = trained_checkpoint(tmp_path)
+    corrupt(ckpt / "manifest.json")
+    code = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "checkpoint manifest" in err
+    assert err.count("\n") == 1
+
+
 def test_eval_rank_report(tmp_path):
     data, ckpt = trained_checkpoint(tmp_path)
     report = tmp_path / "report"
@@ -280,6 +322,33 @@ def test_schema_train_follows_narrow_vector_width(tmp_path):
          "--task", "classify", "--schema-vectors", str(vec_dir)]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: p.write_text(p.read_text()[:-20]),  # truncated
+        lambda p: rewrite_json(p, lambda m: {k: v for k, v in m.items() if k != "dim"}),
+        lambda p: rewrite_json(p, lambda m: {**m, "entries": [{"name": "q0"}]}),
+        lambda p: rewrite_json(p, lambda m: {**m, "dim": "wide"}),
+    ],
+    ids=["truncated", "no-dim", "entry-no-offset", "dim-str"],
+)
+def test_eval_malformed_vector_manifest_is_data_error(tmp_path, capsys, corrupt):
+    data = bench_dir(tmp_path)
+    vec_dir = tmp_path / "vectors"
+    assert main(["schema-pretrain", "--schema", str(schema_file(tmp_path)),
+                 "--out", str(vec_dir), "--epochs", "2", "--dim", "8"]) == 0
+    out = tmp_path / "ckpt"
+    assert main(train_args(data, out, ["--init", "schema", "--schema-vectors", str(vec_dir)])) == 0
+    corrupt(vec_dir / "manifest.json")
+    capsys.readouterr()
+    code = main(["eval", "--ckpt", str(out), "--data", str(data),
+                 "--out", str(tmp_path / "report"), "--schema-vectors", str(vec_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed vector manifest" in err
+    assert err.count("\n") == 1
 
 
 def test_schema_pretrain_relations_only(tmp_path):

@@ -647,7 +647,7 @@ def test_batch_scores_equal_samples_scored_alone():
     for config in variant_configs():
         params = init_params(config, 5, np.random.default_rng(7))
         samples = [build_sample(graph, t, config) for t in targets]
-        edges = [len(s.pruned.layer_edges[0]) for s in samples]
+        edges = [len(s.pruned[0]) for s in samples]
         assert 0 in edges and max(edges) > 0
         batched = score_batch(samples, config, params)
         alone = [score_batch([s], config, params)[0] for s in samples]
@@ -694,7 +694,7 @@ def test_training_tape_size_does_not_grow_with_batch():
                          edge_dropout=0.5)
     params = init_params(config, 4, np.random.default_rng(0))
     sample = build_sample(graph, graph.triples[0], config)
-    assert len(sample.pruned.layer_edges[-1]) >= 10
+    assert len(sample.pruned[-1]) >= 10
 
     def tape_nodes(copies):
         tape = Tape()

@@ -29,6 +29,11 @@ def named_edges(rvg):
     return {(s, EDGE_TYPE_NAMES[et], d) for (s, et, d) in rvg.edges}
 
 
+def entities(sub):
+    """The entities of a subgraph's triples, the target's included."""
+    return frozenset(e for h, _, t in sub.triples for e in (h, t))
+
+
 def four_triple_graph():
     # A=0 B=1 C=2 D=3; r1..r4 = 0..3, r_t = 4
     vocab = make_vocab(4, 5, seen={0, 1, 2, 3})
@@ -44,7 +49,7 @@ def four_triple_graph():
 def test_enclosing_four_triple_example():
     g, target = four_triple_graph()
     sub = extract_enclosing(g, target, 1)
-    assert sub.entities == frozenset({0, 1, 2})
+    assert entities(sub) == frozenset({0, 1, 2})
     assert sub.triples == (Triple(0, 0, 1), Triple(1, 1, 2), Triple(0, 2, 2), target)
     assert sub.triples[sub.target_position] == target
     assert sub.kind == "enclosing"
@@ -53,7 +58,7 @@ def test_enclosing_four_triple_example():
 def test_disclosing_four_triple_example():
     g, target = four_triple_graph()
     sub = extract_disclosing(g, target, 1)
-    assert sub.entities == frozenset({0, 1, 2, 3})
+    assert entities(sub) == frozenset({0, 1, 2, 3})
     assert set(sub.triples[:-1]) == set(g.triples)
     assert sub.triples[-1] == target
     assert sub.kind == "disclosing"
@@ -65,14 +70,14 @@ def test_enclosing_disconnected_endpoints_only_target_edge():
     g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(1, 0, 2), Triple(3, 1, 4), Triple(4, 1, 5)])
     sub = extract_enclosing(g, Triple(0, 2, 3), 1)
     assert sub.triples == (Triple(0, 2, 3),)
-    assert sub.entities == frozenset({0, 3})
+    assert entities(sub) == frozenset({0, 3})
 
 
 def test_enclosing_single_triple_identity():
     vocab = make_vocab(2, 2)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 1)])
     sub = extract_enclosing(g, Triple(0, 1, 1), 2)
-    assert sub.entities == frozenset({0, 1})
+    assert entities(sub) == frozenset({0, 1})
     assert sub.triples == (Triple(0, 0, 1), Triple(0, 1, 1))
 
 
@@ -80,14 +85,14 @@ def test_disclosing_disconnected_union():
     vocab = make_vocab(6, 3)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(3, 1, 4)])
     sub = extract_disclosing(g, Triple(0, 2, 3), 1)
-    assert sub.entities == frozenset({0, 1, 3, 4})
+    assert entities(sub) == frozenset({0, 1, 3, 4})
     assert set(sub.triples) == {Triple(0, 0, 1), Triple(3, 1, 4), Triple(0, 2, 3)}
 
 
 def test_disclosing_large_k_covers_graph():
     g, target = four_triple_graph()
     sub = extract_disclosing(g, target, 10)
-    assert sub.entities == frozenset({0, 1, 2, 3})
+    assert entities(sub) == frozenset({0, 1, 2, 3})
     assert len(sub.triples) == 5
 
 
@@ -123,16 +128,16 @@ def test_extraction_matches_floyd_warshall_oracles(n_entities, n_triples, k, see
 
     want_ent, want_triples = oracles.enclosing_subgraph(g, target, k)
     sub = extract_enclosing(g, target, k)
-    assert sub.entities == frozenset(want_ent)
+    assert entities(sub) == frozenset(want_ent)
     assert list(sub.triples[:-1]) == want_triples
 
     want_ent_d, want_triples_d = oracles.disclosing_subgraph(g, target, k)
     sub_d = extract_disclosing(g, target, k)
-    assert sub_d.entities == frozenset(want_ent_d)
+    assert entities(sub_d) == frozenset(want_ent_d)
     assert list(sub_d.triples[:-1]) == want_triples_d
 
     # enclosing entity set never exceeds the disclosing one
-    assert sub.entities <= sub_d.entities
+    assert entities(sub) <= entities(sub_d)
 
 
 # ------------------------------------------------------- relation view
@@ -188,18 +193,6 @@ def test_duplicate_triples_become_para_nodes():
     assert rvg.labels[0] == rvg.labels[1] == 0
 
 
-def test_suppression_flag_emits_all_matches():
-    vocab = make_vocab(2, 3)
-    g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(0, 1, 1)])
-    sub = extract_enclosing(g, Triple(0, 2, 1), 1)
-    rvg = to_relation_view(sub, suppress_merged=False)
-    e = named_edges(rvg)
-    # parallel pair now carries PARA plus the basic matches
-    assert {(0, "PARA", 1), (0, "H-H", 1), (0, "T-T", 1)} <= e
-    want = oracles.relation_view_edges(sub.triples, suppress_merged=False)
-    assert e == want
-
-
 def test_no_self_edges_ever():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -213,16 +206,15 @@ def test_no_self_edges_ever():
 @given(
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=1, max_value=20),
-    st.booleans(),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_relation_view_matches_pairwise_oracle(n_entities, n_triples, suppress, seed):
+def test_relation_view_matches_pairwise_oracle(n_entities, n_triples, seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_entities, 4, n_triples)
     target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
     sub = extract_disclosing(g, target, 2)
-    rvg = to_relation_view(sub, suppress_merged=suppress)
-    assert named_edges(rvg) == oracles.relation_view_edges(sub.triples, suppress_merged=suppress)
+    rvg = to_relation_view(sub)
+    assert named_edges(rvg) == oracles.relation_view_edges(sub.triples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,22 +264,20 @@ def hub_graph():
     return KnowledgeGraph(make_vocab(161, 5), rows), Triple(0, 4, 1)
 
 
-@pytest.mark.parametrize("suppress", [True, False])
-def test_relation_view_matches_pairwise_oracle_at_hub_scale(suppress):
+def test_relation_view_matches_pairwise_oracle_at_hub_scale():
     g, target = hub_graph()
     sub = extract_disclosing(g, target, 1)
     assert len(sub.triples) == g.num_triples + 1
-    rvg = to_relation_view(sub, suppress_merged=suppress)
-    want = oracles.relation_view_edges(sub.triples, suppress_merged=suppress)
+    rvg = to_relation_view(sub)
+    want = oracles.relation_view_edges(sub.triples)
     assert len(want) > 20000
     assert named_edges(rvg) == want
     assert len(rvg.edges) == len(want)  # no edge listed twice
 
 
-@pytest.mark.parametrize("suppress", [True, False])
-def test_relation_view_edge_array_contract(suppress):
+def test_relation_view_edge_array_contract():
     g, target = hub_graph()
-    rvg = to_relation_view(extract_disclosing(g, target, 1), suppress_merged=suppress)
+    rvg = to_relation_view(extract_disclosing(g, target, 1))
     e = rvg.edges
     assert e.dtype == np.int32
     assert e.ndim == 2 and e.shape[1] == 3 and len(e) > 0
@@ -306,18 +296,16 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
     )
     assert one_node.num_nodes == 1
     assert one_node.edges is NO_EDGES
-    assert all(e is NO_EDGES for e in prune_to_target(one_node, 2).layer_edges)
+    assert all(e is NO_EDGES for e in prune_to_target(one_node, 2))
     # two nodes sharing no entity; a self-loop shares only with itself
     for first in (Triple(2, 0, 3), Triple(2, 0, 2)):
         sub = subgraph.EntitySubgraph(
-            entities=frozenset({0, 1, first.head, first.tail}),
             triples=(first, Triple(0, 1, 1)),
             source_indexes=(0, None),
             target=Triple(0, 1, 1),
             kind="disclosing",
         )
-        for suppress in (True, False):
-            assert to_relation_view(sub, suppress_merged=suppress).edges is NO_EDGES
+        assert to_relation_view(sub).edges is NO_EDGES
 
 
 def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
@@ -341,35 +329,32 @@ def make_rvg(n, edges, target):
     )
 
 
-def pruned_edges(pn):
-    """(src, type, dst) of every edge the first layer consumes, sorted."""
-    return tuple(sorted(tuple(e) for e in pn.layer_edges[0].tolist()))
+def layer_sets(layers):
+    """Each layer's (src, type, dst) rows, as a set."""
+    return [set(map(tuple, e.tolist())) for e in layers]
 
 
 def test_prune_star_two_layers():
     # X=1, Y=2 point at target 0; no reciprocal edges
     rvg = make_rvg(3, [(1, 0, 0), (2, 0, 0)], target=0)
-    pn = prune_to_target(rvg, 2)
-    assert pn.frontiers[0] == {0}
-    assert pn.frontiers[1] == {1, 2}
-    assert pn.frontiers[2] == set()
-    assert set(pruned_edges(pn)) == {(1, 0, 0), (2, 0, 0)}
+    star = {(1, 0, 0), (2, 0, 0)}
+    assert layer_sets(prune_to_target(rvg, 2)) == [star, star]
 
 
 def test_prune_star_with_reciprocal_edges_revisits_target():
     rvg = make_rvg(3, [(1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 1, 2)], target=0)
-    pn = prune_to_target(rvg, 2)
-    assert pn.frontiers[1] == {1, 2}
-    assert pn.frontiers[2] == {0}  # target reappears through the reciprocal edges
-    assert set(pruned_edges(pn)) == {(1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 1, 2)}
+    star = {(1, 0, 0), (2, 0, 0)}
+    everything = star | {(0, 1, 1), (0, 1, 2)}
+    # N^1 = {1, 2}; the reciprocal edges feed them, so only the last layer,
+    # which updates the target alone, leaves those edges out
+    assert layer_sets(prune_to_target(rvg, 2)) == [everything, star]
+    # N^2 = {0}: the target reappears, and adds no receiver
+    assert layer_sets(prune_to_target(rvg, 3)) == [everything, everything, star]
 
 
 def test_prune_target_without_incoming_edges():
     rvg = make_rvg(3, [(0, 0, 1), (1, 0, 2)], target=0)
-    pn = prune_to_target(rvg, 2)
-    assert pn.frontiers[1] == set()
-    assert pn.frontiers[2] == set()
-    assert pruned_edges(pn) == ()
+    assert layer_sets(prune_to_target(rvg, 2)) == [set(), set()]
 
 
 def test_prune_fully_connected_k1():
@@ -379,10 +364,8 @@ def test_prune_fully_connected_k1():
             if i != j:
                 edges.append((i, 2, j))
     rvg = make_rvg(3, edges, target=1)
-    pn = prune_to_target(rvg, 1)
-    assert pn.frontiers[1] == {0, 2}
     # only edges into the target survive at depth 1
-    assert set(pruned_edges(pn)) == {(0, 2, 1), (2, 2, 1)}
+    assert layer_sets(prune_to_target(rvg, 1)) == [{(0, 2, 1), (2, 2, 1)}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -397,23 +380,18 @@ def test_prune_matches_reverse_bfs_oracle(n_entities, n_triples, k, seed):
     g = random_graph(rng, n_entities, 4, n_triples)
     target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
     rvg = to_relation_view(extract_enclosing(g, target, k))
-    pn = prune_to_target(rvg, k)
+    layers = prune_to_target(rvg, k)
     rows = [tuple(e) for e in rvg.edges.tolist()]
-    want_frontiers, want_edges = oracles.prune_frontiers(rows, rvg.target_index, k)
-    assert [set(f) for f in pn.frontiers] == want_frontiers
-    assert set(pruned_edges(pn)) == want_edges
-    # prune closure: every frontier node reaches the previous frontier
-    for depth in range(1, len(pn.frontiers)):
-        prev = pn.frontiers[depth - 1]
-        for node in pn.frontiers[depth]:
-            assert any(s == node and d in prev for (s, _, d) in rows)
-
-
-def test_cumulative_frontier_union():
-    rvg = make_rvg(3, [(1, 0, 0), (2, 0, 0), (0, 1, 1)], target=0)
-    pn = prune_to_target(rvg, 2)
-    assert pn.cumulative(0) == {0}
-    assert pn.cumulative(1) == {0, 1, 2}
+    frontiers, want_first = oracles.prune_frontiers(rows, rvg.target_index, k)
+    assert len(layers) == k
+    assert layer_sets(layers)[0] == want_first
+    for layer, edges in enumerate(layers, start=1):
+        # layer l reads the edges into N^0 ∪ ... ∪ N^(k-l)
+        receivers = set().union(*frontiers[: k - layer + 1])
+        assert set(map(tuple, edges.tolist())) == {e for e in rows if e[2] in receivers}
+        # a masked subset of the view's edges, so still in (dst, type, src) order
+        key = edges[:, 2].astype(np.int64) * len(EDGE_TYPE_NAMES) + edges[:, 1]
+        assert (np.diff(key * rvg.num_nodes + edges[:, 0]) > 0).all()
 
 
 # ------------------------------------------------------- disclosing one-hop

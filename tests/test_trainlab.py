@@ -181,7 +181,10 @@ def test_cache_retains_graph_triples_only():
     first = cache.sample(outsider)
     assert outsider not in cache._store
     assert cache.sample(outsider) == first
-    assert cache.sample(member) == build_sample(graph, member, config)
+    got, want = cache.sample(member), build_sample(graph, member, config)
+    assert got == want
+    assert len(got.pruned) == len(want.pruned) == config.hops
+    assert all(np.array_equal(a, b) for a, b in zip(got.pruned, want.pruned))
 
 
 def test_train_builds_each_positive_once(monkeypatch):
