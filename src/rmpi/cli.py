@@ -336,9 +336,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--hop", type=int, default=2,
+        p.add_argument("--hop", type=_count, default=2,
                        help="subgraph radius and message-passing depth")
-        p.add_argument("--dim", type=int, default=32)
+        p.add_argument("--dim", type=_count, default=32)
         p.add_argument("--dropout", type=float, default=0.5)
         p.add_argument("--variant", choices=sorted(VARIANTS), default="base")
         p.add_argument("--fusion", choices=["sum", "conc"], default="sum")
@@ -350,11 +350,11 @@ def build_parser() -> _Parser:
     p_train.add_argument("--out", required=True)
     add_model_flags(p_train)
     p_train.add_argument("--lr", type=float, default=0.001)
-    p_train.add_argument("--batch", type=int, default=16)
+    p_train.add_argument("--batch", type=_count, default=16)
     p_train.add_argument("--margin", type=float, default=10.0)
-    p_train.add_argument("--epochs", type=int, default=50)
-    p_train.add_argument("--patience", type=int, default=10)
-    p_train.add_argument("--negatives", type=int, default=1)
+    p_train.add_argument("--epochs", type=_count, default=50)
+    p_train.add_argument("--patience", type=_count, default=10)
+    p_train.add_argument("--negatives", type=_count, default=1)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--runs", type=_count, default=1,
                          help="repeat with derived seeds and report the mean")
@@ -396,7 +396,7 @@ def build_parser() -> _Parser:
     p_dump.add_argument("--head", required=True)
     p_dump.add_argument("--rel", required=True)
     p_dump.add_argument("--tail", required=True)
-    p_dump.add_argument("--hop", type=int, default=2)
+    p_dump.add_argument("--hop", type=_count, default=2)
     p_dump.add_argument("--graph", choices=["train", "test"], default="train")
     p_dump.add_argument("--kind", choices=["enclosing", "disclosing"],
                         default="enclosing")

@@ -164,23 +164,36 @@ def _chunks(seg: np.ndarray, size: int) -> list[tuple[int, int]]:
     return list(zip([0] + cuts, cuts + [len(seg)]))
 
 
-BLAS_CALL_SIZE = 1 << 18  # multiply-adds per BLAS call in _product
+BLAS_CALL_SIZE = 1 << 18  # most multiply-adds per BLAS call in _product
+PRODUCT_ROWS = 32  # most rows per BLAS call in _product
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, computed a block of rows of a at a time.
+    """a @ b, computed in blocks of one fixed number of rows of a.
 
-    Each block is small enough that BLAS runs it on the calling thread.  A
-    larger product makes OpenBLAS start worker threads, which then
-    busy-wait between the model's many small products: training took twice
-    the CPU time, and scoring spent it on later triples too.
+    The row count depends on the operands' widths only: PRODUCT_ROWS, or
+    fewer where a block would exceed BLAS_CALL_SIZE multiply-adds, past
+    which OpenBLAS starts worker threads that busy-wait between the model's
+    many small products (training took twice the CPU time).  Every call has
+    exactly that many rows, the last block padded with zero rows, because
+    OpenBLAS picks its kernel by the call's row count (1, 2-37 and 38 or
+    more rows run three kernels for the model's products) and the kernels
+    round differently.  So a row's result depends on its contents alone: a
+    triple scores the same alone or in any batch.  Padding costs most on a
+    one-row product: at width 192, 20 us against 4 us unpadded; blocks of
+    42 rows cost 26 us and run large products no faster.
     """
-    rows = max(1, BLAS_CALL_SIZE // max(1, a.shape[1] * b.shape[1]))
-    if a.shape[0] <= rows:
-        return a @ b
-    out = np.empty((a.shape[0], b.shape[1]))
-    for lo in range(0, a.shape[0], rows):
+    m, n = a.shape[0], b.shape[1]
+    rows = max(1, min(PRODUCT_ROWS, BLAS_CALL_SIZE // max(1, a.shape[1] * n)))
+    a = np.ascontiguousarray(a)  # one memory layout, so one kernel, for every block
+    out = np.empty((m, n))
+    full = m - m % rows
+    for lo in range(0, full, rows):
         np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    if full < m:
+        tail = np.zeros((rows, a.shape[1]))
+        tail[: m - full] = a[full:]
+        out[full:] = (tail @ b)[: m - full]
     return out
 
 

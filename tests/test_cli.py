@@ -95,11 +95,20 @@ def test_bad_hits_list_is_usage_error(tmp_path):
         ["eval", "--ckpt", "x", "--task", "rank", "--neg", "0"],  # no candidates to rank
         ["eval", "--ckpt", "x", "--task", "rank", "--neg", "-1"],
         ["train", "--out", "out", "--runs", "0"],  # no run at all
+        ["train", "--out", "out", "--epochs", "0"],  # would save untrained parameters
+        ["train", "--out", "out", "--batch", "0"],
+        ["train", "--out", "out", "--negatives", "0"],
+        ["train", "--out", "out", "--patience", "0"],
+        ["train", "--out", "out", "--dim", "0"],
+        ["train", "--out", "out", "--hop", "0"],
+        ["dump-subgraph", "--head", "a0", "--rel", "q0", "--tail", "a1", "--hop", "0"],
     ],
-    ids=["neg-0", "neg-negative", "runs-0"],
+    ids=["neg-0", "neg-negative", "runs-0", "epochs-0", "batch-0", "negatives-0",
+         "patience-0", "dim-0", "hop-0", "dump-hop-0"],
 )
 def test_count_flags_below_one_are_usage_errors(tmp_path, capsys, command):
     data = bench_dir(tmp_path)
+    command = [str(tmp_path / "out") if arg == "out" else arg for arg in command]
     assert main(command[:1] + ["--data", str(data)] + command[1:]) == 1
     assert "must be >= 1" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["data"]

@@ -70,6 +70,20 @@ def test_products_in_blocks_equal_one_product(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("width, out", [(192, 32), (32, 32), (300, 128)])
+def test_product_row_does_not_depend_on_its_batch(width, out):
+    # the right operand laid out as grouped_apply passes it, a transposed view
+    rng = np.random.default_rng(17)
+    b = rng.normal(size=(out, width)).T
+    row = rng.normal(size=width)
+    want = nk._product(row[None, :], b)[0]
+    for m in (1, 5, 37, 38, 300):
+        for at in sorted({0, m // 2, m - 1}):
+            a = rng.normal(size=(m, width))
+            a[at] = row
+            assert nk._product(a, b)[at].tobytes() == want.tobytes(), (m, at)
+
+
 def test_take_values_repeat_and_skip_rows():
     t = Tape()
     x = np.arange(8.0).reshape(4, 2)

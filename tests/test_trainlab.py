@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rmpi import trainlab
+from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import FeatureSource, ModelConfig, bind_params, init_params, score_sample
@@ -153,18 +154,146 @@ def test_build_sample_reads_disclosing_neighbors():
         assert build_sample(graph, target, base).disclosing == ()
 
 
-@pytest.mark.parametrize("use_disclosing", [False, True])
-def test_score_triples_matches_recorded_forward(use_disclosing):
-    graph = random_graph(np.random.default_rng(6), 10, 3, 24)
-    config = ModelConfig(dim=4, hops=2, use_disclosing=use_disclosing)
-    params = init_params(config, 3, np.random.default_rng(1))
-    triples = graph.triples[:5] + [Triple(0, 1, 9), Triple(3, 2, 3)]
-    got = trainlab.score_triples(params, config, SampleCache(graph, config), triples)
+VARIANTS = {
+    "base": dict(),
+    "ne": dict(use_disclosing=True),
+    "ta": dict(target_attention=True),
+    "ne-ta": dict(use_disclosing=True, target_attention=True),
+    "ne-ta-conc": dict(use_disclosing=True, target_attention=True, fusion="conc"),
+    "ne-ta-schema": dict(use_disclosing=True, target_attention=True, init_mode="schema",
+                         schema_hidden=8, schema_dim=16),
+}
+UNSEEN = 3  # relation without a learned row: scored with a fresh seeded vector
+
+
+def scoring_graph():
+    """Random triples over entities 0-11 plus a hub, entity 0, meeting 1-11;
+    entity 12 has no triple, and relation 3 labels a few of them."""
+    graph = random_graph(np.random.default_rng(6), 12, 3, 16)
+    graph.vocab.entity_id("e12", create=True)
+    graph.vocab.relation_id("r3", create=True)
+    for e in range(1, 12):
+        graph.add(Triple(0, e % 3, e))
+    for t in (Triple(4, UNSEEN, 7), Triple(7, UNSEEN, 0)):
+        graph.add(t)
+    return graph
+
+
+def scoring_setup(variant, graph):
+    config = ModelConfig(dim=4, hops=2, **VARIANTS[variant])
+    params = init_params(config, graph.vocab.num_relations, np.random.default_rng(1))
+    schema = None
+    if config.init_mode == "schema":
+        schema = {r: np.random.default_rng([2, r]).normal(size=config.schema_dim)
+                  for r in range(graph.vocab.num_relations)}
+    lookup = lambda label: None if label == UNSEEN else label
+    return config, params, dict(lookup=lookup, schema_vectors=schema, run_seed=5)
+
+
+def forward_alone(graph, triple, config, params, lookup, schema_vectors, run_seed):
+    """The triple's score from a one-sample forward on a recording tape."""
+    tape = Tape()
+    pvars = bind_params(tape, params)
+    source = FeatureSource(tape, pvars, config, lookup, schema_vectors, run_seed)
+    return score_sample([build_sample(graph, triple, config)], source, pvars, config).value[0]
+
+
+def scored_batches(monkeypatch, budget=None):
+    """Record the samples of each score_sample call, optionally under a budget."""
+    if budget is not None:
+        monkeypatch.setattr(trainlab, "SCORE_BATCH_ROWS", budget)
+    calls = []
+    inner = trainlab.score_sample
+
+    def spy(samples, *args, **kwargs):
+        calls.append(list(samples))
+        return inner(samples, *args, **kwargs)
+
+    monkeypatch.setattr(trainlab, "score_sample", spy)
+    return calls
+
+
+SCORED = [
+    Triple(0, 1, 5),  # hub to hub neighbour: the largest view
+    Triple(1, 2, 4), Triple(0, 1, 9), Triple(3, 2, 3),
+    Triple(12, 0, 12),  # no triple at either end: empty view, no disclosing neighbour
+    Triple(12, 1, 2),  # one end outside the graph: the target alone
+    Triple(4, UNSEEN, 7), Triple(7, UNSEEN, 9),
+    Triple(5, 0, 0), Triple(2, 2, 6),
+]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("budget", [None, 250, 10**6], ids=["default", "small", "one-batch"])
+def test_score_triples_matches_recorded_forward(monkeypatch, variant, budget):
+    graph = scoring_graph()
+    config, params, context = scoring_setup(variant, graph)
+    triples = graph.triples[:5] + SCORED
+    calls = scored_batches(monkeypatch, budget)
+    got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
+    assert sum(map(len, calls)) == len(triples)
+    assert len(calls) == 1 if budget == 10**6 else len(calls) >= 2
     for score, t in zip(got, triples):
-        tape = Tape()
-        pvars = bind_params(tape, params)
-        source = FeatureSource(tape, pvars, config)
-        assert score == score_sample([build_sample(graph, t, config)], source, pvars, config).value[0]
+        assert score == forward_alone(graph, t, config, params, **context)
+
+
+@pytest.mark.parametrize("variant", ["base", "ne-ta", "ne-ta-conc"])
+def test_repeated_triple_scores_the_same_in_every_batch(monkeypatch, variant):
+    graph = scoring_graph()
+    config, params, context = scoring_setup(variant, graph)
+    repeated = Triple(1, 2, 4)
+    triples = [repeated] + SCORED[:3] + [repeated] + SCORED[3:] + [repeated, repeated]
+    calls = scored_batches(monkeypatch, budget=250)
+    got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
+    at = [i for i, t in enumerate(triples) if t == repeated]
+    holding = [c for c in calls if any(s.rvg.nodes[s.rvg.target_index] == repeated for s in c)]
+    assert len({len(c) for c in holding}) > 1  # batch-mates differ in number
+    assert len(set(got[at].tolist())) == 1
+
+
+def test_score_batches_stay_within_the_row_budget(monkeypatch):
+    graph = scoring_graph()
+    config, params, context = scoring_setup("ne-ta", graph)
+    triples = graph.triples + SCORED
+    for budget in (1, 25, 60, 200):
+        calls = scored_batches(monkeypatch, budget)
+        trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
+        assert sum(map(len, calls)) == len(triples)
+        for samples in calls:
+            rows = sum(trainlab.sample_rows(s) for s in samples)
+            assert rows <= budget or len(samples) == 1
+        assert any(len(samples) > 1 for samples in calls) == (budget > 1)
+
+
+def isomorphic_candidates_graph():
+    """Tail query (a, q, b) where b and the candidates c1, c2 each hang off a
+    two-step path a -r1- x -r2- b of their own, so the three views match up
+    to entity names, listed in the same order; d and 8 are one more pair."""
+    vocab = make_vocab(9, 3)  # a=0 b=1 c1=2 c2=3, their paths' middles 4-6, d=7 and 8
+    triples = [Triple(0, 1, 4), Triple(0, 1, 5), Triple(0, 1, 6),
+               Triple(4, 2, 1), Triple(5, 2, 2), Triple(6, 2, 3), Triple(7, 1, 8)]
+    return KnowledgeGraph(vocab, triples), Triple(0, 0, 1)
+
+
+# Parameter seeds and a budget under which products that round by their row
+# count put the truth above its twins when the truth and the twins are in
+# batches of different sizes, which moves the rank.
+@pytest.mark.parametrize("variant, seed", [("base", 3), ("ne-ta", 2)])
+@pytest.mark.parametrize("budget", [None, 30])
+def test_rank_with_isomorphic_candidates_keeps_its_ties(monkeypatch, variant, seed, budget):
+    graph, query = isomorphic_candidates_graph()
+    config = ModelConfig(dim=32, hops=2, **VARIANTS[variant])
+    params = init_params(config, graph.vocab.num_relations, np.random.default_rng(seed))
+    ckpt = Checkpoint(config, params, graph.vocab.digest(), tuple(graph.vocab.relation_names),
+                      (True,) * graph.vocab.num_relations)
+    alone = {e: forward_alone(graph, Triple(0, 0, e), config, params, None, None, 0)
+             for e in range(graph.vocab.num_entities)}
+    twins = [e for e in alone if e != query.tail and alone[e] == alone[query.tail]]
+    assert twins == [2, 3]
+    calls = scored_batches(monkeypatch, budget)
+    got = rank_entities(ckpt, graph, query, "tail", num_neg=49)
+    assert got.rank == rank_of(alone[query.tail], [alone[e] for e in alone if e != query.tail])
+    assert len(calls) == 1 if budget is None else len(calls) > 2
 
 
 # ---------------------------------------------------------------- cache
