@@ -25,6 +25,8 @@ import os
 
 import numpy as np
 
+from rmpi.fileio import write_rows
+
 RENAME = {"r0": "s0", "r1": "s1", "r2": "s2"}
 
 
@@ -68,12 +70,6 @@ def split_endpoints(endpoints, held_frac, rng):
     return kept, held
 
 
-def write_rows(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in rows:
-            fh.write(f"{h}\t{r}\t{t}\n")
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="output directory")
@@ -111,9 +107,7 @@ def main():
 
     schema_path = os.path.join(args.out, "schema.tsv")
     rows = schema_rows()
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+    write_rows(schema_path, rows)
     print(f"wrote {schema_path}: {len(rows)} rows")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -18,10 +17,11 @@ import time
 import numpy as np
 
 from .evalbench import EvalError, classify, rank_queries, recombine, write_report
+from .fileio import MANIFEST, format_row, write_json
 from .kgstore import KGError, Triple, load_benchmark
 from .numkit import NumkitError
 from .rmpnet import ModelError, ModelConfig
-from .schema import SchemaError, load_schema, load_vectors, pretrain, save_vectors
+from .schema import BLOCK_NAME, SchemaError, load_schema, load_vectors, pretrain, save_vectors
 from .subgraph import (
     SubgraphError,
     dump_relation_view,
@@ -30,6 +30,7 @@ from .subgraph import (
     to_relation_view,
 )
 from .trainlab import (
+    CHECKPOINT_PARAMS,
     SampleCache,
     TrainConfig,
     TrainError,
@@ -93,7 +94,7 @@ def _digest_path(path: str) -> str:
 def write_run_manifest(out_dir, command, flags, seed, inputs, outputs, started):
     manifest = {
         "command": command,
-        "flags": {k: v for k, v in sorted(flags.items())},
+        "flags": flags,
         "seed": seed,
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -102,9 +103,7 @@ def write_run_manifest(out_dir, command, flags, seed, inputs, outputs, started):
     }
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, MANIFEST_FILE)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 
@@ -140,6 +139,8 @@ def _model_config(args, schema_vectors=None) -> ModelConfig:
 
 def _load_schema_vectors(args):
     if args.init != "schema":
+        if args.schema_vectors:
+            raise UsageError("--schema-vectors is read only with --init schema")
         return None
     if not args.schema_vectors:
         raise UsageError("--init schema requires --schema-vectors")
@@ -196,8 +197,8 @@ def cmd_train(args) -> int:
         )
         save_checkpoint(ckpt, out_dir)
         outputs = [
-            os.path.join(out_dir, "manifest.json"),
-            os.path.join(out_dir, "params.bin"),
+            os.path.join(out_dir, MANIFEST),
+            os.path.join(out_dir, CHECKPOINT_PARAMS),
         ]
         inputs = [args.data] + ([args.schema_vectors] if schema_vectors else [])
         write_run_manifest(
@@ -249,8 +250,8 @@ def cmd_eval(args) -> int:
             metrics[f"hits@{n}"] = result.hits[n]
 
     tsv_path, json_path = write_report(metrics, args.out, stem=f"{args.task}_metrics")
-    for key, value in metrics.items():
-        print(f"{key}\t{value}")
+    for row in metrics.items():
+        print(format_row(row))
     write_run_manifest(
         args.out, "eval", _flags(args), args.seed,
         [args.ckpt, args.data] + ([args.schema_vectors] if schema_vectors else []),
@@ -282,7 +283,7 @@ def cmd_schema_pretrain(args) -> int:
     )
     write_run_manifest(
         args.out, "schema-pretrain", _flags(args), args.seed, [args.schema],
-        [os.path.join(args.out, "manifest.json"), os.path.join(args.out, "vectors.bin")],
+        [os.path.join(args.out, MANIFEST), os.path.join(args.out, BLOCK_NAME)],
         started,
     )
     return EXIT_OK
@@ -375,11 +376,11 @@ def build_parser() -> _Parser:
     p_schema = sub.add_parser("schema-pretrain", help="embed an ontology TSV")
     p_schema.add_argument("--schema", required=True)
     p_schema.add_argument("--out", required=True)
-    p_schema.add_argument("--dim", type=int, default=300)
-    p_schema.add_argument("--epochs", type=int, default=300)
+    p_schema.add_argument("--dim", type=_count, default=300)
+    p_schema.add_argument("--epochs", type=_count, default=300)
     p_schema.add_argument("--lr", type=float, default=0.02)
     p_schema.add_argument("--margin", type=float, default=1.0)
-    p_schema.add_argument("--batch", type=int, default=256)
+    p_schema.add_argument("--batch", type=_count, default=256)
     p_schema.add_argument("--seed", type=int, default=0)
     p_schema.add_argument("--relations-only", action="store_true",
                           help="export only nodes that look like relations")

@@ -11,7 +11,6 @@ filtered at the entity-name level.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fileio import write_json, write_rows
 from .kgstore import (
     Benchmark,
     KnowledgeGraph,
@@ -249,12 +249,6 @@ def _named(bench: Benchmark, triples) -> list[tuple[str, str, str]]:
     ]
 
 
-def _write_named(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for h, r, t in rows:
-            fh.write(f"{h}\t{r}\t{t}\n")
-
-
 def recombine(train_dir: str, test_dir: str, out_dir: str) -> RecombinedBench:
     """Cross two benchmark versions into semi and fully inductive testbeds.
 
@@ -297,13 +291,11 @@ def recombine(train_dir: str, test_dir: str, out_dir: str) -> RecombinedBench:
     ):
         directory = os.path.join(out_dir, setting)
         os.makedirs(directory, exist_ok=True)
-        _write_named(os.path.join(directory, "train.txt"), train_rows)
-        _write_named(os.path.join(directory, "valid.txt"), valid_rows)
-        _write_named(os.path.join(directory, "test_graph.txt"), graph_rows)
-        _write_named(os.path.join(directory, "test.txt"), target_rows)
-    with open(os.path.join(out_dir, UNSEEN_FILE), "w", encoding="utf-8") as fh:
-        for name in unseen:
-            fh.write(name + "\n")
+        write_rows(os.path.join(directory, "train.txt"), train_rows)
+        write_rows(os.path.join(directory, "valid.txt"), valid_rows)
+        write_rows(os.path.join(directory, "test_graph.txt"), graph_rows)
+        write_rows(os.path.join(directory, "test.txt"), target_rows)
+    write_rows(os.path.join(out_dir, UNSEEN_FILE), ((name,) for name in unseen))
 
     semi = load_benchmark(os.path.join(out_dir, "semi"))
     fully = load_benchmark(os.path.join(out_dir, "fully"))
@@ -312,40 +304,21 @@ def recombine(train_dir: str, test_dir: str, out_dir: str) -> RecombinedBench:
 
 
 def _check_recombined(semi, fully, train_entities, unseen):
+    def test_rows(bench):
+        return _named(bench, bench.test_graph.triples + bench.test)
+
     for bench in (semi, fully):
-        test_names = {
-            bench.vocab.entity_names[e]
-            for t in list(bench.test_graph.triples) + list(bench.test)
-            for e in (t.head, t.tail)
-        }
+        test_names = {e for h, _, t in test_rows(bench) for e in (h, t)}
         overlap = test_names & train_entities
         if overlap:
             raise EvalError(
                 f"testbed leaks training entities: {sorted(overlap)[:5]}"
             )
-    fully_rel = {
-        fully.vocab.relation_names[t.relation]
-        for t in list(fully.test_graph.triples) + list(fully.test)
-    }
-    if not fully_rel <= set(unseen):
+    fully_rows = test_rows(fully)
+    if not {r for _, r, _ in fully_rows} <= set(unseen):
         raise EvalError("fully-inductive testbed contains seen relations")
-    semi_rows = set()
-    for t in list(semi.test_graph.triples) + list(semi.test):
-        semi_rows.add(
-            (
-                semi.vocab.entity_names[t.head],
-                semi.vocab.relation_names[t.relation],
-                semi.vocab.entity_names[t.tail],
-            )
-        )
-    for t in list(fully.test_graph.triples) + list(fully.test):
-        row = (
-            fully.vocab.entity_names[t.head],
-            fully.vocab.relation_names[t.relation],
-            fully.vocab.entity_names[t.tail],
-        )
-        if row not in semi_rows:
-            raise EvalError("fully-inductive triples must be a subset of semi")
+    if not set(fully_rows) <= set(test_rows(semi)):
+        raise EvalError("fully-inductive triples must be a subset of semi")
 
 
 # ------------------------------------------------------------------ reports
@@ -355,10 +328,6 @@ def write_report(metrics: dict, out_dir: str, stem: str = "metrics") -> tuple[st
     os.makedirs(out_dir, exist_ok=True)
     tsv_path = os.path.join(out_dir, f"{stem}.tsv")
     json_path = os.path.join(out_dir, f"{stem}.json")
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        for key in metrics:
-            fh.write(f"{key}\t{metrics[key]}\n")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_rows(tsv_path, metrics.items())
+    write_json(json_path, metrics)
     return tsv_path, json_path

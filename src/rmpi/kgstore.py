@@ -1,11 +1,11 @@
 """Triple store for knowledge-graph benchmarks.
 
-A benchmark directory holds four tab-separated files (train.txt, valid.txt,
-test_graph.txt, test.txt) of ``head<TAB>relation<TAB>tail`` lines.  All four
-files share one entity/relation id space; relations that never occur in the
-training graph are flagged unseen.  Duplicate lines are kept as distinct
-triple instances because downstream graphs treat every edge instance as a
-node of its own.
+A benchmark directory holds four files of (head, relation, tail) name rows
+(train.txt, valid.txt, test_graph.txt, test.txt; `fileio` reads and writes
+them).  All four files share one entity/relation id space; relations that
+never occur in the training graph are flagged unseen.  Duplicate rows are
+kept as distinct triple instances because downstream graphs treat every
+edge instance as a node of its own.
 
 A graph keeps one adjacency index, `incident`: each entity maps to the
 (other end, triple index) pairs of the triples it is an end of, listed in
@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import os
 from typing import Iterable, KeysView, NamedTuple
+
+from .fileio import read_rows, write_rows
 
 
 class KGError(Exception):
@@ -77,12 +79,6 @@ class Vocabulary:
             self.relation_names.append(name)
             self._seen.append(False)
         return rid
-
-    def has_entity(self, name: str) -> bool:
-        return name in self._entity_ids
-
-    def has_relation(self, name: str) -> bool:
-        return name in self._relation_ids
 
     def mark_seen(self, rid: int) -> None:
         self._seen[rid] = True
@@ -204,23 +200,6 @@ class Benchmark(NamedTuple):
     test: list[Triple]
 
 
-def _parse_file(path: str, vocab: Vocabulary) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise KGError(
-                    f"{os.path.basename(path)}:{lineno}: expected 3 tab-separated "
-                    f"fields, got {len(parts)}"
-                )
-            rows.append((parts[0], parts[1], parts[2]))
-    return rows
-
-
 def load_benchmark(directory: str) -> Benchmark:
     """Load the four benchmark files of a directory into one id space.
 
@@ -237,7 +216,7 @@ def load_benchmark(directory: str) -> Benchmark:
     raw: dict[str, list[Triple]] = {}
     for name in BENCHMARK_FILES:
         triples = []
-        for h, r, t in _parse_file(paths[name], vocab):
+        for h, r, t in read_rows(paths[name], KGError):
             triples.append(
                 Triple(
                     vocab.entity_id(h, create=True),
@@ -262,12 +241,8 @@ def load_benchmark(directory: str) -> Benchmark:
 
 
 def write_triples(path: str, triples: Iterable[Triple], vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            fh.write(
-                f"{vocab.entity_names[t.head]}\t{vocab.relation_names[t.relation]}"
-                f"\t{vocab.entity_names[t.tail]}\n"
-            )
+    ent, rel = vocab.entity_names, vocab.relation_names
+    write_rows(path, ((ent[t.head], rel[t.relation], ent[t.tail]) for t in triples))
 
 
 def save_benchmark(bench: Benchmark, directory: str) -> None:

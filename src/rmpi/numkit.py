@@ -114,9 +114,7 @@ class Tape:
                     continue
                 if parent.id >= node.id:
                     raise NumkitError("cycle in recorded graph")
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + g
+                parent.grad = g if parent.grad is None else parent.grad + g
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.value))
             for name, p in self._params.items()

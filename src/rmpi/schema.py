@@ -1,21 +1,21 @@
 """Ontological schema ingestion and translational vector pretraining.
 
-A schema file is a TSV of `subject<TAB>predicate<TAB>object` rows whose
-predicates are restricted to four vocabularies: rdfs:subPropertyOf,
+A schema file holds (subject, predicate, object) rows, read by `fileio`,
+whose predicates are restricted to four vocabularies: rdfs:subPropertyOf,
 rdfs:domain, rdfs:range and rdfs:subClassOf.  Nodes are KG relations and
 concept types.  Vectors are trained with the classic translational
 objective (L1 energy, margin ranking against uniformly corrupted triples)
-and only relation-node vectors get exported for use as initial model
-features.
+and only relation-node vectors get exported, as a `fileio` manifest plus
+float32 block, for use as initial model features.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import floats, read_block_dir, read_rows, write_block_dir
 
 SCHEMA_PREDICATES = (
     "rdfs:subPropertyOf",
@@ -72,25 +72,11 @@ def load_schema(path: str) -> SchemaGraph:
             names.append(name)
         return got
 
-    edges = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaError(
-                    f"{os.path.basename(path)}:{lineno}: expected 3 tab-separated fields"
-                )
-            s, p, o = parts
-            pid = pred_ids.get(p)
-            if pid is None:
-                raise SchemaError(
-                    f"{os.path.basename(path)}:{lineno}: predicate {p!r} not in "
-                    f"{list(SCHEMA_PREDICATES)}"
-                )
-            edges.append((node(s), pid, node(o)))
+    def check(row) -> str | None:
+        if row[1] not in pred_ids:
+            return f"predicate {row[1]!r} not in {list(SCHEMA_PREDICATES)}"
+
+    edges = [(node(s), pred_ids[p], node(o)) for s, p, o in read_rows(path, SchemaError, check)]
     return SchemaGraph(node_names=tuple(names), edges=tuple(edges))
 
 
@@ -179,63 +165,34 @@ def pretrain(
 
 # ------------------------------------------------------------------ export
 
-MANIFEST_NAME = "manifest.json"
 BLOCK_NAME = "vectors.bin"
 
 
 def save_vectors(emb: SchemaEmbedding, out_dir: str, names=None) -> None:
-    """Write selected node vectors as manifest + packed float32 block.
-
-    The manifest lists (name, byte offset) pairs in block order; the block
-    holds the rows back to back, row-major, little-endian float32.
-    """
+    """Export selected node vectors as a manifest of (name, byte offset)
+    entries, in block order, plus their float32 block."""
     if names is None:
         names = list(emb.node_names)
     dim = emb.vectors.shape[1]
-    entries = []
-    rows = []
-    for i, name in enumerate(names):
-        entries.append({"name": name, "offset": i * dim * 4})
-        rows.append(emb.vector(name))
-    block = np.asarray(rows, dtype="<f4").tobytes() if rows else b""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump({"dim": dim, "dtype": "<f4", "entries": entries}, fh, indent=1)
-        fh.write("\n")
-    with open(os.path.join(out_dir, BLOCK_NAME), "wb") as fh:
-        fh.write(block)
+    entries = [{"name": name, "offset": i * dim * 4} for i, name in enumerate(names)]
+    write_block_dir(
+        out_dir, BLOCK_NAME, {"dim": dim, "entries": entries}, [emb.vector(n) for n in names]
+    )
 
 
 def load_vectors(directory: str) -> dict[str, np.ndarray]:
     """Read back an exported vector directory as name -> float64 vector;
     SchemaError when a file is missing or the manifest is malformed."""
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    block_path = os.path.join(directory, BLOCK_NAME)
-    for p in (manifest_path, block_path):
-        if not os.path.isfile(p):
-            raise SchemaError(f"missing vector file: {p}")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        return _vectors(manifest, block_path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed vector manifest {manifest_path}: {exc!r}") from exc
+    return read_block_dir(directory, BLOCK_NAME, "vector", SchemaError, _vectors)
 
 
-def _vectors(manifest: dict, block_path: str) -> dict[str, np.ndarray]:
+def _vectors(manifest: dict, block: bytes, block_path: str) -> dict[str, np.ndarray]:
     dim = int(manifest["dim"])
     if dim < 1:
         raise SchemaError(f"vector width must be >= 1, got {dim}")
-    with open(block_path, "rb") as fh:
-        raw = fh.read()
     need = max((int(e["offset"]) + 4 * dim for e in manifest["entries"]), default=0)
-    if need > len(raw):
+    if need > len(block):
         raise SchemaError(
-            f"vector block {block_path} holds {len(raw)} bytes; the manifest needs {need}"
+            f"vector block {block_path} holds {len(block)} bytes; the manifest needs {need}"
         )
-    out = {}
-    for entry in manifest["entries"]:
-        off = int(entry["offset"])
-        vec = np.frombuffer(raw, dtype="<f4", count=dim, offset=off)
-        out[entry["name"]] = vec.astype(np.float64)
-    return out
+    return {e["name"]: floats(block, int(e["offset"]), (dim,)) for e in manifest["entries"]}

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import format_row
 from .kgstore import KnowledgeGraph, Triple, bfs, khop_neighbors, link
 
 # Edge types of the relation view.  For an ordered pair n1=(h1,_,t1),
@@ -292,10 +293,10 @@ def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:
     def rel(r):
         return vocab.relation_names[r] if vocab is not None else str(r)
 
-    lines = [f"#nodes\t{rvg.num_nodes}\ttarget\t{rvg.target_index}"]
+    lines = [format_row(("#nodes", rvg.num_nodes, "target", rvg.target_index))]
     for i, t in enumerate(rvg.nodes):
-        lines.append(f"#node\t{i}\t{ent(t.head)}\t{rel(t.relation)}\t{ent(t.tail)}")
+        lines.append(format_row(("#node", i, ent(t.head), rel(t.relation), ent(t.tail))))
     edges = rvg.edges
     for src, et, dst in edges[np.lexsort((edges[:, 2], edges[:, 1], edges[:, 0]))].tolist():
-        lines.append(f"{src}\t{EDGE_TYPE_NAMES[et]}\t{dst}")
+        lines.append(format_row((src, EDGE_TYPE_NAMES[et], dst)))
     return "\n".join(lines) + "\n"

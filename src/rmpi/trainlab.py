@@ -5,19 +5,18 @@ one forward pass on one tape, applies the margin ranking loss and one Adam
 update.  After every epoch the model is scored on the held-out validation
 targets (classification AUC-PR against a fixed negative set) and the
 best-scoring parameters are kept, with early stopping on patience.
-Checkpoints are directories holding a JSON manifest plus a packed float32
-parameter block.
+A checkpoint is a `fileio` manifest-plus-block directory: the manifest holds
+the model config, relation names and history, the block the parameters.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import floats, read_block_dir, write_block_dir
 from .kgstore import Benchmark, KnowledgeGraph, Triple, Vocabulary
 from .numkit import Tape, adam_step
 from . import numkit as nk
@@ -36,7 +35,6 @@ from .subgraph import (
     to_relation_view,
 )
 
-CHECKPOINT_MANIFEST = "manifest.json"
 CHECKPOINT_PARAMS = "params.bin"
 FORMAT_VERSION = 1
 
@@ -174,17 +172,15 @@ class Checkpoint:
     vocab_digest: str
     relation_names: tuple[str, ...]
     seen_flags: tuple[bool, ...]
-    format_version: int = FORMAT_VERSION
     best_val_auc: float | None = None
     best_epoch: int | None = None
     history: dict = field(default_factory=dict)
 
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
     names = sorted(ckpt.params)
     manifest = {
-        "format_version": ckpt.format_version,
+        "format_version": FORMAT_VERSION,
         "model_config": ckpt.config.to_dict(),
         "vocab_digest": ckpt.vocab_digest,
         "relations": list(ckpt.relation_names),
@@ -192,56 +188,35 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         "best_val_auc": ckpt.best_val_auc,
         "best_epoch": ckpt.best_epoch,
         "history": ckpt.history,
-        "dtype": "<f4",
         "params": [
             {"name": n, "shape": list(ckpt.params[n].shape)} for n in names
         ],
     }
-    with open(os.path.join(directory, CHECKPOINT_MANIFEST), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(directory, CHECKPOINT_PARAMS), "wb") as fh:
-        for n in names:
-            fh.write(np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes())
+    write_block_dir(directory, CHECKPOINT_PARAMS, manifest, [ckpt.params[n] for n in names])
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
     """Read a checkpoint directory; TrainError when a file is missing or
     its manifest is not the JSON object save_checkpoint writes."""
-    manifest_path = os.path.join(directory, CHECKPOINT_MANIFEST)
-    params_path = os.path.join(directory, CHECKPOINT_PARAMS)
-    for p in (manifest_path, params_path):
-        if not os.path.isfile(p):
-            raise TrainError(f"missing checkpoint file: {p}")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        if not isinstance(manifest, dict):
-            raise TrainError(f"checkpoint manifest {manifest_path} is not a JSON object")
-        return _checkpoint(manifest, params_path)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrainError(f"malformed checkpoint manifest {manifest_path}: {exc!r}") from exc
+    return read_block_dir(directory, CHECKPOINT_PARAMS, "checkpoint", TrainError, _checkpoint)
 
 
-def _checkpoint(manifest: dict, params_path: str) -> Checkpoint:
+def _checkpoint(manifest: dict, block: bytes, params_path: str) -> Checkpoint:
     if manifest.get("format_version") != FORMAT_VERSION:
         raise TrainError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}"
         )
-    with open(params_path, "rb") as fh:
-        raw = fh.read()
     shapes = [tuple(entry["shape"]) for entry in manifest["params"]]
     counts = [int(np.prod(shape)) for shape in shapes]
-    if len(raw) != 4 * sum(counts):
+    if len(block) != 4 * sum(counts):
         raise TrainError(
-            f"parameter block {params_path} holds {len(raw)} bytes, "
+            f"parameter block {params_path} holds {len(block)} bytes, "
             f"not the {4 * sum(counts)} its manifest lists"
         )
     params = {}
     offset = 0
     for entry, shape, count in zip(manifest["params"], shapes, counts):
-        vec = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        params[entry["name"]] = vec.reshape(shape).astype(np.float64)
+        params[entry["name"]] = floats(block, offset, shape)
         offset += count * 4
     return Checkpoint(
         config=ModelConfig.from_dict(manifest["model_config"]),
@@ -249,7 +224,6 @@ def _checkpoint(manifest: dict, params_path: str) -> Checkpoint:
         vocab_digest=manifest["vocab_digest"],
         relation_names=tuple(manifest["relations"]),
         seen_flags=tuple(bool(s) for s in manifest["seen"]),
-        format_version=manifest["format_version"],
         best_val_auc=manifest.get("best_val_auc"),
         best_epoch=manifest.get("best_epoch"),
         history=manifest.get("history", {}),

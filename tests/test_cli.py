@@ -92,32 +92,50 @@ def test_bad_hits_list_is_usage_error(tmp_path):
 @pytest.mark.parametrize(
     "command",
     [
-        ["eval", "--ckpt", "x", "--task", "rank", "--neg", "0"],  # no candidates to rank
-        ["eval", "--ckpt", "x", "--task", "rank", "--neg", "-1"],
-        ["train", "--out", "out", "--runs", "0"],  # no run at all
-        ["train", "--out", "out", "--epochs", "0"],  # would save untrained parameters
-        ["train", "--out", "out", "--batch", "0"],
-        ["train", "--out", "out", "--negatives", "0"],
-        ["train", "--out", "out", "--patience", "0"],
-        ["train", "--out", "out", "--dim", "0"],
-        ["train", "--out", "out", "--hop", "0"],
-        ["dump-subgraph", "--head", "a0", "--rel", "q0", "--tail", "a1", "--hop", "0"],
+        # no candidates to rank
+        ["eval", "--data", "data", "--ckpt", "x", "--task", "rank", "--neg", "0"],
+        ["eval", "--data", "data", "--ckpt", "x", "--task", "rank", "--neg", "-1"],
+        ["train", "--data", "data", "--out", "out", "--runs", "0"],  # no run at all
+        # would save untrained parameters
+        ["train", "--data", "data", "--out", "out", "--epochs", "0"],
+        ["train", "--data", "data", "--out", "out", "--batch", "0"],
+        ["train", "--data", "data", "--out", "out", "--negatives", "0"],
+        ["train", "--data", "data", "--out", "out", "--patience", "0"],
+        ["train", "--data", "data", "--out", "out", "--dim", "0"],
+        ["train", "--data", "data", "--out", "out", "--hop", "0"],
+        ["dump-subgraph", "--data", "data", "--head", "a0", "--rel", "q0", "--tail", "a1",
+         "--hop", "0"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--epochs", "0"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--batch", "0"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--dim", "0"],
     ],
     ids=["neg-0", "neg-negative", "runs-0", "epochs-0", "batch-0", "negatives-0",
-         "patience-0", "dim-0", "hop-0", "dump-hop-0"],
+         "patience-0", "dim-0", "hop-0", "dump-hop-0", "schema-epochs-0", "schema-batch-0",
+         "schema-dim-0"],
 )
 def test_count_flags_below_one_are_usage_errors(tmp_path, capsys, command):
-    data = bench_dir(tmp_path)
-    command = [str(tmp_path / "out") if arg == "out" else arg for arg in command]
-    assert main(command[:1] + ["--data", str(data)] + command[1:]) == 1
+    paths = {"data": bench_dir(tmp_path), "schema": schema_file(tmp_path), "out": tmp_path / "out"}
+    assert main([str(paths.get(arg, arg)) for arg in command]) == 1
     assert "must be >= 1" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["data"]
+    assert sorted(os.listdir(tmp_path)) == ["data", "schema.tsv"]
 
 
 def test_schema_init_requires_vectors(tmp_path):
     data = bench_dir(tmp_path)
     code = main(train_args(data, tmp_path / "out", ["--init", "schema"]))
     assert code == 1
+
+
+def test_schema_vectors_need_schema_init(tmp_path, capsys):
+    data = bench_dir(tmp_path)
+    vec_dir = tmp_path / "vectors"
+    assert main(["schema-pretrain", "--schema", str(schema_file(tmp_path)),
+                 "--out", str(vec_dir), "--epochs", "2", "--dim", "8"]) == 0
+    capsys.readouterr()
+    code = main(train_args(data, tmp_path / "out", ["--schema-vectors", str(vec_dir)]))
+    assert code == 1
+    assert "--init schema" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------- data errors
@@ -337,11 +355,12 @@ def test_schema_train_follows_narrow_vector_width(tmp_path):
     "corrupt",
     [
         lambda p: p.write_text(p.read_text()[:-20]),  # truncated
+        lambda p: p.write_text("[1, 2]"),  # not an object
         lambda p: rewrite_json(p, lambda m: {k: v for k, v in m.items() if k != "dim"}),
         lambda p: rewrite_json(p, lambda m: {**m, "entries": [{"name": "q0"}]}),
         lambda p: rewrite_json(p, lambda m: {**m, "dim": "wide"}),
     ],
-    ids=["truncated", "no-dim", "entry-no-offset", "dim-str"],
+    ids=["truncated", "not-object", "no-dim", "entry-no-offset", "dim-str"],
 )
 def test_eval_malformed_vector_manifest_is_data_error(tmp_path, capsys, corrupt):
     data = bench_dir(tmp_path)

@@ -1,0 +1,32 @@
+"""Smoke tests of the scripts under scripts/."""
+
+import os
+import subprocess
+import sys
+
+from rmpi.kgstore import load_benchmark
+from rmpi.schema import load_schema
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_make_toy_benchmark_writes_readable_files(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "make_toy_benchmark.py"),
+         "--out", str(tmp_path)],
+        check=True, env=env, capture_output=True, timeout=120,
+    )
+    bench = load_benchmark(str(tmp_path / "bench"))
+    unseen = load_benchmark(str(tmp_path / "bench_unseen"))
+    assert bench.test and unseen.test
+    assert bench.train.triples == unseen.train.triples
+    assert all(bench.vocab.relation_seen(t.relation) for t in bench.test)
+    assert not any(unseen.vocab.relation_seen(t.relation) for t in unseen.test)
+
+    schema = load_schema(str(tmp_path / "schema.tsv"))
+    names = {schema.node_names[i] for i in schema.relation_nodes()}
+    assert {"r0", "r1", "r2", "s0", "s1", "s2"} <= names
