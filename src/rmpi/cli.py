@@ -76,11 +76,19 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------------ manifest
 
 def _digest_path(path: str) -> str:
+    """SHA-256 of a file, or of a directory's relative paths and contents.
+
+    A directory's own run manifests are skipped: they record when the run
+    that wrote the directory started and finished, which differs between
+    identical runs.
+    """
     h = hashlib.sha256()
     if os.path.isdir(path):
         for root, dirs, files in os.walk(path):
             dirs.sort()
             for name in sorted(files):
+                if name == MANIFEST_FILE:
+                    continue
                 full = os.path.join(root, name)
                 h.update(os.path.relpath(full, path).encode())
                 with open(full, "rb") as fh:
@@ -230,6 +238,10 @@ def cmd_eval(args) -> int:
         if not args.schema_vectors:
             raise UsageError("checkpoint uses schema init: pass --schema-vectors")
         schema_vectors = load_vectors(args.schema_vectors)
+    elif args.schema_vectors:
+        raise UsageError(
+            "--schema-vectors is read only for a checkpoint trained with --init schema"
+        )
     cache = SampleCache(bench.test_graph, ckpt.config)
 
     if args.task == "classify":

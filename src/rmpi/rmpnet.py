@@ -1,36 +1,60 @@
-"""Layered relational message passing over pruned relation-view graphs.
+"""Layered relational message passing over the triples of an enclosing subgraph.
 
-The model scores a target triple from the relation-view graph of its
-enclosing subgraph.  Nodes carry relation labels; initial features come
-either from a learned embedding table (fresh seeded draws for relations
-unseen in training) or from a projection of pretrained schema vectors.
-Intermediate layers aggregate incoming messages per edge type, optionally
-weighted by target-aware attention, with a residual combination; the last
-layer updates only the target with equal-weight aggregation.  A disclosing
-variant adds a one-hop aggregate over the target's neighbors in the unpruned
-union subgraph (the triples sharing an entity with it, read from the graph
+The model scores a target triple from the relation view of its enclosing
+subgraph: one node per triple, labelled by its relation, with typed edges
+between triples that share an entity.  Initial features come either from a
+learned embedding table (fresh seeded draws for relations unseen in
+training) or from a projection of pretrained schema vectors.  Intermediate
+layers aggregate incoming messages per edge type, optionally weighted by
+target-aware attention, with a residual combination; the last layer updates
+only the target with equal-weight aggregation.  A disclosing variant adds a
+one-hop aggregate over the target's neighbors in the unpruned union
+subgraph (the triples sharing an entity with it, read from the graph
 without building that subgraph's relation view), fused by summation or
 concatenation before the linear scorer.
 
-Everything runs as array operations over a batch.  The samples are stacked
-into one block-diagonal graph, their distinct labels resolved once into a
-feature table.  Each layer then gathers the source features of every
-(destination, edge type) group and sums them, softmax-weighted within the
-group under attention, and transforms the group sums by their edge types'
-weights in one matrix product.
+Everything runs as array operations over a batch of samples stacked into
+one block-diagonal graph, their distinct labels resolved once into a
+feature table, and each layer transforms its (node, edge type) group sums
+by the types' weights in one matrix product.  There are two forwards, for
+the same model:
+
+- Training drops every view edge independently, which no sum over shared
+  entities can express, so the training forward builds each sample's
+  relation view (subgraph.to_relation_view) and sums the sources of every
+  group along its pruned edges.  Training views are small.
+- Without dropout every edge type matches one end of the source with one
+  end of the receiver, so a typed message sum is a sum over the triples at
+  one entity, less the parallel or inverse twins that give PARA or LOOP in
+  its place.  The scoring forward reads every such sum off running sums over
+  the triples' ends grouped by entity (Incidences), in time and memory
+  linear in the subgraph's triples; the view, whose edges grow with the
+  square of entity degree, is never built.
+
+`propagate`'s `training` flag picks the forward: every forward inside
+`trainlab.score_triples` (classification, ranking and validation) scores.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numkit as nk
 from .numkit import Tape, Var
-from .subgraph import NO_EDGES, NUM_EDGE_TYPES, RelationViewGraph
+from .subgraph import (
+    NO_EDGES,
+    NUM_EDGE_TYPES,
+    EntitySubgraph,
+    RelationViewGraph,
+    prune_to_target,
+    receiver_levels,
+    to_relation_view,
+)
 
 FUSION_MODES = ("sum", "conc")
 INIT_MODES = ("random", "schema")
@@ -172,31 +196,81 @@ class FeatureSource:
 
 @dataclass(frozen=True)
 class SubgraphSample:
-    """Model-ready extraction product for one target triple."""
+    """Model-ready extraction product for one target triple.
 
-    rvg: RelationViewGraph
-    # per layer 1..K, the (E_k, 3) edges it reads (prune_to_target): a
-    # function of rvg and the depth, so equality ignores it
-    pruned: tuple = field(repr=False, compare=False)
+    Each forward reads the enclosing subgraph its own way and builds what
+    it needs on first use, kept with the sample: the scoring forward the
+    triples' receiver levels, the training forward the relation view and
+    the edges each layer reads.  Equality compares the fields only.
+    """
+
+    sub: EntitySubgraph  # the enclosing subgraph, target last
+    hops: int  # K, the depth its forwards run
     disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
     target_label: int = 0
+
+    @cached_property
+    def levels(self) -> list[int]:
+        """Per triple of sub, its level (subgraph.receiver_levels)."""
+        if len(self.sub.triples) == 1:
+            return [0]
+        return receiver_levels(self.sub, self.hops)
+
+    @cached_property
+    def rvg(self) -> RelationViewGraph:
+        return to_relation_view(self.sub)
+
+    @cached_property
+    def pruned(self) -> tuple:
+        """Per layer 1..K, the (E_k, 3) view edges it reads (prune_to_target)."""
+        return prune_to_target(self.rvg, self.hops)
+
+
+@dataclass(frozen=True)
+class Incidences:
+    """Where the scoring forward reads each receiver's typed message sums.
+
+    The nodes of a scoring batch are ordered by level, so that the nodes
+    layer k updates are the first receivers[k-1], the targets first.  Every
+    end of a node's triple at an entity of a layer-1 receiver is a row,
+    sorted by (entity, end, entity at the triple's other end, node), so
+    that the ends of one kind at one entity form a run, and within it the
+    ends sharing the other entity too a block; the head ends follow again,
+    each block a run of its own.  A receiver's H-T, T-H, H-H and T-T sums
+    are each a run less one block, of the twins that give PARA or LOOP in
+    place of those types, and its PARA and LOOP sums are a block less the
+    node itself, or the whole block of its inverse twins: each the span
+    (start, cut, resume, stop) of rows start .. cut-1 and resume .. stop-1
+    (numkit.run_sums).
+    """
+
+    receivers: tuple  # per layer 1..K, how many nodes it updates
+    rows: np.ndarray  # (R,) node per row
+    runs: nk.Runs
+    spans: np.ndarray  # (receivers[0], 6, 4) per receiver and edge type
+    unit: np.ndarray  # (R,) what a span may cut: the row's block, or in a block run the row
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Samples stacked into one block-diagonal relation-view graph.
+    """Samples stacked into one block-diagonal graph.
 
     The node ids of a sample are offset by the node counts of the samples
-    before it, so no edge joins two samples.  The *_rows arrays index
-    `labels`, the batch's distinct relation labels, which are the rows of
-    its feature table.
+    before it, so no edge or run joins two samples.  The *_rows arrays
+    index `labels`, the batch's distinct relation labels, which are the
+    rows of its feature table.  A training batch holds every node of each
+    sample's relation view and, per layer, the view edges it reads; a
+    scoring batch holds the nodes within K steps of each target and their
+    Incidences, None when every sample is its target alone.
     """
 
     labels: np.ndarray  # (L,) distinct labels, ascending
     node_rows: np.ndarray  # (N,) label row per node
     node_sample: np.ndarray  # (N,) sample per node
     targets: np.ndarray  # (B,) node id of each sample's target
-    layer_edges: tuple  # per layer, (E_k, 3) (src, type, dst) over node ids
+    depth: int  # K of every sample
+    layer_edges: tuple | None  # training: per layer 1..K, (E_k, 3) (src, type, dst) over node ids
+    incidences: Incidences | None  # scoring
     disc_rows: np.ndarray  # (M,) label row per disclosing neighbor
     disc_sample: np.ndarray  # (M,) sample per disclosing neighbor
     target_rows: np.ndarray  # (B,) label row of each sample's target relation
@@ -205,18 +279,38 @@ class SampleBatch:
     def size(self) -> int:
         return len(self.targets)
 
+    @property
+    def training(self) -> bool:
+        return self.layer_edges is not None
 
-def stack_samples(samples) -> SampleBatch:
-    """One block-diagonal graph of a sequence of samples pruned to one depth."""
+
+def stack_samples(samples, training: bool = False) -> SampleBatch:
+    """One block-diagonal graph of a sequence of samples of one depth,
+    laid out for the training forward or the scoring forward."""
     samples = list(samples)
     if not samples:
         raise ModelError("cannot score an empty batch")
-    depths = {len(s.pruned) for s in samples}
+    depths = {s.hops for s in samples}
     if len(depths) != 1:
         raise ModelError(f"samples pruned to different depths: {sorted(depths)}")
-    sizes = [s.rvg.num_nodes for s in samples]
+    depth = depths.pop()
+    layer_edges = incidences = order = None
+    if training:
+        node_labels = [s.rvg.labels for s in samples]
+        at = [s.rvg.target_index for s in samples]
+    else:
+        kept = [_kept(s) for s in samples]
+        node_labels = [[t.relation for t in triples] for triples, _ in kept]
+        at = [len(triples) - 1 for triples, _ in kept]  # the target stays last
+    sizes = [len(labels) for labels in node_labels]
     offsets = list(itertools.accumulate(sizes, initial=0))
-    node_labels = [label for s in samples for label in s.rvg.labels]
+    node_labels = [label for labels in node_labels for label in labels]
+    if training:
+        layer_edges = tuple(
+            _offset_edges([s.pruned[k] for s in samples], offsets) for k in range(depth)
+        )
+    elif offsets[-1] > len(samples):  # some sample has more than its target
+        incidences, order = _incidences(kept, sizes, depth)
     disc_labels = [label for s in samples for _, label in s.disclosing]
     target_labels = [s.target_label for s in samples]
     labels = sorted(set(node_labels).union(disc_labels, target_labels))
@@ -226,15 +320,20 @@ def stack_samples(samples) -> SampleBatch:
         return np.array([row[label] for label in of], dtype=np.intp)
 
     sample_ids = np.arange(len(samples))
+    node_rows = rows(node_labels)
+    node_sample = np.repeat(sample_ids, sizes)
+    if order is None:
+        targets = np.array([off + i for off, i in zip(offsets, at)])
+    else:
+        node_rows, node_sample, targets = node_rows[order], node_sample[order], sample_ids
     return SampleBatch(
         labels=np.array(labels),
-        node_rows=rows(node_labels),
-        node_sample=np.repeat(sample_ids, sizes),
-        targets=np.array([off + s.rvg.target_index for off, s in zip(offsets, samples)]),
-        layer_edges=tuple(
-            _offset_edges([s.pruned[k] for s in samples], offsets)
-            for k in range(depths.pop())
-        ),
+        node_rows=node_rows,
+        node_sample=node_sample,
+        targets=targets,
+        depth=depth,
+        layer_edges=layer_edges,
+        incidences=incidences,
         disc_rows=rows(disc_labels),
         disc_sample=np.repeat(sample_ids, [len(s.disclosing) for s in samples]),
         target_rows=rows(target_labels),
@@ -246,6 +345,93 @@ def _offset_edges(per_sample, offsets) -> np.ndarray:
     if len(shifted) == 1:
         return shifted[0]
     return np.concatenate(shifted) if shifted else NO_EDGES
+
+
+def _kept(sample: SubgraphSample) -> tuple[list, list]:
+    """The triples of a sample the scoring forward reads, those within K
+    steps of the target, in subgraph order with the target last, and their
+    levels."""
+    triples = sample.sub.triples
+    if len(triples) == 1:
+        return list(triples), [0]
+    pairs = [(t, level) for t, level in zip(triples, sample.levels) if level <= sample.hops]
+    return [t for t, _ in pairs], [level for _, level in pairs]
+
+
+def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
+    """The Incidences of a scoring batch whose sample s keeps the triples
+    and levels kept[s], and the order of its nodes: by level, then sample,
+    then subgraph order.
+
+    Small batches are common and numpy's calls cost microseconds each, so
+    this uses array methods and np.concatenate over its wrapper functions.
+    """
+    level = np.array([lv for _, levels in kept for lv in levels])
+    order = level.argsort(kind="stable")
+    level = level[order]
+    receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
+    q = receivers[0]
+    ends = np.array([(t.head, t.tail) for triples, _ in kept for t in triples])[order].T.ravel()
+    n = len(order)
+    sample = np.arange(len(sizes)).repeat(sizes)[order]
+    # entity ids unique per sample and dense, so that no run joins two
+    # samples and the keys below stay small
+    ends += np.concatenate([sample, sample]) * (int(ends.max()) + 1)
+    by_id = ends.argsort(kind="stable")
+    new_id = np.concatenate([[0], ends[by_id[1:]] != ends[by_id[:-1]]]).cumsum()
+    num_ids = int(new_id[-1]) + 1
+    ends[by_id] = new_id
+    heads, tails = ends[:n], ends[n:]
+    # the ends at entities of layer-1 receivers, keyed by (2 * entity + (a
+    # tail end)) * num_ids + the other end's entity: node i's head end is
+    # end i, its tail end end n + i
+    touched = np.zeros(num_ids, dtype=bool)
+    touched[heads[:q]] = True
+    touched[tails[:q]] = True
+    read = touched[ends].nonzero()[0]
+    key = np.concatenate([2 * heads * num_ids + tails, (2 * tails + 1) * num_ids + heads])[read]
+    by_key = key.argsort(kind="stable")  # twins in node order
+    key, read = key[by_key], read[by_key]
+    n_rows = len(key)
+    run = key // num_ids
+    heads, tails = heads[:q], tails[:q]
+    spans = np.empty((q, NUM_EDGE_TYPES, 4), dtype=np.intp)
+    # H-T, T-H, H-H, T-T: the run of the source end's kind at the node's
+    # end, less the block whose other entity is the node's other end
+    first = np.concatenate([2 * tails, 2 * heads + 1, 2 * heads, 2 * tails + 1]) * num_ids
+    block = first + np.concatenate([heads, tails, tails, heads])
+    bounds = key.searchsorted(np.concatenate([first, block, block + 1, first + num_ids]))
+    spans[:, :4] = bounds.reshape(4, 4, q).transpose(2, 1, 0)
+    # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
+    # the block of inverse twins, that of H-T, whole, or for a self-loop as
+    # PARA.  The head rows' copies follow the rows, in order.
+    is_head = run % 2 == 0
+    copy = np.concatenate([[0], is_head.cumsum()]) + n_rows  # of the head rows up to each row
+    own = np.empty(2 * n, dtype=np.intp)
+    own[read] = np.arange(n_rows)
+    para = spans[:, 2, [1, 1, 2, 2]]
+    para[:, 1] = own[:q]
+    para[:, 2] = own[:q] + 1
+    spans[:, 4] = copy[para]
+    spans[:, 5] = copy[spans[:, 0, [1, 2, 2, 2]]]
+    self_loop = heads == tails
+    spans[self_loop, 5] = spans[self_loop, 4]
+
+    unit = np.concatenate([[0], key[1:] != key[:-1]]).cumsum()  # the block of each row
+    run_at = np.concatenate([[0], (run[1:] != run[:-1]).nonzero()[0] + 1])
+    head_rows = is_head.nonzero()[0]
+    head_unit = unit[head_rows]
+    new_copy_block = (head_unit[1:] != head_unit[:-1]).nonzero()[0] + 1
+    rows = read % n
+    inc = Incidences(
+        receivers=receivers,
+        rows=np.concatenate([rows, rows[head_rows]]),
+        runs=nk.Runs(np.concatenate([run_at, n_rows + np.concatenate([[0], new_copy_block])]),
+                     n_rows + len(head_rows)),
+        spans=spans,
+        unit=np.concatenate([unit, unit[-1] + 1 + np.arange(len(head_rows))]),
+    )
+    return inc, order
 
 
 def _apply(w: Var, x: Var) -> Var:
@@ -268,55 +454,120 @@ def propagate(
     neighbors, with target-aware attention weights normalised within each
     (node, type) group when configured, and adds its own previous feature
     to the rectified total.  A node with no incoming message keeps its
-    feature.  Layer K updates only the targets, with equal weights.  In
-    training, every edge of a layer is dropped independently with the
-    configured probability, one Boolean mask per layer from drop_rng.
+    feature.  Layer K updates only the targets, with equal weights.
+
+    The training forward reads the relation view's pruned edges and drops
+    every edge of a layer independently with the configured probability,
+    one Boolean mask per layer from drop_rng.  The scoring forward, without
+    dropout, reads every typed sum from the batch's Incidences; its nodes
+    are ordered by level, so each layer updates a prefix of them.
     """
     K = config.hops
-    if len(batch.layer_edges) != K:
-        raise ModelError(f"samples pruned to depth {len(batch.layer_edges)}, model depth {K}")
+    if batch.depth != K:
+        raise ModelError(f"samples pruned to depth {batch.depth}, model depth {K}")
+    if training != batch.training:
+        raise ModelError(f"batch stacked for training={batch.training}, forward {training}")
     dropping = training and config.edge_dropout > 0
     if dropping and drop_rng is None:
         raise ModelError("training-mode forward needs a dropout stream")
-    if not any(len(edges) for edges in batch.layer_edges):
+    if training:
+        layers = batch.layer_edges
+        alone = not any(len(edges) for edges in layers)
+    else:
+        layers = [batch.incidences] * K
+        alone = batch.incidences is None
+    if alone:  # no target has a message
         return nk.take(table, batch.node_rows[batch.targets])
     h = nk.take(table, batch.node_rows)
-    for layer, edges in enumerate(batch.layer_edges, start=1):
-        if dropping and len(edges):
-            edges = edges[drop_rng.random(len(edges)) >= config.edge_dropout]
-        if layer == K:  # only the targets, each its sample's one receiver
-            prev = nk.take(h, batch.targets)
-            if len(edges):
-                seg = batch.node_sample[edges[:, 2]]
-                prev = nk.add(_aggregate(h, edges, seg, batch.size, layer, pvars, None), prev)
-            return prev
-        if not len(edges):
-            continue
-        scores = None
-        if config.target_attention:
-            anchors = nk.take(h, batch.targets[batch.node_sample])
-            scores = nk.leaky_relu(nk.rowdot(h, anchors), config.leaky_slope)
-        n = len(batch.node_rows)
-        h = nk.add(_aggregate(h, edges, edges[:, 2], n, layer, pvars, scores), h)
-    return h
+    n = len(batch.node_rows)
+    for layer, edges in enumerate(layers, start=1):
+        last = layer == K  # only the targets, each its sample's one receiver
+        attend = config.target_attention and not last
+        if training:
+            if dropping and len(edges):
+                edges = edges[drop_rng.random(len(edges)) >= config.edge_dropout]
+            if not len(edges):
+                continue
+            seg = batch.node_sample[edges[:, 2]] if last else edges[:, 2]
+            logits = _logits(h, batch, config) if attend else None
+            summed = _edge_sums(h, edges, seg, batch.size if last else n, logits)
+        else:
+            logits = _logits(h, batch, config) if attend else None
+            summed = _incidence_sums(h, edges, edges.receivers[layer - 1], logits)
+        typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
+        messages = nk.relu(nk.grouped_apply(summed, typed))
+        if last:
+            return nk.add(messages, nk.take(h, batch.targets))
+        if training:
+            h = nk.add(messages, h)
+        else:  # the receivers are the first nodes
+            h = nk.add_rows(h, messages)
+    return nk.take(h, batch.targets)
 
 
-def _aggregate(h: Var, edges, seg, n_out: int, layer: int, pvars, scores: Var | None) -> Var:
-    """(n_out, d) rectified sums over each receiver seg[i] of W_type h_src.
+def _logits(h: Var, batch: SampleBatch, config: ModelConfig) -> Var:
+    """(N,) target-aware attention logit of every node as a source."""
+    anchors = nk.take(h, batch.targets[batch.node_sample])
+    return nk.leaky_relu(nk.rowdot(h, anchors), config.leaky_slope)
 
-    The sources of each (receiver, type) group are summed first, weighted by
-    a softmax of their scores within the group when scores are given; the
-    group sums are then transformed by their types' weights in one product.
-    """
+
+def _edge_sums(h: Var, edges, seg, n_out: int, logits: Var | None) -> Var:
+    """(n_out * 6, d) sums of h over the sources of each (receiver seg[i],
+    type) group of view edges, row r * 6 + e for type e into r,
+    softmax-weighted within the group by the sources' logits when given."""
     src, etype = edges[:, 0], edges[:, 1]
     groups = seg * NUM_EDGE_TYPES + etype
     n_groups = n_out * NUM_EDGE_TYPES
     weights = None
-    if scores is not None:
-        weights = nk.segment_softmax(nk.take(scores, src), groups, n_groups)
-    summed = nk.gather_sum(h, src, groups, n_groups, weights)  # row r * 6 + e: type e into r
-    typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
-    return nk.relu(nk.grouped_apply(summed, typed))
+    if logits is not None:
+        weights = nk.segment_softmax(nk.take(logits, src), groups, n_groups)
+    return nk.gather_sum(h, src, groups, n_groups, weights)
+
+
+# Largest gap below a group's softmax shift at which its largest weight
+# keeps full precision: terms within 1e-16 of it stay normal numbers (down
+# to exp(-708)).
+SHIFT_GAP = 600.0
+
+
+def _incidence_sums(h: Var, inc: Incidences, q: int, logits: Var | None) -> Var:
+    """(q * 6, d) typed message sums into the first q nodes, row r * 6 + e
+    for type e into node r, from running sums over the Incidences' runs,
+    softmax-weighted within the group by the sources' logits when given.
+
+    A group's softmax is shifted by its run's largest logit.  That is the
+    group's own maximum, as segment_softmax shifts by, unless the group
+    cuts the run's first maximum, when it is the largest logit outside the
+    cut: weights a factor below the group's own, which cancels in the
+    ratio, but underflows when the gap passes SHIFT_GAP.  Those groups read
+    the rows summed a second time, shifted by their own maximum.
+    """
+    spans = inc.spans[:q].reshape(-1, 4)
+    if logits is None:
+        return nk.run_sums(h, inc.rows, inc.runs, spans)
+    rows, unit, starts = inc.rows, inc.unit, inc.runs.starts
+    run = np.arange(len(starts)).repeat(inc.runs.lengths)
+    score = logits.value[rows]
+    top = np.maximum.reduceat(score, starts)[run]
+    first_top = np.minimum.reduceat(np.where(score == top, np.arange(len(rows)), len(rows)), starts)
+    top_unit = unit[first_top][run]
+    second = np.maximum.reduceat(np.where(unit == top_unit, -np.inf, score), starts)[run]
+    cut = np.minimum(spans[:, 1], len(rows) - 1)  # a row of the unit a group cuts, if any
+    far = (spans[:, 1] < spans[:, 2]) & (unit[cut] == top_unit[cut]) & (top[cut] - second[cut] > SHIFT_GAP)
+    # weighted rows, with a column of ones for the softmax's denominator:
+    # rows of the top unit never count in a group shifted by `second`
+    shifts = [top, np.maximum(second, score)] if far.any() else [top]
+    tape = h.tape
+    source = nk.take(logits, rows.repeat(len(shifts)))
+    shift = np.column_stack(shifts).ravel()
+    weights = nk.exp(nk.sub(source, tape.const(shift)))
+    with_one = nk.concat([h, tape.const(np.ones((h.value.shape[0], 1)))], axis=1)
+    weighted = nk.scale_rows(nk.take(with_one, rows.repeat(len(shifts))), weights)
+    sums = nk.run_sums(nk.reshape(weighted, (len(rows), -1)), None, inc.runs, spans)
+    if far.any():
+        groups = len(spans)
+        sums = nk.take(nk.reshape(sums, (2 * groups, -1)), 2 * np.arange(groups) + far)
+    return nk.divide_by_last(sums)
 
 
 def disclosing_aggregate(
@@ -370,7 +621,7 @@ def score_sample(
     drop_rng=None,
 ) -> Var:
     """(B,) scores of a sequence of samples, run as one stacked graph."""
-    batch = stack_samples(samples)
+    batch = stack_samples(samples, training)
     table = source.table(batch.labels)
     h_target = propagate(batch, table, pvars, config, training, drop_rng)
     h_disc = None

@@ -13,7 +13,11 @@ sorted by (dst, type, src).  A pair of parallel or inverse triples gets a
 PARA or LOOP edge in place of the generic matches that pattern covers.
 Message passing only ever needs the part of that graph that can reach the
 target node within K steps: prune_to_target returns, per layer, the masked
-subset of that array the layer reads.  The model reads only the target's
+subset of that array the layer reads.  Only training, whose per-edge
+dropout needs the edges, and `rmpi dump-subgraph` build views: scoring
+passes messages over the triples' shared entities instead, and
+receiver_levels gives it pruning's node sets without the view's edges,
+which grow with the square of entity degree.  The model reads only the target's
 one-hop in-neighbors in the disclosing view, and those are exactly the
 triples sharing an entity with the target, so disclosing_neighbors reads
 them straight off the graph's incidence index; extract_disclosing builds
@@ -138,11 +142,11 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
 # Most rows the join in to_relation_view may hold: the sum over entities of
 # the squared number of triple ends there, a little above the view's edge
 # count.  Building a view peaks at about 62 bytes per row (3.9M edges took
-# 231 MB over the process's base, and scoring that view with the base model,
-# d=32, K=2, stayed under that peak), so a view at this ceiling needs about
+# 231 MB over the process's base), so a view at this ceiling needs about
 # 0.5 GB.  The largest benchmark view has about 250k edges, 1/33 of it.  A
 # larger view raises SubgraphError, which the CLI reports with exit code 2,
-# rather than running the machine out of memory.
+# rather than running the machine out of memory.  Scoring builds no view,
+# so the ceiling holds back training and dump-subgraph only.
 MAX_JOIN_ROWS = 1 << 23
 
 # Edge type of a join row by 4 * twin + 2 * (src end is a tail) + (dst end
@@ -262,6 +266,36 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:
     return (edges,) + tuple(
         edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
     )
+
+
+def receiver_levels(sub: EntitySubgraph, k: int) -> list[int]:
+    """Per triple of sub, the least j <= k with the triple in N^j, else k + 1.
+
+    N^0 is the target, and N^j the triples sharing an entity with one in
+    N^(j-1).  Two distinct triples share an entity exactly when the
+    relation view has an edge between them, so these are prune_to_target's
+    node sets, found by alternating from triples to their entities and
+    back without building the view: layer k' of a depth-k pass updates the
+    triples of level at most k - k', and reads only triples of level at
+    most k - k' + 1.
+    """
+    if k < 1:
+        raise SubgraphError(f"depth must be >= 1, got {k}")
+    triples = sub.triples
+    level = [k + 1] * len(triples)
+    level[sub.target_position] = 0
+    reached = {sub.target.head, sub.target.tail}
+    for j in range(1, k + 1):
+        new = [
+            i for i, (h, _, t) in enumerate(triples)
+            if level[i] > j and (h in reached or t in reached)
+        ]
+        for i in new:
+            level[i] = j
+            reached.update((triples[i].head, triples[i].tail))
+        if not new:
+            break
+    return level
 
 
 def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:

@@ -31,8 +31,7 @@ from .rmpnet import (
 from .subgraph import (
     disclosing_neighbors,
     extract_enclosing,
-    prune_to_target,
-    to_relation_view,
+    to_relation_view,  # noqa: F401  perfbench's tracer wraps it under this name too
 )
 
 CHECKPOINT_PARAMS = "params.bin"
@@ -66,10 +65,9 @@ class TrainConfig:
 # ------------------------------------------------------------------ samples
 
 def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> SubgraphSample:
-    rvg = to_relation_view(extract_enclosing(graph, triple, config.hops))
     return SubgraphSample(
-        rvg=rvg,
-        pruned=prune_to_target(rvg, config.hops),
+        sub=extract_enclosing(graph, triple, config.hops),
+        hops=config.hops,
         disclosing=disclosing_neighbors(graph, triple) if config.use_disclosing else (),
         target_label=triple.relation,
     )
@@ -77,16 +75,25 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.
 # On the benchmark's rank queries (ne-ta, K=2, d=32) the largest heap peak
-# of one query was 1.24 MB with this budget, as with one forward per
-# triple; 2000 rows gave 1.51 MB and an unbounded batch 4.1 MB.
-SCORE_BATCH_ROWS = 1000
+# of one query was 2.13 MB with this budget, and 2.09 MB with 1000 rows,
+# the peak of that query's largest sample alone; 4000 rows gave 3.37 MB and
+# an unbounded batch 7.66 MB.  Against 1000 rows it makes 178 forwards of
+# the 140 queries, not 257.
+SCORE_BATCH_ROWS = 2000
 
 
 def sample_rows(sample: SubgraphSample) -> int:
-    """A sample's share of a stacked forward: its nodes, the edges layer 1
-    reads (every later layer's are among them) and its disclosing
-    neighbours, each a row of the forward's arrays."""
-    return sample.rvg.num_nodes + len(sample.pruned[0]) + len(sample.disclosing)
+    """A sample's share of a stacked scoring forward, in rows of its
+    arrays: per node within K steps of its target, its feature and the
+    three rows layer 1 sums over (its two ends and its head end again);
+    six typed sums per node layer 1 updates; and its disclosing
+    neighbours.  Later layers sum and update no more."""
+    if len(sample.sub.triples) == 1:
+        nodes = receivers = 1
+    else:
+        nodes = sum(level <= sample.hops for level in sample.levels)
+        receivers = sum(level < sample.hops for level in sample.levels)
+    return 4 * nodes + 6 * receivers + len(sample.disclosing)
 
 
 class SampleCache:
@@ -95,7 +102,10 @@ class SampleCache:
     Only triples that belong to the graph (training positives, scored
     repeatedly across epochs) are retained; transient negatives and
     held-out targets are built on the fly so memory stays bounded by the
-    graph size.
+    graph size.  A sample builds what each forward reads on first use and
+    keeps it: scoring reads the triples within K steps of the target,
+    training the relation view, whose edges grow with the square of entity
+    degree, so only training builds views.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
@@ -113,8 +123,9 @@ class SampleCache:
         return built
 
     def precompute(self, triples):
+        """Build and keep the samples of graph triples, relation views included."""
         for t in triples:
-            self.sample(t)
+            self.sample(t).pruned
 
 
 # ------------------------------------------------------------------ sampling

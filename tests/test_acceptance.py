@@ -8,6 +8,7 @@ README, "Benchmark data").  Everything else runs self-contained.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from rmpi.kgstore import KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape, dot, softmax
 from rmpi.rmpnet import (
     ModelConfig,
-    SubgraphSample,
     bind_params,
     init_params,
     propagate,
@@ -377,11 +377,7 @@ def test_criterion_09_empty_subgraph_robustness():
     sample = build_sample(graph, target, ne_config)
     assert sample.disclosing, "target endpoints have one-hop context"
     # collapse every neighbor onto one label so the label multiset changes
-    relabeled = SubgraphSample(
-        rvg=sample.rvg, pruned=sample.pruned,
-        disclosing=tuple((idx, 0) for idx, _ in sample.disclosing),
-        target_label=sample.target_label,
-    )
+    relabeled = replace(sample, disclosing=tuple((idx, 0) for idx, _ in sample.disclosing))
     assert sorted(lab for _, lab in relabeled.disclosing) != sorted(
         lab for _, lab in sample.disclosing
     )
@@ -402,7 +398,7 @@ def test_criterion_09_empty_subgraph_robustness():
         pvars = bind_params(tape, base_params)
         return float(
             score_sample(
-                [SubgraphSample(rvg=s.rvg, pruned=s.pruned, target_label=s.target_label)],
+                [replace(s, disclosing=())],
                 _source(tape, pvars, base_config), pvars, base_config,
             ).value[0]
         )

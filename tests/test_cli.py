@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmpi import subgraph
-from rmpi.cli import main
+from rmpi.cli import _digest_path, main
 from rmpi.kgstore import Triple, load_benchmark
 from rmpi.schema import load_vectors
 from rmpi.trainlab import load_checkpoint
@@ -198,6 +198,19 @@ def test_train_reruns_reproduce_manifest_and_params(tmp_path):
     assert (out / "params.bin").read_bytes() == kept_params
 
 
+def test_input_digest_skips_run_manifests(tmp_path):
+    # a run manifest records timestamps, so identical runs would digest apart
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    (ckpt / "params.bin").write_bytes(b"\x00" * 8)
+    (ckpt / "run_manifest.json").write_text('{"started": "2024-01-01T00:00:00"}')
+    digest = _digest_path(str(ckpt))
+    (ckpt / "run_manifest.json").write_text('{"started": "2024-01-02T00:00:00"}')
+    assert _digest_path(str(ckpt)) == digest
+    (ckpt / "params.bin").write_bytes(b"\x00" * 7 + b"\x01")
+    assert _digest_path(str(ckpt)) != digest
+
+
 def test_train_multi_run_layout(tmp_path):
     data = bench_dir(tmp_path)
     out = tmp_path / "ckpt"
@@ -270,6 +283,34 @@ def test_eval_malformed_checkpoint_manifest_is_data_error(tmp_path, capsys, corr
     err = capsys.readouterr().err
     assert "checkpoint manifest" in err
     assert err.count("\n") == 1
+
+
+def test_eval_schema_vectors_need_schema_checkpoint(tmp_path, capsys):
+    data, ckpt = trained_checkpoint(tmp_path)
+    vec_dir = tmp_path / "vectors"
+    assert main(["schema-pretrain", "--schema", str(schema_file(tmp_path)),
+                 "--out", str(vec_dir), "--epochs", "2", "--dim", "8"]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report"
+    code = main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(report),
+                 "--schema-vectors", str(vec_dir)])
+    assert code == 1
+    assert "--init schema" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_eval_reads_no_relation_view(tmp_path, capsys, monkeypatch):
+    # scoring passes messages over entity incidences, so the join ceiling,
+    # which bounds relation views, holds back only training and dump-subgraph
+    data, ckpt = trained_checkpoint(tmp_path)
+    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    for task in ("classify", "rank"):
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / task), "--task", task]) == 0
+    capsys.readouterr()
+    assert main(["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
+                 "--tail", "a3"]) == 2
+    assert "limit of 10" in capsys.readouterr().err
 
 
 def test_eval_rank_report(tmp_path):

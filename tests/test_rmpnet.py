@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from rmpi.rmpnet import (
     stack_samples,
 )
 from rmpi.subgraph import (
+    EntitySubgraph,
     RelationViewGraph,
     extract_disclosing,
     extract_enclosing,
@@ -42,21 +45,37 @@ def make_source(tape, pvars, config, num_seen=100, schema=None, run_seed=0):
 
 
 def build_sample(graph, target, config):
-    rvg = to_relation_view(extract_enclosing(graph, target, config.hops))
-    pruned = prune_to_target(rvg, config.hops)
     disc = ()
     if config.use_disclosing:
         drvg = to_relation_view(extract_disclosing(graph, target, config.hops))
         disc = tuple(oracles.disclosing_one_hop(drvg))
     return SubgraphSample(
-        rvg=rvg, pruned=pruned, disclosing=disc, target_label=target.relation
+        sub=extract_enclosing(graph, target, config.hops), hops=config.hops,
+        disclosing=disc, target_label=target.relation,
     )
 
 
+@dataclass(frozen=True)
+class GivenView(SubgraphSample):
+    """A sample over a hand-made relation view, whose edges need not be the
+    ones its triples would give: only the training forward reads them, so
+    tests of one layer's arithmetic on such a view run that forward."""
+
+    view: RelationViewGraph = None
+
+    @property
+    def rvg(self):
+        return self.view
+
+
 def view_sample(rvg, hops, disclosing=()):
-    return SubgraphSample(
-        rvg=rvg, pruned=prune_to_target(rvg, hops), disclosing=disclosing,
-        target_label=rvg.labels[rvg.target_index],
+    sub = EntitySubgraph(
+        triples=rvg.nodes, source_indexes=(None,) * rvg.num_nodes,
+        target=rvg.nodes[rvg.target_index], kind="enclosing",
+    )
+    return GivenView(
+        sub=sub, hops=hops, disclosing=disclosing,
+        target_label=rvg.labels[rvg.target_index], view=rvg,
     )
 
 
@@ -69,17 +88,18 @@ def run_score(graph, target, config, params, run_seed=0, training=False, drop_rn
     return float(out.value[0]), tape, out
 
 
-def target_features(samples, source, pvars, config):
+def target_features(samples, source, pvars, config, training=False):
     """propagate over the stacked samples, initial features from source."""
-    batch = stack_samples(samples)
-    return propagate(batch, source.table(batch.labels), pvars, config)
+    batch = stack_samples(samples, training)
+    return propagate(batch, source.table(batch.labels), pvars, config, training)
 
 
 def propagate_from(tape, sample, feature_by_label, pvars, config):
-    """propagate over one sample whose nodes start from the given features."""
-    batch = stack_samples([sample])
+    """The training forward, without dropout, over one hand-made view whose
+    nodes start from the given features."""
+    batch = stack_samples([sample], training=True)
     table = tape.const(np.stack([feature_by_label[label] for label in batch.labels]))
-    return propagate(batch, table, pvars, config).value[0]
+    return propagate(batch, table, pvars, config, training=True).value[0]
 
 
 def total(out):
@@ -106,7 +126,7 @@ def test_shared_label_shares_feature_node():
         edges=edge_array(),
         target_index=2,
     )
-    batch = stack_samples([view_sample(rvg, 2)])
+    batch = stack_samples([view_sample(rvg, 2)], training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row
     assert list(batch.labels) == [1, 2]
@@ -223,7 +243,8 @@ def test_message_layer_schedule_violation():
     pvars = bind_params(tape, params)
     table = tape.const(np.zeros((2, 2)))
     with pytest.raises(ModelError, match="depth"):
-        propagate(stack_samples([view_sample(star_rvg(), 1)]), table, pvars, config)
+        propagate(stack_samples([view_sample(star_rvg(), 1)], training=True), table, pvars,
+                  config, training=True)
     with pytest.raises(ModelError, match="depths"):
         stack_samples([view_sample(star_rvg(), 1), view_sample(star_rvg(), 2)])
 
@@ -295,7 +316,7 @@ def test_attention_groups_normalize_per_edge_type():
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        h = target_features([sample], src, pvars, config)
+        h = target_features([sample], src, pvars, config, training=True)
         scores.append(h.value[0].copy())
     np.testing.assert_allclose(scores[0], scores[1], atol=1e-12)
 
@@ -706,9 +727,126 @@ def test_training_tape_size_does_not_grow_with_batch():
     assert tape_nodes(32) == tape_nodes(2)
 
 
+# ----------------------------------------------------- scoring forward
+
+# Scores of the scoring forward (message passing over entity incidences)
+# against the training forward without dropout (over the relation view):
+# the same sums in another order, so equal to rounding.
+TOL = dict(rtol=1e-12, atol=1e-12)
+SCHEMA = dict(init_mode="schema", schema_hidden=6, schema_dim=5)
+
+
+def forward_pair(samples, config, params, schema=None):
+    """(scoring, training) scores of the samples, each as one batch."""
+    out = []
+    for training in (False, True):
+        tape = Tape()
+        pvars = bind_params(tape, params)
+        source = make_source(tape, pvars, config, schema=schema)
+        kwargs = dict(training=True, drop_rng=np.random.default_rng(0)) if training else {}
+        out.append(score_sample(samples, source, pvars, config, **kwargs).value)
+    return out
+
+
+def hub_twin_graph(rng):
+    """A hub, entity 0, with self-loops, parallel, inverse and duplicate
+    triples among random ones over entities 0-11; 12 and 13 have none."""
+    graph = random_graph(rng, 14, 5, 0)
+    rows = [Triple(0, int(rng.integers(4)), int(e)) for e in rng.integers(1, 12, 16)]
+    rows += [Triple(int(h), int(rng.integers(4)), int(t)) for h, t in rng.integers(1, 12, (14, 2))]
+    rows += [Triple(0, 1, 0), Triple(0, 2, 0), Triple(5, 3, 5)]  # self-loops
+    rows += [Triple(0, 3, 5), Triple(0, 2, 5), Triple(5, 1, 0), Triple(5, 0, 0)]  # twins
+    rows += rows[:6]  # duplicates
+    for t in rows:
+        graph.add(t)
+    return graph
+
+
+SCORING_TARGETS = [
+    Triple(0, 4, 5), Triple(0, 4, 0), Triple(5, 4, 5), Triple(3, 4, 0), Triple(0, 4, 12),
+    Triple(12, 4, 13), Triple(2, 4, 7), Triple(0, 0, 5),
+]
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+@pytest.mark.parametrize("variant", [
+    dict(), dict(use_disclosing=True), dict(target_attention=True),
+    dict(use_disclosing=True, target_attention=True),
+    dict(use_disclosing=True, target_attention=True, fusion="conc"),
+    dict(use_disclosing=True, target_attention=True, **SCHEMA),
+], ids=["base", "ne", "ta", "ne-ta", "ne-ta-conc", "ne-ta-schema"])
+def test_scoring_forward_matches_the_view_forward(hops, variant):
+    rng = np.random.default_rng(hops)
+    for trial in range(3):
+        graph = hub_twin_graph(rng) if trial else random_graph(rng, 14, 5, 30)
+        config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0, **variant)
+        params = init_params(config, 5, np.random.default_rng(trial))
+        schema = None
+        if config.init_mode == "schema":
+            schema = {r: rng.normal(size=config.schema_dim) for r in range(5)}
+        samples = [build_sample(graph, t, config) for t in SCORING_TARGETS]
+        assert max(len(s.pruned[0]) for s in samples) > 40 or not trial  # a hub view
+        got, want = forward_pair(samples, config, params, schema)
+        np.testing.assert_allclose(got, want, **TOL)
+
+
+@pytest.mark.parametrize("attention", [False, True])
+def test_scoring_forward_exact_at_a_twin_dominated_hub(attention):
+    # 300 parallel twins of the target, with features a million times the
+    # others': a sum over the hub less the twins' block must not be the
+    # hub's total less the block's, whose rounding would swamp the rest.
+    # PARA and LOOP weights are zero, so in one layer the twins reach no
+    # score, and the others' weights and features pass their sums on.
+    twins = [Triple(0, 1, 1)] * 300
+    others = [Triple(0, 2, 2), Triple(2, 3, 1), Triple(3, 2, 0), Triple(1, 3, 3), Triple(0, 3, 1)]
+    graph = KnowledgeGraph(random_graph(np.random.default_rng(0), 6, 5, 0).vocab, twins + others)
+    config = ModelConfig(hops=1, dim=4, edge_dropout=0.0, target_attention=attention)
+    params = init_params(config, 5, np.random.default_rng(1))
+    params["rel_emb"] = np.abs(params["rel_emb"])
+    params["rel_emb"][1] *= 1e6
+    for e in range(6):  # H-T, T-H, H-H, T-T pass on; PARA, LOOP drop
+        params[layer_param(1, e)] = np.eye(4) if e < 4 else np.zeros((4, 4))
+    samples = [build_sample(graph, t, config) for t in (Triple(0, 0, 1), Triple(4, 4, 5))]
+    assert len(samples[0].sub.triples) == 306  # the twins and every other triple
+    got, want = forward_pair(samples, config, params)
+    assert np.abs(want).max() < 1e3  # the twins' features do not reach the scores
+    np.testing.assert_allclose(got, want, **TOL)
+
+
+@pytest.mark.parametrize("disclosing", [False, True])
+def test_scoring_attention_exact_over_a_wide_logit_spread(disclosing):
+    # Source j, a parallel twin of receiver i, scores a logit of 900 against
+    # the target and k one of 0.  i's H-H group holds k alone, whose softmax
+    # weight is 1; shifted by the largest logit of the sample (or of the
+    # run, j's) it would underflow to 0/0.  Layer 1 passes k's feature on.
+    graph = KnowledgeGraph(random_graph(np.random.default_rng(0), 6, 4, 0).vocab, [
+        Triple(2, 1, 3), Triple(2, 2, 3), Triple(2, 3, 4),
+    ])
+    config = ModelConfig(hops=2, dim=4, edge_dropout=0.0, target_attention=True,
+                         use_disclosing=disclosing)
+    params = init_params(config, 4, np.random.default_rng(2))
+    u, v = np.eye(4)[0], np.eye(4)[1]
+    params["rel_emb"][:] = [30 * u, 0.1 * v, 30 * u, 30 * v]
+    for e in range(6):
+        params[layer_param(1, e)] = np.eye(4)
+    samples = [build_sample(graph, Triple(3, 0, 4), config)]
+    assert len(samples[0].sub.triples) == 4
+    got, want = forward_pair(samples, config, params)
+    np.testing.assert_allclose(got, want, **TOL)
+
+
 # ----------------------------------------------------- gradients
 
 def test_composed_gradients_match_finite_differences():
+    check_composed_gradients()
+
+
+def test_training_forward_gradients_match_finite_differences():
+    # dropout 0, so the training forward drops no edge
+    check_composed_gradients(training=True, drop_rng=np.random.default_rng(0))
+
+
+def check_composed_gradients(**forward):
     from oracles import check_grads
 
     rng = np.random.default_rng(59)
@@ -722,12 +860,12 @@ def test_composed_gradients_match_finite_differences():
             tape = Tape()
             pvars = bind_params(tape, p)
             src = make_source(tape, pvars, config)
-            return float(score_sample([sample], src, pvars, config).value[0])
+            return float(score_sample([sample], src, pvars, config, **forward).value[0])
 
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        out = score_sample([sample], src, pvars, config)
+        out = score_sample([sample], src, pvars, config, **forward)
         grads = tape.backward(total(out))
         check_grads(loss_fn, grads, params)
 

@@ -30,3 +30,13 @@ def test_make_toy_benchmark_writes_readable_files(tmp_path):
     schema = load_schema(str(tmp_path / "schema.tsv"))
     names = {schema.node_names[i] for i in schema.relation_nodes()}
     assert {"r0", "r1", "r2", "s0", "s1", "s2"} <= names
+
+
+def test_hub_probe_reports_rate_and_memory():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
+         "--hops", "1", "--variant", "ne-ta", "--targets", "5"],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert "ne-ta K=1: 10 triples in" in done.stdout
+    assert "triples/s, peak RSS" in done.stdout

@@ -19,6 +19,7 @@ from rmpi.subgraph import (
     extract_disclosing,
     extract_enclosing,
     prune_to_target,
+    receiver_levels,
     to_relation_view,
 )
 from rmpi.trainlab import build_sample
@@ -314,7 +315,7 @@ def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
     assert build_sample(g, target, config).rvg.num_nodes > 4
     monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
     with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs")):
-        build_sample(g, target, config)
+        build_sample(g, target, config).pruned  # the training forward's view
 
 
 # ------------------------------------------------------- pruning
@@ -392,6 +393,31 @@ def test_prune_matches_reverse_bfs_oracle(n_entities, n_triples, k, seed):
         # a masked subset of the view's edges, so still in (dst, type, src) order
         key = edges[:, 2].astype(np.int64) * len(EDGE_TYPE_NAMES) + edges[:, 1]
         assert (np.diff(key * rvg.num_nodes + edges[:, 0]) > 0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_receiver_levels_are_prunings_node_sets(n_entities, n_triples, k, seed):
+    # triples -> their entities -> the triples at those entities gives the
+    # nodes that reach the target within j steps of the relation view
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 4, n_triples)
+    for t in g.triples[:3]:
+        g.add(t)  # duplicates
+    target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
+    sub = extract_enclosing(g, target, k)
+    rvg = to_relation_view(sub)
+    frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
+                                           rvg.target_index, k)
+    levels = receiver_levels(sub, k)
+    for j in range(k + 1):
+        assert {i for i, level in enumerate(levels) if level <= j} == set().union(*frontiers[: j + 1])
+    assert all(level <= k + 1 for level in levels)
 
 
 # ------------------------------------------------------- disclosing one-hop

@@ -243,12 +243,34 @@ def test_repeated_triple_scores_the_same_in_every_batch(monkeypatch, variant):
     config, params, context = scoring_setup(variant, graph)
     repeated = Triple(1, 2, 4)
     triples = [repeated] + SCORED[:3] + [repeated] + SCORED[3:] + [repeated, repeated]
-    calls = scored_batches(monkeypatch, budget=250)
+    calls = scored_batches(monkeypatch, budget=400)
     got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
     at = [i for i, t in enumerate(triples) if t == repeated]
-    holding = [c for c in calls if any(s.rvg.nodes[s.rvg.target_index] == repeated for s in c)]
+    holding = [c for c in calls if any(s.sub.target == repeated for s in c)]
     assert len({len(c) for c in holding}) > 1  # batch-mates differ in number
     assert len(set(got[at].tolist())) == 1
+
+
+@pytest.mark.parametrize("variant", ["base", "ne-ta"])
+def test_scoring_builds_no_relation_view(monkeypatch, variant):
+    from rmpi import evalbench, rmpnet, subgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scoring built a relation view")
+
+    for module in (subgraph, rmpnet, trainlab):
+        for name in ("to_relation_view", "prune_to_target"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    graph = scoring_graph()
+    config, params, context = scoring_setup(variant, graph)
+    ckpt = Checkpoint(config, params, graph.vocab.digest(), tuple(graph.vocab.relation_names),
+                      (True,) * graph.vocab.num_relations)
+    cache = SampleCache(graph, config)
+    got = trainlab.score_triples(params, config, cache, graph.triples + SCORED, **context)
+    assert np.isfinite(got).all()
+    evalbench.classify(ckpt, graph, SCORED[:4], cache=cache)
+    evalbench.rank_queries(ckpt, graph, SCORED[:2], num_neg=5, cache=cache)
 
 
 def test_score_batches_stay_within_the_row_budget(monkeypatch):
