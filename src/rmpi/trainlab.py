@@ -75,9 +75,9 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.
 # On the benchmark's rank queries (ne-ta, K=2, d=32) the largest heap peak
-# of one query was 2.13 MB with this budget, and 2.09 MB with 1000 rows,
-# the peak of that query's largest sample alone; 4000 rows gave 3.37 MB and
-# an unbounded batch 7.66 MB.  Against 1000 rows it makes 178 forwards of
+# of one query was 2.01 MB with this budget, and 1.97 MB with 1000 rows,
+# the peak of that query's largest sample alone; 4000 rows gave 3.20 MB and
+# an unbounded batch 7.24 MB.  Against 1000 rows it makes 178 forwards of
 # the 140 queries, not 257.
 SCORE_BATCH_ROWS = 2000
 
