@@ -27,7 +27,6 @@ from rmpi.subgraph import (
     RelationViewGraph,
     extract_disclosing,
     extract_enclosing,
-    prune_to_target,
     to_relation_view,
 )
 from synth import edge_array, random_graph
