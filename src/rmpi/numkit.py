@@ -6,10 +6,13 @@ in reverse creation order and accumulates vector-Jacobian products.  This is
 the smallest machinery that runs the model over a batch of graphs: matrices
 applied to rows (`grouped_apply`, several at once to groups of rows), row
 gathers (`take`), gathered rows summed into segments
-(`gather_sum`), runs of rows summed less a range by running sums
-(`run_sums`), softmaxes within segments, row-wise dot products and scalings,
+(`gather_sum`), softmaxes within segments, row-wise dot products,
 elementwise nonlinearities and a few structural ops.  Operand shapes are
 checked rather than broadcast.  No GPU, no sparse kernels.
+
+Runs of rows summed less a range by running sums (`Runs`, `run_sums`) work
+on plain arrays: only the scoring forward reads them, and it records no
+gradients; `unrecorded` puts such a value on a tape.
 """
 
 from __future__ import annotations
@@ -319,41 +322,15 @@ class Runs:
         buf[self.prefix_at[:-1]] = x
         buf[self.suffix_at[:-1]] = x
         for region, width in self.classes:
-            _accumulate(buf[region].reshape((-1, width) + x.shape[1:]))
+            part = buf[region].reshape((-1, width) + x.shape[1:])
+            np.cumsum(part, axis=1, out=part)  # one slot at a time, first slot first
         return buf
 
-    def spread(self, g: np.ndarray) -> np.ndarray:
-        """The transpose of cumsums: x's gradient from the buffer's, which
-        it overwrites."""
-        for region, width in self.classes:
-            # a running sum read at slot j takes every slot up to j, so a
-            # slot's gradient sums the reads from it on
-            _accumulate(g[region].reshape((-1, width) + g.shape[1:])[:, ::-1])
-        return g[self.prefix_at[:-1]] + g[self.suffix_at[:-1]]
 
-
-def _accumulate(part: np.ndarray) -> None:
-    """Running sums along axis 1, in place, first slot first.
-
-    np.cumsum adds one element at a time, some ten times slower per
-    element than adding whole slices, but a slice costs a call: an array
-    of two slots, or whose slices hold many numbers, adds them slice by
-    slice.  Both add in the same order, so the sums are the same, bit for
-    bit.
-    """
-    if part.shape[1] == 2 or part[:, 0].size >= ACCUMULATE_SLICE:
-        for j in range(1, part.shape[1]):
-            part[:, j] += part[:, j - 1]
-    else:
-        np.cumsum(part, axis=1, out=part)
-
-
-ACCUMULATE_SLICE = 1024  # fewest numbers per slice for _accumulate to add by slices
-
-
-def run_sums(x: Var, src, runs: Runs, spans) -> Var:
-    """(G, ...) group sums over runs of the rows x[src], or of x's rows in
-    order when src is None.
+def run_sums(x: np.ndarray, runs: Runs, spans) -> np.ndarray:
+    """(G, ...) group sums over runs of the rows of x, an array, not a
+    tape node: the scoring forward, which alone reads them, records no
+    gradients.
 
     spans[g] = (start, cut, resume, stop) takes its run less rows cut ..
     resume-1, so it must start where a run starts and stop where that run
@@ -363,52 +340,31 @@ def run_sums(x: Var, src, runs: Runs, spans) -> Var:
     run's rows alone, and the work grows with the rows, not with the
     groups' ranges.
     """
-    if x.value.ndim not in (1, 2):
-        raise NumkitError(f"run_sums expects a vector or matrix, got shape {x.value.shape}")
-    if src is not None:
-        src = _index(src, x.value.shape[0], "run_sums")
-    rows = x.value if src is None else x.value[src]
+    if x.ndim not in (1, 2):
+        raise NumkitError(f"run_sums expects a vector or matrix, got shape {x.shape}")
     n = runs.n
-    if len(rows) != n:
-        raise NumkitError(f"run_sums reads {len(rows)} rows for runs over {n}")
+    if len(x) != n:
+        raise NumkitError(f"run_sums reads {len(x)} rows for runs over {n}")
     spans = np.asarray(spans, dtype=np.intp)
     if spans.ndim != 2 or spans.shape[1] != 4:
         raise NumkitError(f"run_sums expects (G, 4) spans, got shape {spans.shape}")
     if spans.size and (spans.min() < 0 or spans.max() > n):
         raise NumkitError(f"run_sums span out of range for {n} rows")
     start, cut, resume, stop = spans.T
-    before = runs.prefix_at[np.where(cut > start, cut - 1, n)]
-    after = runs.suffix_at[np.where(resume < stop, resume, n)]
-    sums = runs.cumsums(rows)
+    sums = runs.cumsums(x)
+    return (sums[runs.prefix_at[np.where(cut > start, cut - 1, n)]]
+            + sums[runs.suffix_at[np.where(resume < stop, resume, n)]])
+
+
+def unrecorded(parents, value) -> Var:
+    """A value computed from the parents' values outside the tape, as a
+    node whose backward rule raises: differentiating through it would
+    leave the parents' gradients short."""
 
     def vjp(g):
-        at = np.zeros((runs.size,) + g.shape[1:])
-        _scatter_add(at, before, g)
-        _scatter_add(at, after, g)
-        grad = runs.spread(at)
-        return (grad if src is None else _scatter_add(np.zeros_like(x.value), src, grad),)
+        raise NumkitError("backward through a value computed outside the tape")
 
-    return x.tape._record(sums[before] + sums[after], (x,), vjp)
-
-
-def add_rows(x: Var, y: Var) -> Var:
-    """x with y added to its first len(y) rows."""
-    if x.value.ndim < 1 or y.value.shape[1:] != x.value.shape[1:] or len(y.value) > len(x.value):
-        raise NumkitError(f"add_rows shape mismatch: {x.value.shape} vs {y.value.shape}")
-    out = x.value.copy()
-    out[: len(y.value)] += y.value
-
-    def vjp(g):
-        return g, g[: len(y.value)]
-
-    return x.tape._record(out, (x, y), vjp)
-
-
-def reshape(x: Var, shape) -> Var:
-    def vjp(g):
-        return (g.reshape(x.value.shape),)
-
-    return x.tape._record(x.value.reshape(shape), (x,), vjp)
+    return parents[0].tape._record(value, tuple(parents), vjp)
 
 
 def segment_softmax(x: Var, seg, n: int) -> Var:
@@ -436,42 +392,6 @@ def rowdot(a: Var, b: Var) -> Var:
         return g[:, None] * b.value, g[:, None] * a.value
 
     return a.tape._record(np.einsum("ij,ij->i", a.value, b.value), (a, b), vjp)
-
-
-def scale_rows(x: Var, w: Var) -> Var:
-    """(n, d) rows x[i] * w[i] of a matrix and a vector of n weights."""
-    if x.value.ndim != 2 or w.value.shape != x.value.shape[:1]:
-        raise NumkitError(f"scale_rows shape mismatch: {x.value.shape} by {w.value.shape}")
-
-    def vjp(g):
-        return g * w.value[:, None], np.einsum("ij,ij->i", g, x.value)
-
-    return x.tape._record(x.value * w.value[:, None], (x, w), vjp)
-
-
-def divide_by_last(x: Var) -> Var:
-    """(n, d) from (n, d + 1): each row's first d columns over its last;
-    a row whose last column is 0 gives zeros."""
-    if x.value.ndim != 2 or x.value.shape[1] < 2:
-        raise NumkitError(f"divide_by_last expects a matrix of two columns or more, got {x.value.shape}")
-    z = x.value[:, -1:]
-    nonzero = z != 0
-    out = np.divide(x.value[:, :-1], z, out=np.zeros_like(x.value[:, :-1]), where=nonzero)
-
-    def vjp(g):
-        dy = np.divide(g, z, out=np.zeros_like(g), where=nonzero)
-        return (np.concatenate([dy, -np.einsum("ij,ij->i", dy, out)[:, None]], axis=1),)
-
-    return x.tape._record(out, (x,), vjp)
-
-
-def exp(x: Var) -> Var:
-    y = np.exp(x.value)
-
-    def vjp(g):
-        return (g * y,)
-
-    return x.tape._record(y, (x,), vjp)
 
 
 def relu(x: Var) -> Var:

@@ -33,6 +33,8 @@ the same model:
 
 `propagate`'s `training` flag picks the forward: every forward inside
 `trainlab.score_triples` (classification, ranking and validation) scores.
+Only the training forward is differentiated, so the scoring forward sums
+on plain arrays and records no backward rule of its own.
 """
 
 from __future__ import annotations
@@ -460,7 +462,8 @@ def propagate(
     every edge of a layer independently with the configured probability,
     one Boolean mask per layer from drop_rng.  The scoring forward, without
     dropout, reads every typed sum from the batch's Incidences; its nodes
-    are ordered by level, so each layer updates a prefix of them.
+    are ordered by level, so each layer updates a prefix of them.  It
+    records no gradients: backward through its scores raises.
     """
     K = config.hops
     if batch.depth != K:
@@ -492,8 +495,9 @@ def propagate(
             logits = _logits(h, batch, config) if attend else None
             summed = _edge_sums(h, edges, seg, batch.size if last else n, logits)
         else:
-            logits = _logits(h, batch, config) if attend else None
-            summed = _incidence_sums(h, edges, edges.receivers[layer - 1], logits)
+            logits = _logits(h, batch, config).value if attend else None
+            q = edges.receivers[layer - 1]
+            summed = nk.unrecorded([h], _incidence_sums(h.value, edges, q, logits))
         typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
         messages = nk.relu(nk.grouped_apply(summed, typed))
         if last:
@@ -501,7 +505,9 @@ def propagate(
         if training:
             h = nk.add(messages, h)
         else:  # the receivers are the first nodes
-            h = nk.add_rows(h, messages)
+            updated = h.value.copy()
+            updated[: len(messages.value)] += messages.value
+            h = nk.unrecorded([h, messages], updated)
     return nk.take(h, batch.targets)
 
 
@@ -530,7 +536,7 @@ def _edge_sums(h: Var, edges, seg, n_out: int, logits: Var | None) -> Var:
 SHIFT_GAP = 600.0
 
 
-def _incidence_sums(h: Var, inc: Incidences, q: int, logits: Var | None) -> Var:
+def _incidence_sums(h: np.ndarray, inc: Incidences, q: int, logits) -> np.ndarray:
     """(q * 6, d) typed message sums into the first q nodes, row r * 6 + e
     for type e into node r, from running sums over the Incidences' runs,
     softmax-weighted within the group by the sources' logits when given.
@@ -544,10 +550,10 @@ def _incidence_sums(h: Var, inc: Incidences, q: int, logits: Var | None) -> Var:
     """
     spans = inc.spans[:q].reshape(-1, 4)
     if logits is None:
-        return nk.run_sums(h, inc.rows, inc.runs, spans)
+        return nk.run_sums(h[inc.rows], inc.runs, spans)
     rows, unit, starts = inc.rows, inc.unit, inc.runs.starts
     run = np.arange(len(starts)).repeat(inc.runs.lengths)
-    score = logits.value[rows]
+    score = logits[rows]
     top = np.maximum.reduceat(score, starts)[run]
     first_top = np.minimum.reduceat(np.where(score == top, np.arange(len(rows)), len(rows)), starts)
     top_unit = unit[first_top][run]
@@ -557,17 +563,15 @@ def _incidence_sums(h: Var, inc: Incidences, q: int, logits: Var | None) -> Var:
     # weighted rows, with a column of ones for the softmax's denominator:
     # rows of the top unit never count in a group shifted by `second`
     shifts = [top, np.maximum(second, score)] if far.any() else [top]
-    tape = h.tape
-    source = nk.take(logits, rows.repeat(len(shifts)))
-    shift = np.column_stack(shifts).ravel()
-    weights = nk.exp(nk.sub(source, tape.const(shift)))
-    with_one = nk.concat([h, tape.const(np.ones((h.value.shape[0], 1)))], axis=1)
-    weighted = nk.scale_rows(nk.take(with_one, rows.repeat(len(shifts))), weights)
-    sums = nk.run_sums(nk.reshape(weighted, (len(rows), -1)), None, inc.runs, spans)
+    weights = np.exp(score.repeat(len(shifts)) - np.column_stack(shifts).ravel())
+    with_one = np.concatenate([h, np.ones((len(h), 1))], axis=1)
+    weighted = with_one[rows.repeat(len(shifts))] * weights[:, None]
+    sums = nk.run_sums(weighted.reshape(len(rows), -1), inc.runs, spans)
     if far.any():
         groups = len(spans)
-        sums = nk.take(nk.reshape(sums, (2 * groups, -1)), 2 * np.arange(groups) + far)
-    return nk.divide_by_last(sums)
+        sums = sums.reshape(2 * groups, -1)[2 * np.arange(groups) + far]
+    total = sums[:, -1:]  # an empty group's is 0, and so are its sums
+    return np.divide(sums[:, :-1], total, out=np.zeros_like(sums[:, :-1]), where=total != 0)
 
 
 def disclosing_aggregate(

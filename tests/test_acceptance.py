@@ -172,12 +172,15 @@ def test_criterion_03_gradients_match_finite_differences():
                 tape = Tape()
                 pvars = bind_params(tape, p)
                 return float(
-                    score_sample([sample], _source(tape, pvars, config), pvars, config).value[0]
+                    score_sample([sample], _source(tape, pvars, config), pvars, config,
+                                 training=True).value[0]
                 )
 
             tape = Tape()
             pvars = bind_params(tape, params)
-            out = score_sample([sample], _source(tape, pvars, config), pvars, config)
+            # the training forward, the one differentiated; dropout 0
+            out = score_sample([sample], _source(tape, pvars, config), pvars, config,
+                               training=True)
             grads = tape.backward(dot(out, tape.const(np.ones(1))))
             worst = max(worst, oracles.check_grads(loss_fn, grads, params))
     elapsed = time.monotonic() - start

@@ -509,52 +509,32 @@ def test_run_sums_add_each_range_row_by_row_from_its_run_end():
     for n in (1, 5, 40, 300, 3000):
         runs, spans = random_runs(rng, n)
         x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
-        got = nk.run_sums(Tape().const(x), None, runs, spans).value
+        got = nk.run_sums(x, runs, spans)
         want = [sum(x[s:c], np.zeros(3)) + sum(x[r:e][::-1], np.zeros(3)) for s, c, r, e in spans]
         np.testing.assert_array_equal(got, want)
-        src = rng.permutation(n)
-        picked = nk.run_sums(Tape().const(x[np.argsort(src)]), src, runs, spans).value
-        np.testing.assert_array_equal(picked, got)
 
 
 def test_run_sums_reject_bad_runs_and_spans():
-    tape = Tape()
     with pytest.raises(NumkitError, match="ascending"):
         nk.Runs([0, 3, 2], 5)
     with pytest.raises(NumkitError, match="ascending"):
         nk.Runs([1, 3], 5)
     runs = nk.Runs([0, 2], 4)
     with pytest.raises(NumkitError, match="rows for runs"):
-        nk.run_sums(tape.const(np.ones((3, 2))), None, runs, [[0, 1, 1, 2]])
+        nk.run_sums(np.ones((3, 2)), runs, [[0, 1, 1, 2]])
     with pytest.raises(NumkitError, match="out of range"):
-        nk.run_sums(tape.const(np.ones((4, 2))), None, runs, [[0, 1, 1, 5]])
+        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 5]])
     with pytest.raises(NumkitError, match="spans"):
-        nk.run_sums(tape.const(np.ones((4, 2))), None, runs, [0, 1, 1, 2])
+        nk.run_sums(np.ones((4, 2)), runs, [0, 1, 1, 2])
 
 
-def test_grad_run_sums_and_row_ops():
-    rng = np.random.default_rng(4)
-    runs, spans = random_runs(rng, 30)
-    src = rng.integers(0, 20, 30)
-    params = {"x": rng.normal(size=(20, 3)), "z": rng.uniform(0.5, 2.0, size=(len(spans), 1)),
-              "w": rng.normal(size=20), "y": rng.normal(size=(4, 3))}
-    coef = rng.normal(size=(len(spans), 3))
-
-    def loss(tape, p):
-        v = {name: tape.param(name, value) for name, value in p.items()}
-        x = nk.add_rows(nk.scale_rows(v["x"], nk.exp(v["w"])), v["y"])
-        sums = nk.reshape(nk.reshape(nk.run_sums(x, src, runs, spans), (-1,)), (-1, 3))
-        ratio = nk.divide_by_last(nk.concat([sums, v["z"]], axis=1))
-        return nk.dot(nk.reshape(ratio, (-1,)), tape.const(coef.ravel()))
-
+def test_backward_through_an_unrecorded_value_raises():
     tape = Tape()
-    check_grads(lambda p: float(loss(Tape(), p).value), tape.backward(loss(tape, params)), params)
-
-
-def test_divide_by_last_gives_zeros_over_zero():
-    tape = Tape()
-    out = nk.divide_by_last(tape.const(np.array([[2.0, 4.0, 2.0], [0.0, 0.0, 0.0]])))
-    np.testing.assert_array_equal(out.value, [[1.0, 2.0], [0.0, 0.0]])
+    x = tape.param("x", np.ones(3))
+    y = nk.unrecorded([x], x.value * 2)
+    np.testing.assert_array_equal(y.value, [2.0, 2.0, 2.0])
+    with pytest.raises(NumkitError, match="outside the tape"):
+        tape.backward(nk.dot(y, tape.const(np.ones(3))))
 
 
 def test_adam_zero_gradient_keeps_params():

@@ -696,8 +696,9 @@ def test_batched_margin_loss_gradients_match_finite_differences():
 
         def margin_loss(tape, p):
             pvars = bind_params(tape, p)
+            # the training forward, as training's loss reads; dropout 0
             scores = score_sample(samples, make_source(tape, pvars, config, num_seen=3),
-                                  pvars, config)
+                                  pvars, config, training=True)
             # the first sample is the positive, the other two its negatives
             gaps = nk.sub(nk.take(scores, [1, 2]), nk.take(scores, [0, 0]))
             return total(nk.relu(nk.shift(gaps, margin)))
@@ -837,15 +838,8 @@ def test_scoring_attention_exact_over_a_wide_logit_spread(disclosing):
 # ----------------------------------------------------- gradients
 
 def test_composed_gradients_match_finite_differences():
-    check_composed_gradients()
-
-
-def test_training_forward_gradients_match_finite_differences():
-    # dropout 0, so the training forward drops no edge
-    check_composed_gradients(training=True, drop_rng=np.random.default_rng(0))
-
-
-def check_composed_gradients(**forward):
+    # the training forward, the one differentiated; dropout 0, so it drops
+    # no edge
     from oracles import check_grads
 
     rng = np.random.default_rng(59)
@@ -859,14 +853,26 @@ def check_composed_gradients(**forward):
             tape = Tape()
             pvars = bind_params(tape, p)
             src = make_source(tape, pvars, config)
-            return float(score_sample([sample], src, pvars, config, **forward).value[0])
+            return float(score_sample([sample], src, pvars, config, training=True).value[0])
 
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        out = score_sample([sample], src, pvars, config, **forward)
+        out = score_sample([sample], src, pvars, config, training=True)
         grads = tape.backward(total(out))
         check_grads(loss_fn, grads, params)
+
+
+def test_backward_through_the_scoring_forward_raises():
+    config = ModelConfig(hops=2, dim=3, edge_dropout=0.0, target_attention=True)
+    graph = random_graph(np.random.default_rng(5), 6, 4, 10)
+    sample = build_sample(graph, Triple(0, 3, 1), config)
+    assert len(sample.sub.triples) > 1
+    tape = Tape()
+    pvars = bind_params(tape, init_params(config, 4, np.random.default_rng(0)))
+    out = score_sample([sample], make_source(tape, pvars, config), pvars, config)
+    with pytest.raises(nk.NumkitError, match="outside the tape"):
+        tape.backward(total(out))
 
 
 def test_config_validation():
