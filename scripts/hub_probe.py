@@ -28,16 +28,16 @@ import numpy as np  # noqa: E402
 import gen  # noqa: E402
 import spec  # noqa: E402
 from rmpi import evalbench, kgstore, rmpnet, trainlab  # noqa: E402
-from rmpi.cli import VARIANTS  # noqa: E402
+from rmpi.cli import VARIANTS, _count  # noqa: E402
 
 SEED = 1  # the names and parameters perfbench draws with --seed 1
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--hops", type=int, required=True)
+    parser.add_argument("--hops", type=_count, required=True)
     parser.add_argument("--variant", choices=sorted(VARIANTS), required=True)
-    parser.add_argument("--targets", type=int, default=None,
+    parser.add_argument("--targets", type=_count, default=None,
                         help="score the first N test targets (default: all)")
     args = parser.parse_args(argv)
 

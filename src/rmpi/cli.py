@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -163,6 +164,29 @@ def _count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _positive(text: str) -> float:
+    """An argparse type: a finite number > 0."""
+    value = _number(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
+    return value
+
+
+def _dropout(text: str) -> float:
+    """An argparse type: a probability in [0, 1)."""
+    value = _number(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
     return value
 
 
@@ -352,7 +376,7 @@ def build_parser() -> _Parser:
         p.add_argument("--hop", type=_count, default=2,
                        help="subgraph radius and message-passing depth")
         p.add_argument("--dim", type=_count, default=32)
-        p.add_argument("--dropout", type=float, default=0.5)
+        p.add_argument("--dropout", type=_dropout, default=0.5)
         p.add_argument("--variant", choices=sorted(VARIANTS), default="base")
         p.add_argument("--fusion", choices=["sum", "conc"], default="sum")
         p.add_argument("--init", choices=["random", "schema"], default="random")
@@ -362,9 +386,9 @@ def build_parser() -> _Parser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--out", required=True)
     add_model_flags(p_train)
-    p_train.add_argument("--lr", type=float, default=0.001)
+    p_train.add_argument("--lr", type=_positive, default=0.001)
     p_train.add_argument("--batch", type=_count, default=16)
-    p_train.add_argument("--margin", type=float, default=10.0)
+    p_train.add_argument("--margin", type=_positive, default=10.0)
     p_train.add_argument("--epochs", type=_count, default=50)
     p_train.add_argument("--patience", type=_count, default=10)
     p_train.add_argument("--negatives", type=_count, default=1)
@@ -390,8 +414,8 @@ def build_parser() -> _Parser:
     p_schema.add_argument("--out", required=True)
     p_schema.add_argument("--dim", type=_count, default=300)
     p_schema.add_argument("--epochs", type=_count, default=300)
-    p_schema.add_argument("--lr", type=float, default=0.02)
-    p_schema.add_argument("--margin", type=float, default=1.0)
+    p_schema.add_argument("--lr", type=_positive, default=0.02)
+    p_schema.add_argument("--margin", type=_positive, default=1.0)
     p_schema.add_argument("--batch", type=_count, default=256)
     p_schema.add_argument("--seed", type=int, default=0)
     p_schema.add_argument("--relations-only", action="store_true",

@@ -52,9 +52,7 @@ from .subgraph import (
     NO_EDGES,
     NUM_EDGE_TYPES,
     EntitySubgraph,
-    RelationViewGraph,
     prune_to_target,
-    receiver_levels,
     to_relation_view,
 )
 
@@ -200,10 +198,10 @@ class FeatureSource:
 class SubgraphSample:
     """Model-ready extraction product for one target triple.
 
-    Each forward reads the enclosing subgraph its own way and builds what
-    it needs on first use, kept with the sample: the scoring forward the
-    triples' receiver levels, the training forward the relation view and
-    the edges each layer reads.  Equality compares the fields only.
+    The scoring forward reads the enclosing subgraph's triples and levels
+    as extracted.  The training forward reads the edges each layer reads,
+    built on first use and kept with the sample; the relation view they are
+    cut from is not kept.  Equality compares the fields only.
     """
 
     sub: EntitySubgraph  # the enclosing subgraph, target last
@@ -212,20 +210,9 @@ class SubgraphSample:
     target_label: int = 0
 
     @cached_property
-    def levels(self) -> list[int]:
-        """Per triple of sub, its level (subgraph.receiver_levels)."""
-        if len(self.sub.triples) == 1:
-            return [0]
-        return receiver_levels(self.sub, self.hops)
-
-    @cached_property
-    def rvg(self) -> RelationViewGraph:
-        return to_relation_view(self.sub)
-
-    @cached_property
     def pruned(self) -> tuple:
         """Per layer 1..K, the (E_k, 3) view edges it reads (prune_to_target)."""
-        return prune_to_target(self.rvg, self.hops)
+        return prune_to_target(to_relation_view(self.sub), self.hops)
 
 
 @dataclass(frozen=True)
@@ -298,15 +285,13 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     depth = depths.pop()
     layer_edges = incidences = order = None
     if training:
-        node_labels = [s.rvg.labels for s in samples]
-        at = [s.rvg.target_index for s in samples]
+        node_triples = [s.sub.triples for s in samples]
     else:
         kept = [_kept(s) for s in samples]
-        node_labels = [[t.relation for t in triples] for triples, _ in kept]
-        at = [len(triples) - 1 for triples, _ in kept]  # the target stays last
-    sizes = [len(labels) for labels in node_labels]
+        node_triples = [triples for triples, _ in kept]
+    sizes = [len(triples) for triples in node_triples]
     offsets = list(itertools.accumulate(sizes, initial=0))
-    node_labels = [label for labels in node_labels for label in labels]
+    node_labels = [t.relation for triples in node_triples for t in triples]
     if training:
         layer_edges = tuple(
             _offset_edges([s.pruned[k] for s in samples], offsets) for k in range(depth)
@@ -325,7 +310,7 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     node_rows = rows(node_labels)
     node_sample = np.repeat(sample_ids, sizes)
     if order is None:
-        targets = np.array([off + i for off, i in zip(offsets, at)])
+        targets = np.array(offsets[1:]) - 1  # each sample's target is its last node
     else:
         node_rows, node_sample, targets = node_rows[order], node_sample[order], sample_ids
     return SampleBatch(
@@ -353,10 +338,8 @@ def _kept(sample: SubgraphSample) -> tuple[list, list]:
     """The triples of a sample the scoring forward reads, those within K
     steps of the target, in subgraph order with the target last, and their
     levels."""
-    triples = sample.sub.triples
-    if len(triples) == 1:
-        return list(triples), [0]
-    pairs = [(t, level) for t, level in zip(triples, sample.levels) if level <= sample.hops]
+    pairs = [(t, level) for t, level in zip(sample.sub.triples, sample.sub.levels)
+             if level <= sample.hops]
     return [t for t, _ in pairs], [level for _, level in pairs]
 
 

@@ -11,6 +11,7 @@ float32 block, for use as initial model features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,8 @@ def pretrain(
     """
     if schema.num_edges == 0:
         raise SchemaError("cannot pretrain on an empty schema")
+    if not (0 < lr < math.inf and 0 < margin < math.inf):
+        raise SchemaError(f"lr and margin must be positive and finite, got {lr} and {margin}")
     rng = np.random.default_rng(seed)
     n = schema.num_nodes
     bound = 6.0 / np.sqrt(dim)

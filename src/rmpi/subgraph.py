@@ -15,14 +15,14 @@ Message passing only ever needs the part of that graph that can reach the
 target node within K steps: prune_to_target returns, per layer, the masked
 subset of that array the layer reads.  Only training, whose per-edge
 dropout needs the edges, and `rmpi dump-subgraph` build views: scoring
-passes messages over the triples' shared entities instead, and
-receiver_levels gives it pruning's node sets without the view's edges,
-which grow with the square of entity degree.  The model reads only the target's
-one-hop in-neighbors in the disclosing view, and those are exactly the
-triples sharing an entity with the target, so disclosing_neighbors reads
-them straight off the graph's incidence index; extract_disclosing builds
-the whole union subgraph only for inspection (`rmpi dump-subgraph --kind
-disclosing`).
+passes messages over the triples' shared entities instead, and reads
+pruning's node sets off the levels extract_enclosing measures, without the
+view's edges, which grow with the square of entity degree.  The model
+reads only the target's one-hop in-neighbors in the disclosing view, and
+those are exactly the triples sharing an entity with the target, so
+disclosing_neighbors reads them straight off the graph's incidence index;
+extract_disclosing builds the whole union subgraph only for inspection
+(`rmpi dump-subgraph --kind disclosing`).
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ class EntitySubgraph:
     source_indexes: tuple  # parent-graph triple index per element, None for the target
     target: Triple
     kind: str  # "enclosing" | "disclosing"
+    # enclosing: per element, the least j with it in pruning's N^j, else
+    # K + 1 (extract_enclosing); disclosing: ()
+    levels: tuple = ()
 
     @property
     def target_position(self) -> int:
@@ -92,13 +95,15 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
     return picked
 
 
-def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str) -> EntitySubgraph:
+def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str,
+              levels: tuple = ()) -> EntitySubgraph:
     """The subgraph of the triples idxs, with the target appended last."""
     return EntitySubgraph(
         triples=tuple(graph.triples[i] for i in idxs) + (target,),
         source_indexes=tuple(idxs) + (None,),
         target=target,
         kind=kind,
+        levels=levels,
     )
 
 
@@ -110,6 +115,16 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     present, so u and v are adjacent) and drops every entity that is isolated or
     farther than K from either center there.  The result can degenerate to
     just the target edge.
+
+    The same distances give each triple's level: N^0 is the target, and N^j
+    the triples sharing an entity with one in N^(j-1), which are pruning's
+    node sets, since two distinct triples share an entity exactly when the
+    relation view has an edge between them.  So a triple's level is 1 plus
+    the least distance of its ends from u or v: pruning keeps every entity
+    on a shortest path of length at most K, so these are the distances
+    inside the pruned subgraph too, and at most K, so a level is at most
+    K + 1.  Layer k' of a depth-K pass updates the triples of level at most
+    K - k', and reads only triples of level at most K - k' + 1.
     """
     target = Triple(*target)
     if k < 1:
@@ -124,9 +139,16 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     for i in idxs:
         h, _, t = graph.triples[i]
         link(inner, h, t, i)
-    kept = bfs(inner, u, k).keys() & bfs(inner, v, k).keys()
-    idxs = [i for i in idxs if graph.triples[i].head in kept and graph.triples[i].tail in kept]
-    return _subgraph(graph, idxs, target, "enclosing")
+    du, dv = bfs(inner, u, k), bfs(inner, v, k)
+    near = {e: min(d, dv[e]) for e, d in du.items() if e in dv}  # the kept entities
+    kept, levels = [], []
+    for i in idxs:
+        h, _, t = graph.triples[i]
+        if h in near and t in near:
+            kept.append(i)
+            levels.append(1 + min(near[h], near[t]))
+    levels.append(0)  # the target
+    return _subgraph(graph, kept, target, "enclosing", tuple(levels))
 
 
 def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
@@ -266,36 +288,6 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:
     return (edges,) + tuple(
         edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
     )
-
-
-def receiver_levels(sub: EntitySubgraph, k: int) -> list[int]:
-    """Per triple of sub, the least j <= k with the triple in N^j, else k + 1.
-
-    N^0 is the target, and N^j the triples sharing an entity with one in
-    N^(j-1).  Two distinct triples share an entity exactly when the
-    relation view has an edge between them, so these are prune_to_target's
-    node sets, found by alternating from triples to their entities and
-    back without building the view: layer k' of a depth-k pass updates the
-    triples of level at most k - k', and reads only triples of level at
-    most k - k' + 1.
-    """
-    if k < 1:
-        raise SubgraphError(f"depth must be >= 1, got {k}")
-    triples = sub.triples
-    level = [k + 1] * len(triples)
-    level[sub.target_position] = 0
-    reached = {sub.target.head, sub.target.tail}
-    for j in range(1, k + 1):
-        new = [
-            i for i, (h, _, t) in enumerate(triples)
-            if level[i] > j and (h in reached or t in reached)
-        ]
-        for i in new:
-            level[i] = j
-            reached.update((triples[i].head, triples[i].tail))
-        if not new:
-            break
-    return level
 
 
 def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:

@@ -12,6 +12,7 @@ the model config, relation names and history, the block the parameters.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ class TrainConfig:
     num_negatives: int = 1
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise TrainError(f"margin must be positive, got {self.margin}")
+        if not 0 <= self.lr < math.inf:  # 0 freezes the parameters
+            raise TrainError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not 0 < self.margin < math.inf:
+            raise TrainError(f"margin must be positive and finite, got {self.margin}")
         if self.batch_size < 1:
             raise TrainError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0 or self.patience < 1 or self.num_negatives < 1:
@@ -88,11 +91,9 @@ def sample_rows(sample: SubgraphSample) -> int:
     three rows layer 1 sums over (its two ends and its head end again);
     six typed sums per node layer 1 updates; and its disclosing
     neighbours.  Later layers sum and update no more."""
-    if len(sample.sub.triples) == 1:
-        nodes = receivers = 1
-    else:
-        nodes = sum(level <= sample.hops for level in sample.levels)
-        receivers = sum(level < sample.hops for level in sample.levels)
+    levels = sample.sub.levels
+    nodes = sum(level <= sample.hops for level in levels)
+    receivers = sum(level < sample.hops for level in levels)
     return 4 * nodes + 6 * receivers + len(sample.disclosing)
 
 
@@ -102,10 +103,11 @@ class SampleCache:
     Only triples that belong to the graph (training positives, scored
     repeatedly across epochs) are retained; transient negatives and
     held-out targets are built on the fly so memory stays bounded by the
-    graph size.  A sample builds what each forward reads on first use and
-    keeps it: scoring reads the triples within K steps of the target,
-    training the relation view, whose edges grow with the square of entity
-    degree, so only training builds views.
+    graph size.  Scoring reads a sample's triples within K steps of the
+    target as extracted; training reads the view edges each layer reads,
+    which the sample builds on first use and keeps.  Their view, whose
+    edges grow with the square of entity degree, is freed once they are
+    cut from it.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
@@ -123,7 +125,8 @@ class SampleCache:
         return built
 
     def precompute(self, triples):
-        """Build and keep the samples of graph triples, relation views included."""
+        """Build and keep the samples of graph triples, each with the view
+        edges its layers read, but not the view."""
         for t in triples:
             self.sample(t).pruned
 

@@ -138,9 +138,10 @@ def test_criterion_02_pruned_propagation_equals_full_graph():
         batch = stack_samples([sample])
         table = _source(tape, pvars, config).table(batch.labels)
         h_target = propagate(batch, table, pvars, config)
-        h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
+        rvg = to_relation_view(sample.sub)
+        h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
         want = oracles.full_forward(
-            sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
+            rvg.labels, rvg.edges, rvg.target_index,
             h0, params, config.hops, config.leaky_slope, config.target_attention,
         )
         np.testing.assert_allclose(h_target.value[0], want, atol=1e-9)
@@ -366,8 +367,9 @@ def test_criterion_09_empty_subgraph_robustness():
     scores = {}
     for config in _variant_grid(dim=4):
         sample = build_sample(graph, target, config)
-        assert sample.rvg.num_nodes == 1
-        assert sample.rvg.edges.shape == (0, 3)
+        rvg = to_relation_view(sample.sub)
+        assert rvg.num_nodes == 1
+        assert rvg.edges.shape == (0, 3)
         tape = Tape()
         pvars = bind_params(tape, init_params(config, 3, np.random.default_rng(9)))
         out = score_sample([sample], _source(tape, pvars, config), pvars, config)

@@ -120,6 +120,35 @@ def test_count_flags_below_one_are_usage_errors(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["data", "schema.tsv"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--data", "data", "--out", "out", "--lr", "-0.5"],  # gradient ascent
+        ["train", "--data", "data", "--out", "out", "--lr", "0"],
+        ["train", "--data", "data", "--out", "out", "--lr", "nan"],
+        ["train", "--data", "data", "--out", "out", "--lr", "inf"],
+        ["train", "--data", "data", "--out", "out", "--lr", "fast"],
+        ["train", "--data", "data", "--out", "out", "--margin", "-3"],
+        ["train", "--data", "data", "--out", "out", "--margin", "inf"],
+        ["train", "--data", "data", "--out", "out", "--dropout", "1.5"],
+        ["train", "--data", "data", "--out", "out", "--dropout", "-0.1"],
+        ["train", "--data", "data", "--out", "out", "--dropout", "1"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--lr", "-1"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--margin", "-3"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out", "--margin", "0"],
+    ],
+    ids=["lr-negative", "lr-0", "lr-nan", "lr-inf", "lr-word", "margin-negative", "margin-inf",
+         "dropout-1.5", "dropout-negative", "dropout-1", "schema-lr-negative",
+         "schema-margin-negative", "schema-margin-0"],
+)
+def test_bad_float_flags_are_usage_errors(tmp_path, capsys, command):
+    paths = {"data": bench_dir(tmp_path), "schema": schema_file(tmp_path), "out": tmp_path / "out"}
+    assert main([str(paths.get(arg, arg)) for arg in command]) == 1
+    flag = next(arg for arg in command if arg in ("--lr", "--margin", "--dropout"))
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["data", "schema.tsv"]
+
+
 def test_schema_init_requires_vectors(tmp_path):
     data = bench_dir(tmp_path)
     code = main(train_args(data, tmp_path / "out", ["--init", "schema"]))

@@ -27,6 +27,7 @@ from rmpi.subgraph import (
     RelationViewGraph,
     extract_disclosing,
     extract_enclosing,
+    prune_to_target,
     to_relation_view,
 )
 from synth import edge_array, random_graph
@@ -63,18 +64,34 @@ class GivenView(SubgraphSample):
     view: RelationViewGraph = None
 
     @property
-    def rvg(self):
-        return self.view
+    def pruned(self):
+        return prune_to_target(self.view, self.hops)
 
 
 def view_sample(rvg, hops, disclosing=()):
+    """A GivenView of rvg with its nodes reordered so that the target is
+    last, as in an extracted subgraph, and their levels read off the view's
+    pruning."""
+    n, t = rvg.num_nodes, rvg.target_index
+    order = [i for i in range(n) if i != t] + [t]
+    new_id = np.argsort(order)
+    view = RelationViewGraph(
+        nodes=tuple(rvg.nodes[i] for i in order),
+        labels=tuple(rvg.labels[i] for i in order),
+        edges=edge_array(*[(new_id[s], e, new_id[d]) for s, e, d in rvg.edges.tolist()]),
+        target_index=n - 1,
+    )
+    frontiers, _ = oracles.prune_frontiers([tuple(e) for e in view.edges.tolist()], n - 1, hops)
+    levels = tuple(
+        min((j for j, f in enumerate(frontiers) if i in f), default=hops + 1) for i in range(n)
+    )
     sub = EntitySubgraph(
-        triples=rvg.nodes, source_indexes=(None,) * rvg.num_nodes,
-        target=rvg.nodes[rvg.target_index], kind="enclosing",
+        triples=view.nodes, source_indexes=(None,) * n,
+        target=view.nodes[-1], kind="enclosing", levels=levels,
     )
     return GivenView(
         sub=sub, hops=hops, disclosing=disclosing,
-        target_label=rvg.labels[rvg.target_index], view=rvg,
+        target_label=view.labels[-1], view=view,
     )
 
 
@@ -481,9 +498,10 @@ def test_full_forward_matches_scalar_oracle_across_variants():
             src = make_source(tape, pvars, config)
             h_target = target_features([sample], src, pvars, config)
 
-            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
+            rvg = to_relation_view(sample.sub)
+            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             want_h = oracles.full_forward(
-                sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
+                rvg.labels, rvg.edges, rvg.target_index,
                 h0, params, config.hops, config.leaky_slope, config.target_attention,
             )
             np.testing.assert_allclose(h_target.value[0], want_h, atol=1e-9)
@@ -499,9 +517,10 @@ def test_score_sample_matches_scalar_oracle_end_to_end():
             sample = build_sample(g, target, config)
             got, _, _ = run_score(g, target, config, params)
 
-            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
+            rvg = to_relation_view(sample.sub)
+            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             want_h = oracles.full_forward(
-                sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
+                rvg.labels, rvg.edges, rvg.target_index,
                 h0, params, config.hops, config.leaky_slope, config.target_attention,
             )
             want_disc = None
@@ -531,9 +550,10 @@ def test_pruning_exactness_unit():
             pvars = bind_params(tape, params)
             src = make_source(tape, pvars, config)
             via_pruned = target_features([sample], src, pvars, config).value[0]
-            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(sample.rvg.labels)}
+            rvg = to_relation_view(sample.sub)
+            h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             via_full = oracles.full_forward(
-                sample.rvg.labels, sample.rvg.edges, sample.rvg.target_index,
+                rvg.labels, rvg.edges, rvg.target_index,
                 h0, params, config.hops, config.leaky_slope, ta,
             )
             assert np.abs(via_pruned - via_full).max() <= 1e-9

@@ -84,6 +84,14 @@ def test_empty_schema_rejected():
         pretrain(SchemaGraph(node_names=("a",), edges=()), dim=8, epochs=1)
 
 
+@pytest.mark.parametrize("lr, margin", [(-1.0, 1.0), (0.0, 1.0), (0.02, -3.0), (0.02, 0.0),
+                                        (float("nan"), 1.0), (0.02, float("inf"))])
+def test_pretrain_rejects_bad_lr_or_margin(lr, margin):
+    sg = SchemaGraph(node_names=("a", "b"), edges=((0, 0, 1),))
+    with pytest.raises(SchemaError, match="positive"):
+        pretrain(sg, dim=8, epochs=1, lr=lr, margin=margin)
+
+
 def test_single_triple_positive_energy_below_corrupted(tmp_path):
     path = write_schema(tmp_path / "s.tsv", [("a", "rdfs:domain", "b")])
     sg = load_schema(path)

@@ -40,3 +40,16 @@ def test_hub_probe_reports_rate_and_memory():
     )
     assert "ne-ta K=1: 10 triples in" in done.stdout
     assert "triples/s, peak RSS" in done.stdout
+
+
+def test_hub_probe_rejects_counts_below_one():
+    for flag in ("--hops", "--targets"):
+        argv = {"--hops": "1", "--targets": "5", flag: "0" if flag == "--hops" else "-1"}
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
+             "--variant", "base", *(x for item in argv.items() for x in item)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode != 0
+        assert f"argument {flag}: must be >= 1" in done.stderr
+        assert done.stdout == ""  # no scoring run started

@@ -19,7 +19,6 @@ from rmpi.subgraph import (
     extract_disclosing,
     extract_enclosing,
     prune_to_target,
-    receiver_levels,
     to_relation_view,
 )
 from rmpi.trainlab import build_sample
@@ -312,7 +311,7 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
 def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
     g, target = hub_graph()
     config = ModelConfig(dim=4, hops=1)
-    assert build_sample(g, target, config).rvg.num_nodes > 4
+    assert to_relation_view(build_sample(g, target, config).sub).num_nodes > 4
     monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
     with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs")):
         build_sample(g, target, config).pruned  # the training forward's view
@@ -403,21 +402,34 @@ def test_prune_matches_reverse_bfs_oracle(n_entities, n_triples, k, seed):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_receiver_levels_are_prunings_node_sets(n_entities, n_triples, k, seed):
-    # triples -> their entities -> the triples at those entities gives the
-    # nodes that reach the target within j steps of the relation view
+    # the levels the extraction measures give the nodes that reach the
+    # target within j steps of the relation view, at every depth up to k
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_entities, 4, n_triples)
     for t in g.triples[:3]:
         g.add(t)  # duplicates
     target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
-    sub = extract_enclosing(g, target, k)
-    rvg = to_relation_view(sub)
-    frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
-                                           rvg.target_index, k)
-    levels = receiver_levels(sub, k)
-    for j in range(k + 1):
-        assert {i for i, level in enumerate(levels) if level <= j} == set().union(*frontiers[: j + 1])
-    assert all(level <= k + 1 for level in levels)
+    for depth in range(1, k + 1):
+        sub = extract_enclosing(g, target, depth)
+        rvg = to_relation_view(sub)
+        frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
+                                               rvg.target_index, depth)
+        levels = sub.levels
+        assert len(levels) == len(sub.triples)
+        for j in range(depth + 1):
+            assert ({i for i, level in enumerate(levels) if level <= j}
+                    == set().union(*frontiers[: j + 1]))
+        assert all(level <= depth + 1 for level in levels)
+
+
+def test_bare_target_has_level_zero_only():
+    vocab = make_vocab(4, 2)
+    g = KnowledgeGraph(vocab, [Triple(2, 0, 3)])
+    for k in (1, 2, 3):
+        sub = extract_enclosing(g, Triple(0, 1, 1), k)
+        assert sub.triples == (Triple(0, 1, 1),)
+        assert sub.levels == (0,)
+    assert extract_disclosing(g, Triple(0, 1, 1), 1).levels == ()
 
 
 # ------------------------------------------------------- disclosing one-hop

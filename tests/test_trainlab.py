@@ -11,7 +11,7 @@ from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import FeatureSource, ModelConfig, bind_params, init_params, score_sample
-from rmpi.subgraph import disclosing_neighbors
+from rmpi.subgraph import NO_EDGES, RelationViewGraph, disclosing_neighbors
 from rmpi.trainlab import (
     Checkpoint,
     SampleCache,
@@ -126,6 +126,16 @@ def test_margin_loss_examples():
     assert hinge([5.0], [1.0], 10.0) == 6.0
     assert hinge([5.0, 3.0], [1.0, -2.0], 1.0) == 0.0  # separated by >= margin
     assert hinge([2.0, 2.0], [0.0, 5.0], 1.0) == 4.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", -0.5), ("lr", float("nan")), ("lr", float("inf")),
+    ("margin", -3.0), ("margin", 0.0), ("margin", float("nan")), ("margin", float("inf")),
+])
+def test_train_config_rejects_bad_lr_or_margin(field, value):
+    name = {"lr": "learning rate", "margin": "margin"}[field]
+    with pytest.raises(TrainError, match=f"{name} must be"):
+        small_config(**{field: value})
 
 
 def test_margin_loss_length_mismatch():
@@ -336,6 +346,20 @@ def test_cache_retains_graph_triples_only():
     assert got == want
     assert len(got.pruned) == len(want.pruned) == config.hops
     assert all(np.array_equal(a, b) for a, b in zip(got.pruned, want.pruned))
+
+
+def test_precompute_keeps_no_relation_view():
+    # a cached sample keeps the edges its layers read, not the view they
+    # were cut from, nor any array over the view's edge buffer
+    graph = random_graph(np.random.default_rng(2), 8, 2, 16)
+    cache = SampleCache(graph, ModelConfig(dim=4, hops=2))
+    cache.precompute(graph.triples)
+    assert set(cache._store) == set(graph.triples)
+    assert any(len(s.pruned[0]) for s in cache._store.values())
+    for sample in cache._store.values():
+        assert "pruned" in vars(sample)
+        assert not any(isinstance(v, RelationViewGraph) for v in vars(sample).values())
+        assert all(e is NO_EDGES or e.base is None for e in sample.pruned)
 
 
 def test_train_builds_each_positive_once(monkeypatch):
