@@ -43,11 +43,10 @@ def test_hub_probe_reports_rate_and_memory():
 
 
 def test_hub_probe_rejects_counts_below_one():
-    for flag in ("--hops", "--targets"):
-        argv = {"--hops": "1", "--targets": "5", flag: "0" if flag == "--hops" else "-1"}
+    for flag, value in (("--hops", "0"), ("--targets", "-1")):
         done = subprocess.run(
             [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
-             "--variant", "base", *(x for item in argv.items() for x in item)],
+             "--hops", "1", "--variant", "base", flag, value],
             capture_output=True, text=True, timeout=60,
         )
         assert done.returncode != 0
