@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -149,6 +150,26 @@ def _corrupted(query: Triple, side: str, entity: int) -> Triple:
     return Triple(query.head, query.relation, entity)
 
 
+def candidate_entities(entities: list[int], truth: int, num_neg: int,
+                       rng: np.random.Generator) -> list[int]:
+    """Up to num_neg distinct entities of a sorted entity list, never the
+    truth: a uniform draw without replacement from the entities other than
+    the truth, or all of them, in order, when there are at most num_neg.
+
+    The truth's place in the list is found by bisection, and draw i is the
+    i-th entity other than the truth, so no copy of the list without it
+    is made.
+    """
+    pos = bisect_left(entities, truth)
+    skip = pos < len(entities) and entities[pos] == truth  # the truth is listed
+    size = len(entities) - skip
+    if size <= num_neg:
+        return entities[:pos] + entities[pos + skip:]
+    cut = pos if skip else size  # draws from here on sit one place past the truth
+    picked = rng.choice(size, size=num_neg, replace=False).tolist()
+    return [entities[i + (i >= cut)] for i in picked]
+
+
 def rank_entities(
     ckpt: Checkpoint,
     graph: KnowledgeGraph,
@@ -176,10 +197,7 @@ def rank_entities(
     if rng is None:
         rng = np.random.default_rng([seed, 301])
     truth = query.head if side == "head" else query.tail
-    pool = [e for e in graph.entity_list() if e != truth]
-    if len(pool) > num_neg:
-        picked = rng.choice(len(pool), size=num_neg, replace=False)
-        pool = [pool[i] for i in picked]
+    pool = candidate_entities(graph.entity_list(), truth, num_neg, rng)
     candidates = [_corrupted(query, side, e) for e in pool]
     scores = score_triples(
         ckpt.params, ckpt.config, cache, [query] + candidates, lookup, id_vectors, seed

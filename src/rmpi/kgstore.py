@@ -11,15 +11,21 @@ A graph keeps one adjacency index, `incident`: each entity maps to the
 (other end, triple index) pairs of the triples it is an end of, listed in
 the order the triples were added.  Edges are read undirected, so a triple
 is listed under both of its ends and a self-loop once, under its entity.
-`bfs` is the one breadth-first search over such an index; extraction runs
-it on the graph's index and on the index of an induced subgraph.
+`bfs` is the one breadth-first search over that index: `khop_neighbors`
+runs it over the whole graph, and extraction over the part inside an
+entity set.  A graph memoises its K-hop maps per (entity, k), since the
+candidates of a rank query all share the query's fixed entity; `add`
+clears the memo, and it holds at most KHOP_MEMO_ENTRIES map entries in
+all (or one larger map), evicting the least recently used maps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Iterable, KeysView, NamedTuple
+from collections import OrderedDict
+from types import MappingProxyType
+from typing import Container, Iterable, KeysView, Mapping, NamedTuple
 
 from .fileio import read_rows, write_rows
 
@@ -104,12 +110,22 @@ class Vocabulary:
         return h.hexdigest()
 
 
+# Most (entity, distance) entries the K-hop maps memoised on one graph hold
+# in all; a map larger than this is still kept, alone.  A rank query touches
+# its fixed entity's map for each candidate, so the map stays in.  At K=2
+# a full memo held about 0.1 MB on the benchmark's rank and training
+# graphs; a cap of 4096 gave the same rank speed at twice the memory.
+KHOP_MEMO_ENTRIES = 1 << 11
+
+
 class KnowledgeGraph:
     """A multiset of triples over a shared vocabulary, with an incidence index.
 
     `incident` maps each entity to the (other end, triple index) pairs of
     its triples, so edge instances (not just endpoint pairs) can be
-    recovered; `entities` is a read-only view of its keys.
+    recovered; `entities` is a read-only view of its keys.  `khop_memo`
+    holds the K-hop maps khop_neighbors handed out, least recently used
+    first, and `khop_memo_entries` their total size.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
@@ -118,6 +134,8 @@ class KnowledgeGraph:
         self.incident: dict[int, list[tuple[int, int]]] = {}
         self._members: set[Triple] = set()
         self._entity_list: list[int] | None = None
+        self.khop_memo: OrderedDict[tuple[int, int], Mapping[int, int]] = OrderedDict()
+        self.khop_memo_entries = 0
         for t in triples:
             self.add(Triple(*t))
 
@@ -127,10 +145,15 @@ class KnowledgeGraph:
             raise KGError(f"entity id out of range in {t}")
         if not (0 <= t.relation < nr):
             raise KGError(f"relation id out of range in {t}")
-        link(self.incident, t.head, t.tail, len(self.triples))
+        idx = len(self.triples)
+        self.incident.setdefault(t.head, []).append((t.tail, idx))
+        if t.tail != t.head:
+            self.incident.setdefault(t.tail, []).append((t.head, idx))
         self.triples.append(t)
         self._members.add(t)
         self._entity_list = None
+        self.khop_memo.clear()
+        self.khop_memo_entries = 0
 
     @property
     def entities(self) -> KeysView[int]:
@@ -153,17 +176,15 @@ class KnowledgeGraph:
         return frozenset(t.relation for t in self.triples)
 
 
-def link(incident: dict, head: int, tail: int, idx) -> None:
-    """List triple idx under both of its ends in an incidence index, a
-    self-loop once."""
-    incident.setdefault(head, []).append((tail, idx))
-    if tail != head:
-        incident.setdefault(tail, []).append((head, idx))
-
-
-def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
+def bfs(incident: dict, start: int, k: int, within: Container[int] | None = None,
+        mate: int | None = None) -> dict[int, int]:
     """Entities within k undirected hops of start in an incidence index,
-    mapped to their hop distance; start is at distance 0."""
+    mapped to their hop distance; start is at distance 0.
+
+    With `within`, the walk enters only entities in it, as if on the
+    subgraph induced on that set (start must be in it).  `mate`, if given,
+    is linked to start as by one more edge.
+    """
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -172,24 +193,38 @@ def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
         nxt = []
         for e in frontier:
             for n, _ in incident.get(e, ()):
-                if n not in dist:
+                if n not in dist and (within is None or n in within):
                     dist[n] = d
                     nxt.append(n)
+        if d == 1 and mate is not None and mate not in dist:
+            dist[mate] = 1
+            nxt.append(mate)
         frontier = nxt
     return dist
 
 
-def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> dict[int, int]:
+def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, int]:
     """Entities within k undirected hops of center, mapped to their hop distance.
 
     The center is always present at distance 0, even when isolated.  Raises
-    KGError for an id outside the vocabulary or a negative k.
+    KGError for an id outside the vocabulary or a negative k.  The map is
+    read-only, since it is memoised on the graph and shared by every caller
+    until the graph changes or the memo evicts it.
     """
     if not (0 <= center < graph.vocab.num_entities):
         raise KGError(f"unknown entity id: {center}")
     if k < 0:
         raise KGError(f"negative hop count: {k}")
-    return bfs(graph.incident, center, k)
+    memo, key = graph.khop_memo, (center, k)
+    got = memo.get(key)
+    if got is not None:
+        memo.move_to_end(key)
+        return got
+    got = memo[key] = MappingProxyType(bfs(graph.incident, center, k))
+    graph.khop_memo_entries += len(got)
+    while graph.khop_memo_entries > KHOP_MEMO_ENTRIES and len(memo) > 1:
+        graph.khop_memo_entries -= len(memo.popitem(last=False)[1])
+    return got
 
 
 class Benchmark(NamedTuple):

@@ -3,7 +3,11 @@
 Around a target triple (u, r_t, v) two entity subgraphs are cut out of a
 knowledge graph: the *enclosing* subgraph (intersection of the K-hop
 neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
-union, unpruned).  The enclosing one is turned into a relation-view graph: a
+union, unpruned).  Both read the K-hop maps the graph memoises, so the
+candidates of a rank query, which share its fixed entity, walk that
+entity's neighbourhood once; pruning walks the graph's incidence index
+inside the intersection, and a bare target, whose intersection is just
+u and v, skips it.  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Each edge
 type matches one end of a triple with one end of another, so
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import format_row
-from .kgstore import KnowledgeGraph, Triple, bfs, khop_neighbors, link
+from .kgstore import KnowledgeGraph, Triple, bfs, khop_neighbors
 
 # Edge types of the relation view.  For an ordered pair n1=(h1,_,t1),
 # n2=(h2,_,t2) the basic patterns are single shared-position matches; PARA
@@ -114,7 +118,10 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     re-measures distances inside the induced subgraph (with the target edge
     present, so u and v are adjacent) and drops every entity that is isolated or
     farther than K from either center there.  The result can degenerate to
-    just the target edge.
+    just the target edge.  The K-hop maps come from khop_neighbors, which
+    memoises them on the graph, so the candidates of a rank query share
+    their fixed entity's map; the distances inside are measured by walking
+    the graph's own index within the intersection, plus the u–v link.
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), which are pruning's
@@ -125,6 +132,12 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     inside the pruned subgraph too, and at most K, so a level is at most
     K + 1.  Layer k' of a depth-K pass updates the triples of level at most
     K - k', and reads only triples of level at most K - k' + 1.
+
+    A bare target, whose intersection holds only u and v, exits early: its
+    triples are those between u and v and the self-loops at either, all
+    kept, since u and v are each within one step of both, and all at level
+    1.  At K=2, 74% of the benchmark's training targets and 91% of its rank
+    candidates are bare.
     """
     target = Triple(*target)
     if k < 1:
@@ -133,13 +146,11 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
     common.update((u, v))
     idxs = _induced_triples(graph, common, target)
+    if len(common) == 1 + (u != v):  # bare
+        return _subgraph(graph, idxs, target, "enclosing", (1,) * len(idxs) + (0,))
 
-    inner: dict[int, list] = {}  # incidence index of the induced subgraph
-    link(inner, u, v, None)
-    for i in idxs:
-        h, _, t = graph.triples[i]
-        link(inner, h, t, i)
-    du, dv = bfs(inner, u, k), bfs(inner, v, k)
+    du = bfs(graph.incident, u, k, within=common, mate=v)
+    dv = bfs(graph.incident, v, k, within=common, mate=u)
     near = {e: min(d, dv[e]) for e, d in du.items() if e in dv}  # the kept entities
     kept, levels = [], []
     for i in idxs:

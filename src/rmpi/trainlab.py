@@ -101,28 +101,35 @@ class SampleCache:
     """In-memory extraction memo for one graph and one model config.
 
     Only triples that belong to the graph (training positives, scored
-    repeatedly across epochs) are retained; transient negatives and
-    held-out targets are built on the fly so memory stays bounded by the
-    graph size.  Scoring reads a sample's triples within K steps of the
-    target as extracted; training reads the view edges each layer reads,
-    which the sample builds on first use and keeps.  Their view, whose
-    edges grow with the square of entity degree, is freed once they are
-    cut from it.
+    repeatedly across epochs) are retained, and those named by `retain`
+    (a training run's fixed validation targets and negatives); transient
+    negatives and other held-out targets are built on the fly so memory
+    stays bounded by the graph and validation sizes.  Scoring reads a
+    sample's triples within K steps of the target as extracted; training
+    reads the view edges each layer reads, which the sample builds on
+    first use and keeps.  Their view, whose edges grow with the square of
+    entity degree, is freed once they are cut from it.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
         self.graph = graph
         self.config = config
         self._store: dict[Triple, SubgraphSample] = {}
+        self._retained: set[Triple] = set()
 
     def sample(self, triple: Triple) -> SubgraphSample:
         got = self._store.get(triple)
         if got is not None:
             return got
         built = build_sample(self.graph, triple, self.config)
-        if self.graph.has_triple(triple):
+        if triple in self._retained or self.graph.has_triple(triple):
             self._store[triple] = built
         return built
+
+    def retain(self, triples) -> None:
+        """Keep the samples of these triples too, once built, whether or
+        not they belong to the graph."""
+        self._retained.update(Triple(*t) for t in triples)
 
     def precompute(self, triples):
         """Build and keep the samples of graph triples, each with the view
@@ -369,6 +376,7 @@ def train(
 
     valid = list(benchmark.valid)
     valid_negatives = [sample_negative(t, graph, rng_valneg) for t in valid]
+    cache.retain(valid + valid_negatives)  # scored after every epoch
 
     def validation_auc() -> float | None:
         if not valid:

@@ -198,6 +198,42 @@ def test_rank_rejects_unknown_side():
         rank_entities(make_ckpt(graph), graph, graph.triples[0], "middle")
 
 
+def copied_pool_candidates(entities, truth, num_neg, rng):
+    """The candidate rule as first written: copy the list without the truth."""
+    pool = [e for e in entities if e != truth]
+    if len(pool) > num_neg:
+        picked = rng.choice(len(pool), size=num_neg, replace=False)
+        pool = [pool[i] for i in picked]
+    return pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=30, unique=True),
+    st.integers(min_value=-1, max_value=41),
+    st.integers(min_value=1, max_value=35),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_candidates_match_the_copied_pool_rule(entities, truth, num_neg, seed):
+    # truths in the list and absent from it, pools above and below num_neg
+    entities = sorted(entities)
+    got = evalbench.candidate_entities(entities, truth, num_neg, np.random.default_rng(seed))
+    want = copied_pool_candidates(entities, truth, num_neg, np.random.default_rng(seed))
+    assert got == want
+    assert truth not in got
+
+
+def test_candidates_by_hand():
+    entities = list(range(0, 20, 2))
+    assert evalbench.candidate_entities(entities, 4, 9, None) == [0, 2, 6, 8, 10, 12, 14, 16, 18]
+    assert evalbench.candidate_entities(entities, 5, 10, None) == entities
+    for truth in (0, 4, 5, 18, 19):
+        for num_neg in (1, 5, 8):
+            got = evalbench.candidate_entities(entities, truth, num_neg, np.random.default_rng(3))
+            want = copied_pool_candidates(entities, truth, num_neg, np.random.default_rng(3))
+            assert got == want and len(got) == num_neg
+
+
 def test_rank_queries_both_sides_aggregation():
     graph = chain_graph(60)
     ckpt = make_ckpt(graph, zero_score=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmpi import kgstore
 from rmpi.kgstore import (
     KGError,
     KnowledgeGraph,
@@ -66,6 +67,62 @@ def test_khop_matches_floyd_warshall(n_entities, n_triples, k, seed):
         got = khop_neighbors(g, center, k)
         want = {j: int(dist[center][j]) for j in range(n_entities) if dist[center][j] <= k}
         assert got == want
+
+
+def test_khop_maps_are_read_only_and_shared():
+    vocab = make_vocab(3, 1)
+    g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(1, 0, 2)])
+    got = khop_neighbors(g, 0, 1)
+    assert got is khop_neighbors(g, 0, 1)
+    with pytest.raises(TypeError):
+        got[2] = 2
+    with pytest.raises(TypeError):
+        del got[0]
+    with pytest.raises(AttributeError):
+        got.pop(1)
+    assert khop_neighbors(g, 0, 1) == {0: 0, 1: 1}
+
+
+def test_add_clears_the_khop_memo():
+    vocab = make_vocab(3, 1)
+    g = KnowledgeGraph(vocab, [Triple(0, 0, 1)])
+    assert khop_neighbors(g, 0, 2) == {0: 0, 1: 1}
+    g.add(Triple(1, 0, 2))
+    assert not g.khop_memo and g.khop_memo_entries == 0
+    assert khop_neighbors(g, 0, 2) == {0: 0, 1: 1, 2: 2}
+
+
+@pytest.mark.parametrize("cap", [1, 3, 10, 40])
+def test_khop_memo_stays_within_its_cap(monkeypatch, cap):
+    monkeypatch.setattr(kgstore, "KHOP_MEMO_ENTRIES", cap)
+    rng = np.random.default_rng(cap)
+    g = random_graph(rng, 12, 3, 20)
+    for _ in range(200):
+        center, k = int(rng.integers(12)), int(rng.integers(4))
+        got = khop_neighbors(g, center, k)
+        memo = g.khop_memo
+        assert next(reversed(memo)) == (center, k)  # the latest map is the newest
+        assert g.khop_memo_entries == sum(len(m) for m in memo.values())
+        assert g.khop_memo_entries <= cap or len(memo) == 1
+        assert got == kgstore.bfs(g.incident, center, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_bfs_within_a_set_plus_a_link_matches_floyd_warshall(n_entities, n_triples, k, seed):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 3, n_triples)
+    start, mate = int(rng.integers(n_entities)), int(rng.integers(n_entities))
+    within = {e for e in range(n_entities) if rng.random() < 0.6} | {start, mate}
+    induced = [t for t in g.triples if t.head in within and t.tail in within]
+    dist = floyd_warshall(n_entities, induced + [Triple(start, 0, mate)])
+    want = {e: int(dist[start][e]) for e in range(n_entities) if dist[start][e] <= k}
+    assert kgstore.bfs(g.incident, start, k, within=within, mate=mate) == want
 
 
 # ---------------------------------------------------------------- graph

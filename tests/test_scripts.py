@@ -52,3 +52,15 @@ def test_hub_probe_rejects_counts_below_one():
         assert done.returncode != 0
         assert f"argument {flag}: must be >= 1" in done.stderr
         assert done.stdout == ""  # no scoring run started
+
+
+def test_extraction_digest_prints_one_digest_per_workload_and_depth():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "extraction_digest.py"),
+         "--workload", "rank-skewed", "--hops", "1"],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    head, digest = done.stdout.strip().rsplit(" ", 1)
+    # 70 test and 10 validation targets and 300 graph triples, 4 negatives each
+    assert head == "extraction_digest: rank-skewed K=1: 1900 subgraphs, sha256"
+    assert len(digest) == 64 and int(digest, 16) >= 0

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rmpi import subgraph
+from rmpi import kgstore, subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.rmpnet import ModelConfig
 from rmpi.subgraph import (
@@ -410,16 +411,98 @@ def test_receiver_levels_are_prunings_node_sets(n_entities, n_triples, k, seed):
         g.add(t)  # duplicates
     target = Triple(int(rng.integers(n_entities)), 3, int(rng.integers(n_entities)))
     for depth in range(1, k + 1):
-        sub = extract_enclosing(g, target, depth)
-        rvg = to_relation_view(sub)
-        frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
-                                               rvg.target_index, depth)
-        levels = sub.levels
-        assert len(levels) == len(sub.triples)
-        for j in range(depth + 1):
-            assert ({i for i, level in enumerate(levels) if level <= j}
-                    == set().union(*frontiers[: j + 1]))
-        assert all(level <= depth + 1 for level in levels)
+        assert_levels_are_prunings_node_sets(extract_enclosing(g, target, depth), depth)
+
+
+def assert_levels_are_prunings_node_sets(sub, depth):
+    rvg = to_relation_view(sub)
+    frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
+                                           rvg.target_index, depth)
+    levels = sub.levels
+    assert len(levels) == len(sub.triples)
+    for j in range(depth + 1):
+        assert ({i for i, level in enumerate(levels) if level <= j}
+                == set().union(*frontiers[: j + 1]))
+    assert all(level <= depth + 1 for level in levels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1, 6, 4096]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_extraction_on_a_warm_memo_matches_the_oracles(n_entities, n_triples, k, cap, seed):
+    # many targets from one graph, most sharing an end with the one before,
+    # as a rank query's candidates share its fixed entity; the graph grows
+    # between some of them, which must clear the memoised K-hop maps
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 4, n_triples)
+    u = int(rng.integers(n_entities))
+    with mock.patch.object(kgstore, "KHOP_MEMO_ENTRIES", cap):
+        for _ in range(15):
+            if rng.random() < 0.2:
+                g.add(Triple(int(rng.integers(n_entities)), int(rng.integers(4)),
+                             int(rng.integers(n_entities))))
+            if rng.random() < 0.3:
+                u = int(rng.integers(n_entities))
+            v = int(rng.integers(n_entities))
+            target = Triple(u, 3, v) if rng.random() < 0.5 else Triple(v, 3, u)
+            depth = int(rng.integers(1, k + 1))
+            sub = extract_enclosing(g, target, depth)
+            want_ent, want_triples = oracles.enclosing_subgraph(g, target, depth)
+            assert entities(sub) == frozenset(want_ent)
+            assert list(sub.triples[:-1]) == want_triples
+            idxs = sub.source_indexes[:-1]
+            assert list(idxs) == sorted(set(idxs))
+            assert [g.triples[i] for i in idxs] == want_triples
+            assert_levels_are_prunings_node_sets(sub, depth)
+            want_ent_d, want_triples_d = oracles.disclosing_subgraph(g, target, depth)
+            assert list(extract_disclosing(g, target, depth).triples[:-1]) == want_triples_d
+            assert g.khop_memo_entries <= cap or len(g.khop_memo) == 1
+
+
+def no_inner_walk(*args, **kwargs):
+    raise AssertionError("a bare target needs no walk inside its intersection")
+
+
+@pytest.mark.parametrize("rows, target, want, hops", [
+    # a self-loop at u, then at v; the far triple is not reached
+    ([Triple(0, 0, 0), Triple(2, 1, 3)], Triple(0, 2, 1), [0], (1, 2, 3)),
+    ([Triple(2, 1, 3), Triple(1, 0, 1)], Triple(0, 2, 1), [1], (1, 2, 3)),
+    # u == v: its self-loops, but not the instance equal to the target
+    ([Triple(0, 0, 0), Triple(0, 2, 0), Triple(0, 1, 0), Triple(2, 1, 3)], Triple(0, 2, 0),
+     [0, 2], (1, 2, 3)),
+    # duplicated target instances are left out, another u–v triple is kept
+    ([Triple(0, 2, 1), Triple(0, 0, 1), Triple(0, 2, 1)], Triple(0, 2, 1), [1], (1, 2, 3)),
+    # parallel, inverse and duplicate u–v triples, self-loops at both ends,
+    # and neighbours of u or v that are not neighbours of both at K = 1
+    ([Triple(0, 0, 1), Triple(1, 1, 0), Triple(0, 0, 1), Triple(1, 3, 1), Triple(0, 3, 0),
+      Triple(0, 1, 2), Triple(3, 1, 1)], Triple(0, 2, 1), [0, 1, 2, 3, 4], (1,)),
+])
+def test_bare_target_exits_with_its_end_triples_at_level_one(monkeypatch, rows, target, want,
+                                                             hops):
+    g = KnowledgeGraph(make_vocab(4, 4), rows)
+    monkeypatch.setattr(subgraph, "bfs", no_inner_walk)
+    for k in hops:
+        sub = extract_enclosing(g, target, k)
+        assert sub.source_indexes == tuple(want) + (None,)
+        assert sub.triples == tuple(rows[i] for i in want) + (target,)
+        assert sub.levels == (1,) * len(want) + (0,)
+        _, want_triples = oracles.enclosing_subgraph(g, target, k)
+        assert list(sub.triples[:-1]) == want_triples
+    monkeypatch.undo()
+    for k in (1, 2, 3):
+        assert_levels_are_prunings_node_sets(extract_enclosing(g, target, k), k)
+
+
+def test_target_with_a_shared_neighbour_walks_the_intersection(monkeypatch):
+    g = KnowledgeGraph(make_vocab(3, 2), [Triple(0, 0, 2), Triple(2, 1, 1)])
+    monkeypatch.setattr(subgraph, "bfs", no_inner_walk)
+    with pytest.raises(AssertionError, match="bare target"):
+        extract_enclosing(g, Triple(0, 1, 1), 1)
 
 
 def test_bare_target_has_level_zero_only():

@@ -379,6 +379,40 @@ def test_train_builds_each_positive_once(monkeypatch):
     assert sum(built.values()) > len(on_graph)  # negatives are built on the fly
 
 
+def test_train_builds_each_validation_triple_once(monkeypatch):
+    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
+    built = Counter()
+    scored = []
+    inner_build, inner_score = trainlab.build_sample, trainlab.score_triples
+
+    def counting(g, triple, config):
+        built[triple] += 1
+        return inner_build(g, triple, config)
+
+    def spying(params, config, cache, triples, *rest):
+        scored.append(list(triples))
+        return inner_score(params, config, cache, triples, *rest)
+
+    monkeypatch.setattr(trainlab, "build_sample", counting)
+    monkeypatch.setattr(trainlab, "score_triples", spying)
+    train(bench, small_config(epochs=3, patience=5))
+    assert len(scored) == 3 and scored[0] == scored[1] == scored[2]
+    assert scored[0][: len(bench.valid)] == bench.valid
+    assert len(scored[0]) == 2 * len(bench.valid)  # the targets, then their negatives
+    assert all(built[t] == 1 for t in scored[0])
+
+
+def test_retained_samples_are_kept_once_built():
+    graph = random_graph(np.random.default_rng(2), 8, 2, 16)
+    cache = SampleCache(graph, ModelConfig(dim=4, hops=2))
+    outsider = Triple(0, 0, 1)
+    while graph.has_triple(outsider):
+        outsider = Triple(outsider.head, 0, outsider.tail + 1)
+    cache.retain([outsider])
+    assert outsider not in cache._store  # built on first use, not before
+    assert cache.sample(outsider) is cache.sample(outsider)
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def make_checkpoint(seed=0, **model_overrides):
