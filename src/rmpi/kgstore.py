@@ -11,12 +11,12 @@ A graph keeps one adjacency index, `incident`: each entity maps to the
 (other end, triple index) pairs of the triples it is an end of, listed in
 the order the triples were added.  Edges are read undirected, so a triple
 is listed under both of its ends and a self-loop once, under its entity.
-`bfs` is the one breadth-first search over that index: `khop_neighbors`
-runs it over the whole graph, and extraction over the part inside an
-entity set.  A graph memoises its K-hop maps per (entity, k), since the
-candidates of a rank query all share the query's fixed entity; `add`
-clears the memo, and it holds at most KHOP_MEMO_ENTRIES map entries in
-all (or one larger map), evicting the least recently used maps.
+`bfs` walks that index for `khop_neighbors`; extraction walks it too,
+inside the neighbourhood a target's two ends share.  A graph memoises its
+K-hop maps per (entity, k), since the candidates of a rank query all share
+the query's fixed entity; `add` clears the memo, and it holds at most
+KHOP_MEMO_ENTRIES map entries in all (or one larger map), evicting the
+least recently used maps.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import hashlib
 import os
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Container, Iterable, KeysView, Mapping, NamedTuple
+from typing import Iterable, KeysView, Mapping, NamedTuple
 
 from .fileio import read_rows, write_rows
 
@@ -152,8 +152,9 @@ class KnowledgeGraph:
         self.triples.append(t)
         self._members.add(t)
         self._entity_list = None
-        self.khop_memo.clear()
-        self.khop_memo_entries = 0
+        if self.khop_memo:
+            self.khop_memo.clear()
+            self.khop_memo_entries = 0
 
     @property
     def entities(self) -> KeysView[int]:
@@ -176,15 +177,9 @@ class KnowledgeGraph:
         return frozenset(t.relation for t in self.triples)
 
 
-def bfs(incident: dict, start: int, k: int, within: Container[int] | None = None,
-        mate: int | None = None) -> dict[int, int]:
+def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
     """Entities within k undirected hops of start in an incidence index,
-    mapped to their hop distance; start is at distance 0.
-
-    With `within`, the walk enters only entities in it, as if on the
-    subgraph induced on that set (start must be in it).  `mate`, if given,
-    is linked to start as by one more edge.
-    """
+    mapped to their hop distance; start is at distance 0."""
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -193,12 +188,9 @@ def bfs(incident: dict, start: int, k: int, within: Container[int] | None = None
         nxt = []
         for e in frontier:
             for n, _ in incident.get(e, ()):
-                if n not in dist and (within is None or n in within):
+                if n not in dist:
                     dist[n] = d
                     nxt.append(n)
-        if d == 1 and mate is not None and mate not in dist:
-            dist[mate] = 1
-            nxt.append(mate)
         frontier = nxt
     return dist
 

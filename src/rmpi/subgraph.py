@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fileio import format_row
-from .kgstore import KnowledgeGraph, Triple, bfs, khop_neighbors
+from .kgstore import KnowledgeGraph, Triple, khop_neighbors
 
 # Edge types of the relation view.  For an ordered pair n1=(h1,_,t1),
 # n2=(h2,_,t2) the basic patterns are single shared-position matches; PARA
@@ -111,6 +111,37 @@ def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str,
     )
 
 
+def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
+                       k: int) -> dict[int, int]:
+    """The entities pruning keeps, each with its distance from the nearer of
+    u and v in the subgraph induced on `common` plus the u–v link: those
+    within k of both there.
+
+    One walk of the graph's incidence index inside `common` from both ends
+    at once.  With the link, an entity's distances from u and v differ by
+    at most one, so it is within k of both when its distance d from the
+    nearer is below k, or when d = k and both ends reach it in d steps.
+    `ends` marks by bit which ends reach an entity in its d steps.
+    """
+    ends = {u: 1, v: 2} if u != v else {u: 3}
+    dist = dict.fromkeys(ends, 0)
+    frontier = list(ends)
+    for d in range(1, k + 1):
+        nxt = []
+        for e in frontier:
+            bits = ends[e]
+            for n, _ in graph.incident.get(e, ()):
+                if n not in dist:
+                    if n in common:
+                        dist[n] = d
+                        ends[n] = bits
+                        nxt.append(n)
+                elif dist[n] == d:
+                    ends[n] |= bits
+        frontier = nxt
+    return {e: d for e, d in dist.items() if d < k or ends[e] == 3}
+
+
 def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
     """K-hop enclosing subgraph of the target triple.
 
@@ -120,8 +151,9 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     farther than K from either center there.  The result can degenerate to
     just the target edge.  The K-hop maps come from khop_neighbors, which
     memoises them on the graph, so the candidates of a rank query share
-    their fixed entity's map; the distances inside are measured by walking
-    the graph's own index within the intersection, plus the u–v link.
+    their fixed entity's map; the distances inside are measured by one walk
+    of the graph's own index within the intersection, from u and v at once
+    (_pruning_distances).
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), which are pruning's
@@ -149,9 +181,7 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     if len(common) == 1 + (u != v):  # bare
         return _subgraph(graph, idxs, target, "enclosing", (1,) * len(idxs) + (0,))
 
-    du = bfs(graph.incident, u, k, within=common, mate=v)
-    dv = bfs(graph.incident, v, k, within=common, mate=u)
-    near = {e: min(d, dv[e]) for e, d in du.items() if e in dv}  # the kept entities
+    near = _pruning_distances(graph, u, v, common, k)
     kept, levels = [], []
     for i in idxs:
         h, _, t = graph.triples[i]

@@ -107,24 +107,6 @@ def test_khop_memo_stays_within_its_cap(monkeypatch, cap):
         assert got == kgstore.bfs(g.incident, center, k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=2, max_value=10),
-    st.integers(min_value=0, max_value=25),
-    st.integers(min_value=0, max_value=3),
-    st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_bfs_within_a_set_plus_a_link_matches_floyd_warshall(n_entities, n_triples, k, seed):
-    rng = np.random.default_rng(seed)
-    g = random_graph(rng, n_entities, 3, n_triples)
-    start, mate = int(rng.integers(n_entities)), int(rng.integers(n_entities))
-    within = {e for e in range(n_entities) if rng.random() < 0.6} | {start, mate}
-    induced = [t for t in g.triples if t.head in within and t.tail in within]
-    dist = floyd_warshall(n_entities, induced + [Triple(start, 0, mate)])
-    want = {e: int(dist[start][e]) for e in range(n_entities) if dist[start][e] <= k}
-    assert kgstore.bfs(g.incident, start, k, within=within, mate=mate) == want
-
-
 # ---------------------------------------------------------------- graph
 
 def test_duplicate_triples_are_distinct_instances():

@@ -468,6 +468,26 @@ def no_inner_walk(*args, **kwargs):
     raise AssertionError("a bare target needs no walk inside its intersection")
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_pruning_distances_match_floyd_warshall(n_entities, n_triples, k, seed):
+    # inside any entity set holding u and v, with the u–v link added
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 3, n_triples)
+    u, v = int(rng.integers(n_entities)), int(rng.integers(n_entities))
+    common = {e for e in range(n_entities) if rng.random() < 0.7} | {u, v}
+    induced = [t for t in g.triples if t.head in common and t.tail in common]
+    dist = oracles.floyd_warshall(n_entities, induced + [Triple(u, 0, v)])
+    want = {e: int(min(dist[u][e], dist[v][e])) for e in common
+            if dist[u][e] <= k and dist[v][e] <= k}
+    assert subgraph._pruning_distances(g, u, v, common, k) == want
+
+
 @pytest.mark.parametrize("rows, target, want, hops", [
     # a self-loop at u, then at v; the far triple is not reached
     ([Triple(0, 0, 0), Triple(2, 1, 3)], Triple(0, 2, 1), [0], (1, 2, 3)),
@@ -485,7 +505,7 @@ def no_inner_walk(*args, **kwargs):
 def test_bare_target_exits_with_its_end_triples_at_level_one(monkeypatch, rows, target, want,
                                                              hops):
     g = KnowledgeGraph(make_vocab(4, 4), rows)
-    monkeypatch.setattr(subgraph, "bfs", no_inner_walk)
+    monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
     for k in hops:
         sub = extract_enclosing(g, target, k)
         assert sub.source_indexes == tuple(want) + (None,)
@@ -500,7 +520,7 @@ def test_bare_target_exits_with_its_end_triples_at_level_one(monkeypatch, rows, 
 
 def test_target_with_a_shared_neighbour_walks_the_intersection(monkeypatch):
     g = KnowledgeGraph(make_vocab(3, 2), [Triple(0, 0, 2), Triple(2, 1, 1)])
-    monkeypatch.setattr(subgraph, "bfs", no_inner_walk)
+    monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
     with pytest.raises(AssertionError, match="bare target"):
         extract_enclosing(g, Triple(0, 1, 1), 1)
 
