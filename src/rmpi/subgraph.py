@@ -3,11 +3,7 @@
 Around a target triple (u, r_t, v) two entity subgraphs are cut out of a
 knowledge graph: the *enclosing* subgraph (intersection of the K-hop
 neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
-union, unpruned).  Both read the K-hop maps the graph memoises, so the
-candidates of a rank query, which share its fixed entity, walk that
-entity's neighbourhood once; pruning walks the graph's incidence index
-inside the intersection, and a bare target, whose intersection is just
-u and v, skips it.  The enclosing one is turned into a relation-view graph: a
+union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Each edge
 type matches one end of a triple with one end of another, so
@@ -27,6 +23,12 @@ those are exactly the triples sharing an entity with the target, so
 disclosing_neighbors reads them straight off the graph's incidence index;
 extract_disclosing builds the whole union subgraph only for inspection
 (`rmpi dump-subgraph --kind disclosing`).
+
+Extraction reads the K-hop maps the graph memoises, so the candidates of a
+rank query, which share its fixed entity, walk that entity's neighbourhood
+once.  Pruning walks the graph's incidence index inside the intersection,
+and a bare target, whose intersection adds no triple beyond those at u and
+v, skips it.
 """
 
 from __future__ import annotations
@@ -165,11 +167,13 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     K + 1.  Layer k' of a depth-K pass updates the triples of level at most
     K - k', and reads only triples of level at most K - k' + 1.
 
-    A bare target, whose intersection holds only u and v, exits early: its
-    triples are those between u and v and the self-loops at either, all
-    kept, since u and v are each within one step of both, and all at level
-    1.  At K=2, 74% of the benchmark's training targets and 91% of its rank
-    candidates are bare.
+    A bare target exits early, skipping the walk and the level loop: one
+    whose induced triples all join u and v or loop at one of them, as when
+    the intersection holds only u and v.  Every other entity of the
+    intersection is then isolated in it, so pruning drops it, while u and
+    v are each within one step of both, so every triple is kept, at level
+    1.  At K=2 this holds for 90% of the benchmark's rank candidates and
+    for 45% of its training positives and negatives.
     """
     target = Triple(*target)
     if k < 1:
@@ -178,13 +182,14 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
     common.update((u, v))
     idxs = _induced_triples(graph, common, target)
-    if len(common) == 1 + (u != v):  # bare
+    triples = graph.triples
+    if all(triples[i].head in (u, v) and triples[i].tail in (u, v) for i in idxs):  # bare
         return _subgraph(graph, idxs, target, "enclosing", (1,) * len(idxs) + (0,))
 
     near = _pruning_distances(graph, u, v, common, k)
     kept, levels = [], []
     for i in idxs:
-        h, _, t = graph.triples[i]
+        h, _, t = triples[i]
         if h in near and t in near:
             kept.append(i)
             levels.append(1 + min(near[h], near[t]))

@@ -501,10 +501,14 @@ def test_pruning_distances_match_floyd_warshall(n_entities, n_triples, k, seed):
     # and neighbours of u or v that are not neighbours of both at K = 1
     ([Triple(0, 0, 1), Triple(1, 1, 0), Triple(0, 0, 1), Triple(1, 3, 1), Triple(0, 3, 0),
       Triple(0, 1, 2), Triple(3, 1, 1)], Triple(0, 2, 1), [0, 1, 2, 3, 4], (1,)),
+    # at K = 2 entity 2 is in both neighbourhoods, through 3 and through 4,
+    # but no triple joins it to u or v inside the intersection
+    ([Triple(0, 1, 3), Triple(3, 1, 2), Triple(1, 0, 4), Triple(4, 0, 2), Triple(0, 3, 0)],
+     Triple(0, 2, 1), [4], (2,)),
 ])
 def test_bare_target_exits_with_its_end_triples_at_level_one(monkeypatch, rows, target, want,
                                                              hops):
-    g = KnowledgeGraph(make_vocab(4, 4), rows)
+    g = KnowledgeGraph(make_vocab(5, 4), rows)
     monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
     for k in hops:
         sub = extract_enclosing(g, target, k)
