@@ -182,8 +182,12 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
     common.update((u, v))
     idxs = _induced_triples(graph, common, target)
-    triples = graph.triples
-    if all(triples[i].head in (u, v) and triples[i].tail in (u, v) for i in idxs):  # bare
+    triples, ends = graph.triples, (u, v)
+    for i in idxs:
+        h, _, t = triples[i]
+        if h not in ends or t not in ends:
+            break
+    else:  # bare: no induced triple leaves u and v
         return _subgraph(graph, idxs, target, "enclosing", (1,) * len(idxs) + (0,))
 
     near = _pruning_distances(graph, u, v, common, k)
