@@ -20,9 +20,11 @@ by the types' weights in one matrix product.  There are two forwards, for
 the same model:
 
 - Training drops every view edge independently, which no sum over shared
-  entities can express, so the training forward builds each sample's
-  relation view (subgraph.to_relation_view) and sums the sources of every
-  group along its pruned edges.  Training views are small.
+  entities can express, so stack_samples builds the relation-view edges of
+  a training batch by one join of all its samples' triples
+  (subgraph.view_edges), cuts each layer's by the levels the extraction
+  measured, and the training forward sums the sources of every group along
+  them.  Samples keep no edges between steps.
 - Without dropout every edge type matches one end of the source with one
   end of the receiver, so a typed message sum is a sum over the triples at
   one entity, less the parallel or inverse twins that give PARA or LOOP in
@@ -42,19 +44,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import numkit as nk
 from .numkit import Tape, Var
-from .subgraph import (
-    NO_EDGES,
-    NUM_EDGE_TYPES,
-    EntitySubgraph,
-    prune_to_target,
-    to_relation_view,
-)
+from .subgraph import NUM_EDGE_TYPES, EntitySubgraph, view_edges
 
 FUSION_MODES = ("sum", "conc")
 INIT_MODES = ("random", "schema")
@@ -196,23 +191,15 @@ class FeatureSource:
 
 @dataclass(frozen=True)
 class SubgraphSample:
-    """Model-ready extraction product for one target triple.
-
-    The scoring forward reads the enclosing subgraph's triples and levels
-    as extracted.  The training forward reads the edges each layer reads,
-    built on first use and kept with the sample; the relation view they are
-    cut from is not kept.  Equality compares the fields only.
-    """
+    """Model-ready extraction product for one target triple: the
+    extraction and nothing built from it.  Both forwards read the enclosing
+    subgraph's triples and levels as extracted; a training batch builds its
+    view edges from them at each step (stack_samples)."""
 
     sub: EntitySubgraph  # the enclosing subgraph, target last
     hops: int  # K, the depth its forwards run
     disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
     target_label: int = 0
-
-    @cached_property
-    def pruned(self) -> tuple:
-        """Per layer 1..K, the (E_k, 3) view edges it reads (prune_to_target)."""
-        return prune_to_target(to_relation_view(self.sub), self.hops)
 
 
 @dataclass(frozen=True)
@@ -247,10 +234,11 @@ class SampleBatch:
     The node ids of a sample are offset by the node counts of the samples
     before it, so no edge or run joins two samples.  The *_rows arrays
     index `labels`, the batch's distinct relation labels, which are the
-    rows of its feature table.  A training batch holds every node of each
-    sample's relation view and, per layer, the view edges it reads; a
-    scoring batch holds the nodes within K steps of each target and their
-    Incidences, None when every sample is its target alone.
+    rows of its feature table.  A training batch holds every triple of each
+    sample's enclosing subgraph and, per layer, the relation-view edges it
+    reads, in (dst, type, src) order; a scoring batch holds the nodes within
+    K steps of each target and their Incidences, None when every sample is
+    its target alone.
     """
 
     labels: np.ndarray  # (L,) distinct labels, ascending
@@ -292,10 +280,10 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     sizes = [len(triples) for triples in node_triples]
     offsets = list(itertools.accumulate(sizes, initial=0))
     node_labels = [t.relation for triples in node_triples for t in triples]
+    sample_ids = np.arange(len(samples))
+    node_sample = np.repeat(sample_ids, sizes)
     if training:
-        layer_edges = tuple(
-            _offset_edges([s.pruned[k] for s in samples], offsets) for k in range(depth)
-        )
+        layer_edges = _layer_edges(samples, node_sample, depth)
     elif offsets[-1] > len(samples):  # some sample has more than its target
         incidences, order = _incidences(kept, sizes, depth)
     disc_labels = [label for s in samples for _, label in s.disclosing]
@@ -306,9 +294,7 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     def rows(of):
         return np.array([row[label] for label in of], dtype=np.intp)
 
-    sample_ids = np.arange(len(samples))
     node_rows = rows(node_labels)
-    node_sample = np.repeat(sample_ids, sizes)
     if order is None:
         targets = np.array(offsets[1:]) - 1  # each sample's target is its last node
     else:
@@ -327,11 +313,20 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     )
 
 
-def _offset_edges(per_sample, offsets) -> np.ndarray:
-    shifted = [e + (off, 0, off) if off else e for e, off in zip(per_sample, offsets) if len(e)]
-    if len(shifted) == 1:
-        return shifted[0]
-    return np.concatenate(shifted) if shifted else NO_EDGES
+def _layer_edges(samples, node_sample, depth: int) -> tuple:
+    """Per layer 1..K of a training batch, the (E_k, 3) view edges it reads.
+
+    One join over the stacked triples, their entity ids kept apart per
+    sample, gives every sample's view edges at once, its node ids offset
+    and in (dst, type, src) order.  Layer k reads the edges into the nodes
+    of level at most K - k, so each layer's edges are those prune_to_target
+    gives each sample's view, offset and concatenated in sample order.
+    """
+    ends = np.array([(t.head, t.tail) for s in samples for t in s.sub.triples])
+    ends += (node_sample * (int(ends.max()) + 1))[:, None]
+    edges = view_edges(ends[:, 0], ends[:, 1], node_sample, [s.sub.target for s in samples])
+    level = np.array([lv for s in samples for lv in s.sub.levels])[edges[:, 2]]
+    return tuple(edges[level <= depth - k] for k in range(1, depth + 1))
 
 
 def _kept(sample: SubgraphSample) -> tuple[list, list]:
@@ -441,7 +436,7 @@ def propagate(
     to the rectified total.  A node with no incoming message keeps its
     feature.  Layer K updates only the targets, with equal weights.
 
-    The training forward reads the relation view's pruned edges and drops
+    The training forward reads each layer's relation-view edges and drops
     every edge of a layer independently with the configured probability,
     one Boolean mask per layer from drop_rng.  The scoring forward, without
     dropout, reads every typed sum from the batch's Incidences; its nodes

@@ -6,23 +6,23 @@ neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
 union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Each edge
-type matches one end of a triple with one end of another, so
-to_relation_view builds the edges as one join of the triples' ends grouped
-by entity, into a read-only (E, 3) int32 array of (src, type, dst) rows
-sorted by (dst, type, src).  A pair of parallel or inverse triples gets a
-PARA or LOOP edge in place of the generic matches that pattern covers.
-Message passing only ever needs the part of that graph that can reach the
-target node within K steps: prune_to_target returns, per layer, the masked
-subset of that array the layer reads.  Only training, whose per-edge
-dropout needs the edges, and `rmpi dump-subgraph` build views: scoring
-passes messages over the triples' shared entities instead, and reads
-pruning's node sets off the levels extract_enclosing measures, without the
-view's edges, which grow with the square of entity degree.  The model
-reads only the target's one-hop in-neighbors in the disclosing view, and
-those are exactly the triples sharing an entity with the target, so
-disclosing_neighbors reads them straight off the graph's incidence index;
-extract_disclosing builds the whole union subgraph only for inspection
-(`rmpi dump-subgraph --kind disclosing`).
+type matches one end of a triple with one end of another, so view_edges
+builds the edges as one join of the triples' ends grouped by entity, into a
+read-only (E, 3) int32 array of (src, type, dst) rows sorted by (dst, type,
+src).  A pair of parallel or inverse triples gets a PARA or LOOP edge in
+place of the generic matches that pattern covers.  Message passing only
+needs the part of that graph that reaches the target within K steps: layer
+k reads the edges into the triples of level at most K - k, the levels
+extract_enclosing measures.  Training, whose per-edge dropout needs the
+edges, joins all the triples of a step at once (rmpnet.stack_samples);
+scoring passes messages over the triples' shared entities instead, without
+the edges, which grow with the square of entity degree.  to_relation_view
+and prune_to_target build one subgraph's view and its layers, for `rmpi
+dump-subgraph` and as the reference the levels are checked against.  The
+model reads only the target's one-hop in-neighbors in the disclosing view,
+the triples sharing an entity with the target, so disclosing_neighbors
+reads them straight off the graph's incidence index; extract_disclosing
+builds the whole union subgraph only for inspection.
 
 Extraction reads the K-hop maps the graph memoises, so the candidates of a
 rank query, which share its fixed entity, walk that entity's neighbourhood
@@ -211,14 +211,14 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
     return _subgraph(graph, _induced_triples(graph, entities, target), target, "disclosing")
 
 
-# Most rows the join in to_relation_view may hold: the sum over entities of
-# the squared number of triple ends there, a little above the view's edge
-# count.  Building a view peaks at about 62 bytes per row (3.9M edges took
-# 231 MB over the process's base), so a view at this ceiling needs about
-# 0.5 GB.  The largest benchmark view has about 250k edges, 1/33 of it.  A
-# larger view raises SubgraphError, which the CLI reports with exit code 2,
-# rather than running the machine out of memory.  Scoring builds no view,
-# so the ceiling holds back training and dump-subgraph only.
+# Most rows one join of view_edges may hold: the sum over entities of the
+# squared number of triple ends there, a little above the edge count.  The
+# join peaks at about 62 bytes per row (3.9M edges took 231 MB over the
+# process's base), so about 0.5 GB at this ceiling.  It bounds a training
+# step, which joins the triples of all its samples: the largest step of an
+# epoch on the benchmark's hub graph (classify-hub, K=2, batch 16) joins
+# 2.1M rows.  A larger join raises SubgraphError, which the CLI reports with
+# exit code 2, rather than running the machine out of memory.
 MAX_JOIN_ROWS = 1 << 23
 
 # Edge type of a join row by 4 * twin + 2 * (src end is a tail) + (dst end
@@ -242,23 +242,27 @@ def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
     return RelationViewGraph(
         nodes=tuple(sub.triples),
         labels=labels,
-        edges=_view_edges(heads, tails, sub.target),
+        edges=view_edges(np.array(heads), np.array(tails),
+                         np.zeros(len(heads), dtype=np.intp), [sub.target]),
         target_index=sub.target_position,
     )
 
 
-def _view_edges(heads: tuple, tails: tuple, target: Triple) -> np.ndarray:
-    """The edges of to_relation_view, by one join of the triples' ends.
+def view_edges(heads: np.ndarray, tails: np.ndarray, node_sample: np.ndarray,
+               targets) -> np.ndarray:
+    """The relation-view edges of the triples with these heads and tails,
+    triple i from the subgraph of targets[node_sample[i]], by one join.
 
     Every edge type matches one end of the source triple with one end of
     the destination, so the edges are the pairs of ends at one entity: the
     ends are sorted by entity, and each end meets every end of its group.
+    A join over MAX_JOIN_ROWS names the target with the most of its rows.
     """
     n = len(heads)
     if n < 2:
         return NO_EDGES
-    inc = np.array(heads + tails)  # entity at end k: triple k % n, a tail when k >= n
-    mate = np.array(tails + heads)  # entity at the other end of end k's triple
+    inc = np.concatenate([heads, tails])  # entity at end k: triple k % n, a tail when k >= n
+    mate = np.concatenate([tails, heads])  # entity at the other end of end k's triple
     order = inc.argsort()
     ent = inc[order]
     lo, hi = ent.searchsorted(ent), ent.searchsorted(ent, "right")
@@ -268,8 +272,9 @@ def _view_edges(heads: tuple, tails: tuple, target: Triple) -> np.ndarray:
     if rows == 2 * n:  # no entity has two ends
         return NO_EDGES
     if rows > MAX_JOIN_ROWS:
+        worst = np.bincount(node_sample[order % n], weights=size).argmax()
         raise SubgraphError(
-            f"relation view of target {target} needs {rows} join rows, "
+            f"relation view of target {targets[worst]} needs {rows} join rows, "
             f"over the limit of {MAX_JOIN_ROWS}"
         )
     node, tail, mate = order % n, (order >= n).view(np.int8), mate[order]  # per sorted end

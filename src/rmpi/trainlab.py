@@ -104,11 +104,10 @@ class SampleCache:
     repeatedly across epochs) are retained, and those named by `retain`
     (a training run's fixed validation targets and negatives); transient
     negatives and other held-out targets are built on the fly so memory
-    stays bounded by the graph and validation sizes.  Scoring reads a
-    sample's triples within K steps of the target as extracted; training
-    reads the view edges each layer reads, which the sample builds on
-    first use and keeps.  Their view, whose edges grow with the square of
-    entity degree, is freed once they are cut from it.
+    stays bounded by the graph and validation sizes.  A sample holds its
+    extraction only: a training step builds the relation-view edges of its
+    batch afresh (rmpnet.stack_samples), so no edges, which grow with the
+    square of entity degree, outlive the step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
@@ -132,10 +131,9 @@ class SampleCache:
         self._retained.update(Triple(*t) for t in triples)
 
     def precompute(self, triples):
-        """Build and keep the samples of graph triples, each with the view
-        edges its layers read, but not the view."""
+        """Build and keep the samples of graph triples."""
         for t in triples:
-            self.sample(t).pruned
+            self.sample(t)
 
 
 # ------------------------------------------------------------------ sampling

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -340,6 +341,18 @@ def test_eval_reads_no_relation_view(tmp_path, capsys, monkeypatch):
     assert main(["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
                  "--tail", "a3"]) == 2
     assert "limit of 10" in capsys.readouterr().err
+
+
+def test_train_over_join_ceiling_exits_2_naming_a_target(tmp_path, capsys, monkeypatch):
+    # a training step joins its batch's triples at once, under the ceiling
+    data = bench_dir(tmp_path)
+    out = tmp_path / "ckpt"
+    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    assert main(train_args(data, out)) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"relation view of target Triple\(head=\d+, relation=\d+, tail=\d+\) "
+                     r"needs \d+ join rows, over the limit of 10", err)
+    assert not out.exists()
 
 
 def test_eval_rank_report(tmp_path):

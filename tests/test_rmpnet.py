@@ -1,7 +1,7 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rmpi import numkit as nk
@@ -11,6 +11,7 @@ from rmpi.rmpnet import (
     FeatureSource,
     ModelConfig,
     ModelError,
+    SampleBatch,
     SubgraphSample,
     bind_params,
     disclosing_aggregate,
@@ -55,44 +56,30 @@ def build_sample(graph, target, config):
     )
 
 
-@dataclass(frozen=True)
-class GivenView(SubgraphSample):
-    """A sample over a hand-made relation view, whose edges need not be the
-    ones its triples would give: only the training forward reads them, so
-    tests of one layer's arithmetic on such a view run that forward."""
-
-    view: RelationViewGraph = None
-
-    @property
-    def pruned(self):
-        return prune_to_target(self.view, self.hops)
-
-
-def view_sample(rvg, hops, disclosing=()):
-    """A GivenView of rvg with its nodes reordered so that the target is
-    last, as in an extracted subgraph, and their levels read off the view's
-    pruning."""
-    n, t = rvg.num_nodes, rvg.target_index
-    order = [i for i in range(n) if i != t] + [t]
-    new_id = np.argsort(order)
-    view = RelationViewGraph(
-        nodes=tuple(rvg.nodes[i] for i in order),
-        labels=tuple(rvg.labels[i] for i in order),
-        edges=edge_array(*[(new_id[s], e, new_id[d]) for s, e, d in rvg.edges.tolist()]),
-        target_index=n - 1,
+def view_batch(rvg, hops, disclosing=()):
+    """A training batch of one sample over the hand-made view rvg, whose
+    layers read prune_to_target's edges of rvg.  Those edges need not be
+    the ones its triples would give, so tests of one layer's arithmetic
+    may give any."""
+    labels = sorted(set(rvg.labels).union(label for _, label in disclosing))
+    row = {label: i for i, label in enumerate(labels)}
+    return SampleBatch(
+        labels=np.array(labels),
+        node_rows=np.array([row[label] for label in rvg.labels], dtype=np.intp),
+        node_sample=np.zeros(rvg.num_nodes, dtype=np.intp),
+        targets=np.array([rvg.target_index]),
+        depth=hops,
+        layer_edges=prune_to_target(rvg, hops),
+        incidences=None,
+        disc_rows=np.array([row[label] for _, label in disclosing], dtype=np.intp),
+        disc_sample=np.zeros(len(disclosing), dtype=np.intp),
+        target_rows=np.array([row[rvg.labels[rvg.target_index]]]),
     )
-    frontiers, _ = oracles.prune_frontiers([tuple(e) for e in view.edges.tolist()], n - 1, hops)
-    levels = tuple(
-        min((j for j, f in enumerate(frontiers) if i in f), default=hops + 1) for i in range(n)
-    )
-    sub = EntitySubgraph(
-        triples=view.nodes, source_indexes=(None,) * n,
-        target=view.nodes[-1], kind="enclosing", levels=levels,
-    )
-    return GivenView(
-        sub=sub, hops=hops, disclosing=disclosing,
-        target_label=view.labels[-1], view=view,
-    )
+
+
+def pruned(sample):
+    """Per layer 1..K, the view edges a sample's training forward reads."""
+    return prune_to_target(to_relation_view(sample.sub), sample.hops)
 
 
 def run_score(graph, target, config, params, run_seed=0, training=False, drop_rng=None):
@@ -104,16 +91,16 @@ def run_score(graph, target, config, params, run_seed=0, training=False, drop_rn
     return float(out.value[0]), tape, out
 
 
-def target_features(samples, source, pvars, config, training=False):
-    """propagate over the stacked samples, initial features from source."""
-    batch = stack_samples(samples, training)
-    return propagate(batch, source.table(batch.labels), pvars, config, training)
+def target_features(samples, source, pvars, config):
+    """The scoring propagate over the stacked samples, initial features
+    from source."""
+    batch = stack_samples(samples)
+    return propagate(batch, source.table(batch.labels), pvars, config)
 
 
-def propagate_from(tape, sample, feature_by_label, pvars, config):
-    """The training forward, without dropout, over one hand-made view whose
-    nodes start from the given features."""
-    batch = stack_samples([sample], training=True)
+def propagate_from(tape, batch, feature_by_label, pvars, config):
+    """The training forward, without dropout, over one hand-made view's
+    batch whose nodes start from the given features."""
     table = tape.const(np.stack([feature_by_label[label] for label in batch.labels]))
     return propagate(batch, table, pvars, config, training=True).value[0]
 
@@ -136,13 +123,11 @@ def test_seen_relation_reads_embedding_row():
 
 
 def test_shared_label_shares_feature_node():
-    rvg = RelationViewGraph(
-        nodes=(Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2)),
-        labels=(2, 2, 1),
-        edges=edge_array(),
-        target_index=2,
-    )
-    batch = stack_samples([view_sample(rvg, 2)], training=True)
+    triples = (Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2))
+    sub = EntitySubgraph(triples=triples, source_indexes=(0, 1, None), target=triples[-1],
+                         kind="enclosing", levels=(1, 1, 0))
+    sample = SubgraphSample(sub=sub, hops=2, target_label=1)
+    batch = stack_samples([sample], training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row
     assert list(batch.labels) == [1, 2]
@@ -223,19 +208,19 @@ def star_rvg():
 
 def test_message_layer_single_neighbor_identity():
     config = ModelConfig(hops=2, dim=3, target_attention=True, edge_dropout=0.0)
-    sample = view_sample(star_rvg(), 2)
+    batch = view_batch(star_rvg(), 2)
     h_i = np.array([0.2, -0.4, 1.0])
     h_j = np.array([0.5, -1.0, 2.0])
     tape = Tape()
     # layer 1 alone: the final layer's zero weights pass the target through
     pvars = bind_params(tape, silence_layer(fixed_identity_params(config), config, 2))
-    out = propagate_from(tape, sample, {0: h_i, 1: h_j}, pvars, config)
+    out = propagate_from(tape, batch, {0: h_i, 1: h_j}, pvars, config)
     np.testing.assert_allclose(out, np.maximum(h_j, 0) + h_i, atol=1e-12)
     # the neighbor itself has no incoming edges: pure residual, so the final
     # layer's identity message from it is relu(h_j) again
     tape = Tape()
     pvars = bind_params(tape, fixed_identity_params(config))
-    out = propagate_from(tape, sample, {0: h_i, 1: h_j}, pvars, config)
+    out = propagate_from(tape, batch, {0: h_i, 1: h_j}, pvars, config)
     np.testing.assert_allclose(out, np.maximum(h_j, 0) + (np.maximum(h_j, 0) + h_i), atol=0)
 
 
@@ -245,7 +230,7 @@ def test_message_layer_relu_clips():
     tape = Tape()
     pvars = bind_params(tape, params)
     out = propagate_from(
-        tape, view_sample(star_rvg(), 2), {0: np.zeros(2), 1: np.array([1.0, -2.0])},
+        tape, view_batch(star_rvg(), 2), {0: np.zeros(2), 1: np.array([1.0, -2.0])},
         pvars, config,
     )
     np.testing.assert_allclose(out, [1.0, 0.0], atol=0)
@@ -259,10 +244,12 @@ def test_message_layer_schedule_violation():
     pvars = bind_params(tape, params)
     table = tape.const(np.zeros((2, 2)))
     with pytest.raises(ModelError, match="depth"):
-        propagate(stack_samples([view_sample(star_rvg(), 1)], training=True), table, pvars,
-                  config, training=True)
+        propagate(view_batch(star_rvg(), 1), table, pvars, config, training=True)
+    target = Triple(0, 0, 1)
+    alone = EntitySubgraph(triples=(target,), source_indexes=(None,), target=target,
+                           kind="enclosing", levels=(0,))
     with pytest.raises(ModelError, match="depths"):
-        stack_samples([view_sample(star_rvg(), 1), view_sample(star_rvg(), 2)])
+        stack_samples([SubgraphSample(sub=alone, hops=1), SubgraphSample(sub=alone, hops=2)])
 
 
 def test_final_layer_no_neighbors_keeps_previous():
@@ -274,7 +261,7 @@ def test_final_layer_no_neighbors_keeps_previous():
     tape = Tape()
     pvars = bind_params(tape, params)
     prev = np.array([0.3, -0.7, 0.1])
-    out = propagate_from(tape, view_sample(rvg, 2), {0: prev}, pvars, config)
+    out = propagate_from(tape, view_batch(rvg, 2), {0: prev}, pvars, config)
     np.testing.assert_allclose(out, prev, atol=0)
 
 
@@ -284,7 +271,7 @@ def test_final_layer_one_neighbor_identity():
     tape = Tape()
     pvars = bind_params(tape, params)
     out = propagate_from(
-        tape, view_sample(star_rvg(), 1), {0: np.array([0.5, 0.5]), 1: np.array([1.0, 2.0])},
+        tape, view_batch(star_rvg(), 1), {0: np.array([0.5, 0.5]), 1: np.array([1.0, 2.0])},
         pvars, config,
     )
     np.testing.assert_allclose(out, [1.5, 2.5], atol=0)
@@ -303,7 +290,7 @@ def test_final_layer_two_edge_types_sum_plus_residual():
     tape = Tape()
     pvars = bind_params(tape, params)
     h = {i: np.array([0.3 * i + 0.1, -0.2 * i]) for i in range(3)}
-    out = propagate_from(tape, view_sample(rvg, 1), h, pvars, config)
+    out = propagate_from(tape, view_batch(rvg, 1), h, pvars, config)
     want = (
         np.maximum(
             params[layer_param(1, 0)] @ h[1] + params[layer_param(1, 3)] @ h[2], 0
@@ -326,13 +313,13 @@ def test_attention_groups_normalize_per_edge_type():
         edges=edge_array((1, 0, 0), (2, 3, 0), (0, 1, 1)),
         target_index=0,
     )
-    sample = view_sample(rvg, 2)
+    batch = view_batch(rvg, 2)
     scores = []
     for config in (config_ta, config_eq):
         tape = Tape()
         pvars = bind_params(tape, params)
         src = make_source(tape, pvars, config)
-        h = target_features([sample], src, pvars, config, training=True)
+        h = propagate(batch, src.table(batch.labels), pvars, config, training=True)
         scores.append(h.value[0].copy())
     np.testing.assert_allclose(scores[0], scores[1], atol=1e-12)
 
@@ -353,7 +340,7 @@ def test_attention_identical_neighbors_average():
     tape2 = Tape()
     pvars2 = bind_params(tape2, params2)
     v = np.array([0.4, 0.7, -0.2])
-    out = propagate_from(tape2, view_sample(rvg, 2), {0: np.zeros(3), 1: v}, pvars2, config2)
+    out = propagate_from(tape2, view_batch(rvg, 2), {0: np.zeros(3), 1: v}, pvars2, config2)
     np.testing.assert_allclose(out, np.maximum(v, 0), atol=1e-12)
 
 
@@ -417,7 +404,7 @@ def disclose(neigh, target_label, source, pvars, config):
         nodes=(Triple(0, target_label, 1),), labels=(target_label,), edges=edge_array(),
         target_index=0,
     )
-    batch = stack_samples([view_sample(rvg, config.hops, tuple(neigh))])
+    batch = view_batch(rvg, config.hops, tuple(neigh))
     return disclosing_aggregate(batch, source.table(batch.labels), pvars, config).value[0]
 
 
@@ -687,7 +674,7 @@ def test_batch_scores_equal_samples_scored_alone():
     for config in variant_configs():
         params = init_params(config, 5, np.random.default_rng(7))
         samples = [build_sample(graph, t, config) for t in targets]
-        edges = [len(s.pruned[0]) for s in samples]
+        edges = [len(pruned(s)[0]) for s in samples]
         assert 0 in edges and max(edges) > 0
         batched = score_batch(samples, config, params)
         alone = [score_batch([s], config, params)[0] for s in samples]
@@ -735,7 +722,7 @@ def test_training_tape_size_does_not_grow_with_batch():
                          edge_dropout=0.5)
     params = init_params(config, 4, np.random.default_rng(0))
     sample = build_sample(graph, graph.triples[0], config)
-    assert len(sample.pruned[-1]) >= 10
+    assert len(pruned(sample)[-1]) >= 10
 
     def tape_nodes(copies):
         tape = Tape()
@@ -745,6 +732,47 @@ def test_training_tape_size_does_not_grow_with_batch():
         return len(tape._nodes)
 
     assert tape_nodes(32) == tape_nodes(2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=24),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triples, k, size,
+                                                             seed):
+    # one join over a training batch, cut by the extracted levels, gives
+    # each layer the edges prune_to_target gives every sample's own view,
+    # their node ids offset in sample order, in the same order
+    rng = np.random.default_rng(seed)
+    isolated = (n_entities, n_entities + 1)
+    graph = random_graph(rng, n_entities + 2, 4, 0)
+    rows = [Triple(int(h), int(rng.integers(3)), int(t))
+            for h, t in rng.integers(n_entities, size=(n_triples, 2))]  # self-loops too
+    for h, r, t in rows[: n_triples // 3]:  # a duplicate, a parallel and an inverse twin
+        rows += [Triple(h, r, t), Triple(h, (r + 1) % 3, t), Triple(t, r, h)]
+    for t in rows:
+        graph.add(t)
+    targets = []
+    for _ in range(size):
+        u, v = (int(e) for e in rng.integers(n_entities, size=2))
+        kind = rng.random()
+        if kind < 0.25:
+            v = u
+        elif kind < 0.4:
+            u, v = isolated  # a bare target
+        targets.append(Triple(u, 3, v))
+    samples = [build_sample(graph, t, ModelConfig(hops=k)) for t in targets]
+    offsets = np.cumsum([0] + [len(s.sub.triples) for s in samples])
+    want = [np.concatenate([pruned(s)[layer] + (off, 0, off) for s, off in zip(samples, offsets)])
+            for layer in range(k)]
+    got = stack_samples(samples, training=True).layer_edges
+    assert len(got) == k
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 # ----------------------------------------------------- scoring forward
@@ -805,7 +833,7 @@ def test_scoring_forward_matches_the_view_forward(hops, variant):
         if config.init_mode == "schema":
             schema = {r: rng.normal(size=config.schema_dim) for r in range(5)}
         samples = [build_sample(graph, t, config) for t in SCORING_TARGETS]
-        assert max(len(s.pruned[0]) for s in samples) > 40 or not trial  # a hub view
+        assert max(len(pruned(s)[0]) for s in samples) > 40 or not trial  # a hub view
         got, want = forward_pair(samples, config, params, schema)
         np.testing.assert_allclose(got, want, **TOL)
 

@@ -64,3 +64,19 @@ def test_extraction_digest_prints_one_digest_per_workload_and_depth():
     # 70 test and 10 validation targets and 300 graph triples, 4 negatives each
     assert head == "extraction_digest: rank-skewed K=1: 1900 subgraphs, sha256"
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_training_digest_prints_history_and_digest_per_variant():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "training_digest.py")],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert [line.split(":")[1].strip() for line in lines] == ["base", "ne-ta"]
+    for line in lines:
+        head, digest = line.rsplit(" ", 1)
+        losses = head.split("train loss [")[1].split("]")[0].split(", ")
+        assert len(losses) == 2 and all(float(x) > 0 for x in losses)  # two epochs
+        assert "val auc-pr [" in head and "best epoch " in head
+        assert head.endswith("params sha256")
+        assert len(digest) == 64 and int(digest, 16) >= 0

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from rmpi import kgstore, subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
-from rmpi.rmpnet import ModelConfig
+from rmpi.rmpnet import ModelConfig, stack_samples
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
     NO_EDGES,
@@ -309,13 +310,28 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
         assert to_relation_view(sub).edges is NO_EDGES
 
 
+def join_rows(sub):
+    """The rows of the join that builds sub's view: per entity, the square
+    of the number of triple ends there."""
+    ends = Counter(e for h, _, t in sub.triples for e in (h, t))
+    return sum(c * c for c in ends.values())
+
+
 def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
+    # a training step joins the triples of all its samples at once, so the
+    # ceiling bounds the step, and the error names the sample with the most
+    # join rows
     g, target = hub_graph()
     config = ModelConfig(dim=4, hops=1)
-    assert to_relation_view(build_sample(g, target, config).sub).num_nodes > 4
-    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
-    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs")):
-        build_sample(g, target, config).pruned  # the training forward's view
+    small = Triple(100, 4, 150)  # two triples at the hub, one at each end
+    samples = [build_sample(g, t, config) for t in (small, target, small)]
+    rows = [join_rows(s.sub) for s in samples]
+    assert rows[0] < rows[1]
+    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", max(rows))
+    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs {sum(rows)}")):
+        stack_samples(samples, training=True)
+    for sample in samples:  # each alone is within the ceiling
+        stack_samples([sample], training=True)
 
 
 # ------------------------------------------------------- pruning

@@ -2,6 +2,7 @@ import gc
 import os
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import FeatureSource, ModelConfig, bind_params, init_params, score_sample
-from rmpi.subgraph import NO_EDGES, RelationViewGraph, disclosing_neighbors
+from rmpi.subgraph import (
+    RelationViewGraph,
+    disclosing_neighbors,
+    prune_to_target,
+    to_relation_view,
+)
 from rmpi.trainlab import (
     Checkpoint,
     SampleCache,
@@ -344,22 +350,61 @@ def test_cache_retains_graph_triples_only():
     assert cache.sample(outsider) == first
     got, want = cache.sample(member), build_sample(graph, member, config)
     assert got == want
-    assert len(got.pruned) == len(want.pruned) == config.hops
-    assert all(np.array_equal(a, b) for a, b in zip(got.pruned, want.pruned))
+    got_layers, want_layers = (prune_to_target(to_relation_view(s.sub), config.hops)
+                               for s in (got, want))
+    assert len(got_layers) == len(want_layers) == config.hops
+    assert all(np.array_equal(a, b) for a, b in zip(got_layers, want_layers))
 
 
-def test_precompute_keeps_no_relation_view():
-    # a cached sample keeps the edges its layers read, not the view they
-    # were cut from, nor any array over the view's edge buffer
+def test_cached_samples_hold_no_edges():
+    # a cached sample keeps its extraction only: a training step builds the
+    # edges it reads for itself, so no view or edge array outlives the step
     graph = random_graph(np.random.default_rng(2), 8, 2, 16)
-    cache = SampleCache(graph, ModelConfig(dim=4, hops=2))
+    config = ModelConfig(dim=4, hops=2)
+    cache = SampleCache(graph, config)
     cache.precompute(graph.triples)
     assert set(cache._store) == set(graph.triples)
-    assert any(len(s.pruned[0]) for s in cache._store.values())
-    for sample in cache._store.values():
-        assert "pruned" in vars(sample)
-        assert not any(isinstance(v, RelationViewGraph) for v in vars(sample).values())
-        assert all(e is NO_EDGES or e.base is None for e in sample.pruned)
+    samples = list(cache._store.values())
+    assert any(len(to_relation_view(s.sub).edges) for s in samples)
+    tape = Tape()
+    pvars = bind_params(tape, init_params(config, 2, np.random.default_rng(0)))
+    score_sample(samples, FeatureSource(tape, pvars, config), pvars, config,
+                 training=True, drop_rng=np.random.default_rng(0))
+    for sample in samples:
+        assert set(vars(sample)) == {f.name for f in fields(sample)}  # nothing cached
+        for value in vars(sample).values():
+            for part in value if isinstance(value, tuple) else (value,):
+                assert not isinstance(part, (np.ndarray, RelationViewGraph))
+
+
+def test_training_builds_no_relation_view(monkeypatch):
+    # a training step cuts its layers by the extracted levels, out of one
+    # join over its batch, so neither the per-sample view nor its pruning
+    # runs; the steps still read edges
+    from rmpi import rmpnet, subgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("training built a relation view")
+
+    for module in (subgraph, rmpnet, trainlab):
+        for name in ("to_relation_view", "prune_to_target"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    edges = []
+    inner = rmpnet.propagate
+
+    def spying(batch, *args, **kwargs):
+        if batch.training:
+            edges.append(sum(len(e) for e in batch.layer_edges))
+        return inner(batch, *args, **kwargs)
+
+    monkeypatch.setattr(rmpnet, "propagate", spying)
+    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
+    for model in (ModelConfig(dim=4, hops=2),
+                  ModelConfig(dim=4, hops=3, use_disclosing=True, target_attention=True)):
+        ckpt = train(bench, small_config(model=model, epochs=2))
+        assert len(ckpt.history["train_loss"]) == 2
+    assert len(edges) == 2 * 2 * 3 and max(edges) > 0  # 3 steps an epoch
 
 
 def test_train_builds_each_positive_once(monkeypatch):
