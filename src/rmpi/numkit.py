@@ -12,7 +12,11 @@ checked rather than broadcast.  No GPU, no sparse kernels.
 
 Runs of rows summed less a range by running sums (`Runs`, `run_sums`) work
 on plain arrays: only the scoring forward reads them, and it records no
-gradients; `unrecorded` puts such a value on a tape.
+gradients; `unrecorded` puts such a value on a tape.  A caller that reads
+only the first rows, whole runs, fills and accumulates the running sums of
+those alone: the buffer keeps each class of run length in row order, so
+their runs are a prefix of every class's region.  The scoring forward puts
+the runs its later layers read first, so each layer sums only its own.
 """
 
 from __future__ import annotations
@@ -281,49 +285,63 @@ class Runs:
     """Rows 0 .. n-1 cut into runs beginning at `starts`, laid out for
     running sums within each run, forwards and backwards.
 
-    Runs of up to 2**c rows are padded to 2**c and share a region of one
-    buffer per class c, (runs, 2**c) slots in run order, then as many in
-    reverse order, so that one accumulation per class sums every run of it
-    in the run's own order: at most four slots a row, and a run's sums
-    depend on its rows alone.  Slot prefix_at[i] of the buffer holds row
-    i's running sum from its run's first row, slot suffix_at[i] from its
-    run's last row back; the last slot, prefix_at[n], stays zero.
+    A run of up to 2**c rows, c its class, takes 2 * 2**c slots of one
+    buffer: its rows in order, padded at the end, then its rows in reverse
+    order, padded at the front.  The runs of a class share one region, in
+    row order, so that one accumulation per class sums every run of it in
+    the run's own order: at most four slots a row, and a run's sums depend
+    on its rows alone.  Slot prefix_at[i] of the buffer holds row i's
+    running sum from its run's first row, slot suffix_at[i] from its run's
+    last row back; the last slot, prefix_at[n], stays zero.  As each region
+    keeps row order, the runs of the first m rows fill a prefix of every
+    region, so running sums of those rows alone fill and accumulate those
+    prefixes alone (cumsums): a caller whose layers read nested sets of
+    runs puts the runs read by most layers first, and each layer pays for
+    its own runs only.
     """
 
     def __init__(self, starts, n: int) -> None:
-        starts = _index(starts, max(n, 1), "Runs")
-        if n and (not len(starts) or starts[0] != 0 or (starts[1:] <= starts[:-1]).any()):
+        starts = _index(starts, n, "Runs")
+        if (n and (not len(starts) or starts[0] != 0)) or (starts[1:] <= starts[:-1]).any():
             raise NumkitError("runs need ascending starts from 0")
         self.n = n
         self.starts = starts
-        self.lengths = lengths = np.concatenate([starts[1:], [n]]) - starts
-        cls = np.ceil(np.log2(lengths)).astype(np.intp)
+        self.lengths = lengths = np.diff(starts, append=n)
+        self.classes = cls = np.ceil(np.log2(lengths)).astype(np.intp)
         width = 1 << cls
-        by_class = cls.argsort(kind="stable")  # runs of a class together
-        padded = width[by_class]
-        sizes = [count << c for c, count in enumerate(np.bincount(cls).tolist())]
-        before = np.array([0] + sizes[:-1]).cumsum()  # each class's backward slots too
+        by_class = cls.argsort(kind="stable")  # runs of a class together, in row order
+        padded = 2 * width[by_class]
         first = np.empty_like(padded)  # slot of each run's first row
-        first[by_class] = padded.cumsum() - padded + before[cls[by_class]]
-        last = first + np.array(sizes)[cls] + width - 1  # of its last row, backwards
+        first[by_class] = padded.cumsum() - padded
         at = np.arange(n) - starts.repeat(lengths)  # position within the run
-        end = 2 * sum(sizes)
+        end = int(padded.sum())
         self.prefix_at = np.concatenate([first.repeat(lengths) + at, [end]])
-        self.suffix_at = np.concatenate([last.repeat(lengths) - at, [end]])
+        self.suffix_at = np.concatenate([(first + 2 * width - 1).repeat(lengths) - at, [end]])
         self.size = end + 1
-        self.classes = []  # (region, width) of each class of more than one row
-        for c, size in enumerate(sizes):
-            if size and c:
-                self.classes.append((slice(2 * sum(sizes[:c]), 2 * sum(sizes[: c + 1])), 1 << c))
+        self.counts = np.bincount(cls)  # runs per class
+        self.regions = [0] + ((2 * self.counts) << np.arange(len(self.counts))).cumsum().tolist()
+
+    def runs_in(self, m: int) -> int:
+        """How many runs the first m rows hold, which must end where a run ends."""
+        k = int(self.starts.searchsorted(m))
+        if m != self.n and not (k < len(self.starts) and self.starts[k] == m):
+            raise NumkitError(f"{m} rows for runs over {self.n} rows are not whole runs")
+        return k
 
     def cumsums(self, x: np.ndarray) -> np.ndarray:
-        """The buffer of x's running sums."""
+        """The buffer of the running sums of x, the first len(x) rows."""
+        m = len(x)
+        counts = self.counts
+        if m != self.n:
+            counts = np.bincount(self.classes[: self.runs_in(m)], minlength=len(counts))
         buf = np.zeros((self.size,) + x.shape[1:])
-        buf[self.prefix_at[:-1]] = x
-        buf[self.suffix_at[:-1]] = x
-        for region, width in self.classes:
-            part = buf[region].reshape((-1, width) + x.shape[1:])
-            np.cumsum(part, axis=1, out=part)  # one slot at a time, first slot first
+        buf[self.prefix_at[:m]] = x
+        buf[self.suffix_at[:m]] = x
+        for c, count in enumerate(counts.tolist()):
+            if count and c:
+                base = self.regions[c]
+                part = buf[base : base + (2 * count << c)].reshape((-1, 1 << c) + x.shape[1:])
+                np.cumsum(part, axis=1, out=part)  # one slot at a time, first slot first
         return buf
 
 
@@ -332,24 +350,24 @@ def run_sums(x: np.ndarray, runs: Runs, spans) -> np.ndarray:
     tape node: the scoring forward, which alone reads them, records no
     gradients.
 
-    spans[g] = (start, cut, resume, stop) takes its run less rows cut ..
-    resume-1, so it must start where a run starts and stop where that run
-    ends: the first range is the run's running sum up to row cut-1, the
-    second its running sum from its last row back to row resume.  Neither
-    is one running total less another, so a group's sum depends on its
-    run's rows alone, and the work grows with the rows, not with the
-    groups' ranges.
+    x holds the first len(x) rows of the runs, which must end where a run
+    ends; only their runs are filled and accumulated.  spans[g] = (start,
+    cut, resume, stop) takes its run less rows cut .. resume-1, so it must
+    start where a run starts and stop where that run ends: the first range
+    is the run's running sum up to row cut-1, the second its running sum
+    from its last row back to row resume.  Neither is one running total
+    less another, so a group's sum depends on its run's rows alone, and
+    the work grows with the rows, not with the groups' ranges.  A span
+    that takes no row sums to zeros.
     """
     if x.ndim not in (1, 2):
         raise NumkitError(f"run_sums expects a vector or matrix, got shape {x.shape}")
-    n = runs.n
-    if len(x) != n:
-        raise NumkitError(f"run_sums reads {len(x)} rows for runs over {n}")
+    m, n = len(x), runs.n
     spans = np.asarray(spans, dtype=np.intp)
     if spans.ndim != 2 or spans.shape[1] != 4:
         raise NumkitError(f"run_sums expects (G, 4) spans, got shape {spans.shape}")
-    if spans.size and (spans.min() < 0 or spans.max() > n):
-        raise NumkitError(f"run_sums span out of range for {n} rows")
+    if spans.size and (spans.min() < 0 or spans.max() > m):
+        raise NumkitError(f"run_sums span out of range for {m} rows")
     start, cut, resume, stop = spans.T
     sums = runs.cumsums(x)
     return (sums[runs.prefix_at[np.where(cut > start, cut - 1, n)]]

@@ -31,7 +31,9 @@ the same model:
   its place.  The scoring forward reads every such sum off running sums over
   the triples' ends grouped by entity (Incidences), in time and memory
   linear in the subgraph's triples; the view, whose edges grow with the
-  square of entity degree, is never built.
+  square of entity degree, is never built.  Its rows are ordered so that
+  each layer's runs, those its receivers read, are the first rows, and
+  each layer sums those alone: the last layer only the targets' runs.
 
 `propagate`'s `training` flag picks the forward: every forward inside
 `trainlab.score_triples` (classification, ranking and validation) scores.
@@ -217,10 +219,19 @@ class Incidences:
     place of those types, and its PARA and LOOP sums are a block less the
     node itself, or the whole block of its inverse twins: each the span
     (start, cut, resume, stop) of rows start .. cut-1 and resume .. stop-1
-    (numkit.run_sums).
+    (numkit.run_sums); a span that takes no row is (0, 0, 0, 0).
+
+    The runs are then reordered, each kept whole and in order, by how many
+    layers read them, deepest first: a run is read by the layers that
+    update a receiver with a span taking a row of it.  As the receivers of
+    layer k + 1 are among those of layer k, layer k reads the first
+    layer_rows[k-1] rows, and it fills and accumulates the running sums of
+    those alone; a run no span takes a row of comes last and no layer sums
+    it.
     """
 
     receivers: tuple  # per layer 1..K, how many nodes it updates
+    layer_rows: tuple  # per layer 1..K, how many rows it sums: the first, whole runs
     rows: np.ndarray  # (R,) node per row
     runs: nk.Runs
     spans: np.ndarray  # (receivers[0], 6, 4) per receiver and edge type
@@ -351,7 +362,8 @@ def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
     level = level[order]
     receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
     q = receivers[0]
-    ends = np.array([(t.head, t.tail) for triples, _ in kept for t in triples])[order].T.ravel()
+    triples = [t for kept_triples, _ in kept for t in kept_triples]
+    ends = np.array([[t.head for t in triples], [t.tail for t in triples]])[:, order].ravel()
     n = len(order)
     sample = np.arange(len(sizes)).repeat(sizes)[order]
     # entity ids unique per sample and dense, so that no run joins two
@@ -380,7 +392,9 @@ def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
     # end, less the block whose other entity is the node's other end
     first = np.concatenate([2 * tails, 2 * heads + 1, 2 * heads, 2 * tails + 1]) * num_ids
     block = first + np.concatenate([heads, tails, tails, heads])
-    bounds = key.searchsorted(np.concatenate([first, block, block + 1, first + num_ids]))
+    bounds = np.concatenate([first, block, block + 1, first + num_ids])
+    by_bound = bounds.argsort()  # searched in order, each search starts where the last ended
+    bounds[by_bound] = key.searchsorted(bounds[by_bound])
     spans[:, :4] = bounds.reshape(4, 4, q).transpose(2, 1, 0)
     # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
     # the block of inverse twins, that of H-T, whole, or for a self-loop as
@@ -402,14 +416,37 @@ def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
     head_rows = is_head.nonzero()[0]
     head_unit = unit[head_rows]
     new_copy_block = (head_unit[1:] != head_unit[:-1]).nonzero()[0] + 1
-    rows = read % n
+    starts = np.concatenate([run_at, n_rows + np.concatenate([[0], new_copy_block])])
+    n_rows += len(head_rows)
+    lengths = np.concatenate([starts[1:], [n_rows]]) - starts
+    # order the runs by how many layers read them, deepest first, each
+    # run's rows kept in order, so that each layer reads the first rows: a
+    # run is read by as many layers as update the deepest receiver with a
+    # span taking a row of it, and the nodes are ordered by level
+    spans = spans.reshape(-1, 4)
+    start, cut, resume, stop = spans.T
+    taking = (cut > start) | (resume < stop)
+    run_of = np.zeros(n_rows + 1, dtype=np.intp)
+    run_of[starts[1:]] = 1
+    run_of = run_of.cumsum()[start]  # the run of each span's first row
+    reads = np.zeros(len(starts), dtype=level.dtype)
+    np.maximum.at(reads, run_of[taking], (depth - level[:q]).repeat(NUM_EDGE_TYPES)[taking])
+    layer_rows = np.bincount(reads, lengths, depth + 1)[:0:-1].cumsum()[::-1]
+    by_reads = (-reads).argsort(kind="stable")
+    lengths = lengths[by_reads]
+    placed = lengths.cumsum() - lengths  # each run's first row in that order
+    shift = placed - starts[by_reads]
+    moved = np.empty_like(shift)  # each run's shift, by run
+    moved[by_reads] = shift
+    by_row = np.arange(n_rows) - shift.repeat(lengths)  # the rows in that order
+    rows = np.concatenate([read, read[head_rows]]) % n
     inc = Incidences(
         receivers=receivers,
-        rows=np.concatenate([rows, rows[head_rows]]),
-        runs=nk.Runs(np.concatenate([run_at, n_rows + np.concatenate([[0], new_copy_block])]),
-                     n_rows + len(head_rows)),
-        spans=spans,
-        unit=np.concatenate([unit, unit[-1] + 1 + np.arange(len(head_rows))]),
+        layer_rows=tuple(int(m) for m in layer_rows),
+        rows=rows[by_row],
+        runs=nk.Runs(placed, n_rows),
+        spans=np.where(taking[:, None], spans + moved[run_of][:, None], 0).reshape(q, -1, 4),
+        unit=np.concatenate([unit, unit[-1] + 1 + np.arange(len(head_rows))])[by_row],
     )
     return inc, order
 
@@ -474,8 +511,7 @@ def propagate(
             summed = _edge_sums(h, edges, seg, batch.size if last else n, logits)
         else:
             logits = _logits(h, batch, config).value if attend else None
-            q = edges.receivers[layer - 1]
-            summed = nk.unrecorded([h], _incidence_sums(h.value, edges, q, logits))
+            summed = nk.unrecorded([h], _incidence_sums(h.value, edges, layer, logits))
         typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
         messages = nk.relu(nk.grouped_apply(summed, typed))
         if last:
@@ -514,10 +550,11 @@ def _edge_sums(h: Var, edges, seg, n_out: int, logits: Var | None) -> Var:
 SHIFT_GAP = 600.0
 
 
-def _incidence_sums(h: np.ndarray, inc: Incidences, q: int, logits) -> np.ndarray:
-    """(q * 6, d) typed message sums into the first q nodes, row r * 6 + e
-    for type e into node r, from running sums over the Incidences' runs,
-    softmax-weighted within the group by the sources' logits when given.
+def _incidence_sums(h: np.ndarray, inc: Incidences, layer: int, logits) -> np.ndarray:
+    """(q * 6, d) typed message sums into the first q nodes, those the
+    layer updates, row r * 6 + e for type e into node r, from running sums
+    over the runs the layer reads, softmax-weighted within the group by the
+    sources' logits when given.
 
     A group's softmax is shifted by its run's largest logit.  That is the
     group's own maximum, as segment_softmax shifts by, unless the group
@@ -526,17 +563,20 @@ def _incidence_sums(h: np.ndarray, inc: Incidences, q: int, logits) -> np.ndarra
     ratio, but underflows when the gap passes SHIFT_GAP.  Those groups read
     the rows summed a second time, shifted by their own maximum.
     """
-    spans = inc.spans[:q].reshape(-1, 4)
+    spans = inc.spans[: inc.receivers[layer - 1]].reshape(-1, 4)
+    m = inc.layer_rows[layer - 1]
+    rows = inc.rows[:m]
     if logits is None:
-        return nk.run_sums(h[inc.rows], inc.runs, spans)
-    rows, unit, starts = inc.rows, inc.unit, inc.runs.starts
-    run = np.arange(len(starts)).repeat(inc.runs.lengths)
+        return nk.run_sums(h[rows], inc.runs, spans)
+    k = inc.runs.runs_in(m)
+    unit, starts = inc.unit[:m], inc.runs.starts[:k]
+    run = np.arange(k).repeat(inc.runs.lengths[:k])
     score = logits[rows]
     top = np.maximum.reduceat(score, starts)[run]
-    first_top = np.minimum.reduceat(np.where(score == top, np.arange(len(rows)), len(rows)), starts)
+    first_top = np.minimum.reduceat(np.where(score == top, np.arange(m), m), starts)
     top_unit = unit[first_top][run]
     second = np.maximum.reduceat(np.where(unit == top_unit, -np.inf, score), starts)[run]
-    cut = np.minimum(spans[:, 1], len(rows) - 1)  # a row of the unit a group cuts, if any
+    cut = np.minimum(spans[:, 1], m - 1)  # a row of the unit a group cuts, if any
     far = (spans[:, 1] < spans[:, 2]) & (unit[cut] == top_unit[cut]) & (top[cut] - second[cut] > SHIFT_GAP)
     # weighted rows, with a column of ones for the softmax's denominator:
     # rows of the top unit never count in a group shifted by `second`
@@ -544,7 +584,7 @@ def _incidence_sums(h: np.ndarray, inc: Incidences, q: int, logits) -> np.ndarra
     weights = np.exp(score.repeat(len(shifts)) - np.column_stack(shifts).ravel())
     with_one = np.concatenate([h, np.ones((len(h), 1))], axis=1)
     weighted = with_one[rows.repeat(len(shifts))] * weights[:, None]
-    sums = nk.run_sums(weighted.reshape(len(rows), -1), inc.runs, spans)
+    sums = nk.run_sums(weighted.reshape(m, -1), inc.runs, spans)
     if far.any():
         groups = len(spans)
         sums = sums.reshape(2 * groups, -1)[2 * np.arange(groups) + far]

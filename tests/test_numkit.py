@@ -514,6 +514,48 @@ def test_run_sums_add_each_range_row_by_row_from_its_run_end():
         np.testing.assert_array_equal(got, want)
 
 
+def test_run_sums_over_nested_layers_add_each_range_row_by_row():
+    # runs ordered by how many layers read them, deepest first, so layer k
+    # reads the first rows; the last layer reads one run.  Each layer's sums
+    # bit for bit, and no slot of a row past its prefix filled
+    rng = np.random.default_rng(4)
+    for n in (1, 6, 50, 400, 3000):
+        starts = np.flatnonzero(np.concatenate([[True], rng.random(n - 1) < rng.random() ** 3]))
+        lengths = np.diff(starts, append=n)
+        depth = int(rng.integers(2, 5))
+        reads = np.sort(rng.integers(1, depth, len(starts)))[::-1]  # layers reading each run
+        reads[0] = depth  # the last layer reads one run
+        runs = nk.Runs(starts, n)
+        x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+        for layer in range(1, depth + 1):
+            k = int((reads >= layer).sum())
+            m = int(lengths[:k].sum())
+            assert runs.runs_in(m) == k
+            pick = rng.integers(0, k, 12)
+            start, stop = starts[pick], starts[pick] + lengths[pick]
+            cut = start + (rng.random(12) * (lengths[pick] + 1)).astype(int)
+            resume = np.minimum(cut + rng.integers(0, 3, 12), stop)
+            spans = np.stack([start, cut, resume, stop], axis=1)
+            got = nk.run_sums(x[:m], runs, spans)
+            want = [sum(x[s:c], np.zeros(3)) + sum(x[r:e][::-1], np.zeros(3)) for s, c, r, e in spans]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, nk.run_sums(x, runs, spans))
+            buf = runs.cumsums(x[:m])
+            assert not buf[runs.prefix_at[m:]].any() and not buf[runs.suffix_at[m:]].any()
+
+
+def test_run_sums_over_zero_rows():
+    runs = nk.Runs([], 0)
+    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 3)), runs, [[0, 0, 0, 0]] * 2),
+                                  np.zeros((2, 3)))
+    np.testing.assert_array_equal(nk.run_sums(np.ones(0), runs, np.zeros((0, 4))), np.zeros(0))
+    # a layer that reads none of the rows
+    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 2)), nk.Runs([0, 2], 4), [[0, 0, 0, 0]]),
+                                  np.zeros((1, 2)))
+    with pytest.raises(NumkitError, match="out of range"):
+        nk.Runs([0], 0)
+
+
 def test_run_sums_reject_bad_runs_and_spans():
     with pytest.raises(NumkitError, match="ascending"):
         nk.Runs([0, 3, 2], 5)
@@ -526,6 +568,8 @@ def test_run_sums_reject_bad_runs_and_spans():
         nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 5]])
     with pytest.raises(NumkitError, match="spans"):
         nk.run_sums(np.ones((4, 2)), runs, [0, 1, 1, 2])
+    with pytest.raises(NumkitError, match="rows for runs"):
+        nk.run_sums(np.ones((5, 2)), runs, [[0, 1, 1, 2]])
 
 
 def test_backward_through_an_unrecorded_value_raises():

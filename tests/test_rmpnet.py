@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rmpi import numkit as nk
+from rmpi import rmpnet
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
@@ -881,6 +882,31 @@ def test_scoring_attention_exact_over_a_wide_logit_spread(disclosing):
     assert len(samples[0].sub.triples) == 4
     got, want = forward_pair(samples, config, params)
     np.testing.assert_allclose(got, want, **TOL)
+
+
+@pytest.mark.parametrize("hops", [2, 3])
+def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
+    # layer k sums the first rows, whole runs: exactly the runs in which a
+    # span of a node it updates takes a row.  So the last layer sums the
+    # rows at the targets' entities alone, a small share of a sample that
+    # reaches the hub; the second target has no neighbour, so no run
+    graph = hub_twin_graph(np.random.default_rng(1))
+    targets = [Triple(3, 4, 8), Triple(12, 4, 13)]
+    config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
+    kept = [rmpnet._kept(build_sample(graph, t, config)) for t in targets]
+    inc, order = rmpnet._incidences(kept, [len(ts) for ts, _ in kept], hops)
+    for layer in range(1, hops + 1):
+        spans = inc.spans[: inc.receivers[layer - 1]].reshape(-1, 4)
+        taking = spans[(spans[:, 1] > spans[:, 0]) | (spans[:, 2] < spans[:, 3])]
+        read = set(inc.runs.starts.searchsorted(taking[:, 0], "right") - 1)
+        assert read == set(range(inc.runs.runs_in(inc.layer_rows[layer - 1])))
+    nodes = [[t for ts, _ in kept for t in ts][i] for i in order]
+    sample = np.repeat([0, 1], [len(ts) for ts, _ in kept])[order]
+    near = {j for j, t in enumerate(nodes)
+            if j > 1 and {t.head, t.tail} & {targets[sample[j]].head, targets[sample[j]].tail}}
+    assert set(inc.rows[: inc.layer_rows[-1]].tolist()) - {0, 1} == near  # the targets are nodes 0, 1
+    assert 0 < inc.layer_rows[-1] < len(inc.rows) / 4
+    assert sum(0 in (t.head, t.tail) for t in kept[0][0]) > 5 and len(kept[1][0]) == 1  # the hub
 
 
 # ----------------------------------------------------- gradients

@@ -40,6 +40,10 @@ def test_hub_probe_reports_rate_and_memory():
     )
     assert "ne-ta K=1: 10 triples in" in done.stdout
     assert "triples/s, peak RSS" in done.stdout
+    head, counts = done.stdout.strip().splitlines()[1].split(": ", 2)[1:]
+    assert head == "incidence rows summed by layers 1..1"
+    summed, total = map(int, counts.split(" of "))
+    assert 0 < summed <= total
 
 
 def test_hub_probe_rejects_counts_below_one():
@@ -64,6 +68,18 @@ def test_extraction_digest_prints_one_digest_per_workload_and_depth():
     # 70 test and 10 validation targets and 300 graph triples, 4 negatives each
     assert head == "extraction_digest: rank-skewed K=1: 1900 subgraphs, sha256"
     assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+def test_score_digest_prints_one_digest_per_workload_depth_and_variant():
+    argv = [sys.executable, os.path.join(ROOT, "scripts", "score_digest.py"),
+            "--workload", "rank-skewed", "--hops", "1", "--variant", "ne-ta"]
+    lines = [subprocess.run(argv, check=True, capture_output=True, text=True,
+                            timeout=300).stdout for _ in range(2)]
+    head, digest = lines[0].strip().rsplit(" ", 1)
+    # 70 test targets and a negative each
+    assert head == "score_digest: rank-skewed ne-ta K=1: 140 triples, sha256"
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert lines[1] == lines[0]  # seeded throughout
 
 
 def test_training_digest_prints_history_and_digest_per_variant():
