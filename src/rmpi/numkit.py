@@ -306,7 +306,7 @@ class Runs:
             raise NumkitError("runs need ascending starts from 0")
         self.n = n
         self.starts = starts
-        self.lengths = lengths = np.diff(starts, append=n)
+        self.lengths = lengths = np.concatenate([starts[1:], [n]]) - starts
         self.classes = cls = np.ceil(np.log2(lengths)).astype(np.intp)
         width = 1 << cls
         by_class = cls.argsort(kind="stable")  # runs of a class together, in row order

@@ -393,7 +393,7 @@ def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
     first = np.concatenate([2 * tails, 2 * heads + 1, 2 * heads, 2 * tails + 1]) * num_ids
     block = first + np.concatenate([heads, tails, tails, heads])
     bounds = np.concatenate([first, block, block + 1, first + num_ids])
-    by_bound = bounds.argsort()  # searched in order, each search starts where the last ended
+    by_bound = bounds.argsort()  # searched in ascending order, each search narrowed by the last
     bounds[by_bound] = key.searchsorted(bounds[by_bound])
     spans[:, :4] = bounds.reshape(4, 4, q).transpose(2, 1, 0)
     # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
