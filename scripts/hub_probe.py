@@ -9,8 +9,8 @@ scores the first N test targets and one sampled negative each, as
     python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100]
 
 A second line gives the incidence rows each layer summed, and all the rows
-of the scored batches' Incidences, totalled over the batches.  The program
-is imported from this checkout's src/.
+of the scored batches' Incidences, totalled over the batches of a second,
+untimed pass.  The program is imported from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -33,6 +33,27 @@ from rmpi import evalbench, kgstore, rmpnet, trainlab  # noqa: E402
 from rmpi.cli import VARIANTS, _count  # noqa: E402
 
 SEED = 1  # the names and parameters perfbench draws with --seed 1
+
+
+def summed_rows(ckpt, graph, targets) -> list[int]:
+    """The incidence rows each layer sums, then all the rows, totalled over
+    the batches of a second classification pass: counted outside the timed
+    pass, whose peak RSS the counting would move."""
+    summed = [0] * (ckpt.config.hops + 1)
+    incidences = rmpnet._incidences
+
+    def counted(*batch):
+        inc, order = incidences(*batch)
+        for k, rows in enumerate(inc.layer_rows + (len(inc.rows),)):
+            summed[k] += rows
+        return inc, order
+
+    rmpnet._incidences = counted
+    try:
+        evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+    finally:
+        rmpnet._incidences = incidences
+    return summed
 
 
 def main(argv=None) -> int:
@@ -58,24 +79,14 @@ def main(argv=None) -> int:
         seen_flags=tuple(vocab.relation_seen(r) for r in range(vocab.num_relations)),
     )
     targets = bench.test[: args.targets]
-    summed = [0] * (args.hops + 1)  # per layer, then all the rows
-    incidences = rmpnet._incidences
-
-    def counted(*batch):
-        inc, order = incidences(*batch)
-        for k, rows in enumerate(inc.layer_rows + (len(inc.rows),)):
-            summed[k] += rows
-        return inc, order
-
-    rmpnet._incidences = counted
     start = time.process_time()
     result = evalbench.classify(ckpt, bench.test_graph, targets, seed=spec.EVAL_SEED)
     seconds = time.process_time() - start
-    rmpnet._incidences = incidences
     scored = len(result.scores)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     print(f"hub_probe: {args.variant} K={args.hops}: {scored} triples in {seconds:.2f} CPU s, "
           f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, auc-pr {result.auc_pr:.4f}")
+    summed = summed_rows(ckpt, bench.test_graph, targets)
     print(f"hub_probe: incidence rows summed by layers 1..{args.hops}: "
           f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")
     return 0
