@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the enclosing subgraphs extracted on a workload's graph.
+"""Print SHA-256s over the enclosing subgraphs and relation views of a workload's graph.
 
 Builds the graph of one perfbench workload with perfbench/gen.py: the training
 graph for train-mild, the test graph for the eval workloads.  It then extracts,
@@ -10,10 +10,14 @@ rank query keeps its fixed entity):
 
     python3 scripts/extraction_digest.py --workload rank-skewed --hops 2
 
-The digest covers every extraction's triples, source indexes and levels, in
-extraction order.  Two checkouts that print the same line extract the same
-subgraphs, so an extraction refactor can be checked against its parent by
-running this script in both.  The program is imported from this checkout's src/.
+The first line's digest covers every extraction's triples, source indexes and
+levels, in extraction order.  The second line's covers the edge array of each
+subgraph's relation view (`subgraph.to_relation_view`, as `rmpi dump-subgraph`
+builds it): its shape and its int32 (src, type, dst) rows, in the same order.
+Two checkouts that print the same lines extract the same subgraphs and build
+the same views, so an extraction or view refactor can be checked against its
+parent by running this script in both.  The program is imported from this
+checkout's src/.
 """
 
 from __future__ import annotations
@@ -60,14 +64,20 @@ def main(argv=None) -> int:
         gen.generate(tmp, seed=spec.GRAPH_SEED, **w["gen"])
         bench = kgstore.load_benchmark(tmp)
     graph = bench.train if w["kind"] == "train" else bench.test_graph
-    digest = hashlib.sha256()
+    digest, views = hashlib.sha256(), hashlib.sha256()
     todo = targets(bench, graph)
+    edges = 0
     for t in todo:
         sub = subgraph.extract_enclosing(graph, t, args.hops)
         record = (tuple(map(tuple, sub.triples)), sub.source_indexes, sub.levels)
         digest.update(repr(record).encode("ascii") + b"\n")
+        view = subgraph.to_relation_view(sub).edges
+        views.update(repr(view.shape).encode("ascii") + view.astype("<i4").tobytes())
+        edges += len(view)
     print(f"extraction_digest: {args.workload} K={args.hops}: {len(todo)} subgraphs, "
           f"sha256 {digest.hexdigest()}")
+    print(f"extraction_digest: {args.workload} K={args.hops}: {edges} relation-view edges, "
+          f"sha256 {views.hexdigest()}")
     return 0
 
 

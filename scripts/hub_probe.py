@@ -40,7 +40,7 @@ def summed_rows(ckpt, graph, targets) -> list[int]:
     the batches of a second classification pass: counted outside the timed
     pass, whose peak RSS the counting would move."""
     summed = [0] * (ckpt.config.hops + 1)
-    incidences = rmpnet._incidences
+    incidences = rmpnet.scoring_incidences
 
     def counted(*batch):
         inc, order = incidences(*batch)
@@ -48,11 +48,11 @@ def summed_rows(ckpt, graph, targets) -> list[int]:
             summed[k] += rows
         return inc, order
 
-    rmpnet._incidences = counted
+    rmpnet.scoring_incidences = counted
     try:
         evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
     finally:
-        rmpnet._incidences = incidences
+        rmpnet.scoring_incidences = incidences
     return summed
 
 

@@ -242,12 +242,9 @@ def cmd_train(args) -> int:
 
     if aucs:
         print(f"mean validation auc-pr over {len(aucs)} run(s): {np.mean(aucs):.4f}")
-    if args.runs > 1:
-        write_report(
-            {"mean_val_auc_pr": float(np.mean(aucs)) if aucs else float("nan"),
-             "runs": args.runs},
-            args.out, stem="summary",
-        )
+    if args.runs > 1:  # a mean only over runs that validated: JSON has no NaN
+        summary = {"mean_val_auc_pr": float(np.mean(aucs))} if aucs else {}
+        write_report({**summary, "runs": args.runs}, args.out, stem="summary")
     return EXIT_OK
 
 

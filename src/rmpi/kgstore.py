@@ -27,7 +27,7 @@ from collections import OrderedDict
 from types import MappingProxyType
 from typing import Iterable, KeysView, Mapping, NamedTuple
 
-from .fileio import read_rows, write_rows
+from .fileio import read_rows
 
 
 class KGError(Exception):
@@ -265,17 +265,3 @@ def load_benchmark(directory: str) -> Benchmark:
         test_graph=KnowledgeGraph(vocab, raw["test_graph.txt"]),
         test=raw["test.txt"],
     )
-
-
-def write_triples(path: str, triples: Iterable[Triple], vocab: Vocabulary) -> None:
-    ent, rel = vocab.entity_names, vocab.relation_names
-    write_rows(path, ((ent[t.head], rel[t.relation], ent[t.tail]) for t in triples))
-
-
-def save_benchmark(bench: Benchmark, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    vocab = bench.vocab
-    write_triples(os.path.join(directory, "train.txt"), bench.train.triples, vocab)
-    write_triples(os.path.join(directory, "valid.txt"), bench.valid, vocab)
-    write_triples(os.path.join(directory, "test_graph.txt"), bench.test_graph.triples, vocab)
-    write_triples(os.path.join(directory, "test.txt"), bench.test, vocab)

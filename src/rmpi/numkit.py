@@ -428,19 +428,6 @@ def leaky_relu(x: Var, slope: float = 0.2) -> Var:
     return x.tape._record(np.where(mask, x.value, slope * x.value), (x,), vjp)
 
 
-def softmax(x: Var) -> Var:
-    if x.value.ndim != 1 or x.value.shape[0] == 0:
-        raise NumkitError(f"softmax expects a nonempty vector, got shape {x.value.shape}")
-    z = x.value - x.value.max()
-    e = np.exp(z)
-    y = e / e.sum()
-
-    def vjp(g):
-        return (y * (g - float(g @ y)),)
-
-    return x.tape._record(y, (x,), vjp)
-
-
 def dot(x: Var, y: Var) -> Var:
     if x.value.shape != y.value.shape or x.value.ndim != 1:
         raise NumkitError(f"dot shape mismatch: {x.value.shape} vs {y.value.shape}")

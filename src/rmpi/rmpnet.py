@@ -16,24 +16,26 @@ concatenation before the linear scorer.
 Everything runs as array operations over a batch of samples stacked into
 one block-diagonal graph, their distinct labels resolved once into a
 feature table, and each layer transforms its (node, edge type) group sums
-by the types' weights in one matrix product.  There are two forwards, for
-the same model:
+by the types' weights in one matrix product.  Every edge type matches one
+end of the source with one end of the receiver, so a receiver's typed
+sources are the triples at one of its entities, less the parallel or
+inverse twins that give PARA or LOOP in their place: subgraph._end_rows
+decides that typing once, as one span per receiver and type over the
+triples' ends grouped by entity.  There are two forwards over those spans,
+for the same model:
 
 - Training drops every view edge independently, which no sum over shared
-  entities can express, so stack_samples builds the relation-view edges of
-  a training batch by one join of all its samples' triples
-  (subgraph.view_edges), cuts each layer's by the levels the extraction
+  entities can express, so stack_samples expands the spans of a training
+  batch's layer-1 receivers into their relation-view edges
+  (subgraph.view_layers), cuts each layer's by the levels the extraction
   measured, and the training forward sums the sources of every group along
   them.  Samples keep no edges between steps.
-- Without dropout every edge type matches one end of the source with one
-  end of the receiver, so a typed message sum is a sum over the triples at
-  one entity, less the parallel or inverse twins that give PARA or LOOP in
-  its place.  The scoring forward reads every such sum off running sums over
-  the triples' ends grouped by entity (Incidences), in time and memory
-  linear in the subgraph's triples; the view, whose edges grow with the
-  square of entity degree, is never built.  Its rows are ordered so that
-  each layer's runs, those its receivers read, are the first rows, and
-  each layer sums those alone: the last layer only the targets' runs.
+- Without dropout the scoring forward reads every typed sum off running
+  sums over the spans (Incidences), in time and memory linear in the
+  subgraph's triples; the edges, which grow with the square of entity
+  degree, are never built.  Its rows are ordered so that each layer's
+  runs, those its receivers read, are the first rows, and each layer sums
+  those alone: the last layer only the targets' runs.
 
 `propagate`'s `training` flag picks the forward: every forward inside
 `trainlab.score_triples` (classification, ranking and validation) scores.
@@ -51,7 +53,13 @@ import numpy as np
 
 from . import numkit as nk
 from .numkit import Tape, Var
-from .subgraph import NUM_EDGE_TYPES, EntitySubgraph, view_edges
+from .subgraph import (
+    NUM_EDGE_TYPES,
+    EntitySubgraph,
+    Incidences,
+    scoring_incidences,
+    view_layers,
+)
 
 FUSION_MODES = ("sum", "conc")
 INIT_MODES = ("random", "schema")
@@ -205,40 +213,6 @@ class SubgraphSample:
 
 
 @dataclass(frozen=True)
-class Incidences:
-    """Where the scoring forward reads each receiver's typed message sums.
-
-    The nodes of a scoring batch are ordered by level, so that the nodes
-    layer k updates are the first receivers[k-1], the targets first.  Every
-    end of a node's triple at an entity of a layer-1 receiver is a row,
-    sorted by (entity, end, entity at the triple's other end, node), so
-    that the ends of one kind at one entity form a run, and within it the
-    ends sharing the other entity too a block; the head ends follow again,
-    each block a run of its own.  A receiver's H-T, T-H, H-H and T-T sums
-    are each a run less one block, of the twins that give PARA or LOOP in
-    place of those types, and its PARA and LOOP sums are a block less the
-    node itself, or the whole block of its inverse twins: each the span
-    (start, cut, resume, stop) of rows start .. cut-1 and resume .. stop-1
-    (numkit.run_sums); a span that takes no row is (0, 0, 0, 0).
-
-    The runs are then reordered, each kept whole and in order, by how many
-    layers read them, deepest first: a run is read by the layers that
-    update a receiver with a span taking a row of it.  As the receivers of
-    layer k + 1 are among those of layer k, layer k reads the first
-    layer_rows[k-1] rows, and it fills and accumulates the running sums of
-    those alone; a run no span takes a row of comes last and no layer sums
-    it.
-    """
-
-    receivers: tuple  # per layer 1..K, how many nodes it updates
-    layer_rows: tuple  # per layer 1..K, how many rows it sums: the first, whole runs
-    rows: np.ndarray  # (R,) node per row
-    runs: nk.Runs
-    spans: np.ndarray  # (receivers[0], 6, 4) per receiver and edge type
-    unit: np.ndarray  # (R,) what a span may cut: the row's block, or in a block run the row
-
-
-@dataclass(frozen=True)
 class SampleBatch:
     """Samples stacked into one block-diagonal graph.
 
@@ -294,9 +268,13 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     sample_ids = np.arange(len(samples))
     node_sample = np.repeat(sample_ids, sizes)
     if training:
-        layer_edges = _layer_edges(samples, node_sample, depth)
+        layer_edges = view_layers(
+            [t for triples in node_triples for t in triples], node_sample,
+            np.array([lv for s in samples for lv in s.sub.levels]), depth,
+            [s.sub.target for s in samples],
+        )
     elif offsets[-1] > len(samples):  # some sample has more than its target
-        incidences, order = _incidences(kept, sizes, depth)
+        incidences, order = scoring_incidences(kept, sizes, depth)
     disc_labels = [label for s in samples for _, label in s.disclosing]
     target_labels = [s.target_label for s in samples]
     labels = sorted(set(node_labels).union(disc_labels, target_labels))
@@ -324,22 +302,6 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     )
 
 
-def _layer_edges(samples, node_sample, depth: int) -> tuple:
-    """Per layer 1..K of a training batch, the (E_k, 3) view edges it reads.
-
-    One join over the stacked triples, their entity ids kept apart per
-    sample, gives every sample's view edges at once, its node ids offset
-    and in (dst, type, src) order.  Layer k reads the edges into the nodes
-    of level at most K - k, so each layer's edges are those prune_to_target
-    gives each sample's view, offset and concatenated in sample order.
-    """
-    ends = np.array([(t.head, t.tail) for s in samples for t in s.sub.triples])
-    ends += (node_sample * (int(ends.max()) + 1))[:, None]
-    edges = view_edges(ends[:, 0], ends[:, 1], node_sample, [s.sub.target for s in samples])
-    level = np.array([lv for s in samples for lv in s.sub.levels])[edges[:, 2]]
-    return tuple(edges[level <= depth - k] for k in range(1, depth + 1))
-
-
 def _kept(sample: SubgraphSample) -> tuple[list, list]:
     """The triples of a sample the scoring forward reads, those within K
     steps of the target, in subgraph order with the target last, and their
@@ -347,108 +309,6 @@ def _kept(sample: SubgraphSample) -> tuple[list, list]:
     pairs = [(t, level) for t, level in zip(sample.sub.triples, sample.sub.levels)
              if level <= sample.hops]
     return [t for t, _ in pairs], [level for _, level in pairs]
-
-
-def _incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
-    """The Incidences of a scoring batch whose sample s keeps the triples
-    and levels kept[s], and the order of its nodes: by level, then sample,
-    then subgraph order.
-
-    Small batches are common and numpy's calls cost microseconds each, so
-    this uses array methods and np.concatenate over its wrapper functions.
-    """
-    level = np.array([lv for _, levels in kept for lv in levels])
-    order = level.argsort(kind="stable")
-    level = level[order]
-    receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
-    q = receivers[0]
-    triples = [t for kept_triples, _ in kept for t in kept_triples]
-    ends = np.array([[t.head for t in triples], [t.tail for t in triples]])[:, order].ravel()
-    n = len(order)
-    sample = np.arange(len(sizes)).repeat(sizes)[order]
-    # entity ids unique per sample and dense, so that no run joins two
-    # samples and the keys below stay small
-    ends += np.concatenate([sample, sample]) * (int(ends.max()) + 1)
-    by_id = ends.argsort(kind="stable")
-    new_id = np.concatenate([[0], ends[by_id[1:]] != ends[by_id[:-1]]]).cumsum()
-    num_ids = int(new_id[-1]) + 1
-    ends[by_id] = new_id
-    heads, tails = ends[:n], ends[n:]
-    # the ends at entities of layer-1 receivers, keyed by (2 * entity + (a
-    # tail end)) * num_ids + the other end's entity: node i's head end is
-    # end i, its tail end end n + i
-    touched = np.zeros(num_ids, dtype=bool)
-    touched[heads[:q]] = True
-    touched[tails[:q]] = True
-    read = touched[ends].nonzero()[0]
-    key = np.concatenate([2 * heads * num_ids + tails, (2 * tails + 1) * num_ids + heads])[read]
-    by_key = key.argsort(kind="stable")  # twins in node order
-    key, read = key[by_key], read[by_key]
-    n_rows = len(key)
-    run = key // num_ids
-    heads, tails = heads[:q], tails[:q]
-    spans = np.empty((q, NUM_EDGE_TYPES, 4), dtype=np.intp)
-    # H-T, T-H, H-H, T-T: the run of the source end's kind at the node's
-    # end, less the block whose other entity is the node's other end
-    first = np.concatenate([2 * tails, 2 * heads + 1, 2 * heads, 2 * tails + 1]) * num_ids
-    block = first + np.concatenate([heads, tails, tails, heads])
-    bounds = np.concatenate([first, block, block + 1, first + num_ids])
-    by_bound = bounds.argsort()  # searched in ascending order, each search narrowed by the last
-    bounds[by_bound] = key.searchsorted(bounds[by_bound])
-    spans[:, :4] = bounds.reshape(4, 4, q).transpose(2, 1, 0)
-    # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
-    # the block of inverse twins, that of H-T, whole, or for a self-loop as
-    # PARA.  The head rows' copies follow the rows, in order.
-    is_head = run % 2 == 0
-    copy = np.concatenate([[0], is_head.cumsum()]) + n_rows  # of the head rows up to each row
-    own = np.empty(2 * n, dtype=np.intp)
-    own[read] = np.arange(n_rows)
-    para = spans[:, 2, [1, 1, 2, 2]]
-    para[:, 1] = own[:q]
-    para[:, 2] = own[:q] + 1
-    spans[:, 4] = copy[para]
-    spans[:, 5] = copy[spans[:, 0, [1, 2, 2, 2]]]
-    self_loop = heads == tails
-    spans[self_loop, 5] = spans[self_loop, 4]
-
-    unit = np.concatenate([[0], key[1:] != key[:-1]]).cumsum()  # the block of each row
-    run_at = np.concatenate([[0], (run[1:] != run[:-1]).nonzero()[0] + 1])
-    head_rows = is_head.nonzero()[0]
-    head_unit = unit[head_rows]
-    new_copy_block = (head_unit[1:] != head_unit[:-1]).nonzero()[0] + 1
-    starts = np.concatenate([run_at, n_rows + np.concatenate([[0], new_copy_block])])
-    n_rows += len(head_rows)
-    lengths = np.concatenate([starts[1:], [n_rows]]) - starts
-    # order the runs by how many layers read them, deepest first, each
-    # run's rows kept in order, so that each layer reads the first rows: a
-    # run is read by as many layers as update the deepest receiver with a
-    # span taking a row of it, and the nodes are ordered by level
-    spans = spans.reshape(-1, 4)
-    start, cut, resume, stop = spans.T
-    taking = (cut > start) | (resume < stop)
-    run_of = np.zeros(n_rows + 1, dtype=np.intp)
-    run_of[starts[1:]] = 1
-    run_of = run_of.cumsum()[start]  # the run of each span's first row
-    reads = np.zeros(len(starts), dtype=level.dtype)
-    np.maximum.at(reads, run_of[taking], (depth - level[:q]).repeat(NUM_EDGE_TYPES)[taking])
-    layer_rows = np.bincount(reads, lengths, depth + 1)[:0:-1].cumsum()[::-1]
-    by_reads = (-reads).argsort(kind="stable")
-    lengths = lengths[by_reads]
-    placed = lengths.cumsum() - lengths  # each run's first row in that order
-    shift = placed - starts[by_reads]
-    moved = np.empty_like(shift)  # each run's shift, by run
-    moved[by_reads] = shift
-    by_row = np.arange(n_rows) - shift.repeat(lengths)  # the rows in that order
-    rows = np.concatenate([read, read[head_rows]]) % n
-    inc = Incidences(
-        receivers=receivers,
-        layer_rows=tuple(int(m) for m in layer_rows),
-        rows=rows[by_row],
-        runs=nk.Runs(placed, n_rows),
-        spans=np.where(taking[:, None], spans + moved[run_of][:, None], 0).reshape(q, -1, 4),
-        unit=np.concatenate([unit, unit[-1] + 1 + np.arange(len(head_rows))])[by_row],
-    )
-    return inc, order
 
 
 def _apply(w: Var, x: Var) -> Var:

@@ -96,10 +96,6 @@ class SchemaEmbedding:
         return self.vectors[idx]
 
 
-def transe_energy(vs: np.ndarray, vp: np.ndarray, vo: np.ndarray) -> float:
-    return float(np.abs(vs + vp - vo).sum())
-
-
 def pretrain(
     schema: SchemaGraph,
     dim: int = 300,

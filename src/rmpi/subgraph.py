@@ -6,23 +6,25 @@ neighborhoods of u and v, pruned) and the *disclosing* subgraph (their
 union, unpruned).  The enclosing one is turned into a relation-view graph: a
 directed graph with one node per triple instance, labelled by its relation,
 and six typed edges describing how two triples share entities.  Each edge
-type matches one end of a triple with one end of another, so view_edges
-builds the edges as one join of the triples' ends grouped by entity, into a
-read-only (E, 3) int32 array of (src, type, dst) rows sorted by (dst, type,
-src).  A pair of parallel or inverse triples gets a PARA or LOOP edge in
-place of the generic matches that pattern covers.  Message passing only
-needs the part of that graph that reaches the target within K steps: layer
-k reads the edges into the triples of level at most K - k, the levels
-extract_enclosing measures.  Training, whose per-edge dropout needs the
-edges, joins all the triples of a step at once (rmpnet.stack_samples);
-scoring passes messages over the triples' shared entities instead, without
-the edges, which grow with the square of entity degree.  to_relation_view
-and prune_to_target build one subgraph's view and its layers, for `rmpi
-dump-subgraph` and as the reference the levels are checked against.  The
-model reads only the target's one-hop in-neighbors in the disclosing view,
-the triples sharing an entity with the target, so disclosing_neighbors
-reads them straight off the graph's incidence index; extract_disclosing
-builds the whole union subgraph only for inspection.
+type matches one end of a triple with one end of another, so the sources of
+a receiver's edges of one type are the ends at one of its entities, less
+the parallel or inverse twins that get a PARA or LOOP edge in place of the
+generic matches.  _end_rows decides that typing once, as spans over the
+triples' ends sorted by entity, and every consumer reads those spans:
+view_layers expands them into (src, type, dst) edge rows sorted by (dst,
+type, src), for to_relation_view (`rmpi dump-subgraph`) and for training,
+whose per-edge dropout needs the edges and which builds all the triples of a
+step at once (rmpnet.stack_samples); scoring_incidences lays them out for
+the scoring forward, which sums over them without the edges, which grow
+with the square of entity degree.  Message passing only needs the part of
+the view that reaches the target within K steps: layer k reads the edges
+into the triples of level at most K - k, the levels extract_enclosing
+measures, and prune_to_target finds the same layers by walking one view's
+edges back from the target.  The model reads only the target's one-hop
+in-neighbors in the disclosing view, the triples sharing an entity with the
+target, so disclosing_neighbors reads them straight off the graph's
+incidence index; extract_disclosing builds the whole union subgraph only for
+inspection.
 
 Extraction reads the K-hop maps the graph memoises, so the candidates of a
 rank query, which share its fixed entity, walk that entity's neighbourhood
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numkit as nk
 from .fileio import format_row
 from .kgstore import KnowledgeGraph, Triple, khop_neighbors
 
@@ -211,21 +214,20 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
     return _subgraph(graph, _induced_triples(graph, entities, target), target, "disclosing")
 
 
-# Most rows one join of view_edges may hold: the sum over entities of the
-# squared number of triple ends there, a little above the edge count.  The
-# join peaks at about 62 bytes per row (3.9M edges took 231 MB over the
-# process's base), so about 0.5 GB at this ceiling.  It bounds a training
-# step, which joins the triples of all its samples: the largest step of an
-# epoch on the benchmark's hub graph (classify-hub, K=2, batch 16) joins
-# 2.1M rows.  A larger join raises SubgraphError, which the CLI reports with
-# exit code 2, rather than running the machine out of memory.
+# Most join rows a relation-view build may stand for: the sum over entities
+# of the squared number of triple ends there, the rows a join of every pair
+# of ends at an entity would hold, a little above the edge count.  The build
+# counts them from the entity ids before it expands any edge, and expands
+# only the edges into its receivers, at about 40 bytes per edge at its peak
+# (numpy's traced allocations: 42 MB for a 32-sample training batch of the
+# benchmark's hub graph at K=2, 1.1M edges into layer-1 receivers of 2.6M
+# join rows), so at most about 0.34 GB at this ceiling.  It bounds a
+# training step, which builds the edges of all its samples at once: the
+# largest step of an epoch on the hub graph (classify-hub, K=2, batch 16)
+# stands for 2.1M join rows.  A build over the ceiling raises SubgraphError,
+# which the CLI reports with exit code 2, rather than running the machine
+# out of memory.
 MAX_JOIN_ROWS = 1 << 23
-
-# Edge type of a join row by 4 * twin + 2 * (src end is a tail) + (dst end
-# is a tail), where twin says the pair also matches at its other two ends
-# (parallel or inverse triples); -1 drops the row.  A twin pair has all four
-# basic rows: its H-H row becomes PARA, its H-T row LOOP, and T-T and T-H go.
-_EDGE_TYPE = np.array([H_H, H_T, T_H, T_T, PARA, LOOP, -1, -1])
 
 
 def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
@@ -236,81 +238,240 @@ def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
     entities at several positions yields several typed edges, except that a
     PARA match always hides H-H/T-T for that pair and a LOOP match hides
     H-T/T-H, so a message is never double-counted by a generic pattern
-    subsumed in a specific one.
+    subsumed in a specific one.  The view is one sample of view_layers
+    whose every node receives.
     """
-    heads, labels, tails = zip(*sub.triples)
+    n = len(sub.triples)
+    zeros = np.zeros(n, dtype=np.intp)
+    (edges,) = view_layers(sub.triples, zeros, zeros, 1, [sub.target])
     return RelationViewGraph(
         nodes=tuple(sub.triples),
-        labels=labels,
-        edges=view_edges(np.array(heads), np.array(tails),
-                         np.zeros(len(heads), dtype=np.intp), [sub.target]),
+        labels=tuple(t.relation for t in sub.triples),
+        edges=edges,
         target_index=sub.target_position,
     )
 
 
-def view_edges(heads: np.ndarray, tails: np.ndarray, node_sample: np.ndarray,
-               targets) -> np.ndarray:
-    """The relation-view edges of the triples with these heads and tails,
-    triple i from the subgraph of targets[node_sample[i]], by one join.
+def view_layers(triples, node_sample: np.ndarray, levels: np.ndarray, depth: int,
+                targets) -> tuple[np.ndarray, ...]:
+    """Per layer k = 1..depth, the relation-view edges into the nodes of
+    level at most depth - k, as read-only (E_k, 3) int32 rows (src, type,
+    dst) sorted by (dst, type, src): node i is triples[i], from the
+    subgraph of targets[node_sample[i]].
 
-    Every edge type matches one end of the source triple with one end of
-    the destination, so the edges are the pairs of ends at one entity: the
-    ends are sorted by entity, and each end meets every end of its group.
-    A join over MAX_JOIN_ROWS names the target with the most of its rows.
+    Every edge type matches one end of the source with one end of the
+    receiver, so the edges into a receiver are the rows of its spans
+    (_end_rows): each span is expanded into its rows' nodes, and the edges
+    sorted.  A build over MAX_JOIN_ROWS names the target with the most of
+    its join rows.  A batch without edges shares one empty array per layer.
     """
-    n = len(heads)
-    if n < 2:
-        return NO_EDGES
-    inc = np.concatenate([heads, tails])  # entity at end k: triple k % n, a tail when k >= n
-    mate = np.concatenate([tails, heads])  # entity at the other end of end k's triple
-    order = inc.argsort()
-    ent = inc[order]
-    lo, hi = ent.searchsorted(ent), ent.searchsorted(ent, "right")
-    size = hi - lo  # per sorted end, the number of ends at its entity
-    stop = size.cumsum()  # the join rows of sorted end p end at stop[p]
-    rows = int(stop[-1])  # each end meets its whole group, itself included
+    n = len(triples)
+    ends, num_ids = _dense_ids(np.array([[t.head for t in triples],
+                                         [t.tail for t in triples]]).ravel(), node_sample)
+    count = np.bincount(ends)  # per entity, the ends there
+    rows = int(count @ count)
     if rows == 2 * n:  # no entity has two ends
-        return NO_EDGES
+        return (NO_EDGES,) * depth
     if rows > MAX_JOIN_ROWS:
-        worst = np.bincount(node_sample[order % n], weights=size).argmax()
+        sample = np.empty(num_ids, dtype=np.intp)
+        sample[ends] = np.concatenate([node_sample, node_sample])
+        worst = np.bincount(sample, weights=count * count).argmax()
         raise SubgraphError(
             f"relation view of target {targets[worst]} needs {rows} join rows, "
             f"over the limit of {MAX_JOIN_ROWS}"
         )
-    node, tail, mate = order % n, (order >= n).view(np.int8), mate[order]  # per sorted end
-    # The rows pair dst end p, repeated size[p] times, with each src end of
-    # its group, lo[p] .. hi[p]-1.  Row arrays are updated in place, so that
-    # few of them are alive at once.
-    s = np.arange(rows)
-    s -= (stop - hi).repeat(size)
-    dst, src = node.repeat(size), node[s]
-    code = (mate.repeat(size) == mate[s]).view(np.int8)  # _EDGE_TYPE's column
-    code <<= 1
-    code += tail[s]
-    code <<= 1
-    code += tail.repeat(size)
-    s = None
-    etype = _EDGE_TYPE[code]
-    keep = src != dst
-    keep &= etype >= 0
-    bits = n.bit_length()  # key: dst, then 3 bits of type (6 types), then `bits` of src
-    key = dst
-    key <<= 3
-    key += etype
+    receivers = (levels < depth).nonzero()[0]
+    _, _, node_of, spans = _end_rows(ends, num_ids, receivers)
+    ranges = spans.reshape(-1, 2)  # per receiver and type: rows start .. cut-1, resume .. stop-1
+    length = ranges[:, 1] - ranges[:, 0]
+    if not length.any():
+        return (NO_EDGES,) * depth
+    at = np.arange(int(length.sum()))  # per edge, the row of its source
+    at += (ranges[:, 0] - length.cumsum() + length).repeat(length)
+    bits = n.bit_length()  # key: receiver, then type, then `bits` of src
+    key = (np.arange(len(ranges)) >> 1).repeat(length)
     key <<= bits
-    key += src
-    key = key[keep]
-    if not len(key):
-        return NO_EDGES
-    key.sort()  # the order pruning and the layers read
+    key += node_of[at]
+    at = None
+    key.sort()  # the order pruning and the layers read: receivers ascend as their nodes
     edges = np.empty((len(key), 3), dtype=np.int32)
     edges[:, 0] = key & ((1 << bits) - 1)
     key >>= bits
-    edges[:, 1] = key & 7
-    key >>= 3
-    edges[:, 2] = key
+    edges[:, 1] = key % NUM_EDGE_TYPES
+    edges[:, 2] = receivers[key // NUM_EDGE_TYPES]
     edges.flags.writeable = False
-    return edges
+    level = levels[edges[:, 2]]
+    return (edges,) + tuple(edges[level <= depth - k] for k in range(2, depth + 1))
+
+
+def _dense_ids(ends: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, int]:
+    """The entity at each end (node i's head end at i, its tail end at n +
+    i) renumbered 0 .. m-1 by (sample, entity), so that no two samples
+    share one and keys over them stay small, and m."""
+    ends = ends + np.concatenate([sample, sample]) * (int(ends.max()) + 1)
+    by_id = ends.argsort(kind="stable")
+    new_id = np.concatenate([[0], ends[by_id[1:]] != ends[by_id[:-1]]]).cumsum()
+    ends[by_id] = new_id
+    return ends, int(new_id[-1]) + 1
+
+
+def _end_rows(ends: np.ndarray, num_ids: int, receivers):
+    """The ends at the receivers' entities, sorted, and where each
+    receiver's typed message sources lie among them: the one edge typing of
+    the relation view, which view_layers expands into edges and the scoring
+    forward sums over (scoring_incidences).
+
+    ends gives the entity of node i's head end at i and of its tail end at
+    n + i (_dense_ids); receivers indexes the receiving nodes.  Every end
+    at an entity of a receiver is a row, sorted by (entity, end, entity at
+    the triple's other end, node), so that the ends of one kind at one
+    entity form a run, and within it the ends sharing the other entity too
+    a block.  A receiver's H-T, T-H, H-H and T-T sources are each a run less
+    one block, of the twins that give PARA or LOOP in place of those types,
+    and its PARA and LOOP sources are a block less the node itself, or the
+    whole block of its inverse twins: each the span (start, cut, resume,
+    stop) of rows start .. cut-1 and resume .. stop-1.
+
+    Returns per row its run, 2 * entity + (a tail end), its block, and its
+    node, and the (Q, 6, 4) spans per receiver and edge type.
+    """
+    n = len(ends) // 2
+    heads, tails = ends[:n], ends[n:]
+    heads_r, tails_r = heads[receivers], tails[receivers]
+    touched = np.zeros(num_ids, dtype=bool)
+    touched[heads_r] = True
+    touched[tails_r] = True
+    read = touched[ends].nonzero()[0]
+    key = np.concatenate([2 * heads * num_ids + tails, (2 * tails + 1) * num_ids + heads])[read]
+    by_key = key.argsort(kind="stable")  # twins in node order
+    key, read = key[by_key], read[by_key]
+    n_rows = len(key)
+    run = key // num_ids
+    run_at = np.zeros(2 * num_ids + 1, dtype=np.intp)  # the first row of every run id
+    run_at[1:] = np.bincount(run, minlength=2 * num_ids).cumsum()
+    new_block = key[1:] != key[:-1]
+    unit = np.concatenate([[0], new_block]).cumsum()
+    block_at = np.concatenate([[0], new_block.nonzero()[0] + 1, [n_rows]])
+    own = np.empty(2 * n, dtype=np.intp)  # the row of every end read
+    own[read] = np.arange(n_rows)
+    own = np.stack([own[:n][receivers], own[n:][receivers]])  # the receivers' head, tail ends
+    own_block = unit[own]
+    q = len(heads_r)
+    spans = np.empty((NUM_EDGE_TYPES, 4, q), dtype=np.intp)  # per type, (start, cut, resume, stop)
+    # H-T, T-H, H-H, T-T: the run of the source end's kind at the node's
+    # end, less the block whose other entity is the node's other end.  That
+    # block holds the node's own end for H-H and T-T, and its inverse twins'
+    # for H-T and T-H, which are searched for.
+    runs = np.stack([2 * tails_r, 2 * heads_r + 1, 2 * heads_r, 2 * tails_r + 1])
+    spans[:4, 0] = run_at[runs]
+    spans[:4, 3] = run_at[runs + 1]
+    inverse = runs[:2] * num_ids + np.stack([heads_r, tails_r])
+    spans[:2, 1] = key.searchsorted(inverse)
+    spans[:2, 2] = key.searchsorted(inverse, "right")
+    spans[2:4, 1] = block_at[own_block]
+    spans[2:4, 2] = block_at[own_block + 1]
+    # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
+    # the block of inverse twins, that of H-T, whole, or for a self-loop as
+    # PARA
+    spans[4] = spans[2, [1, 1, 2, 2]]
+    spans[4, 1] = own[0]
+    spans[4, 2] = own[0] + 1
+    spans[5] = spans[0, [1, 2, 2, 2]]
+    self_loop = heads_r == tails_r
+    spans[5][:, self_loop] = spans[4][:, self_loop]
+    spans = spans.transpose(2, 0, 1)
+    return run, unit, read % n, spans
+
+
+@dataclass(frozen=True)
+class Incidences:
+    """Where the scoring forward reads each receiver's typed message sums.
+
+    The nodes of a scoring batch are ordered by level, so that the nodes
+    layer k updates are the first receivers[k-1], the targets first.  The
+    rows and spans are _end_rows' for the layer-1 receivers, each typed sum
+    a span's rows (numkit.run_sums), except that PARA and LOOP read copies
+    of the head rows, which follow the rows, each block of them a run of
+    its own, so that their spans too are a run less a cut.  A span that
+    takes no row is (0, 0, 0, 0).
+
+    The runs are then reordered, each kept whole and in order, by how many
+    layers read them, deepest first: a run is read by the layers that
+    update a receiver with a span taking a row of it.  As the receivers of layer k +
+    1 are among those of layer k, layer k reads the first layer_rows[k-1]
+    rows, and it fills and accumulates the running sums of those alone; a
+    run no span takes a row of comes last and no layer sums it.
+    """
+
+    receivers: tuple  # per layer 1..K, how many nodes it updates
+    layer_rows: tuple  # per layer 1..K, how many rows it sums: the first, whole runs
+    rows: np.ndarray  # (R,) node per row
+    runs: nk.Runs
+    spans: np.ndarray  # (receivers[0], 6, 4) per receiver and edge type
+    unit: np.ndarray  # (R,) what a span may cut: the row's block, or in a block run the row
+
+
+def scoring_incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
+    """The Incidences of a scoring batch whose sample s keeps the triples
+    and levels kept[s], and the order of its nodes: by level, then sample,
+    then subgraph order.
+
+    Small batches are common and numpy's calls cost microseconds each, so
+    this uses array methods and np.concatenate over its wrapper functions.
+    """
+    level = np.array([lv for _, levels in kept for lv in levels])
+    order = level.argsort(kind="stable")
+    level = level[order]
+    receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
+    q = receivers[0]
+    triples = [t for kept_triples, _ in kept for t in kept_triples]
+    ends = np.array([[t.head for t in triples], [t.tail for t in triples]])[:, order].ravel()
+    sample = np.arange(len(sizes)).repeat(sizes)[order]
+    ends, num_ids = _dense_ids(ends, sample)
+    run, unit, rows, spans = _end_rows(ends, num_ids, slice(q))
+    n_rows = len(run)
+    # PARA and LOOP read copies of the head rows that follow the rows, in
+    # order, each block of them a run of its own
+    is_head = run % 2 == 0
+    head_rows = is_head.nonzero()[0]
+    copy = np.concatenate([[0], is_head.cumsum()]) + n_rows  # of the head rows up to each row
+    spans[:, 4:] = copy[spans[:, 4:]]
+    rows = np.concatenate([rows, rows[head_rows]])
+    run_at = np.concatenate([[0], (run[1:] != run[:-1]).nonzero()[0] + 1])
+    head_unit = unit[head_rows]
+    new_copy_block = (head_unit[1:] != head_unit[:-1]).nonzero()[0] + 1
+    starts = np.concatenate([run_at, n_rows + np.concatenate([[0], new_copy_block])])
+    n_rows += len(head_rows)
+    lengths = np.concatenate([starts[1:], [n_rows]]) - starts
+    # order the runs by how many layers read them, deepest first, each
+    # run's rows kept in order, so that each layer reads the first rows: a
+    # run is read by as many layers as update the deepest receiver with a
+    # span taking a row of it, and the nodes are ordered by level
+    spans = spans.reshape(-1, 4)
+    start, cut, resume, stop = spans.T
+    taking = (cut > start) | (resume < stop)
+    run_of = np.zeros(n_rows + 1, dtype=np.intp)
+    run_of[starts[1:]] = 1
+    run_of = run_of.cumsum()[start]  # the run of each span's first row
+    reads = np.zeros(len(starts), dtype=level.dtype)
+    np.maximum.at(reads, run_of[taking], (depth - level[:q]).repeat(NUM_EDGE_TYPES)[taking])
+    layer_rows = np.bincount(reads, lengths, depth + 1)[:0:-1].cumsum()[::-1]
+    by_reads = (-reads).argsort(kind="stable")
+    lengths = lengths[by_reads]
+    placed = lengths.cumsum() - lengths  # each run's first row in that order
+    shift = placed - starts[by_reads]
+    moved = np.empty_like(shift)  # each run's shift, by run
+    moved[by_reads] = shift
+    by_row = np.arange(n_rows) - shift.repeat(lengths)  # the rows in that order
+    inc = Incidences(
+        receivers=receivers,
+        layer_rows=tuple(int(m) for m in layer_rows),
+        rows=rows[by_row],
+        runs=nk.Runs(placed, n_rows),
+        spans=np.where(taking[:, None], spans + moved[run_of][:, None], 0).reshape(q, -1, 4),
+        unit=np.concatenate([unit, unit[-1] + 1 + np.arange(len(head_rows))])[by_row],
+    )
+    return inc, order
 
 
 def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:

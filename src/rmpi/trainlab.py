@@ -90,10 +90,12 @@ def sample_rows(sample: SubgraphSample) -> int:
     arrays: per node within K steps of its target, its feature and the
     three rows layer 1 sums over (its two ends and its head end again);
     six typed sums per node layer 1 updates; and its disclosing
-    neighbours.  Later layers sum and update no more."""
-    levels = sample.sub.levels
-    nodes = sum(level <= sample.hops for level in levels)
-    receivers = sum(level < sample.hops for level in levels)
+    neighbours.  Later layers sum and update no more.  A level is at most
+    K + 1, so the nodes are those not of level K + 1, and the receivers
+    those of them not of level K."""
+    levels, k = sample.sub.levels, sample.hops
+    nodes = len(levels) - levels.count(k + 1)
+    receivers = nodes - levels.count(k)
     return 4 * nodes + 6 * receivers + len(sample.disclosing)
 
 

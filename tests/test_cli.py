@@ -256,6 +256,21 @@ def test_train_multi_run_layout(tmp_path):
     )
 
 
+def test_train_multi_run_summary_without_validation_is_strict_json(tmp_path):
+    # no run validates on an empty valid.txt, so the summary has no mean
+    data = write_benchmark_dir(tmp_path / "data", train=TRAIN_ROWS, test_graph=TRAIN_ROWS,
+                               test=[("a1", "q0", "a5")])
+    out = tmp_path / "ckpt"
+    assert main(train_args(data, out, ["--runs", "2", "--epochs", "1"])) == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary == {"runs": 2}
+    assert (out / "summary.tsv").read_text() == "runs\t2\n"
+
+
 # ---------------------------------------------------------------- eval
 
 def trained_checkpoint(tmp_path):

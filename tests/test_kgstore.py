@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmpi import kgstore
+from rmpi.fileio import write_rows
 from rmpi.kgstore import (
     KGError,
     KnowledgeGraph,
@@ -11,8 +12,6 @@ from rmpi.kgstore import (
     Vocabulary,
     khop_neighbors,
     load_benchmark,
-    save_benchmark,
-    write_triples,
 )
 from oracles import floyd_warshall
 from synth import make_vocab, random_graph, write_benchmark_dir
@@ -207,20 +206,6 @@ def test_load_benchmark_empty_train_rejected(tmp_path):
         load_benchmark(str(d))
 
 
-def test_round_trip_preserves_triples(tmp_path):
-    train, valid, test_graph, test = _toy_rows()
-    d = write_benchmark_dir(tmp_path / "bench", train, valid, test_graph, test)
-    bench = load_benchmark(str(d))
-    out = tmp_path / "copy"
-    save_benchmark(bench, str(out))
-    bench2 = load_benchmark(str(out))
-    for name in ("train.txt", "valid.txt", "test_graph.txt", "test.txt"):
-        a = sorted(open(d / name).read().splitlines())
-        b = sorted(open(out / name).read().splitlines())
-        assert a == b
-    assert bench2.vocab.digest() == bench.vocab.digest()
-
-
 def test_vocab_digest_tracks_seen_flags():
     v1 = make_vocab(2, 2, seen={0, 1})
     v2 = make_vocab(2, 2, seen={0})
@@ -232,5 +217,6 @@ def test_vocab_digest_tracks_seen_flags():
 def test_write_triples_tab_format(tmp_path):
     vocab = make_vocab(2, 1)
     path = tmp_path / "out.txt"
-    write_triples(str(path), [Triple(0, 0, 1)], vocab)
+    ent, rel = vocab.entity_names, vocab.relation_names
+    write_rows(str(path), [(ent[0], rel[0], ent[1])])
     assert path.read_text() == "e0\tr0\te1\n"

@@ -18,12 +18,6 @@ def away_from_zero(rng, shape, low=0.1):
 
 # ------------------------------------------------------------- forward
 
-def test_softmax_single_element_and_simplex():
-    t = Tape()
-    y = nk.softmax(t.const([3.7]))
-    np.testing.assert_allclose(y.value, [1.0], atol=1e-12)
-
-
 def test_leaky_relu_values():
     t = Tape()
     y = nk.leaky_relu(t.const([-1.0, 2.0]), 0.2)
@@ -170,8 +164,6 @@ def test_shape_mismatches_raise():
     with pytest.raises(NumkitError):
         nk.add(t.const(np.ones(2)), t.const(np.ones(3)))
     with pytest.raises(NumkitError):
-        nk.softmax(t.const(np.zeros(0)))
-    with pytest.raises(NumkitError):
         nk.take(t.const(np.ones((2, 2))), [5])
     with pytest.raises(NumkitError):
         nk.take(t.const(np.ones((2, 2))), [-1])
@@ -195,7 +187,7 @@ def test_unrecorded_tape_same_values_no_nodes():
 
     def forward(t):
         h = nk.leaky_relu(nk.rowdot(t.const(M), nk.take(t.const(x[None]), [0, 0, 0])), 0.2)
-        return nk.dot(nk.softmax(h), nk.relu(h))
+        return nk.dot(nk.segment_softmax(h, [0, 0, 0], 1), nk.relu(h))
 
     recorded, unrecorded = Tape(), Tape(record=False)
     assert forward(unrecorded).value == forward(recorded).value
@@ -247,19 +239,6 @@ def test_non_finite_rejected():
         t.const([1.0, float("nan")])
     with pytest.raises(NumkitError):
         t.const([float("inf")])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-30, max_value=30, allow_nan=False), min_size=1, max_size=8
-    )
-)
-def test_softmax_simplex_property(values):
-    t = Tape()
-    y = nk.softmax(t.const(values)).value
-    assert (y >= 0).all()
-    assert abs(y.sum() - 1.0) <= 1e-9
 
 
 def test_forward_determinism_bitwise():
@@ -371,20 +350,6 @@ def test_grad_relu_leaky_chain():
     t = Tape()
     x = t.param("x", params["x"])
     grads = t.backward(nk.dot(nk.relu(nk.leaky_relu(x, 0.2)), t.const(c)))
-    check_grads(loss_fn, grads, params)
-
-
-def test_grad_softmax():
-    rng = np.random.default_rng(2)
-    params = {"x": rng.normal(size=5)}
-    c = rng.normal(size=5)
-
-    def loss_fn(p):
-        t = Tape()
-        return float(nk.dot(nk.softmax(t.param("x", p["x"])), t.const(c)).value)
-
-    t = Tape()
-    grads = t.backward(nk.dot(nk.softmax(t.param("x", params["x"])), t.const(c)))
     check_grads(loss_fn, grads, params)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rmpi import numkit as nk
-from rmpi import rmpnet
+from rmpi import rmpnet, subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
@@ -25,6 +25,7 @@ from rmpi.rmpnet import (
     stack_samples,
 )
 from rmpi.subgraph import (
+    EDGE_TYPE_NAMES,
     EntitySubgraph,
     RelationViewGraph,
     extract_disclosing,
@@ -745,9 +746,11 @@ def test_training_tape_size_does_not_grow_with_batch():
 )
 def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triples, k, size,
                                                              seed):
-    # one join over a training batch, cut by the extracted levels, gives
-    # each layer the edges prune_to_target gives every sample's own view,
-    # their node ids offset in sample order, in the same order
+    # the spans of a training batch, expanded and cut by the extracted
+    # levels, give each layer the edges prune_to_target gives every
+    # sample's own view, their node ids offset in sample order, in the same
+    # order; and, as a set, the edges the pairwise oracle types into the
+    # receivers its frontier walk finds
     rng = np.random.default_rng(seed)
     isolated = (n_entities, n_entities + 1)
     graph = random_graph(rng, n_entities + 2, 4, 0)
@@ -774,6 +777,12 @@ def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triple
     assert len(got) == k
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+    for s, lo, hi in zip(samples, offsets, offsets[1:]):
+        typed = oracles.relation_view_edges(s.sub.triples)
+        for layer, edges in enumerate(got, start=1):
+            edges = edges[(edges[:, 2] >= lo) & (edges[:, 2] < hi)] - (lo, 0, lo)
+            _, oracle = oracles.prune_frontiers(typed, s.sub.target_position, k - layer + 1)
+            assert {(src, EDGE_TYPE_NAMES[e], dst) for src, e, dst in edges.tolist()} == oracle
 
 
 # ----------------------------------------------------- scoring forward
@@ -894,7 +903,7 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
     targets = [Triple(3, 4, 8), Triple(12, 4, 13)]
     config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
     kept = [rmpnet._kept(build_sample(graph, t, config)) for t in targets]
-    inc, order = rmpnet._incidences(kept, [len(ts) for ts, _ in kept], hops)
+    inc, order = subgraph.scoring_incidences(kept, [len(ts) for ts, _ in kept], hops)
     for layer in range(1, hops + 1):
         spans = inc.spans[: inc.receivers[layer - 1]].reshape(-1, 4)
         taking = spans[(spans[:, 1] > spans[:, 0]) | (spans[:, 2] < spans[:, 3])]

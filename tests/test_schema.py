@@ -11,8 +11,12 @@ from rmpi.schema import (
     load_vectors,
     pretrain,
     save_vectors,
-    transe_energy,
 )
+
+
+def transe_energy(vs, vp, vo):
+    """The L1 energy pretraining ranks true schema triples below corrupted ones by."""
+    return float(np.abs(vs + vp - vo).sum())
 
 
 def write_schema(path, rows):
@@ -71,13 +75,6 @@ def test_relation_nodes_heuristic(tmp_path):
 
 
 # ----------------------------------------------------------- training
-
-def test_energy_zero_for_exact_translation():
-    vs = np.array([0.2, -0.3])
-    vp = np.array([0.1, 0.4])
-    vo = vs + vp
-    assert transe_energy(vs, vp, vo) == 0.0
-
 
 def test_empty_schema_rejected():
     with pytest.raises(SchemaError):

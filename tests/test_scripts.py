@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -64,9 +65,15 @@ def test_extraction_digest_prints_one_digest_per_workload_and_depth():
          "--workload", "rank-skewed", "--hops", "1"],
         check=True, capture_output=True, text=True, timeout=300,
     )
-    head, digest = done.stdout.strip().rsplit(" ", 1)
+    subgraphs, views = done.stdout.strip().splitlines()
+    head, digest = subgraphs.rsplit(" ", 1)
     # 70 test and 10 validation targets and 300 graph triples, 4 negatives each
     assert head == "extraction_digest: rank-skewed K=1: 1900 subgraphs, sha256"
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    head, digest = views.rsplit(" ", 1)
+    edges = re.fullmatch(r"extraction_digest: rank-skewed K=1: (\d+) relation-view edges, "
+                         r"sha256", head)
+    assert edges and int(edges.group(1)) > 0
     assert len(digest) == 64 and int(digest, 16) >= 0
 
 

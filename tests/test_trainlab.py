@@ -303,6 +303,25 @@ def test_score_batches_stay_within_the_row_budget(monkeypatch):
         assert any(len(samples) > 1 for samples in calls) == (budget > 1)
 
 
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_sample_rows_counts_as_comparing_every_level(hops):
+    # levels are at most K + 1, so counting the levels K and K + 1 gives
+    # the nodes and receivers that comparing each level with K gives
+    rng = np.random.default_rng(hops)
+    for use_disclosing in (False, True):
+        config = ModelConfig(dim=4, hops=hops, use_disclosing=use_disclosing)
+        for _ in range(20):
+            graph = random_graph(rng, int(rng.integers(2, 40)), 3, int(rng.integers(0, 80)))
+            for _ in range(5):
+                u, v = (int(e) for e in rng.integers(graph.vocab.num_entities, size=2))
+                sample = build_sample(graph, Triple(u, 2, v), config)
+                levels = sample.sub.levels
+                nodes = sum(level <= hops for level in levels)
+                receivers = sum(level < hops for level in levels)
+                want = 4 * nodes + 6 * receivers + len(sample.disclosing)
+                assert trainlab.sample_rows(sample) == want
+
+
 def isomorphic_candidates_graph():
     """Tail query (a, q, b) where b and the candidates c1, c2 each hang off a
     two-step path a -r1- x -r2- b of their own, so the three views match up
