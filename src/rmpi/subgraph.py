@@ -219,7 +219,7 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
 # of ends at an entity would hold, a little above the edge count.  The build
 # counts them from the entity ids before it expands any edge, and expands
 # only the edges into its receivers, at about 40 bytes per edge at its peak
-# (numpy's traced allocations: 42 MB for a 32-sample training batch of the
+# (numpy's traced allocations: 43 MB for a 32-sample training batch of the
 # benchmark's hub graph at K=2, 1.1M edges into layer-1 receivers of 2.6M
 # join rows), so at most about 0.34 GB at this ceiling.  It bounds a
 # training step, which builds the edges of all its samples at once: the
@@ -310,7 +310,8 @@ def _dense_ids(ends: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, int]:
     share one and keys over them stay small, and m."""
     ends = ends + np.concatenate([sample, sample]) * (int(ends.max()) + 1)
     by_id = ends.argsort(kind="stable")
-    new_id = np.concatenate([[0], ends[by_id[1:]] != ends[by_id[:-1]]]).cumsum()
+    by_entity = ends[by_id]
+    new_id = np.concatenate([[0], by_entity[1:] != by_entity[:-1]]).cumsum()
     ends[by_id] = new_id
     return ends, int(new_id[-1]) + 1
 
@@ -332,8 +333,9 @@ def _end_rows(ends: np.ndarray, num_ids: int, receivers):
     whole block of its inverse twins: each the span (start, cut, resume,
     stop) of rows start .. cut-1 and resume .. stop-1.
 
-    Returns per row its run, 2 * entity + (a tail end), its block, and its
-    node, and the (Q, 6, 4) spans per receiver and edge type.
+    Returns per row its key, (2 * entity + (a tail end)) * num_ids + the
+    other end's entity, its run, the key's first part, and its node, and
+    the (Q, 6, 4) spans per receiver and edge type.
     """
     n = len(ends) // 2
     heads, tails = ends[:n], ends[n:]
@@ -347,40 +349,31 @@ def _end_rows(ends: np.ndarray, num_ids: int, receivers):
     key, read = key[by_key], read[by_key]
     n_rows = len(key)
     run = key // num_ids
-    run_at = np.zeros(2 * num_ids + 1, dtype=np.intp)  # the first row of every run id
-    run_at[1:] = np.bincount(run, minlength=2 * num_ids).cumsum()
-    new_block = key[1:] != key[:-1]
-    unit = np.concatenate([[0], new_block]).cumsum()
-    block_at = np.concatenate([[0], new_block.nonzero()[0] + 1, [n_rows]])
+    run_at = np.concatenate([[0], np.bincount(run, minlength=2 * num_ids).cumsum()])  # by run id
     own = np.empty(2 * n, dtype=np.intp)  # the row of every end read
     own[read] = np.arange(n_rows)
-    own = np.stack([own[:n][receivers], own[n:][receivers]])  # the receivers' head, tail ends
-    own_block = unit[own]
+    own = np.concatenate([own[:n][receivers], own[n:][receivers]])  # the receivers' head, tail ends
     q = len(heads_r)
     spans = np.empty((NUM_EDGE_TYPES, 4, q), dtype=np.intp)  # per type, (start, cut, resume, stop)
     # H-T, T-H, H-H, T-T: the run of the source end's kind at the node's
-    # end, less the block whose other entity is the node's other end.  That
-    # block holds the node's own end for H-H and T-T, and its inverse twins'
-    # for H-T and T-H, which are searched for.
-    runs = np.stack([2 * tails_r, 2 * heads_r + 1, 2 * heads_r, 2 * tails_r + 1])
-    spans[:4, 0] = run_at[runs]
-    spans[:4, 3] = run_at[runs + 1]
-    inverse = runs[:2] * num_ids + np.stack([heads_r, tails_r])
-    spans[:2, 1] = key.searchsorted(inverse)
-    spans[:2, 2] = key.searchsorted(inverse, "right")
-    spans[2:4, 1] = block_at[own_block]
-    spans[2:4, 2] = block_at[own_block + 1]
+    # end, less the block whose other entity is the node's other end: that
+    # of its inverse twins for H-T and T-H, of its own end for H-H and T-T
+    heads2, tails2 = 2 * heads_r, 2 * tails_r
+    runs = np.concatenate([tails2, heads2 + 1, heads2, tails2 + 1]).reshape(4, 1, q)
+    spans[:4, ::3] = run_at[runs + [[0], [1]]]
+    blocks = np.concatenate([runs[:2, 0] * num_ids + [heads_r, tails_r], key[own].reshape(2, q)])
+    spans[:4, 1] = key.searchsorted(blocks)
+    spans[:4, 2] = key.searchsorted(blocks, "right")
     # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
     # the block of inverse twins, that of H-T, whole, or for a self-loop as
     # PARA
     spans[4] = spans[2, [1, 1, 2, 2]]
-    spans[4, 1] = own[0]
-    spans[4, 2] = own[0] + 1
+    spans[4, 1] = own[:q]
+    spans[4, 2] = own[:q] + 1
     spans[5] = spans[0, [1, 2, 2, 2]]
     self_loop = heads_r == tails_r
     spans[5][:, self_loop] = spans[4][:, self_loop]
-    spans = spans.transpose(2, 0, 1)
-    return run, unit, read % n, spans
+    return key, run, read % n, spans.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -428,8 +421,9 @@ def scoring_incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]
     ends = np.array([[t.head for t in triples], [t.tail for t in triples]])[:, order].ravel()
     sample = np.arange(len(sizes)).repeat(sizes)[order]
     ends, num_ids = _dense_ids(ends, sample)
-    run, unit, rows, spans = _end_rows(ends, num_ids, slice(q))
-    n_rows = len(run)
+    key, run, rows, spans = _end_rows(ends, num_ids, slice(q))
+    n_rows = len(key)
+    unit = np.concatenate([[0], key[1:] != key[:-1]]).cumsum()  # the block of each row
     # PARA and LOOP read copies of the head rows that follow the rows, in
     # order, each block of them a run of its own
     is_head = run % 2 == 0
