@@ -266,8 +266,8 @@ def view_layers(triples, node_sample: np.ndarray, levels: np.ndarray, depth: int
     its join rows.  A batch without edges shares one empty array per layer.
     """
     n = len(triples)
-    ends, num_ids = _dense_ids(np.array([[t.head for t in triples],
-                                         [t.tail for t in triples]]).ravel(), node_sample)
+    ends = np.fromiter([t.head for t in triples] + [t.tail for t in triples], np.intp, 2 * n)
+    ends, num_ids = _dense_ids(ends, node_sample)
     count = np.bincount(ends)  # per entity, the ends there
     rows = int(count @ count)
     if rows == 2 * n:  # no entity has two ends
@@ -333,9 +333,8 @@ def _end_rows(ends: np.ndarray, num_ids: int, receivers):
     whole block of its inverse twins: each the span (start, cut, resume,
     stop) of rows start .. cut-1 and resume .. stop-1.
 
-    Returns per row its key, (2 * entity + (a tail end)) * num_ids + the
-    other end's entity, its run, the key's first part, and its node, and
-    the (Q, 6, 4) spans per receiver and edge type.
+    Returns per row its run, 2 * entity + (a tail end), its block, and its
+    node, and the (Q, 6, 4) spans per receiver and edge type.
     """
     n = len(ends) // 2
     heads, tails = ends[:n], ends[n:]
@@ -350,30 +349,36 @@ def _end_rows(ends: np.ndarray, num_ids: int, receivers):
     n_rows = len(key)
     run = key // num_ids
     run_at = np.concatenate([[0], np.bincount(run, minlength=2 * num_ids).cumsum()])  # by run id
+    new_block = key[1:] != key[:-1]
+    unit = np.concatenate([[0], new_block]).cumsum()  # the block of each row
+    block_at = np.concatenate([[0], new_block.nonzero()[0] + 1, [n_rows]])
     own = np.empty(2 * n, dtype=np.intp)  # the row of every end read
     own[read] = np.arange(n_rows)
     own = np.concatenate([own[:n][receivers], own[n:][receivers]])  # the receivers' head, tail ends
     q = len(heads_r)
+    own = own.reshape(2, q)
     spans = np.empty((NUM_EDGE_TYPES, 4, q), dtype=np.intp)  # per type, (start, cut, resume, stop)
     # H-T, T-H, H-H, T-T: the run of the source end's kind at the node's
     # end, less the block whose other entity is the node's other end: that
-    # of its inverse twins for H-T and T-H, of its own end for H-H and T-T
+    # of its own end for H-H and T-T, of its inverse twins, searched for,
+    # for H-T and T-H
     heads2, tails2 = 2 * heads_r, 2 * tails_r
     runs = np.concatenate([tails2, heads2 + 1, heads2, tails2 + 1]).reshape(4, 1, q)
     spans[:4, ::3] = run_at[runs + [[0], [1]]]
-    blocks = np.concatenate([runs[:2, 0] * num_ids + [heads_r, tails_r], key[own].reshape(2, q)])
-    spans[:4, 1] = key.searchsorted(blocks)
-    spans[:4, 2] = key.searchsorted(blocks, "right")
+    inverse = runs[:2, 0] * num_ids + [heads_r, tails_r]
+    spans[:2, 1] = key.searchsorted(inverse)
+    spans[:2, 2] = key.searchsorted(inverse, "right")
+    spans[2:4, 1:3] = block_at[unit[own][:, None] + [[0], [1]]]
     # PARA: the node's own head-end block, that of H-H, less itself; LOOP:
     # the block of inverse twins, that of H-T, whole, or for a self-loop as
     # PARA
     spans[4] = spans[2, [1, 1, 2, 2]]
-    spans[4, 1] = own[:q]
-    spans[4, 2] = own[:q] + 1
+    spans[4, 1] = own[0]
+    spans[4, 2] = own[0] + 1
     spans[5] = spans[0, [1, 2, 2, 2]]
     self_loop = heads_r == tails_r
     spans[5][:, self_loop] = spans[4][:, self_loop]
-    return key, run, read % n, spans.transpose(2, 0, 1)
+    return run, unit, read % n, spans.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -418,12 +423,12 @@ def scoring_incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]
     receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
     q = receivers[0]
     triples = [t for kept_triples, _ in kept for t in kept_triples]
-    ends = np.array([[t.head for t in triples], [t.tail for t in triples]])[:, order].ravel()
+    ends = np.fromiter([t.head for t in triples] + [t.tail for t in triples], np.intp,
+                       2 * len(triples)).reshape(2, -1)[:, order].ravel()
     sample = np.arange(len(sizes)).repeat(sizes)[order]
     ends, num_ids = _dense_ids(ends, sample)
-    key, run, rows, spans = _end_rows(ends, num_ids, slice(q))
-    n_rows = len(key)
-    unit = np.concatenate([[0], key[1:] != key[:-1]]).cumsum()  # the block of each row
+    run, unit, rows, spans = _end_rows(ends, num_ids, slice(q))
+    n_rows = len(run)
     # PARA and LOOP read copies of the head rows that follow the rows, in
     # order, each block of them a run of its own
     is_head = run % 2 == 0
