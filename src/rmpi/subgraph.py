@@ -309,7 +309,7 @@ def _dense_ids(ends: np.ndarray, sample: np.ndarray) -> tuple[np.ndarray, int]:
     i) renumbered 0 .. m-1 by (sample, entity), so that no two samples
     share one and keys over them stay small, and m."""
     ends = ends + np.concatenate([sample, sample]) * (int(ends.max()) + 1)
-    by_id = ends.argsort(kind="stable")
+    by_id = ends.argsort()
     by_entity = ends[by_id]
     new_id = np.concatenate([[0], by_entity[1:] != by_entity[:-1]]).cumsum()
     ends[by_id] = new_id
