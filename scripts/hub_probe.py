@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Score the classify-hub graph at a chosen depth: CPU triples/s and peak RSS.
 
-Builds the graph of perfbench's classify-hub workload with perfbench/gen.py,
-a seeded, never-trained checkpoint of the chosen variant and depth, and
-scores the first N test targets and one sampled negative each, as
-`rmpi eval --task classify` does:
+Builds the graph of perfbench's classify-hub workload with perfbench/gen.py
+and a seeded, never-trained checkpoint of the chosen variant and depth, as
+scripts/digest.py builds them for its score lines.  It then scores the first
+N test targets and one sampled negative each, as `rmpi eval --task classify`
+does:
 
     python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100]
 
@@ -16,23 +17,15 @@ untimed pass.  The program is imported from this checkout's src/.
 from __future__ import annotations
 
 import argparse
-import os
 import resource
 import sys
-import tempfile
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+import digest  # puts this checkout's src/ and perfbench/ on sys.path
 
-import numpy as np  # noqa: E402
-
-import gen  # noqa: E402
 import spec  # noqa: E402
-from rmpi import evalbench, kgstore, rmpnet, trainlab  # noqa: E402
+from rmpi import evalbench, rmpnet  # noqa: E402
 from rmpi.cli import VARIANTS, _count  # noqa: E402
-
-SEED = 1  # the names and parameters perfbench draws with --seed 1
 
 
 def summed_rows(ckpt, graph, targets) -> list[int]:
@@ -64,20 +57,8 @@ def main(argv=None) -> int:
                         help="score the first N test targets (default: all)")
     args = parser.parse_args(argv)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        gen.generate(tmp, seed=spec.GRAPH_SEED, labels=SEED, **spec.WORKLOADS["classify-hub"]["gen"])
-        bench = kgstore.load_benchmark(tmp)
-    use_disclosing, target_attention = VARIANTS[args.variant]
-    config = rmpnet.ModelConfig(hops=args.hops, dim=32, use_disclosing=use_disclosing,
-                                target_attention=target_attention)
-    vocab = bench.vocab
-    ckpt = trainlab.Checkpoint(
-        config=config,
-        params=rmpnet.init_params(config, vocab.num_relations, np.random.default_rng([SEED, 7])),
-        vocab_digest=vocab.digest(),
-        relation_names=tuple(vocab.relation_names),
-        seen_flags=tuple(vocab.relation_seen(r) for r in range(vocab.num_relations)),
-    )
+    bench = digest.benchmark("classify-hub", digest.SCORING_SEED)
+    ckpt = digest.checkpoint(bench, args.hops, args.variant)
     targets = bench.test[: args.targets]
     start = time.process_time()
     result = evalbench.classify(ckpt, bench.test_graph, targets, seed=spec.EVAL_SEED)

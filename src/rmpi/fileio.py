@@ -33,8 +33,8 @@ def format_row(row) -> str:
 def read_rows(path: str, error: type[Exception], check=None) -> list[tuple[str, str, str]]:
     """The three-field rows of a tab-separated file, in file order.
 
-    A line of another width, or a row for which `check(row)` returns a
-    message, raises `error` naming the file and line.
+    A line of another width, a row with an empty field, or a row for which
+    `check(row)` returns a message, raises `error` naming the file and line.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -48,6 +48,8 @@ def read_rows(path: str, error: type[Exception], check=None) -> list[tuple[str, 
                     f"{os.path.basename(path)}:{lineno}: expected 3 tab-separated "
                     f"fields, got {len(parts)}"
                 )
+            if not all(parts):
+                raise error(f"{os.path.basename(path)}:{lineno}: empty field")
             row = (parts[0], parts[1], parts[2])
             if check is not None:
                 problem = check(row)

@@ -209,7 +209,6 @@ class SubgraphSample:
     sub: EntitySubgraph  # the enclosing subgraph, target last
     hops: int  # K, the depth its forwards run
     disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
-    target_label: int = 0
 
 
 @dataclass(frozen=True)
@@ -276,7 +275,7 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     elif offsets[-1] > len(samples):  # some sample has more than its target
         incidences, order = scoring_incidences(kept, sizes, depth)
     disc_labels = [label for s in samples for _, label in s.disclosing]
-    target_labels = [s.target_label for s in samples]
+    target_labels = [s.sub.target.relation for s in samples]
     labels = sorted(set(node_labels).union(disc_labels, target_labels))
     row = {label: i for i, label in enumerate(labels)}
 

@@ -72,7 +72,6 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
         sub=extract_enclosing(graph, triple, config.hops),
         hops=config.hops,
         disclosing=disclosing_neighbors(graph, triple) if config.use_disclosing else (),
-        target_label=triple.relation,
     )
 
 
@@ -239,12 +238,15 @@ def _checkpoint(manifest: dict, block: bytes, params_path: str) -> Checkpoint:
     for entry, shape, count in zip(manifest["params"], shapes, counts):
         params[entry["name"]] = floats(block, offset, shape)
         offset += count * 4
+    relations, seen = manifest["relations"], manifest["seen"]
+    if len(seen) != len(relations):
+        raise ValueError(f"{len(seen)} seen flags for {len(relations)} relations")
     return Checkpoint(
         config=ModelConfig.from_dict(manifest["model_config"]),
         params=params,
         vocab_digest=manifest["vocab_digest"],
-        relation_names=tuple(manifest["relations"]),
-        seen_flags=tuple(bool(s) for s in manifest["seen"]),
+        relation_names=tuple(relations),
+        seen_flags=tuple(bool(s) for s in seen),
         best_val_auc=manifest.get("best_val_auc"),
         best_epoch=manifest.get("best_epoch"),
         history=manifest.get("history", {}),

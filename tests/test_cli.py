@@ -317,8 +317,10 @@ def rewrite_json(path, edit):
         lambda p: rewrite_json(p, lambda m: {**m, "params": 5}),
         lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "width": 3}}),
         lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "hops": "2"}}),
+        lambda p: rewrite_json(p, lambda m: {**m, "seen": m["seen"][:-1]}),
     ],
-    ids=["truncated", "not-object", "no-params", "params-int", "config-key", "config-type"],
+    ids=["truncated", "not-object", "no-params", "params-int", "config-key", "config-type",
+         "seen-short"],
 )
 def test_eval_malformed_checkpoint_manifest_is_data_error(tmp_path, capsys, corrupt):
     data, ckpt = trained_checkpoint(tmp_path)

@@ -200,6 +200,13 @@ def test_load_benchmark_malformed_line_reports_position(tmp_path):
         load_benchmark(str(d))
 
 
+def test_load_benchmark_empty_field_reports_position(tmp_path):
+    d = write_benchmark_dir(tmp_path / "bench", [("a", "p", "b")])
+    (d / "train.txt").write_text("a\tp\tb\na\t\tb\n")  # no relation named ""
+    with pytest.raises(KGError, match=r"train.txt:2: empty field"):
+        load_benchmark(str(d))
+
+
 def test_load_benchmark_empty_train_rejected(tmp_path):
     d = write_benchmark_dir(tmp_path / "bench", [])
     with pytest.raises(KGError, match="empty training file"):

@@ -53,8 +53,7 @@ def build_sample(graph, target, config):
         drvg = to_relation_view(extract_disclosing(graph, target, config.hops))
         disc = tuple(oracles.disclosing_one_hop(drvg))
     return SubgraphSample(
-        sub=extract_enclosing(graph, target, config.hops), hops=config.hops,
-        disclosing=disc, target_label=target.relation,
+        sub=extract_enclosing(graph, target, config.hops), hops=config.hops, disclosing=disc,
     )
 
 
@@ -128,7 +127,7 @@ def test_shared_label_shares_feature_node():
     triples = (Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2))
     sub = EntitySubgraph(triples=triples, source_indexes=(0, 1, None), target=triples[-1],
                          kind="enclosing", levels=(1, 1, 0))
-    sample = SubgraphSample(sub=sub, hops=2, target_label=1)
+    sample = SubgraphSample(sub=sub, hops=2)
     batch = stack_samples([sample], training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row

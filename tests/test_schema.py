@@ -66,6 +66,13 @@ def test_load_rejects_malformed_line(tmp_path):
         load_schema(str(path))
 
 
+def test_load_rejects_empty_field(tmp_path):
+    path = tmp_path / "s.tsv"
+    path.write_text("a\trdfs:domain\tb\n\trdfs:domain\tb\n")  # no node named ""
+    with pytest.raises(SchemaError, match=r"s\.tsv:2: empty field"):
+        load_schema(str(path))
+
+
 def test_relation_nodes_heuristic(tmp_path):
     path = write_schema(tmp_path / "s.tsv", toy_schema_rows())
     sg = load_schema(path)

@@ -9,6 +9,9 @@ from rmpi.kgstore import load_benchmark
 from rmpi.schema import load_schema
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "scripts"))
+
+import digest  # noqa: E402
 
 
 def test_make_toy_benchmark_writes_readable_files(tmp_path):
@@ -60,46 +63,65 @@ def test_hub_probe_rejects_counts_below_one():
 
 
 def test_extraction_digest_prints_one_digest_per_workload_and_depth():
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "extraction_digest.py"),
-         "--workload", "rank-skewed", "--hops", "1"],
-        check=True, capture_output=True, text=True, timeout=300,
-    )
-    subgraphs, views = done.stdout.strip().splitlines()
-    head, digest = subgraphs.rsplit(" ", 1)
+    subgraphs, views = digest.extraction_lines("rank-skewed", 1)
+    head, sha = subgraphs.rsplit(" ", 1)
     # 70 test and 10 validation targets and 300 graph triples, 4 negatives each
     assert head == "extraction_digest: rank-skewed K=1: 1900 subgraphs, sha256"
-    assert len(digest) == 64 and int(digest, 16) >= 0
-    head, digest = views.rsplit(" ", 1)
+    assert len(sha) == 64 and int(sha, 16) >= 0
+    head, sha = views.rsplit(" ", 1)
     edges = re.fullmatch(r"extraction_digest: rank-skewed K=1: (\d+) relation-view edges, "
                          r"sha256", head)
     assert edges and int(edges.group(1)) > 0
-    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert len(sha) == 64 and int(sha, 16) >= 0
 
 
 def test_score_digest_prints_one_digest_per_workload_depth_and_variant():
-    argv = [sys.executable, os.path.join(ROOT, "scripts", "score_digest.py"),
-            "--workload", "rank-skewed", "--hops", "1", "--variant", "ne-ta"]
-    lines = [subprocess.run(argv, check=True, capture_output=True, text=True,
-                            timeout=300).stdout for _ in range(2)]
-    head, digest = lines[0].strip().rsplit(" ", 1)
+    lines = []
+    for _ in range(2):
+        digest.benchmark.cache_clear()  # the second line from a graph generated afresh
+        lines.append(digest.score_line("rank-skewed", 1, "ne-ta"))
+    head, sha = lines[0].rsplit(" ", 1)
     # 70 test targets and a negative each
     assert head == "score_digest: rank-skewed ne-ta K=1: 140 triples, sha256"
-    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert len(sha) == 64 and int(sha, 16) >= 0
     assert lines[1] == lines[0]  # seeded throughout
 
 
 def test_training_digest_prints_history_and_digest_per_variant():
-    done = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "training_digest.py")],
-        check=True, capture_output=True, text=True, timeout=300,
-    )
-    lines = done.stdout.strip().splitlines()
+    lines = [digest.training_line(variant) for variant in ("base", "ne-ta")]
     assert [line.split(":")[1].strip() for line in lines] == ["base", "ne-ta"]
     for line in lines:
-        head, digest = line.rsplit(" ", 1)
+        head, sha = line.rsplit(" ", 1)
         losses = head.split("train loss [")[1].split("]")[0].split(", ")
         assert len(losses) == 2 and all(float(x) > 0 for x in losses)  # two epochs
         assert "val auc-pr [" in head and "best epoch " in head
         assert head.endswith("params sha256")
-        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert len(sha) == 64 and int(sha, 16) >= 0
+
+
+def test_digest_main_prints_the_32_line_matrix_in_order(monkeypatch, capsys):
+    monkeypatch.setattr(digest, "extraction_lines",
+                        lambda w, k: [f"extraction {w} K={k} {part}" for part in ("subgraphs", "views")])
+    monkeypatch.setattr(digest, "training_line", lambda v: f"training {v}")
+    monkeypatch.setattr(digest, "score_line", lambda w, k, v: f"score {w} {v} K={k}")
+    assert digest.main() == 0
+    expected = (
+        [f"extraction {w} K={k} {part}" for w in ("train-mild", "rank-skewed", "classify-hub")
+         for k in (1, 2, 3) for part in ("subgraphs", "views")]
+        + ["training base", "training ne-ta"]
+        + [f"score {w} {v} K={k}" for w in ("rank-skewed", "classify-hub")
+           for k in (1, 2, 3) for v in ("base", "ne-ta")]
+    )
+    assert len(expected) == 32
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_digest_takes_no_arguments():
+    for args in (["--help"], ["--workload", "rank-skewed", "--hops", "1"]):
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", "digest.py"), *args],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "takes no arguments" in done.stderr
+        assert done.stdout == ""  # no digest run started
