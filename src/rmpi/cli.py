@@ -55,6 +55,7 @@ DATA_ERRORS = (
     TrainError,
     EvalError,
     OSError,
+    MemoryError,  # numpy's message names the allocation that failed
 )
 
 VARIANTS = {
@@ -451,7 +452,7 @@ def main(argv) -> int:
         code = exc.code if exc.code is not None else 0
         return int(code)
     except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

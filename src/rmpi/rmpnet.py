@@ -128,24 +128,28 @@ def layer_param(k: int, edge_type: int) -> str:
     return f"layer{k}_type{edge_type}"
 
 
-def init_params(config: ModelConfig, num_relations: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Fresh parameter dict for the configured variant."""
-    params: dict[str, np.ndarray] = {}
+def param_shapes(config: ModelConfig, num_relations: int) -> dict[str, tuple[int, int]]:
+    """The configured variant's parameter shapes by name, in draw order."""
     d = config.dim
     if config.init_mode == "random":
-        params["rel_emb"] = embedding_draw(rng, num_relations, d)
+        shapes = {"rel_emb": (num_relations, d)}
     else:
-        params["schema_w1"] = _xavier(rng, (d, config.schema_hidden))
-        params["schema_w2"] = _xavier(rng, (config.schema_hidden, config.schema_dim))
-    for k in range(1, config.hops + 1):
-        for e in range(NUM_EDGE_TYPES):
-            params[layer_param(k, e)] = _xavier(rng, (d, d))
+        shapes = {"schema_w1": (d, config.schema_hidden),
+                  "schema_w2": (config.schema_hidden, config.schema_dim)}
+    shapes.update({layer_param(k, e): (d, d)
+                   for k in range(1, config.hops + 1) for e in range(NUM_EDGE_TYPES)})
     if config.use_disclosing:
-        params["disc_w"] = _xavier(rng, (d, d))
+        shapes["disc_w"] = (d, d)
         if config.fusion == "conc":
-            params["fusion_w"] = _xavier(rng, (d, 2 * d))
-    params["score_w"] = _xavier(rng, (1, d))
-    return params
+            shapes["fusion_w"] = (d, 2 * d)
+    shapes["score_w"] = (1, d)
+    return shapes
+
+
+def init_params(config: ModelConfig, num_relations: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Fresh parameter dict for the configured variant."""
+    return {name: embedding_draw(rng, *shape) if name == "rel_emb" else _xavier(rng, shape)
+            for name, shape in param_shapes(config, num_relations).items()}
 
 
 def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Var]:
@@ -234,7 +238,6 @@ class SampleBatch:
     incidences: Incidences | None  # scoring
     disc_rows: np.ndarray  # (M,) label row per disclosing neighbor
     disc_sample: np.ndarray  # (M,) sample per disclosing neighbor
-    target_rows: np.ndarray  # (B,) label row of each sample's target relation
 
     @property
     def size(self) -> int:
@@ -275,29 +278,22 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     elif offsets[-1] > len(samples):  # some sample has more than its target
         incidences, order = scoring_incidences(kept, sizes, depth)
     disc_labels = [label for s in samples for _, label in s.disclosing]
-    target_labels = [s.sub.target.relation for s in samples]
-    labels = sorted(set(node_labels).union(disc_labels, target_labels))
-    row = {label: i for i, label in enumerate(labels)}
-
-    def rows(of):
-        return np.array([row[label] for label in of], dtype=np.intp)
-
-    node_rows = rows(node_labels)
+    labels, label_rows = np.unique(node_labels + disc_labels, return_inverse=True)
+    node_rows, disc_rows = np.split(label_rows, [len(node_labels)])
     if order is None:
         targets = np.array(offsets[1:]) - 1  # each sample's target is its last node
     else:
         node_rows, node_sample, targets = node_rows[order], node_sample[order], sample_ids
     return SampleBatch(
-        labels=np.array(labels),
+        labels=labels,
         node_rows=node_rows,
         node_sample=node_sample,
         targets=targets,
         depth=depth,
         layer_edges=layer_edges,
         incidences=incidences,
-        disc_rows=rows(disc_labels),
+        disc_rows=disc_rows,
         disc_sample=np.repeat(sample_ids, [len(s.disclosing) for s in samples]),
-        target_rows=rows(target_labels),
     )
 
 
@@ -468,7 +464,7 @@ def disclosing_aggregate(
         return table.tape.const(np.zeros((batch.size, config.dim)))
     transformed = _apply(pvars["disc_w"], table)  # W h0 per distinct label
     neigh = nk.take(transformed, batch.disc_rows)
-    anchors = nk.take(transformed, batch.target_rows[batch.disc_sample])
+    anchors = nk.take(transformed, batch.node_rows[batch.targets][batch.disc_sample])
     logits = nk.leaky_relu(nk.rowdot(neigh, anchors), config.leaky_slope)
     alpha = nk.segment_softmax(logits, batch.disc_sample, batch.size)
     return nk.relu(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,11 +89,14 @@ class SchemaEmbedding:
     predicates: np.ndarray  # (4, dim)
     loss_history: tuple[float, ...]
 
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.node_names)}
+
     def vector(self, name: str) -> np.ndarray:
-        try:
-            idx = self.node_names.index(name)
-        except ValueError:
-            raise SchemaError(f"no vector for schema node {name!r}") from None
+        idx = self._rows.get(name)
+        if idx is None:
+            raise SchemaError(f"no vector for schema node {name!r}")
         return self.vectors[idx]
 
 

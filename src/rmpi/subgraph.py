@@ -214,20 +214,16 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
     return _subgraph(graph, _induced_triples(graph, entities, target), target, "disclosing")
 
 
-# Most join rows a relation-view build may stand for: the sum over entities
-# of the squared number of triple ends there, the rows a join of every pair
-# of ends at an entity would hold, a little above the edge count.  The build
-# counts them from the entity ids before it expands any edge, and expands
-# only the edges into its receivers, at about 40 bytes per edge at its peak
-# (numpy's traced allocations: 43 MB for a 32-sample training batch of the
-# benchmark's hub graph at K=2, 1.1M edges into layer-1 receivers of 2.6M
-# join rows), so at most about 0.34 GB at this ceiling.  It bounds a
-# training step, which builds the edges of all its samples at once: the
-# largest step of an epoch on the hub graph (classify-hub, K=2, batch 16)
-# stands for 2.1M join rows.  A build over the ceiling raises SubgraphError,
-# which the CLI reports with exit code 2, rather than running the machine
-# out of memory.
-MAX_JOIN_ROWS = 1 << 23
+# Most relation-view edges a build may expand, counted from the spans before
+# any is allocated.  It bounds a training step, which builds the edges into
+# the layer-1 receivers of all its samples at once.  A step's traced peak,
+# backward included, is about 65 bytes per edge for base and 85 for ne-ta at
+# K=2 (numpy's traced allocations on the largest of the first 40 steps of an
+# epoch on classify-hub's graph, batch 16: 0.74M edges, 48 and 63 MB), so
+# 0.54 and 0.71 GB at this ceiling; at K=3, 85 and 111 bytes (4.4M edges).
+# A build over the ceiling raises SubgraphError, which the CLI reports with
+# exit code 2, rather than running the machine out of memory.
+MAX_VIEW_EDGES = 1 << 23
 
 
 def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
@@ -262,31 +258,28 @@ def view_layers(triples, node_sample: np.ndarray, levels: np.ndarray, depth: int
     Every edge type matches one end of the source with one end of the
     receiver, so the edges into a receiver are the rows of its spans
     (_end_rows): each span is expanded into its rows' nodes, and the edges
-    sorted.  A build over MAX_JOIN_ROWS names the target with the most of
-    its join rows.  A batch without edges shares one empty array per layer.
+    sorted.  A build of more edges than MAX_VIEW_EDGES, counted from the
+    spans first, names the target whose receivers take the most.  A batch
+    without edges shares one empty array per layer.
     """
     n = len(triples)
     ends = np.fromiter([t.head for t in triples] + [t.tail for t in triples], np.intp, 2 * n)
     ends, num_ids = _dense_ids(ends, node_sample)
-    count = np.bincount(ends)  # per entity, the ends there
-    rows = int(count @ count)
-    if rows == 2 * n:  # no entity has two ends
-        return (NO_EDGES,) * depth
-    if rows > MAX_JOIN_ROWS:
-        sample = np.empty(num_ids, dtype=np.intp)
-        sample[ends] = np.concatenate([node_sample, node_sample])
-        worst = np.bincount(sample, weights=count * count).argmax()
-        raise SubgraphError(
-            f"relation view of target {targets[worst]} needs {rows} join rows, "
-            f"over the limit of {MAX_JOIN_ROWS}"
-        )
     receivers = (levels < depth).nonzero()[0]
     _, _, node_of, spans = _end_rows(ends, num_ids, receivers)
     ranges = spans.reshape(-1, 2)  # per receiver and type: rows start .. cut-1, resume .. stop-1
     length = ranges[:, 1] - ranges[:, 0]
-    if not length.any():
+    count = int(length.sum())
+    if not count:
         return (NO_EDGES,) * depth
-    at = np.arange(int(length.sum()))  # per edge, the row of its source
+    if count > MAX_VIEW_EDGES:
+        per_receiver = length.reshape(len(receivers), -1).sum(1)
+        worst = np.bincount(node_sample[receivers], weights=per_receiver).argmax()
+        raise SubgraphError(
+            f"relation view of target {targets[worst]} needs {count} edges, "
+            f"over the limit of {MAX_VIEW_EDGES}"
+        )
+    at = np.arange(count)  # per edge, the row of its source
     at += (ranges[:, 0] - length.cumsum() + length).repeat(length)
     bits = n.bit_length()  # key: receiver, then type, then `bits` of src
     key = (np.arange(len(ranges)) >> 1).repeat(length)

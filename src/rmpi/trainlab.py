@@ -27,6 +27,7 @@ from .rmpnet import (
     SubgraphSample,
     bind_params,
     init_params,
+    param_shapes,
     score_sample,
 )
 from .subgraph import (
@@ -226,8 +227,15 @@ def _checkpoint(manifest: dict, block: bytes, params_path: str) -> Checkpoint:
         raise TrainError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}"
         )
-    shapes = [tuple(entry["shape"]) for entry in manifest["params"]]
-    counts = [int(np.prod(shape)) for shape in shapes]
+    config = ModelConfig.from_dict(manifest["model_config"])
+    relations, seen = manifest["relations"], manifest["seen"]
+    if len(seen) != len(relations):
+        raise ValueError(f"{len(seen)} seen flags for {len(relations)} relations")
+    layout = [(entry["name"], tuple(entry["shape"])) for entry in manifest["params"]]
+    mismatched = set(layout) ^ set(param_shapes(config, len(relations)).items())
+    if mismatched:
+        raise ValueError(f"parameters do not fit the model config: {sorted(mismatched)}")
+    counts = [int(np.prod(shape)) for _, shape in layout]
     if len(block) != 4 * sum(counts):
         raise TrainError(
             f"parameter block {params_path} holds {len(block)} bytes, "
@@ -235,14 +243,11 @@ def _checkpoint(manifest: dict, block: bytes, params_path: str) -> Checkpoint:
         )
     params = {}
     offset = 0
-    for entry, shape, count in zip(manifest["params"], shapes, counts):
-        params[entry["name"]] = floats(block, offset, shape)
+    for (name, shape), count in zip(layout, counts):
+        params[name] = floats(block, offset, shape)
         offset += count * 4
-    relations, seen = manifest["relations"], manifest["seen"]
-    if len(seen) != len(relations):
-        raise ValueError(f"{len(seen)} seen flags for {len(relations)} relations")
     return Checkpoint(
-        config=ModelConfig.from_dict(manifest["model_config"]),
+        config=config,
         params=params,
         vocab_digest=manifest["vocab_digest"],
         relation_names=tuple(relations),

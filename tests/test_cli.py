@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rmpi import subgraph
+from rmpi import evalbench, subgraph, trainlab
 from rmpi.cli import _digest_path, main
 from rmpi.kgstore import Triple, load_benchmark
 from rmpi.schema import load_vectors
@@ -318,9 +318,15 @@ def rewrite_json(path, edit):
         lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "width": 3}}),
         lambda p: rewrite_json(p, lambda m: {**m, "model_config": {**m["model_config"], "hops": "2"}}),
         lambda p: rewrite_json(p, lambda m: {**m, "seen": m["seen"][:-1]}),
+        lambda p: rewrite_json(p, lambda m: {**m, "params": [
+            {**e, "name": "layer1_typeX"} if e["name"] == "layer1_type1" else e
+            for e in m["params"]]}),
+        lambda p: rewrite_json(p, lambda m: {**m, "params": [
+            {**e, "shape": [2, 8]} if e["name"] == "layer1_type1" else e
+            for e in m["params"]]}),
     ],
     ids=["truncated", "not-object", "no-params", "params-int", "config-key", "config-type",
-         "seen-short"],
+         "seen-short", "param-renamed", "param-reshaped"],
 )
 def test_eval_malformed_checkpoint_manifest_is_data_error(tmp_path, capsys, corrupt):
     data, ckpt = trained_checkpoint(tmp_path)
@@ -347,10 +353,10 @@ def test_eval_schema_vectors_need_schema_checkpoint(tmp_path, capsys):
 
 
 def test_eval_reads_no_relation_view(tmp_path, capsys, monkeypatch):
-    # scoring passes messages over entity incidences, so the join ceiling,
+    # scoring passes messages over entity incidences, so the edge ceiling,
     # which bounds relation views, holds back only training and dump-subgraph
     data, ckpt = trained_checkpoint(tmp_path)
-    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", 10)
     for task in ("classify", "rank"):
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--out", str(tmp_path / task), "--task", task]) == 0
@@ -360,16 +366,56 @@ def test_eval_reads_no_relation_view(tmp_path, capsys, monkeypatch):
     assert "limit of 10" in capsys.readouterr().err
 
 
-def test_train_over_join_ceiling_exits_2_naming_a_target(tmp_path, capsys, monkeypatch):
-    # a training step joins its batch's triples at once, under the ceiling
+def test_train_over_edge_ceiling_exits_2_naming_a_target(tmp_path, capsys, monkeypatch):
+    # a training step builds its batch's edges at once, under the ceiling
     data = bench_dir(tmp_path)
     out = tmp_path / "ckpt"
-    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", 10)
     assert main(train_args(data, out)) == 2
     err = capsys.readouterr().err
     assert re.search(r"relation view of target Triple\(head=\d+, relation=\d+, tail=\d+\) "
-                     r"needs \d+ join rows, over the limit of 10", err)
+                     r"needs \d+ edges, over the limit of 10", err)
     assert not out.exists()
+
+
+NUMPY_OUT_OF_MEMORY = ("Unable to allocate 8.00 GiB for an array with shape (1073741824,) "
+                      "and data type float64")
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError(NUMPY_OUT_OF_MEMORY)
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError(NUMPY_OUT_OF_MEMORY), NUMPY_OUT_OF_MEMORY), (MemoryError(), "MemoryError")],
+    ids=["numpy", "bare"],
+)
+def test_train_out_of_memory_exits_2_in_one_line(tmp_path, capsys, monkeypatch, error, line):
+    data = bench_dir(tmp_path)
+    out = tmp_path / "ckpt"
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(trainlab, "score_sample", fail)
+    assert main(train_args(data, out)) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["classify", "rank"])
+def test_eval_out_of_memory_exits_2_in_one_line(tmp_path, capsys, monkeypatch, task):
+    data, ckpt = trained_checkpoint(tmp_path)
+    capsys.readouterr()
+    report = tmp_path / "report"
+    monkeypatch.setattr(evalbench, "score_triples", out_of_memory)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(report),
+                 "--task", task]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert err.count("\n") == 1
+    assert not report.exists()
 
 
 def test_eval_rank_report(tmp_path):
@@ -557,7 +603,7 @@ def test_dump_subgraph_unknown_name(tmp_path, capsys):
 
 def test_dump_subgraph_over_edge_ceiling_exits_2(tmp_path, capsys, monkeypatch):
     data = bench_dir(tmp_path)
-    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", 10)
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", 10)
     code = main(
         ["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
          "--tail", "a3"]

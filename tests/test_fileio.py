@@ -3,7 +3,7 @@
 import numpy as np
 
 from rmpi.fileio import read_rows, write_rows
-from rmpi.rmpnet import ModelConfig
+from rmpi.rmpnet import ModelConfig, layer_param
 from rmpi.schema import SchemaEmbedding, load_vectors, save_vectors
 from rmpi.trainlab import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -22,7 +22,7 @@ CHECKPOINT_MANIFEST = """\
   ]
  },
  "model_config": {
-  "dim": 2,
+  "dim": 1,
   "edge_dropout": 0.5,
   "fusion": "sum",
   "hops": 1,
@@ -35,16 +35,59 @@ CHECKPOINT_MANIFEST = """\
  },
  "params": [
   {
-   "name": "b",
+   "name": "layer1_type0",
    "shape": [
+    1,
     1
    ]
   },
   {
-   "name": "w",
+   "name": "layer1_type1",
+   "shape": [
+    1,
+    1
+   ]
+  },
+  {
+   "name": "layer1_type2",
+   "shape": [
+    1,
+    1
+   ]
+  },
+  {
+   "name": "layer1_type3",
+   "shape": [
+    1,
+    1
+   ]
+  },
+  {
+   "name": "layer1_type4",
+   "shape": [
+    1,
+    1
+   ]
+  },
+  {
+   "name": "layer1_type5",
+   "shape": [
+    1,
+    1
+   ]
+  },
+  {
+   "name": "rel_emb",
    "shape": [
     2,
-    2
+    1
+   ]
+  },
+  {
+   "name": "score_w",
+   "shape": [
+    1,
+    1
    ]
   }
  ],
@@ -59,9 +102,11 @@ CHECKPOINT_MANIFEST = """\
  "vocab_digest": "d1"
 }
 """
-# b = [-0.5], then w = [[1.5, -2], [0.25, 3]], little-endian float32
+# layer1_type0..5 = [[0.5]], [[-1]], [[1.5]], [[-2]], [[0.25]], [[3]], then
+# rel_emb = [[-0.5], [4]], then score_w = [[0.125]], little-endian float32
 CHECKPOINT_PARAMS = (
-    b"\x00\x00\x00\xbf" b"\x00\x00\xc0?\x00\x00\x00\xc0\x00\x00\x80>\x00\x00@@"
+    b"\x00\x00\x00?\x00\x00\x80\xbf\x00\x00\xc0?\x00\x00\x00\xc0\x00\x00\x80>\x00\x00@@"
+    b"\x00\x00\x00\xbf\x00\x00\x80@" b"\x00\x00\x00>"
 )
 
 VECTOR_MANIFEST = """\
@@ -83,11 +128,17 @@ VECTOR_MANIFEST = """\
 # q1 = [0.125, 4], then q0 = [1, -0.5]
 VECTOR_BLOCK = b"\x00\x00\x00>\x00\x00\x80@" b"\x00\x00\x80?\x00\x00\x00\xbf"
 
+LAYER_VALUES = (0.5, -1.0, 1.5, -2.0, 0.25, 3.0)
+
 
 def tiny_checkpoint():
     return Checkpoint(
-        config=ModelConfig(dim=2, hops=1),
-        params={"w": np.array([[1.5, -2.0], [0.25, 3.0]]), "b": np.array([-0.5])},
+        config=ModelConfig(dim=1, hops=1),
+        params={
+            **{layer_param(1, e): np.array([[v]]) for e, v in enumerate(LAYER_VALUES)},
+            "rel_emb": np.array([[-0.5], [4.0]]),
+            "score_w": np.array([[0.125]]),
+        },
         vocab_digest="d1",
         relation_names=("r0", "r1"),
         seen_flags=(True, False),
@@ -105,7 +156,9 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
 
     params = load_checkpoint(str(tmp_path)).params
     assert {n: p.tolist() for n, p in params.items()} == {
-        "b": [-0.5], "w": [[1.5, -2.0], [0.25, 3.0]]
+        **{layer_param(1, e): [[v]] for e, v in enumerate(LAYER_VALUES)},
+        "rel_emb": [[-0.5], [4.0]],
+        "score_w": [[0.125]],
     }
 
 

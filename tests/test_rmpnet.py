@@ -74,7 +74,6 @@ def view_batch(rvg, hops, disclosing=()):
         incidences=None,
         disc_rows=np.array([row[label] for _, label in disclosing], dtype=np.intp),
         disc_sample=np.zeros(len(disclosing), dtype=np.intp),
-        target_rows=np.array([row[rvg.labels[rvg.target_index]]]),
     )
 
 

@@ -185,6 +185,15 @@ def test_export_round_trip_exact_at_float32(tmp_path):
         np.testing.assert_array_equal(loaded[name], want)
 
 
+def test_export_of_unknown_node_raises(tmp_path):
+    path = write_schema(tmp_path / "s.tsv", [("a", "rdfs:subPropertyOf", "b")])
+    emb = pretrain(load_schema(path), dim=4, epochs=1, seed=0)
+    out = tmp_path / "vecs"
+    with pytest.raises(SchemaError, match="no vector for schema node 'c'"):
+        save_vectors(emb, str(out), names=["a", "c"])
+    assert not out.exists()
+
+
 def test_load_vectors_closes_its_files(tmp_path):
     path = write_schema(tmp_path / "s.tsv", [("a", "rdfs:subPropertyOf", "b")])
     out = tmp_path / "vecs"

@@ -1,5 +1,4 @@
 import re
-from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -310,28 +309,42 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
         assert to_relation_view(sub).edges is NO_EDGES
 
 
-def join_rows(sub):
-    """The rows of the join that builds sub's view: per entity, the square
-    of the number of triple ends there."""
-    ends = Counter(e for h, _, t in sub.triples for e in (h, t))
-    return sum(c * c for c in ends.values())
+def layer_one_edges(sample):
+    """The relation-view edges a training step expands for sample, by the
+    pairwise oracle: those into its triples of level below K, the layer-1
+    receivers."""
+    sub = sample.sub
+    edges = oracles.relation_view_edges(sub.triples)
+    return sum(1 for _, _, dst in edges if sub.levels[dst] < sample.hops)
 
 
-def test_view_over_join_ceiling_raises_naming_target(monkeypatch):
-    # a training step joins the triples of all its samples at once, so the
-    # ceiling bounds the step, and the error names the sample with the most
-    # join rows
+def test_view_over_edge_ceiling_raises_naming_target(monkeypatch):
+    # a training step builds the edges of all its samples at once, so the
+    # ceiling bounds the step, and the error names the sample whose
+    # receivers take the most edges
     g, target = hub_graph()
     config = ModelConfig(dim=4, hops=1)
     small = Triple(100, 4, 150)  # two triples at the hub, one at each end
     samples = [build_sample(g, t, config) for t in (small, target, small)]
-    rows = [join_rows(s.sub) for s in samples]
-    assert rows[0] < rows[1]
-    monkeypatch.setattr(subgraph, "MAX_JOIN_ROWS", max(rows))
-    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs {sum(rows)}")):
+    edges = [layer_one_edges(s) for s in samples]
+    assert 0 < edges[0] < edges[1]
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", max(edges))
+    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs {sum(edges)} edges")):
         stack_samples(samples, training=True)
     for sample in samples:  # each alone is within the ceiling
         stack_samples([sample], training=True)
+
+
+def test_view_builds_at_the_edge_ceiling_and_raises_one_below(monkeypatch):
+    g, target = hub_graph()
+    sub = extract_disclosing(g, target, 1)
+    edges = len(oracles.relation_view_edges(sub.triples))
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", edges)
+    assert len(to_relation_view(sub).edges) == edges
+    monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", edges - 1)
+    with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs {edges} edges, "
+                                                      f"over the limit of {edges - 1}")):
+        to_relation_view(sub)
 
 
 # ------------------------------------------------------- pruning
