@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from rmpi.cli import VARIANTS
+from rmpi.cli import VARIANTS, _count, _dropout, _positive
 from rmpi.evalbench import classify, rank_queries
 from rmpi.kgstore import load_benchmark
 from rmpi.rmpnet import ModelConfig
@@ -98,16 +98,16 @@ def main():
                          "(shorthand for --data OUT/bench --schema OUT/schema.tsv)")
     ap.add_argument("--data", help="benchmark directory")
     ap.add_argument("--schema", help="schema TSV; enables the transfer comparison")
-    ap.add_argument("--epochs", type=int, default=8)
-    ap.add_argument("--dim", type=int, default=8)
-    ap.add_argument("--hop", type=int, default=2)
-    ap.add_argument("--dropout", type=float, default=0.0)
-    ap.add_argument("--lr", type=float, default=0.01)
-    ap.add_argument("--batch", type=int, default=16)
-    ap.add_argument("--margin", type=float, default=2.0)
-    ap.add_argument("--neg", type=int, default=20, help="ranking candidates per query")
+    ap.add_argument("--epochs", type=_count, default=8)
+    ap.add_argument("--dim", type=_count, default=8)
+    ap.add_argument("--hop", type=_count, default=2)
+    ap.add_argument("--dropout", type=_dropout, default=0.0)
+    ap.add_argument("--lr", type=_positive, default=0.01)
+    ap.add_argument("--batch", type=_count, default=16)
+    ap.add_argument("--margin", type=_positive, default=2.0)
+    ap.add_argument("--neg", type=_count, default=20, help="ranking candidates per query")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--transfer-seeds", type=int, default=5)
+    ap.add_argument("--transfer-seeds", type=_count, default=5)
     args = ap.parse_args()
 
     if args.out:

@@ -133,10 +133,9 @@ def classify(
     cache = cache if cache is not None else SampleCache(graph, ckpt.config)
     rng = np.random.default_rng([seed, 201])
     negatives = [sample_negative(t, graph, rng) for t in targets]
-    pos = score_triples(ckpt.params, ckpt.config, cache, targets, lookup, id_vectors, seed)
-    neg = score_triples(ckpt.params, ckpt.config, cache, negatives, lookup, id_vectors, seed)
-    scores = np.concatenate([pos, neg])
-    labels = np.array([1] * len(pos) + [0] * len(neg))
+    scores = score_triples(ckpt.params, ckpt.config, cache, targets + negatives,
+                           lookup, id_vectors, seed)
+    labels = np.array([1] * len(targets) + [0] * len(negatives))
     return ClassificationResult(
         auc_pr=auc_pr(scores, labels),
         scores=tuple(float(s) for s in scores),

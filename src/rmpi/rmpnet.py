@@ -55,7 +55,6 @@ from . import numkit as nk
 from .numkit import Tape, Var
 from .subgraph import (
     NUM_EDGE_TYPES,
-    EntitySubgraph,
     Incidences,
     scoring_incidences,
     view_layers,
@@ -205,13 +204,13 @@ class FeatureSource:
 
 @dataclass(frozen=True)
 class SubgraphSample:
-    """Model-ready extraction product for one target triple: the
-    extraction and nothing built from it.  Both forwards read the enclosing
-    subgraph's triples and levels as extracted; a training batch builds its
-    view edges from them at each step (stack_samples)."""
+    """Model-ready extraction product for one target triple: the tuples of
+    extract_enclosing that both forwards read, shared, not copied, and
+    nothing built from them; a training batch builds its view edges from
+    them at each step (stack_samples).  The depth is the model's."""
 
-    sub: EntitySubgraph  # the enclosing subgraph, target last
-    hops: int  # K, the depth its forwards run
+    triples: tuple  # the enclosing subgraph's triples, target last
+    levels: tuple  # per triple, its level as extract_enclosing measures it
     disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
 
 
@@ -233,7 +232,7 @@ class SampleBatch:
     node_rows: np.ndarray  # (N,) label row per node
     node_sample: np.ndarray  # (N,) sample per node
     targets: np.ndarray  # (B,) node id of each sample's target
-    depth: int  # K of every sample
+    depth: int  # K, the depth the samples were stacked for
     layer_edges: tuple | None  # training: per layer 1..K, (E_k, 3) (src, type, dst) over node ids
     incidences: Incidences | None  # scoring
     disc_rows: np.ndarray  # (M,) label row per disclosing neighbor
@@ -248,21 +247,17 @@ class SampleBatch:
         return self.layer_edges is not None
 
 
-def stack_samples(samples, training: bool = False) -> SampleBatch:
-    """One block-diagonal graph of a sequence of samples of one depth,
-    laid out for the training forward or the scoring forward."""
+def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
+    """One block-diagonal graph of a sequence of samples, laid out for the
+    training forward or the scoring forward of a depth-`depth` model."""
     samples = list(samples)
     if not samples:
         raise ModelError("cannot score an empty batch")
-    depths = {s.hops for s in samples}
-    if len(depths) != 1:
-        raise ModelError(f"samples pruned to different depths: {sorted(depths)}")
-    depth = depths.pop()
     layer_edges = incidences = order = None
     if training:
-        node_triples = [s.sub.triples for s in samples]
+        node_triples = [s.triples for s in samples]
     else:
-        kept = [_kept(s) for s in samples]
+        kept = [_kept(s, depth) for s in samples]
         node_triples = [triples for triples, _ in kept]
     sizes = [len(triples) for triples in node_triples]
     offsets = list(itertools.accumulate(sizes, initial=0))
@@ -272,8 +267,8 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     if training:
         layer_edges = view_layers(
             [t for triples in node_triples for t in triples], node_sample,
-            np.array([lv for s in samples for lv in s.sub.levels]), depth,
-            [s.sub.target for s in samples],
+            np.array([lv for s in samples for lv in s.levels]), depth,
+            [s.triples[-1] for s in samples],
         )
     elif offsets[-1] > len(samples):  # some sample has more than its target
         incidences, order = scoring_incidences(kept, sizes, depth)
@@ -297,12 +292,12 @@ def stack_samples(samples, training: bool = False) -> SampleBatch:
     )
 
 
-def _kept(sample: SubgraphSample) -> tuple[list, list]:
-    """The triples of a sample the scoring forward reads, those within K
-    steps of the target, in subgraph order with the target last, and their
-    levels."""
-    pairs = [(t, level) for t, level in zip(sample.sub.triples, sample.sub.levels)
-             if level <= sample.hops]
+def _kept(sample: SubgraphSample, depth: int) -> tuple[list, list]:
+    """The triples of a sample the scoring forward reads, those within
+    `depth` steps of the target, in subgraph order with the target last,
+    and their levels."""
+    pairs = [(t, level) for t, level in zip(sample.triples, sample.levels)
+             if level <= depth]
     return [t for t, _ in pairs], [level for _, level in pairs]
 
 
@@ -498,7 +493,7 @@ def score_sample(
     drop_rng=None,
 ) -> Var:
     """(B,) scores of a sequence of samples, run as one stacked graph."""
-    batch = stack_samples(samples, training)
+    batch = stack_samples(samples, config.hops, training)
     table = source.table(batch.labels)
     h_target = propagate(batch, table, pvars, config, training, drop_rng)
     h_disc = None

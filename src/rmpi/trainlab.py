@@ -69,9 +69,10 @@ class TrainConfig:
 # ------------------------------------------------------------------ samples
 
 def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> SubgraphSample:
+    sub = extract_enclosing(graph, triple, config.hops)
     return SubgraphSample(
-        sub=extract_enclosing(graph, triple, config.hops),
-        hops=config.hops,
+        triples=sub.triples,
+        levels=sub.levels,
         disclosing=disclosing_neighbors(graph, triple) if config.use_disclosing else (),
     )
 
@@ -85,15 +86,15 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 SCORE_BATCH_ROWS = 2000
 
 
-def sample_rows(sample: SubgraphSample) -> int:
-    """A sample's share of a stacked scoring forward, in rows of its
-    arrays: per node within K steps of its target, its feature and the
-    three rows layer 1 sums over (its two ends and its head end again);
-    six typed sums per node layer 1 updates; and its disclosing
-    neighbours.  Later layers sum and update no more.  A level is at most
-    K + 1, so the nodes are those not of level K + 1, and the receivers
-    those of them not of level K."""
-    levels, k = sample.sub.levels, sample.hops
+def sample_rows(sample: SubgraphSample, depth: int) -> int:
+    """A sample's share of a stacked scoring forward of K = depth layers,
+    in rows of its arrays: per node within K steps of its target, its
+    feature and the three rows layer 1 sums over (its two ends and its
+    head end again); six typed sums per node layer 1 updates; and its
+    disclosing neighbours.  Later layers sum and update no more.  A level
+    is at most K + 1, so the nodes are those not of level K + 1, and the
+    receivers those of them not of level K."""
+    levels, k = sample.levels, depth
     nodes = len(levels) - levels.count(k + 1)
     receivers = nodes - levels.count(k)
     return 4 * nodes + 6 * receivers + len(sample.disclosing)
@@ -107,9 +108,9 @@ class SampleCache:
     (a training run's fixed validation targets and negatives); transient
     negatives and other held-out targets are built on the fly so memory
     stays bounded by the graph and validation sizes.  A sample holds its
-    extraction only: a training step builds the relation-view edges of its
-    batch afresh (rmpnet.stack_samples), so no edges, which grow with the
-    square of entity degree, outlive the step.
+    triples and levels only: a training step builds the relation-view
+    edges of its batch afresh (rmpnet.stack_samples), so no edges, which
+    grow with the square of entity degree, outlive the step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
@@ -325,8 +326,12 @@ def score_triples(
     triple's forward alone, since no operation of the forward rounds a
     sample's values by its batch-mates (see numkit._product).  The forwards
     share one non-recording tape, which keeps no node, so a batch's arrays
-    are freed as soon as its forward returns.
+    are freed as soon as its forward returns.  TrainError if the cache
+    extracts with other hops or use_disclosing than `config`.
     """
+    built, wanted = (f"hops={c.hops}, use_disclosing={c.use_disclosing}" for c in (cache.config, config))
+    if built != wanted:
+        raise TrainError(f"sample cache extracts with {built}, but the model has {wanted}")
     tape = Tape(record=False)
     pvars = bind_params(tape, params)
     source = FeatureSource(
@@ -336,7 +341,7 @@ def score_triples(
     scores, batch, rows = [], [], 0
     for triple in triples:
         sample = cache.sample(Triple(*triple))
-        size = sample_rows(sample)
+        size = sample_rows(sample, config.hops)
         if batch and rows + size > SCORE_BATCH_ROWS:
             scores.append(score_sample(batch, source, pvars, config).value)
             batch, rows = [], 0

@@ -135,10 +135,10 @@ def test_criterion_02_pruned_propagation_equals_full_graph():
         sample = build_sample(g, target, config)
         tape = Tape()
         pvars = bind_params(tape, params)
-        batch = stack_samples([sample])
+        batch = stack_samples([sample], config.hops)
         table = _source(tape, pvars, config).table(batch.labels)
         h_target = propagate(batch, table, pvars, config)
-        rvg = to_relation_view(sample.sub)
+        rvg = to_relation_view(extract_enclosing(g, target, config.hops))
         h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
         want = oracles.full_forward(
             rvg.labels, rvg.edges, rvg.target_index,
@@ -367,7 +367,7 @@ def test_criterion_09_empty_subgraph_robustness():
     scores = {}
     for config in _variant_grid(dim=4):
         sample = build_sample(graph, target, config)
-        rvg = to_relation_view(sample.sub)
+        rvg = to_relation_view(extract_enclosing(graph, target, config.hops))
         assert rvg.num_nodes == 1
         assert rvg.edges.shape == (0, 3)
         tape = Tape()

@@ -26,7 +26,6 @@ from rmpi.rmpnet import (
 )
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
-    EntitySubgraph,
     RelationViewGraph,
     extract_disclosing,
     extract_enclosing,
@@ -52,9 +51,8 @@ def build_sample(graph, target, config):
     if config.use_disclosing:
         drvg = to_relation_view(extract_disclosing(graph, target, config.hops))
         disc = tuple(oracles.disclosing_one_hop(drvg))
-    return SubgraphSample(
-        sub=extract_enclosing(graph, target, config.hops), hops=config.hops, disclosing=disc,
-    )
+    sub = extract_enclosing(graph, target, config.hops)
+    return SubgraphSample(triples=sub.triples, levels=sub.levels, disclosing=disc)
 
 
 def view_batch(rvg, hops, disclosing=()):
@@ -77,9 +75,10 @@ def view_batch(rvg, hops, disclosing=()):
     )
 
 
-def pruned(sample):
-    """Per layer 1..K, the view edges a sample's training forward reads."""
-    return prune_to_target(to_relation_view(sample.sub), sample.hops)
+def pruned(graph, target, hops):
+    """Per layer 1..K, K = hops, the view edges the training forward of
+    target's sample reads."""
+    return prune_to_target(to_relation_view(extract_enclosing(graph, target, hops)), hops)
 
 
 def run_score(graph, target, config, params, run_seed=0, training=False, drop_rng=None):
@@ -94,7 +93,7 @@ def run_score(graph, target, config, params, run_seed=0, training=False, drop_rn
 def target_features(samples, source, pvars, config):
     """The scoring propagate over the stacked samples, initial features
     from source."""
-    batch = stack_samples(samples)
+    batch = stack_samples(samples, config.hops)
     return propagate(batch, source.table(batch.labels), pvars, config)
 
 
@@ -124,10 +123,8 @@ def test_seen_relation_reads_embedding_row():
 
 def test_shared_label_shares_feature_node():
     triples = (Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2))
-    sub = EntitySubgraph(triples=triples, source_indexes=(0, 1, None), target=triples[-1],
-                         kind="enclosing", levels=(1, 1, 0))
-    sample = SubgraphSample(sub=sub, hops=2)
-    batch = stack_samples([sample], training=True)
+    sample = SubgraphSample(triples=triples, levels=(1, 1, 0))
+    batch = stack_samples([sample], 2, training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row
     assert list(batch.labels) == [1, 2]
@@ -245,11 +242,6 @@ def test_message_layer_schedule_violation():
     table = tape.const(np.zeros((2, 2)))
     with pytest.raises(ModelError, match="depth"):
         propagate(view_batch(star_rvg(), 1), table, pvars, config, training=True)
-    target = Triple(0, 0, 1)
-    alone = EntitySubgraph(triples=(target,), source_indexes=(None,), target=target,
-                           kind="enclosing", levels=(0,))
-    with pytest.raises(ModelError, match="depths"):
-        stack_samples([SubgraphSample(sub=alone, hops=1), SubgraphSample(sub=alone, hops=2)])
 
 
 def test_final_layer_no_neighbors_keeps_previous():
@@ -485,7 +477,7 @@ def test_full_forward_matches_scalar_oracle_across_variants():
             src = make_source(tape, pvars, config)
             h_target = target_features([sample], src, pvars, config)
 
-            rvg = to_relation_view(sample.sub)
+            rvg = to_relation_view(extract_enclosing(g, target, config.hops))
             h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             want_h = oracles.full_forward(
                 rvg.labels, rvg.edges, rvg.target_index,
@@ -504,7 +496,7 @@ def test_score_sample_matches_scalar_oracle_end_to_end():
             sample = build_sample(g, target, config)
             got, _, _ = run_score(g, target, config, params)
 
-            rvg = to_relation_view(sample.sub)
+            rvg = to_relation_view(extract_enclosing(g, target, config.hops))
             h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             want_h = oracles.full_forward(
                 rvg.labels, rvg.edges, rvg.target_index,
@@ -537,7 +529,7 @@ def test_pruning_exactness_unit():
             pvars = bind_params(tape, params)
             src = make_source(tape, pvars, config)
             via_pruned = target_features([sample], src, pvars, config).value[0]
-            rvg = to_relation_view(sample.sub)
+            rvg = to_relation_view(extract_enclosing(g, target, config.hops))
             h0 = {i: params["rel_emb"][lab] for i, lab in enumerate(rvg.labels)}
             via_full = oracles.full_forward(
                 rvg.labels, rvg.edges, rvg.target_index,
@@ -674,7 +666,7 @@ def test_batch_scores_equal_samples_scored_alone():
     for config in variant_configs():
         params = init_params(config, 5, np.random.default_rng(7))
         samples = [build_sample(graph, t, config) for t in targets]
-        edges = [len(pruned(s)[0]) for s in samples]
+        edges = [len(pruned(graph, t, config.hops)[0]) for t in targets]
         assert 0 in edges and max(edges) > 0
         batched = score_batch(samples, config, params)
         alone = [score_batch([s], config, params)[0] for s in samples]
@@ -722,7 +714,7 @@ def test_training_tape_size_does_not_grow_with_batch():
                          edge_dropout=0.5)
     params = init_params(config, 4, np.random.default_rng(0))
     sample = build_sample(graph, graph.triples[0], config)
-    assert len(pruned(sample)[-1]) >= 10
+    assert len(pruned(graph, graph.triples[0], config.hops)[-1]) >= 10
 
     def tape_nodes(copies):
         tape = Tape()
@@ -768,18 +760,18 @@ def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triple
             u, v = isolated  # a bare target
         targets.append(Triple(u, 3, v))
     samples = [build_sample(graph, t, ModelConfig(hops=k)) for t in targets]
-    offsets = np.cumsum([0] + [len(s.sub.triples) for s in samples])
-    want = [np.concatenate([pruned(s)[layer] + (off, 0, off) for s, off in zip(samples, offsets)])
-            for layer in range(k)]
-    got = stack_samples(samples, training=True).layer_edges
+    offsets = np.cumsum([0] + [len(s.triples) for s in samples])
+    want = [np.concatenate([pruned(graph, t, k)[layer] + (off, 0, off)
+                            for t, off in zip(targets, offsets)]) for layer in range(k)]
+    got = stack_samples(samples, k, training=True).layer_edges
     assert len(got) == k
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     for s, lo, hi in zip(samples, offsets, offsets[1:]):
-        typed = oracles.relation_view_edges(s.sub.triples)
+        typed = oracles.relation_view_edges(s.triples)
         for layer, edges in enumerate(got, start=1):
             edges = edges[(edges[:, 2] >= lo) & (edges[:, 2] < hi)] - (lo, 0, lo)
-            _, oracle = oracles.prune_frontiers(typed, s.sub.target_position, k - layer + 1)
+            _, oracle = oracles.prune_frontiers(typed, len(s.triples) - 1, k - layer + 1)
             assert {(src, EDGE_TYPE_NAMES[e], dst) for src, e, dst in edges.tolist()} == oracle
 
 
@@ -841,7 +833,8 @@ def test_scoring_forward_matches_the_view_forward(hops, variant):
         if config.init_mode == "schema":
             schema = {r: rng.normal(size=config.schema_dim) for r in range(5)}
         samples = [build_sample(graph, t, config) for t in SCORING_TARGETS]
-        assert max(len(pruned(s)[0]) for s in samples) > 40 or not trial  # a hub view
+        hub_view = max(len(pruned(graph, t, hops)[0]) for t in SCORING_TARGETS) > 40
+        assert hub_view or not trial
         got, want = forward_pair(samples, config, params, schema)
         np.testing.assert_allclose(got, want, **TOL)
 
@@ -863,7 +856,7 @@ def test_scoring_forward_exact_at_a_twin_dominated_hub(attention):
     for e in range(6):  # H-T, T-H, H-H, T-T pass on; PARA, LOOP drop
         params[layer_param(1, e)] = np.eye(4) if e < 4 else np.zeros((4, 4))
     samples = [build_sample(graph, t, config) for t in (Triple(0, 0, 1), Triple(4, 4, 5))]
-    assert len(samples[0].sub.triples) == 306  # the twins and every other triple
+    assert len(samples[0].triples) == 306  # the twins and every other triple
     got, want = forward_pair(samples, config, params)
     assert np.abs(want).max() < 1e3  # the twins' features do not reach the scores
     np.testing.assert_allclose(got, want, **TOL)
@@ -886,7 +879,7 @@ def test_scoring_attention_exact_over_a_wide_logit_spread(disclosing):
     for e in range(6):
         params[layer_param(1, e)] = np.eye(4)
     samples = [build_sample(graph, Triple(3, 0, 4), config)]
-    assert len(samples[0].sub.triples) == 4
+    assert len(samples[0].triples) == 4
     got, want = forward_pair(samples, config, params)
     np.testing.assert_allclose(got, want, **TOL)
 
@@ -900,7 +893,7 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
     graph = hub_twin_graph(np.random.default_rng(1))
     targets = [Triple(3, 4, 8), Triple(12, 4, 13)]
     config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
-    kept = [rmpnet._kept(build_sample(graph, t, config)) for t in targets]
+    kept = [rmpnet._kept(build_sample(graph, t, config), hops) for t in targets]
     inc, order = subgraph.scoring_incidences(kept, [len(ts) for ts, _ in kept], hops)
     for layer in range(1, hops + 1):
         spans = inc.spans[: inc.receivers[layer - 1]].reshape(-1, 4)
@@ -948,7 +941,7 @@ def test_backward_through_the_scoring_forward_raises():
     config = ModelConfig(hops=2, dim=3, edge_dropout=0.0, target_attention=True)
     graph = random_graph(np.random.default_rng(5), 6, 4, 10)
     sample = build_sample(graph, Triple(0, 3, 1), config)
-    assert len(sample.sub.triples) > 1
+    assert len(sample.triples) > 1
     tape = Tape()
     pvars = bind_params(tape, init_params(config, 4, np.random.default_rng(0)))
     out = score_sample([sample], make_source(tape, pvars, config), pvars, config)

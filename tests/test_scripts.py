@@ -14,16 +14,20 @@ sys.path.insert(0, os.path.join(ROOT, "scripts"))
 import digest  # noqa: E402
 
 
-def test_make_toy_benchmark_writes_readable_files(tmp_path):
+def run_script(name, *args, check=True):
+    """Run scripts/<name> on this checkout's src/, output as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "make_toy_benchmark.py"),
-         "--out", str(tmp_path)],
-        check=True, env=env, capture_output=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        check=check, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_make_toy_benchmark_writes_readable_files(tmp_path):
+    run_script("make_toy_benchmark.py", "--out", str(tmp_path))
     bench = load_benchmark(str(tmp_path / "bench"))
     unseen = load_benchmark(str(tmp_path / "bench_unseen"))
     assert bench.test and unseen.test
@@ -34,6 +38,30 @@ def test_make_toy_benchmark_writes_readable_files(tmp_path):
     schema = load_schema(str(tmp_path / "schema.tsv"))
     names = {schema.node_names[i] for i in schema.relation_nodes()}
     assert {"r0", "r1", "r2", "s0", "s1", "s2"} <= names
+
+
+def test_toy_experiment_prints_every_variant_and_the_transfer(tmp_path):
+    run_script("make_toy_benchmark.py", "--out", str(tmp_path))
+    done = run_script("run_toy_experiment.py", "--out", str(tmp_path),
+                      "--epochs", "1", "--transfer-seeds", "1", "--neg", "5")
+    rows = {line.split()[0]: line.split()[1:] for line in done.stdout.splitlines()
+            if line.split()[:1] in (["base"], ["ne"], ["ta"], ["ne-ta"])}
+    assert list(rows) == ["base", "ne", "ta", "ne-ta"]
+    for loss, *metrics, _ in rows.values():  # loss, auc_pr, mrr, hits@1, seconds
+        assert float(loss) >= 0 and all(0 <= float(m) <= 1 for m in metrics)
+    for label in ("schema init", "random init"):
+        line = re.search(rf"^{label} +mean (\S+) +per seed: (\S+)$", done.stdout, re.M)
+        assert line and line.group(1) == line.group(2)  # the mean of one seed
+        assert 0 <= float(line.group(1)) <= 1
+
+
+def test_toy_experiment_rejects_counts_below_one(tmp_path):
+    for flag in ("--epochs", "--transfer-seeds"):
+        done = run_script("run_toy_experiment.py", "--out", str(tmp_path), flag, "0",
+                          check=False)
+        assert done.returncode == 2  # argparse's usage error, before any training
+        assert f"argument {flag}: must be >= 1" in done.stderr
+        assert done.stdout == ""
 
 
 def test_hub_probe_reports_rate_and_memory():

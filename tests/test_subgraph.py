@@ -309,13 +309,12 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
         assert to_relation_view(sub).edges is NO_EDGES
 
 
-def layer_one_edges(sample):
-    """The relation-view edges a training step expands for sample, by the
-    pairwise oracle: those into its triples of level below K, the layer-1
-    receivers."""
-    sub = sample.sub
-    edges = oracles.relation_view_edges(sub.triples)
-    return sum(1 for _, _, dst in edges if sub.levels[dst] < sample.hops)
+def layer_one_edges(sample, hops):
+    """The relation-view edges a training step of a depth-hops model
+    expands for sample, by the pairwise oracle: those into its triples of
+    level below K = hops, the layer-1 receivers."""
+    edges = oracles.relation_view_edges(sample.triples)
+    return sum(1 for _, _, dst in edges if sample.levels[dst] < hops)
 
 
 def test_view_over_edge_ceiling_raises_naming_target(monkeypatch):
@@ -326,13 +325,13 @@ def test_view_over_edge_ceiling_raises_naming_target(monkeypatch):
     config = ModelConfig(dim=4, hops=1)
     small = Triple(100, 4, 150)  # two triples at the hub, one at each end
     samples = [build_sample(g, t, config) for t in (small, target, small)]
-    edges = [layer_one_edges(s) for s in samples]
+    edges = [layer_one_edges(s, config.hops) for s in samples]
     assert 0 < edges[0] < edges[1]
     monkeypatch.setattr(subgraph, "MAX_VIEW_EDGES", max(edges))
     with pytest.raises(SubgraphError, match=re.escape(f"target {target} needs {sum(edges)} edges")):
-        stack_samples(samples, training=True)
+        stack_samples(samples, config.hops, training=True)
     for sample in samples:  # each alone is within the ceiling
-        stack_samples([sample], training=True)
+        stack_samples([sample], config.hops, training=True)
 
 
 def test_view_builds_at_the_edge_ceiling_and_raises_one_below(monkeypatch):

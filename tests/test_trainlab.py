@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -11,11 +12,13 @@ from rmpi import trainlab
 from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
 from rmpi.numkit import Tape
-from rmpi.rmpnet import FeatureSource, ModelConfig, bind_params, init_params, score_sample
+from rmpi.rmpnet import (
+    FeatureSource, ModelConfig, bind_params, init_params, score_sample, stack_samples,
+)
 from rmpi.subgraph import (
     RelationViewGraph,
     disclosing_neighbors,
-    prune_to_target,
+    extract_enclosing,
     to_relation_view,
 )
 from rmpi.trainlab import (
@@ -262,7 +265,7 @@ def test_repeated_triple_scores_the_same_in_every_batch(monkeypatch, variant):
     calls = scored_batches(monkeypatch, budget=400)
     got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
     at = [i for i, t in enumerate(triples) if t == repeated]
-    holding = [c for c in calls if any(s.sub.target == repeated for s in c)]
+    holding = [c for c in calls if any(s.triples[-1] == repeated for s in c)]
     assert len({len(c) for c in holding}) > 1  # batch-mates differ in number
     assert len(set(got[at].tolist())) == 1
 
@@ -289,6 +292,40 @@ def test_scoring_builds_no_relation_view(monkeypatch, variant):
     evalbench.rank_queries(ckpt, graph, SCORED[:2], num_neg=5, cache=cache)
 
 
+@pytest.mark.parametrize("task", ["classify", "rank"])
+def test_scoring_refuses_a_cache_of_another_extraction(monkeypatch, task):
+    # a cache's samples are its config's subgraphs: read by a model of
+    # another depth, or with or without the disclosing neighbours, they
+    # score wrong numbers and raise nothing, so score_triples refuses them
+    # before it extracts anything
+    from rmpi import evalbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extracted before checking the cache")
+
+    graph = scoring_graph()
+    if task == "classify":  # a base cache for an ne-ta checkpoint
+        built = ModelConfig(dim=4)
+        config = ModelConfig(dim=4, use_disclosing=True, target_attention=True)
+    else:  # a K=2 cache for a K=3 checkpoint
+        built, config = ModelConfig(dim=4, hops=2), ModelConfig(dim=4, hops=3)
+    params = init_params(config, graph.vocab.num_relations, np.random.default_rng(1))
+    ckpt = Checkpoint(config, params, graph.vocab.digest(), tuple(graph.vocab.relation_names),
+                      (True,) * graph.vocab.num_relations)
+    cache = SampleCache(graph, built)
+    for name in ("extract_enclosing", "disclosing_neighbors"):
+        monkeypatch.setattr(trainlab, name, refuse)
+    want = (f"sample cache extracts with hops={built.hops}, use_disclosing={built.use_disclosing}, "
+            f"but the model has hops={config.hops}, use_disclosing={config.use_disclosing}")
+    with pytest.raises(TrainError, match=re.escape(want)) as raised:
+        if task == "classify":
+            evalbench.classify(ckpt, graph, SCORED[:4], cache=cache)
+        else:
+            evalbench.rank_queries(ckpt, graph, SCORED[:2], num_neg=5, cache=cache)
+    assert raised.traceback[-1].name == "score_triples"
+    assert not cache._store
+
+
 def test_score_batches_stay_within_the_row_budget(monkeypatch):
     graph = scoring_graph()
     config, params, context = scoring_setup("ne-ta", graph)
@@ -298,7 +335,7 @@ def test_score_batches_stay_within_the_row_budget(monkeypatch):
         trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
         assert sum(map(len, calls)) == len(triples)
         for samples in calls:
-            rows = sum(trainlab.sample_rows(s) for s in samples)
+            rows = sum(trainlab.sample_rows(s, config.hops) for s in samples)
             assert rows <= budget or len(samples) == 1
         assert any(len(samples) > 1 for samples in calls) == (budget > 1)
 
@@ -315,11 +352,11 @@ def test_sample_rows_counts_as_comparing_every_level(hops):
             for _ in range(5):
                 u, v = (int(e) for e in rng.integers(graph.vocab.num_entities, size=2))
                 sample = build_sample(graph, Triple(u, 2, v), config)
-                levels = sample.sub.levels
+                levels = sample.levels
                 nodes = sum(level <= hops for level in levels)
                 receivers = sum(level < hops for level in levels)
                 want = 4 * nodes + 6 * receivers + len(sample.disclosing)
-                assert trainlab.sample_rows(sample) == want
+                assert trainlab.sample_rows(sample, hops) == want
 
 
 def isomorphic_candidates_graph():
@@ -369,7 +406,7 @@ def test_cache_retains_graph_triples_only():
     assert cache.sample(outsider) == first
     got, want = cache.sample(member), build_sample(graph, member, config)
     assert got == want
-    got_layers, want_layers = (prune_to_target(to_relation_view(s.sub), config.hops)
+    got_layers, want_layers = (stack_samples([s], config.hops, training=True).layer_edges
                                for s in (got, want))
     assert len(got_layers) == len(want_layers) == config.hops
     assert all(np.array_equal(a, b) for a, b in zip(got_layers, want_layers))
@@ -384,7 +421,8 @@ def test_cached_samples_hold_no_edges():
     cache.precompute(graph.triples)
     assert set(cache._store) == set(graph.triples)
     samples = list(cache._store.values())
-    assert any(len(to_relation_view(s.sub).edges) for s in samples)
+    assert any(len(to_relation_view(extract_enclosing(graph, t, config.hops)).edges)
+               for t in cache._store)
     tape = Tape()
     pvars = bind_params(tape, init_params(config, 2, np.random.default_rng(0)))
     score_sample(samples, FeatureSource(tape, pvars, config), pvars, config,
