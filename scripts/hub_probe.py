@@ -11,7 +11,10 @@ does:
 
 A second line gives the incidence rows each layer summed, and all the rows
 of the scored batches' Incidences, totalled over the batches of a second,
-untimed pass.  The program is imported from this checkout's src/.
+untimed pass.  A third gives the largest heap peak that tracemalloc traces
+in one scored forward (`trainlab.score_sample`) above what was traced when
+it began, over a third, untimed pass: unlike peak RSS, it resolves changes
+of a fraction of a MB.  The program is imported from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import argparse
 import resource
 import sys
 import time
+import tracemalloc
 
 import digest  # puts this checkout's src/ and perfbench/ on sys.path
 
 import spec  # noqa: E402
-from rmpi import evalbench, rmpnet  # noqa: E402
+from rmpi import evalbench, rmpnet, trainlab  # noqa: E402
 from rmpi.cli import VARIANTS, _count  # noqa: E402
 
 
@@ -49,6 +53,31 @@ def summed_rows(ckpt, graph, targets) -> list[int]:
     return summed
 
 
+def forward_peak(ckpt, graph, targets) -> int:
+    """The largest traced heap peak of one scored forward above what was
+    traced when it began, in bytes, over a classification pass: traced
+    outside the timed pass, whose time and peak RSS tracing would move."""
+    peak = 0
+    score_sample = trainlab.score_sample
+
+    def traced(*args, **kwargs):
+        nonlocal peak
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = score_sample(*args, **kwargs)
+        peak = max(peak, tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    trainlab.score_sample = traced
+    tracemalloc.start()
+    try:
+        evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+    finally:
+        tracemalloc.stop()
+        trainlab.score_sample = score_sample
+    return peak
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--hops", type=_count, required=True)
@@ -70,6 +99,8 @@ def main(argv=None) -> int:
     summed = summed_rows(ckpt, bench.test_graph, targets)
     print(f"hub_probe: incidence rows summed by layers 1..{args.hops}: "
           f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")
+    peak = forward_peak(ckpt, bench.test_graph, targets)
+    print(f"hub_probe: largest traced peak of one scored forward: {peak / 2**20:.2f} MiB")
     return 0
 
 

@@ -168,6 +168,17 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer >= 0, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _number(text: str) -> float:
     try:
         return float(text)
@@ -390,7 +401,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--epochs", type=_count, default=50)
     p_train.add_argument("--patience", type=_count, default=10)
     p_train.add_argument("--negatives", type=_count, default=1)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.add_argument("--runs", type=_count, default=1,
                          help="repeat with derived seeds and report the mean")
     p_train.set_defaults(func=cmd_train)
@@ -404,7 +415,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--hits", type=_parse_hits, default=(1, 5, 10))
     p_eval.add_argument("--side", choices=["head", "tail", "both"], default="both")
     p_eval.add_argument("--schema-vectors")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=cmd_eval)
 
     p_schema = sub.add_parser("schema-pretrain", help="embed an ontology TSV")
@@ -415,7 +426,7 @@ def build_parser() -> _Parser:
     p_schema.add_argument("--lr", type=_positive, default=0.02)
     p_schema.add_argument("--margin", type=_positive, default=1.0)
     p_schema.add_argument("--batch", type=_count, default=256)
-    p_schema.add_argument("--seed", type=int, default=0)
+    p_schema.add_argument("--seed", type=_seed, default=0)
     p_schema.add_argument("--relations-only", action="store_true",
                           help="export only nodes that look like relations")
     p_schema.set_defaults(func=cmd_schema_pretrain)

@@ -143,6 +143,12 @@ def _index(idx, size: int, what: str) -> np.ndarray:
 
 
 GATHER_CHUNK = 512  # rows gather_sum gathers at once
+# Most values of the running-sum buffer run_sums fills at once (512 KB of
+# float64): a block holds as many feature columns as fit, but at least 8.
+# Without that floor the 3-hop hub probe's largest batches fell to blocks of
+# one column, and scoring them took 1.86-2.10 CPU s against 1.30-1.55 s for
+# whole-width buffers; with it, 1.45-1.57 s.
+RUN_SUMS_VALUES = 1 << 16
 
 
 def _scatter_add(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -297,7 +303,9 @@ class Runs:
     region, so running sums of those rows alone fill and accumulate those
     prefixes alone (cumsums): a caller whose layers read nested sets of
     runs puts the runs read by most layers first, and each layer pays for
-    its own runs only.
+    its own runs only.  Each column's running sums are its own, so
+    run_sums fills a buffer for a block of columns at a time: about four
+    slots a row for each column of the block, not of the full width.
     """
 
     def __init__(self, starts, n: int) -> None:
@@ -345,33 +353,56 @@ class Runs:
         return buf
 
 
-def run_sums(x: np.ndarray, runs: Runs, spans) -> np.ndarray:
+def run_sums(x: np.ndarray, runs: Runs, spans, rows=None, weights=None) -> np.ndarray:
     """(G, ...) group sums over runs of the rows of x, an array, not a
     tape node: the scoring forward, which alone reads them, records no
     gradients.
 
-    x holds the first len(x) rows of the runs, which must end where a run
-    ends; only their runs are filled and accumulated.  spans[g] = (start,
-    cut, resume, stop) takes its run less rows cut .. resume-1, so it must
-    start where a run starts and stop where that run ends: the first range
-    is the run's running sum up to row cut-1, the second its running sum
-    from its last row back to row resume.  Neither is one running total
-    less another, so a group's sum depends on its run's rows alone, and
-    the work grows with the rows, not with the groups' ranges.  A span
-    that takes no row sums to zeros.
+    The summed rows are x[rows] (x itself when rows is None), each scaled
+    by weights[i] when weights are given; they are the first m rows of the
+    runs, which must end where a run ends, and only their runs are filled
+    and accumulated.  spans[g] = (start, cut, resume, stop) takes its run
+    less rows cut .. resume-1, so it must start where a run starts and stop
+    where that run ends: the first range is the run's running sum up to row
+    cut-1, the second its running sum from its last row back to row resume.
+    Neither is one running total less another, so a group's sum depends on
+    its run's rows alone, and the work grows with the rows, not with the
+    groups' ranges.  A span that takes no row sums to zeros.
+
+    The rows are gathered, scaled, summed and read a block of columns at a
+    time, so that the running-sum buffer holds about RUN_SUMS_VALUES values
+    (never fewer than 8 columns, never more than the full width): small
+    batches are one block, and a hub batch's peak is a few blocks' buffer
+    less.  Each column is summed down its rows in order and each scaled
+    value is one product, so the sums do not depend on the blocking.
     """
     if x.ndim not in (1, 2):
         raise NumkitError(f"run_sums expects a vector or matrix, got shape {x.shape}")
-    m, n = len(x), runs.n
+    if rows is not None:
+        rows = _index(rows, len(x), "run_sums")
+    m, n = len(x) if rows is None else len(rows), runs.n
+    if weights is not None and np.shape(weights) != (m,):
+        raise NumkitError(f"run_sums needs one weight per row: {np.shape(weights)} for {m} rows")
     spans = np.asarray(spans, dtype=np.intp)
     if spans.ndim != 2 or spans.shape[1] != 4:
         raise NumkitError(f"run_sums expects (G, 4) spans, got shape {spans.shape}")
     if spans.size and (spans.min() < 0 or spans.max() > m):
         raise NumkitError(f"run_sums span out of range for {m} rows")
     start, cut, resume, stop = spans.T
-    sums = runs.cumsums(x)
-    return (sums[runs.prefix_at[np.where(cut > start, cut - 1, n)]]
-            + sums[runs.suffix_at[np.where(resume < stop, resume, n)]])
+    first = runs.prefix_at[np.where(cut > start, cut - 1, n)]
+    last = runs.suffix_at[np.where(resume < stop, resume, n)]
+    columns = x[:, None] if x.ndim == 1 else x
+    width = columns.shape[1]
+    step = max(8, RUN_SUMS_VALUES // runs.size)
+    out = np.empty((len(spans), width))
+    for lo in range(0, width, step):
+        block = columns[:, lo : lo + step] if rows is None else columns[rows, lo : lo + step]
+        if weights is not None:
+            block = block * weights[:, None]
+        sums = runs.cumsums(block)
+        np.add(sums[first], sums[last], out=out[:, lo : lo + step])
+        del block, sums  # one block's buffer alive at a time
+    return out.reshape((len(spans),) + x.shape[1:])
 
 
 def unrecorded(parents, value) -> Var:

@@ -417,7 +417,7 @@ def _incidence_sums(h: np.ndarray, inc: Incidences, layer: int, logits) -> np.nd
     m = inc.layer_rows[layer - 1]
     rows = inc.rows[:m]
     if logits is None:
-        return nk.run_sums(h[rows], inc.runs, spans)
+        return nk.run_sums(h, inc.runs, spans, rows)
     k = inc.runs.runs_in(m)
     unit, starts = inc.unit[:m], inc.runs.starts[:k]
     run = np.arange(k).repeat(inc.runs.lengths[:k])
@@ -430,14 +430,11 @@ def _incidence_sums(h: np.ndarray, inc: Incidences, layer: int, logits) -> np.nd
     far = (spans[:, 1] < spans[:, 2]) & (unit[cut] == top_unit[cut]) & (top[cut] - second[cut] > SHIFT_GAP)
     # weighted rows, with a column of ones for the softmax's denominator:
     # rows of the top unit never count in a group shifted by `second`
-    shifts = [top, np.maximum(second, score)] if far.any() else [top]
-    weights = np.exp(score.repeat(len(shifts)) - np.column_stack(shifts).ravel())
     with_one = np.concatenate([h, np.ones((len(h), 1))], axis=1)
-    weighted = with_one[rows.repeat(len(shifts))] * weights[:, None]
-    sums = nk.run_sums(weighted.reshape(m, -1), inc.runs, spans)
+    sums = nk.run_sums(with_one, inc.runs, spans, rows, np.exp(score - top))
     if far.any():
-        groups = len(spans)
-        sums = sums.reshape(2 * groups, -1)[2 * np.arange(groups) + far]
+        shifted = nk.run_sums(with_one, inc.runs, spans, rows, np.exp(score - np.maximum(second, score)))
+        sums[far] = shifted[far]
     total = sums[:, -1:]  # an empty group's is 0, and so are its sums
     return np.divide(sums[:, :-1], total, out=np.zeros_like(sums[:, :-1]), where=total != 0)
 

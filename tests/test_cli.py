@@ -150,6 +150,24 @@ def test_bad_float_flags_are_usage_errors(tmp_path, capsys, command):
     assert sorted(os.listdir(tmp_path)) == ["data", "schema.tsv"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--data", "data", "--out", "out"],
+        ["eval", "--data", "data", "--ckpt", "out", "--out", "out"],
+        ["schema-pretrain", "--schema", "schema", "--out", "out"],
+    ],
+    ids=["train", "eval", "schema-pretrain"],
+)
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # numpy's generators take no negative seed: refused before any run starts
+    paths = {"data": bench_dir(tmp_path), "schema": schema_file(tmp_path), "out": tmp_path / "out"}
+    assert main([str(paths.get(arg, arg)) for arg in command] + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "usage error: argument --seed: must be >= 0, got -1"
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["data", "schema.tsv"]
+
 def test_schema_init_requires_vectors(tmp_path):
     data = bench_dir(tmp_path)
     code = main(train_args(data, tmp_path / "out", ["--init", "schema"]))

@@ -537,6 +537,57 @@ def test_run_sums_reject_bad_runs_and_spans():
         nk.run_sums(np.ones((5, 2)), runs, [[0, 1, 1, 2]])
 
 
+def test_run_sums_blocks_of_columns_equal_one_block_bit_for_bit(monkeypatch):
+    # a budget of one value cuts 20 columns into blocks of 8, 8 and 4; the
+    # sums equal one block's for gathered, scaled and 1-d rows, spans that
+    # take no row, and a layer that reads a prefix of the runs
+    rng = np.random.default_rng(6)
+    n = 400
+    runs, spans = random_runs(rng, n)
+    starts, lengths = runs.starts, runs.lengths
+    empty = np.stack([starts, starts, starts + lengths, starts + lengths], axis=1)[:3]
+    spans = np.concatenate([spans, empty])
+    m = int(lengths[: len(starts) // 2].sum())
+    prefix = spans[spans[:, 3] <= m]
+    x = rng.normal(size=(n, 20)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+    rows = rng.integers(0, n, n)
+    weights = np.exp(rng.normal(size=n) * 30)
+    assert 0 < m < n and len(prefix)
+    calls = []
+    cumsums = nk.Runs.cumsums
+
+    def counted(self, block):
+        calls.append(block.shape)
+        return cumsums(self, block)
+
+    monkeypatch.setattr(nk.Runs, "cumsums", counted)
+    cases = [
+        (x, spans, {}), (x[:m], prefix, {}), (x[:, 0], spans, {}), (x[:m, 0], prefix, {}),
+        (x, spans, dict(rows=rows, weights=weights)), (x, prefix, dict(rows=rows[:m])),
+        (x[:, 3], spans, dict(rows=rows, weights=weights)),
+    ]
+    whole = [nk.run_sums(xs, runs, sp, **kw) for xs, sp, kw in cases]
+    assert all(shape[1:] in ((20,), (1,)) for shape in calls)
+    calls.clear()
+    monkeypatch.setattr(nk, "RUN_SUMS_VALUES", 1)
+    for (xs, sp, kw), want in zip(cases, whole):
+        got = nk.run_sums(xs, runs, sp, **kw)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert [shape[1:] for shape in calls[:3]] == [(8,), (8,), (4,)]
+    assert not whole[0][-3:].any()  # spans that take no row
+    scaled = x[rows] * weights[:, None]
+    assert np.array_equal(whole[4], nk.run_sums(scaled, runs, spans))
+    assert np.array_equal(whole[5], nk.run_sums(x[rows[:m]], runs, prefix))
+
+
+def test_run_sums_reject_bad_rows_and_weights():
+    runs = nk.Runs([0, 2], 4)
+    with pytest.raises(NumkitError, match="out of range"):
+        nk.run_sums(np.ones((3, 2)), runs, [[0, 1, 1, 2]], rows=[0, 1, 2, 3])
+    with pytest.raises(NumkitError, match="one weight per row"):
+        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 2]], weights=np.ones(3))
+
+
 def test_backward_through_an_unrecorded_value_raises():
     tape = Tape()
     x = tape.param("x", np.ones(3))

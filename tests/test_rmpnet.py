@@ -909,6 +909,40 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
     assert sum(0 in (t.head, t.tail) for t in kept[0][0]) > 5 and len(kept[1][0]) == 1  # the hub
 
 
+@pytest.mark.parametrize("attention", [False, True])
+def test_incidence_sums_in_blocks_of_columns_equal_one_block(monkeypatch, attention):
+    # a budget of one value cuts 20 feature columns (21 with the softmax's
+    # ones) into blocks of 8; the sums of every layer are bit for bit those
+    # of one block, on the base path and on the attention path, where
+    # logits a thousand apart send some groups to the SHIFT_GAP second shift
+    graph = hub_twin_graph(np.random.default_rng(1))
+    targets = [Triple(3, 4, 8), Triple(0, 4, 5), Triple(12, 4, 13)]
+    hops = 3
+    config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
+    kept = [rmpnet._kept(build_sample(graph, t, config), hops) for t in targets]
+    inc, _ = subgraph.scoring_incidences(kept, [len(ts) for ts, _ in kept], hops)
+    rng = np.random.default_rng(2)
+    n = sum(len(ts) for ts, _ in kept)
+    h = rng.normal(size=(n, 20))
+    logits = rng.normal(size=n) * 1000 if attention else None
+    calls = []
+    run_sums = nk.run_sums
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return run_sums(*args, **kwargs)
+
+    monkeypatch.setattr(nk, "run_sums", counted)
+    whole = [rmpnet._incidence_sums(h, inc, layer, logits) for layer in range(1, hops + 1)]
+    if attention:  # a second call for the groups shifted a second time
+        assert len(calls) > hops
+    monkeypatch.setattr(nk, "RUN_SUMS_VALUES", 1)
+    for layer, want in enumerate(whole, start=1):
+        got = rmpnet._incidence_sums(h, inc, layer, logits)
+        assert got.shape == want.shape == (inc.receivers[layer - 1] * 6, 20)
+        assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------- gradients
 
 def test_composed_gradients_match_finite_differences():

@@ -76,6 +76,9 @@ def test_hub_probe_reports_rate_and_memory():
     assert head == "incidence rows summed by layers 1..1"
     summed, total = map(int, counts.split(" of "))
     assert 0 < summed <= total
+    peak = re.fullmatch(r"hub_probe: largest traced peak of one scored forward: (\d+\.\d\d) MiB",
+                        done.stdout.strip().splitlines()[2])
+    assert peak and float(peak.group(1)) > 0
 
 
 def test_hub_probe_rejects_counts_below_one():
