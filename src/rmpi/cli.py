@@ -157,12 +157,16 @@ def _load_schema_vectors(args):
     return load_vectors(args.schema_vectors)
 
 
-def _count(text: str) -> int:
-    """An argparse type: an integer >= 1."""
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -170,10 +174,7 @@ def _count(text: str) -> int:
 
 def _seed(text: str) -> int:
     """An argparse type: an integer >= 0, as numpy's generators take."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value

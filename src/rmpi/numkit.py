@@ -17,6 +17,8 @@ only the first rows, whole runs, fills and accumulates the running sums of
 those alone: the buffer keeps each class of run length in row order, so
 their runs are a prefix of every class's region.  The scoring forward puts
 the runs its later layers read first, so each layer sums only its own.
+The sums are filled a block of columns at a time, so the buffer of a hub's
+thousands of rows holds a few columns, not the full width.
 """
 
 from __future__ import annotations
@@ -145,9 +147,10 @@ def _index(idx, size: int, what: str) -> np.ndarray:
 GATHER_CHUNK = 512  # rows gather_sum gathers at once
 # Most values of the running-sum buffer run_sums fills at once (512 KB of
 # float64): a block holds as many feature columns as fit, but at least 8.
-# Without that floor the 3-hop hub probe's largest batches fell to blocks of
-# one column, and scoring them took 1.86-2.10 CPU s against 1.30-1.55 s for
-# whole-width buffers; with it, 1.45-1.57 s.
+# Without that floor the largest hub batches at K=3 fall to blocks of one
+# column: the scoring forwards of `scripts/hub_probe.py --hops 3 --variant
+# base` took 1.41 CPU s with one-column blocks against 1.16 s with the floor
+# (medians of 9 alternating passes in one process, 2-vCPU x86-64 VM).
 RUN_SUMS_VALUES = 1 << 16
 
 
@@ -372,8 +375,8 @@ def run_sums(x: np.ndarray, runs: Runs, spans, rows=None, weights=None) -> np.nd
     The rows are gathered, scaled, summed and read a block of columns at a
     time, so that the running-sum buffer holds about RUN_SUMS_VALUES values
     (never fewer than 8 columns, never more than the full width): small
-    batches are one block, and a hub batch's peak is a few blocks' buffer
-    less.  Each column is summed down its rows in order and each scaled
+    batches are one block, and a hub batch holds one block's buffer at a
+    time, not the full width's.  Each column is summed down its rows in order and each scaled
     value is one product, so the sums do not depend on the blocking.
     """
     if x.ndim not in (1, 2):
