@@ -433,8 +433,8 @@ def _incidence_sums(h: np.ndarray, inc: Incidences, layer: int, logits) -> np.nd
     with_one = np.concatenate([h, np.ones((len(h), 1))], axis=1)
     sums = nk.run_sums(with_one, inc.runs, spans, rows, np.exp(score - top))
     if far.any():
-        shifted = nk.run_sums(with_one, inc.runs, spans, rows, np.exp(score - np.maximum(second, score)))
-        sums[far] = shifted[far]
+        shifted = np.exp(score - np.maximum(second, score))
+        sums[far] = nk.run_sums(with_one, inc.runs, spans[far], rows, shifted)
     total = sums[:, -1:]  # an empty group's is 0, and so are its sums
     return np.divide(sums[:, :-1], total, out=np.zeros_like(sums[:, :-1]), where=total != 0)
 
