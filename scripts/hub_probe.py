@@ -29,7 +29,7 @@ import digest  # puts this checkout's src/ and perfbench/ on sys.path
 
 import spec  # noqa: E402
 from rmpi import evalbench, rmpnet, trainlab  # noqa: E402
-from rmpi.cli import VARIANTS, _count  # noqa: E402
+from rmpi.cli import VARIANTS, _count, _hops  # noqa: E402
 
 
 def summed_rows(ckpt, graph, targets) -> list[int]:
@@ -80,7 +80,7 @@ def forward_peak(ckpt, graph, targets) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--hops", type=_count, required=True)
+    parser.add_argument("--hops", type=_hops, required=True)
     parser.add_argument("--variant", choices=sorted(VARIANTS), required=True)
     parser.add_argument("--targets", type=_count, default=None,
                         help="score the first N test targets (default: all)")

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from rmpi.cli import VARIANTS, _count, _dropout, _positive
+from rmpi.cli import VARIANTS, _count, _dropout, _hops, _positive
 from rmpi.evalbench import classify, rank_queries
 from rmpi.kgstore import load_benchmark
 from rmpi.rmpnet import ModelConfig
@@ -100,7 +100,7 @@ def main():
     ap.add_argument("--schema", help="schema TSV; enables the transfer comparison")
     ap.add_argument("--epochs", type=_count, default=8)
     ap.add_argument("--dim", type=_count, default=8)
-    ap.add_argument("--hop", type=_count, default=2)
+    ap.add_argument("--hop", type=_hops, default=2)
     ap.add_argument("--dropout", type=_dropout, default=0.0)
     ap.add_argument("--lr", type=_positive, default=0.01)
     ap.add_argument("--batch", type=_count, default=16)

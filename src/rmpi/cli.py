@@ -24,6 +24,7 @@ from .numkit import NumkitError
 from .rmpnet import ModelError, ModelConfig
 from .schema import BLOCK_NAME, SchemaError, load_schema, load_vectors, pretrain, save_vectors
 from .subgraph import (
+    MAX_HOPS,
     SubgraphError,
     dump_relation_view,
     extract_disclosing,
@@ -169,6 +170,14 @@ def _count(text: str) -> int:
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _hops(text: str) -> int:
+    """An argparse type: a hop count, an integer in 1..MAX_HOPS."""
+    value = _count(text)
+    if value > MAX_HOPS:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_HOPS}, got {value}")
     return value
 
 
@@ -383,7 +392,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--hop", type=_count, default=2,
+        p.add_argument("--hop", type=_hops, default=2,
                        help="subgraph radius and message-passing depth")
         p.add_argument("--dim", type=_count, default=32)
         p.add_argument("--dropout", type=_dropout, default=0.5)
@@ -443,7 +452,7 @@ def build_parser() -> _Parser:
     p_dump.add_argument("--head", required=True)
     p_dump.add_argument("--rel", required=True)
     p_dump.add_argument("--tail", required=True)
-    p_dump.add_argument("--hop", type=_count, default=2)
+    p_dump.add_argument("--hop", type=_hops, default=2)
     p_dump.add_argument("--graph", choices=["train", "test"], default="train")
     p_dump.add_argument("--kind", choices=["enclosing", "disclosing"],
                         default="enclosing")

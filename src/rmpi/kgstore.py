@@ -11,6 +11,9 @@ A graph keeps one adjacency index, `incident`: each entity maps to the
 (other end, triple index) pairs of the triples it is an end of, listed in
 the order the triples were added.  Edges are read undirected, so a triple
 is listed under both of its ends and a self-loop once, under its entity.
+`arrays` holds the same triples as one int32 array, built once when read,
+so that subgraphs and samples can hold triple indices and gather their
+ends and relations in one step.
 `bfs` walks that index for `khop_neighbors`; extraction walks it too,
 inside the neighbourhood a target's two ends share.  A graph memoises its
 K-hop maps per (entity, k), since the candidates of a rank query all share
@@ -26,6 +29,8 @@ import os
 from collections import OrderedDict
 from types import MappingProxyType
 from typing import Iterable, KeysView, Mapping, NamedTuple
+
+import numpy as np
 
 from .fileio import read_rows
 
@@ -125,7 +130,8 @@ class KnowledgeGraph:
     its triples, so edge instances (not just endpoint pairs) can be
     recovered; `entities` is a read-only view of its keys.  `khop_memo`
     holds the K-hop maps khop_neighbors handed out, least recently used
-    first, and `khop_memo_entries` their total size.
+    first, and `khop_memo_entries` their total size.  `add` drops the memo
+    and the triple arrays, which are built again when next read.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
@@ -134,6 +140,7 @@ class KnowledgeGraph:
         self.incident: dict[int, list[tuple[int, int]]] = {}
         self._members: set[Triple] = set()
         self._entity_list: list[int] | None = None
+        self._arrays: np.ndarray | None = None
         self.khop_memo: OrderedDict[tuple[int, int], Mapping[int, int]] = OrderedDict()
         self.khop_memo_entries = 0
         for t in triples:
@@ -152,6 +159,7 @@ class KnowledgeGraph:
         self.triples.append(t)
         self._members.add(t)
         self._entity_list = None
+        self._arrays = None
         if self.khop_memo:
             self.khop_memo.clear()
             self.khop_memo_entries = 0
@@ -163,6 +171,16 @@ class KnowledgeGraph:
     @property
     def num_triples(self) -> int:
         return len(self.triples)
+
+    @property
+    def arrays(self) -> np.ndarray:
+        """(3, T) int32, read-only: the heads, relations and tails of the
+        triples, column i for triple i."""
+        if self._arrays is None:
+            flat = np.fromiter((x for t in self.triples for x in t), np.int32, 3 * len(self.triples))
+            self._arrays = np.ascontiguousarray(flat.reshape(-1, 3).T)
+            self._arrays.flags.writeable = False
+        return self._arrays
 
     def has_triple(self, t: Triple) -> bool:
         return Triple(*t) in self._members

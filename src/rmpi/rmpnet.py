@@ -14,8 +14,9 @@ without building that subgraph's relation view), fused by summation or
 concatenation before the linear scorer.
 
 Everything runs as array operations over a batch of samples stacked into
-one block-diagonal graph, their distinct labels resolved once into a
-feature table, and each layer transforms its (node, edge type) group sums
+one block-diagonal graph, its nodes' ends and labels gathered from the
+graph's arrays by the samples' triple indices, their distinct labels
+resolved once into a feature table, and each layer transforms its (node, edge type) group sums
 by the types' weights in one matrix product.  Every edge type matches one
 end of the source with one end of the receiver, so a receiver's typed
 sources are the triples at one of its entities, less the parallel or
@@ -45,15 +46,16 @@ on plain arrays and records no backward rule of its own.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import numkit as nk
+from .kgstore import KnowledgeGraph, Triple
 from .numkit import Tape, Var
 from .subgraph import (
+    MAX_HOPS,
     NUM_EDGE_TYPES,
     Incidences,
     scoring_incidences,
@@ -83,8 +85,8 @@ class ModelConfig:
     schema_dim: int = SCHEMA_DIM   # width of the pretrained ontology vectors
 
     def __post_init__(self):
-        if self.hops < 1:
-            raise ModelError(f"hops must be >= 1, got {self.hops}")
+        if not 1 <= self.hops <= MAX_HOPS:
+            raise ModelError(f"hops must be in 1..{MAX_HOPS}, got {self.hops}")
         if not (0 <= self.edge_dropout < 1):
             raise ModelError(f"edge dropout must be in [0, 1), got {self.edge_dropout}")
         if self.fusion not in FUSION_MODES:
@@ -202,16 +204,30 @@ class FeatureSource:
         return nk.take(emb, rows)
 
 
-@dataclass(frozen=True)
-class SubgraphSample:
-    """Model-ready extraction product for one target triple: the tuples of
-    extract_enclosing that both forwards read, shared, not copied, and
-    nothing built from them; a training batch builds its view edges from
-    them at each step (stack_samples).  The depth is the model's."""
+NO_LABELS = np.empty(0, dtype=np.int32)
+NO_LABELS.flags.writeable = False
 
-    triples: tuple  # the enclosing subgraph's triples, target last
-    levels: tuple  # per triple, its level as extract_enclosing measures it
-    disclosing: tuple = ()  # ((parent-graph triple index, label), ...) or () when unused
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SubgraphSample:
+    """Model-ready extraction product for one target triple, as compact
+    arrays over its graph: the graph triples of its enclosing subgraph by
+    index, with their levels, the arrays of extract_enclosing, shared, not
+    copied; the target apart, since it is not a graph triple; and the
+    labels of its disclosing neighbours.  Nothing is built from them: a
+    training batch builds its view edges at each step (stack_samples).  The
+    depth is the model's."""
+
+    graph: KnowledgeGraph
+    indexes: np.ndarray  # (n,) int32 graph triple per node but the target, in subgraph order
+    target: Triple
+    levels: np.ndarray  # (n,) int8 their levels as extract_enclosing measures them; the target's is 0
+    labels: np.ndarray  # (m,) int32 disclosing neighbour labels; NO_LABELS when unused
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes its arrays hold: 5 per graph triple and 4 per label."""
+        return self.indexes.nbytes + self.levels.nbytes + self.labels.nbytes
 
 
 @dataclass(frozen=True)
@@ -248,35 +264,42 @@ class SampleBatch:
 
 
 def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
-    """One block-diagonal graph of a sequence of samples, laid out for the
-    training forward or the scoring forward of a depth-`depth` model."""
+    """One block-diagonal graph of a sequence of samples of one graph, laid
+    out for the training forward or the scoring forward of a depth-`depth`
+    model.  Each sample's nodes are its graph triples, then its target; the
+    scoring forward keeps those within `depth` steps of the target."""
     samples = list(samples)
     if not samples:
         raise ModelError("cannot score an empty batch")
-    layer_edges = incidences = order = None
-    if training:
-        node_triples = [s.triples for s in samples]
-    else:
-        kept = [_kept(s, depth) for s in samples]
-        node_triples = [triples for triples, _ in kept]
-    sizes = [len(triples) for triples in node_triples]
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    node_labels = [t.relation for triples in node_triples for t in triples]
+    graph = samples[0].graph
+    if any(s.graph is not graph for s in samples):
+        raise ModelError("cannot stack samples of different graphs")
+    sizes = np.array([len(s.indexes) + 1 for s in samples])
+    is_target = np.zeros(sizes.sum(), dtype=bool)
+    is_target[sizes.cumsum() - 1] = True
+    nodes = np.empty((4, len(is_target)), dtype=np.intp)  # head, relation, tail, level
+    nodes[:, is_target] = np.array([(*s.target, 0) for s in samples]).T
+    in_graph = ~is_target
+    nodes[:3, in_graph] = graph.arrays[:, np.concatenate([s.indexes for s in samples])]
+    nodes[3, in_graph] = np.concatenate([s.levels for s in samples])
     sample_ids = np.arange(len(samples))
-    node_sample = np.repeat(sample_ids, sizes)
+    node_sample = sample_ids.repeat(sizes)
+    layer_edges = incidences = order = None
+    ends = slice(0, 3, 2)  # the head and tail rows
     if training:
-        layer_edges = view_layers(
-            [t for triples in node_triples for t in triples], node_sample,
-            np.array([lv for s in samples for lv in s.levels]), depth,
-            [s.triples[-1] for s in samples],
-        )
-    elif offsets[-1] > len(samples):  # some sample has more than its target
-        incidences, order = scoring_incidences(kept, sizes, depth)
-    disc_labels = [label for s in samples for _, label in s.disclosing]
-    labels, label_rows = np.unique(node_labels + disc_labels, return_inverse=True)
-    node_rows, disc_rows = np.split(label_rows, [len(node_labels)])
+        layer_edges = view_layers(nodes[ends].ravel(), node_sample, nodes[3], depth,
+                                  [s.target for s in samples])
+    else:
+        kept = nodes[3] <= depth
+        if not kept.all():
+            nodes, node_sample, is_target = nodes[:, kept], node_sample[kept], is_target[kept]
+        if len(is_target) > len(samples):  # some sample has more than its target
+            incidences, order = scoring_incidences(nodes[ends], nodes[3], node_sample, depth)
+    disc_labels = np.concatenate([s.labels for s in samples])
+    labels, label_rows = np.unique(np.concatenate([nodes[1], disc_labels]), return_inverse=True)
+    node_rows, disc_rows = np.split(label_rows, [len(node_sample)])
     if order is None:
-        targets = np.array(offsets[1:]) - 1  # each sample's target is its last node
+        targets = is_target.nonzero()[0]
     else:
         node_rows, node_sample, targets = node_rows[order], node_sample[order], sample_ids
     return SampleBatch(
@@ -288,17 +311,8 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
         layer_edges=layer_edges,
         incidences=incidences,
         disc_rows=disc_rows,
-        disc_sample=np.repeat(sample_ids, [len(s.disclosing) for s in samples]),
+        disc_sample=sample_ids.repeat([len(s.labels) for s in samples]),
     )
-
-
-def _kept(sample: SubgraphSample, depth: int) -> tuple[list, list]:
-    """The triples of a sample the scoring forward reads, those within
-    `depth` steps of the target, in subgraph order with the target last,
-    and their levels."""
-    pairs = [(t, level) for t, level in zip(sample.triples, sample.levels)
-             if level <= depth]
-    return [t for t, _ in pairs], [level for _, level in pairs]
 
 
 def _apply(w: Var, x: Var) -> Var:

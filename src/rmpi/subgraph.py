@@ -26,9 +26,11 @@ target, so disclosing_neighbors reads them straight off the graph's
 incidence index; extract_disclosing builds the whole union subgraph only for
 inspection.
 
-Extraction reads the K-hop maps the graph memoises, so the candidates of a
-rank query, which share its fixed entity, walk that entity's neighbourhood
-once.  Pruning walks the graph's incidence index inside the intersection,
+A subgraph holds its graph triples as int32 indices into the graph's
+arrays (KnowledgeGraph.arrays), their levels as int8, and its target apart;
+consumers gather ends and labels by index.  Extraction reads the K-hop maps
+the graph memoises, so the candidates of a rank query, which share its
+fixed entity, walk that entity's neighbourhood once.  Pruning walks the graph's incidence index inside the intersection,
 and a bare target, whose intersection adds no triple beyond those at u and
 v, skips it.
 """
@@ -55,19 +57,47 @@ class SubgraphError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+# Deepest extraction: a level, at most K + 1, is held in an int8.
+MAX_HOPS = np.iinfo(np.int8).max - 1
+
+
+@dataclass(frozen=True, eq=False)
 class EntitySubgraph:
-    triples: tuple[Triple, ...]  # target instance is always the last element
-    source_indexes: tuple  # parent-graph triple index per element, None for the target
+    """A cut-out subgraph as compact arrays over its graph: the indices of
+    its graph triples, ascending, and the target apart, since it is not a
+    graph triple (an instance equal to it is left out).  `triples`,
+    `source_indexes` and `levels` read them back as tuples, the target last,
+    built on each read."""
+
+    graph: KnowledgeGraph = field(repr=False)
+    indexes: np.ndarray  # (n,) int32 parent-graph triple index per graph triple
     target: Triple
     kind: str  # "enclosing" | "disclosing"
-    # enclosing: per element, the least j with it in pruning's N^j, else
-    # K + 1 (extract_enclosing); disclosing: ()
-    levels: tuple = ()
+    # enclosing: (n,) int8, per graph triple the least j with it in
+    # pruning's N^j, at most K + 1 (extract_enclosing); disclosing: None
+    level_array: np.ndarray | None = None
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """The graph triples, then the target."""
+        triples = self.graph.triples
+        return tuple([triples[i] for i in self.indexes.tolist()]) + (self.target,)
+
+    @property
+    def source_indexes(self) -> tuple:
+        """Per element of `triples`, its parent-graph index; None for the target."""
+        return tuple(self.indexes.tolist()) + (None,)
+
+    @property
+    def levels(self) -> tuple:
+        """Per element of `triples`, its level, the target's 0; () when disclosing."""
+        if self.level_array is None:
+            return ()
+        return tuple(self.level_array.tolist()) + (0,)
 
     @property
     def target_position(self) -> int:
-        return len(self.triples) - 1
+        return len(self.indexes)
 
 
 @dataclass(frozen=True)
@@ -105,14 +135,14 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
 
 
 def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str,
-              levels: tuple = ()) -> EntitySubgraph:
-    """The subgraph of the triples idxs, with the target appended last."""
+              levels: list | None = None) -> EntitySubgraph:
+    """The subgraph of the triples idxs, with the target apart."""
     return EntitySubgraph(
-        triples=tuple(graph.triples[i] for i in idxs) + (target,),
-        source_indexes=tuple(idxs) + (None,),
+        graph=graph,
+        indexes=np.array(idxs, dtype=np.int32),
         target=target,
         kind=kind,
-        levels=levels,
+        level_array=None if levels is None else np.array(levels, dtype=np.int8),
     )
 
 
@@ -179,8 +209,8 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     for 45% of its training positives and negatives.
     """
     target = Triple(*target)
-    if k < 1:
-        raise SubgraphError(f"hop count must be >= 1, got {k}")
+    if not 1 <= k <= MAX_HOPS:
+        raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
     u, _, v = target
     common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
     common.update((u, v))
@@ -191,7 +221,7 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
         if h not in ends or t not in ends:
             break
     else:  # bare: no induced triple leaves u and v
-        return _subgraph(graph, idxs, target, "enclosing", (1,) * len(idxs) + (0,))
+        return _subgraph(graph, idxs, target, "enclosing", [1] * len(idxs))
 
     near = _pruning_distances(graph, u, v, common, k)
     kept, levels = [], []
@@ -200,8 +230,7 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
         if h in near and t in near:
             kept.append(i)
             levels.append(1 + min(near[h], near[t]))
-    levels.append(0)  # the target
-    return _subgraph(graph, kept, target, "enclosing", tuple(levels))
+    return _subgraph(graph, kept, target, "enclosing", levels)
 
 
 def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
@@ -237,23 +266,26 @@ def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
     subsumed in a specific one.  The view is one sample of view_layers
     whose every node receives.
     """
-    n = len(sub.triples)
-    zeros = np.zeros(n, dtype=np.intp)
-    (edges,) = view_layers(sub.triples, zeros, zeros, 1, [sub.target])
+    triples = sub.triples
+    rows = np.array(triples, dtype=np.intp)
+    ends = np.concatenate([rows[:, 0], rows[:, 2]])
+    zeros = np.zeros(len(triples), dtype=np.intp)
+    (edges,) = view_layers(ends, zeros, zeros, 1, [sub.target])
     return RelationViewGraph(
-        nodes=tuple(sub.triples),
-        labels=tuple(t.relation for t in sub.triples),
+        nodes=triples,
+        labels=tuple(t.relation for t in triples),
         edges=edges,
         target_index=sub.target_position,
     )
 
 
-def view_layers(triples, node_sample: np.ndarray, levels: np.ndarray, depth: int,
+def view_layers(ends: np.ndarray, node_sample: np.ndarray, levels: np.ndarray, depth: int,
                 targets) -> tuple[np.ndarray, ...]:
     """Per layer k = 1..depth, the relation-view edges into the nodes of
     level at most depth - k, as read-only (E_k, 3) int32 rows (src, type,
-    dst) sorted by (dst, type, src): node i is triples[i], from the
-    subgraph of targets[node_sample[i]].
+    dst) sorted by (dst, type, src): node i, from the subgraph of
+    targets[node_sample[i]], has its head at ends[i] and its tail at
+    ends[n + i].
 
     Every edge type matches one end of the source with one end of the
     receiver, so the edges into a receiver are the rows of its spans
@@ -262,8 +294,7 @@ def view_layers(triples, node_sample: np.ndarray, levels: np.ndarray, depth: int
     spans first, names the target whose receivers take the most.  A batch
     without edges shares one empty array per layer.
     """
-    n = len(triples)
-    ends = np.fromiter([t.head for t in triples] + [t.tail for t in triples], np.intp, 2 * n)
+    n = len(node_sample)
     ends, num_ids = _dense_ids(ends, node_sample)
     receivers = (levels < depth).nonzero()[0]
     _, _, node_of, spans = _end_rows(ends, num_ids, receivers)
@@ -402,24 +433,21 @@ class Incidences:
     unit: np.ndarray  # (R,) what a span may cut: the row's block, or in a block run the row
 
 
-def scoring_incidences(kept, sizes, depth: int) -> tuple[Incidences, np.ndarray]:
-    """The Incidences of a scoring batch whose sample s keeps the triples
-    and levels kept[s], and the order of its nodes: by level, then sample,
-    then subgraph order.
+def scoring_incidences(ends: np.ndarray, level: np.ndarray, sample: np.ndarray,
+                       depth: int) -> tuple[Incidences, np.ndarray]:
+    """The Incidences of a scoring batch whose node i, of level level[i]
+    and from sample sample[i], has its head at ends[0, i] and its tail at
+    ends[1, i], and the order of its nodes: by level, then as given, each
+    sample's nodes in subgraph order.
 
     Small batches are common and numpy's calls cost microseconds each, so
     this uses array methods and np.concatenate over its wrapper functions.
     """
-    level = np.array([lv for _, levels in kept for lv in levels])
     order = level.argsort(kind="stable")
     level = level[order]
     receivers = tuple(int(level.searchsorted(depth - k, "right")) for k in range(1, depth + 1))
     q = receivers[0]
-    triples = [t for kept_triples, _ in kept for t in kept_triples]
-    ends = np.fromiter([t.head for t in triples] + [t.tail for t in triples], np.intp,
-                       2 * len(triples)).reshape(2, -1)[:, order].ravel()
-    sample = np.arange(len(sizes)).repeat(sizes)[order]
-    ends, num_ids = _dense_ids(ends, sample)
+    ends, num_ids = _dense_ids(ends[:, order].ravel(), sample[order])
     run, unit, rows, spans = _end_rows(ends, num_ids, slice(q))
     n_rows = len(run)
     # PARA and LOOP read copies of the head rows that follow the rows, in
@@ -498,9 +526,10 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[int, int], ...]:
+def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> list[int]:
     """One-hop neighborhood of the target in its disclosing view, as
-    (parent-graph triple index, label) in ascending index order.
+    parent-graph triple indices, ascending; graph.arrays[1] gathers their
+    labels, all the model reads of them.
 
     Every triple instance incident to u or v shares an entity with the target
     and so has at least one typed edge into it, for any K >= 1; no other
@@ -511,11 +540,8 @@ def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> tuple[tuple[i
     target = Triple(*target)
     u, _, v = target
     idxs = {idx for e in (u, v) for _, idx in graph.incident.get(e, ())}
-    return tuple(
-        (i, graph.triples[i].relation)
-        for i in sorted(idxs)
-        if graph.triples[i] != target
-    )
+    triples = graph.triples
+    return [i for i in sorted(idxs) if triples[i] != target]
 
 
 def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:

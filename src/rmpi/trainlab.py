@@ -22,6 +22,7 @@ from .kgstore import Benchmark, KnowledgeGraph, Triple, Vocabulary
 from .numkit import Tape, adam_step
 from . import numkit as nk
 from .rmpnet import (
+    NO_LABELS,
     FeatureSource,
     ModelConfig,
     SubgraphSample,
@@ -70,11 +71,10 @@ class TrainConfig:
 
 def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> SubgraphSample:
     sub = extract_enclosing(graph, triple, config.hops)
-    return SubgraphSample(
-        triples=sub.triples,
-        levels=sub.levels,
-        disclosing=disclosing_neighbors(graph, triple) if config.use_disclosing else (),
-    )
+    labels = NO_LABELS
+    if config.use_disclosing:
+        labels = graph.arrays[1][disclosing_neighbors(graph, triple)]
+    return SubgraphSample(graph, sub.indexes, sub.target, sub.level_array, labels)
 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.
@@ -92,12 +92,12 @@ def sample_rows(sample: SubgraphSample, depth: int) -> int:
     feature and the three rows layer 1 sums over (its two ends and its
     head end again); six typed sums per node layer 1 updates; and its
     disclosing neighbours.  Later layers sum and update no more.  A level
-    is at most K + 1, so the nodes are those not of level K + 1, and the
-    receivers those of them not of level K."""
-    levels, k = sample.levels, depth
-    nodes = len(levels) - levels.count(k + 1)
-    receivers = nodes - levels.count(k)
-    return 4 * nodes + 6 * receivers + len(sample.disclosing)
+    is at most K + 1, so the nodes are the target and the graph triples not
+    of level K + 1, and the receivers those of them not of level K."""
+    counts = np.bincount(sample.levels, minlength=depth + 2)
+    nodes = len(sample.levels) + 1 - int(counts[depth + 1])
+    receivers = nodes - int(counts[depth])
+    return 4 * nodes + 6 * receivers + len(sample.labels)
 
 
 class SampleCache:
@@ -108,9 +108,11 @@ class SampleCache:
     (a training run's fixed validation targets and negatives); transient
     negatives and other held-out targets are built on the fly so memory
     stays bounded by the graph and validation sizes.  A sample holds its
-    triples and levels only: a training step builds the relation-view
-    edges of its batch afresh (rmpnet.stack_samples), so no edges, which
-    grow with the square of entity degree, outlive the step.
+    int32 triple indices, int8 levels and int32 disclosing labels only, 5
+    bytes per triple and 4 per label (SubgraphSample.nbytes): a training
+    step builds the relation-view edges of its batch afresh
+    (rmpnet.stack_samples), so no edges, which grow with the square of
+    entity degree, outlive the step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):

@@ -20,6 +20,7 @@ from rmpi.evalbench import auc_pr, classify, rank_entities, rank_of, rank_querie
 from rmpi.kgstore import KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape, dot, segment_softmax
 from rmpi.rmpnet import (
+    NO_LABELS,
     ModelConfig,
     bind_params,
     init_params,
@@ -380,12 +381,10 @@ def test_criterion_09_empty_subgraph_robustness():
     # NE variants must react to the disclosing neighborhood, base must not
     ne_config = ModelConfig(dim=4, hops=2, edge_dropout=0.0, use_disclosing=True)
     sample = build_sample(graph, target, ne_config)
-    assert sample.disclosing, "target endpoints have one-hop context"
+    assert len(sample.labels), "target endpoints have one-hop context"
     # collapse every neighbor onto one label so the label multiset changes
-    relabeled = replace(sample, disclosing=tuple((idx, 0) for idx, _ in sample.disclosing))
-    assert sorted(lab for _, lab in relabeled.disclosing) != sorted(
-        lab for _, lab in sample.disclosing
-    )
+    relabeled = replace(sample, labels=np.zeros_like(sample.labels))
+    assert sorted(relabeled.labels.tolist()) != sorted(sample.labels.tolist())
     params = init_params(ne_config, 3, np.random.default_rng(9))
 
     def run(cfg, s):
@@ -403,7 +402,7 @@ def test_criterion_09_empty_subgraph_robustness():
         pvars = bind_params(tape, base_params)
         return float(
             score_sample(
-                [replace(s, disclosing=())],
+                [replace(s, labels=NO_LABELS)],
                 _source(tape, pvars, base_config), pvars, base_config,
             ).value[0]
         )

@@ -124,6 +124,30 @@ def test_count_flags_below_one_are_usage_errors(tmp_path, capsys, command):
 @pytest.mark.parametrize(
     "command",
     [
+        ["train", "--data", "data", "--out", "out", "--hop", "127"],
+        ["dump-subgraph", "--data", "data", "--head", "a0", "--rel", "q0", "--tail", "a1",
+         "--hop", "127"],
+    ],
+    ids=["train", "dump-subgraph"],
+)
+def test_hop_flags_past_the_level_type_are_usage_errors(tmp_path, capsys, command):
+    # a level, at most K + 1, is held in an int8: K = 127 would wrap it
+    paths = {"data": bench_dir(tmp_path), "out": tmp_path / "out"}
+    assert main([str(paths.get(arg, arg)) for arg in command]) == 1
+    assert "argument --hop: must be <= 126, got 127" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["data"]
+
+
+def test_dump_subgraph_at_the_deepest_hop_count(tmp_path, capsys):
+    data = bench_dir(tmp_path)
+    assert main(["dump-subgraph", "--data", str(data), "--head", "a0", "--rel", "q0",
+                 "--tail", "a1", "--hop", "126"]) == 0
+    assert capsys.readouterr().out.startswith("#nodes\t")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
         ["train", "--data", "data", "--out", "out", "--lr", "-0.5"],  # gradient ascent
         ["train", "--data", "data", "--out", "out", "--lr", "0"],
         ["train", "--data", "data", "--out", "out", "--lr", "nan"],
@@ -354,6 +378,22 @@ def test_eval_malformed_checkpoint_manifest_is_data_error(tmp_path, capsys, corr
     err = capsys.readouterr().err
     assert "checkpoint manifest" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hops", [126, 127])
+def test_eval_checkpoint_hops_past_the_level_type_is_data_error(tmp_path, capsys, hops):
+    # 126 is the deepest model whose levels fit an int8; past it the config
+    # is refused before a triple is read.  At 126 the manifest's parameters
+    # no longer fit its config, which is refused too.
+    data, ckpt = trained_checkpoint(tmp_path)
+    rewrite_json(ckpt / "manifest.json",
+                 lambda m: {**m, "model_config": {**m["model_config"], "hops": hops}})
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    if hops == 127:
+        assert err == "error: hops must be in 1..126, got 127\n"
+    else:
+        assert "parameters do not fit the model config" in err and err.count("\n") == 1
 
 
 def test_eval_schema_vectors_need_schema_checkpoint(tmp_path, capsys):

@@ -91,6 +91,19 @@ def test_add_clears_the_khop_memo():
     assert khop_neighbors(g, 0, 2) == {0: 0, 1: 1, 2: 2}
 
 
+def test_triple_arrays_are_built_once_and_rebuilt_after_add():
+    vocab = make_vocab(3, 2)
+    g = KnowledgeGraph(vocab, [Triple(0, 1, 1), Triple(2, 0, 2)])
+    arrays = g.arrays
+    assert arrays is g.arrays  # built once
+    assert arrays.dtype == np.int32 and not arrays.flags.writeable
+    assert arrays.tolist() == [[0, 2], [1, 0], [1, 2]]  # heads, relations, tails
+    g.add(Triple(1, 1, 0))
+    assert arrays.tolist() == [[0, 2], [1, 0], [1, 2]]  # a held array keeps its triples
+    assert g.arrays.tolist() == [[0, 2, 1], [1, 0, 1], [1, 2, 0]]
+    assert KnowledgeGraph(vocab, []).arrays.shape == (3, 0)
+
+
 @pytest.mark.parametrize("cap", [1, 3, 10, 40])
 def test_khop_memo_stays_within_its_cap(monkeypatch, cap):
     monkeypatch.setattr(kgstore, "KHOP_MEMO_ENTRIES", cap)

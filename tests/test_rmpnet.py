@@ -9,6 +9,7 @@ from rmpi import rmpnet, subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
+    NO_LABELS,
     FeatureSource,
     ModelConfig,
     ModelError,
@@ -32,7 +33,7 @@ from rmpi.subgraph import (
     prune_to_target,
     to_relation_view,
 )
-from synth import edge_array, random_graph
+from synth import edge_array, make_vocab, random_graph
 
 
 def seen_lookup(num_seen):
@@ -47,12 +48,18 @@ def make_source(tape, pvars, config, num_seen=100, schema=None, run_seed=0):
 
 
 def build_sample(graph, target, config):
-    disc = ()
+    labels = NO_LABELS
     if config.use_disclosing:
         drvg = to_relation_view(extract_disclosing(graph, target, config.hops))
-        disc = tuple(oracles.disclosing_one_hop(drvg))
+        labels = np.array([label for _, label in oracles.disclosing_one_hop(drvg)],
+                          dtype=np.int32)
     sub = extract_enclosing(graph, target, config.hops)
-    return SubgraphSample(triples=sub.triples, levels=sub.levels, disclosing=disc)
+    return SubgraphSample(graph, sub.indexes, sub.target, sub.level_array, labels)
+
+
+def sample_triples(sample):
+    """A sample's nodes as triples: its graph triples, then its target."""
+    return tuple(sample.graph.triples[i] for i in sample.indexes) + (sample.target,)
 
 
 def view_batch(rvg, hops, disclosing=()):
@@ -122,14 +129,26 @@ def test_seen_relation_reads_embedding_row():
 
 
 def test_shared_label_shares_feature_node():
-    triples = (Triple(0, 2, 1), Triple(1, 2, 2), Triple(0, 1, 2))
-    sample = SubgraphSample(triples=triples, levels=(1, 1, 0))
+    graph = KnowledgeGraph(make_vocab(3, 3), [Triple(0, 2, 1), Triple(1, 2, 2)])
+    sample = SubgraphSample(graph, np.array([0, 1], dtype=np.int32), Triple(0, 1, 2),
+                            np.array([1, 1], dtype=np.int8), NO_LABELS)
     batch = stack_samples([sample], 2, training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row
     assert list(batch.labels) == [1, 2]
     assert batch.node_rows[0] == batch.node_rows[1]
     assert batch.node_rows[0] != batch.node_rows[2]
+
+
+def test_samples_of_different_graphs_do_not_stack():
+    # a sample's indices mean triples of its own graph only
+    graphs = [random_graph(np.random.default_rng(seed), 5, 3, 12) for seed in (0, 1)]
+    config = ModelConfig(hops=2, dim=4)
+    samples = [build_sample(g, Triple(0, 1, 2), config) for g in graphs]
+    for training in (False, True):
+        stack_samples(samples[:1] * 2, 2, training)
+        with pytest.raises(ModelError, match="samples of different graphs"):
+            stack_samples(samples, 2, training)
 
 
 def test_unseen_relation_draw_is_per_run_and_per_label():
@@ -506,7 +525,7 @@ def test_score_sample_matches_scalar_oracle_end_to_end():
             if config.use_disclosing:
                 h0_by_label = {lab: params["rel_emb"][lab] for lab in range(6)}
                 want_disc = oracles.disclosing_forward(
-                    [lab for _, lab in sample.disclosing], target.relation,
+                    sample.labels.tolist(), target.relation,
                     h0_by_label, params["disc_w"], config.leaky_slope, config.dim,
                 )
             want = oracles.score_forward(
@@ -760,7 +779,7 @@ def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triple
             u, v = isolated  # a bare target
         targets.append(Triple(u, 3, v))
     samples = [build_sample(graph, t, ModelConfig(hops=k)) for t in targets]
-    offsets = np.cumsum([0] + [len(s.triples) for s in samples])
+    offsets = np.cumsum([0] + [len(s.indexes) + 1 for s in samples])
     want = [np.concatenate([pruned(graph, t, k)[layer] + (off, 0, off)
                             for t, off in zip(targets, offsets)]) for layer in range(k)]
     got = stack_samples(samples, k, training=True).layer_edges
@@ -768,10 +787,10 @@ def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triple
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     for s, lo, hi in zip(samples, offsets, offsets[1:]):
-        typed = oracles.relation_view_edges(s.triples)
+        typed = oracles.relation_view_edges(sample_triples(s))
         for layer, edges in enumerate(got, start=1):
             edges = edges[(edges[:, 2] >= lo) & (edges[:, 2] < hi)] - (lo, 0, lo)
-            _, oracle = oracles.prune_frontiers(typed, len(s.triples) - 1, k - layer + 1)
+            _, oracle = oracles.prune_frontiers(typed, len(s.indexes), k - layer + 1)
             assert {(src, EDGE_TYPE_NAMES[e], dst) for src, e, dst in edges.tolist()} == oracle
 
 
@@ -856,7 +875,7 @@ def test_scoring_forward_exact_at_a_twin_dominated_hub(attention):
     for e in range(6):  # H-T, T-H, H-H, T-T pass on; PARA, LOOP drop
         params[layer_param(1, e)] = np.eye(4) if e < 4 else np.zeros((4, 4))
     samples = [build_sample(graph, t, config) for t in (Triple(0, 0, 1), Triple(4, 4, 5))]
-    assert len(samples[0].triples) == 306  # the twins and every other triple
+    assert len(sample_triples(samples[0])) == 306  # the twins and every other triple
     got, want = forward_pair(samples, config, params)
     assert np.abs(want).max() < 1e3  # the twins' features do not reach the scores
     np.testing.assert_allclose(got, want, **TOL)
@@ -879,9 +898,31 @@ def test_scoring_attention_exact_over_a_wide_logit_spread(disclosing):
     for e in range(6):
         params[layer_param(1, e)] = np.eye(4)
     samples = [build_sample(graph, Triple(3, 0, 4), config)]
-    assert len(samples[0].triples) == 4
+    assert len(sample_triples(samples[0])) == 4
     got, want = forward_pair(samples, config, params)
     np.testing.assert_allclose(got, want, **TOL)
+
+
+def kept_nodes(graph, targets, hops):
+    """Per target, the triples and levels of its enclosing subgraph that a
+    depth-hops scoring batch keeps, those within hops steps of the target,
+    target last."""
+    kept = []
+    for target in targets:
+        sub = extract_enclosing(graph, target, hops)
+        pairs = [(t, level) for t, level in zip(sub.triples, sub.levels) if level <= hops]
+        kept.append(([t for t, _ in pairs], [level for _, level in pairs]))
+    return kept
+
+
+def scoring_incidences_of(kept, hops):
+    """subgraph.scoring_incidences of a batch whose sample s keeps the
+    triples and levels kept[s]."""
+    nodes = [t for triples, _ in kept for t in triples]
+    ends = np.array([[t.head for t in nodes], [t.tail for t in nodes]], dtype=np.intp)
+    level = np.array([level for _, levels in kept for level in levels])
+    sample = np.repeat(np.arange(len(kept)), [len(triples) for triples, _ in kept])
+    return subgraph.scoring_incidences(ends.reshape(2, -1), level, sample, hops)
 
 
 @pytest.mark.parametrize("hops", [2, 3])
@@ -892,9 +933,8 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
     # reaches the hub; the second target has no neighbour, so no run
     graph = hub_twin_graph(np.random.default_rng(1))
     targets = [Triple(3, 4, 8), Triple(12, 4, 13)]
-    config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
-    kept = [rmpnet._kept(build_sample(graph, t, config), hops) for t in targets]
-    inc, order = subgraph.scoring_incidences(kept, [len(ts) for ts, _ in kept], hops)
+    kept = kept_nodes(graph, targets, hops)
+    inc, order = scoring_incidences_of(kept, hops)
     for layer in range(1, hops + 1):
         spans = inc.spans[: inc.receivers[layer - 1]].reshape(-1, 4)
         taking = spans[(spans[:, 1] > spans[:, 0]) | (spans[:, 2] < spans[:, 3])]
@@ -918,9 +958,8 @@ def test_incidence_sums_in_blocks_of_columns_equal_one_block(monkeypatch, attent
     graph = hub_twin_graph(np.random.default_rng(1))
     targets = [Triple(3, 4, 8), Triple(0, 4, 5), Triple(12, 4, 13)]
     hops = 3
-    config = ModelConfig(hops=hops, dim=4, edge_dropout=0.0)
-    kept = [rmpnet._kept(build_sample(graph, t, config), hops) for t in targets]
-    inc, _ = subgraph.scoring_incidences(kept, [len(ts) for ts, _ in kept], hops)
+    kept = kept_nodes(graph, targets, hops)
+    inc, _ = scoring_incidences_of(kept, hops)
     rng = np.random.default_rng(2)
     n = sum(len(ts) for ts, _ in kept)
     h = rng.normal(size=(n, 20))
@@ -975,12 +1014,45 @@ def test_backward_through_the_scoring_forward_raises():
     config = ModelConfig(hops=2, dim=3, edge_dropout=0.0, target_attention=True)
     graph = random_graph(np.random.default_rng(5), 6, 4, 10)
     sample = build_sample(graph, Triple(0, 3, 1), config)
-    assert len(sample.triples) > 1
+    assert len(sample_triples(sample)) > 1
     tape = Tape()
     pvars = bind_params(tape, init_params(config, 4, np.random.default_rng(0)))
     out = score_sample([sample], make_source(tape, pvars, config), pvars, config)
     with pytest.raises(nk.NumkitError, match="outside the tape"):
         tape.backward(total(out))
+
+
+def test_deepest_model_reads_levels_at_the_top_of_their_type():
+    # at K = MAX_HOPS = 126 a triple between two entities K steps from both
+    # ends of the target is of level K + 1 = 127, the largest int8; both
+    # forwards leave it out.  One hop deeper is refused.
+    k = subgraph.MAX_HOPS
+    u, v, w, x, y = range(5)
+    path = iter(range(5, 5 + 2 * k))
+    rows = [Triple(u, 2, v)]  # the ends are neighbours in the graph too
+    for end in (u, v):  # a path of K - 1 steps from each end of the target to w
+        prev = end
+        for _ in range(k - 2):
+            nxt = next(path)
+            rows.append(Triple(prev, 0, nxt))
+            prev = nxt
+        rows.append(Triple(prev, 0, w))
+    rows += [Triple(w, 1, x), Triple(w, 1, y), Triple(x, 2, y)]
+    graph = KnowledgeGraph(make_vocab(5 + 2 * k, 4), rows)
+    target = Triple(u, 3, v)
+    config = ModelConfig(hops=k, dim=2, edge_dropout=0.0)
+    sample = build_sample(graph, target, config)
+    levels = dict(zip(sample_triples(sample), sample.levels.tolist()))
+    assert levels[Triple(x, 2, y)] == k + 1 == np.iinfo(np.int8).max
+    assert levels[Triple(w, 1, x)] == levels[Triple(w, 1, y)] == k
+    assert len(levels) == len(rows)
+    params = init_params(config, 4, np.random.default_rng(0))
+    got, want = forward_pair([sample], config, params)
+    np.testing.assert_allclose(got, want, **TOL)
+    with pytest.raises(ModelError, match="hops must be in 1..126, got 127"):
+        ModelConfig(hops=k + 1)
+    with pytest.raises(subgraph.SubgraphError, match="hop count must be in 1..126, got 127"):
+        extract_enclosing(graph, target, k + 1)
 
 
 def test_config_validation():

@@ -301,11 +301,12 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
     # two nodes sharing no entity; a self-loop shares only with itself
     for first in (Triple(2, 0, 3), Triple(2, 0, 2)):
         sub = subgraph.EntitySubgraph(
-            triples=(first, Triple(0, 1, 1)),
-            source_indexes=(0, None),
+            graph=KnowledgeGraph(vocab, [first]),
+            indexes=np.array([0], dtype=np.int32),
             target=Triple(0, 1, 1),
             kind="disclosing",
         )
+        assert sub.triples == (first, Triple(0, 1, 1))
         assert to_relation_view(sub).edges is NO_EDGES
 
 
@@ -313,8 +314,10 @@ def layer_one_edges(sample, hops):
     """The relation-view edges a training step of a depth-hops model
     expands for sample, by the pairwise oracle: those into its triples of
     level below K = hops, the layer-1 receivers."""
-    edges = oracles.relation_view_edges(sample.triples)
-    return sum(1 for _, _, dst in edges if sample.levels[dst] < hops)
+    triples = tuple(sample.graph.triples[i] for i in sample.indexes) + (sample.target,)
+    levels = sample.levels.tolist() + [0]  # the target's is 0
+    edges = oracles.relation_view_edges(triples)
+    return sum(1 for _, _, dst in edges if levels[dst] < hops)
 
 
 def test_view_over_edge_ceiling_raises_naming_target(monkeypatch):
@@ -613,6 +616,11 @@ def view_route(graph, target, k):
     return tuple((sub.source_indexes[i], lab) for i, lab in neigh)
 
 
+def neighbor_pairs(graph, target):
+    """disclosing_neighbors as (parent-graph triple index, label) pairs."""
+    return tuple((i, graph.triples[i].relation) for i in disclosing_neighbors(graph, target))
+
+
 def test_disclosing_neighbors_match_view_route_on_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(30):
@@ -620,7 +628,7 @@ def test_disclosing_neighbors_match_view_route_on_random_graphs():
         member = g.triples[int(rng.integers(g.num_triples))]
         other = Triple(int(rng.integers(10)), int(rng.integers(4)), int(rng.integers(10)))
         for target in (member, other):
-            got = disclosing_neighbors(g, target)
+            got = neighbor_pairs(g, target)
             for k in (1, 2, 3):
                 assert got == view_route(g, target, k)
 
@@ -656,7 +664,7 @@ def hand_graph():
 )
 def test_disclosing_neighbors_hand_cases(target, want):
     g = hand_graph()
-    assert disclosing_neighbors(g, target) == want
+    assert neighbor_pairs(g, target) == want
     for k in (1, 2, 3):
         assert view_route(g, target, k) == want
 

@@ -169,8 +169,58 @@ def test_build_sample_reads_disclosing_neighbors():
     ne = ModelConfig(dim=4, hops=2, use_disclosing=True)
     base = ModelConfig(dim=4, hops=2)
     for target in graph.triples[:6] + [Triple(0, 1, 9), Triple(3, 2, 3)]:
-        assert build_sample(graph, target, ne).disclosing == disclosing_neighbors(graph, target)
-        assert build_sample(graph, target, base).disclosing == ()
+        labels = build_sample(graph, target, ne).labels
+        assert labels.dtype == np.int32
+        assert labels.tolist() == [graph.triples[i].relation
+                                   for i in disclosing_neighbors(graph, target)]
+        assert len(build_sample(graph, target, base).labels) == 0
+
+
+def twin_graph(rng, n_entities):
+    """A random graph over entities 0 .. n_entities - 1 with self-loops,
+    and duplicate, parallel and inverse twins of a third of its triples;
+    two more entities, n_entities and n_entities + 1, have no triple."""
+    graph = random_graph(rng, n_entities + 2, 3, 0)
+    rows = [Triple(int(h), int(rng.integers(3)), int(t))
+            for h, t in rng.integers(n_entities, size=(3 * n_entities, 2))]
+    for h, r, t in rows[: n_entities]:
+        rows += [Triple(h, r, t), Triple(h, (r + 1) % 3, t), Triple(t, r, h), Triple(h, r, h)]
+    for t in rows:
+        graph.add(t)
+    return graph
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_built_sample_decodes_to_its_extraction(hops):
+    # a sample's int32 indices, int8 levels and int32 labels give back, in
+    # order, the triples and levels of the enclosing subgraph and the labels
+    # of the disclosing neighbours; a cached one holds 5 bytes per triple
+    # and 4 per label
+    rng = np.random.default_rng(hops)
+    for trial in range(6):
+        n = int(rng.integers(3, 12))
+        graph = twin_graph(rng, n)
+        lone = Triple(n, 2, n + 1)  # no triple at either end
+        targets = graph.triples[:8] + [lone, Triple(0, 2, n), Triple(1, 0, 1)] + [
+            Triple(int(h), 2, int(t)) for h, t in rng.integers(n, size=(6, 2))]
+        for config in (ModelConfig(dim=4, hops=hops),
+                       ModelConfig(dim=4, hops=hops, use_disclosing=True)):
+            cache = SampleCache(graph, config)
+            cache.retain(targets)
+            for target in targets:
+                sample = cache.sample(target)
+                assert cache.sample(target) is sample
+                sub = extract_enclosing(graph, target, hops)
+                assert sample.indexes.dtype == np.int32 and sample.levels.dtype == np.int8
+                assert sample.labels.dtype == np.int32
+                decoded = tuple(graph.triples[i] for i in sample.indexes.tolist())
+                assert decoded + (sample.target,) == sub.triples
+                assert tuple(sample.levels.tolist()) + (0,) == sub.levels
+                assert graph.arrays[:, sample.indexes].T.tolist() == [list(t) for t in decoded]
+                want = [graph.triples[i].relation for i in disclosing_neighbors(graph, target)]
+                assert sample.labels.tolist() == (want if config.use_disclosing else [])
+                assert sample.nbytes == 5 * len(decoded) + 4 * len(sample.labels)
+            assert cache.sample(lone).indexes.shape == (0,)
 
 
 VARIANTS = {
@@ -265,7 +315,7 @@ def test_repeated_triple_scores_the_same_in_every_batch(monkeypatch, variant):
     calls = scored_batches(monkeypatch, budget=400)
     got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
     at = [i for i, t in enumerate(triples) if t == repeated]
-    holding = [c for c in calls if any(s.triples[-1] == repeated for s in c)]
+    holding = [c for c in calls if any(s.target == repeated for s in c)]
     assert len({len(c) for c in holding}) > 1  # batch-mates differ in number
     assert len(set(got[at].tolist())) == 1
 
@@ -351,10 +401,10 @@ def test_sample_rows_counts_as_comparing_every_level(hops):
             for _ in range(5):
                 u, v = (int(e) for e in rng.integers(graph.vocab.num_entities, size=2))
                 sample = build_sample(graph, Triple(u, 2, v), config)
-                levels = sample.levels
+                levels = sample.levels.tolist() + [0]  # the target's is 0
                 nodes = sum(level <= hops for level in levels)
                 receivers = sum(level < hops for level in levels)
-                want = 4 * nodes + 6 * receivers + len(sample.disclosing)
+                want = 4 * nodes + 6 * receivers + len(sample.labels)
                 assert trainlab.sample_rows(sample, hops) == want
 
 
@@ -391,6 +441,14 @@ def test_rank_with_isomorphic_candidates_keeps_its_ties(monkeypatch, variant, se
 
 # ---------------------------------------------------------------- cache
 
+def same_sample(a, b):
+    """Whether two samples hold the same graph, target and arrays."""
+    return a.graph is b.graph and a.target == b.target and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.indexes, b.indexes), (a.levels, b.levels), (a.labels, b.labels))
+    )
+
+
 def test_cache_retains_graph_triples_only():
     graph = random_graph(np.random.default_rng(2), 8, 2, 16)
     config = ModelConfig(dim=4, hops=2)
@@ -402,9 +460,9 @@ def test_cache_retains_graph_triples_only():
         outsider = Triple(outsider.head, 0, outsider.tail + 1)
     first = cache.sample(outsider)
     assert outsider not in cache._store
-    assert cache.sample(outsider) == first
+    assert same_sample(cache.sample(outsider), first)
     got, want = cache.sample(member), build_sample(graph, member, config)
-    assert got == want
+    assert same_sample(got, want)
     got_layers, want_layers = (stack_samples([s], config.hops, training=True).layer_edges
                                for s in (got, want))
     assert len(got_layers) == len(want_layers) == config.hops
@@ -427,10 +485,15 @@ def test_cached_samples_hold_no_edges():
     score_sample(samples, FeatureSource(tape, pvars, config), pvars, config,
                  training=True, drop_rng=np.random.default_rng(0))
     for sample in samples:
-        assert set(vars(sample)) == {f.name for f in fields(sample)}  # nothing cached
-        for value in vars(sample).values():
-            for part in value if isinstance(value, tuple) else (value,):
-                assert not isinstance(part, (np.ndarray, RelationViewGraph))
+        assert not hasattr(sample, "__dict__")  # nothing cached beside the fields
+        assert [f.name for f in fields(sample)] == ["graph", "indexes", "target", "levels",
+                                                     "labels"]
+        assert sample.graph is graph and isinstance(sample.target, Triple)
+        n = len(sample.indexes)
+        assert sample.indexes.shape == sample.levels.shape == (n,)
+        assert sample.labels.shape == (0,)  # the base variant reads no disclosing labels
+        assert not any(isinstance(getattr(sample, f.name), RelationViewGraph)
+                       for f in fields(sample))
 
 
 def test_training_builds_no_relation_view(monkeypatch):
