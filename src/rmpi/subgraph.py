@@ -208,7 +208,8 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
     1.  At K=2 this holds for 90% of the benchmark's rank candidates and
     for 45% of its training positives and negatives.
     """
-    target = Triple(*target)
+    if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
+        target = Triple(*target)
     if not 1 <= k <= MAX_HOPS:
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
     u, _, v = target

@@ -94,9 +94,9 @@ def sample_rows(sample: SubgraphSample, depth: int) -> int:
     disclosing neighbours.  Later layers sum and update no more.  A level
     is at most K + 1, so the nodes are the target and the graph triples not
     of level K + 1, and the receivers those of them not of level K."""
-    counts = np.bincount(sample.levels, minlength=depth + 2)
-    nodes = len(sample.levels) + 1 - int(counts[depth + 1])
-    receivers = nodes - int(counts[depth])
+    levels = sample.levels.tobytes()  # one byte a level, counted without numpy's call overhead
+    nodes = len(levels) + 1 - levels.count(depth + 1)
+    receivers = nodes - levels.count(depth)
     return 4 * nodes + 6 * receivers + len(sample.labels)
 
 

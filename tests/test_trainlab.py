@@ -210,6 +210,7 @@ def test_built_sample_decodes_to_its_extraction(hops):
             for target in targets:
                 sample = cache.sample(target)
                 assert cache.sample(target) is sample
+                assert build_sample(graph, target, config).target is target  # not a copy
                 sub = extract_enclosing(graph, target, hops)
                 assert sample.indexes.dtype == np.int32 and sample.levels.dtype == np.int8
                 assert sample.labels.dtype == np.int32
