@@ -26,13 +26,13 @@ target, so disclosing_neighbors reads them straight off the graph's
 incidence index; extract_disclosing builds the whole union subgraph only for
 inspection.
 
-A subgraph holds its graph triples as int32 indices into the graph's
-arrays (KnowledgeGraph.arrays), their levels as int8, and its target apart;
+A subgraph holds its graph triples as int32 indices into the graph's arrays
+(KnowledgeGraph.arrays), their levels as int8, and its target apart;
 consumers gather ends and labels by index.  Extraction reads the K-hop maps
 the graph memoises, so the candidates of a rank query, which share its
-fixed entity, walk that entity's neighbourhood once.  Pruning walks the graph's incidence index inside the intersection,
-and a bare target, whose intersection adds no triple beyond those at u and
-v, skips it.
+fixed entity, walk that entity's neighbourhood once.  Pruning walks the
+graph's incidence index inside the intersection, and a bare target, whose
+intersection adds no triple beyond those at u and v, skips it.
 """
 
 from __future__ import annotations
