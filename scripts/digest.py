@@ -15,7 +15,8 @@ program from this checkout's src/.  The lines, in order:
   the first GRAPH_TRIPLES graph triples, each followed by NEGATIVES seeded
   negatives (`trainlab.sample_negative`, which keeps one end of the triple,
   as a rank query keeps its fixed entity).  The first hashes their triples,
-  source indexes and levels; the second their relation views' shapes and
+  the graph's indices of their graph triples and the levels of those
+  (`trainlab.build_sample`'s); the second their relation views' shapes and
   int32 (src, type, dst) rows (`subgraph.to_relation_view`, as
   `rmpi dump-subgraph` builds them).
 - `training_digest`, base and ne-ta, trained for EPOCHS epochs at seed
@@ -91,9 +92,12 @@ def extraction_lines(workload: str, hops: int) -> list[str]:
         todo.extend(trainlab.sample_negative(t, graph, rng) for _ in range(NEGATIVES))
     digest, views = hashlib.sha256(), hashlib.sha256()
     edges = 0
+    config = rmpnet.ModelConfig(hops=hops)
     for t in todo:
         sub = subgraph.extract_enclosing(graph, t, hops)
-        record = (tuple(map(tuple, sub.triples)), sub.source_indexes, sub.levels)
+        levels = trainlab.build_sample(graph, t, config).levels
+        record = (tuple(map(tuple, sub.triples)), tuple(sub.indexes.tolist()),
+                  tuple(levels.tolist()))
         digest.update(repr(record).encode("ascii") + b"\n")
         view = subgraph.to_relation_view(sub).edges
         views.update(repr(view.shape).encode("ascii") + view.astype("<i4").tobytes())

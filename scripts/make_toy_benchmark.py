@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 
+from rmpi.cli import _count, _number, _seed
 from rmpi.fileio import write_rows
 
 RENAME = {"r0": "s0", "r1": "s1", "r2": "s2"}
@@ -70,14 +71,22 @@ def split_endpoints(endpoints, held_frac, rng):
     return kept, held
 
 
+def _fraction(text):
+    """An argparse type: a number in (0, 1]."""
+    value = _number(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="output directory")
-    ap.add_argument("--chains", type=int, default=24, help="training chains")
-    ap.add_argument("--test-chains", type=int, default=12, help="inductive test chains")
-    ap.add_argument("--held-frac", type=float, default=0.5,
+    ap.add_argument("--chains", type=_count, default=24, help="training chains")
+    ap.add_argument("--test-chains", type=_count, default=12, help="inductive test chains")
+    ap.add_argument("--held-frac", type=_fraction, default=0.5,
                     help="fraction of endpoint facts held out as targets")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)

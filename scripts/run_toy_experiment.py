@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from rmpi.cli import VARIANTS, _count, _dropout, _hops, _positive
+from rmpi.cli import VARIANTS, _count, _dropout, _hops, _positive, _seed
 from rmpi.evalbench import classify, rank_queries
 from rmpi.kgstore import load_benchmark
 from rmpi.rmpnet import ModelConfig
@@ -106,7 +106,7 @@ def main():
     ap.add_argument("--batch", type=_count, default=16)
     ap.add_argument("--margin", type=_positive, default=2.0)
     ap.add_argument("--neg", type=_count, default=20, help="ranking candidates per query")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_seed, default=0)
     ap.add_argument("--transfer-seeds", type=_count, default=5)
     args = ap.parse_args()
 

@@ -272,6 +272,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    if os.path.realpath(args.out) == os.path.realpath(args.ckpt):
+        raise UsageError(
+            f"--out {args.out} is the checkpoint directory, whose run manifest "
+            "the report's would replace; write the report elsewhere"
+        )
     ckpt = load_checkpoint(args.ckpt)
     bench = load_benchmark(args.data)
     if not bench.test:

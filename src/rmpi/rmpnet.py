@@ -13,17 +13,17 @@ subgraph (the triples sharing an entity with it, read from the graph
 without building that subgraph's relation view), fused by summation or
 concatenation before the linear scorer.
 
-Everything runs as array operations over a batch of samples stacked into
-one block-diagonal graph, its nodes' ends and labels gathered from the
-graph's arrays by the samples' triple indices, their distinct labels
-resolved once into a feature table, and each layer transforms its (node, edge type) group sums
-by the types' weights in one matrix product.  Every edge type matches one
-end of the source with one end of the receiver, so a receiver's typed
-sources are the triples at one of its entities, less the parallel or
-inverse twins that give PARA or LOOP in their place: subgraph._end_rows
-decides that typing once, as one span per receiver and type over the
-triples' ends grouped by entity.  There are two forwards over those spans,
-for the same model:
+Everything runs as array operations over a batch of samples, each a
+subgraph.Subgraph record, stacked into one block-diagonal graph, its nodes'
+ends and labels gathered from the graph's arrays by the samples' triple
+indices, their distinct labels resolved once into a feature table, and each
+layer transforms its (node, edge type) group sums by the types' weights in
+one matrix product.  Every edge type matches one end of the source with one
+end of the receiver, so a receiver's typed sources are the triples at one of
+its entities, less the parallel or inverse twins that give PARA or LOOP in
+their place: subgraph._end_rows decides that typing once, as one span per
+receiver and type over the triples' ends grouped by entity.  There are two
+forwards over those spans, for the same model:
 
 - Training drops every view edge independently, which no sum over shared
   entities can express, so stack_samples expands the spans of a training
@@ -52,7 +52,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import numkit as nk
-from .kgstore import KnowledgeGraph, Triple
 from .numkit import Tape, Var
 from .subgraph import (
     MAX_HOPS,
@@ -202,32 +201,6 @@ class FeatureSource:
             rows = [next(extra) if row is None else row for row in rows]
             emb = nk.concat([emb, self.tape.const(np.stack(draws))])
         return nk.take(emb, rows)
-
-
-NO_LABELS = np.empty(0, dtype=np.int32)
-NO_LABELS.flags.writeable = False
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class SubgraphSample:
-    """Model-ready extraction product for one target triple, as compact
-    arrays over its graph: the graph triples of its enclosing subgraph by
-    index, with their levels, the arrays of extract_enclosing, shared, not
-    copied; the target apart, since it is not a graph triple; and the
-    labels of its disclosing neighbours.  Nothing is built from them: a
-    training batch builds its view edges at each step (stack_samples).  The
-    depth is the model's."""
-
-    graph: KnowledgeGraph
-    indexes: np.ndarray  # (n,) int32 graph triple per node but the target, in subgraph order
-    target: Triple
-    levels: np.ndarray  # (n,) int8 their levels as extract_enclosing measures them; the target's is 0
-    labels: np.ndarray  # (m,) int32 disclosing neighbour labels; NO_LABELS when unused
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes its arrays hold: 5 per graph triple and 4 per label."""
-        return self.indexes.nbytes + self.levels.nbytes + self.labels.nbytes
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,13 @@ target, so disclosing_neighbors reads them straight off the graph's
 incidence index; extract_disclosing builds the whole union subgraph only for
 inspection.
 
-A subgraph holds its graph triples as int32 indices into the graph's arrays
-(KnowledgeGraph.arrays), their levels as int8, and its target apart;
-consumers gather ends and labels by index.  Extraction reads the K-hop maps
-the graph memoises, so the candidates of a rank query, which share its
-fixed entity, walk that entity's neighbourhood once.  Pruning walks the
-graph's incidence index inside the intersection, and a bare target, whose
-intersection adds no triple beyond those at u and v, skips it.
+Both extractions return one Subgraph record, whose docstring gives its
+format; consumers gather ends and labels by index.  Extraction reads the
+K-hop maps the graph memoises, so the candidates of a rank query, which
+share its fixed entity, walk that entity's neighbourhood once.  Pruning
+walks the graph's incidence index inside the intersection, and a bare
+target, whose intersection adds no triple beyond those at u and v, skips
+it.
 """
 
 from __future__ import annotations
@@ -61,43 +61,49 @@ class SubgraphError(Exception):
 MAX_HOPS = np.iinfo(np.int8).max - 1
 
 
-@dataclass(frozen=True, eq=False)
-class EntitySubgraph:
-    """A cut-out subgraph as compact arrays over its graph: the indices of
-    its graph triples, ascending, and the target apart, since it is not a
-    graph triple (an instance equal to it is left out).  `triples`,
-    `source_indexes` and `levels` read them back as tuples, the target last,
-    built on each read."""
+NO_LABELS = np.empty(0, dtype=np.int32)
+NO_LABELS.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Subgraph:
+    """A cut-out subgraph of one target triple, as compact arrays over its
+    graph: the one record extraction returns, SampleCache keeps and
+    rmpnet.stack_samples stacks.
+
+    `indexes` holds its graph triples as int32 indices into the graph's
+    arrays (KnowledgeGraph.arrays), ascending; the target is apart, since
+    it is not a graph triple (an instance equal to it is left out), and
+    counts as the last node.  An enclosing subgraph holds per graph triple
+    its int8 level, the least j with it in pruning's N^j, at most K + 1
+    (extract_enclosing); the target's, 0, is not held.  A disclosing one
+    holds no levels.  A model sample is the enclosing subgraph, whose
+    arrays it shares, plus for the ne variants the int32 labels of the
+    target's disclosing neighbours (trainlab.build_sample): 5 bytes per
+    triple and 4 per label.  Nothing is built from them and kept: a
+    training batch builds its view edges at each step."""
 
     graph: KnowledgeGraph = field(repr=False)
-    indexes: np.ndarray  # (n,) int32 parent-graph triple index per graph triple
+    indexes: np.ndarray  # (n,) int32
     target: Triple
-    kind: str  # "enclosing" | "disclosing"
-    # enclosing: (n,) int8, per graph triple the least j with it in
-    # pruning's N^j, at most K + 1 (extract_enclosing); disclosing: None
-    level_array: np.ndarray | None = None
+    levels: np.ndarray | None  # (n,) int8; None when disclosing
+    labels: np.ndarray  # (m,) int32; NO_LABELS when unused
+
+    @property
+    def kind(self) -> str:
+        return "disclosing" if self.levels is None else "enclosing"
 
     @property
     def triples(self) -> tuple[Triple, ...]:
-        """The graph triples, then the target."""
+        """The graph triples, then the target, built on each read."""
         triples = self.graph.triples
         return tuple([triples[i] for i in self.indexes.tolist()]) + (self.target,)
 
     @property
-    def source_indexes(self) -> tuple:
-        """Per element of `triples`, its parent-graph index; None for the target."""
-        return tuple(self.indexes.tolist()) + (None,)
-
-    @property
-    def levels(self) -> tuple:
-        """Per element of `triples`, its level, the target's 0; () when disclosing."""
-        if self.level_array is None:
-            return ()
-        return tuple(self.level_array.tolist()) + (0,)
-
-    @property
-    def target_position(self) -> int:
-        return len(self.indexes)
+    def nbytes(self) -> int:
+        """Bytes its arrays hold."""
+        levels = 0 if self.levels is None else self.levels.nbytes
+        return self.indexes.nbytes + levels + self.labels.nbytes
 
 
 @dataclass(frozen=True)
@@ -134,18 +140,6 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
     return picked
 
 
-def _subgraph(graph: KnowledgeGraph, idxs: list[int], target: Triple, kind: str,
-              levels: list | None = None) -> EntitySubgraph:
-    """The subgraph of the triples idxs, with the target apart."""
-    return EntitySubgraph(
-        graph=graph,
-        indexes=np.array(idxs, dtype=np.int32),
-        target=target,
-        kind=kind,
-        level_array=None if levels is None else np.array(levels, dtype=np.int8),
-    )
-
-
 def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
                        k: int) -> dict[int, int]:
     """The entities pruning keeps, each with its distance from the nearer of
@@ -177,7 +171,7 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
     return {e: d for e, d in dist.items() if d < k or ends[e] == 3}
 
 
-def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
+def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph:
     """K-hop enclosing subgraph of the target triple.
 
     Entity set: N_K(u) ∩ N_K(v) in the parent graph, then pruned.  Pruning
@@ -222,7 +216,8 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
         if h not in ends or t not in ends:
             break
     else:  # bare: no induced triple leaves u and v
-        return _subgraph(graph, idxs, target, "enclosing", [1] * len(idxs))
+        return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
+                        np.ones(len(idxs), dtype=np.int8), NO_LABELS)
 
     near = _pruning_distances(graph, u, v, common, k)
     kept, levels = [], []
@@ -231,17 +226,19 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySu
         if h in near and t in near:
             kept.append(i)
             levels.append(1 + min(near[h], near[t]))
-    return _subgraph(graph, kept, target, "enclosing", levels)
+    return Subgraph(graph, np.array(kept, dtype=np.int32), target,
+                    np.array(levels, dtype=np.int8), NO_LABELS)
 
 
-def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntitySubgraph:
+def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph:
     """K-hop disclosing subgraph: union of the two neighborhoods, no pruning."""
     target = Triple(*target)
     if k < 1:
         raise SubgraphError(f"hop count must be >= 1, got {k}")
     u, _, v = target
     entities = khop_neighbors(graph, u, k).keys() | khop_neighbors(graph, v, k).keys()
-    return _subgraph(graph, _induced_triples(graph, entities, target), target, "disclosing")
+    idxs = np.array(_induced_triples(graph, entities, target), dtype=np.int32)
+    return Subgraph(graph, idxs, target, None, NO_LABELS)
 
 
 # Most relation-view edges a build may expand, counted from the spans before
@@ -256,7 +253,7 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> EntityS
 MAX_VIEW_EDGES = 1 << 23
 
 
-def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
+def to_relation_view(sub: Subgraph) -> RelationViewGraph:
     """Directed typed graph over triple instances.
 
     An edge n1 -> n2 of some type means n1's feature flows to n2; both
@@ -276,7 +273,7 @@ def to_relation_view(sub: EntitySubgraph) -> RelationViewGraph:
         nodes=triples,
         labels=tuple(t.relation for t in triples),
         edges=edges,
-        target_index=sub.target_position,
+        target_index=len(sub.indexes),
     )
 
 

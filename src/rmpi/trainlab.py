@@ -22,16 +22,15 @@ from .kgstore import Benchmark, KnowledgeGraph, Triple, Vocabulary
 from .numkit import Tape, adam_step
 from . import numkit as nk
 from .rmpnet import (
-    NO_LABELS,
     FeatureSource,
     ModelConfig,
-    SubgraphSample,
     bind_params,
     init_params,
     param_shapes,
     score_sample,
 )
 from .subgraph import (
+    Subgraph,
     disclosing_neighbors,
     extract_enclosing,
     to_relation_view,  # noqa: F401  perfbench's tracer wraps it under this name too
@@ -69,12 +68,15 @@ class TrainConfig:
 
 # ------------------------------------------------------------------ samples
 
-def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> SubgraphSample:
+def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> Subgraph:
+    """The model's sample of a triple: its enclosing subgraph, and for the
+    ne variants a record sharing its arrays that adds the labels of the
+    triple's disclosing neighbours."""
     sub = extract_enclosing(graph, triple, config.hops)
-    labels = NO_LABELS
-    if config.use_disclosing:
-        labels = graph.arrays[1][disclosing_neighbors(graph, triple)]
-    return SubgraphSample(graph, sub.indexes, sub.target, sub.level_array, labels)
+    if not config.use_disclosing:
+        return sub
+    labels = graph.arrays[1][disclosing_neighbors(graph, triple)]
+    return Subgraph(graph, sub.indexes, sub.target, sub.levels, labels)
 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.
@@ -86,7 +88,7 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 SCORE_BATCH_ROWS = 2000
 
 
-def sample_rows(sample: SubgraphSample, depth: int) -> int:
+def sample_rows(sample: Subgraph, depth: int) -> int:
     """A sample's share of a stacked scoring forward of K = depth layers,
     in rows of its arrays: per node within K steps of its target, its
     feature and the three rows layer 1 sums over (its two ends and its
@@ -107,21 +109,18 @@ class SampleCache:
     repeatedly across epochs) are retained, and those named by `retain`
     (a training run's fixed validation targets and negatives); transient
     negatives and other held-out targets are built on the fly so memory
-    stays bounded by the graph and validation sizes.  A sample holds its
-    int32 triple indices, int8 levels and int32 disclosing labels only, 5
-    bytes per triple and 4 per label (SubgraphSample.nbytes): a training
-    step builds the relation-view edges of its batch afresh
-    (rmpnet.stack_samples), so no edges, which grow with the square of
-    entity degree, outlive the step.
+    stays bounded by the graph and validation sizes.  A sample is a
+    subgraph.Subgraph record, compact arrays only: no edges, which grow
+    with the square of entity degree, outlive a training step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
         self.graph = graph
         self.config = config
-        self._store: dict[Triple, SubgraphSample] = {}
+        self._store: dict[Triple, Subgraph] = {}
         self._retained: set[Triple] = set()
 
-    def sample(self, triple: Triple) -> SubgraphSample:
+    def sample(self, triple: Triple) -> Subgraph:
         got = self._store.get(triple)
         if got is not None:
             return got

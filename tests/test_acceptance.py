@@ -20,7 +20,6 @@ from rmpi.evalbench import auc_pr, classify, rank_entities, rank_of, rank_querie
 from rmpi.kgstore import KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape, dot, segment_softmax
 from rmpi.rmpnet import (
-    NO_LABELS,
     ModelConfig,
     bind_params,
     init_params,
@@ -32,6 +31,7 @@ from rmpi.rmpnet import (
 from rmpi.schema import load_schema, pretrain, save_vectors, load_vectors
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
+    NO_LABELS,
     extract_disclosing,
     extract_enclosing,
     prune_to_target,

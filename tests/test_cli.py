@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from rmpi import evalbench, subgraph, trainlab
+from rmpi import cli, evalbench, subgraph, trainlab
 from rmpi.cli import _digest_path, main
 from rmpi.kgstore import Triple, load_benchmark
 from rmpi.schema import load_vectors
@@ -335,6 +335,22 @@ def test_eval_classify_report(tmp_path, capsys):
     assert metrics["targets"] == 2
     assert (report / "classify_metrics.tsv").is_file()
     assert (report / "run_manifest.json").is_file()
+
+
+def test_eval_into_the_checkpoint_directory_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the report's run manifest would replace the training run's, with its
+    # flags, seed and input digests: refused before anything is loaded
+    data, ckpt = trained_checkpoint(tmp_path)
+    before = {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)}
+    (tmp_path / "link").symlink_to(ckpt)
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *args: pytest.fail("loaded"))
+    monkeypatch.setattr(cli, "load_benchmark", lambda *args: pytest.fail("loaded"))
+    monkeypatch.chdir(tmp_path)
+    for out in (str(ckpt), "ckpt", "./ckpt/", str(tmp_path / "link")):
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --out {out} is the checkpoint directory")
+    assert {name: (ckpt / name).read_bytes() for name in os.listdir(ckpt)} == before
 
 
 def test_eval_truncated_params_is_data_error(tmp_path, capsys):

@@ -9,12 +9,10 @@ from rmpi import rmpnet, subgraph
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
-    NO_LABELS,
     FeatureSource,
     ModelConfig,
     ModelError,
     SampleBatch,
-    SubgraphSample,
     bind_params,
     disclosing_aggregate,
     fresh_unseen_vector,
@@ -27,7 +25,9 @@ from rmpi.rmpnet import (
 )
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
+    NO_LABELS,
     RelationViewGraph,
+    Subgraph,
     extract_disclosing,
     extract_enclosing,
     prune_to_target,
@@ -54,7 +54,7 @@ def build_sample(graph, target, config):
         labels = np.array([label for _, label in oracles.disclosing_one_hop(drvg)],
                           dtype=np.int32)
     sub = extract_enclosing(graph, target, config.hops)
-    return SubgraphSample(graph, sub.indexes, sub.target, sub.level_array, labels)
+    return Subgraph(graph, sub.indexes, sub.target, sub.levels, labels)
 
 
 def sample_triples(sample):
@@ -130,8 +130,8 @@ def test_seen_relation_reads_embedding_row():
 
 def test_shared_label_shares_feature_node():
     graph = KnowledgeGraph(make_vocab(3, 3), [Triple(0, 2, 1), Triple(1, 2, 2)])
-    sample = SubgraphSample(graph, np.array([0, 1], dtype=np.int32), Triple(0, 1, 2),
-                            np.array([1, 1], dtype=np.int8), NO_LABELS)
+    sample = Subgraph(graph, np.array([0, 1], dtype=np.int32), Triple(0, 1, 2),
+                      np.array([1, 1], dtype=np.int8), NO_LABELS)
     batch = stack_samples([sample], 2, training=True)
     # one feature row per distinct label: nodes sharing a relation read the
     # same row, so their gradients meet in one embedding row
@@ -910,7 +910,8 @@ def kept_nodes(graph, targets, hops):
     kept = []
     for target in targets:
         sub = extract_enclosing(graph, target, hops)
-        pairs = [(t, level) for t, level in zip(sub.triples, sub.levels) if level <= hops]
+        levels = sub.levels.tolist() + [0]  # the target's is 0
+        pairs = [(t, level) for t, level in zip(sub.triples, levels) if level <= hops]
         kept.append(([t for t, _ in pairs], [level for _, level in pairs]))
     return kept
 

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from rmpi.kgstore import load_benchmark
 from rmpi.schema import load_schema
 
@@ -62,6 +64,26 @@ def test_toy_experiment_rejects_counts_below_one(tmp_path):
         assert done.returncode == 2  # argparse's usage error, before any training
         assert f"argument {flag}: must be >= 1" in done.stderr
         assert done.stdout == ""
+
+
+@pytest.mark.parametrize("script, flag, value, message", [
+    ("make_toy_benchmark.py", "--chains", "0", "must be >= 1, got 0"),
+    ("make_toy_benchmark.py", "--chains", "-2", "must be >= 1, got -2"),
+    ("make_toy_benchmark.py", "--test-chains", "0", "must be >= 1, got 0"),
+    ("make_toy_benchmark.py", "--held-frac", "1.5", "must be in (0, 1], got 1.5"),
+    ("make_toy_benchmark.py", "--held-frac", "0", "must be in (0, 1], got 0.0"),
+    ("make_toy_benchmark.py", "--seed", "-1", "must be >= 0, got -1"),
+    ("run_toy_experiment.py", "--seed", "-1", "must be >= 0, got -1"),
+])
+def test_toy_scripts_reject_bad_values(tmp_path, script, flag, value, message):
+    # an empty training file, no test targets, a fraction taken as 1 or a
+    # numpy traceback: each refused before anything is written or trained
+    out = tmp_path / "toy"
+    done = run_script(script, "--out", str(out), flag, value, check=False)
+    assert done.returncode == 2  # argparse's usage error
+    assert f"argument {flag}: {message}" in done.stderr
+    assert done.stdout == ""
+    assert not out.exists()
 
 
 def test_hub_probe_reports_rate_and_memory():

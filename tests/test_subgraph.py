@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rmpi import kgstore, subgraph
+from rmpi import kgstore, subgraph, trainlab
 from rmpi.kgstore import KnowledgeGraph, Triple
 from rmpi.rmpnet import ModelConfig, stack_samples
 from rmpi.subgraph import (
@@ -52,7 +52,7 @@ def test_enclosing_four_triple_example():
     sub = extract_enclosing(g, target, 1)
     assert entities(sub) == frozenset({0, 1, 2})
     assert sub.triples == (Triple(0, 0, 1), Triple(1, 1, 2), Triple(0, 2, 2), target)
-    assert sub.triples[sub.target_position] == target
+    assert sub.triples[len(sub.indexes)] == target
     assert sub.kind == "enclosing"
 
 
@@ -63,6 +63,41 @@ def test_disclosing_four_triple_example():
     assert set(sub.triples[:-1]) == set(g.triples)
     assert sub.triples[-1] == target
     assert sub.kind == "disclosing"
+
+
+def test_extraction_and_samples_are_one_record(monkeypatch):
+    # an enclosing subgraph, a disclosing one and an ne sample: one record
+    # type, whose read-backs read right on each; a base sample is the
+    # extraction's record, and an ne sample shares its arrays
+    g, target = four_triple_graph()
+    extracted = []
+
+    def extract(*args):
+        extracted.append(extract_enclosing(*args))
+        return extracted[-1]
+
+    monkeypatch.setattr(trainlab, "extract_enclosing", extract)
+    base = build_sample(g, target, ModelConfig(hops=1))
+    assert base is extracted[-1]
+    assert base.labels is subgraph.NO_LABELS
+    ne = build_sample(g, target, ModelConfig(hops=1, use_disclosing=True))
+    enclosing = extracted[-1]
+    assert ne is not enclosing
+    assert all(getattr(ne, name) is getattr(enclosing, name)
+               for name in ("graph", "indexes", "target", "levels"))
+    disclosing = extract_disclosing(g, target, 1)
+    for sub, kind in ((enclosing, "enclosing"), (disclosing, "disclosing"), (ne, "enclosing")):
+        assert type(sub) is subgraph.Subgraph and not hasattr(sub, "__dict__")
+        assert sub.kind == kind
+        assert sub.indexes.dtype == np.int32
+    assert enclosing.triples == ne.triples == (
+        Triple(0, 0, 1), Triple(1, 1, 2), Triple(0, 2, 2), target)
+    assert disclosing.triples == tuple(g.triples) + (target,)
+    assert enclosing.levels.dtype == np.int8 and disclosing.levels is None
+    assert ne.labels.dtype == np.int32 and ne.labels.tolist() == [0, 1, 2, 3]
+    assert enclosing.nbytes == 5 * 3  # int32 index and int8 level per triple
+    assert disclosing.nbytes == 4 * 4  # no levels
+    assert ne.nbytes == 5 * 3 + 4 * 4  # and an int32 per label
 
 
 def test_enclosing_disconnected_endpoints_only_target_edge():
@@ -300,11 +335,12 @@ def test_views_without_shared_entities_share_the_empty_edge_array():
     assert all(e is NO_EDGES for e in prune_to_target(one_node, 2))
     # two nodes sharing no entity; a self-loop shares only with itself
     for first in (Triple(2, 0, 3), Triple(2, 0, 2)):
-        sub = subgraph.EntitySubgraph(
+        sub = subgraph.Subgraph(
             graph=KnowledgeGraph(vocab, [first]),
             indexes=np.array([0], dtype=np.int32),
             target=Triple(0, 1, 1),
-            kind="disclosing",
+            levels=None,
+            labels=subgraph.NO_LABELS,
         )
         assert sub.triples == (first, Triple(0, 1, 1))
         assert to_relation_view(sub).edges is NO_EDGES
@@ -449,7 +485,7 @@ def assert_levels_are_prunings_node_sets(sub, depth):
     rvg = to_relation_view(sub)
     frontiers, _ = oracles.prune_frontiers([tuple(e) for e in rvg.edges.tolist()],
                                            rvg.target_index, depth)
-    levels = sub.levels
+    levels = sub.levels.tolist() + [0]  # the target's is 0
     assert len(levels) == len(sub.triples)
     for j in range(depth + 1):
         assert ({i for i, level in enumerate(levels) if level <= j}
@@ -486,7 +522,7 @@ def test_extraction_on_a_warm_memo_matches_the_oracles(n_entities, n_triples, k,
             want_ent, want_triples = oracles.enclosing_subgraph(g, target, depth)
             assert entities(sub) == frozenset(want_ent)
             assert list(sub.triples[:-1]) == want_triples
-            idxs = sub.source_indexes[:-1]
+            idxs = sub.indexes.tolist()
             assert list(idxs) == sorted(set(idxs))
             assert [g.triples[i] for i in idxs] == want_triples
             assert_levels_are_prunings_node_sets(sub, depth)
@@ -543,9 +579,9 @@ def test_bare_target_exits_with_its_end_triples_at_level_one(monkeypatch, rows, 
     monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
     for k in hops:
         sub = extract_enclosing(g, target, k)
-        assert sub.source_indexes == tuple(want) + (None,)
+        assert sub.indexes.tolist() == want
         assert sub.triples == tuple(rows[i] for i in want) + (target,)
-        assert sub.levels == (1,) * len(want) + (0,)
+        assert sub.levels.tolist() == [1] * len(want)
         _, want_triples = oracles.enclosing_subgraph(g, target, k)
         assert list(sub.triples[:-1]) == want_triples
     monkeypatch.undo()
@@ -566,8 +602,8 @@ def test_bare_target_has_level_zero_only():
     for k in (1, 2, 3):
         sub = extract_enclosing(g, Triple(0, 1, 1), k)
         assert sub.triples == (Triple(0, 1, 1),)
-        assert sub.levels == (0,)
-    assert extract_disclosing(g, Triple(0, 1, 1), 1).levels == ()
+        assert sub.levels.shape == (0,)  # the target's 0 is not held
+    assert extract_disclosing(g, Triple(0, 1, 1), 1).levels is None
 
 
 # ------------------------------------------------------- disclosing one-hop
@@ -613,7 +649,7 @@ def view_route(graph, target, k):
     """disclosing_one_hop over the full disclosing view, keyed by graph index."""
     sub = extract_disclosing(graph, target, k)
     neigh = oracles.disclosing_one_hop(to_relation_view(sub))
-    return tuple((sub.source_indexes[i], lab) for i, lab in neigh)
+    return tuple((int(sub.indexes[i]), lab) for i, lab in neigh)
 
 
 def neighbor_pairs(graph, target):

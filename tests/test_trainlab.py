@@ -216,7 +216,7 @@ def test_built_sample_decodes_to_its_extraction(hops):
                 assert sample.labels.dtype == np.int32
                 decoded = tuple(graph.triples[i] for i in sample.indexes.tolist())
                 assert decoded + (sample.target,) == sub.triples
-                assert tuple(sample.levels.tolist()) + (0,) == sub.levels
+                assert np.array_equal(sample.levels, sub.levels)
                 assert graph.arrays[:, sample.indexes].T.tolist() == [list(t) for t in decoded]
                 want = [graph.triples[i].relation for i in disclosing_neighbors(graph, target)]
                 assert sample.labels.tolist() == (want if config.use_disclosing else [])
