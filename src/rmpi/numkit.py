@@ -94,9 +94,13 @@ class Tape:
     def clear(self) -> None:
         """Forget every recorded node and parameter.
 
-        A recording tape and its nodes reference each other, so without
-        this their arrays stay alive until the cyclic garbage collector
-        runs, however early the caller drops them.
+        A recording tape and its nodes reference each other; this breaks
+        that cycle, so the graph's values, backward rules and gradients are
+        freed by reference counting as soon as the caller also drops its
+        own Vars of it, not at the next full collection.  It does not free
+        them by itself: each node holds its parents, so any Var the caller
+        still holds (a loss, the scores) keeps every node it was computed
+        from alive.
         """
         self._nodes.clear()
         self._params.clear()
@@ -105,6 +109,8 @@ class Tape:
         """Gradients of a scalar loss for every registered parameter.
 
         Unreached parameters get zero gradients of the parameter's shape.
+        Only the parameters keep a gradient: every other node's is dropped
+        once it has been passed to its parents.
         """
         if loss.tape is not self:
             raise NumkitError("loss recorded on a different tape")
@@ -112,13 +118,19 @@ class Tape:
             raise NumkitError("backward on a tape made with record=False")
         if loss.value.shape != ():
             raise NumkitError(f"loss must be scalar, got shape {loss.value.shape}")
+        params = {p.id for p in self._params.values()}
         for node in self._nodes:
             node.grad = None
         loss.grad = np.ones(())
         for node in reversed(self._nodes):
-            if node.grad is None or node.vjp is None:
+            # every node that reads this one comes later on the tape, so its
+            # gradient is complete here and, once passed on, no longer needed
+            grad = node.grad
+            if node.id not in params:
+                node.grad = None
+            if grad is None or node.vjp is None:
                 continue
-            parts = node.vjp(node.grad)
+            parts = node.vjp(grad)
             for parent, g in zip(node.parents, parts):
                 if g is None:
                     continue

@@ -402,10 +402,45 @@ def train(
         labels = np.array([1] * len(valid) + [0] * len(valid_negatives))
         return auc_pr(scores, labels)
 
+    adam_state = None
+
+    def train_step(batch: list[Triple]) -> float:
+        """One update from a batch of positives; returns the batch's loss.
+
+        The step's graph, its gradients and its negatives' samples are held
+        by this call's locals alone, so they are freed when it returns,
+        before the next step begins.
+        """
+        nonlocal adam_state
+        samples = []  # each positive, then its negatives
+        for pos in batch:
+            samples.append(cache.sample(pos))
+            for _ in range(config.num_negatives):
+                neg = sample_negative(pos, graph, rng_neg)
+                samples.append(cache.sample(neg))
+        tape = Tape()
+        pvars = bind_params(tape, params)
+        source = FeatureSource(
+            tape, pvars, mc,
+            lookup=lookup, schema_vectors=id_vectors, run_seed=config.seed,
+        )
+        scores = score_sample(samples, source, pvars, mc, training=True, drop_rng=rng_drop)
+        positions = np.arange(len(samples)).reshape(len(batch), -1)
+        loss = margin_loss(
+            nk.take(scores, np.repeat(positions[:, 0], config.num_negatives)),
+            nk.take(scores, positions[:, 1:].ravel()),
+            config.margin,
+        )
+        grads = tape.backward(loss)
+        # clear() breaks the tape's cycle with its nodes; the graph is freed
+        # when this call returns and drops scores, loss and the other locals
+        tape.clear()
+        _, adam_state = adam_step(params, grads, adam_state, lr=config.lr)
+        return float(loss.value)
+
     best_params = copy.deepcopy(params)
     best_auc = -1.0
     best_epoch = None
-    adam_state = None
     train_losses: list[float] = []
     val_history: list[float] = []
 
@@ -414,31 +449,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [positives[i] for i in order[start : start + config.batch_size]]
-            samples = []  # each positive, then its negatives
-            for pos in batch:
-                samples.append(cache.sample(pos))
-                for _ in range(config.num_negatives):
-                    neg = sample_negative(pos, graph, rng_neg)
-                    samples.append(cache.sample(neg))
-            tape = Tape()
-            pvars = bind_params(tape, params)
-            source = FeatureSource(
-                tape, pvars, mc,
-                lookup=lookup, schema_vectors=id_vectors, run_seed=config.seed,
-            )
-            scores = score_sample(
-                samples, source, pvars, mc, training=True, drop_rng=rng_drop
-            )
-            positions = np.arange(len(samples)).reshape(len(batch), -1)
-            loss = margin_loss(
-                nk.take(scores, np.repeat(positions[:, 0], config.num_negatives)),
-                nk.take(scores, positions[:, 1:].ravel()),
-                config.margin,
-            )
-            epoch_loss += float(loss.value)
-            grads = tape.backward(loss)
-            tape.clear()  # frees the step's arrays now, not at the next full collection
-            _, adam_state = adam_step(params, grads, adam_state, lr=config.lr)
+            epoch_loss += train_step(batch)
 
         train_losses.append(epoch_loss / max(1, len(positives)))
         auc = validation_auc()

@@ -285,6 +285,20 @@ def test_unused_parameter_gets_zero_gradient():
     assert (grads["unused"] == 0).all()
 
 
+def test_backward_drops_every_gradient_but_the_parameters():
+    # a node read twice, constants, a parameter read twice and the loss
+    t = Tape()
+    w = t.param("w", np.array([1.0, -2.0, 3.0]))
+    u = t.param("u", np.array([0.5, 0.5, 0.5]))
+    h = nk.add(nk.relu(w), t.const(np.ones(3)))
+    loss = nk.dot(nk.add(h, h), nk.sub(u, w))
+    grads = t.backward(loss)
+    assert loss.grad is None and h.grad is None
+    assert w.grad is grads["w"] and u.grad is grads["u"]
+    assert_only_parameters_keep_gradients(t, grads)
+    np.testing.assert_allclose(grads["u"], 2 * (np.maximum(w.value, 0) + 1), atol=0)
+
+
 def test_backward_requires_scalar_loss():
     t = Tape()
     w = t.param("w", np.ones(3))
@@ -315,13 +329,25 @@ def summed(t, rows, weights):
     return nk.dot(r, t.const(np.ones(r.value.shape)))
 
 
+def assert_only_parameters_keep_gradients(t, grads):
+    params = {p.id: name for name, p in t._params.items()}
+    for node in t._nodes:
+        if node.id in params:
+            assert node.grad is None or node.grad is grads[params[node.id]]
+        else:
+            assert node.grad is None, f"node {node.id} kept its gradient"
+
+
 def grad_check(build, params):
-    """Tape gradients of build(tape, params) against finite differences."""
+    """Tape gradients of build(tape, params) against finite differences;
+    backward leaves no gradient on any node but the parameters."""
     def loss_fn(p):
         return float(build(Tape(), p).value)
 
     t = Tape()
-    check_grads(loss_fn, t.backward(build(t, params)), params)
+    grads = t.backward(build(t, params))
+    assert_only_parameters_keep_gradients(t, grads)
+    check_grads(loss_fn, grads, params)
 
 
 def test_grad_matvec_dot():

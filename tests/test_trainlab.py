@@ -2,6 +2,7 @@ import gc
 import os
 import re
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import fields
 
@@ -525,6 +526,41 @@ def test_training_builds_no_relation_view(monkeypatch):
         ckpt = train(bench, small_config(model=model, epochs=2))
         assert len(ckpt.history["train_loss"]) == 2
     assert len(edges) == 2 * 2 * 3 and max(edges) > 0  # 3 steps an epoch
+
+
+@pytest.mark.parametrize("model", [
+    ModelConfig(dim=4, hops=2, edge_dropout=0.5),
+    ModelConfig(dim=4, hops=3, edge_dropout=0.5, use_disclosing=True, target_attention=True),
+], ids=["base", "ne-ta"])
+def test_step_graph_is_freed_before_the_next_step(monkeypatch, model):
+    # a step's scores are read by its whole recorded graph, so once they are
+    # gone no Var of the graph is left; reference counting alone must free
+    # them, so the cyclic collector stays off
+    last = []  # a weak reference to the previous training step's scores
+    forwards = 0
+    inner = trainlab.score_sample
+
+    def watching(*args, training=False, **kwargs):
+        nonlocal forwards
+        if training:
+            forwards += 1
+            assert not last or last[-1]() is None, f"step {forwards - 1}'s graph outlived it"
+        out = inner(*args, training=training, **kwargs)
+        if training:
+            last.append(weakref.ref(out.value))
+        return out
+
+    monkeypatch.setattr(trainlab, "score_sample", watching)
+    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train(bench, small_config(model=model, epochs=2))
+    finally:
+        if enabled:
+            gc.enable()
+    assert forwards == 2 * 3  # 3 steps an epoch
+    assert last[-1]() is None  # the last step's too, once training returned
 
 
 def test_train_builds_each_positive_once(monkeypatch):
