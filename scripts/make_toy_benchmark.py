@@ -64,8 +64,10 @@ def chain_rows(prefix, n_chains):
 
 
 def split_endpoints(endpoints, held_frac, rng):
+    """(kept, held): a held_frac share of the endpoint facts, at least one,
+    held out as targets."""
     order = rng.permutation(len(endpoints))
-    n_held = int(round(held_frac * len(endpoints)))
+    n_held = max(1, int(round(held_frac * len(endpoints))))
     held = [endpoints[i] for i in order[:n_held]]
     kept = [endpoints[i] for i in order[n_held:]]
     return kept, held

@@ -86,6 +86,16 @@ def test_toy_scripts_reject_bad_values(tmp_path, script, flag, value, message):
     assert not out.exists()
 
 
+def test_toy_benchmark_holds_out_a_fact_at_a_small_fraction(tmp_path):
+    # 0.01 of 24 or 12 endpoint facts rounds to none; each split keeps one
+    run_script("make_toy_benchmark.py", "--out", str(tmp_path), "--held-frac", "0.01")
+    for name in ("bench", "bench_unseen"):
+        bench = load_benchmark(str(tmp_path / name))
+        assert len(bench.valid) == 1 and len(bench.test) == 1
+        assert len(bench.train.triples) == 2 * 24 + 23  # the support, the kept facts
+        assert len(bench.test_graph.triples) == 2 * 12 + 11
+
+
 def test_hub_probe_reports_rate_and_memory():
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
@@ -113,6 +123,26 @@ def test_hub_probe_rejects_counts_below_one():
         assert done.returncode != 0
         assert f"argument {flag}: must be >= 1" in done.stderr
         assert done.stdout == ""  # no scoring run started
+
+
+def test_train_probe_reports_steps_edges_and_memory():
+    done = run_script("train_probe.py", "--entities", "40", "--triples", "60", "--skew", "0.5",
+                      "--hops", "1", "--variant", "ne-ta", "--steps", "5")
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 4
+    head = "train_probe: ne-ta K=1, 40 entities, 60 triples, a=0.5: "
+    assert all(line.startswith(head) for line in lines)
+    cache = re.fullmatch(r"precompute (\d+\.\d\d) CPU s, cache retains (\d+\.\d\d) MiB",
+                         lines[0][len(head):])
+    assert cache and float(cache.group(2)) > 0
+    steps = re.fullmatch(r"5 steps of batch 16, median (\d+\.\d) CPU ms a step",
+                         lines[1][len(head):])
+    assert steps and float(steps.group(1)) > 0
+    edges = re.fullmatch(r"layer-1 edges a step p50 (\d+), max (\d+)", lines[2][len(head):])
+    assert edges and 0 < int(edges.group(1)) <= int(edges.group(2))
+    rss = re.fullmatch(r"peak RSS (\S+) MB, RSS as a step begins p50 (\S+) MB, max (\S+) MB",
+                       lines[3][len(head):])
+    assert rss and 0 < float(rss.group(2)) <= float(rss.group(3)) and float(rss.group(1)) > 0
 
 
 def test_extraction_digest_prints_one_digest_per_workload_and_depth():
