@@ -184,7 +184,8 @@ def rank_entities(
 
     Candidates replace the chosen side with uniform entities other than the
     ground truth; when the graph has fewer than `num_neg` other entities
-    every one is used and the actual count is reported.  `seed` fixes the
+    every one is used and the actual count is reported, and when it has
+    none the query cannot be ranked and EvalError is raised.  `seed` fixes the
     run's unseen-relation draws; candidate sampling uses `rng` when given so
     a driver can give every query its own stream.
     """
@@ -197,6 +198,11 @@ def rank_entities(
         rng = np.random.default_rng([seed, 301])
     truth = query.head if side == "head" else query.tail
     pool = candidate_entities(graph.entity_list(), truth, num_neg, rng)
+    if not pool:
+        raise EvalError(
+            f"no candidate entities to rank the {side} of query {tuple(query)} "
+            "against: the graph has no entity other than the truth"
+        )
     candidates = [_corrupted(query, side, e) for e in pool]
     scores = score_triples(
         ckpt.params, ckpt.config, cache, [query] + candidates, lookup, id_vectors, seed

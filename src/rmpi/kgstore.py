@@ -5,7 +5,10 @@ A benchmark directory holds four files of (head, relation, tail) name rows
 them).  All four files share one entity/relation id space; relations that
 never occur in the training graph are flagged unseen.  Duplicate rows are
 kept as distinct triple instances because downstream graphs treat every
-edge instance as a node of its own.
+edge instance as a node of its own.  Loading reads and checks all four
+files, for the id space and the seen flags, but a `Benchmark` indexes each
+graph only when it is first read: eval reads only the test graph, and
+training only the training graph.
 
 A graph keeps one adjacency index, `incident`: each entity maps to the
 (other end, triple index) pairs of the triples it is an end of, listed in
@@ -117,9 +120,13 @@ class Vocabulary:
 
 # Most (entity, distance) entries the K-hop maps memoised on one graph hold
 # in all; a map larger than this is still kept, alone.  A rank query touches
-# its fixed entity's map for each candidate, so the map stays in.  At K=2
-# a full memo held about 0.1 MB on the benchmark's rank and training
-# graphs; a cap of 4096 gave the same rank speed at twice the memory.
+# its fixed entity's map for each candidate, so the map stays in.  A cap
+# of 4096 gave the same rank speed at twice the memory.  At K=2 with no
+# cap the memo grows well past this: train-mild's training graph held
+# 20,876 entries in 998 maps (about 0.9 MB of dicts) after 2 epochs, and
+# rank-skewed's test graph 37,157 entries (about 1.6 MB) after one pass.
+# On classify-hub one of the largest hub maps (1,232 entries) fills the
+# cap alone, so about 395 of a pass's 400 K-hop calls walk the graph.
 KHOP_MEMO_ENTRIES = 1 << 11
 
 
@@ -237,20 +244,51 @@ def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, i
     return got
 
 
-class Benchmark(NamedTuple):
-    vocab: Vocabulary
-    train: KnowledgeGraph
-    valid: list[Triple]
-    test_graph: KnowledgeGraph
-    test: list[Triple]
+class Benchmark:
+    """A benchmark's four files in one id space: the training and test graphs,
+    and the validation and test targets.
+
+    `train` and `test_graph` may be given as KnowledgeGraphs or as their
+    triples.  Triples become a KnowledgeGraph the first time the attribute
+    is read, and that graph is kept, so a run indexes only the graph it
+    reads: eval scores over the test graph, training over the training graph.
+    """
+
+    def __init__(
+        self,
+        vocab: Vocabulary,
+        train: KnowledgeGraph | list[Triple],
+        valid: list[Triple],
+        test_graph: KnowledgeGraph | list[Triple],
+        test: list[Triple],
+    ) -> None:
+        self.vocab = vocab
+        self.valid = valid
+        self.test = test
+        self._graphs = {"train": train, "test_graph": test_graph}
+
+    def _graph(self, name: str) -> KnowledgeGraph:
+        got = self._graphs[name]
+        if not isinstance(got, KnowledgeGraph):
+            got = self._graphs[name] = KnowledgeGraph(self.vocab, got)
+        return got
+
+    @property
+    def train(self) -> KnowledgeGraph:
+        return self._graph("train")
+
+    @property
+    def test_graph(self) -> KnowledgeGraph:
+        return self._graph("test_graph")
 
 
 def load_benchmark(directory: str) -> Benchmark:
     """Load the four benchmark files of a directory into one id space.
 
     Ids are assigned in first-seen order over train, valid, test_graph, test
-    (in that file order), which makes loading deterministic.  An empty
-    training file is an error; the other files may be empty.
+    (in that file order), which makes loading deterministic.  Every file is
+    read and checked here; an empty training file is an error, the other
+    files may be empty.  Neither graph is indexed until it is read.
     """
     paths = {name: os.path.join(directory, name) for name in BENCHMARK_FILES}
     for name, path in paths.items():
@@ -278,8 +316,8 @@ def load_benchmark(directory: str) -> Benchmark:
 
     return Benchmark(
         vocab=vocab,
-        train=KnowledgeGraph(vocab, raw["train.txt"]),
+        train=raw["train.txt"],
         valid=raw["valid.txt"],
-        test_graph=KnowledgeGraph(vocab, raw["test_graph.txt"]),
+        test_graph=raw["test_graph.txt"],
         test=raw["test.txt"],
     )

@@ -209,6 +209,12 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     triple scores the same alone or in any batch.  Padding costs most on a
     one-row product: at width 192, 20 us against 4 us unpadded; blocks of
     42 rows cost 26 us and run large products no faster.
+
+    A block is never smaller than one row, so a product whose single row is
+    already over BLAS_CALL_SIZE still makes calls above it.  That happens
+    in grouped_apply's weight gradient, g.T @ flat, whose row is as wide as
+    the step has rows: with six types at d=32 (192 columns) a step of 1,366
+    or more rows does, and OpenBLAS threads in hub training.
     """
     m, n = a.shape[0], b.shape[1]
     rows = max(1, min(PRODUCT_ROWS, BLAS_CALL_SIZE // max(1, a.shape[1] * n)))

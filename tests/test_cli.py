@@ -234,6 +234,26 @@ def test_empty_test_split_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("task", ["classify", "rank"])
+def test_eval_over_an_empty_test_graph_is_data_error(tmp_path, capsys, task):
+    data = write_benchmark_dir(
+        tmp_path / "data", train=TRAIN_ROWS, valid=[("a0", "q1", "a2")],
+        test_graph=[], test=[("a1", "q0", "a5")],
+    )
+    out = tmp_path / "ck"
+    assert main(train_args(data, out)) == 0
+    capsys.readouterr()
+    report = tmp_path / "report"
+    code = main(["eval", "--ckpt", str(out), "--data", str(data), "--out", str(report),
+                 "--task", task, "--side", "tail"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if task == "rank":
+        assert re.search(r"tail of query \(\d+, \d+, \d+\)", err)
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------- train
 
 def test_train_writes_checkpoint_and_manifest(tmp_path):

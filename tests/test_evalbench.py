@@ -192,6 +192,45 @@ def test_rank_ground_truth_on_top(monkeypatch):
     assert outcome.rank == 1
 
 
+@pytest.mark.parametrize("side", ["head", "tail"])
+def test_rank_without_candidates_is_an_error(side):
+    vocab = make_vocab(3, 1)
+    empty = KnowledgeGraph(vocab, [])
+    with pytest.raises(EvalError, match=rf"{side} of query \(0, 0, 1\)"):
+        rank_entities(make_ckpt(empty), empty, Triple(0, 0, 1), side)
+    with pytest.raises(EvalError, match="no candidate entities"):
+        rank_queries(make_ckpt(empty), empty, [Triple(0, 0, 1)], sides=(side,))
+
+
+def test_rank_with_one_candidate_reports_it():
+    # the graph's only other entity than the truth is the whole pool
+    graph = KnowledgeGraph(make_vocab(2, 1), [Triple(0, 0, 1)])
+    ckpt = make_ckpt(graph, zero_score=True)
+    assert rank_entities(ckpt, graph, Triple(0, 0, 1), "tail", num_neg=49) == (2, 1)
+    # a graph whose one entity is the truth leaves none
+    loop = KnowledgeGraph(make_vocab(2, 1), [Triple(1, 0, 1)])
+    with pytest.raises(EvalError, match="tail of query"):
+        rank_entities(make_ckpt(loop), loop, Triple(0, 0, 1), "tail")
+
+
+@pytest.mark.parametrize("task", ["classify", "rank"])
+def test_eval_indexes_only_the_test_graph(tmp_path, graphs_built, task):
+    data = write_benchmark_dir(
+        tmp_path / "bench",
+        train=[("a0", "ra", "a1"), ("a1", "rb", "a2")],
+        test_graph=[("b0", "ra", "b1"), ("b1", "rb", "b2"), ("b2", "ra", "b3")],
+        test=[("b0", "rb", "b2"), ("b1", "ra", "b3")],
+    )
+    bench = load_benchmark(str(data))
+    graph = bench.test_graph
+    ckpt = make_ckpt(graph)
+    if task == "classify":
+        classify(ckpt, graph, bench.test, seed=0)
+    else:
+        rank_queries(ckpt, graph, bench.test, num_neg=2, seed=0)
+    assert graphs_built == [graph]
+
+
 def test_rank_rejects_unknown_side():
     graph = chain_graph(8)
     with pytest.raises(EvalError, match="side"):

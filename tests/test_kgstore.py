@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmpi import kgstore
-from rmpi.fileio import write_rows
+from rmpi.fileio import read_rows, write_rows
 from rmpi.kgstore import (
+    BENCHMARK_FILES,
+    Benchmark,
     KGError,
     KnowledgeGraph,
     Triple,
@@ -224,6 +228,82 @@ def test_load_benchmark_empty_train_rejected(tmp_path):
     d = write_benchmark_dir(tmp_path / "bench", [])
     with pytest.raises(KGError, match="empty training file"):
         load_benchmark(str(d))
+
+
+@pytest.mark.parametrize("name", BENCHMARK_FILES)
+def test_load_benchmark_checks_every_file_before_any_graph_is_read(tmp_path, name):
+    # the graphs are indexed only when read, but every file is read at load
+    d = write_benchmark_dir(tmp_path / "bench", *_toy_rows())
+    with open(d / name, "a") as fh:
+        fh.write("no tabs here\n")
+    with pytest.raises(KGError, match=rf"{name}:\d+"):
+        load_benchmark(str(d))
+    (d / name).unlink()
+    with pytest.raises(KGError, match=f"missing benchmark file: .*{name}"):
+        load_benchmark(str(d))
+
+
+def test_benchmark_indexes_each_graph_once_when_first_read(tmp_path, graphs_built):
+    bench = load_benchmark(str(write_benchmark_dir(tmp_path / "bench", *_toy_rows())))
+    assert graphs_built == []
+    test_graph = bench.test_graph
+    assert graphs_built == [test_graph]
+    train = bench.train
+    assert graphs_built == [test_graph, train]
+    assert bench.test_graph is test_graph and bench.train is train
+    assert len(graphs_built) == 2
+
+
+def test_benchmark_keeps_the_graphs_it_is_given(graphs_built):
+    graph = random_graph(np.random.default_rng(0), 6, 2, 10)
+    bench = Benchmark(graph.vocab, graph, [], graph, [])
+    assert bench.train is graph and bench.test_graph is graph
+    assert graphs_built == [graph]
+
+
+def _random_rows(rng, prefix, n_entities, n_relations, n_rows):
+    # repeated rows and self-loops included
+    return [
+        (f"{prefix}{rng.integers(n_entities)}", f"r{rng.integers(n_relations)}",
+         f"{prefix}{rng.integers(n_entities)}")
+        for _ in range(n_rows)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_graphs_equal_graphs_indexed_at_load(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rows = {
+        "train.txt": _random_rows(rng, "a", 12, 3, 40),
+        "valid.txt": _random_rows(rng, "a", 12, 4, 5),
+        "test_graph.txt": _random_rows(rng, "b", 10, 5, 30),
+        "test.txt": _random_rows(rng, "b", 10, 5, 5),
+    }
+    d = write_benchmark_dir(tmp_path / "bench", *rows.values())
+    bench = load_benchmark(str(d))
+
+    # the id space: names in first-seen order over the files, seen = in train
+    vocab = Vocabulary()
+    for name in BENCHMARK_FILES:
+        for h, r, t in read_rows(os.path.join(d, name), KGError):
+            vocab.entity_id(h, create=True)
+            vocab.relation_id(r, create=True)
+            vocab.entity_id(t, create=True)
+    for _, r, _ in rows["train.txt"]:
+        vocab.mark_seen(vocab.relation_id(r))
+    assert bench.vocab.digest() == vocab.digest()
+
+    for lazy, name in ((bench.train, "train.txt"), (bench.test_graph, "test_graph.txt")):
+        eager = KnowledgeGraph(vocab, [
+            Triple(vocab.entity_id(h), vocab.relation_id(r), vocab.entity_id(t))
+            for h, r, t in rows[name]
+        ])
+        assert lazy.vocab is bench.vocab
+        assert lazy.triples == eager.triples
+        assert lazy.incident == eager.incident
+        assert lazy.entity_list() == eager.entity_list()
+        assert np.array_equal(lazy.arrays, eager.arrays)
+    assert bench.vocab.digest() == vocab.digest()
 
 
 def test_vocab_digest_tracks_seen_flags():

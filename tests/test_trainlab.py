@@ -11,7 +11,7 @@ import pytest
 
 from rmpi import trainlab
 from rmpi.evalbench import rank_entities, rank_of
-from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple
+from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
     FeatureSource, ModelConfig, bind_params, init_params, score_sample, stack_samples,
@@ -37,7 +37,7 @@ from rmpi.trainlab import (
     train,
 )
 
-from synth import make_vocab, random_graph, toy_benchmark
+from synth import make_vocab, random_graph, toy_benchmark, write_benchmark_dir
 
 
 def small_config(**overrides):
@@ -578,6 +578,24 @@ def test_train_builds_each_positive_once(monkeypatch):
     on_graph = {t: n for t, n in built.items() if graph.has_triple(t)}
     assert on_graph == {t: 1 for t in graph.triples}
     assert sum(built.values()) > len(on_graph)  # negatives are built on the fly
+
+
+def test_train_indexes_only_the_training_graph(tmp_path, graphs_built):
+    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
+    vocab = bench.vocab
+
+    def named(triples):
+        return [(vocab.entity_names[t.head], vocab.relation_names[t.relation],
+                 vocab.entity_names[t.tail]) for t in triples]
+
+    data = write_benchmark_dir(
+        tmp_path / "bench", train=named(bench.train.triples), valid=named(bench.valid),
+        test_graph=[("x0", "r0", "x1"), ("x1", "r1", "x2")], test=[("x0", "r1", "x2")],
+    )
+    del graphs_built[:]
+    loaded = load_benchmark(str(data))
+    train(loaded, small_config(epochs=1))
+    assert graphs_built == [loaded.train]
 
 
 def test_train_builds_each_validation_triple_once(monkeypatch):
