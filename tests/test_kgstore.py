@@ -303,7 +303,7 @@ def test_lazy_graphs_equal_graphs_indexed_at_load(tmp_path, seed):
         assert lazy.incident == eager.incident
         assert lazy.entity_list() == eager.entity_list()
         assert np.array_equal(lazy.arrays, eager.arrays)
-    assert bench.vocab.digest() == vocab.digest()
+    assert bench.vocab.digest() == vocab.digest()  # building them named nothing new
 
 
 def test_vocab_digest_tracks_seen_flags():

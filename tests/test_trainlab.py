@@ -581,21 +581,16 @@ def test_train_builds_each_positive_once(monkeypatch):
 
 
 def test_train_indexes_only_the_training_graph(tmp_path, graphs_built):
-    bench = toy_benchmark(seed=3, n_entities=10, n_train=24, n_valid=6)
-    vocab = bench.vocab
-
-    def named(triples):
-        return [(vocab.entity_names[t.head], vocab.relation_names[t.relation],
-                 vocab.entity_names[t.tail]) for t in triples]
-
     data = write_benchmark_dir(
-        tmp_path / "bench", train=named(bench.train.triples), valid=named(bench.valid),
-        test_graph=[("x0", "r0", "x1"), ("x1", "r1", "x2")], test=[("x0", "r1", "x2")],
+        tmp_path / "bench",
+        train=[(f"a{i}", f"r{i % 2}", f"a{(3 * i + 1) % 8}") for i in range(12)],
+        valid=[("a0", "r1", "a5"), ("a2", "r0", "a7")],
+        test_graph=[("x0", "r0", "x1"), ("x1", "r1", "x2")],
+        test=[("x0", "r1", "x2")],
     )
-    del graphs_built[:]
-    loaded = load_benchmark(str(data))
-    train(loaded, small_config(epochs=1))
-    assert graphs_built == [loaded.train]
+    bench = load_benchmark(str(data))
+    train(bench, small_config(epochs=1))
+    assert graphs_built == [bench.train]
 
 
 def test_train_builds_each_validation_triple_once(monkeypatch):
