@@ -13,14 +13,18 @@ better (by the metric's direction in the change's BENCHMARK.json):
 Each root is a checkout with its own `perfbench/` and `src/`. Every workload
 in BENCHMARK.json is run at perfbench's own default seed and run length, so
 the pairs match the benchmark's runs; the runs are untraced and one at a time,
-so they do not compete for the CPUs.
+so they do not compete for the CPUs.  The record's header names both
+revisions, the CPUs the runs could use and the Python and numpy versions:
+rates compare only within one record.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -119,6 +123,8 @@ def main(argv=None) -> int:
         "change": revision(args.change_root),
         "pairs": args.pairs,
         "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
         "workloads": {},
     }
     for workload in (w["name"] for w in bench["workloads"]):

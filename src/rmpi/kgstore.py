@@ -5,24 +5,22 @@ A benchmark directory holds four files of (head, relation, tail) name rows
 them).  All four files share one entity/relation id space; relations that
 never occur in the training graph are flagged unseen.  Duplicate rows are
 kept as distinct triple instances because downstream graphs treat every
-edge instance as a node of its own.  Loading reads and checks all four
-files, for the id space and the seen flags, but a `Benchmark` indexes each
-graph only when it is first read: eval reads only the test graph, and
-training only the training graph.
+edge instance as a node of its own.
 
-A graph keeps one adjacency index, `incident`: each entity maps to the
-(other end, triple index) pairs of the triples it is an end of, listed in
-the order the triples were added.  Edges are read undirected, so a triple
-is listed under both of its ends and a self-loop once, under its entity.
-`arrays` holds the same triples as one int32 array, built once when read,
-so that subgraphs and samples can hold triple indices and gather their
-ends and relations in one step.
+A graph is fixed when built: it checks its ids and keeps its triples, and
+builds each structure derived from them the first time it is read, so a run
+indexes only the graph it reads (eval the test graph, training the training
+graph).  The adjacency index, `incident`, maps each entity to the (other
+end, triple index) pairs of the triples it is an end of, in triple order.
+Edges are read undirected, so a triple is listed under both of its ends and
+a self-loop once, under its entity.  `arrays` holds the same triples as one
+int32 array, so that subgraphs and samples can hold triple indices and
+gather their ends and relations in one step.
 `bfs` walks that index for `khop_neighbors`; extraction walks it too,
 inside the neighbourhood a target's two ends share.  A graph memoises its
 K-hop maps per (entity, k), since the candidates of a rank query all share
-the query's fixed entity; `add` clears the memo, and it holds at most
-KHOP_MEMO_ENTRIES map entries in all (or one larger map), evicting the
-least recently used maps.
+the query's fixed entity; the memo holds at most KHOP_MEMO_ENTRIES map
+entries in all (or one larger map), evicting the least recently used maps.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import OrderedDict
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, KeysView, Mapping, NamedTuple
 
@@ -103,9 +102,6 @@ class Vocabulary:
     def seen_relations(self) -> frozenset[int]:
         return frozenset(r for r, s in enumerate(self._seen) if s)
 
-    def unseen_relations(self) -> frozenset[int]:
-        return frozenset(r for r, s in enumerate(self._seen) if not s)
-
     def digest(self) -> str:
         """Content hash of the id maps and seen flags."""
         h = hashlib.sha256()
@@ -131,45 +127,38 @@ KHOP_MEMO_ENTRIES = 1 << 11
 
 
 class KnowledgeGraph:
-    """A multiset of triples over a shared vocabulary, with an incidence index.
+    """A multiset of triples over a shared vocabulary, fixed when built.
 
     `incident` maps each entity to the (other end, triple index) pairs of
     its triples, so edge instances (not just endpoint pairs) can be
-    recovered; `entities` is a read-only view of its keys.  `khop_memo`
-    holds the K-hop maps khop_neighbors handed out, least recently used
-    first, and `khop_memo_entries` their total size.  `add` drops the memo
-    and the triple arrays, which are built again when next read.
+    recovered; `entities` is a read-only view of its keys.  The index, the
+    member set behind `has_triple`, `arrays` and the sorted entity list are
+    each built the first time they are read.  `khop_memo` holds the K-hop
+    maps khop_neighbors handed out, least recently used first, and
+    `khop_memo_entries` their total size.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
         self.vocab = vocab
-        self.triples: list[Triple] = []
-        self.incident: dict[int, list[tuple[int, int]]] = {}
-        self._members: set[Triple] = set()
-        self._entity_list: list[int] | None = None
-        self._arrays: np.ndarray | None = None
+        # a Triple is kept as it is, not copied
+        self.triples = [t if type(t) is Triple else Triple(*t) for t in triples]
+        ne, nr = vocab.num_entities, vocab.num_relations
+        for t in self.triples:
+            if not (0 <= t.head < ne and 0 <= t.tail < ne):
+                raise KGError(f"entity id out of range in {t}")
+            if not (0 <= t.relation < nr):
+                raise KGError(f"relation id out of range in {t}")
         self.khop_memo: OrderedDict[tuple[int, int], Mapping[int, int]] = OrderedDict()
         self.khop_memo_entries = 0
-        for t in triples:
-            self.add(Triple(*t))
 
-    def add(self, t: Triple) -> None:
-        ne, nr = self.vocab.num_entities, self.vocab.num_relations
-        if not (0 <= t.head < ne and 0 <= t.tail < ne):
-            raise KGError(f"entity id out of range in {t}")
-        if not (0 <= t.relation < nr):
-            raise KGError(f"relation id out of range in {t}")
-        idx = len(self.triples)
-        self.incident.setdefault(t.head, []).append((t.tail, idx))
-        if t.tail != t.head:
-            self.incident.setdefault(t.tail, []).append((t.head, idx))
-        self.triples.append(t)
-        self._members.add(t)
-        self._entity_list = None
-        self._arrays = None
-        if self.khop_memo:
-            self.khop_memo.clear()
-            self.khop_memo_entries = 0
+    @cached_property
+    def incident(self) -> dict[int, list[tuple[int, int]]]:
+        incident: dict[int, list[tuple[int, int]]] = {}
+        for idx, (head, _, tail) in enumerate(self.triples):
+            incident.setdefault(head, []).append((tail, idx))
+            if tail != head:
+                incident.setdefault(tail, []).append((head, idx))
+        return incident
 
     @property
     def entities(self) -> KeysView[int]:
@@ -179,24 +168,29 @@ class KnowledgeGraph:
     def num_triples(self) -> int:
         return len(self.triples)
 
-    @property
+    @cached_property
     def arrays(self) -> np.ndarray:
         """(3, T) int32, read-only: the heads, relations and tails of the
         triples, column i for triple i."""
-        if self._arrays is None:
-            flat = np.fromiter((x for t in self.triples for x in t), np.int32, 3 * len(self.triples))
-            self._arrays = np.ascontiguousarray(flat.reshape(-1, 3).T)
-            self._arrays.flags.writeable = False
-        return self._arrays
+        flat = np.fromiter((x for t in self.triples for x in t), np.int32, 3 * len(self.triples))
+        arrays = np.ascontiguousarray(flat.reshape(-1, 3).T)
+        arrays.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def _members(self) -> frozenset[Triple]:
+        return frozenset(self.triples)
 
     def has_triple(self, t: Triple) -> bool:
         return Triple(*t) in self._members
 
-    def entity_list(self) -> list[int]:
+    @cached_property
+    def _sorted_entities(self) -> list[int]:
         # sorted so that uniform sampling is reproducible across runs
-        if self._entity_list is None:
-            self._entity_list = sorted(self.entities)
-        return self._entity_list
+        return sorted(self.entities)
+
+    def entity_list(self) -> list[int]:
+        return self._sorted_entities
 
     def relations(self) -> frozenset[int]:
         return frozenset(t.relation for t in self.triples)
@@ -226,7 +220,7 @@ def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, i
     The center is always present at distance 0, even when isolated.  Raises
     KGError for an id outside the vocabulary or a negative k.  The map is
     read-only, since it is memoised on the graph and shared by every caller
-    until the graph changes or the memo evicts it.
+    until the memo evicts it.
     """
     if not (0 <= center < graph.vocab.num_entities):
         raise KGError(f"unknown entity id: {center}")
@@ -244,42 +238,15 @@ def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, i
     return got
 
 
-class Benchmark:
+class Benchmark(NamedTuple):
     """A benchmark's four files in one id space: the training and test graphs,
-    and the validation and test targets.
+    and the validation and test targets."""
 
-    `train` and `test_graph` may be given as KnowledgeGraphs or as their
-    triples.  Triples become a KnowledgeGraph the first time the attribute
-    is read, and that graph is kept, so a run indexes only the graph it
-    reads: eval scores over the test graph, training over the training graph.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        train: KnowledgeGraph | list[Triple],
-        valid: list[Triple],
-        test_graph: KnowledgeGraph | list[Triple],
-        test: list[Triple],
-    ) -> None:
-        self.vocab = vocab
-        self.valid = valid
-        self.test = test
-        self._graphs = {"train": train, "test_graph": test_graph}
-
-    def _graph(self, name: str) -> KnowledgeGraph:
-        got = self._graphs[name]
-        if not isinstance(got, KnowledgeGraph):
-            got = self._graphs[name] = KnowledgeGraph(self.vocab, got)
-        return got
-
-    @property
-    def train(self) -> KnowledgeGraph:
-        return self._graph("train")
-
-    @property
-    def test_graph(self) -> KnowledgeGraph:
-        return self._graph("test_graph")
+    vocab: Vocabulary
+    train: KnowledgeGraph
+    valid: list[Triple]
+    test_graph: KnowledgeGraph
+    test: list[Triple]
 
 
 def load_benchmark(directory: str) -> Benchmark:
@@ -288,7 +255,7 @@ def load_benchmark(directory: str) -> Benchmark:
     Ids are assigned in first-seen order over train, valid, test_graph, test
     (in that file order), which makes loading deterministic.  Every file is
     read and checked here; an empty training file is an error, the other
-    files may be empty.  Neither graph is indexed until it is read.
+    files may be empty.  Neither graph is indexed until a run reads it.
     """
     paths = {name: os.path.join(directory, name) for name in BENCHMARK_FILES}
     for name, path in paths.items():
@@ -316,8 +283,8 @@ def load_benchmark(directory: str) -> Benchmark:
 
     return Benchmark(
         vocab=vocab,
-        train=raw["train.txt"],
+        train=KnowledgeGraph(vocab, raw["train.txt"]),
         valid=raw["valid.txt"],
-        test_graph=raw["test_graph.txt"],
+        test_graph=KnowledgeGraph(vocab, raw["test_graph.txt"]),
         test=raw["test.txt"],
     )

@@ -1,5 +1,6 @@
 import os
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -8,15 +9,19 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def graphs_built(monkeypatch):
-    """Every KnowledgeGraph built while the test runs, in the order built."""
+    """Every KnowledgeGraph whose index, member set, arrays or entity list
+    was built while the test runs, once each, in the order first built."""
     from rmpi.kgstore import KnowledgeGraph
 
     built = []
-    init = KnowledgeGraph.__init__
+    for name, prop in list(vars(KnowledgeGraph).items()):
+        if isinstance(prop, cached_property):
+            def recording(self, build=prop.func):
+                if not any(g is self for g in built):
+                    built.append(self)
+                return build(self)
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(KnowledgeGraph, "__init__", recording)
+            recorder = cached_property(recording)
+            recorder.__set_name__(KnowledgeGraph, name)
+            monkeypatch.setattr(KnowledgeGraph, name, recorder)
     return built

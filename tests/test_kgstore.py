@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import numpy as np
@@ -86,25 +87,13 @@ def test_khop_maps_are_read_only_and_shared():
     assert khop_neighbors(g, 0, 1) == {0: 0, 1: 1}
 
 
-def test_add_clears_the_khop_memo():
-    vocab = make_vocab(3, 1)
-    g = KnowledgeGraph(vocab, [Triple(0, 0, 1)])
-    assert khop_neighbors(g, 0, 2) == {0: 0, 1: 1}
-    g.add(Triple(1, 0, 2))
-    assert not g.khop_memo and g.khop_memo_entries == 0
-    assert khop_neighbors(g, 0, 2) == {0: 0, 1: 1, 2: 2}
-
-
-def test_triple_arrays_are_built_once_and_rebuilt_after_add():
+def test_triple_arrays_are_built_once():
     vocab = make_vocab(3, 2)
     g = KnowledgeGraph(vocab, [Triple(0, 1, 1), Triple(2, 0, 2)])
     arrays = g.arrays
     assert arrays is g.arrays  # built once
     assert arrays.dtype == np.int32 and not arrays.flags.writeable
     assert arrays.tolist() == [[0, 2], [1, 0], [1, 2]]  # heads, relations, tails
-    g.add(Triple(1, 1, 0))
-    assert arrays.tolist() == [[0, 2], [1, 0], [1, 2]]  # a held array keeps its triples
-    assert g.arrays.tolist() == [[0, 2, 1], [1, 0, 1], [1, 2, 0]]
     assert KnowledgeGraph(vocab, []).arrays.shape == (3, 0)
 
 
@@ -176,17 +165,17 @@ def test_load_benchmark_counts_and_flags(tmp_path):
     assert len(bench.test) == 1
     assert bench.vocab.num_entities == 6
     assert bench.vocab.num_relations == 3
-    seen = {bench.vocab.relation_names[r] for r in bench.vocab.seen_relations()}
-    unseen = {bench.vocab.relation_names[r] for r in bench.vocab.unseen_relations()}
+    names = bench.vocab.relation_names
+    seen = {names[r] for r in bench.vocab.seen_relations()}
     assert seen == {"p", "q"}
-    assert unseen == {"s"}
+    assert set(names) - seen == {"s"}
 
 
 def test_load_benchmark_identity_split_has_no_unseen(tmp_path):
     train, valid, _, _ = _toy_rows()
     d = write_benchmark_dir(tmp_path / "bench", train, valid, train, valid)
     bench = load_benchmark(str(d))
-    assert bench.vocab.unseen_relations() == frozenset()
+    assert bench.vocab.seen_relations() == frozenset(range(bench.vocab.num_relations))
 
 
 def test_load_benchmark_shared_id_space(tmp_path):
@@ -246,37 +235,43 @@ def test_load_benchmark_checks_every_file_before_any_graph_is_read(tmp_path, nam
 def test_benchmark_indexes_each_graph_once_when_first_read(tmp_path, graphs_built):
     bench = load_benchmark(str(write_benchmark_dir(tmp_path / "bench", *_toy_rows())))
     assert graphs_built == []
-    test_graph = bench.test_graph
-    assert graphs_built == [test_graph]
-    train = bench.train
-    assert graphs_built == [test_graph, train]
-    assert bench.test_graph is test_graph and bench.train is train
-    assert len(graphs_built) == 2
+    incident = bench.test_graph.incident
+    assert graphs_built == [bench.test_graph]
+    assert bench.train.has_triple(bench.train.triples[0])
+    assert graphs_built == [bench.test_graph, bench.train]
+    assert bench.train.entity_list() and bench.test_graph.arrays.shape == (3, 2)
+    assert bench.test_graph.incident is incident  # built once
+    assert graphs_built == [bench.test_graph, bench.train]
 
 
 def test_benchmark_keeps_the_graphs_it_is_given(graphs_built):
     graph = random_graph(np.random.default_rng(0), 6, 2, 10)
     bench = Benchmark(graph.vocab, graph, [], graph, [])
     assert bench.train is graph and bench.test_graph is graph
-    assert graphs_built == [graph]
+    assert graphs_built == []
 
 
 def _random_rows(rng, prefix, n_entities, n_relations, n_rows):
-    # repeated rows and self-loops included
-    return [
+    # repeated rows and a self-loop included
+    rows = [
         (f"{prefix}{rng.integers(n_entities)}", f"r{rng.integers(n_relations)}",
          f"{prefix}{rng.integers(n_entities)}")
         for _ in range(n_rows)
     ]
+    return rows + rows[: n_rows // 4] + [(f"{prefix}1", "r0", f"{prefix}1")]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_lazy_graphs_equal_graphs_indexed_at_load(tmp_path, seed):
+    # each structure a graph derives on first read, against one indexed
+    # here by brute force from the rows as written
     rng = np.random.default_rng(seed)
     rows = {
         "train.txt": _random_rows(rng, "a", 12, 3, 40),
         "valid.txt": _random_rows(rng, "a", 12, 4, 5),
-        "test_graph.txt": _random_rows(rng, "b", 10, 5, 30),
+        # after some entities of its own, some of the training graph's,
+        # whose smaller ids it indexes later
+        "test_graph.txt": _random_rows(rng, "b", 10, 5, 30) + _random_rows(rng, "a", 12, 3, 8),
         "test.txt": _random_rows(rng, "b", 10, 5, 5),
     }
     d = write_benchmark_dir(tmp_path / "bench", *rows.values())
@@ -293,16 +288,24 @@ def test_lazy_graphs_equal_graphs_indexed_at_load(tmp_path, seed):
         vocab.mark_seen(vocab.relation_id(r))
     assert bench.vocab.digest() == vocab.digest()
 
-    for lazy, name in ((bench.train, "train.txt"), (bench.test_graph, "test_graph.txt")):
-        eager = KnowledgeGraph(vocab, [
-            Triple(vocab.entity_id(h), vocab.relation_id(r), vocab.entity_id(t))
-            for h, r, t in rows[name]
-        ])
-        assert lazy.vocab is bench.vocab
-        assert lazy.triples == eager.triples
-        assert lazy.incident == eager.incident
-        assert lazy.entity_list() == eager.entity_list()
-        assert np.array_equal(lazy.arrays, eager.arrays)
+    for graph, name in ((bench.train, "train.txt"), (bench.test_graph, "test_graph.txt")):
+        triples = [(vocab.entity_id(h), vocab.relation_id(r), vocab.entity_id(t))
+                   for h, r, t in rows[name]]
+        ends = {e for h, _, t in triples for e in (h, t)}
+        assert graph.vocab is bench.vocab
+        assert graph.triples == triples
+        assert any(h == t for h, _, t in triples) and len(set(triples)) < len(triples)
+        # under each end, in triple order; a self-loop once, under its entity
+        assert graph.incident == {
+            e: [(t if h == e else h, i) for i, (h, _, t) in enumerate(triples) if e in (h, t)]
+            for e in ends
+        }
+        assert graph.entity_list() == sorted(ends)
+        assert graph.arrays.dtype == np.int32 and not graph.arrays.flags.writeable
+        assert graph.arrays.tolist() == [[t[j] for t in triples] for j in range(3)]
+        for cand in itertools.product(range(vocab.num_entities), range(vocab.num_relations),
+                                      range(vocab.num_entities)):
+            assert graph.has_triple(Triple(*cand)) == any(cand == t for t in triples)
     assert bench.vocab.digest() == vocab.digest()  # building them named nothing new
 
 

@@ -762,13 +762,11 @@ def test_training_layer_edges_are_each_samples_pruned_edges(n_entities, n_triple
     # receivers its frontier walk finds
     rng = np.random.default_rng(seed)
     isolated = (n_entities, n_entities + 1)
-    graph = random_graph(rng, n_entities + 2, 4, 0)
     rows = [Triple(int(h), int(rng.integers(3)), int(t))
             for h, t in rng.integers(n_entities, size=(n_triples, 2))]  # self-loops too
     for h, r, t in rows[: n_triples // 3]:  # a duplicate, a parallel and an inverse twin
         rows += [Triple(h, r, t), Triple(h, (r + 1) % 3, t), Triple(t, r, h)]
-    for t in rows:
-        graph.add(t)
+    graph = KnowledgeGraph(make_vocab(n_entities + 2, 4), rows)
     targets = []
     for _ in range(size):
         u, v = (int(e) for e in rng.integers(n_entities, size=2))
@@ -818,15 +816,12 @@ def forward_pair(samples, config, params, schema=None):
 def hub_twin_graph(rng):
     """A hub, entity 0, with self-loops, parallel, inverse and duplicate
     triples among random ones over entities 0-11; 12 and 13 have none."""
-    graph = random_graph(rng, 14, 5, 0)
     rows = [Triple(0, int(rng.integers(4)), int(e)) for e in rng.integers(1, 12, 16)]
     rows += [Triple(int(h), int(rng.integers(4)), int(t)) for h, t in rng.integers(1, 12, (14, 2))]
     rows += [Triple(0, 1, 0), Triple(0, 2, 0), Triple(5, 3, 5)]  # self-loops
     rows += [Triple(0, 3, 5), Triple(0, 2, 5), Triple(5, 1, 0), Triple(5, 0, 0)]  # twins
     rows += rows[:6]  # duplicates
-    for t in rows:
-        graph.add(t)
-    return graph
+    return KnowledgeGraph(make_vocab(14, 5), rows)
 
 
 SCORING_TARGETS = [

@@ -1,10 +1,13 @@
 """Smoke tests of the scripts under scripts/."""
 
+import json
 import os
+import platform
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rmpi.kgstore import load_benchmark
@@ -208,3 +211,54 @@ def test_digest_takes_no_arguments():
         assert done.returncode != 0
         assert "takes no arguments" in done.stderr
         assert done.stdout == ""  # no digest run started
+
+
+def test_bench_pairs_alternates_the_sides_and_summarizes_each_metric(tmp_path, monkeypatch,
+                                                                      capsys):
+    import bench_pairs
+
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    os.mkdir(parent)
+    os.mkdir(change)
+    with open(os.path.join(change, "BENCHMARK.json"), "w", encoding="utf-8") as fh:
+        json.dump({
+            "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": "t", "unit": "s", "better": "lower"},
+                           {"name": "rate", "unit": "1/s", "better": "higher"}],
+        }, fh)
+    # the i-th run of each side: its (t, rate, failed) of 10 attempted
+    values = {parent: [(10, 1, 0), (20, 2, 1), (30, 3, 0), (40, 4, 1)],
+              change: [(9, 2, 1), (21, 3, 1), (29, 1, 1), (39, 5, 1)]}
+    calls = []
+
+    def fake_run_once(root, workload):
+        t, rate, failed = values[root][sum(c == (root, workload) for c in calls)]
+        calls.append((root, workload))
+        return {"seed": 1, "seconds": 10, "correct": True, "failed": failed,
+                "attempted": 10, "end_to_end": {"t": t, "rate": rate}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, change, "--pairs", "4", "--out", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 * 2 * 4 + 1
+
+    order = [parent, change, change, parent] * 2
+    assert calls == [(root, w) for w in ("w1", "w2") for root in order]
+    record = json.loads(out.read_text())
+    assert record["pairs"] == 4 and record["parent"] is None and record["change"] is None
+    assert record["python"] == platform.python_version()
+    assert record["numpy"] == np.__version__ and record["nproc"] >= 1
+    for w in ("w1", "w2"):
+        got = record["workloads"][w]
+        assert got["seed"] == 1 and got["seconds"] == 10
+        assert got["correct"] == {"parent": 4, "change": 4}
+        assert got["failed_frac"] == {"parent": 2 / 40, "change": 4 / 40}
+        t, rate = got["metrics"]["t"], got["metrics"]["rate"]
+        assert (t["unit"], t["better"], rate["better"]) == ("s", "lower", "higher")
+        assert t["change_wins"] == 3 and rate["change_wins"] == 3  # 1 each with the sign flipped
+        assert t["pairs"] == rate["pairs"] == 4
+        assert t["parent"] == {"median": 25, "q1": 12.5, "q3": 37.5}
+        assert t["change"] == {"median": 25, "q1": 12, "q3": 36.5}
+        assert t["change_over_parent"] == 1
+        assert rate["parent"] == {"median": 2.5, "q1": 1.25, "q3": 3.75}
+        assert rate["change_over_parent"] == 1

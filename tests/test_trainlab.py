@@ -181,14 +181,11 @@ def twin_graph(rng, n_entities):
     """A random graph over entities 0 .. n_entities - 1 with self-loops,
     and duplicate, parallel and inverse twins of a third of its triples;
     two more entities, n_entities and n_entities + 1, have no triple."""
-    graph = random_graph(rng, n_entities + 2, 3, 0)
     rows = [Triple(int(h), int(rng.integers(3)), int(t))
             for h, t in rng.integers(n_entities, size=(3 * n_entities, 2))]
     for h, r, t in rows[: n_entities]:
         rows += [Triple(h, r, t), Triple(h, (r + 1) % 3, t), Triple(t, r, h), Triple(h, r, h)]
-    for t in rows:
-        graph.add(t)
-    return graph
+    return KnowledgeGraph(make_vocab(n_entities + 2, 3), rows)
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3])
@@ -243,11 +240,9 @@ def scoring_graph():
     graph = random_graph(np.random.default_rng(6), 12, 3, 16)
     graph.vocab.entity_id("e12", create=True)
     graph.vocab.relation_id("r3", create=True)
-    for e in range(1, 12):
-        graph.add(Triple(0, e % 3, e))
-    for t in (Triple(4, UNSEEN, 7), Triple(7, UNSEEN, 0)):
-        graph.add(t)
-    return graph
+    hub = [Triple(0, e % 3, e) for e in range(1, 12)]
+    unseen = [Triple(4, UNSEEN, 7), Triple(7, UNSEEN, 0)]
+    return KnowledgeGraph(graph.vocab, graph.triples + hub + unseen)
 
 
 def scoring_setup(variant, graph):
