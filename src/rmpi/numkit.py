@@ -374,21 +374,21 @@ class Runs:
         return buf
 
 
-def run_sums(x: np.ndarray, runs: Runs, spans, rows=None, weights=None) -> np.ndarray:
+def run_sums(x: np.ndarray, runs: Runs, spans, rows, weights=None) -> np.ndarray:
     """(G, ...) group sums over runs of the rows of x, an array, not a
     tape node: the scoring forward, which alone reads them, records no
     gradients.
 
-    The summed rows are x[rows] (x itself when rows is None), each scaled
-    by weights[i] when weights are given; they are the first m rows of the
-    runs, which must end where a run ends, and only their runs are filled
-    and accumulated.  spans[g] = (start, cut, resume, stop) takes its run
-    less rows cut .. resume-1, so it must start where a run starts and stop
-    where that run ends: the first range is the run's running sum up to row
-    cut-1, the second its running sum from its last row back to row resume.
-    Neither is one running total less another, so a group's sum depends on
-    its run's rows alone, and the work grows with the rows, not with the
-    groups' ranges.  A span that takes no row sums to zeros.
+    The summed rows are x[rows], each scaled by weights[i] when weights are
+    given; they are the first m rows of the runs, which must end where a run
+    ends, and only their runs are filled and accumulated.  spans[g] =
+    (start, cut, resume, stop) takes its run less rows cut .. resume-1, so
+    it must start where a run starts and stop where that run ends: the
+    first range is the run's running sum up to row cut-1, the second its
+    running sum from its last row back to row resume.  Neither is one
+    running total less another, so a group's sum depends on its run's rows
+    alone, and the work grows with the rows, not with the groups' ranges.
+    A span that takes no row sums to zeros.
 
     The rows are gathered, scaled, summed and read a block of columns at a
     time, so that the running-sum buffer holds about RUN_SUMS_VALUES values
@@ -399,9 +399,8 @@ def run_sums(x: np.ndarray, runs: Runs, spans, rows=None, weights=None) -> np.nd
     """
     if x.ndim not in (1, 2):
         raise NumkitError(f"run_sums expects a vector or matrix, got shape {x.shape}")
-    if rows is not None:
-        rows = _index(rows, len(x), "run_sums")
-    m, n = len(x) if rows is None else len(rows), runs.n
+    rows = _index(rows, len(x), "run_sums")
+    m, n = len(rows), runs.n
     if weights is not None and np.shape(weights) != (m,):
         raise NumkitError(f"run_sums needs one weight per row: {np.shape(weights)} for {m} rows")
     spans = np.asarray(spans, dtype=np.intp)
@@ -417,7 +416,7 @@ def run_sums(x: np.ndarray, runs: Runs, spans, rows=None, weights=None) -> np.nd
     step = max(8, RUN_SUMS_VALUES // runs.size)
     out = np.empty((len(spans), width))
     for lo in range(0, width, step):
-        block = columns[:, lo : lo + step] if rows is None else columns[rows, lo : lo + step]
+        block = columns[rows, lo : lo + step]
         if weights is not None:
             block = block * weights[:, None]
         sums = runs.cumsums(block)

@@ -30,9 +30,8 @@ Both extractions return one Subgraph record, whose docstring gives its
 format; consumers gather ends and labels by index.  Extraction reads the
 K-hop maps the graph memoises, so the candidates of a rank query, which
 share its fixed entity, walk that entity's neighbourhood once.  Pruning
-walks the graph's incidence index inside the intersection, and a bare
-target, whose intersection adds no triple beyond those at u and v, skips
-it.
+walks the graph's incidence index inside the intersection, and the triples
+are then gathered at the entities it keeps.
 """
 
 from __future__ import annotations
@@ -194,13 +193,12 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
     K + 1.  Layer k' of a depth-K pass updates the triples of level at most
     K - k', and reads only triples of level at most K - k' + 1.
 
-    A bare target exits early, skipping the walk and the level loop: one
-    whose induced triples all join u and v or loop at one of them, as when
-    the intersection holds only u and v.  Every other entity of the
-    intersection is then isolated in it, so pruning drops it, while u and
-    v are each within one step of both, so every triple is kept, at level
-    1.  At K=2 this holds for 90% of the benchmark's rank candidates and
-    for 45% of its training positives and negatives.
+    Pruning comes first, so the triples are gathered at the kept entities
+    alone (_induced_triples).  That is exact: the kept entities are a subset
+    of the intersection, so their induced triples are the intersection's
+    triples whose two ends were both kept.  A target whose induced triples
+    all join u and v or loop at one of them is no special case: its walk
+    keeps only u and v, at distance 0, so each of its triples is at level 1.
     """
     if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
         target = Triple(*target)
@@ -208,25 +206,13 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
     u, _, v = target
     common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
-    common.update((u, v))
-    idxs = _induced_triples(graph, common, target)
-    triples, ends = graph.triples, (u, v)
-    for i in idxs:
-        h, _, t = triples[i]
-        if h not in ends or t not in ends:
-            break
-    else:  # bare: no induced triple leaves u and v
-        return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
-                        np.ones(len(idxs), dtype=np.int8), NO_LABELS)
-
     near = _pruning_distances(graph, u, v, common, k)
-    kept, levels = [], []
+    idxs = _induced_triples(graph, near, target)
+    triples, levels = graph.triples, []
     for i in idxs:
         h, _, t = triples[i]
-        if h in near and t in near:
-            kept.append(i)
-            levels.append(1 + min(near[h], near[t]))
-    return Subgraph(graph, np.array(kept, dtype=np.int32), target,
+        levels.append(1 + min(near[h], near[t]))
+    return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
                     np.array(levels, dtype=np.int8), NO_LABELS)
 
 

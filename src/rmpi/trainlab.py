@@ -105,13 +105,15 @@ def sample_rows(sample: Subgraph, depth: int) -> int:
 class SampleCache:
     """In-memory extraction memo for one graph and one model config.
 
-    Only triples that belong to the graph (training positives, scored
-    repeatedly across epochs) are retained, and those named by `retain`
-    (a training run's fixed validation targets and negatives); transient
-    negatives and other held-out targets are built on the fly so memory
-    stays bounded by the graph and validation sizes.  A sample is a
-    subgraph.Subgraph record, compact arrays only: no edges, which grow
-    with the square of entity degree, outlive a training step.
+    It keeps only the samples its callers name: those `precompute` builds
+    (a training run's positives, scored every epoch) and those of the
+    triples named by `retain` (its fixed validation targets and negatives).
+    Every other triple, such as a transient negative or a held-out target,
+    is built on each use, so memory stays bounded by the graph and
+    validation sizes.  A training negative equal to a graph triple reads
+    that positive's precomputed sample.  A sample is a subgraph.Subgraph
+    record, compact arrays only: no edges, which grow with the square of
+    entity degree, outlive a training step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
@@ -125,19 +127,18 @@ class SampleCache:
         if got is not None:
             return got
         built = build_sample(self.graph, triple, self.config)
-        if triple in self._retained or self.graph.has_triple(triple):
+        if triple in self._retained:
             self._store[triple] = built
         return built
 
     def retain(self, triples) -> None:
-        """Keep the samples of these triples too, once built, whether or
-        not they belong to the graph."""
+        """Keep the samples of these triples too, once built."""
         self._retained.update(Triple(*t) for t in triples)
 
     def precompute(self, triples):
-        """Build and keep the samples of graph triples."""
+        """Build and keep the samples of these triples."""
         for t in triples:
-            self.sample(t)
+            self._store[t] = self.sample(t)
 
 
 # ------------------------------------------------------------------ sampling

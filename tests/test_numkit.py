@@ -500,7 +500,7 @@ def test_run_sums_add_each_range_row_by_row_from_its_run_end():
     for n in (1, 5, 40, 300, 3000):
         runs, spans = random_runs(rng, n)
         x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
-        got = nk.run_sums(x, runs, spans)
+        got = nk.run_sums(x, runs, spans, np.arange(len(x)))
         want = [sum(x[s:c], np.zeros(3)) + sum(x[r:e][::-1], np.zeros(3)) for s, c, r, e in spans]
         np.testing.assert_array_equal(got, want)
 
@@ -527,21 +527,21 @@ def test_run_sums_over_nested_layers_add_each_range_row_by_row():
             cut = start + (rng.random(12) * (lengths[pick] + 1)).astype(int)
             resume = np.minimum(cut + rng.integers(0, 3, 12), stop)
             spans = np.stack([start, cut, resume, stop], axis=1)
-            got = nk.run_sums(x[:m], runs, spans)
+            got = nk.run_sums(x[:m], runs, spans, np.arange(m))
             want = [sum(x[s:c], np.zeros(3)) + sum(x[r:e][::-1], np.zeros(3)) for s, c, r, e in spans]
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(got, nk.run_sums(x, runs, spans))
+            np.testing.assert_array_equal(got, nk.run_sums(x, runs, spans, np.arange(len(x))))
             buf = runs.cumsums(x[:m])
             assert not buf[runs.prefix_at[m:]].any() and not buf[runs.suffix_at[m:]].any()
 
 
 def test_run_sums_over_zero_rows():
-    runs = nk.Runs([], 0)
-    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 3)), runs, [[0, 0, 0, 0]] * 2),
+    runs, none = nk.Runs([], 0), np.arange(0)
+    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 3)), runs, [[0, 0, 0, 0]] * 2, none),
                                   np.zeros((2, 3)))
-    np.testing.assert_array_equal(nk.run_sums(np.ones(0), runs, np.zeros((0, 4))), np.zeros(0))
+    np.testing.assert_array_equal(nk.run_sums(np.ones(0), runs, np.zeros((0, 4)), none), np.zeros(0))
     # a layer that reads none of the rows
-    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 2)), nk.Runs([0, 2], 4), [[0, 0, 0, 0]]),
+    np.testing.assert_array_equal(nk.run_sums(np.ones((0, 2)), nk.Runs([0, 2], 4), [[0, 0, 0, 0]], none),
                                   np.zeros((1, 2)))
     with pytest.raises(NumkitError, match="out of range"):
         nk.Runs([0], 0)
@@ -554,13 +554,13 @@ def test_run_sums_reject_bad_runs_and_spans():
         nk.Runs([1, 3], 5)
     runs = nk.Runs([0, 2], 4)
     with pytest.raises(NumkitError, match="rows for runs"):
-        nk.run_sums(np.ones((3, 2)), runs, [[0, 1, 1, 2]])
+        nk.run_sums(np.ones((3, 2)), runs, [[0, 1, 1, 2]], np.arange(3))
     with pytest.raises(NumkitError, match="out of range"):
-        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 5]])
+        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 5]], np.arange(4))
     with pytest.raises(NumkitError, match="spans"):
-        nk.run_sums(np.ones((4, 2)), runs, [0, 1, 1, 2])
+        nk.run_sums(np.ones((4, 2)), runs, [0, 1, 1, 2], np.arange(4))
     with pytest.raises(NumkitError, match="rows for runs"):
-        nk.run_sums(np.ones((5, 2)), runs, [[0, 1, 1, 2]])
+        nk.run_sums(np.ones((5, 2)), runs, [[0, 1, 1, 2]], np.arange(5))
 
 
 def test_run_sums_blocks_of_columns_equal_one_block_bit_for_bit(monkeypatch):
@@ -587,8 +587,10 @@ def test_run_sums_blocks_of_columns_equal_one_block_bit_for_bit(monkeypatch):
         return cumsums(self, block)
 
     monkeypatch.setattr(nk.Runs, "cumsums", counted)
+    every, first = np.arange(n), np.arange(m)
     cases = [
-        (x, spans, {}), (x[:m], prefix, {}), (x[:, 0], spans, {}), (x[:m, 0], prefix, {}),
+        (x, spans, dict(rows=every)), (x[:m], prefix, dict(rows=first)),
+        (x[:, 0], spans, dict(rows=every)), (x[:m, 0], prefix, dict(rows=first)),
         (x, spans, dict(rows=rows, weights=weights)), (x, prefix, dict(rows=rows[:m])),
         (x[:, 3], spans, dict(rows=rows, weights=weights)),
     ]
@@ -602,8 +604,8 @@ def test_run_sums_blocks_of_columns_equal_one_block_bit_for_bit(monkeypatch):
     assert [shape[1:] for shape in calls[:3]] == [(8,), (8,), (4,)]
     assert not whole[0][-3:].any()  # spans that take no row
     scaled = x[rows] * weights[:, None]
-    assert np.array_equal(whole[4], nk.run_sums(scaled, runs, spans))
-    assert np.array_equal(whole[5], nk.run_sums(x[rows[:m]], runs, prefix))
+    assert np.array_equal(whole[4], nk.run_sums(scaled, runs, spans, every))
+    assert np.array_equal(whole[5], nk.run_sums(x[rows[:m]], runs, prefix, first))
 
 
 def test_run_sums_reject_bad_rows_and_weights():
@@ -611,7 +613,7 @@ def test_run_sums_reject_bad_rows_and_weights():
     with pytest.raises(NumkitError, match="out of range"):
         nk.run_sums(np.ones((3, 2)), runs, [[0, 1, 1, 2]], rows=[0, 1, 2, 3])
     with pytest.raises(NumkitError, match="one weight per row"):
-        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 2]], weights=np.ones(3))
+        nk.run_sums(np.ones((4, 2)), runs, [[0, 1, 1, 2]], np.arange(4), weights=np.ones(3))
 
 
 def test_backward_through_an_unrecorded_value_raises():

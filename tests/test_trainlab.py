@@ -446,12 +446,18 @@ def same_sample(a, b):
     )
 
 
-def test_cache_retains_graph_triples_only():
+def test_cache_keeps_only_the_triples_its_callers_name():
     graph = random_graph(np.random.default_rng(2), 8, 2, 16)
     config = ModelConfig(dim=4, hops=2)
+    # scoring keeps nothing, not even graph triples: no caller named them
     cache = SampleCache(graph, config)
+    params = init_params(config, graph.vocab.num_relations, np.random.default_rng(1))
+    trainlab.score_triples(params, config, cache, graph.triples)
+    assert not cache._store
     member = graph.triples[0]
-    assert cache.sample(member) is cache.sample(member)
+    assert cache.sample(member) is not cache.sample(member)
+    cache.precompute([member])
+    assert cache.sample(member) is cache.sample(member) is cache._store[member]
     outsider = Triple(0, 0, 1)
     while graph.has_triple(outsider):
         outsider = Triple(outsider.head, 0, outsider.tail + 1)
