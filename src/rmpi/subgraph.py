@@ -142,8 +142,8 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
 def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
                        k: int) -> dict[int, int]:
     """The entities pruning keeps, each with its distance from the nearer of
-    u and v in the subgraph induced on `common` plus the u–v link: those
-    within k of both there.
+    u and v in the subgraph induced on `common` and u and v, plus the u–v
+    link: those within k of both there.
 
     One walk of the graph's incidence index inside `common` from both ends
     at once.  With the link, an entity's distances from u and v differ by
