@@ -46,7 +46,6 @@ import numpy as np  # noqa: E402
 import gen  # noqa: E402
 import spec  # noqa: E402
 from rmpi import kgstore, rmpnet, subgraph, trainlab  # noqa: E402
-from rmpi.cli import VARIANTS  # noqa: E402
 
 GRAPH_TRIPLES = 300  # graph triples extracted, from the first
 NEGATIVES = 4  # seeded negatives per extracted triple
@@ -68,9 +67,7 @@ def benchmark(workload: str, labels: int | None = None) -> kgstore.Benchmark:
 def checkpoint(bench: kgstore.Benchmark, hops: int, variant: str) -> trainlab.Checkpoint:
     """A never-trained checkpoint of the variant at depth `hops`, seeded
     with SCORING_SEED, over the benchmark's relations."""
-    use_disclosing, target_attention = VARIANTS[variant]
-    config = rmpnet.ModelConfig(hops=hops, dim=32, use_disclosing=use_disclosing,
-                                target_attention=target_attention)
+    config = rmpnet.variant_config(variant, hops=hops, dim=32)
     vocab = bench.vocab
     return trainlab.Checkpoint(
         config=config,
@@ -119,10 +116,7 @@ def params_digest(params: dict) -> str:
 
 
 def training_line(variant: str) -> str:
-    use_disclosing, target_attention = VARIANTS[variant]
-    model = rmpnet.ModelConfig(hops=2, dim=32, edge_dropout=0.5,
-                               use_disclosing=use_disclosing,
-                               target_attention=target_attention)
+    model = rmpnet.variant_config(variant, hops=2, dim=32, edge_dropout=0.5)
     config = trainlab.TrainConfig(model=model, batch_size=16, seed=TRAINING_SEED, epochs=EPOCHS)
     ckpt = trainlab.train(benchmark("train-mild", TRAINING_SEED), config)
     return (f"training_digest: {variant}: train loss {ckpt.history['train_loss']!r}, "

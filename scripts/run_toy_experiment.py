@@ -20,27 +20,17 @@ import time
 
 import numpy as np
 
-from rmpi.cli import VARIANTS, _count, _dropout, _hops, _positive, _seed
+from rmpi.cli import _count, _dropout, _hops, _positive, _seed
 from rmpi.evalbench import classify, rank_queries
 from rmpi.kgstore import load_benchmark
-from rmpi.rmpnet import ModelConfig
+from rmpi.rmpnet import VARIANTS, variant_config
 from rmpi.schema import load_schema, pretrain
 from rmpi.trainlab import TrainConfig, train
 
 
-def model_for(args, variant, init_mode="random"):
-    use_disclosing, target_attention = VARIANTS[variant]
-    return ModelConfig(
-        hops=args.hop,
-        dim=args.dim,
-        edge_dropout=args.dropout,
-        use_disclosing=use_disclosing,
-        target_attention=target_attention,
-        init_mode=init_mode,
-    )
-
-
-def train_config(args, model, seed):
+def train_config(args, variant, seed, init_mode="random"):
+    model = variant_config(variant, hops=args.hop, dim=args.dim, edge_dropout=args.dropout,
+                           init_mode=init_mode)
     return TrainConfig(
         model=model,
         lr=args.lr,
@@ -57,9 +47,8 @@ def variant_table(bench, args):
     print(header)
     print("-" * len(header))
     for name in VARIANTS:
-        model = model_for(args, name)
         start = time.time()
-        ckpt = train(bench, train_config(args, model, args.seed))
+        ckpt = train(bench, train_config(args, name, args.seed))
         elapsed = time.time() - start
         cls = classify(ckpt, bench.test_graph, bench.test, seed=args.seed)
         rank = rank_queries(ckpt, bench.test_graph, bench.test,
@@ -77,9 +66,9 @@ def transfer_section(bench, bench_unseen, schema, args):
         emb = pretrain(schema, dim=300, epochs=200, seed=seed)
         named = {name: emb.vector(name)
                  for name in bench_unseen.vocab.relation_names}
-        ck_schema = train(bench, train_config(args, model_for(args, "base", "schema"), seed),
+        ck_schema = train(bench, train_config(args, "base", seed, "schema"),
                           schema_vectors=named)
-        ck_random = train(bench, train_config(args, model_for(args, "base"), seed))
+        ck_random = train(bench, train_config(args, "base", seed))
         # Negative draws pinned to seed 0 so both models face the same
         # corrupted set every round.
         schema_aucs.append(classify(ck_schema, bench_unseen.test_graph, bench_unseen.test,

@@ -22,8 +22,10 @@ It prints four lines:
 - the CPU seconds of `SampleCache.precompute` in the training run, and the
   memory the cache retains after it, from tracemalloc over a second,
   untimed precompute (K-hop memo cleared, after a full collection);
-- the median CPU ms of a step, from one step's end to the next (the first
-  from the end of precompute; validation, if a run reaches it, excluded);
+- the median CPU ms and wall ms of a step, from one step's end to the next
+  (the first from the end of precompute; validation, if a run reaches it,
+  excluded); CPU time past the wall time is other threads', such as OpenBLAS
+  workers';
 - the layer-1 relation-view edges of each step's batch, p50 and max;
 - the process's peak RSS after the steps, and its RSS as each step's
   forward begins, when no earlier step should hold memory: p50 and max.
@@ -48,7 +50,8 @@ import digest  # puts this checkout's src/ and perfbench/ on sys.path
 import gen  # noqa: E402
 import spec  # noqa: E402
 from rmpi import kgstore, rmpnet, trainlab  # noqa: E402
-from rmpi.cli import VARIANTS, _count, _hops, _number  # noqa: E402
+from rmpi.cli import _count, _hops, _number  # noqa: E402
+from rmpi.rmpnet import VARIANTS  # noqa: E402
 
 BATCH = 16
 SEED = 1  # the training seed and the seed of the graph's names, as perfbench's --seed 1
@@ -97,8 +100,11 @@ def retained_mib(graph, config, positives) -> float:
 
 def probe(bench: kgstore.Benchmark, config: trainlab.TrainConfig, steps: int) -> dict:
     """Run the first `steps` steps of training; what the probe prints."""
-    out = {"step_ms": [], "edges": [], "rss": []}
-    clock = {"last": None}
+    out = {"step_ms": [], "wall_ms": [], "edges": [], "rss": []}
+    clock = {"last": None}  # (CPU, wall) seconds as the last step ended
+
+    def now():
+        return time.process_time(), time.perf_counter()
     inner = {
         "precompute": trainlab.SampleCache.precompute,
         "adam_step": trainlab.adam_step,
@@ -110,21 +116,21 @@ def probe(bench: kgstore.Benchmark, config: trainlab.TrainConfig, steps: int) ->
     def precompute(cache, triples):
         start = time.process_time()
         inner["precompute"](cache, triples)
-        clock["last"] = time.process_time()
-        out["precompute_s"] = clock["last"] - start
+        clock["last"] = now()
+        out["precompute_s"] = clock["last"][0] - start
 
     def adam_step(*args, **kwargs):
         result = inner["adam_step"](*args, **kwargs)
-        now = time.process_time()
-        out["step_ms"].append(1000.0 * (now - clock["last"]))
-        clock["last"] = now
+        last, clock["last"] = clock["last"], now()
+        out["step_ms"].append(1000.0 * (clock["last"][0] - last[0]))
+        out["wall_ms"].append(1000.0 * (clock["last"][1] - last[1]))
         if len(out["step_ms"]) == steps:
             raise _Done
         return result
 
     def score_triples(*args, **kwargs):
         result = inner["score_triples"](*args, **kwargs)
-        clock["last"] = time.process_time()  # validation is no step's time
+        clock["last"] = now()  # validation is no step's time
         return result
 
     def score_sample(*args, training=False, **kwargs):
@@ -171,9 +177,7 @@ def main(argv=None) -> int:
         gen.generate(tmp, entities=args.entities, triples=args.triples, a=args.skew,
                      seed=spec.GRAPH_SEED, valid=HUB["valid"], test=HUB["test"], labels=SEED)
         bench = kgstore.load_benchmark(tmp)
-    use_disclosing, target_attention = VARIANTS[args.variant]
-    model = rmpnet.ModelConfig(hops=args.hops, use_disclosing=use_disclosing,
-                               target_attention=target_attention)
+    model = rmpnet.variant_config(args.variant, hops=args.hops)
     per_epoch = -(-len(bench.train.triples) // BATCH)
     epochs = -(-args.steps // per_epoch)
     config = trainlab.TrainConfig(model=model, batch_size=BATCH, seed=SEED,
@@ -187,7 +191,8 @@ def main(argv=None) -> int:
     print(f"{head}: precompute {out['precompute_s']:.2f} CPU s, "
           f"cache retains {cache_mib:.2f} MiB")
     print(f"{head}: {len(out['step_ms'])} steps of batch {BATCH}, "
-          f"median {statistics.median(out['step_ms']):.1f} CPU ms a step")
+          f"median {statistics.median(out['step_ms']):.1f} CPU ms and "
+          f"{statistics.median(out['wall_ms']):.1f} wall ms a step")
     print(f"{head}: layer-1 edges a step p50 {statistics.median_low(edges)}, max {max(edges)}")
     print(f"{head}: peak RSS {out['peak_mb']:.1f} MB, RSS as a step begins "
           f"p50 {statistics.median(out['rss']):.1f} MB, max {max(out['rss']):.1f} MB")

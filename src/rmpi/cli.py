@@ -1,9 +1,12 @@
 """Command-line surface: train, eval, schema-pretrain, benchgen, dump-subgraph.
 
-Exit codes: 0 success, 1 usage problem, 2 data or model error.  Every run
-writes a `run_manifest.json` next to its outputs recording the resolved
-flags, seed, input content digests and produced files, so identical argv
-over identical inputs leaves identical manifests up to timestamps.
+Exit codes: 0 success, 1 usage problem, 2 data or model error.  `--variant`
+names one of `rmpnet.VARIANTS`, built by `rmpnet.variant_config`.  Every run
+writes a `run_manifest.json` next to its outputs, by `write_run_manifest`
+alone: the command and resolved flags, the seed, the start time `main`
+stamps once before dispatch, input content digests and produced files, so
+identical argv over identical inputs leaves identical manifests up to
+timestamps.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .evalbench import EvalError, classify, rank_queries, recombine, write_repor
 from .fileio import MANIFEST, format_row, write_json
 from .kgstore import KGError, Triple, load_benchmark
 from .numkit import NumkitError
-from .rmpnet import ModelError, ModelConfig
+from .rmpnet import VARIANTS, ModelError, ModelConfig, variant_config
 from .schema import BLOCK_NAME, SchemaError, load_schema, load_vectors, pretrain, save_vectors
 from .subgraph import (
     MAX_HOPS,
@@ -33,7 +36,6 @@ from .subgraph import (
 )
 from .trainlab import (
     CHECKPOINT_PARAMS,
-    SampleCache,
     TrainConfig,
     TrainError,
     load_checkpoint,
@@ -58,14 +60,6 @@ DATA_ERRORS = (
     OSError,
     MemoryError,  # numpy's message names the allocation that failed
 )
-
-VARIANTS = {
-    "base": (False, False),
-    "ne": (True, False),
-    "ta": (False, True),
-    "ne-ta": (True, True),
-}
-
 
 class UsageError(Exception):
     pass
@@ -102,12 +96,15 @@ def _digest_path(path: str) -> str:
     return h.hexdigest()
 
 
-def write_run_manifest(out_dir, command, flags, seed, inputs, outputs, started):
+def write_run_manifest(args, out_dir, seed, inputs, outputs):
+    """Write out_dir's run manifest: the command and flags of `args`, the
+    seed, the start time `main` stamped on `args`, the inputs' digests and
+    the outputs."""
     manifest = {
-        "command": command,
-        "flags": flags,
+        "command": args.command,
+        "flags": {k: v for k, v in vars(args).items() if k not in ("func", "started")},
         "seed": seed,
-        "started": started,
+        "started": args.started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "inputs": {p: _digest_path(p) for p in sorted(set(inputs))},
         "outputs": sorted(outputs),
@@ -118,30 +115,19 @@ def write_run_manifest(out_dir, command, flags, seed, inputs, outputs, started):
     return path
 
 
-def _flags(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in vars(args).items():
-        if key not in skip:
-            out[key] = value
-    return out
-
-
 # ------------------------------------------------------------------ helpers
 
 def _model_config(args, schema_vectors=None) -> ModelConfig:
-    use_disclosing, target_attention = VARIANTS[args.variant]
     kwargs = {}
     if schema_vectors:
         # width follows whatever the pretraining exported
         any_vec = next(iter(schema_vectors.values()))
         kwargs["schema_dim"] = int(any_vec.shape[0])
-    return ModelConfig(
+    return variant_config(
+        args.variant,
         hops=args.hop,
         dim=args.dim,
         edge_dropout=args.dropout,
-        use_disclosing=use_disclosing,
-        target_attention=target_attention,
         fusion=args.fusion,
         init_mode=args.init,
         **kwargs,
@@ -212,20 +198,14 @@ def _dropout(text: str) -> float:
     return value
 
 
-def _parse_hits(text: str):
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--hits expects comma-separated integers: {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise UsageError(f"--hits values must be >= 1: {text!r}")
-    return values
+def _hits(text: str) -> tuple[int, ...]:
+    """An argparse type: comma-separated integers >= 1."""
+    return tuple(_count(part) for part in text.split(","))
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_train(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     schema_vectors = _load_schema_vectors(args)
     model = _model_config(args, schema_vectors)
     bench = load_benchmark(args.data)
@@ -255,9 +235,7 @@ def cmd_train(args) -> int:
             os.path.join(out_dir, CHECKPOINT_PARAMS),
         ]
         inputs = [args.data] + ([args.schema_vectors] if schema_vectors else [])
-        write_run_manifest(
-            out_dir, "train", _flags(args), seed, inputs, outputs, started
-        )
+        write_run_manifest(args, out_dir, seed, inputs, outputs)
         if ckpt.best_val_auc is not None:
             aucs.append(ckpt.best_val_auc)
             print(f"run {run}: best validation auc-pr {ckpt.best_val_auc:.4f}")
@@ -271,7 +249,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     if os.path.realpath(args.out) == os.path.realpath(args.ckpt):
         raise UsageError(
             f"--out {args.out} is the checkpoint directory, whose run manifest "
@@ -290,12 +267,11 @@ def cmd_eval(args) -> int:
         raise UsageError(
             "--schema-vectors is read only for a checkpoint trained with --init schema"
         )
-    cache = SampleCache(bench.test_graph, ckpt.config)
 
     if args.task == "classify":
         result = classify(
             ckpt, bench.test_graph, bench.test, seed=args.seed,
-            schema_vectors=schema_vectors, cache=cache,
+            schema_vectors=schema_vectors,
         )
         metrics = {"auc_pr": result.auc_pr, "targets": len(bench.test)}
     else:
@@ -303,7 +279,6 @@ def cmd_eval(args) -> int:
         result = rank_queries(
             ckpt, bench.test_graph, bench.test, sides=sides, num_neg=args.neg,
             seed=args.seed, hits_at=args.hits, schema_vectors=schema_vectors,
-            cache=cache,
         )
         metrics = {"mrr": result.mrr, "queries": len(result.ranks)}
         for n in sorted(result.hits):
@@ -313,15 +288,14 @@ def cmd_eval(args) -> int:
     for row in metrics.items():
         print(format_row(row))
     write_run_manifest(
-        args.out, "eval", _flags(args), args.seed,
+        args, args.out, args.seed,
         [args.ckpt, args.data] + ([args.schema_vectors] if schema_vectors else []),
-        [tsv_path, json_path], started,
+        [tsv_path, json_path],
     )
     return EXIT_OK
 
 
 def cmd_schema_pretrain(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     schema = load_schema(args.schema)
     emb = pretrain(
         schema,
@@ -342,15 +316,13 @@ def cmd_schema_pretrain(args) -> int:
         f"final mean loss {emb.loss_history[-1]:.4f}, exported {exported} vectors"
     )
     write_run_manifest(
-        args.out, "schema-pretrain", _flags(args), args.seed, [args.schema],
+        args, args.out, args.seed, [args.schema],
         [os.path.join(args.out, MANIFEST), os.path.join(args.out, BLOCK_NAME)],
-        started,
     )
     return EXIT_OK
 
 
 def cmd_benchgen(args) -> int:
-    started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     result = recombine(args.train_from, args.test_from, args.out)
 
     def tally(bench):
@@ -366,11 +338,10 @@ def cmd_benchgen(args) -> int:
     )
     print(f"fully: {fully_rel} relations over {fully_rows} triples")
     write_run_manifest(
-        args.out, "benchgen", _flags(args), 0,
+        args, args.out, 0,
         [args.train_from, args.test_from],
         [os.path.join(args.out, "semi"), os.path.join(args.out, "fully"),
          os.path.join(args.out, "unseen_relations.txt")],
-        started,
     )
     return EXIT_OK
 
@@ -427,7 +398,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--out", default=".")
     p_eval.add_argument("--task", choices=["classify", "rank"], default="classify")
     p_eval.add_argument("--neg", type=_count, default=49)
-    p_eval.add_argument("--hits", type=_parse_hits, default=(1, 5, 10))
+    p_eval.add_argument("--hits", type=_hits, default=(1, 5, 10))
     p_eval.add_argument("--side", choices=["head", "tail", "both"], default="both")
     p_eval.add_argument("--schema-vectors")
     p_eval.add_argument("--seed", type=_seed, default=0)
@@ -470,6 +441,7 @@ def main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.started = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -105,16 +105,15 @@ class RankOutcome(NamedTuple):
 
 # ------------------------------------------------------------------ scoring
 
-def _scoring_context(ckpt: Checkpoint, graph: KnowledgeGraph, schema_vectors):
+def _scoring_context(ckpt: Checkpoint, graph: KnowledgeGraph, schema_vectors, cache):
+    """The relation lookup, schema vectors and sample cache that score on
+    `graph`; EvalError if a given cache extracts from another graph."""
+    if cache is None:
+        cache = SampleCache(graph, ckpt.config)
+    elif cache.graph is not graph:
+        raise EvalError("the sample cache was built on another graph than the one scored")
     lookup = relation_lookup(ckpt, graph.vocab)
-    id_vectors = None
-    if ckpt.config.init_mode == "schema":
-        if schema_vectors is None:
-            raise EvalError("checkpoint uses schema init: schema vectors required")
-        id_vectors = resolve_schema_vectors(
-            schema_vectors, graph.vocab, ckpt.config.schema_dim
-        )
-    return lookup, id_vectors
+    return lookup, resolve_schema_vectors(schema_vectors, graph.vocab, ckpt.config), cache
 
 
 def classify(
@@ -129,8 +128,7 @@ def classify(
     targets = [Triple(*t) for t in targets]
     if not targets:
         raise EvalError("classification needs at least one target")
-    lookup, id_vectors = _scoring_context(ckpt, graph, schema_vectors)
-    cache = cache if cache is not None else SampleCache(graph, ckpt.config)
+    lookup, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
     rng = np.random.default_rng([seed, 201])
     negatives = [sample_negative(t, graph, rng) for t in targets]
     scores = score_triples(ckpt.params, ckpt.config, cache, targets + negatives,
@@ -192,8 +190,7 @@ def rank_entities(
     if side not in ("head", "tail"):
         raise EvalError(f"side must be 'head' or 'tail', got {side!r}")
     query = Triple(*query)
-    lookup, id_vectors = _scoring_context(ckpt, graph, schema_vectors)
-    cache = cache if cache is not None else SampleCache(graph, ckpt.config)
+    lookup, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
     if rng is None:
         rng = np.random.default_rng([seed, 301])
     truth = query.head if side == "head" else query.tail

@@ -201,8 +201,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The row count depends on the operands' widths only: PRODUCT_ROWS, or
     fewer where a block would exceed BLAS_CALL_SIZE multiply-adds, past
     which OpenBLAS starts worker threads that busy-wait between the model's
-    many small products (training took twice the CPU time).  Every call has
-    exactly that many rows, the last block padded with zero rows, because
+    many small products (training took twice the CPU time).  Every BLAS call
+    has exactly that many rows, the last block padded with zero rows, because
     OpenBLAS picks its kernel by the call's row count (1, 2-37 and 38 or
     more rows run three kernels for the model's products) and the kernels
     round differently.  So a row's result depends on its contents alone: a
@@ -221,8 +221,9 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)  # one memory layout, so one kernel, for every block
     out = np.empty((m, n))
     full = m - m % rows
-    for lo in range(0, full, rows):
-        np.matmul(a[lo : lo + rows], b, out=out[lo : lo + rows])
+    if full:  # the full blocks, stacked: one BLAS call each
+        blocks = (full // rows, rows)
+        np.matmul(a[:full].reshape(*blocks, a.shape[1]), b, out=out[:full].reshape(*blocks, n))
     if full < m:
         tail = np.zeros((rows, a.shape[1]))
         tail[: m - full] = a[full:]

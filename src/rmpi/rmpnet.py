@@ -103,6 +103,23 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
+# The paper's variants by name: (use_disclosing, target_attention).
+VARIANTS = {
+    "base": (False, False),
+    "ne": (True, False),
+    "ta": (False, True),
+    "ne-ta": (True, True),
+}
+
+
+def variant_config(name: str, **fields) -> ModelConfig:
+    """The ModelConfig of a named variant, with its other fields given."""
+    if name not in VARIANTS:
+        raise ModelError(f"variant must be one of {sorted(VARIANTS)}, got {name!r}")
+    use_disclosing, target_attention = VARIANTS[name]
+    return ModelConfig(use_disclosing=use_disclosing, target_attention=target_attention, **fields)
+
+
 def _xavier(rng: np.random.Generator, shape) -> np.ndarray:
     limit = math.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)

@@ -281,11 +281,21 @@ def relation_lookup(ckpt: Checkpoint, vocab: Vocabulary):
 
 
 def resolve_schema_vectors(
-    named_vectors: dict[str, np.ndarray],
+    named_vectors: dict[str, np.ndarray] | None,
     vocab: Vocabulary,
-    expected_dim: int | None = None,
-) -> dict[int, np.ndarray]:
-    """Re-key exported schema vectors by relation id; all must be covered."""
+    config: ModelConfig,
+) -> dict[int, np.ndarray] | None:
+    """The schema vectors a model of `config` reads, re-keyed by relation id.
+
+    None for random init, which reads none, whatever is given.  Schema init
+    needs a vector of width config.schema_dim for every relation of the
+    vocabulary: TrainError when vectors are not given, miss a relation or
+    have another width.
+    """
+    if config.init_mode != "schema":
+        return None
+    if named_vectors is None:
+        raise TrainError("schema init mode needs pretrained schema vectors")
     out = {}
     missing = []
     for rid, name in enumerate(vocab.relation_names):
@@ -294,10 +304,10 @@ def resolve_schema_vectors(
             missing.append(name)
         else:
             vec = np.asarray(vec, dtype=np.float64)
-            if expected_dim is not None and vec.shape != (expected_dim,):
+            if vec.shape != (config.schema_dim,):
                 raise TrainError(
                     f"schema vector for {name!r} has shape {vec.shape}; the "
-                    f"model was configured for width {expected_dim}"
+                    f"model was configured for width {config.schema_dim}"
                 )
             out[rid] = vec
     if missing:
@@ -368,12 +378,7 @@ def train(
     graph = benchmark.train
     mc = config.model
 
-    id_vectors = None
-    if mc.init_mode == "schema":
-        if schema_vectors is None:
-            raise TrainError("schema init mode needs pretrained schema vectors")
-        id_vectors = resolve_schema_vectors(schema_vectors, vocab, mc.schema_dim)
-
+    id_vectors = resolve_schema_vectors(schema_vectors, vocab, mc)
     rng_init = np.random.default_rng(config.seed)
     params = init_params(mc, vocab.num_relations, rng_init)
     seen = vocab.seen_relations()

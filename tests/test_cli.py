@@ -84,10 +84,16 @@ def test_invalid_choice_is_usage_error(tmp_path):
     assert code == 1
 
 
-def test_bad_hits_list_is_usage_error(tmp_path):
+def test_bad_hits_list_is_usage_error(tmp_path, capsys):
     data = bench_dir(tmp_path)
-    code = main(["eval", "--ckpt", "x", "--data", str(data), "--hits", "a,b"])
-    assert code == 1
+    for hits, line in [("a,b", "expected an integer, got 'a'"),
+                       ("1,0", "must be >= 1, got 0"),
+                       ("", "expected an integer, got ''")]:
+        code = main(["eval", "--ckpt", "x", "--data", str(data), "--hits", hits])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"usage error: argument --hits: {line}"
+        assert err.splitlines()[1].startswith("usage: rmpi eval")
 
 
 @pytest.mark.parametrize(

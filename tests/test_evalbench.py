@@ -19,7 +19,7 @@ from rmpi.evalbench import (
 )
 from rmpi.kgstore import KnowledgeGraph, Triple, load_benchmark
 from rmpi.rmpnet import ModelConfig, init_params
-from rmpi.trainlab import Checkpoint
+from rmpi.trainlab import Checkpoint, SampleCache
 
 from oracles import average_precision_ref, trapezoid_pr_area
 from synth import make_vocab, write_benchmark_dir
@@ -162,7 +162,37 @@ def test_classify_rejects_empty_targets():
         classify(make_ckpt(graph), graph, [], seed=0)
 
 
+def twin_graphs():
+    """Two three-triple graphs over one vocabulary, sharing no triple."""
+    vocab = make_vocab(6, 2)
+    return (KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(1, 1, 2), Triple(2, 0, 0)]),
+            KnowledgeGraph(vocab, [Triple(3, 0, 4), Triple(4, 1, 5), Triple(0, 0, 3)]))
+
+
+def test_classify_refuses_a_cache_of_another_graph():
+    # scored from the other graph's subgraphs, the run would read a wrong AUC-PR
+    graph, other = twin_graphs()
+    ckpt = make_ckpt(graph)
+    target = [Triple(0, 1, 2)]
+    with pytest.raises(EvalError, match="another graph"):
+        classify(ckpt, graph, target, cache=SampleCache(other, ckpt.config))
+    own = classify(ckpt, graph, target, cache=SampleCache(graph, ckpt.config))
+    assert own == classify(ckpt, graph, target)
+
+
 # ---------------------------------------------------------------- ranking
+
+def test_rank_refuses_a_cache_of_another_graph():
+    graph, other = twin_graphs()
+    ckpt = make_ckpt(graph)
+    query = Triple(0, 1, 2)
+    with pytest.raises(EvalError, match="another graph"):
+        rank_entities(ckpt, graph, query, "tail", cache=SampleCache(other, ckpt.config))
+    with pytest.raises(EvalError, match="another graph"):  # passed on to rank_entities
+        rank_queries(ckpt, graph, [query], cache=SampleCache(other, ckpt.config))
+    own = rank_entities(ckpt, graph, query, "tail", cache=SampleCache(graph, ckpt.config))
+    assert own == rank_entities(ckpt, graph, query, "tail")
+
 
 def test_rank_constant_scorer_is_pessimistic():
     graph = chain_graph(60)

@@ -78,7 +78,7 @@ def test_schema_vectors_carry_model_to_renamed_relations():
 
     def score(bench, vecs):
         cache = SampleCache(bench.test_graph, model)
-        resolved = resolve_schema_vectors(vecs, bench.vocab)
+        resolved = resolve_schema_vectors(vecs, bench.vocab, model)
         return score_triples(ckpt.params, model, cache, bench.test, None, resolved, 0)
 
     scores_a = score(bench_a, vecs_a)

@@ -1062,3 +1062,12 @@ def test_config_validation():
         ModelConfig(init_mode="onehot")
     round_trip = ModelConfig.from_dict(ModelConfig(dim=8).to_dict())
     assert round_trip == ModelConfig(dim=8)
+
+
+def test_variant_config_sets_the_variant_and_the_given_fields():
+    for name, ne, ta in [("base", False, False), ("ne", True, False),
+                         ("ta", False, True), ("ne-ta", True, True)]:
+        assert rmpnet.variant_config(name, hops=3, fusion="conc") == ModelConfig(
+            hops=3, fusion="conc", use_disclosing=ne, target_attention=ta)
+    with pytest.raises(ModelError, match="variant must be one of"):
+        rmpnet.variant_config("ne-ne")

@@ -138,9 +138,9 @@ def test_train_probe_reports_steps_edges_and_memory():
     cache = re.fullmatch(r"precompute (\d+\.\d\d) CPU s, cache retains (\d+\.\d\d) MiB",
                          lines[0][len(head):])
     assert cache and float(cache.group(2)) > 0
-    steps = re.fullmatch(r"5 steps of batch 16, median (\d+\.\d) CPU ms a step",
-                         lines[1][len(head):])
-    assert steps and float(steps.group(1)) > 0
+    steps = re.fullmatch(r"5 steps of batch 16, median (\d+\.\d) CPU ms and (\d+\.\d) wall ms "
+                         r"a step", lines[1][len(head):])
+    assert steps and float(steps.group(1)) > 0 and float(steps.group(2)) > 0
     edges = re.fullmatch(r"layer-1 edges a step p50 (\d+), max (\d+)", lines[2][len(head):])
     assert edges and 0 < int(edges.group(1)) <= int(edges.group(2))
     rss = re.fullmatch(r"peak RSS (\S+) MB, RSS as a step begins p50 (\S+) MB, max (\S+) MB",

@@ -724,19 +724,27 @@ def test_relation_lookup_matches_by_name():
 def test_resolve_schema_vectors():
     vocab = make_vocab(2, 2)
     named = {"r0": np.ones(5), "r1": np.zeros(5)}
-    by_id = resolve_schema_vectors(named, vocab)
+    schema = ModelConfig(init_mode="schema", schema_dim=5)
+    by_id = resolve_schema_vectors(named, vocab, schema)
     assert set(by_id) == {0, 1}
     assert by_id[0] @ by_id[0] == 5.0
     with pytest.raises(TrainError, match="missing"):
-        resolve_schema_vectors({"r0": np.ones(5)}, vocab)
+        resolve_schema_vectors({"r0": np.ones(5)}, vocab, schema)
+    with pytest.raises(TrainError, match="needs pretrained schema vectors"):
+        resolve_schema_vectors(None, vocab, schema)
+    for given in (None, named, {"r0": np.ones(5)}):  # random init reads none
+        assert resolve_schema_vectors(given, vocab, ModelConfig()) is None
 
 
 def test_resolve_schema_vectors_checks_width():
     vocab = make_vocab(2, 2)
     named = {"r0": np.ones(5), "r1": np.zeros(5)}
-    assert set(resolve_schema_vectors(named, vocab, expected_dim=5)) == {0, 1}
+    def schema(width):
+        return ModelConfig(init_mode="schema", schema_dim=width)
+
+    assert set(resolve_schema_vectors(named, vocab, schema(5))) == {0, 1}
     with pytest.raises(TrainError, match="width 7"):
-        resolve_schema_vectors(named, vocab, expected_dim=7)
+        resolve_schema_vectors(named, vocab, schema(7))
 
 
 def test_train_accepts_configured_vector_width():
