@@ -9,7 +9,8 @@ does:
 
     python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100]
 
-A second line gives the incidence rows each layer summed, and all the rows
+The first line ends with the K-hop balls that pass walked and those it found
+in the graph's memo (kgstore.khop_ball).  A second line gives the incidence rows each layer summed, and all the rows
 of the scored batches' Incidences, totalled over the batches of a second,
 untimed pass.  A third gives the largest heap peak that tracemalloc traces
 in one scored forward (`trainlab.score_sample`) above what was traced when
@@ -89,13 +90,17 @@ def main(argv=None) -> int:
     bench = digest.benchmark("classify-hub", digest.SCORING_SEED)
     ckpt = digest.checkpoint(bench, args.hops, args.variant)
     targets = bench.test[: args.targets]
+    graph = bench.test_graph
+    walks, hits = graph.khop_walks, graph.khop_hits
     start = time.process_time()
-    result = evalbench.classify(ckpt, bench.test_graph, targets, seed=spec.EVAL_SEED)
+    result = evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
     seconds = time.process_time() - start
+    walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
     scored = len(result.scores)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     print(f"hub_probe: {args.variant} K={args.hops}: {scored} triples in {seconds:.2f} CPU s, "
-          f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, auc-pr {result.auc_pr:.4f}")
+          f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, auc-pr {result.auc_pr:.4f}, "
+          f"{walks} K-hop walks and {hits} memo hits")
     summed = summed_rows(ckpt, bench.test_graph, targets)
     print(f"hub_probe: incidence rows summed by layers 1..{args.hops}: "
           f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")

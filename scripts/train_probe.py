@@ -19,9 +19,11 @@ the ne-ta model:
 
 It prints four lines:
 
-- the CPU seconds of `SampleCache.precompute` in the training run, and the
-  memory the cache retains after it, from tracemalloc over a second,
-  untimed precompute (K-hop memo cleared, after a full collection);
+- the CPU seconds of `SampleCache.precompute` in the training run, the
+  K-hop balls it walked and those it found in the graph's memo
+  (kgstore.khop_ball), and the memory the cache retains after it, from
+  tracemalloc over a second, untimed precompute (K-hop memo cleared, after
+  a full collection);
 - the median CPU ms and wall ms of a step, from one step's end to the next
   (the first from the end of precompute; validation, if a run reaches it,
   excluded); CPU time past the wall time is other threads', such as OpenBLAS
@@ -114,10 +116,13 @@ def probe(bench: kgstore.Benchmark, config: trainlab.TrainConfig, steps: int) ->
     }
 
     def precompute(cache, triples):
+        graph = cache.graph
+        walks, hits = graph.khop_walks, graph.khop_hits
         start = time.process_time()
         inner["precompute"](cache, triples)
         clock["last"] = now()
         out["precompute_s"] = clock["last"][0] - start
+        out["khop"] = graph.khop_walks - walks, graph.khop_hits - hits
 
     def adam_step(*args, **kwargs):
         result = inner["adam_step"](*args, **kwargs)
@@ -189,6 +194,7 @@ def main(argv=None) -> int:
             f"{len(bench.train.triples)} triples, a={args.skew:g}")
     edges = out["edges"]
     print(f"{head}: precompute {out['precompute_s']:.2f} CPU s, "
+          f"{out['khop'][0]} K-hop walks and {out['khop'][1]} memo hits, "
           f"cache retains {cache_mib:.2f} MiB")
     print(f"{head}: {len(out['step_ms'])} steps of batch {BATCH}, "
           f"median {statistics.median(out['step_ms']):.1f} CPU ms and "

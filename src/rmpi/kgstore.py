@@ -16,11 +16,15 @@ Edges are read undirected, so a triple is listed under both of its ends and
 a self-loop once, under its entity.  `arrays` holds the same triples as one
 int32 array, so that subgraphs and samples can hold triple indices and
 gather their ends and relations in one step.
-`bfs` walks that index for `khop_neighbors`; extraction walks it too,
-inside the neighbourhood a target's two ends share.  A graph memoises its
-K-hop maps per (entity, k), since the candidates of a rank query all share
-the query's fixed entity; the memo holds at most KHOP_MEMO_ENTRIES map
-entries in all (or one larger map), evicting the least recently used maps.
+`bfs` walks that index; extraction walks it too, inside the neighbourhood a
+target's two ends share.  Extraction reads each K-hop ball through
+`khop_ball`, which memoises it on the graph per (entity, k) as an ascending
+int32 array of entity ids, so that the candidates of a rank query, which all
+share the query's fixed entity, and every later pass over the same targets
+walk each ball once.  The memo's budget scales with the graph's index:
+KHOP_MEMO_IDS_PER_ROW ids per incidence row in all (or one larger ball),
+evicting the least recently used balls.  `khop_neighbors` is the walk's
+distance map, unmemoised.
 """
 
 from __future__ import annotations
@@ -114,16 +118,16 @@ class Vocabulary:
         return h.hexdigest()
 
 
-# Most (entity, distance) entries the K-hop maps memoised on one graph hold
-# in all; a map larger than this is still kept, alone.  A rank query touches
-# its fixed entity's map for each candidate, so the map stays in.  A cap
-# of 4096 gave the same rank speed at twice the memory.  At K=2 with no
-# cap the memo grows well past this: train-mild's training graph held
-# 20,876 entries in 998 maps (about 0.9 MB of dicts) after 2 epochs, and
-# rank-skewed's test graph 37,157 entries (about 1.6 MB) after one pass.
-# On classify-hub one of the largest hub maps (1,232 entries) fills the
-# cap alone, so about 395 of a pass's 400 K-hop calls walk the graph.
-KHOP_MEMO_ENTRIES = 1 << 11
+# Most entity ids the K-hop balls memoised on one graph hold in all, per
+# incidence row of its index (a triple has two rows, a self-loop one); a
+# ball larger than the budget is still kept, alone.  That is 64 bytes of ids
+# a row, less than the index itself costs a row.  At K=2 the budget holds
+# every ball of train-mild's training graph (20,876 ids against 64k) and of
+# rank-skewed's test graph (38,470 against 80k), and every ball a
+# classify-hub pass reads (44,264 against 112k), so perfbench's later passes
+# walk none; on a paper-like graph (4,700 entities, 34,000 triples, a=0.5)
+# it holds 1.09M of the 1.9M ids of all K=2 balls, about 4.4 MB.
+KHOP_MEMO_IDS_PER_ROW = 16
 
 
 class KnowledgeGraph:
@@ -134,8 +138,10 @@ class KnowledgeGraph:
     recovered; `entities` is a read-only view of its keys.  The index, the
     member set behind `has_triple`, `arrays` and the sorted entity list are
     each built the first time they are read.  `khop_memo` holds the K-hop
-    maps khop_neighbors handed out, least recently used first, and
-    `khop_memo_entries` their total size.
+    balls khop_ball handed out, least recently used first, and
+    `khop_memo_entries` their total size in ids; `khop_walks` counts the
+    balls khop_ball walked the index for, and `khop_hits` those it found in
+    the memo.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
@@ -148,8 +154,10 @@ class KnowledgeGraph:
                 raise KGError(f"entity id out of range in {t}")
             if not (0 <= t.relation < nr):
                 raise KGError(f"relation id out of range in {t}")
-        self.khop_memo: OrderedDict[tuple[int, int], Mapping[int, int]] = OrderedDict()
+        self.khop_memo: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
         self.khop_memo_entries = 0
+        self.khop_walks = 0
+        self.khop_hits = 0
 
     @cached_property
     def incident(self) -> dict[int, list[tuple[int, int]]]:
@@ -159,6 +167,15 @@ class KnowledgeGraph:
             if tail != head:
                 incident.setdefault(tail, []).append((head, idx))
         return incident
+
+    @cached_property
+    def _incidence_rows(self) -> int:
+        return sum(map(len, self.incident.values()))
+
+    @property
+    def khop_memo_budget(self) -> int:
+        """Most ids the K-hop memo holds in all, but for one larger ball."""
+        return KHOP_MEMO_IDS_PER_ROW * self._incidence_rows
 
     @property
     def entities(self) -> KeysView[int]:
@@ -214,28 +231,52 @@ def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
     return dist
 
 
+def _check_walk(graph: KnowledgeGraph, center: int, k: int) -> None:
+    if not (0 <= center < graph.vocab.num_entities):
+        raise KGError(f"unknown entity id: {center}")
+    if k < 0:
+        raise KGError(f"negative hop count: {k}")
+
+
 def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, int]:
     """Entities within k undirected hops of center, mapped to their hop distance.
 
     The center is always present at distance 0, even when isolated.  Raises
     KGError for an id outside the vocabulary or a negative k.  The map is
-    read-only, since it is memoised on the graph and shared by every caller
-    until the memo evicts it.
+    read-only; it is walked on each call, not memoised (extraction reads
+    khop_ball).
     """
-    if not (0 <= center < graph.vocab.num_entities):
-        raise KGError(f"unknown entity id: {center}")
-    if k < 0:
-        raise KGError(f"negative hop count: {k}")
+    _check_walk(graph, center, k)
+    return MappingProxyType(bfs(graph.incident, center, k))
+
+
+def khop_ball(graph: KnowledgeGraph, center: int, k: int) -> np.ndarray:
+    """The entities within k undirected hops of center, the center included,
+    as a read-only ascending int32 array of ids.
+
+    Memoised on the graph and shared by every caller until the memo evicts
+    it: the memo holds at most graph.khop_memo_budget ids in all, or one
+    larger ball, and evicts the least recently used balls first.  Raises
+    KGError for an id outside the vocabulary or a negative k.
+    """
     memo, key = graph.khop_memo, (center, k)
-    got = memo.get(key)
-    if got is not None:
+    ball = memo.get(key)
+    if ball is not None:
         memo.move_to_end(key)
-        return got
-    got = memo[key] = MappingProxyType(bfs(graph.incident, center, k))
-    graph.khop_memo_entries += len(got)
-    while graph.khop_memo_entries > KHOP_MEMO_ENTRIES and len(memo) > 1:
+        graph.khop_hits += 1
+        return ball
+    _check_walk(graph, center, k)
+    dist = bfs(graph.incident, center, k)
+    ball = np.fromiter(dist, np.int32, len(dist))
+    ball.sort()
+    ball.flags.writeable = False
+    memo[key] = ball
+    graph.khop_walks += 1
+    graph.khop_memo_entries += len(ball)
+    budget = graph.khop_memo_budget
+    while graph.khop_memo_entries > budget and len(memo) > 1:
         graph.khop_memo_entries -= len(memo.popitem(last=False)[1])
-    return got
+    return ball
 
 
 class Benchmark(NamedTuple):

@@ -28,10 +28,12 @@ inspection.
 
 Both extractions return one Subgraph record, whose docstring gives its
 format; consumers gather ends and labels by index.  Extraction reads the
-K-hop maps the graph memoises, so the candidates of a rank query, which
-share its fixed entity, walk that entity's neighbourhood once.  Pruning
-walks the graph's incidence index inside the intersection, and the triples
-are then gathered at the entities it keeps.
+K-hop balls the graph memoises (kgstore.khop_ball), so each (entity, K) is
+walked once while the memo holds it: the candidates of a rank query, which
+share its fixed entity, walk that entity's neighbourhood once, and a later
+pass over the same targets walks none.  Pruning walks the graph's incidence
+index inside the intersection, and the triples are then gathered at the
+entities it keeps.
 """
 
 from __future__ import annotations
@@ -42,7 +44,12 @@ import numpy as np
 
 from . import numkit as nk
 from .fileio import format_row
-from .kgstore import KnowledgeGraph, Triple, khop_neighbors
+from .kgstore import (
+    KnowledgeGraph,
+    Triple,
+    khop_ball,
+    khop_neighbors,  # noqa: F401  perfbench's tracer wraps it under this name too
+)
 
 # Edge types of the relation view.  For an ordered pair n1=(h1,_,t1),
 # n2=(h2,_,t2) the basic patterns are single shared-position matches; PARA
@@ -128,10 +135,10 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
     """Indices, ascending, of the triples with both ends inside `entities`,
     skipping instances equal to the target so that the injected target edge
     stays unique."""
-    triples = graph.triples
+    triples, incident = graph.triples, graph.incident
     picked = []
     for e in entities:
-        for other, idx in graph.incident.get(e, ()):
+        for other, idx in incident.get(e, ()):
             # a triple is listed under both ends: take it at its smaller one
             if other >= e and other in entities and triples[idx] != target:
                 picked.append(idx)
@@ -151,6 +158,7 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
     nearer is below k, or when d = k and both ends reach it in d steps.
     `ends` marks by bit which ends reach an entity in its d steps.
     """
+    incident = graph.incident
     ends = {u: 1, v: 2} if u != v else {u: 3}
     dist = dict.fromkeys(ends, 0)
     frontier = list(ends)
@@ -158,7 +166,7 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
         nxt = []
         for e in frontier:
             bits = ends[e]
-            for n, _ in graph.incident.get(e, ()):
+            for n, _ in incident.get(e, ()):
                 if n not in dist:
                     if n in common:
                         dist[n] = d
@@ -177,11 +185,12 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
     re-measures distances inside the induced subgraph (with the target edge
     present, so u and v are adjacent) and drops every entity that is isolated or
     farther than K from either center there.  The result can degenerate to
-    just the target edge.  The K-hop maps come from khop_neighbors, which
-    memoises them on the graph, so the candidates of a rank query share
-    their fixed entity's map; the distances inside are measured by one walk
-    of the graph's own index within the intersection, from u and v at once
-    (_pruning_distances).
+    just the target edge.  The K-hop balls come from kgstore.khop_ball,
+    which memoises them on the graph, so the candidates of a rank query
+    share their fixed entity's ball; the smaller ball is looked up in the
+    larger, so a candidate pays for its own ball, not the fixed entity's.
+    The distances inside are measured by one walk of the graph's own index
+    within the intersection, from u and v at once (_pruning_distances).
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), which are pruning's
@@ -205,7 +214,10 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
     if not 1 <= k <= MAX_HOPS:
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
     u, _, v = target
-    common = khop_neighbors(graph, u, k).keys() & khop_neighbors(graph, v, k).keys()
+    small, large = khop_ball(graph, u, k), khop_ball(graph, v, k)
+    if len(small) > len(large):
+        small, large = large, small
+    common = set(small[large.take(large.searchsorted(small), mode="clip") == small].tolist())
     near = _pruning_distances(graph, u, v, common, k)
     idxs = _induced_triples(graph, near, target)
     triples, levels = graph.triples, []
@@ -222,7 +234,7 @@ def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgrap
     if k < 1:
         raise SubgraphError(f"hop count must be >= 1, got {k}")
     u, _, v = target
-    entities = khop_neighbors(graph, u, k).keys() | khop_neighbors(graph, v, k).keys()
+    entities = set(khop_ball(graph, u, k).tolist()).union(khop_ball(graph, v, k).tolist())
     idxs = np.array(_induced_triples(graph, entities, target), dtype=np.int32)
     return Subgraph(graph, idxs, target, None, NO_LABELS)
 

@@ -15,6 +15,7 @@ from rmpi.kgstore import (
     KnowledgeGraph,
     Triple,
     Vocabulary,
+    khop_ball,
     khop_neighbors,
     load_benchmark,
 )
@@ -54,6 +55,10 @@ def test_khop_errors():
         khop_neighbors(g, -1, 1)
     with pytest.raises(KGError):
         khop_neighbors(g, 0, -1)
+    for center, k in ((5, 1), (-1, 1), (0, -1)):
+        with pytest.raises(KGError):
+            khop_ball(g, center, k)
+    assert not g.khop_memo and g.khop_walks == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,13 +76,13 @@ def test_khop_matches_floyd_warshall(n_entities, n_triples, k, seed):
         got = khop_neighbors(g, center, k)
         want = {j: int(dist[center][j]) for j in range(n_entities) if dist[center][j] <= k}
         assert got == want
+        assert khop_ball(g, center, k).tolist() == sorted(want)
 
 
 def test_khop_maps_are_read_only_and_shared():
     vocab = make_vocab(3, 1)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 1), Triple(1, 0, 2)])
     got = khop_neighbors(g, 0, 1)
-    assert got is khop_neighbors(g, 0, 1)
     with pytest.raises(TypeError):
         got[2] = 2
     with pytest.raises(TypeError):
@@ -85,6 +90,12 @@ def test_khop_maps_are_read_only_and_shared():
     with pytest.raises(AttributeError):
         got.pop(1)
     assert khop_neighbors(g, 0, 1) == {0: 0, 1: 1}
+    ball = khop_ball(g, 0, 1)
+    assert ball is khop_ball(g, 0, 1)  # shared, from the memo
+    assert ball.dtype == np.int32 and not ball.flags.writeable
+    with pytest.raises(ValueError):
+        ball[0] = 2
+    assert khop_ball(g, 0, 1).tolist() == sorted(kgstore.bfs(g.incident, 0, 1)) == [0, 1]
 
 
 def test_triple_arrays_are_built_once():
@@ -97,19 +108,22 @@ def test_triple_arrays_are_built_once():
     assert KnowledgeGraph(vocab, []).arrays.shape == (3, 0)
 
 
-@pytest.mark.parametrize("cap", [1, 3, 10, 40])
-def test_khop_memo_stays_within_its_cap(monkeypatch, cap):
-    monkeypatch.setattr(kgstore, "KHOP_MEMO_ENTRIES", cap)
-    rng = np.random.default_rng(cap)
+@pytest.mark.parametrize("per_row", [0, 1, 2, 16])
+def test_khop_memo_stays_within_its_cap(monkeypatch, per_row):
+    monkeypatch.setattr(kgstore, "KHOP_MEMO_IDS_PER_ROW", per_row)
+    rng = np.random.default_rng(per_row)
     g = random_graph(rng, 12, 3, 20)
+    rows = sum(len(pairs) for pairs in g.incident.values())
+    assert g.khop_memo_budget == per_row * rows
     for _ in range(200):
         center, k = int(rng.integers(12)), int(rng.integers(4))
-        got = khop_neighbors(g, center, k)
+        got = khop_ball(g, center, k)
         memo = g.khop_memo
-        assert next(reversed(memo)) == (center, k)  # the latest map is the newest
+        assert next(reversed(memo)) == (center, k)  # the latest ball is the newest
         assert g.khop_memo_entries == sum(len(m) for m in memo.values())
-        assert g.khop_memo_entries <= cap or len(memo) == 1
-        assert got == kgstore.bfs(g.incident, center, k)
+        assert g.khop_memo_entries <= per_row * rows or len(memo) == 1
+        assert got.tolist() == sorted(kgstore.bfs(g.incident, center, k))
+    assert g.khop_walks + g.khop_hits == 200
 
 
 # ---------------------------------------------------------------- graph

@@ -107,6 +107,9 @@ def test_hub_probe_reports_rate_and_memory():
     )
     assert "ne-ta K=1: 10 triples in" in done.stdout
     assert "triples/s, peak RSS" in done.stdout
+    khop = re.search(r", (\d+) K-hop walks and (\d+) memo hits$", done.stdout.splitlines()[0])
+    # 10 targets read 20 balls, at most 2 per distinct entity
+    assert khop and 0 < int(khop.group(1)) and int(khop.group(1)) + int(khop.group(2)) == 20
     head, counts = done.stdout.strip().splitlines()[1].split(": ", 2)[1:]
     assert head == "incidence rows summed by layers 1..1"
     summed, total = map(int, counts.split(" of "))
@@ -135,9 +138,12 @@ def test_train_probe_reports_steps_edges_and_memory():
     assert len(lines) == 4
     head = "train_probe: ne-ta K=1, 40 entities, 60 triples, a=0.5: "
     assert all(line.startswith(head) for line in lines)
-    cache = re.fullmatch(r"precompute (\d+\.\d\d) CPU s, cache retains (\d+\.\d\d) MiB",
-                         lines[0][len(head):])
-    assert cache and float(cache.group(2)) > 0
+    cache = re.fullmatch(r"precompute (\d+\.\d\d) CPU s, (\d+) K-hop walks and (\d+) memo hits, "
+                         r"cache retains (\d+\.\d\d) MiB", lines[0][len(head):])
+    assert cache and float(cache.group(4)) > 0
+    # 60 positives read 120 balls, one walk per distinct end at most
+    walks, hits = int(cache.group(2)), int(cache.group(3))
+    assert 0 < walks <= 40 and walks + hits == 120
     steps = re.fullmatch(r"5 steps of batch 16, median (\d+\.\d) CPU ms and (\d+\.\d) wall ms "
                          r"a step", lines[1][len(head):])
     assert steps and float(steps.group(1)) > 0 and float(steps.group(2)) > 0

@@ -497,16 +497,16 @@ def assert_levels_are_prunings_node_sets(sub, depth):
     st.integers(min_value=2, max_value=9),
     st.integers(min_value=1, max_value=20),
     st.integers(min_value=1, max_value=3),
-    st.sampled_from([1, 6, 4096]),
+    st.sampled_from([0, 1, 16]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_extraction_on_a_warm_memo_matches_the_oracles(n_entities, n_triples, k, cap, seed):
+def test_extraction_on_a_warm_memo_matches_the_oracles(n_entities, n_triples, k, per_row, seed):
     # many targets from one graph, most sharing an end with the one before,
     # as a rank query's candidates share its fixed entity
     rng = np.random.default_rng(seed)
     g = random_graph(rng, n_entities, 4, n_triples)
     u = int(rng.integers(n_entities))
-    with mock.patch.object(kgstore, "KHOP_MEMO_ENTRIES", cap):
+    with mock.patch.object(kgstore, "KHOP_MEMO_IDS_PER_ROW", per_row):
         for _ in range(15):
             if rng.random() < 0.3:
                 u = int(rng.integers(n_entities))
@@ -523,7 +523,30 @@ def test_extraction_on_a_warm_memo_matches_the_oracles(n_entities, n_triples, k,
             assert_levels_are_prunings_node_sets(sub, depth)
             want_ent_d, want_triples_d = oracles.disclosing_subgraph(g, target, depth)
             assert list(extract_disclosing(g, target, depth).triples[:-1]) == want_triples_d
-            assert g.khop_memo_entries <= cap or len(g.khop_memo) == 1
+            assert g.khop_memo_entries <= g.khop_memo_budget or len(g.khop_memo) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=4, max_value=25),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_each_ball_is_walked_once_under_the_budget(n_entities, n_triples, k, seed):
+    # at most n_entities balls of at most n_entities ids, and 16 ids a row
+    # of at least 4 triples' rows: every ball fits the budget
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 4, n_triples)
+    for _ in range(2):
+        for t in g.triples:
+            extract_enclosing(g, t, k)
+            extract_disclosing(g, t, k)
+    ends = {(e, k) for t in g.triples for e in (t.head, t.tail)}
+    assert set(g.khop_memo) == ends
+    assert g.khop_walks == len(ends)
+    assert g.khop_hits == 8 * len(g.triples) - len(ends)
+    assert g.khop_memo_entries <= g.khop_memo_budget
 
 
 def no_inner_walk(*args, **kwargs):
