@@ -108,7 +108,7 @@ def test_triple_arrays_are_built_once():
     assert KnowledgeGraph(vocab, []).arrays.shape == (3, 0)
 
 
-@pytest.mark.parametrize("per_row", [0, 1, 2, 16])
+@pytest.mark.parametrize("per_row", [0, 1, 2, 3, 10, 16, 40])
 def test_khop_memo_stays_within_its_cap(monkeypatch, per_row):
     monkeypatch.setattr(kgstore, "KHOP_MEMO_IDS_PER_ROW", per_row)
     rng = np.random.default_rng(per_row)
