@@ -7,10 +7,14 @@ scripts/digest.py builds them for its score lines.  It then scores the first
 N test targets and one sampled negative each, as `rmpi eval --task classify`
 does:
 
-    python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100]
+    python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100] [--passes 7]
 
-The first line ends with the K-hop balls that pass walked and those it found
-in the graph's memo (kgstore.khop_ball).  A second line gives the incidence rows each layer summed, and all the rows
+The first line gives the first pass and ends with the K-hop balls it walked
+and those it found in the graph's memo (kgstore.khop_ball).  With --passes
+N above 1, N passes are timed one after another in this process and a last
+line gives the median and quartiles of their CPU seconds: one pass per
+process cannot resolve a change of 10%, since the same checkout's single
+passes spread by more than that from run to run.  A second line gives the incidence rows each layer summed, and all the rows
 of the scored batches' Incidences, totalled over the batches of a second,
 untimed pass.  A third gives the largest heap peak that tracemalloc traces
 in one scored forward (`trainlab.score_sample`) above what was traced when
@@ -25,6 +29,8 @@ import resource
 import sys
 import time
 import tracemalloc
+
+import numpy as np
 
 import digest  # puts this checkout's src/ and perfbench/ on sys.path
 
@@ -85,6 +91,8 @@ def main(argv=None) -> int:
     parser.add_argument("--variant", choices=sorted(VARIANTS), required=True)
     parser.add_argument("--targets", type=_count, default=None,
                         help="score the first N test targets (default: all)")
+    parser.add_argument("--passes", type=_count, default=1,
+                        help="time N classification passes in this process (default: 1)")
     args = parser.parse_args(argv)
 
     bench = digest.benchmark("classify-hub", digest.SCORING_SEED)
@@ -92,10 +100,14 @@ def main(argv=None) -> int:
     targets = bench.test[: args.targets]
     graph = bench.test_graph
     walks, hits = graph.khop_walks, graph.khop_hits
-    start = time.process_time()
-    result = evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
-    seconds = time.process_time() - start
-    walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
+    passes = []
+    for _ in range(args.passes):
+        start = time.process_time()
+        result = evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+        passes.append(time.process_time() - start)
+        if len(passes) == 1:
+            walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
+    seconds = passes[0]
     scored = len(result.scores)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     print(f"hub_probe: {args.variant} K={args.hops}: {scored} triples in {seconds:.2f} CPU s, "
@@ -106,6 +118,10 @@ def main(argv=None) -> int:
           f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")
     peak = forward_peak(ckpt, bench.test_graph, targets)
     print(f"hub_probe: largest traced peak of one scored forward: {peak / 2**20:.2f} MiB")
+    if args.passes > 1:
+        q1, median, q3 = np.percentile(passes, [25, 50, 75])
+        print(f"hub_probe: {args.passes} passes: median {median:.4f} CPU s a pass, "
+              f"quartiles {q1:.4f} to {q3:.4f}")
     return 0
 
 

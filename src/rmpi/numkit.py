@@ -75,6 +75,9 @@ class Tape:
         for p in parents:
             if p.tape is not self:
                 raise NumkitError("operands recorded on different tapes")
+        return self._append(value, parents, vjp)
+
+    def _append(self, value: np.ndarray, parents=(), vjp=None) -> Var:
         if not self.record:
             return Var(self, -1, value)
         v = Var(self, len(self._nodes), value, tuple(parents), vjp)
@@ -85,11 +88,21 @@ class Tape:
         return self._record(value)
 
     def param(self, name: str, value) -> Var:
-        if name in self._params:
-            raise NumkitError(f"parameter registered twice: {name}")
-        v = self._record(value)
-        self._params[name] = v
-        return v
+        return self.bind({name: value})[name]
+
+    def bind(self, params) -> dict[str, Var]:
+        """Register every named value of a mapping as a parameter, with one
+        finiteness check over the whole set; a float64 array is bound as it
+        is, not copied."""
+        values = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+        if values and not np.isfinite(np.concatenate(list(values.values()), axis=None)).all():
+            raise NumkitError("non-finite value")
+        bound = {}
+        for name, value in values.items():
+            if name in self._params:
+                raise NumkitError(f"parameter registered twice: {name}")
+            bound[name] = self._params[name] = self._append(value)
+        return bound
 
     def clear(self) -> None:
         """Forget every recorded node and parameter.

@@ -170,7 +170,7 @@ def init_params(config: ModelConfig, num_relations: int, rng: np.random.Generato
 
 
 def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Var]:
-    return {name: tape.param(name, value) for name, value in params.items()}
+    return tape.bind(params)
 
 
 class FeatureSource:
@@ -286,7 +286,8 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
         if len(is_target) > len(samples):  # some sample has more than its target
             incidences, order = scoring_incidences(nodes[ends], nodes[3], node_sample, depth)
     disc_labels = np.concatenate([s.labels for s in samples])
-    labels, label_rows = np.unique(np.concatenate([nodes[1], disc_labels]), return_inverse=True)
+    labels, label_rows = _label_table(np.concatenate([nodes[1], disc_labels]),
+                                      graph.vocab.num_relations)
     node_rows, disc_rows = np.split(label_rows, [len(node_sample)])
     if order is None:
         targets = is_target.nonzero()[0]
@@ -303,6 +304,18 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
         disc_rows=disc_rows,
         disc_sample=sample_ids.repeat([len(s.labels) for s in samples]),
     )
+
+
+def _label_table(labels: np.ndarray, num_relations: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct labels, ascending, and each label's row among them, as
+    np.unique(labels, return_inverse=True) gives them, from a count of each
+    relation id rather than a sort.  Labels outside 0 .. num_relations - 1
+    take np.unique itself."""
+    if labels.min() < 0 or labels.max() >= num_relations:
+        return np.unique(labels, return_inverse=True)
+    count = np.bincount(labels, minlength=num_relations)
+    row = (count > 0).cumsum() - 1  # per relation id, its row if present
+    return count.nonzero()[0], row[labels]
 
 
 def _apply(w: Var, x: Var) -> Var:

@@ -22,9 +22,9 @@ into the triples of level at most K - k, the levels extract_enclosing
 measures, and prune_to_target finds the same layers by walking one view's
 edges back from the target.  The model reads only the target's one-hop
 in-neighbors in the disclosing view, the triples sharing an entity with the
-target, so disclosing_neighbors reads them straight off the graph's
-incidence index; extract_disclosing builds the whole union subgraph only for
-inspection.
+target, so extract_enclosing, asked for them, reads their labels straight
+off the graph's incidence index into the one record it returns;
+extract_disclosing builds the whole union subgraph only for inspection.
 
 Both extractions return one Subgraph record, whose docstring gives its
 format; consumers gather ends and labels by index.  Extraction reads the
@@ -83,9 +83,9 @@ class Subgraph:
     counts as the last node.  An enclosing subgraph holds per graph triple
     its int8 level, the least j with it in pruning's N^j, at most K + 1
     (extract_enclosing); the target's, 0, is not held.  A disclosing one
-    holds no levels.  A model sample is the enclosing subgraph, whose
-    arrays it shares, plus for the ne variants the int32 labels of the
-    target's disclosing neighbours (trainlab.build_sample): 5 bytes per
+    holds no levels.  A model sample is the enclosing subgraph, carrying
+    for the ne variants the int32 labels of the target's disclosing
+    neighbours (extract_enclosing with `disclosing` set): 5 bytes per
     triple and 4 per label.  Nothing is built from them and kept: a
     training batch builds its view edges at each step."""
 
@@ -178,7 +178,8 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
     return {e: d for e, d in dist.items() if d < k or ends[e] == 3}
 
 
-def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph:
+def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int, *,
+                      disclosing: bool = False) -> Subgraph:
     """K-hop enclosing subgraph of the target triple.
 
     Entity set: N_K(u) ∩ N_K(v) in the parent graph, then pruned.  Pruning
@@ -208,6 +209,10 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
     triples whose two ends were both kept.  A target whose induced triples
     all join u and v or loop at one of them is no special case: its walk
     keeps only u and v, at distance 0, so each of its triples is at level 1.
+
+    With `disclosing` set, the record also carries the labels of the
+    target's disclosing neighbours (_disclosing_labels), as the ne variants'
+    samples do; otherwise its labels are NO_LABELS.
     """
     if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
         target = Triple(*target)
@@ -224,8 +229,32 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph
     for i in idxs:
         h, _, t = triples[i]
         levels.append(1 + min(near[h], near[t]))
+    labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
-                    np.array(levels, dtype=np.int8), NO_LABELS)
+                    np.array(levels, dtype=np.int8), labels)
+
+
+def _disclosing_labels(graph: KnowledgeGraph, target: Triple) -> np.ndarray:
+    """The int32 labels of the target's one-hop neighbours in its
+    disclosing view, in graph triple order, or NO_LABELS when it has none:
+    all the model reads of the disclosing subgraph.
+
+    Every triple instance incident to u or v shares an entity with the
+    target and so has at least one typed edge into it, for any K >= 1; no
+    other triple does.  Each instance is listed once, self-loops and
+    triples joining u and v included, and instances equal to the target
+    are skipped as extract_disclosing skips them.  Each end's incidence
+    list is read once, in triple order: a triple joining u and v is taken
+    from u's list, where only such a triple can equal the target, and the
+    two ascending lists are merged by one sort.
+    """
+    incident, triples = graph.incident, graph.triples
+    u, _, v = target
+    idxs = [i for other, i in incident.get(u, ()) if other != v or triples[i] != target]
+    if u != v:
+        idxs += [i for other, i in incident.get(v, ()) if other != u]
+        idxs.sort()
+    return graph.arrays[1].take(idxs) if idxs else NO_LABELS
 
 
 def extract_disclosing(graph: KnowledgeGraph, target: Triple, k: int) -> Subgraph:
@@ -520,24 +549,6 @@ def prune_to_target(rvg: RelationViewGraph, k: int) -> tuple[np.ndarray, ...]:
     return (edges,) + tuple(
         edges[receivers[k - layer][edges[:, 2]]] for layer in range(2, k + 1)
     )
-
-
-def disclosing_neighbors(graph: KnowledgeGraph, target: Triple) -> list[int]:
-    """One-hop neighborhood of the target in its disclosing view, as
-    parent-graph triple indices, ascending; graph.arrays[1] gathers their
-    labels, all the model reads of them.
-
-    Every triple instance incident to u or v shares an entity with the target
-    and so has at least one typed edge into it, for any K >= 1; no other
-    triple does.  Each instance is listed once, self-loops and triples
-    touching both endpoints included, and instances equal to the target are
-    skipped as extract_disclosing skips them.
-    """
-    target = Triple(*target)
-    u, _, v = target
-    idxs = {idx for e in (u, v) for _, idx in graph.incident.get(e, ())}
-    triples = graph.triples
-    return [i for i in sorted(idxs) if triples[i] != target]
 
 
 def dump_relation_view(rvg: RelationViewGraph, vocab=None) -> str:

@@ -31,7 +31,6 @@ from .rmpnet import (
 )
 from .subgraph import (
     Subgraph,
-    disclosing_neighbors,
     extract_enclosing,
     to_relation_view,  # noqa: F401  perfbench's tracer wraps it under this name too
 )
@@ -69,14 +68,9 @@ class TrainConfig:
 # ------------------------------------------------------------------ samples
 
 def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> Subgraph:
-    """The model's sample of a triple: its enclosing subgraph, and for the
-    ne variants a record sharing its arrays that adds the labels of the
-    triple's disclosing neighbours."""
-    sub = extract_enclosing(graph, triple, config.hops)
-    if not config.use_disclosing:
-        return sub
-    labels = graph.arrays[1][disclosing_neighbors(graph, triple)]
-    return Subgraph(graph, sub.indexes, sub.target, sub.levels, labels)
+    """The model's sample of a triple: its enclosing subgraph, carrying for
+    the ne variants the labels of the triple's disclosing neighbours."""
+    return extract_enclosing(graph, triple, config.hops, disclosing=config.use_disclosing)
 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.

@@ -151,6 +151,18 @@ def disclosing_subgraph(graph, target, k):
     return entities, induced
 
 
+def disclosing_neighbors(graph, target):
+    """One-hop neighborhood of the target in its disclosing view, as
+    parent-graph triple indices, ascending: every triple instance at u or
+    v, once, less the instances equal to the target.  The set-and-sort
+    route the package read before its disclosing labels were gathered
+    inside extract_enclosing."""
+    target = tuple(target)
+    u, _, v = target
+    idxs = {idx for e in (u, v) for _, idx in graph.incident.get(e, ())}
+    return [i for i in sorted(idxs) if tuple(graph.triples[i]) != target]
+
+
 def disclosing_one_hop(rvg):
     """View-route disclosing neighborhood: one-hop incoming neighbors of the
     target node of a relation-view graph, as (node index, label)."""

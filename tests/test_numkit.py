@@ -321,6 +321,40 @@ def test_duplicate_param_name_rejected():
         t.param("w", np.ones(2))
 
 
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binding_checks_every_parameter_once(record, bad):
+    # one check over the whole set refuses a non-finite value in any
+    # parameter, of any shape, and registers none of the set
+    shapes = {"w": (3, 2), "v": (4,), "s": (), "e": (0, 2), "last": (1, 5)}
+    for name, shape in shapes.items():
+        if not np.prod(shape):
+            continue
+        params = {n: np.ones(sh) for n, sh in shapes.items()}
+        params[name].flat[-1] = bad
+        t = Tape(record=record)
+        with pytest.raises(NumkitError, match="^non-finite value$"):
+            t.bind(params)
+        assert not t._params
+        bound = t.bind({n: np.ones(sh) for n, sh in shapes.items()})
+        assert list(bound) == list(shapes)
+        assert all(bound[n].value.shape == sh for n, sh in shapes.items())
+
+
+def test_binding_refuses_a_name_bound_twice_and_copies_no_float64():
+    t = Tape()
+    w = np.arange(6.0).reshape(2, 3)
+    bound = t.bind({"w": w, "ints": [[1, 2]]})
+    assert bound["w"].value is w  # a float64 array is bound as it is
+    assert bound["ints"].value.dtype == np.float64
+    assert t._params == bound
+    with pytest.raises(NumkitError, match="parameter registered twice: w"):
+        t.bind({"w": np.ones(2)})
+    with pytest.raises(NumkitError, match="parameter registered twice: ints"):
+        t.param("ints", np.ones(2))
+    assert Tape().bind({}) == {}
+
+
 # ------------------------------------------------------- finite differences
 
 def summed(t, rows, weights):

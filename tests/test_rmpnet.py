@@ -673,6 +673,46 @@ def mixed_batch_targets():
     return graph, targets
 
 
+@pytest.mark.parametrize("training", [False, True])
+def test_label_table_is_the_sorted_distinct_labels(training):
+    # stack_samples counts the relation ids a batch's labels take rather
+    # than sorting them, yet gives np.unique's labels and inverse rows,
+    # dtypes included, over batches mixing node labels, disclosing labels,
+    # relations absent from the graph and ids outside the vocabulary
+    rng = np.random.default_rng(29)
+    for trial in range(30):
+        n, num_relations = int(rng.integers(2, 12)), int(rng.integers(1, 7))
+        graph = random_graph(rng, n, num_relations, int(rng.integers(1, 25)))
+        targets = [graph.triples[int(i)] for i in rng.integers(graph.num_triples, size=3)] + [
+            Triple(int(rng.integers(n)), int(rng.integers(num_relations + trial % 3)),
+                   int(rng.integers(n))) for _ in range(int(rng.integers(1, 5)))]
+        config = ModelConfig(dim=4, hops=int(rng.integers(1, 4)), use_disclosing=bool(trial % 2))
+        samples = [build_sample(graph, t, config) for t in targets]
+        batch = stack_samples(samples, config.hops, training=training)
+        disc = np.concatenate([s.labels for s in samples])
+        if training:  # every node, in sample order
+            nodes = np.concatenate([np.append(graph.arrays[1][s.indexes], s.target.relation)
+                                    for s in samples]).astype(np.intp)
+            labels, rows = np.unique(np.concatenate([nodes, disc]), return_inverse=True)
+            assert batch.node_rows.dtype == rows.dtype
+            assert np.array_equal(batch.node_rows, rows[: len(nodes)])
+        else:  # the nodes within K steps, reordered by level
+            nodes = np.concatenate([
+                np.append(graph.arrays[1][s.indexes][s.levels <= config.hops], s.target.relation)
+                for s in samples]).astype(np.intp)
+            labels, rows = np.unique(np.concatenate([nodes, disc]), return_inverse=True)
+            assert batch.node_rows.dtype == rows.dtype
+            assert sorted(batch.labels[batch.node_rows].tolist()) == sorted(nodes.tolist())
+        assert batch.labels.dtype == labels.dtype
+        assert np.array_equal(batch.labels, labels)
+        assert batch.disc_rows.dtype == rows.dtype
+        assert np.array_equal(batch.disc_rows, rows[len(rows) - len(disc):])
+    for values in (rng.integers(-3, 9, size=40), rng.integers(0, 5, size=1), np.array([7, 2, 7])):
+        got = rmpnet._label_table(values.astype(np.intp), 5)
+        want = np.unique(values.astype(np.intp), return_inverse=True)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def score_batch(samples, config, params, **kwargs):
     tape = Tape()
     pvars = bind_params(tape, params)

@@ -117,6 +117,23 @@ def test_hub_probe_reports_rate_and_memory():
     peak = re.fullmatch(r"hub_probe: largest traced peak of one scored forward: (\d+\.\d\d) MiB",
                         done.stdout.strip().splitlines()[2])
     assert peak and float(peak.group(1)) > 0
+    assert len(done.stdout.strip().splitlines()) == 3  # one pass by default
+    # --passes times that many passes in one process: the first line is
+    # the first pass's, and a last line gives their median and quartiles
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
+         "--hops", "1", "--variant", "base", "--targets", "5", "--passes", "3"],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 4 and "base K=1: 10 triples in" in lines[0]
+    khop = re.search(r", (\d+) K-hop walks and (\d+) memo hits$", lines[0])
+    assert khop and int(khop.group(1)) + int(khop.group(2)) == 20  # the first pass's
+    passes = re.fullmatch(r"hub_probe: 3 passes: median (\d+\.\d{4}) CPU s a pass, "
+                          r"quartiles (\d+\.\d{4}) to (\d+\.\d{4})", lines[3])
+    assert passes
+    q1, median, q3 = map(float, (passes.group(2), passes.group(1), passes.group(3)))
+    assert 0 < q1 <= median <= q3
 
 
 def test_hub_probe_rejects_counts_below_one():

@@ -15,7 +15,6 @@ from rmpi.subgraph import (
     NO_EDGES,
     SubgraphError,
     RelationViewGraph,
-    disclosing_neighbors,
     dump_relation_view,
     extract_disclosing,
     extract_enclosing,
@@ -67,13 +66,14 @@ def test_disclosing_four_triple_example():
 
 def test_extraction_and_samples_are_one_record(monkeypatch):
     # an enclosing subgraph, a disclosing one and an ne sample: one record
-    # type, whose read-backs read right on each; a base sample is the
-    # extraction's record, and an ne sample shares its arrays
+    # type, whose read-backs read right on each; a base sample and an ne
+    # sample are each the one record its extraction returns, the ne one
+    # carrying the labels beside the enclosing subgraph's arrays
     g, target = four_triple_graph()
     extracted = []
 
-    def extract(*args):
-        extracted.append(extract_enclosing(*args))
+    def extract(*args, **kwargs):
+        extracted.append(extract_enclosing(*args, **kwargs))
         return extracted[-1]
 
     monkeypatch.setattr(trainlab, "extract_enclosing", extract)
@@ -81,10 +81,11 @@ def test_extraction_and_samples_are_one_record(monkeypatch):
     assert base is extracted[-1]
     assert base.labels is subgraph.NO_LABELS
     ne = build_sample(g, target, ModelConfig(hops=1, use_disclosing=True))
-    enclosing = extracted[-1]
-    assert ne is not enclosing
-    assert all(getattr(ne, name) is getattr(enclosing, name)
-               for name in ("graph", "indexes", "target", "levels"))
+    assert ne is extracted[-1] and len(extracted) == 2
+    enclosing = extract_enclosing(g, target, 1)
+    assert ne.graph is enclosing.graph and ne.target is enclosing.target is target
+    assert np.array_equal(ne.indexes, enclosing.indexes)
+    assert np.array_equal(ne.levels, enclosing.levels)
     disclosing = extract_disclosing(g, target, 1)
     for sub, kind in ((enclosing, "enclosing"), (disclosing, "disclosing"), (ne, "enclosing")):
         assert type(sub) is subgraph.Subgraph and not hasattr(sub, "__dict__")
@@ -668,8 +669,17 @@ def view_route(graph, target, k):
 
 
 def neighbor_pairs(graph, target):
-    """disclosing_neighbors as (parent-graph triple index, label) pairs."""
-    return tuple((i, graph.triples[i].relation) for i in disclosing_neighbors(graph, target))
+    """The reference disclosing neighbours as (parent-graph triple index,
+    label) pairs."""
+    return tuple((i, graph.triples[i].relation)
+                 for i in oracles.disclosing_neighbors(graph, target))
+
+
+def carried_labels(graph, target, k):
+    """The disclosing labels extract_enclosing carries, as a list."""
+    labels = extract_enclosing(graph, target, k, disclosing=True).labels
+    assert labels.dtype == np.int32
+    return labels.tolist()
 
 
 def test_disclosing_neighbors_match_view_route_on_random_graphs():
@@ -682,6 +692,7 @@ def test_disclosing_neighbors_match_view_route_on_random_graphs():
             got = neighbor_pairs(g, target)
             for k in (1, 2, 3):
                 assert got == view_route(g, target, k)
+                assert carried_labels(g, target, k) == [lab for _, lab in got]
 
 
 def hand_graph():
@@ -718,6 +729,7 @@ def test_disclosing_neighbors_hand_cases(target, want):
     assert neighbor_pairs(g, target) == want
     for k in (1, 2, 3):
         assert view_route(g, target, k) == want
+        assert carried_labels(g, target, k) == [lab for _, lab in want]
 
 
 # ------------------------------------------------------- dump

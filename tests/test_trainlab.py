@@ -17,8 +17,8 @@ from rmpi.rmpnet import (
     FeatureSource, ModelConfig, bind_params, init_params, score_sample, stack_samples,
 )
 from rmpi.subgraph import (
+    NO_LABELS,
     RelationViewGraph,
-    disclosing_neighbors,
     extract_enclosing,
     to_relation_view,
 )
@@ -37,6 +37,7 @@ from rmpi.trainlab import (
     train,
 )
 
+from oracles import disclosing_neighbors
 from synth import make_vocab, random_graph, toy_benchmark, write_benchmark_dir
 
 
@@ -222,6 +223,34 @@ def test_built_sample_decodes_to_its_extraction(hops):
             assert cache.sample(lone).indexes.shape == (0,)
 
 
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_enclosing_record_carries_the_disclosing_labels(hops):
+    # the one record extract_enclosing returns with disclosing=True holds
+    # the enclosing subgraph's arrays and the labels the set-and-sort
+    # reference route gathers, for self-loops, duplicate, parallel and
+    # inverse twins, lone targets and targets equal to a graph triple;
+    # without it, the labels are NO_LABELS itself
+    rng = np.random.default_rng(10 + hops)
+    for trial in range(6):
+        n = int(rng.integers(3, 12))
+        graph = twin_graph(rng, n)
+        lone = Triple(n, 2, n + 1)
+        half_lone = Triple(0, 1, n)
+        targets = graph.triples[:12] + [lone, half_lone, Triple(1, 0, 1), Triple(n, 0, n)] + [
+            Triple(int(h), int(rng.integers(3)), int(t)) for h, t in rng.integers(n, size=(6, 2))]
+        for target in targets:
+            plain = extract_enclosing(graph, target, hops)
+            sub = extract_enclosing(graph, target, hops, disclosing=True)
+            assert plain.labels is NO_LABELS
+            assert np.array_equal(sub.indexes, plain.indexes)
+            assert np.array_equal(sub.levels, plain.levels)
+            assert sub.target == plain.target
+            want = graph.arrays[1][disclosing_neighbors(graph, target)]
+            assert sub.labels.dtype == np.int32
+            assert sub.labels.tolist() == want.tolist()
+        assert extract_enclosing(graph, lone, hops, disclosing=True).labels.shape == (0,)
+
+
 VARIANTS = {
     "base": dict(),
     "ne": dict(use_disclosing=True),
@@ -345,7 +374,7 @@ def test_scoring_refuses_a_cache_of_another_extraction(monkeypatch, task):
     # another depth, or with or without the disclosing neighbours, they
     # score wrong numbers and raise nothing, so score_triples refuses them
     # before it extracts anything
-    from rmpi import evalbench
+    from rmpi import evalbench, subgraph
 
     def refuse(*args, **kwargs):
         raise AssertionError("extracted before checking the cache")
@@ -360,8 +389,8 @@ def test_scoring_refuses_a_cache_of_another_extraction(monkeypatch, task):
     ckpt = Checkpoint(config, params, graph.vocab.digest(), tuple(graph.vocab.relation_names),
                       (True,) * graph.vocab.num_relations)
     cache = SampleCache(graph, built)
-    for name in ("extract_enclosing", "disclosing_neighbors"):
-        monkeypatch.setattr(trainlab, name, refuse)
+    monkeypatch.setattr(trainlab, "extract_enclosing", refuse)
+    monkeypatch.setattr(subgraph, "_disclosing_labels", refuse)
     want = (f"sample cache extracts with hops={built.hops}, use_disclosing={built.use_disclosing}, "
             f"but the model has hops={config.hops}, use_disclosing={config.use_disclosing}")
     with pytest.raises(TrainError, match=re.escape(want)) as raised:
