@@ -10,16 +10,17 @@ does:
     python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100] [--passes 7]
 
 The first line gives the first pass and ends with the K-hop balls it walked
-and those it found in the graph's memo (kgstore.khop_ball).  With --passes
-N above 1, N passes are timed one after another in this process and a last
-line gives the median and quartiles of their CPU seconds: one pass per
-process cannot resolve a change of 10%, since the same checkout's single
-passes spread by more than that from run to run.  A second line gives the incidence rows each layer summed, and all the rows
-of the scored batches' Incidences, totalled over the batches of a second,
-untimed pass.  A third gives the largest heap peak that tracemalloc traces
-in one scored forward (`trainlab.score_sample`) above what was traced when
-it began, over a third, untimed pass: unlike peak RSS, it resolves changes
-of a fraction of a MB.  The program is imported from this checkout's src/.
+and those it found in the graph's memo (kgstore.khop_ball).  A second line
+gives the incidence rows each layer summed, and all the rows of the scored
+batches' Incidences, totalled over the batches of a second, untimed pass.  A
+third gives the largest heap peak that tracemalloc traces in one scored
+forward (`trainlab.score_sample`) above what was traced when it began, over
+a third, untimed pass: unlike peak RSS, it resolves changes of a fraction of
+a MB.  With --passes N above 1, N passes are timed one after another in this
+process, and a last line gives the median and quartiles of their CPU
+seconds: one pass per process cannot resolve a change of 10%, since the same
+checkout's single passes spread by more than that from run to run.  The
+program is imported from this checkout's src/.
 """
 
 from __future__ import annotations
