@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Print 32 SHA-256 lines that show whether two checkouts extract, train and score alike.
+"""Print 44 SHA-256 lines that show whether two checkouts extract, train, score and rank alike.
 
     python3 scripts/digest.py
 
 Copy this script into a parent checkout, run it in both and diff the
 output: the same lines mean the same subgraphs, relation views, training
-runs and scores, bit for bit.  It takes no arguments, builds each of
+runs, scores and ranks, bit for bit.  It takes no arguments, builds each of
 perfbench's workload graphs once with perfbench/gen.py, and imports the
 program from this checkout's src/.  The lines, in order:
 
@@ -28,6 +28,11 @@ program from this checkout's src/.  The lines, in order:
   `checkpoint` gives every test target and a seeded negative of each on the
   test graph, first one triple at a time, then stacked into batches by one
   `trainlab.score_triples` call.
+- `rank_digest`, rank-skewed (every test query) and classify-hub (the first
+  RANK_QUERIES), at K = 1, 2 and 3, base and ne-ta: a hash of the ranks, the
+  candidate counts and the float64 scores of every query's triples that
+  `evalbench.rank_queries` gives on both sides with the same `checkpoint`,
+  each query's triples sharing its fixed entity.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 import spec  # noqa: E402
-from rmpi import kgstore, rmpnet, subgraph, trainlab  # noqa: E402
+from rmpi import evalbench, kgstore, rmpnet, subgraph, trainlab  # noqa: E402
 
 GRAPH_TRIPLES = 300  # graph triples extracted, from the first
 NEGATIVES = 4  # seeded negatives per extracted triple
@@ -53,6 +58,7 @@ NEGATIVE_SEED = 0
 TRAINING_SEED = 3  # the training seed, and the seed of the graph's labels
 EPOCHS = 2
 SCORING_SEED = 1  # the names and parameters perfbench draws with --seed 1
+RANK_QUERIES = 10  # classify-hub's test queries ranked, from the first
 
 
 @functools.cache
@@ -146,6 +152,29 @@ def score_line(workload: str, hops: int, variant: str) -> str:
             f"sha256 {digest.hexdigest()}")
 
 
+def rank_line(workload: str, hops: int, variant: str) -> str:
+    bench = benchmark(workload, SCORING_SEED)
+    ckpt = checkpoint(bench, hops, variant)
+    queries = bench.test if workload == "rank-skewed" else bench.test[:RANK_QUERIES]
+    scored = []
+    inner = evalbench.score_triples
+
+    def kept(*args, **kwargs):
+        scores = inner(*args, **kwargs)
+        scored.append(scores)
+        return scores
+
+    evalbench.score_triples = kept
+    try:
+        result = evalbench.rank_queries(ckpt, bench.test_graph, queries, seed=spec.EVAL_SEED)
+    finally:
+        evalbench.score_triples = inner
+    record = repr((result.ranks, result.candidate_counts)).encode("ascii")
+    digest = hashlib.sha256(record + np.concatenate(scored).astype("<f8").tobytes())
+    return (f"rank_digest: {workload} {variant} K={hops}: {len(result.ranks)} ranks, "
+            f"sha256 {digest.hexdigest()}")
+
+
 def main() -> int:
     for workload in ("train-mild", "rank-skewed", "classify-hub"):
         for hops in (1, 2, 3):
@@ -156,6 +185,10 @@ def main() -> int:
         for hops in (1, 2, 3):
             for variant in ("base", "ne-ta"):
                 print(score_line(workload, hops, variant))
+    for workload in ("rank-skewed", "classify-hub"):
+        for hops in (1, 2, 3):
+            for variant in ("base", "ne-ta"):
+                print(rank_line(workload, hops, variant))
     return 0
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Score the classify-hub graph at a chosen depth: CPU triples/s and peak RSS.
+"""Score the classify-hub graph, or rank on rank-skewed's, at a chosen depth: CPU triples/s and peak RSS.
 
 Builds the graph of perfbench's classify-hub workload with perfbench/gen.py
 and a seeded, never-trained checkpoint of the chosen variant and depth, as
@@ -8,6 +8,11 @@ N test targets and one sampled negative each, as `rmpi eval --task classify`
 does:
 
     python3 scripts/hub_probe.py --hops 3 --variant ne-ta [--targets 100] [--passes 7]
+
+With --task rank it builds rank-skewed's graph instead and ranks the first N
+test queries on both sides against 49 candidates each
+(`evalbench.rank_queries`), as `rmpi eval --task rank` does, so that each
+query's 50 triples share its fixed entity.
 
 The first line gives the first pass and ends with the K-hop balls it walked
 and those it found in the graph's memo (kgstore.khop_ball).  A second line
@@ -40,11 +45,11 @@ from rmpi import evalbench, rmpnet, trainlab  # noqa: E402
 from rmpi.cli import VARIANTS, _count, _hops  # noqa: E402
 
 
-def summed_rows(ckpt, graph, targets) -> list[int]:
+def summed_rows(run, hops: int) -> list[int]:
     """The incidence rows each layer sums, then all the rows, totalled over
-    the batches of a second classification pass: counted outside the timed
-    pass, whose peak RSS the counting would move."""
-    summed = [0] * (ckpt.config.hops + 1)
+    the batches of a second pass of `run`: counted outside the timed pass,
+    whose peak RSS the counting would move."""
+    summed = [0] * (hops + 1)
     incidences = rmpnet.scoring_incidences
 
     def counted(*batch):
@@ -55,16 +60,16 @@ def summed_rows(ckpt, graph, targets) -> list[int]:
 
     rmpnet.scoring_incidences = counted
     try:
-        evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+        run()
     finally:
         rmpnet.scoring_incidences = incidences
     return summed
 
 
-def forward_peak(ckpt, graph, targets) -> int:
+def forward_peak(run) -> int:
     """The largest traced heap peak of one scored forward above what was
-    traced when it began, in bytes, over a classification pass: traced
-    outside the timed pass, whose time and peak RSS tracing would move."""
+    traced when it began, in bytes, over a pass of `run`: traced outside
+    the timed pass, whose time and peak RSS tracing would move."""
     peak = 0
     score_sample = trainlab.score_sample
 
@@ -79,7 +84,7 @@ def forward_peak(ckpt, graph, targets) -> int:
     trainlab.score_sample = traced
     tracemalloc.start()
     try:
-        evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+        run()
     finally:
         tracemalloc.stop()
         trainlab.score_sample = score_sample
@@ -93,31 +98,44 @@ def main(argv=None) -> int:
     parser.add_argument("--targets", type=_count, default=None,
                         help="score the first N test targets (default: all)")
     parser.add_argument("--passes", type=_count, default=1,
-                        help="time N classification passes in this process (default: 1)")
+                        help="time N passes in this process (default: 1)")
+    parser.add_argument("--task", choices=("classify", "rank"), default="classify",
+                        help="classify classify-hub's targets, or rank rank-skewed's "
+                             "queries (default: classify)")
     args = parser.parse_args(argv)
 
-    bench = digest.benchmark("classify-hub", digest.SCORING_SEED)
+    workload = "classify-hub" if args.task == "classify" else "rank-skewed"
+    bench = digest.benchmark(workload, digest.SCORING_SEED)
     ckpt = digest.checkpoint(bench, args.hops, args.variant)
     targets = bench.test[: args.targets]
     graph = bench.test_graph
+    if args.task == "classify":
+        def run():
+            return evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+    else:
+        def run():
+            return evalbench.rank_queries(ckpt, graph, targets, seed=spec.EVAL_SEED)
     walks, hits = graph.khop_walks, graph.khop_hits
     passes = []
     for _ in range(args.passes):
         start = time.process_time()
-        result = evalbench.classify(ckpt, graph, targets, seed=spec.EVAL_SEED)
+        result = run()
         passes.append(time.process_time() - start)
         if len(passes) == 1:
             walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
     seconds = passes[0]
-    scored = len(result.scores)
+    if args.task == "classify":
+        scored, quality = len(result.scores), f"auc-pr {result.auc_pr:.4f}"
+    else:
+        scored, quality = len(result.ranks) + sum(result.candidate_counts), f"mrr {result.mrr:.4f}"
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
     print(f"hub_probe: {args.variant} K={args.hops}: {scored} triples in {seconds:.2f} CPU s, "
-          f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, auc-pr {result.auc_pr:.4f}, "
+          f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, {quality}, "
           f"{walks} K-hop walks and {hits} memo hits")
-    summed = summed_rows(ckpt, bench.test_graph, targets)
+    summed = summed_rows(run, args.hops)
     print(f"hub_probe: incidence rows summed by layers 1..{args.hops}: "
           f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")
-    peak = forward_peak(ckpt, bench.test_graph, targets)
+    peak = forward_peak(run)
     print(f"hub_probe: largest traced peak of one scored forward: {peak / 2**20:.2f} MiB")
     if args.passes > 1:
         q1, median, q3 = np.percentile(passes, [25, 50, 75])

@@ -15,7 +15,8 @@ end, triple index) pairs of the triples it is an end of, in triple order.
 Edges are read undirected, so a triple is listed under both of its ends and
 a self-loop once, under its entity.  `arrays` holds the same triples as one
 int32 array, so that subgraphs and samples can hold triple indices and
-gather their ends and relations in one step.
+gather their ends and relations in one step; `self_loops` lists each
+entity's self-loops, all a target whose ends are far apart keeps.
 `bfs` walks that index; extraction walks it too, inside the neighbourhood a
 target's two ends share.  Extraction reads each K-hop ball through
 `khop_ball`, which memoises it on the graph per (entity, k) as an ascending
@@ -136,9 +137,9 @@ class KnowledgeGraph:
     `incident` maps each entity to the (other end, triple index) pairs of
     its triples, so edge instances (not just endpoint pairs) can be
     recovered; `entities` is a read-only view of its keys.  The index, the
-    member set behind `has_triple`, `arrays` and the sorted entity list are
-    each built the first time they are read.  `khop_memo` holds the K-hop
-    balls khop_ball handed out, least recently used first, and
+    member set behind `has_triple`, `arrays`, `self_loops` and the sorted
+    entity list are each built the first time they are read.  `khop_memo`
+    holds the K-hop balls khop_ball handed out, least recently used first, and
     `khop_memo_entries` their total size in ids; `khop_walks` counts the
     balls khop_ball walked the index for, and `khop_hits` those it found in
     the memo.
@@ -167,6 +168,15 @@ class KnowledgeGraph:
             if tail != head:
                 incident.setdefault(tail, []).append((head, idx))
         return incident
+
+    @cached_property
+    def self_loops(self) -> dict[int, list[int]]:
+        """Each entity with self-loops, mapped to their indices, ascending."""
+        loops: dict[int, list[int]] = {}
+        for idx, (head, _, tail) in enumerate(self.triples):
+            if head == tail:
+                loops.setdefault(head, []).append(idx)
+        return loops
 
     @cached_property
     def _incidence_rows(self) -> int:

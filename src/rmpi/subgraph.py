@@ -31,9 +31,10 @@ format; consumers gather ends and labels by index.  Extraction reads the
 K-hop balls the graph memoises (kgstore.khop_ball), so each (entity, K) is
 walked once while the memo holds it: the candidates of a rank query, which
 share its fixed entity, walk that entity's neighbourhood once, and a later
-pass over the same targets walks none.  Pruning walks the graph's incidence
-index inside the intersection, and the triples are then gathered at the
-entities it keeps.
+pass over the same targets walks none; extract_enclosing_list searches a
+rank query's candidates in their fixed entity's ball at once.  Pruning walks
+the graph's incidence index inside the intersection, and the triples are
+then gathered at the entities it keeps.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ MAX_HOPS = np.iinfo(np.int8).max - 1
 
 NO_LABELS = np.empty(0, dtype=np.int32)
 NO_LABELS.flags.writeable = False
+NO_INDEXES = np.empty(0, dtype=np.int32)
+NO_INDEXES.flags.writeable = False
+NO_LEVELS = np.empty(0, dtype=np.int8)
+NO_LEVELS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -180,56 +185,103 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
 
 def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int, *,
                       disclosing: bool = False) -> Subgraph:
-    """K-hop enclosing subgraph of the target triple.
+    """K-hop enclosing subgraph of the target triple, as extract_enclosing_list
+    gives it.
 
-    Entity set: N_K(u) ∩ N_K(v) in the parent graph, then pruned.  Pruning
-    re-measures distances inside the induced subgraph (with the target edge
-    present, so u and v are adjacent) and drops every entity that is isolated or
-    farther than K from either center there.  The result can degenerate to
-    just the target edge.  The K-hop balls come from kgstore.khop_ball,
-    which memoises them on the graph, so the candidates of a rank query
-    share their fixed entity's ball; the smaller ball is looked up in the
-    larger, so a candidate pays for its own ball, not the fixed entity's.
-    The distances inside are measured by one walk of the graph's own index
-    within the intersection, from u and v at once (_pruning_distances).
+    Entity set: N_K(u) ∩ N_K(v) in the parent graph, then pruned: distances
+    are re-measured inside the induced subgraph (with the target edge, so u
+    and v are adjacent), and every entity isolated or farther than K from
+    either center there is dropped, which can leave just the target edge.
+    The balls come from kgstore.khop_ball, memoised on the graph, and the
+    smaller is looked up in the larger, so a rank query's candidate pays for
+    its own ball, not the fixed entity's.  The distances are measured by one
+    walk of the graph's index within the intersection from u and v at once
+    (_pruning_distances), unless it holds only u and v, which the walk keeps.
 
     The same distances give each triple's level: N^0 is the target, and N^j
-    the triples sharing an entity with one in N^(j-1), which are pruning's
-    node sets, since two distinct triples share an entity exactly when the
-    relation view has an edge between them.  So a triple's level is 1 plus
-    the least distance of its ends from u or v: pruning keeps every entity
-    on a shortest path of length at most K, so these are the distances
-    inside the pruned subgraph too, and at most K, so a level is at most
-    K + 1.  Layer k' of a depth-K pass updates the triples of level at most
-    K - k', and reads only triples of level at most K - k' + 1.
+    the triples sharing an entity with one in N^(j-1), pruning's node sets,
+    since two distinct triples share an entity exactly when the relation
+    view has an edge between them.  So a triple's level is 1 plus the least
+    distance of its ends from u or v: pruning keeps every entity on a
+    shortest path of length at most K, so these are the distances inside the
+    pruned subgraph too, and a level is at most K + 1.  Layer k' of a
+    depth-K pass updates the triples of level at most K - k', and reads only
+    those of level at most K - k' + 1.
 
     Pruning comes first, so the triples are gathered at the kept entities
-    alone (_induced_triples).  That is exact: the kept entities are a subset
-    of the intersection, so their induced triples are the intersection's
-    triples whose two ends were both kept.  A target whose induced triples
-    all join u and v or loop at one of them is no special case: its walk
-    keeps only u and v, at distance 0, so each of its triples is at level 1.
-
-    With `disclosing` set, the record also carries the labels of the
-    target's disclosing neighbours (_disclosing_labels), as the ne variants'
-    samples do; otherwise its labels are NO_LABELS.
+    alone (_induced_triples), which is exact: they are the intersection's
+    triples with both ends kept.  A target keeping only u and v, at distance
+    0, has each of its triples at level 1; empty subgraphs share the
+    read-only NO_INDEXES and NO_LEVELS.  With `disclosing` set, the record
+    also carries the labels of the target's disclosing neighbours
+    (_disclosing_labels), as the ne variants' samples do; otherwise NO_LABELS.
     """
     if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
         target = Triple(*target)
     if not 1 <= k <= MAX_HOPS:
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
-    u, _, v = target
-    small, large = khop_ball(graph, u, k), khop_ball(graph, v, k)
+    small, large = khop_ball(graph, target[0], k), khop_ball(graph, target[2], k)
     if len(small) > len(large):
         small, large = large, small
-    common = set(small[large.take(large.searchsorted(small), mode="clip") == small].tolist())
-    near = _pruning_distances(graph, u, v, common, k)
-    idxs = _induced_triples(graph, near, target)
+    common = small[large.take(large.searchsorted(small), mode="clip") == small].tolist()
+    return _enclosing(graph, target, common, k, disclosing)
+
+
+def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
+                           disclosing: bool = False) -> list[Subgraph]:
+    """extract_enclosing of each target, in order.  Each target's smaller
+    ball is searched in its larger one, as there, but at once for all the
+    targets whose larger ball is the same memoised array, as the triples of a
+    rank query share their fixed entity's, so no more ids are searched."""
+    if not 1 <= k <= MAX_HOPS:
+        raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
+    targets = [t if type(t) is Triple else Triple(*t) for t in targets]
+    by_large = {}  # id of a larger ball: the ball, and its targets and their smaller balls
+    for i, (u, _, v) in enumerate(targets):
+        small, large = khop_ball(graph, u, k), khop_ball(graph, v, k)
+        if len(small) > len(large):
+            small, large = large, small
+        by_large.setdefault(id(large), (large, []))[1].append((i, small))
+    out = [None] * len(targets)
+    for large, members in by_large.values():
+        if len(members) == 1:
+            ((i, small),) = members
+            common = small[large.take(large.searchsorted(small), mode="clip") == small].tolist()
+            out[i] = _enclosing(graph, targets[i], common, k, disclosing)
+            continue
+        sizes = [len(small) for _, small in members]
+        ids = np.concatenate([small for _, small in members])
+        hit = large.take(large.searchsorted(ids), mode="clip") == ids
+        found, start = ids[hit].tolist(), 0
+        for (i, _), count in zip(members, np.add.reduceat(hit, np.cumsum(sizes) - sizes,
+                                                          dtype=np.intp).tolist()):
+            out[i] = _enclosing(graph, targets[i], found[start:start + count], k, disclosing)
+            start += count
+    return out
+
+
+def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
+               disclosing: bool) -> Subgraph:
+    """extract_enclosing's record of the target, from the entities of its
+    two balls' intersection."""
+    u, _, v = target
+    inside = set(common)
+    joined = u in inside  # u and v are at most k apart, each in the other's ball
+    inside.discard(u)
+    inside.discard(v)
+    near = _pruning_distances(graph, u, v, inside, k) if inside else {u: 0, v: 0}
+    if inside or joined:
+        idxs = _induced_triples(graph, near, target)
+    else:  # u and v are more than k apart, so no triple joins them
+        idxs = [*graph.self_loops.get(u, ()), *graph.self_loops.get(v, ())]
+        idxs.sort()
+    labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
+    if not idxs:
+        return Subgraph(graph, NO_INDEXES, target, NO_LEVELS, labels)
     triples, levels = graph.triples, []
     for i in idxs:
         h, _, t = triples[i]
         levels.append(1 + min(near[h], near[t]))
-    labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
                     np.array(levels, dtype=np.int8), labels)
 

@@ -32,6 +32,7 @@ from .rmpnet import (
 from .subgraph import (
     Subgraph,
     extract_enclosing,
+    extract_enclosing_list,
     to_relation_view,  # noqa: F401  perfbench's tracer wraps it under this name too
 )
 
@@ -81,6 +82,9 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 # the 140 queries, not 257.
 SCORE_BATCH_ROWS = 2000
 
+# Most triples score_triples extracts at once: a rank query's 50 together.
+SCORE_CHUNK_TRIPLES = 64
+
 
 def sample_rows(sample: Subgraph, depth: int) -> int:
     """A sample's share of a stacked scoring forward of K = depth layers,
@@ -124,6 +128,18 @@ class SampleCache:
         if triple in self._retained:
             self._store[triple] = built
         return built
+
+    def samples(self, triples: list[Triple]) -> list[Subgraph]:
+        """The samples of these triples: those stored, and the rest built at
+        once, each once (extract_enclosing_list), keeping the retained."""
+        store = self._store
+        built = dict.fromkeys(t for t in triples if t not in store)
+        if not built:
+            return [store[t] for t in triples]
+        built.update(zip(built, extract_enclosing_list(
+            self.graph, list(built), self.config.hops, disclosing=self.config.use_disclosing)))
+        store.update((t, s) for t, s in built.items() if t in self._retained)
+        return [built[t] if t in built else store[t] for t in triples]
 
     def retain(self, triples) -> None:
         """Keep the samples of these triples too, once built."""
@@ -323,11 +339,12 @@ def score_triples(
 ) -> np.ndarray:
     """Dropout-off scores for a list of triples, in stacked forwards.
 
-    Samples are built in order and appended to one batch until the next
-    would take it past SCORE_BATCH_ROWS rows (sample_rows); the batch is
-    then scored by one forward and a new one begun, and a sample over the
-    budget is scored alone.  The budget bounds the arrays held at once:
-    when a rank query's fixed entity is a hub, each of its 50 triples
+    Samples are read SCORE_CHUNK_TRIPLES triples at a time
+    (SampleCache.samples) and appended to one batch until the next would
+    take it past SCORE_BATCH_ROWS rows (sample_rows); the batch is then
+    scored by one forward and a new one begun, and a sample over the budget
+    is scored alone.  The chunk and the budget bound the arrays held at
+    once: when a rank query's fixed entity is a hub, each of its 50 triples
     carries the hub's neighbours.  Every score is bit-identical to the
     triple's forward alone, since no operation of the forward rounds a
     sample's values by its batch-mates (see numkit._product).  The forwards
@@ -344,15 +361,16 @@ def score_triples(
         tape, pvars, config,
         lookup=lookup, schema_vectors=schema_vectors, run_seed=run_seed,
     )
+    triples = [t if type(t) is Triple else Triple(*t) for t in triples]
     scores, batch, rows = [], [], 0
-    for triple in triples:
-        sample = cache.sample(Triple(*triple))
-        size = sample_rows(sample, config.hops)
-        if batch and rows + size > SCORE_BATCH_ROWS:
-            scores.append(score_sample(batch, source, pvars, config).value)
-            batch, rows = [], 0
-        batch.append(sample)
-        rows += size
+    for start in range(0, len(triples), SCORE_CHUNK_TRIPLES):
+        for sample in cache.samples(triples[start:start + SCORE_CHUNK_TRIPLES]):
+            size = sample_rows(sample, config.hops)
+            if batch and rows + size > SCORE_BATCH_ROWS:
+                scores.append(score_sample(batch, source, pvars, config).value)
+                batch, rows = [], 0
+            batch.append(sample)
+            rows += size
     if batch:
         scores.append(score_sample(batch, source, pvars, config).value)
     return np.concatenate(scores) if scores else np.empty(0)

@@ -136,6 +136,28 @@ def test_hub_probe_reports_rate_and_memory():
     assert 0 < q1 <= median <= q3
 
 
+def test_hub_probe_ranks_rank_skewed_queries_on_both_sides():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
+         "--hops", "2", "--variant", "ne-ta", "--targets", "3", "--task", "rank", "--passes", "3"],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert len(lines) == 4
+    # 3 queries on both sides, the truth and 49 candidates each
+    first = re.fullmatch(r"hub_probe: ne-ta K=2: 300 triples in (\d+\.\d\d) CPU s, "
+                         r"(\d+\.\d) triples/s, peak RSS (\S+) MB, mrr (\d\.\d{4}), "
+                         r"(\d+) K-hop walks and (\d+) memo hits", lines[0])
+    assert first and float(first.group(2)) > 0 and 0 < float(first.group(4)) <= 1
+    walks, hits = int(first.group(5)), int(first.group(6))
+    assert 0 < walks and walks + hits == 600  # two balls a triple, the first pass's
+    assert lines[1].startswith("hub_probe: incidence rows summed by layers 1..2: ")
+    assert lines[2].startswith("hub_probe: largest traced peak of one scored forward: ")
+    passes = re.fullmatch(r"hub_probe: 3 passes: median (\d+\.\d{4}) CPU s a pass, "
+                          r"quartiles (\d+\.\d{4}) to (\d+\.\d{4})", lines[3])
+    assert passes and 0 < float(passes.group(2)) <= float(passes.group(1)) <= float(passes.group(3))
+
+
 def test_hub_probe_rejects_counts_below_one():
     for flag, value in (("--hops", "0"), ("--targets", "-1")):
         done = subprocess.run(
@@ -208,20 +230,34 @@ def test_training_digest_prints_history_and_digest_per_variant():
         assert len(sha) == 64 and int(sha, 16) >= 0
 
 
-def test_digest_main_prints_the_32_line_matrix_in_order(monkeypatch, capsys):
+def test_rank_digest_prints_one_digest_per_workload_depth_and_variant():
+    lines = []
+    for _ in range(2):
+        digest.benchmark.cache_clear()  # the second line from a graph generated afresh
+        lines.append(digest.rank_line("classify-hub", 1, "ne-ta"))
+    head, sha = lines[0].rsplit(" ", 1)
+    # the first 10 test queries, on both sides
+    assert head == "rank_digest: classify-hub ne-ta K=1: 20 ranks, sha256"
+    assert len(sha) == 64 and int(sha, 16) >= 0
+    assert lines[1] == lines[0]  # seeded throughout
+    assert digest.rank_line("classify-hub", 1, "base") != lines[0]
+
+
+def test_digest_main_prints_the_44_line_matrix_in_order(monkeypatch, capsys):
     monkeypatch.setattr(digest, "extraction_lines",
                         lambda w, k: [f"extraction {w} K={k} {part}" for part in ("subgraphs", "views")])
     monkeypatch.setattr(digest, "training_line", lambda v: f"training {v}")
     monkeypatch.setattr(digest, "score_line", lambda w, k, v: f"score {w} {v} K={k}")
+    monkeypatch.setattr(digest, "rank_line", lambda w, k, v: f"rank {w} {v} K={k}")
     assert digest.main() == 0
     expected = (
         [f"extraction {w} K={k} {part}" for w in ("train-mild", "rank-skewed", "classify-hub")
          for k in (1, 2, 3) for part in ("subgraphs", "views")]
         + ["training base", "training ne-ta"]
-        + [f"score {w} {v} K={k}" for w in ("rank-skewed", "classify-hub")
-           for k in (1, 2, 3) for v in ("base", "ne-ta")]
+        + [f"{kind} {w} {v} K={k}" for kind in ("score", "rank")
+           for w in ("rank-skewed", "classify-hub") for k in (1, 2, 3) for v in ("base", "ne-ta")]
     )
-    assert len(expected) == 32
+    assert len(expected) == 44
     assert capsys.readouterr().out.splitlines() == expected
 
 

@@ -551,7 +551,7 @@ def test_each_ball_is_walked_once_under_the_budget(n_entities, n_triples, k, see
 
 
 def no_inner_walk(*args, **kwargs):
-    raise AssertionError("walked inside the intersection, as every target, bare target or not, does")
+    raise AssertionError("walked inside the intersection")
 
 
 @settings(max_examples=80, deadline=None)
@@ -608,7 +608,7 @@ def test_bare_target_keeps_its_end_triples_at_level_one(rows, target, want, hops
 def test_target_with_a_shared_neighbour_walks_the_intersection(monkeypatch):
     g = KnowledgeGraph(make_vocab(3, 2), [Triple(0, 0, 2), Triple(2, 1, 1)])
     monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
-    with pytest.raises(AssertionError, match="bare target"):
+    with pytest.raises(AssertionError, match="walked inside the intersection"):
         extract_enclosing(g, Triple(0, 1, 1), 1)
 
 
@@ -620,6 +620,97 @@ def test_bare_target_has_level_zero_only():
         assert sub.triples == (Triple(0, 1, 1),)
         assert sub.levels.shape == (0,)  # the target's 0 is not held
     assert extract_disclosing(g, Triple(0, 1, 1), 1).levels is None
+
+
+def same_record(got, want):
+    """Whether two records hold the same graph, target and arrays, with the
+    same dtypes and read-only flags."""
+    pairs = ((got.indexes, want.indexes), (got.levels, want.levels), (got.labels, want.labels))
+    return got.graph is want.graph and got.target == want.target and all(
+        a.dtype == b.dtype and a.flags.writeable == b.flags.writeable and np.array_equal(a, b)
+        for a, b in pairs)
+
+
+def rank_query(rng, graph, fixed, side, n):
+    """A query at the fixed entity and n candidates of its other side, the
+    fixed entity among them, as a rank query's triples share it."""
+    others = rng.permutation(graph.vocab.num_entities)[:n].tolist() + [fixed]
+    return [Triple(e, 3, fixed) if side == "head" else Triple(fixed, 3, e) for e in others]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_list_extraction_equals_extracting_each_target(n_entities, n_triples, k, disclosing,
+                                                       seed):
+    # small random graphs hold self-loops and duplicate triples; entity
+    # n_entities has no triple, and relation 3 none, so that a target may
+    # equal a graph triple only where one is copied in
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 3, n_triples)
+    vocab = g.vocab
+    vocab.entity_id(f"e{n_entities}", create=True)
+    vocab.relation_id("r3", create=True)
+    g = KnowledgeGraph(vocab, g.triples)
+    queries = [rank_query(rng, g, int(rng.integers(n_entities + 1)), side, 4)
+               for side in ("head", "tail") for _ in range(3)]
+    queries.append(rank_query(rng, g, n_entities, "tail", 3))  # an isolated fixed entity
+    queries.append(list(g.triples[:4]))  # targets that are graph triples
+    mixed = [t for q in queries for t in q]
+    mixed = [mixed[i] for i in rng.permutation(len(mixed))]  # larger balls that differ
+    for targets in queries + [mixed]:
+        got = subgraph.extract_enclosing_list(g, targets, k, disclosing=disclosing)
+        assert len(got) == len(targets)
+        for sub, t in zip(got, targets):
+            assert same_record(sub, extract_enclosing(g, t, k, disclosing=disclosing))
+            _, want_triples = oracles.enclosing_subgraph(g, t, k)
+            assert list(sub.triples[:-1]) == want_triples
+
+
+def test_targets_whose_balls_share_only_their_ends_walk_nothing(monkeypatch):
+    # the path 0 - 1 - 2 - 3 - 4 - 5, self-loops at 5, 0 and 5 again: at
+    # K = 1, (0, 5) keeps only the self-loops of its ends, and (5, 4) the
+    # triples among its ends, without a walk; (1, 3) shares 2, so it walks
+    g = KnowledgeGraph(make_vocab(6, 2), [Triple(e, 0, e + 1) for e in range(5)]
+                       + [Triple(5, 1, 5), Triple(0, 1, 0), Triple(5, 1, 5)])
+    bare = [Triple(0, 1, 5), Triple(5, 0, 4)]
+    want = [extract_enclosing(g, t, 1, disclosing=True) for t in bare]
+    monkeypatch.setattr(subgraph, "_pruning_distances", no_inner_walk)
+    got = subgraph.extract_enclosing_list(g, bare, 1, disclosing=True)
+    assert all(same_record(a, b) for a, b in zip(got, want))
+    assert [sub.indexes.tolist() for sub in got] == [[5, 6, 7], [4, 5, 7]]
+    assert [sub.levels.tolist() for sub in got] == [[1, 1, 1], [1, 1, 1]]
+    assert [extract_enclosing(g, t, 1).indexes.tolist() for t in bare] == [[5, 6, 7], [4, 5, 7]]
+    for sub in subgraph.extract_enclosing_list(g, [Triple(1, 0, 4), Triple(4, 1, 1)], 1):
+        assert sub.indexes is subgraph.NO_INDEXES and sub.levels is subgraph.NO_LEVELS
+        assert not sub.indexes.flags.writeable and not sub.levels.flags.writeable
+    with pytest.raises(AssertionError, match="walked inside the intersection"):
+        subgraph.extract_enclosing_list(g, [Triple(1, 0, 3)], 1)
+
+
+@pytest.mark.parametrize("variant", [ModelConfig(dim=4, hops=2),
+                                     ModelConfig(dim=4, hops=3, use_disclosing=True,
+                                                 target_attention=True)],
+                         ids=["base", "ne-ta"])
+def test_scoring_a_query_together_equals_scoring_each_triple_alone(variant):
+    from rmpi.rmpnet import init_params
+
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 12, 3, 30)
+    params = init_params(variant, g.vocab.num_relations, np.random.default_rng(1))
+    for fixed, side in ((0, "head"), (5, "tail"), (11, "tail")):
+        triples = rank_query(rng, g, fixed, side, 11)
+        triples = [Triple(h, 2, t) for h, _, t in triples]
+        together = trainlab.score_triples(params, variant, trainlab.SampleCache(g, variant),
+                                          triples)
+        alone = [trainlab.score_triples(params, variant, trainlab.SampleCache(g, variant), [t])
+                 for t in triples]
+        assert together.tolist() == np.concatenate(alone).tolist()
 
 
 # ------------------------------------------------------- disclosing one-hop

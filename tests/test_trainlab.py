@@ -628,16 +628,22 @@ def test_train_builds_each_validation_triple_once(monkeypatch):
     built = Counter()
     scored = []
     inner_build, inner_score = trainlab.build_sample, trainlab.score_triples
+    inner_list = trainlab.extract_enclosing_list
 
     def counting(g, triple, config):
         built[triple] += 1
         return inner_build(g, triple, config)
+
+    def counting_list(g, triples, k, **kwargs):  # scoring builds through the list extractor
+        built.update(triples)
+        return inner_list(g, triples, k, **kwargs)
 
     def spying(params, config, cache, triples, *rest):
         scored.append(list(triples))
         return inner_score(params, config, cache, triples, *rest)
 
     monkeypatch.setattr(trainlab, "build_sample", counting)
+    monkeypatch.setattr(trainlab, "extract_enclosing_list", counting_list)
     monkeypatch.setattr(trainlab, "score_triples", spying)
     train(bench, small_config(epochs=3, patience=5))
     assert len(scored) == 3 and scored[0] == scored[1] == scored[2]
@@ -655,6 +661,69 @@ def test_retained_samples_are_kept_once_built():
     cache.retain([outsider])
     assert outsider not in cache._store  # built on first use, not before
     assert cache.sample(outsider) is cache.sample(outsider)
+
+
+def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
+    from rmpi import subgraph
+
+    graph = random_graph(np.random.default_rng(2), 8, 2, 16)
+    config = ModelConfig(dim=4, hops=2, use_disclosing=True)
+    cache = SampleCache(graph, config)
+    members = graph.triples[:3]
+    cache.precompute(members)
+    outsiders = [Triple(h, 0, t) for h in range(8) for t in range(8)
+                 if not graph.has_triple(Triple(h, 0, t))][:6]
+    kept, passing = outsiders[:3], outsiders[3:]
+    cache.retain(kept)
+    first = cache.samples(kept + passing + kept)
+    assert all(first[i] is first[i + 6] is cache._store[t] for i, t in enumerate(kept))
+    assert not set(passing) & set(cache._store)
+    handed = []
+    inner = trainlab.extract_enclosing_list
+
+    def refusing(g, targets, k, **kwargs):
+        assert not set(targets) & set(cache._store), "re-extracted a stored sample"
+        handed.append(list(targets))
+        return inner(g, targets, k, **kwargs)
+
+    monkeypatch.setattr(trainlab, "extract_enclosing_list", refusing)
+    monkeypatch.setattr(trainlab, "build_sample", refusing)
+    monkeypatch.setattr(subgraph, "extract_enclosing", refusing)
+    mixed = [kept[0], members[0], passing[0], kept[1], members[1], passing[0], passing[1]]
+    got = cache.samples(mixed)
+    assert handed == [[passing[0], passing[1]]]  # each distinct triple built once
+    for sample, t in zip(got, mixed):
+        if t in cache._store:
+            assert sample is cache._store[t]
+        else:
+            assert same_sample(sample, extract_enclosing(graph, t, 2, disclosing=True))
+    assert got[2] is got[5]
+    handed.clear()
+    assert cache.samples([kept[2], members[2]]) == [cache._store[kept[2]], cache._store[members[2]]]
+    assert handed == []
+
+
+def test_scoring_hands_the_extractor_a_bounded_chunk(monkeypatch):
+    graph = scoring_graph()
+    config, params, context = scoring_setup("ne-ta", graph)
+    triples = [Triple(h, r, t) for h in range(13) for r in range(3) for t in range(13)][:300]
+    handed = []
+    inner = trainlab.extract_enclosing_list
+
+    def counting(g, targets, k, **kwargs):
+        handed.append(len(targets))
+        return inner(g, targets, k, **kwargs)
+
+    monkeypatch.setattr(trainlab, "extract_enclosing_list", counting)
+    got = trainlab.score_triples(params, config, SampleCache(graph, config), triples, **context)
+    assert len(got) == 300 and sum(handed) == 300
+    assert max(handed) == trainlab.SCORE_CHUNK_TRIPLES < 300
+    graph = random_graph(np.random.default_rng(3), 80, 3, 160)
+    ckpt = Checkpoint(config, init_params(config, 3, np.random.default_rng(1)),
+                      graph.vocab.digest(), tuple(graph.vocab.relation_names), (True,) * 3)
+    handed.clear()
+    rank_entities(ckpt, graph, graph.triples[0], "tail", num_neg=49)
+    assert handed == [50]  # a query's triples are read at once: the truth and 49 candidates
 
 
 # ---------------------------------------------------------------- checkpoints
