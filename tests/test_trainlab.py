@@ -686,9 +686,12 @@ def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
         handed.append(list(targets))
         return inner(g, targets, k, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("extracted one triple at a time")
+
     monkeypatch.setattr(trainlab, "extract_enclosing_list", refusing)
-    monkeypatch.setattr(trainlab, "build_sample", refusing)
-    monkeypatch.setattr(subgraph, "extract_enclosing", refusing)
+    monkeypatch.setattr(trainlab, "build_sample", refuse)
+    monkeypatch.setattr(subgraph, "extract_enclosing", refuse)
     mixed = [kept[0], members[0], passing[0], kept[1], members[1], passing[0], passing[1]]
     got = cache.samples(mixed)
     assert handed == [[passing[0], passing[1]]]  # each distinct triple built once
@@ -699,7 +702,8 @@ def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
             assert same_sample(sample, extract_enclosing(graph, t, 2, disclosing=True))
     assert got[2] is got[5]
     handed.clear()
-    assert cache.samples([kept[2], members[2]]) == [cache._store[kept[2]], cache._store[members[2]]]
+    stored = cache.samples([kept[2], members[2]])
+    assert stored[0] is cache._store[kept[2]] and stored[1] is cache._store[members[2]]
     assert handed == []
 
 
