@@ -185,18 +185,34 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
 
 def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int, *,
                       disclosing: bool = False) -> Subgraph:
-    """K-hop enclosing subgraph of the target triple, as extract_enclosing_list
-    gives it.
+    """extract_enclosing_list of the one target, without the grouping, which
+    would cost a lone target more than its search."""
+    if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
+        target = Triple(*target)
+    if not 1 <= k <= MAX_HOPS:
+        raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
+    small, large = khop_ball(graph, target[0], k), khop_ball(graph, target[2], k)
+    if len(small) > len(large):
+        small, large = large, small
+    (common,) = _search(large, [small])
+    return _enclosing(graph, target, common, k, disclosing)
+
+
+def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
+                           disclosing: bool = False) -> list[Subgraph]:
+    """K-hop enclosing subgraph of each target triple, in order.
 
     Entity set: N_K(u) ∩ N_K(v) in the parent graph, then pruned: distances
     are re-measured inside the induced subgraph (with the target edge, so u
     and v are adjacent), and every entity isolated or farther than K from
     either center there is dropped, which can leave just the target edge.
-    The balls come from kgstore.khop_ball, memoised on the graph, and the
-    smaller is looked up in the larger, so a rank query's candidate pays for
-    its own ball, not the fixed entity's.  The distances are measured by one
-    walk of the graph's index within the intersection from u and v at once
-    (_pruning_distances), unless it holds only u and v, which the walk keeps.
+    The balls come from kgstore.khop_ball, memoised on the graph; a target's
+    smaller ball is searched in its larger one (_search), at once for all
+    targets whose larger ball is the same array, as a rank query's
+    candidates share their fixed entity's, so no more ids are searched than
+    target by target.  The distances are measured by one walk of the graph's
+    index within the intersection from u and v at once (_pruning_distances),
+    unless it holds only u and v, the walk's own seeds.
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), pruning's node sets,
@@ -216,54 +232,38 @@ def extract_enclosing(graph: KnowledgeGraph, target: Triple, k: int, *,
     also carries the labels of the target's disclosing neighbours
     (_disclosing_labels), as the ne variants' samples do; otherwise NO_LABELS.
     """
-    if type(target) is not Triple:  # a Triple is kept: a cached sample shares its key's tuple
-        target = Triple(*target)
     if not 1 <= k <= MAX_HOPS:
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
-    small, large = khop_ball(graph, target[0], k), khop_ball(graph, target[2], k)
-    if len(small) > len(large):
-        small, large = large, small
-    common = small[large.take(large.searchsorted(small), mode="clip") == small].tolist()
-    return _enclosing(graph, target, common, k, disclosing)
-
-
-def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
-                           disclosing: bool = False) -> list[Subgraph]:
-    """extract_enclosing of each target, in order.  Each target's smaller
-    ball is searched in its larger one, as there, but at once for all the
-    targets whose larger ball is the same memoised array, as the triples of a
-    rank query share their fixed entity's, so no more ids are searched."""
-    if not 1 <= k <= MAX_HOPS:
-        raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
-    targets = [t if type(t) is Triple else Triple(*t) for t in targets]
-    by_large = {}  # id of a larger ball: the ball, and its targets and their smaller balls
+    targets = [t if type(t) is Triple else Triple(*t) for t in targets]  # as extract_enclosing
+    groups = {}  # id of a larger ball: the ball, then its targets' indexes and smaller balls
     for i, (u, _, v) in enumerate(targets):
         small, large = khop_ball(graph, u, k), khop_ball(graph, v, k)
         if len(small) > len(large):
             small, large = large, small
-        by_large.setdefault(id(large), (large, []))[1].append((i, small))
-    out = [None] * len(targets)
-    for large, members in by_large.values():
-        if len(members) == 1:
-            ((i, small),) = members
-            common = small[large.take(large.searchsorted(small), mode="clip") == small].tolist()
-            out[i] = _enclosing(graph, targets[i], common, k, disclosing)
-            continue
-        sizes = [len(small) for _, small in members]
-        ids = np.concatenate([small for _, small in members])
-        hit = large.take(large.searchsorted(ids), mode="clip") == ids
-        found, start = ids[hit].tolist(), 0
-        for (i, _), count in zip(members, np.add.reduceat(hit, np.cumsum(sizes) - sizes,
-                                                          dtype=np.intp).tolist()):
-            out[i] = _enclosing(graph, targets[i], found[start:start + count], k, disclosing)
-            start += count
-    return out
+        groups.setdefault(id(large), [large]).append((i, small))
+    commons = [None] * len(targets)
+    for large, *members in groups.values():
+        for (i, _), common in zip(members, _search(large, [small for _, small in members])):
+            commons[i] = common
+    return [_enclosing(graph, t, common, k, disclosing) for t, common in zip(targets, commons)]
+
+
+def _search(large: np.ndarray, smalls: list[np.ndarray]) -> list[list[int]]:
+    """The ids of each ascending array of `smalls` that are in the ascending
+    `large`, found by one searchsorted for them all."""
+    ids = np.concatenate(smalls) if len(smalls) > 1 else smalls[0]  # a lone ball is not copied
+    hit = large.take(large.searchsorted(ids), mode="clip") == ids
+    found = ids[hit].tolist()
+    if len(smalls) == 1:
+        return [found]
+    ends = hit.cumsum().take(np.cumsum([len(small) for small in smalls]) - 1).tolist()
+    return [found[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
                disclosing: bool) -> Subgraph:
-    """extract_enclosing's record of the target, from the entities of its
-    two balls' intersection."""
+    """extract_enclosing_list's record of one target, from the entities of
+    its two balls' intersection."""
     u, _, v = target
     inside = set(common)
     joined = u in inside  # u and v are at most k apart, each in the other's ball
@@ -273,8 +273,7 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
     if inside or joined:
         idxs = _induced_triples(graph, near, target)
     else:  # u and v are more than k apart, so no triple joins them
-        idxs = [*graph.self_loops.get(u, ()), *graph.self_loops.get(v, ())]
-        idxs.sort()
+        idxs = sorted([*graph.self_loops.get(u, ()), *graph.self_loops.get(v, ())])
     labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     if not idxs:
         return Subgraph(graph, NO_INDEXES, target, NO_LEVELS, labels)

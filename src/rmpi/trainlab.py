@@ -132,13 +132,14 @@ class SampleCache:
     def samples(self, triples: list[Triple]) -> list[Subgraph]:
         """The samples of these triples: those stored, and the rest built at
         once, each once (extract_enclosing_list), keeping the retained."""
+        if len(triples) == 1:  # a lone triple skips the list's bookkeeping
+            return [self.sample(triples[0])]
         store = self._store
         built = dict.fromkeys(t for t in triples if t not in store)
-        if not built:
-            return [store[t] for t in triples]
-        built.update(zip(built, extract_enclosing_list(
-            self.graph, list(built), self.config.hops, disclosing=self.config.use_disclosing)))
-        store.update((t, s) for t, s in built.items() if t in self._retained)
+        if built:
+            built.update(zip(built, extract_enclosing_list(
+                self.graph, list(built), self.config.hops, disclosing=self.config.use_disclosing)))
+            store.update((t, s) for t, s in built.items() if t in self._retained)
         return [built[t] if t in built else store[t] for t in triples]
 
     def retain(self, triples) -> None:

@@ -389,8 +389,11 @@ def test_scoring_refuses_a_cache_of_another_extraction(monkeypatch, task):
     ckpt = Checkpoint(config, params, graph.vocab.digest(), tuple(graph.vocab.relation_names),
                       (True,) * graph.vocab.num_relations)
     cache = SampleCache(graph, built)
+    # scoring extracts through extract_enclosing_list, training through
+    # extract_enclosing, and every extraction first reads the K-hop balls
     monkeypatch.setattr(trainlab, "extract_enclosing", refuse)
-    monkeypatch.setattr(subgraph, "_disclosing_labels", refuse)
+    monkeypatch.setattr(trainlab, "extract_enclosing_list", refuse)
+    monkeypatch.setattr(subgraph, "khop_ball", refuse)
     want = (f"sample cache extracts with hops={built.hops}, use_disclosing={built.use_disclosing}, "
             f"but the model has hops={config.hops}, use_disclosing={config.use_disclosing}")
     with pytest.raises(TrainError, match=re.escape(want)) as raised:
@@ -704,6 +707,7 @@ def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
     handed.clear()
     stored = cache.samples([kept[2], members[2]])
     assert stored[0] is cache._store[kept[2]] and stored[1] is cache._store[members[2]]
+    assert cache.samples([kept[2]])[0] is cache._store[kept[2]]  # a lone triple reads it too
     assert handed == []
 
 
