@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print 44 SHA-256 lines that show whether two checkouts extract, train, score and rank alike.
+"""Print 48 SHA-256 lines that show whether two checkouts extract, train, score and rank alike.
 
     python3 scripts/digest.py
 
@@ -33,6 +33,10 @@ program from this checkout's src/.  The lines, in order:
   candidate counts and the float64 scores of every query's triples that
   `evalbench.rank_queries` gives on both sides with the same `checkpoint`,
   each query's triples sharing its fixed entity.
+- `score_digest` and `rank_digest` again, rank-skewed at K=2, ne-ta, with
+  two other checkpoints in turn: `odd-unseen`, whose odd relation ids have
+  no trained row and score with seeded unseen-relation draws, and `schema`,
+  whose model projects seeded schema vectors (`named_vectors`).
 """
 
 from __future__ import annotations
@@ -70,19 +74,31 @@ def benchmark(workload: str, labels: int | None = None) -> kgstore.Benchmark:
         return kgstore.load_benchmark(tmp)
 
 
-def checkpoint(bench: kgstore.Benchmark, hops: int, variant: str) -> trainlab.Checkpoint:
+def checkpoint(bench: kgstore.Benchmark, hops: int, variant: str,
+               features: str | None = None) -> trainlab.Checkpoint:
     """A never-trained checkpoint of the variant at depth `hops`, seeded
-    with SCORING_SEED, over the benchmark's relations."""
-    config = rmpnet.variant_config(variant, hops=hops, dim=32)
+    with SCORING_SEED, over the benchmark's relations, each with a trained
+    row; with `features` "odd-unseen" the odd relation ids have none, and
+    with "schema" the model reads schema vectors instead."""
+    init_mode = "schema" if features == "schema" else "random"
+    config = rmpnet.variant_config(variant, hops=hops, dim=32, init_mode=init_mode)
     vocab = bench.vocab
+    seen = [vocab.relation_seen(r) and not (features == "odd-unseen" and r % 2)
+            for r in range(vocab.num_relations)]
     return trainlab.Checkpoint(
         config=config,
         params=rmpnet.init_params(config, vocab.num_relations,
                                   np.random.default_rng([SCORING_SEED, 7])),
         vocab_digest=vocab.digest(),
         relation_names=tuple(vocab.relation_names),
-        seen_flags=tuple(vocab.relation_seen(r) for r in range(vocab.num_relations)),
+        seen_flags=tuple(seen),
     )
+
+
+def named_vectors(bench: kgstore.Benchmark) -> dict:
+    """Seeded schema vectors of width rmpnet.SCHEMA_DIM by relation name."""
+    return {name: np.random.default_rng([SCORING_SEED, 11, r]).normal(size=rmpnet.SCHEMA_DIM)
+            for r, name in enumerate(bench.vocab.relation_names)}
 
 
 def extraction_lines(workload: str, hops: int) -> list[str]:
@@ -130,9 +146,13 @@ def training_line(variant: str) -> str:
             f"params sha256 {params_digest(ckpt.params)}")
 
 
-def score_line(workload: str, hops: int, variant: str) -> str:
+def line_name(workload: str, hops: int, variant: str, features: str | None) -> str:
+    return f"{workload} {variant} K={hops}" + (f" {features}" if features else "")
+
+
+def score_line(workload: str, hops: int, variant: str, features: str | None = None) -> str:
     bench = benchmark(workload, SCORING_SEED)
-    ckpt = checkpoint(bench, hops, variant)
+    ckpt = checkpoint(bench, hops, variant, features)
     graph = bench.test_graph
     rng = np.random.default_rng(NEGATIVE_SEED)
     triples = []
@@ -140,21 +160,26 @@ def score_line(workload: str, hops: int, variant: str) -> str:
         triples += [kgstore.Triple(*t), trainlab.sample_negative(t, graph, rng)]
     cache = trainlab.SampleCache(graph, ckpt.config)
     lookup = trainlab.relation_lookup(ckpt, graph.vocab)
+    schema = None
+    if features == "schema":
+        schema = trainlab.resolve_schema_vectors(named_vectors(bench), graph.vocab, ckpt.config)
 
     def scores(of):
-        return trainlab.score_triples(ckpt.params, ckpt.config, cache, of, lookup, None,
+        return trainlab.score_triples(ckpt.params, ckpt.config, cache, of, lookup, schema,
                                       spec.EVAL_SEED)
 
     alone = np.concatenate([scores([t]) for t in triples])
     stacked = scores(triples)
     digest = hashlib.sha256(alone.astype("<f8").tobytes() + stacked.astype("<f8").tobytes())
-    return (f"score_digest: {workload} {variant} K={hops}: {len(triples)} triples, "
+    name = line_name(workload, hops, variant, features)
+    return (f"score_digest: {name}: {len(triples)} triples, "
             f"sha256 {digest.hexdigest()}")
 
 
-def rank_line(workload: str, hops: int, variant: str) -> str:
+def rank_line(workload: str, hops: int, variant: str, features: str | None = None) -> str:
     bench = benchmark(workload, SCORING_SEED)
-    ckpt = checkpoint(bench, hops, variant)
+    ckpt = checkpoint(bench, hops, variant, features)
+    schema = named_vectors(bench) if features == "schema" else None
     queries = bench.test if workload == "rank-skewed" else bench.test[:RANK_QUERIES]
     scored = []
     inner = evalbench.score_triples
@@ -166,12 +191,14 @@ def rank_line(workload: str, hops: int, variant: str) -> str:
 
     evalbench.score_triples = kept
     try:
-        result = evalbench.rank_queries(ckpt, bench.test_graph, queries, seed=spec.EVAL_SEED)
+        result = evalbench.rank_queries(ckpt, bench.test_graph, queries, seed=spec.EVAL_SEED,
+                                        schema_vectors=schema)
     finally:
         evalbench.score_triples = inner
     record = repr((result.ranks, result.candidate_counts)).encode("ascii")
     digest = hashlib.sha256(record + np.concatenate(scored).astype("<f8").tobytes())
-    return (f"rank_digest: {workload} {variant} K={hops}: {len(result.ranks)} ranks, "
+    name = line_name(workload, hops, variant, features)
+    return (f"rank_digest: {name}: {len(result.ranks)} ranks, "
             f"sha256 {digest.hexdigest()}")
 
 
@@ -189,6 +216,9 @@ def main() -> int:
         for hops in (1, 2, 3):
             for variant in ("base", "ne-ta"):
                 print(rank_line(workload, hops, variant))
+    for line in (score_line, rank_line):
+        for features in ("odd-unseen", "schema"):
+            print(line("rank-skewed", 2, "ne-ta", features))
     return 0
 
 

@@ -134,13 +134,16 @@ def _model_config(args, schema_vectors=None) -> ModelConfig:
     )
 
 
-def _load_schema_vectors(args):
-    if args.init != "schema":
+def _load_schema_vectors(args, init_mode: str):
+    """The named --schema-vectors a model of this init mode reads (--init
+    for train, the checkpoint's for eval): None for random init, a usage
+    error if they are given to it or missing for schema init."""
+    if init_mode != "schema":
         if args.schema_vectors:
-            raise UsageError("--schema-vectors is read only with --init schema")
+            raise UsageError("--schema-vectors is read only by a model trained with --init schema")
         return None
     if not args.schema_vectors:
-        raise UsageError("--init schema requires --schema-vectors")
+        raise UsageError("a model trained with --init schema requires --schema-vectors")
     return load_vectors(args.schema_vectors)
 
 
@@ -206,7 +209,7 @@ def _hits(text: str) -> tuple[int, ...]:
 # ------------------------------------------------------------------ commands
 
 def cmd_train(args) -> int:
-    schema_vectors = _load_schema_vectors(args)
+    schema_vectors = _load_schema_vectors(args, args.init)
     model = _model_config(args, schema_vectors)
     bench = load_benchmark(args.data)
 
@@ -258,15 +261,7 @@ def cmd_eval(args) -> int:
     bench = load_benchmark(args.data)
     if not bench.test:
         raise EvalError(f"benchmark at {args.data} has no test targets")
-    schema_vectors = None
-    if ckpt.config.init_mode == "schema":
-        if not args.schema_vectors:
-            raise UsageError("checkpoint uses schema init: pass --schema-vectors")
-        schema_vectors = load_vectors(args.schema_vectors)
-    elif args.schema_vectors:
-        raise UsageError(
-            "--schema-vectors is read only for a checkpoint trained with --init schema"
-        )
+    schema_vectors = _load_schema_vectors(args, ckpt.config.init_mode)
 
     if args.task == "classify":
         result = classify(

@@ -106,14 +106,14 @@ class RankOutcome(NamedTuple):
 # ------------------------------------------------------------------ scoring
 
 def _scoring_context(ckpt: Checkpoint, graph: KnowledgeGraph, schema_vectors, cache):
-    """The relation lookup, schema vectors and sample cache that score on
+    """The relation row map, schema vectors and sample cache that score on
     `graph`; EvalError if a given cache extracts from another graph."""
     if cache is None:
         cache = SampleCache(graph, ckpt.config)
     elif cache.graph is not graph:
         raise EvalError("the sample cache was built on another graph than the one scored")
-    lookup = relation_lookup(ckpt, graph.vocab)
-    return lookup, resolve_schema_vectors(schema_vectors, graph.vocab, ckpt.config), cache
+    relation_rows = relation_lookup(ckpt, graph.vocab)
+    return relation_rows, resolve_schema_vectors(schema_vectors, graph.vocab, ckpt.config), cache
 
 
 def classify(
@@ -128,11 +128,11 @@ def classify(
     targets = [Triple(*t) for t in targets]
     if not targets:
         raise EvalError("classification needs at least one target")
-    lookup, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
+    relation_rows, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
     rng = np.random.default_rng([seed, 201])
     negatives = [sample_negative(t, graph, rng) for t in targets]
     scores = score_triples(ckpt.params, ckpt.config, cache, targets + negatives,
-                           lookup, id_vectors, seed)
+                           relation_rows, id_vectors, seed)
     labels = np.array([1] * len(targets) + [0] * len(negatives))
     return ClassificationResult(
         auc_pr=auc_pr(scores, labels),
@@ -190,7 +190,7 @@ def rank_entities(
     if side not in ("head", "tail"):
         raise EvalError(f"side must be 'head' or 'tail', got {side!r}")
     query = Triple(*query)
-    lookup, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
+    relation_rows, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
     if rng is None:
         rng = np.random.default_rng([seed, 301])
     truth = query.head if side == "head" else query.tail
@@ -202,7 +202,7 @@ def rank_entities(
         )
     candidates = [_corrupted(query, side, e) for e in pool]
     scores = score_triples(
-        ckpt.params, ckpt.config, cache, [query] + candidates, lookup, id_vectors, seed
+        ckpt.params, ckpt.config, cache, [query] + candidates, relation_rows, id_vectors, seed
     )
     return RankOutcome(rank_of(scores[0], scores[1:]), len(candidates))
 

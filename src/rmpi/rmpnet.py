@@ -3,8 +3,10 @@
 The model scores a target triple from the relation view of its enclosing
 subgraph: one node per triple, labelled by its relation, with typed edges
 between triples that share an entity.  Initial features come either from a
-learned embedding table (fresh seeded draws for relations unseen in
-training) or from a projection of pretrained schema vectors.  Intermediate
+learned embedding table or from a projection of pretrained schema vectors,
+each read through an array indexed by relation id, 0 .. num_relations - 1:
+a row map into the table (-1 for a relation unseen in training, which
+takes a fresh seeded draw) or one schema vector per relation.  Intermediate
 layers aggregate incoming messages per edge type, optionally weighted by
 target-aware attention, with a residual combination; the last layer updates
 only the target with equal-weight aggregation.  A disclosing variant adds a
@@ -16,11 +18,12 @@ concatenation before the linear scorer.
 Everything runs as array operations over a batch of samples, each a
 subgraph.Subgraph record, stacked into one block-diagonal graph, its nodes'
 ends and labels gathered from the graph's arrays by the samples' triple
-indices, their distinct labels resolved once into a feature table, and each
-layer transforms its (node, edge type) group sums by the types' weights in
-one matrix product.  Every edge type matches one end of the source with one
-end of the receiver, so a receiver's typed sources are the triples at one of
-its entities, less the parallel or inverse twins that give PARA or LOOP in
+indices, their distinct labels checked against the vocabulary's relation
+ids and resolved once into a feature table, and each layer transforms its
+(node, edge type) group sums by the types' weights in one matrix product.
+Every edge type matches one end of the source with one end of the
+receiver, so a receiver's typed sources are the triples at one of its
+entities, less the parallel or inverse twins that give PARA or LOOP in
 their place: subgraph._end_rows decides that typing once, as one span per
 receiver and type over the triples' ends grouped by entity.  There are two
 forwards over those spans, for the same model:
@@ -176,11 +179,14 @@ def bind_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Var]:
 class FeatureSource:
     """Resolves relation labels to initial feature vectors on one tape.
 
-    `table(labels)` gives one row per label.  `lookup` maps a label to its
-    embedding-table row, or None for relations that have no learned row
-    (unseen at training time); those take a fresh vector from the
-    initializer distribution, seeded per run and per label.  In schema mode
-    every row is the projection of the label's pretrained vector.
+    `table(labels)` gives one row per label, a relation id in 0 ..
+    num_relations - 1.  In random mode `relation_rows[label]` is the
+    label's embedding-table row, or -1 for a relation that has no learned
+    row (unseen at training time), which takes a fresh vector from the
+    initializer distribution, seeded per run and per label; without a row
+    map every label is its own row.  In schema mode the row for a label is
+    the projection of `schema_vectors[label]`, a (num_relations,
+    schema_dim) array of pretrained vectors.
     """
 
     def __init__(
@@ -188,34 +194,33 @@ class FeatureSource:
         tape: Tape,
         pvars: dict[str, Var],
         config: ModelConfig,
-        lookup=None,
-        schema_vectors: dict[int, np.ndarray] | None = None,
+        relation_rows: np.ndarray | None = None,
+        schema_vectors: np.ndarray | None = None,
         run_seed: int = 0,
     ):
+        if config.init_mode == "schema" and schema_vectors is None:
+            raise ModelError("schema init mode needs a schema vector per relation")
         self.tape = tape
         self.pvars = pvars
         self.config = config
-        self.lookup = lookup if lookup is not None else (lambda label: label)
+        self.relation_rows = relation_rows
         self.schema_vectors = schema_vectors
         self.run_seed = run_seed
 
-    def table(self, labels) -> Var:
+    def table(self, labels: np.ndarray) -> Var:
         """(len(labels), d) initial features, row i for labels[i]."""
-        labels = [int(label) for label in labels]
-        cfg = self.config
-        if cfg.init_mode == "schema":
-            for label in labels:
-                if self.schema_vectors is None or label not in self.schema_vectors:
-                    raise ModelError(f"no schema vector for relation id {label}")
-            vecs = self.tape.const(np.stack([self.schema_vectors[label] for label in labels]))
+        if self.config.init_mode == "schema":
+            vecs = self.tape.const(self.schema_vectors[labels])
             return _apply(self.pvars["schema_w1"], _apply(self.pvars["schema_w2"], vecs))
         emb = self.pvars["rel_emb"]
-        rows = [self.lookup(label) for label in labels]
-        unseen = [label for label, row in zip(labels, rows) if row is None]
-        if unseen:
-            draws = [fresh_unseen_vector(self.run_seed, label, cfg.dim) for label in unseen]
-            extra = iter(range(emb.value.shape[0], emb.value.shape[0] + len(unseen)))
-            rows = [next(extra) if row is None else row for row in rows]
+        if self.relation_rows is None:
+            return nk.take(emb, labels)
+        rows = self.relation_rows[labels]
+        unseen = rows < 0
+        if unseen.any():
+            draws = [fresh_unseen_vector(self.run_seed, label, self.config.dim)
+                     for label in labels[unseen].tolist()]
+            rows[unseen] = np.arange(len(emb.value), len(emb.value) + len(draws))
             emb = nk.concat([emb, self.tape.const(np.stack(draws))])
         return nk.take(emb, rows)
 
@@ -227,11 +232,12 @@ class SampleBatch:
     The node ids of a sample are offset by the node counts of the samples
     before it, so no edge or run joins two samples.  The *_rows arrays
     index `labels`, the batch's distinct relation labels, which are the
-    rows of its feature table.  A training batch holds every triple of each
-    sample's enclosing subgraph and, per layer, the relation-view edges it
-    reads, in (dst, type, src) order; a scoring batch holds the nodes within
-    K steps of each target and their Incidences, None when every sample is
-    its target alone.
+    rows of its feature table: relation ids of the graph's vocabulary, 0 ..
+    num_relations - 1, as stack_samples checks.  A training batch holds
+    every triple of each sample's enclosing subgraph and, per layer, the
+    relation-view edges it reads, in (dst, type, src) order; a scoring
+    batch holds the nodes within K steps of each target and their
+    Incidences, None when every sample is its target alone.
     """
 
     labels: np.ndarray  # (L,) distinct labels, ascending
@@ -309,10 +315,11 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
 def _label_table(labels: np.ndarray, num_relations: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct labels, ascending, and each label's row among them, as
     np.unique(labels, return_inverse=True) gives them, from a count of each
-    relation id rather than a sort.  Labels outside 0 .. num_relations - 1
-    take np.unique itself."""
+    relation id rather than a sort.  ModelError for a label outside 0 ..
+    num_relations - 1, before anything is indexed by it."""
     if labels.min() < 0 or labels.max() >= num_relations:
-        return np.unique(labels, return_inverse=True)
+        bad = labels[(labels < 0) | (labels >= num_relations)][0]
+        raise ModelError(f"relation id {bad} is outside the vocabulary's 0 .. {num_relations - 1}")
     count = np.bincount(labels, minlength=num_relations)
     row = (count > 0).cumsum() - 1  # per relation id, its row if present
     return count.nonzero()[0], row[labels]

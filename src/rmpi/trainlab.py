@@ -274,29 +274,26 @@ def _checkpoint(manifest: dict, block: bytes, params_path: str) -> Checkpoint:
 
 # ------------------------------------------------------------------ scoring
 
-def relation_lookup(ckpt: Checkpoint, vocab: Vocabulary):
-    """Map a vocabulary's relation ids onto checkpoint embedding rows.
+def relation_lookup(ckpt: Checkpoint, vocab: Vocabulary) -> np.ndarray:
+    """The row map FeatureSource reads: per relation id of `vocab`, its
+    checkpoint embedding row, an int array of vocab.num_relations entries,
+    -1 where the checkpoint has no trained row (the unseen-draw path).
 
-    Relations are matched by name; anything absent from the checkpoint's
-    seen set reports None and falls back to the unseen-draw path.
+    Relations are matched by name; a relation absent from the checkpoint or
+    outside its seen set has no trained row.
     """
-    rows = {name: i for i, name in enumerate(ckpt.relation_names)}
-
-    def lookup(label: int):
-        row = rows.get(vocab.relation_names[label])
-        if row is None or not ckpt.seen_flags[row]:
-            return None
-        return row
-
-    return lookup
+    rows = {name: row for row, (name, seen)
+            in enumerate(zip(ckpt.relation_names, ckpt.seen_flags)) if seen}
+    return np.array([rows.get(name, -1) for name in vocab.relation_names], dtype=np.intp)
 
 
 def resolve_schema_vectors(
     named_vectors: dict[str, np.ndarray] | None,
     vocab: Vocabulary,
     config: ModelConfig,
-) -> dict[int, np.ndarray] | None:
-    """The schema vectors a model of `config` reads, re-keyed by relation id.
+) -> np.ndarray | None:
+    """The schema vectors a model of `config` reads, one
+    (vocab.num_relations, config.schema_dim) array, row r for relation id r.
 
     None for random init, which reads none, whatever is given.  Schema init
     needs a vector of width config.schema_dim for every relation of the
@@ -307,7 +304,7 @@ def resolve_schema_vectors(
         return None
     if named_vectors is None:
         raise TrainError("schema init mode needs pretrained schema vectors")
-    out = {}
+    out = np.empty((vocab.num_relations, config.schema_dim))
     missing = []
     for rid, name in enumerate(vocab.relation_names):
         vec = named_vectors.get(name)
@@ -334,11 +331,12 @@ def score_triples(
     config: ModelConfig,
     cache: SampleCache,
     triples,
-    lookup=None,
-    schema_vectors: dict[int, np.ndarray] | None = None,
+    relation_rows: np.ndarray | None = None,
+    schema_vectors: np.ndarray | None = None,
     run_seed: int = 0,
 ) -> np.ndarray:
-    """Dropout-off scores for a list of triples, in stacked forwards.
+    """Dropout-off scores for a list of triples, in stacked forwards, their
+    relations' features read as FeatureSource reads them.
 
     Samples are read SCORE_CHUNK_TRIPLES triples at a time
     (SampleCache.samples) and appended to one batch until the next would
@@ -358,10 +356,7 @@ def score_triples(
         raise TrainError(f"sample cache extracts with {built}, but the model has {wanted}")
     tape = Tape(record=False)
     pvars = bind_params(tape, params)
-    source = FeatureSource(
-        tape, pvars, config,
-        lookup=lookup, schema_vectors=schema_vectors, run_seed=run_seed,
-    )
+    source = FeatureSource(tape, pvars, config, relation_rows, schema_vectors, run_seed)
     triples = [t if type(t) is Triple else Triple(*t) for t in triples]
     scores, batch, rows = [], [], 0
     for start in range(0, len(triples), SCORE_CHUNK_TRIPLES):
@@ -395,7 +390,8 @@ def train(
     rng_init = np.random.default_rng(config.seed)
     params = init_params(mc, vocab.num_relations, rng_init)
     seen = vocab.seen_relations()
-    lookup = lambda label: label if label in seen else None
+    relation_rows = np.array([r if r in seen else -1 for r in range(vocab.num_relations)],
+                             dtype=np.intp)
 
     cache = SampleCache(graph, mc)
     positives = list(graph.triples)
@@ -416,7 +412,7 @@ def train(
         from .evalbench import auc_pr  # late import, evalbench imports this module
 
         scores = score_triples(
-            params, mc, cache, valid + valid_negatives, lookup, id_vectors, config.seed
+            params, mc, cache, valid + valid_negatives, relation_rows, id_vectors, config.seed
         )
         labels = np.array([1] * len(valid) + [0] * len(valid_negatives))
         return auc_pr(scores, labels)
@@ -439,10 +435,7 @@ def train(
                 samples.append(cache.sample(neg))
         tape = Tape()
         pvars = bind_params(tape, params)
-        source = FeatureSource(
-            tape, pvars, mc,
-            lookup=lookup, schema_vectors=id_vectors, run_seed=config.seed,
-        )
+        source = FeatureSource(tape, pvars, mc, relation_rows, id_vectors, config.seed)
         scores = score_sample(samples, source, pvars, mc, training=True, drop_rng=rng_drop)
         positions = np.arange(len(samples)).reshape(len(batch), -1)
         loss = margin_loss(

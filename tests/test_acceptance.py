@@ -73,12 +73,9 @@ def _schema_path():
     return path
 
 
-def _lookup_all(label):
-    return label
-
-
 def _source(tape, pvars, config):
-    return FeatureSource(tape, pvars, config, lookup=_lookup_all)
+    # no row map: every relation id is its own embedding row
+    return FeatureSource(tape, pvars, config)
 
 
 def _variant_grid(dim=4, hops=2):

@@ -36,15 +36,14 @@ from rmpi.subgraph import (
 from synth import edge_array, make_vocab, random_graph
 
 
-def seen_lookup(num_seen):
-    return lambda label: label if label < num_seen else None
+def seen_rows(num_seen, num_relations=100):
+    """A row map under which relations 0 .. num_seen - 1 have learned rows."""
+    ids = np.arange(num_relations)
+    return np.where(ids < num_seen, ids, -1)
 
 
 def make_source(tape, pvars, config, num_seen=100, schema=None, run_seed=0):
-    return FeatureSource(
-        tape, pvars, config,
-        lookup=seen_lookup(num_seen), schema_vectors=schema, run_seed=run_seed,
-    )
+    return FeatureSource(tape, pvars, config, seen_rows(num_seen), schema, run_seed)
 
 
 def build_sample(graph, target, config):
@@ -125,7 +124,7 @@ def test_seen_relation_reads_embedding_row():
     tape = Tape()
     pvars = bind_params(tape, params)
     src = make_source(tape, pvars, config, num_seen=5)
-    np.testing.assert_array_equal(src.table([3, 1]).value, params["rel_emb"][[3, 1]])
+    np.testing.assert_array_equal(src.table(np.array([3, 1])).value, params["rel_emb"][[3, 1]])
 
 
 def test_shared_label_shares_feature_node():
@@ -157,7 +156,7 @@ def test_unseen_relation_draw_is_per_run_and_per_label():
     tape = Tape()
     pvars = bind_params(tape, params)
     src_a = make_source(tape, pvars, config, num_seen=2, run_seed=7)
-    v5, v6 = src_a.table([5, 6]).value
+    v5, v6 = src_a.table(np.array([5, 6])).value
     assert not np.array_equal(v5, v6)
     # same run seed reproduces the draw, different seed changes it
     np.testing.assert_array_equal(v5, fresh_unseen_vector(7, 5, 8))
@@ -181,18 +180,20 @@ def test_schema_projection_identity_padded():
     onto[1] = 1.0
     tape = Tape()
     pvars = bind_params(tape, params)
-    src = FeatureSource(tape, pvars, config, schema_vectors={4: onto})
-    np.testing.assert_allclose(src.table([4]).value[0], [0.0, 1.0, 0.0], atol=0)
+    vectors = np.stack([np.zeros(300)] * 4 + [onto])  # relation 4's is onto
+    src = FeatureSource(tape, pvars, config, schema_vectors=vectors)
+    np.testing.assert_allclose(src.table(np.array([4])).value[0], [0.0, 1.0, 0.0], atol=0)
 
 
 def test_schema_mode_missing_vector_errors():
+    # resolve_schema_vectors checks every relation's vector once; schema
+    # mode given none fails as the source is made, before any forward
     config = ModelConfig(dim=3, init_mode="schema", edge_dropout=0.0)
     params = init_params(config, 2, np.random.default_rng(0))
     tape = Tape()
     pvars = bind_params(tape, params)
-    src = FeatureSource(tape, pvars, config, schema_vectors={0: np.zeros(300)})
     with pytest.raises(ModelError, match="schema vector"):
-        src.table([0, 1])
+        FeatureSource(tape, pvars, config)
 
 
 # ----------------------------------------------------- single layers
@@ -567,7 +568,7 @@ def test_unseen_relabeled_forward_is_finite():
         tape = Tape()
         pvars = bind_params(tape, params)
         # every label reported unseen: nothing may touch the embedding table
-        src = FeatureSource(tape, pvars, config, lookup=lambda label: None, run_seed=3)
+        src = FeatureSource(tape, pvars, config, seen_rows(0), run_seed=3)
         out = score_sample([sample], src, pvars, config)
         assert np.isfinite(out.value).all()
 
@@ -664,7 +665,7 @@ def mixed_batch_targets():
     """A graph and targets covering what a batch can mix: enclosing views
     with and without edges, self-loops, isolated endpoints, a duplicate
     target and relations without a learned row (labels 3 and 4 are unseen
-    under seen_lookup(3))."""
+    under seen_rows(3))."""
     graph = random_graph(np.random.default_rng(62), 12, 5, 16)  # 0 and 1 isolated
     targets = [
         graph.triples[0], Triple(0, 4, 0), graph.triples[2], Triple(1, 3, 8),
@@ -677,8 +678,9 @@ def mixed_batch_targets():
 def test_label_table_is_the_sorted_distinct_labels(training):
     # stack_samples counts the relation ids a batch's labels take rather
     # than sorting them, yet gives np.unique's labels and inverse rows,
-    # dtypes included, over batches mixing node labels, disclosing labels,
-    # relations absent from the graph and ids outside the vocabulary
+    # dtypes included, over batches mixing node labels, disclosing labels
+    # and relations absent from the graph; a batch with an id outside the
+    # vocabulary raises ModelError
     rng = np.random.default_rng(29)
     for trial in range(30):
         n, num_relations = int(rng.integers(2, 12)), int(rng.integers(1, 7))
@@ -688,6 +690,11 @@ def test_label_table_is_the_sorted_distinct_labels(training):
                    int(rng.integers(n))) for _ in range(int(rng.integers(1, 5)))]
         config = ModelConfig(dim=4, hops=int(rng.integers(1, 4)), use_disclosing=bool(trial % 2))
         samples = [build_sample(graph, t, config) for t in targets]
+        if max(t.relation for t in targets) >= num_relations:
+            outside = f"outside the vocabulary's 0 .. {num_relations - 1}"
+            with pytest.raises(ModelError, match=outside):
+                stack_samples(samples, config.hops, training=training)
+            continue
         batch = stack_samples(samples, config.hops, training=training)
         disc = np.concatenate([s.labels for s in samples])
         if training:  # every node, in sample order
@@ -707,9 +714,15 @@ def test_label_table_is_the_sorted_distinct_labels(training):
         assert np.array_equal(batch.labels, labels)
         assert batch.disc_rows.dtype == rows.dtype
         assert np.array_equal(batch.disc_rows, rows[len(rows) - len(disc):])
-    for values in (rng.integers(-3, 9, size=40), rng.integers(0, 5, size=1), np.array([7, 2, 7])):
-        got = rmpnet._label_table(values.astype(np.intp), 5)
-        want = np.unique(values.astype(np.intp), return_inverse=True)
+    for values in (rng.integers(-3, 9, size=40), rng.integers(0, 5, size=1), np.array([7, 2, 7]),
+                   np.array([4, 2, 4]), np.array([2, -1]), np.array([5])):
+        values = values.astype(np.intp)
+        if values.min() < 0 or values.max() >= 5:
+            with pytest.raises(ModelError, match="is outside the vocabulary's 0 .. 4"):
+                rmpnet._label_table(values, 5)
+            continue
+        got = rmpnet._label_table(values, 5)
+        want = np.unique(values, return_inverse=True)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -885,7 +898,7 @@ def test_scoring_forward_matches_the_view_forward(hops, variant):
         params = init_params(config, 5, np.random.default_rng(trial))
         schema = None
         if config.init_mode == "schema":
-            schema = {r: rng.normal(size=config.schema_dim) for r in range(5)}
+            schema = np.stack([rng.normal(size=config.schema_dim) for r in range(5)])
         samples = [build_sample(graph, t, config) for t in SCORING_TARGETS]
         hub_view = max(len(pruned(graph, t, hops)[0]) for t in SCORING_TARGETS) > 40
         assert hub_view or not trial

@@ -243,12 +243,14 @@ def test_rank_digest_prints_one_digest_per_workload_depth_and_variant():
     assert digest.rank_line("classify-hub", 1, "base") != lines[0]
 
 
-def test_digest_main_prints_the_44_line_matrix_in_order(monkeypatch, capsys):
+def test_digest_main_prints_the_48_line_matrix_in_order(monkeypatch, capsys):
     monkeypatch.setattr(digest, "extraction_lines",
                         lambda w, k: [f"extraction {w} K={k} {part}" for part in ("subgraphs", "views")])
     monkeypatch.setattr(digest, "training_line", lambda v: f"training {v}")
-    monkeypatch.setattr(digest, "score_line", lambda w, k, v: f"score {w} {v} K={k}")
-    monkeypatch.setattr(digest, "rank_line", lambda w, k, v: f"rank {w} {v} K={k}")
+    monkeypatch.setattr(digest, "score_line",
+                        lambda w, k, v, f=None: f"score {digest.line_name(w, k, v, f)}")
+    monkeypatch.setattr(digest, "rank_line",
+                        lambda w, k, v, f=None: f"rank {digest.line_name(w, k, v, f)}")
     assert digest.main() == 0
     expected = (
         [f"extraction {w} K={k} {part}" for w in ("train-mild", "rank-skewed", "classify-hub")
@@ -256,8 +258,10 @@ def test_digest_main_prints_the_44_line_matrix_in_order(monkeypatch, capsys):
         + ["training base", "training ne-ta"]
         + [f"{kind} {w} {v} K={k}" for kind in ("score", "rank")
            for w in ("rank-skewed", "classify-hub") for k in (1, 2, 3) for v in ("base", "ne-ta")]
+        + [f"{kind} rank-skewed ne-ta K=2 {f}" for kind in ("score", "rank")
+           for f in ("odd-unseen", "schema")]
     )
-    assert len(expected) == 44
+    assert len(expected) == 48
     assert capsys.readouterr().out.splitlines() == expected
 
 

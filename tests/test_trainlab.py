@@ -14,7 +14,8 @@ from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape
 from rmpi.rmpnet import (
-    FeatureSource, ModelConfig, bind_params, init_params, score_sample, stack_samples,
+    FeatureSource, ModelConfig, ModelError, bind_params, init_params, score_sample,
+    stack_samples,
 )
 from rmpi.subgraph import (
     NO_LABELS,
@@ -279,17 +280,18 @@ def scoring_setup(variant, graph):
     params = init_params(config, graph.vocab.num_relations, np.random.default_rng(1))
     schema = None
     if config.init_mode == "schema":
-        schema = {r: np.random.default_rng([2, r]).normal(size=config.schema_dim)
-                  for r in range(graph.vocab.num_relations)}
-    lookup = lambda label: None if label == UNSEEN else label
-    return config, params, dict(lookup=lookup, schema_vectors=schema, run_seed=5)
+        schema = np.stack([np.random.default_rng([2, r]).normal(size=config.schema_dim)
+                           for r in range(graph.vocab.num_relations)])
+    relation_rows = np.arange(graph.vocab.num_relations)
+    relation_rows[UNSEEN] = -1
+    return config, params, dict(relation_rows=relation_rows, schema_vectors=schema, run_seed=5)
 
 
-def forward_alone(graph, triple, config, params, lookup, schema_vectors, run_seed):
+def forward_alone(graph, triple, config, params, relation_rows, schema_vectors, run_seed):
     """The triple's score from a one-sample forward on a recording tape."""
     tape = Tape()
     pvars = bind_params(tape, params)
-    source = FeatureSource(tape, pvars, config, lookup, schema_vectors, run_seed)
+    source = FeatureSource(tape, pvars, config, relation_rows, schema_vectors, run_seed)
     return score_sample([build_sample(graph, triple, config)], source, pvars, config).value[0]
 
 
@@ -316,6 +318,20 @@ SCORED = [
     Triple(4, UNSEEN, 7), Triple(7, UNSEEN, 9),
     Triple(5, 0, 0), Triple(2, 2, 6),
 ]
+
+
+@pytest.mark.parametrize("variant", ["base", "ne-ta", "ne-ta-schema"])
+def test_relation_ids_outside_the_vocabulary_do_not_score(variant):
+    # -1 would index the last relation's row and num_relations past the
+    # arrays: each is refused before any array is indexed by it
+    graph = scoring_graph()
+    config, params, context = scoring_setup(variant, graph)
+    num_relations = graph.vocab.num_relations
+    for relation in (-1, num_relations):
+        for triples in ([Triple(1, relation, 4)], graph.triples[:3] + [Triple(1, relation, 4)]):
+            with pytest.raises(ModelError, match=f"relation id {relation} is outside"):
+                trainlab.score_triples(params, config, SampleCache(graph, config), triples,
+                                       **context)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -821,10 +837,10 @@ def test_relation_lookup_matches_by_name():
     vocab = make_vocab(2, 0)
     for name in ("r2", "r0", "novel"):
         vocab.relation_id(name, create=True)
-    lookup = relation_lookup(ckpt, vocab)
-    assert lookup(0) is None      # r2 exists but was unseen at training
-    assert lookup(1) == 0         # r0 -> checkpoint row 0
-    assert lookup(2) is None      # never in the checkpoint
+    relation_rows = relation_lookup(ckpt, vocab)
+    # r2 exists but was unseen at training, r0 is checkpoint row 0, and
+    # "novel" was never in the checkpoint
+    assert relation_rows.tolist() == [-1, 0, -1]
 
 
 def test_resolve_schema_vectors():
@@ -832,7 +848,7 @@ def test_resolve_schema_vectors():
     named = {"r0": np.ones(5), "r1": np.zeros(5)}
     schema = ModelConfig(init_mode="schema", schema_dim=5)
     by_id = resolve_schema_vectors(named, vocab, schema)
-    assert set(by_id) == {0, 1}
+    assert by_id.shape == (2, 5)
     assert by_id[0] @ by_id[0] == 5.0
     with pytest.raises(TrainError, match="missing"):
         resolve_schema_vectors({"r0": np.ones(5)}, vocab, schema)
@@ -848,7 +864,7 @@ def test_resolve_schema_vectors_checks_width():
     def schema(width):
         return ModelConfig(init_mode="schema", schema_dim=width)
 
-    assert set(resolve_schema_vectors(named, vocab, schema(5))) == {0, 1}
+    assert resolve_schema_vectors(named, vocab, schema(5)).shape == (2, 5)
     with pytest.raises(TrainError, match="width 7"):
         resolve_schema_vectors(named, vocab, schema(7))
 
