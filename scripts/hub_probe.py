@@ -22,15 +22,21 @@ third gives the largest heap peak that tracemalloc traces in one scored
 forward (`trainlab.score_sample`) above what was traced when it began, over
 a third, untimed pass: unlike peak RSS, it resolves changes of a fraction of
 a MB.  With --passes N above 1, N passes are timed one after another in this
-process, and a last line gives the median and quartiles of their CPU
-seconds: one pass per process cannot resolve a change of 10%, since the same
-checkout's single passes spread by more than that from run to run.  The
-program is imported from this checkout's src/.
+process, and a line gives the median and quartiles of their CPU seconds: one
+pass per process cannot resolve a change of 10%, since the same checkout's
+single passes spread by more than that from run to run.  The last line gives
+the CPU seconds the timed passes spent extracting, in `SampleCache.sample`
+and `samples`, of all their CPU seconds, and the enclosing subgraphs a pass
+built and how many of them took the array route (an intersection of at
+least `subgraph.ARRAY_ROUTE_ENTITIES` entities), so that one run splits a
+change's gain between extraction and the rest.  The program is imported
+from this checkout's src/.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import resource
 import sys
 import time
@@ -41,7 +47,7 @@ import numpy as np
 import digest  # puts this checkout's src/ and perfbench/ on sys.path
 
 import spec  # noqa: E402
-from rmpi import evalbench, rmpnet, trainlab  # noqa: E402
+from rmpi import evalbench, rmpnet, subgraph, trainlab  # noqa: E402
 from rmpi.cli import VARIANTS, _count, _hops  # noqa: E402
 
 
@@ -91,6 +97,45 @@ def forward_peak(run) -> int:
     return peak
 
 
+@contextlib.contextmanager
+def extraction_clock():
+    """Within the block, the CPU seconds spent in SampleCache.sample and
+    samples, timed at the outermost call (samples serves a lone triple
+    through sample), the enclosing subgraphs built, and how many of them the
+    array route built."""
+    out = {"seconds": 0.0, "built": 0, "array": 0}
+    depth = 0
+    cache = trainlab.SampleCache
+    inner = (cache.sample, cache.samples, subgraph._enclosing, subgraph._array_enclosing)
+
+    def clocked(fn):
+        def wrapper(*args):
+            nonlocal depth
+            depth += 1
+            start = time.process_time()
+            try:
+                return fn(*args)
+            finally:
+                depth -= 1
+                if not depth:
+                    out["seconds"] += time.process_time() - start
+        return wrapper
+
+    def counted(fn, key):
+        def wrapper(*args):
+            out[key] += 1
+            return fn(*args)
+        return wrapper
+
+    cache.sample, cache.samples = clocked(inner[0]), clocked(inner[1])
+    subgraph._enclosing = counted(inner[2], "built")
+    subgraph._array_enclosing = counted(inner[3], "array")
+    try:
+        yield out
+    finally:
+        cache.sample, cache.samples, subgraph._enclosing, subgraph._array_enclosing = inner
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--hops", type=_hops, required=True)
@@ -117,12 +162,13 @@ def main(argv=None) -> int:
             return evalbench.rank_queries(ckpt, graph, targets, seed=spec.EVAL_SEED)
     walks, hits = graph.khop_walks, graph.khop_hits
     passes = []
-    for _ in range(args.passes):
-        start = time.process_time()
-        result = run()
-        passes.append(time.process_time() - start)
-        if len(passes) == 1:
-            walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
+    with extraction_clock() as extraction:
+        for _ in range(args.passes):
+            start = time.process_time()
+            result = run()
+            passes.append(time.process_time() - start)
+            if len(passes) == 1:
+                walks, hits = graph.khop_walks - walks, graph.khop_hits - hits
     seconds = passes[0]
     if args.task == "classify":
         scored, quality = len(result.scores), f"auc-pr {result.auc_pr:.4f}"
@@ -141,6 +187,11 @@ def main(argv=None) -> int:
         q1, median, q3 = np.percentile(passes, [25, 50, 75])
         print(f"hub_probe: {args.passes} passes: median {median:.4f} CPU s a pass, "
               f"quartiles {q1:.4f} to {q3:.4f}")
+    print(f"hub_probe: {args.passes} timed passes: {extraction['seconds']:.4f} of "
+          f"{sum(passes):.4f} CPU s in SampleCache.sample and samples; a pass built "
+          f"{extraction['built'] // args.passes} enclosing subgraphs, "
+          f"{extraction['array'] // args.passes} by the array route (intersections of at "
+          f"least {subgraph.ARRAY_ROUTE_ENTITIES} entities)")
     return 0
 
 

@@ -189,10 +189,16 @@ def rank_entities(
     """
     if side not in ("head", "tail"):
         raise EvalError(f"side must be 'head' or 'tail', got {side!r}")
-    query = Triple(*query)
-    relation_rows, id_vectors, cache = _scoring_context(ckpt, graph, schema_vectors, cache)
+    context = _scoring_context(ckpt, graph, schema_vectors, cache)
     if rng is None:
         rng = np.random.default_rng([seed, 301])
+    return _rank(ckpt, graph, Triple(*query), side, num_neg, seed, rng, *context)
+
+
+def _rank(ckpt, graph, query, side, num_neg, seed, rng, relation_rows, id_vectors,
+          cache) -> RankOutcome:
+    """rank_entities' outcome, in the scoring context that rank_entities or
+    rank_queries resolved (_scoring_context)."""
     truth = query.head if side == "head" else query.tail
     pool = candidate_entities(graph.entity_list(), truth, num_neg, rng)
     if not pool:
@@ -221,23 +227,22 @@ def rank_queries(
     schema_vectors: dict[str, np.ndarray] | None = None,
     cache: SampleCache | None = None,
 ) -> RankingResult:
-    """Rank every (query, side) pair; aggregate MRR and Hits@n."""
+    """Rank every (query, side) pair as rank_entities ranks it, each with
+    its own candidate stream; aggregate MRR and Hits@n.  The scoring
+    context is resolved once for all of them."""
     queries = [Triple(*q) for q in queries]
     if not queries:
         raise EvalError("ranking needs at least one query")
     for side in sides:
         if side not in SIDE_CODES:
             raise EvalError(f"unknown side {side!r}")
-    cache = cache if cache is not None else SampleCache(graph, ckpt.config)
+    context = _scoring_context(ckpt, graph, schema_vectors, cache)  # once for every query
     ranks = []
     counts = []
     for qi, query in enumerate(queries):
         for side in sides:
-            outcome = rank_entities(
-                ckpt, graph, query, side, num_neg, seed=seed,
-                rng=np.random.default_rng([seed, qi, SIDE_CODES[side]]),
-                schema_vectors=schema_vectors, cache=cache,
-            )
+            outcome = _rank(ckpt, graph, query, side, num_neg, seed,
+                            np.random.default_rng([seed, qi, SIDE_CODES[side]]), *context)
             ranks.append(outcome.rank)
             counts.append(outcome.num_candidates)
     arr = np.array(ranks, dtype=np.float64)

@@ -16,7 +16,10 @@ Edges are read undirected, so a triple is listed under both of its ends and
 a self-loop once, under its entity.  `arrays` holds the same triples as one
 int32 array, so that subgraphs and samples can hold triple indices and
 gather their ends and relations in one step; `self_loops` lists each
-entity's self-loops, all a target whose ends are far apart keeps.
+entity's self-loops, all a target whose ends are far apart keeps; `csr`
+holds `incident` as compressed sparse rows, int32 row pointers and per row
+the other end and the triple index, built at the first target whose
+intersection is large enough for extraction's array route.
 `bfs` walks that index; extraction walks it too, inside the neighbourhood a
 target's two ends share.  Extraction reads each K-hop ball through
 `khop_ball`, which memoises it on the graph per (entity, k) as an ascending
@@ -119,6 +122,16 @@ class Vocabulary:
         return h.hexdigest()
 
 
+class IncidenceRows(NamedTuple):
+    """The incidence index in compressed sparse rows (KnowledgeGraph.csr):
+    entity e's rows are starts[e] .. starts[e + 1] - 1, each the other end
+    and the index of one of its triples."""
+
+    starts: np.ndarray  # (num_entities + 1,) int32
+    other: np.ndarray  # (R,) int32
+    triple: np.ndarray  # (R,) int32
+
+
 # Most entity ids the K-hop balls memoised on one graph hold in all, per
 # incidence row of its index (a triple has two rows, a self-loop one); a
 # ball larger than the budget is still kept, alone.  That is 64 bytes of ids
@@ -136,9 +149,10 @@ class KnowledgeGraph:
 
     `incident` maps each entity to the (other end, triple index) pairs of
     its triples, so edge instances (not just endpoint pairs) can be
-    recovered; `entities` is a read-only view of its keys.  The index, the
-    member set behind `has_triple`, `arrays`, `self_loops` and the sorted
-    entity list are each built the first time they are read.  `khop_memo`
+    recovered; `entities` is a read-only view of its keys.  The index, its
+    CSR form `csr`, the member set behind `has_triple`, `arrays`,
+    `self_loops` and the sorted entity list are each built the first time
+    they are read.  `khop_memo`
     holds the K-hop balls khop_ball handed out, least recently used first, and
     `khop_memo_entries` their total size in ids; `khop_walks` counts the
     balls khop_ball walked the index for, and `khop_hits` those it found in
@@ -168,6 +182,24 @@ class KnowledgeGraph:
             if tail != head:
                 incident.setdefault(tail, []).append((head, idx))
         return incident
+
+    @cached_property
+    def csr(self) -> IncidenceRows:
+        """`incident` as read-only int32 arrays (IncidenceRows), each
+        entity's rows in triple order."""
+        heads, _, tails = self.arrays
+        ids = np.arange(len(heads), dtype=np.int32)
+        twice = heads != tails  # a self-loop has one row
+        end = np.concatenate([heads, tails[twice]])
+        triple = np.concatenate([ids, ids[twice]])
+        order = np.lexsort((triple, end))
+        starts = np.zeros(self.vocab.num_entities + 1, dtype=np.int32)
+        np.cumsum(np.bincount(end, minlength=self.vocab.num_entities), out=starts[1:])
+        other = np.concatenate([tails, heads[twice]])[order]
+        triple = triple[order]
+        for array in (starts, other, triple):
+            array.flags.writeable = False
+        return IncidenceRows(starts, other, triple)
 
     @cached_property
     def self_loops(self) -> dict[int, list[int]]:

@@ -184,9 +184,11 @@ class FeatureSource:
     label's embedding-table row, or -1 for a relation that has no learned
     row (unseen at training time), which takes a fresh vector from the
     initializer distribution, seeded per run and per label; without a row
-    map every label is its own row.  In schema mode the row for a label is
-    the projection of `schema_vectors[label]`, a (num_relations,
-    schema_dim) array of pretrained vectors.
+    map every label is its own row.  Each unseen label is drawn once per
+    source, at the first table that reads it, and a scoring call's forwards
+    share one source.  In schema mode the row for a label is the
+    projection of `schema_vectors[label]`, a (num_relations, schema_dim)
+    array of pretrained vectors.
     """
 
     def __init__(
@@ -206,6 +208,7 @@ class FeatureSource:
         self.relation_rows = relation_rows
         self.schema_vectors = schema_vectors
         self.run_seed = run_seed
+        self._unseen: dict[int, np.ndarray] = {}  # the draws made, by label
 
     def table(self, labels: np.ndarray) -> Var:
         """(len(labels), d) initial features, row i for labels[i]."""
@@ -218,11 +221,17 @@ class FeatureSource:
         rows = self.relation_rows[labels]
         unseen = rows < 0
         if unseen.any():
-            draws = [fresh_unseen_vector(self.run_seed, label, self.config.dim)
-                     for label in labels[unseen].tolist()]
+            draws = [self._unseen_vector(label) for label in labels[unseen].tolist()]
             rows[unseen] = np.arange(len(emb.value), len(emb.value) + len(draws))
             emb = nk.concat([emb, self.tape.const(np.stack(draws))])
         return nk.take(emb, rows)
+
+    def _unseen_vector(self, label: int) -> np.ndarray:
+        vector = self._unseen.get(label)
+        if vector is None:
+            vector = self._unseen[label] = fresh_unseen_vector(self.run_seed, label,
+                                                               self.config.dim)
+        return vector
 
 
 @dataclass(frozen=True)

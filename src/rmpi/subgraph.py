@@ -34,11 +34,19 @@ share its fixed entity, walk that entity's neighbourhood once, and a later
 pass over the same targets walks none; extract_enclosing_list searches a
 rank query's candidates in their fixed entity's ball at once.  Pruning walks
 the graph's incidence index inside the intersection, and the triples are
-then gathered at the entities it keeps.
+then gathered at the entities it keeps, by one of two routes that give the
+same record bit for bit.  A small intersection, as most of a sparse graph's
+are, takes the loop route: Python over the `incident` dict, which reads
+only the rows it needs.  An intersection of at least ARRAY_ROUTE_ENTITIES
+entities, as a hub's is, takes the array route: a fixed number of numpy
+calls over the graph's CSR index (KnowledgeGraph.csr), which cost about as
+much for a few rows as for a hub's thousands, so that it is cheaper than
+the loop only past some tens of entities.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +220,11 @@ def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
     candidates share their fixed entity's, so no more ids are searched than
     target by target.  The distances are measured by one walk of the graph's
     index within the intersection from u and v at once (_pruning_distances),
-    unless it holds only u and v, the walk's own seeds.
+    unless it holds only u and v, the walk's own seeds.  An intersection of
+    ARRAY_ROUTE_ENTITIES entities or more is walked and gathered by array
+    operations instead (_array_enclosing), to the same record: the loop's
+    Python cost grows with the rows it reads, and the arrays' numpy calls
+    cost more than that only on small intersections (_enclosing).
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), pruning's node sets,
@@ -260,10 +272,41 @@ def _search(large: np.ndarray, smalls: list[np.ndarray]) -> list[list[int]]:
     return [found[start:end] for start, end in zip([0, *ends], ends)]
 
 
+# Intersections of at least this many entities take the array route
+# (_array_enclosing), smaller ones the loop route.  The array route makes
+# about 50 numpy calls at K=2 whatever the size, about 40 us, where the
+# loop's cost grows with the rows it reads.  Per target at K=2 (best of 5,
+# one process, 2 shared CPUs): below 5 entities 6 us by the loop against
+# 40 us; at 100-300 entities 470 against 112 us on classify-hub's graph and
+# 860 against 193 us on a paper-like one (4,700 entities, 34,000 triples,
+# a=0.5).  The routes cross near 15 entities on classify-hub, 25 on the
+# paper-like graph and 60-100 on the sparser train-mild and rank-skewed
+# graphs, whose entities have fewer rows; at 30 the array route cuts
+# classify-hub's extraction to x0.32 and costs train-mild's and
+# rank-skewed's x1.004 and x1.016.
+ARRAY_ROUTE_ENTITIES = 30
+
+
 def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
                disclosing: bool) -> Subgraph:
     """extract_enclosing_list's record of one target, from the entities of
-    its two balls' intersection."""
+    its two balls' intersection, ascending.
+
+    Two routes give the same record bit for bit.  An intersection of at
+    least ARRAY_ROUTE_ENTITIES entities takes the array route: the walk,
+    the gather and the levels as array operations over the graph's CSR
+    index (_array_enclosing), each a fixed number of numpy calls per hop.
+    A smaller one takes the loop route, a walk of the graph's incidence
+    dict in Python (_pruning_distances, _induced_triples), which costs less
+    than those calls when there are few rows to read; most targets of a
+    sparse graph take it.
+    """
+    labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
+    if len(common) >= ARRAY_ROUTE_ENTITIES:
+        idxs, levels = _array_enclosing(graph, target, common, k)
+        if not len(idxs):
+            return Subgraph(graph, NO_INDEXES, target, NO_LEVELS, labels)
+        return Subgraph(graph, idxs, target, levels, labels)
     u, _, v = target
     inside = set(common)
     joined = u in inside  # u and v are at most k apart, each in the other's ball
@@ -274,7 +317,6 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
         idxs = _induced_triples(graph, near, target)
     else:  # u and v are more than k apart, so no triple joins them
         idxs = sorted([*graph.self_loops.get(u, ()), *graph.self_loops.get(v, ())])
-    labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     if not idxs:
         return Subgraph(graph, NO_INDEXES, target, NO_LEVELS, labels)
     triples, levels = graph.triples, []
@@ -283,6 +325,77 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
         levels.append(1 + min(near[h], near[t]))
     return Subgraph(graph, np.array(idxs, dtype=np.int32), target,
                     np.array(levels, dtype=np.int8), labels)
+
+
+def _array_enclosing(graph: KnowledgeGraph, target: Triple, common: list[int],
+                     k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The loop route's int32 triple indexes and int8 levels, by array
+    operations over graph.csr, with scratch arrays as long as the
+    intersection and the rows its entities have.
+
+    The entities `ids`, the intersection with u and v, are numbered by
+    their place in it.  Their rows are sorted by (triple, place): a triple
+    with both ends among them has two rows, side by side, and a self-loop
+    one, marked as its other end is its own, so the triples they induce
+    come out ascending, each with its two ends' places, the smaller first.
+    The walk is _pruning_distances' over those triples: per hop, the ends
+    not yet reached of the triples at the frontier take the distance and
+    the OR of the frontier ends' bits.  The triples kept are those with
+    both ends kept, less the instances equal to the target, which join u
+    and v.
+    """
+    starts, other, triple = graph.csr
+    u, r, v = target
+    at = bisect_left(common, u)
+    joined = at < len(common) and common[at] == u  # then v is in common too
+    ids = np.array(common if joined else sorted([*common, u, v]), dtype=np.int32)
+    m = len(ids)
+    first = starts.take(ids, mode="clip")  # an id past the index has no rows
+    count = starts.take(ids + 1, mode="clip") - first
+    rows = np.arange(count.sum())
+    rows += (first - count.cumsum() + count).repeat(count)
+    place = np.arange(m).repeat(count)
+    bits = m.bit_length()
+    key = triple[rows].astype(np.int64)
+    key <<= bits
+    key += place
+    key <<= 1
+    key += other[rows] == ids[place]  # a self-loop's one row
+    key.sort()
+    tid = key >> (bits + 1)
+    pair = np.zeros(len(key), dtype=bool)  # a row and the next: a triple's two ends
+    pair[:-1] = tid[1:] == tid[:-1]
+    entry = (pair | (key & 1).astype(bool)).nonzero()[0]
+    place = (key >> 1) & ((1 << bits) - 1)
+    src, dst, tid = place[entry], place[entry + pair[entry]], tid[entry]
+    pu, pv = ids.searchsorted((u, v)).tolist()
+    dist = np.full(m, -1, dtype=np.int8)  # -1: not reached; k <= MAX_HOPS
+    ends = np.zeros(m, dtype=np.int8)
+    dist[pu] = dist[pv] = 0
+    ends[pu] = 1
+    ends[pv] |= 2
+    for d in range(1, k + 1):
+        at_src, at_dst = dist[src], dist[dst]
+        out = (at_src == d - 1) & (at_dst < 0)
+        back = (at_dst == d - 1) & (at_src < 0)
+        reached = np.concatenate((dst[out], src[back]))
+        if not len(reached):
+            break
+        dist[reached] = d
+        np.bitwise_or.at(ends, reached, ends[np.concatenate((src[out], dst[back]))])
+    kept = dist >= 0
+    kept &= (dist < k) | (ends == 3)
+    keep = kept[src] & kept[dst]
+    if joined:
+        lo, hi = min(pu, pv), max(pu, pv)
+        same = keep & (src == lo) & (dst == hi)
+        if same.any():  # an instance equal to the target is left out
+            heads, relations, tails = graph.arrays
+            same &= (heads[tid] == u) & (relations[tid] == r) & (tails[tid] == v)
+            keep &= ~same
+    levels = np.minimum(dist[src[keep]], dist[dst[keep]])
+    levels += 1
+    return tid[keep].astype(np.int32), levels
 
 
 def _disclosing_labels(graph: KnowledgeGraph, target: Triple) -> np.ndarray:

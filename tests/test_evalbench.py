@@ -326,6 +326,31 @@ def test_rank_queries_deterministic():
     assert np.mean([1.0 / r for r in a.ranks]) == pytest.approx(a.mrr)
 
 
+def test_rank_queries_resolves_its_scoring_context_once(monkeypatch):
+    # one row map, schema array and cache for every (query, side), and the
+    # ranks rank_entities gives each with the same candidate stream
+    graph = chain_graph(20)
+    ckpt = make_ckpt(graph)
+    queries = graph.triples[:3]
+    contexts = []
+    scoring_context = evalbench._scoring_context
+
+    def counted(*args):
+        contexts.append(scoring_context(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(evalbench, "_scoring_context", counted)
+    result = rank_queries(ckpt, graph, queries, num_neg=10, seed=5)
+    assert len(contexts) == 1 and len(result.ranks) == 6
+    cache = contexts[0][2]
+    alone = [rank_entities(ckpt, graph, q, side, 10, seed=5, cache=cache,
+                           rng=np.random.default_rng([5, qi, evalbench.SIDE_CODES[side]]))
+             for qi, q in enumerate(queries) for side in ("head", "tail")]
+    assert len(contexts) == 1 + 6  # rank_entities resolves its own, each call
+    assert result.ranks == tuple(o.rank for o in alone)
+    assert result.candidate_counts == tuple(o.num_candidates for o in alone)
+
+
 def test_ranking_result_validates_hits_monotone():
     with pytest.raises(EvalError, match="non-decreasing"):
         RankingResult(

@@ -108,6 +108,22 @@ def test_triple_arrays_are_built_once():
     assert KnowledgeGraph(vocab, []).arrays.shape == (3, 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_csr_index_holds_the_incidence_rows_in_triple_order(seed):
+    # self-loops once, duplicates and parallel pairs each, isolated entities none
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 8, 3, int(rng.integers(0, 30)))
+    starts, other, triple = g.csr
+    assert g.csr is g.csr  # built once
+    assert len(starts) == g.vocab.num_entities + 1 and starts[0] == 0
+    for array in (starts, other, triple):
+        assert array.dtype == np.int32 and not array.flags.writeable
+    for e in range(g.vocab.num_entities):
+        rows = slice(starts[e], starts[e + 1])
+        assert list(zip(other[rows].tolist(), triple[rows].tolist())) == g.incident.get(e, [])
+    assert starts[-1] == len(other) == len(triple) == sum(map(len, g.incident.values()))
+
+
 @pytest.mark.parametrize("per_row", [0, 1, 2, 3, 10, 16, 40])
 def test_khop_memo_stays_within_its_cap(monkeypatch, per_row):
     monkeypatch.setattr(kgstore, "KHOP_MEMO_IDS_PER_ROW", per_row)

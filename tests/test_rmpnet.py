@@ -163,6 +163,31 @@ def test_unseen_relation_draw_is_per_run_and_per_label():
     assert not np.array_equal(v5, fresh_unseen_vector(8, 5, 8))
 
 
+def test_a_source_draws_each_unseen_label_once(monkeypatch):
+    # the forwards of one scoring call share a source: each unseen label is
+    # drawn at the first table that reads it, and later tables read the draw
+    config = ModelConfig(dim=8, edge_dropout=0.0)
+    params = init_params(config, 2, np.random.default_rng(0))
+    tape = Tape(record=False)
+    pvars = bind_params(tape, params)
+    drawn = []
+
+    def counted(run_seed, label, dim):
+        drawn.append(label)
+        return fresh_unseen_vector(run_seed, label, dim)
+
+    monkeypatch.setattr(rmpnet, "fresh_unseen_vector", counted)
+    source = make_source(tape, pvars, config, num_seen=2, run_seed=7)
+    first = source.table(np.array([0, 5, 6])).value
+    again = source.table(np.array([1, 5, 6, 9])).value
+    assert drawn == [5, 6, 9]
+    np.testing.assert_array_equal(again[1:3], first[1:])
+    np.testing.assert_array_equal(again[3], fresh_unseen_vector(7, 9, 8))
+    np.testing.assert_array_equal(again[0], params["rel_emb"][1])
+    make_source(tape, pvars, config, num_seen=2, run_seed=7).table(np.array([5]))
+    assert drawn == [5, 6, 9, 5]  # a new source draws afresh
+
+
 def test_unseen_draw_matches_initializer_distribution_scale():
     dim = 16
     draws = np.stack([fresh_unseen_vector(0, lab, dim) for lab in range(400)])

@@ -99,6 +99,14 @@ def test_toy_benchmark_holds_out_a_fact_at_a_small_fraction(tmp_path):
         assert len(bench.test_graph.triples) == 2 * 12 + 11
 
 
+# hub_probe's last line: the timed passes, their extraction and all CPU
+# seconds, the enclosing subgraphs a pass built and the array route's
+EXTRACTION = re.compile(
+    r"hub_probe: (\d+) timed passes: (\d+\.\d{4}) of (\d+\.\d{4}) CPU s in "
+    r"SampleCache\.sample and samples; a pass built (\d+) enclosing subgraphs, (\d+) by the "
+    r"array route \(intersections of at least 30 entities\)")
+
+
 def test_hub_probe_reports_rate_and_memory():
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
@@ -117,16 +125,20 @@ def test_hub_probe_reports_rate_and_memory():
     peak = re.fullmatch(r"hub_probe: largest traced peak of one scored forward: (\d+\.\d\d) MiB",
                         done.stdout.strip().splitlines()[2])
     assert peak and float(peak.group(1)) > 0
-    assert len(done.stdout.strip().splitlines()) == 3  # one pass by default
+    assert len(done.stdout.strip().splitlines()) == 4  # one pass by default
+    extraction = EXTRACTION.fullmatch(done.stdout.strip().splitlines()[3])
+    assert extraction and extraction.group(1) == "1"
+    spent, total, built, array = map(float, extraction.groups()[1:])
+    assert 0 < spent <= total and built == 10 and 0 <= array <= built
     # --passes times that many passes in one process: the first line is
-    # the first pass's, and a last line gives their median and quartiles
+    # the first pass's, and a line gives their median and quartiles
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
          "--hops", "1", "--variant", "base", "--targets", "5", "--passes", "3"],
         check=True, capture_output=True, text=True, timeout=300,
     )
     lines = done.stdout.strip().splitlines()
-    assert len(lines) == 4 and "base K=1: 10 triples in" in lines[0]
+    assert len(lines) == 5 and "base K=1: 10 triples in" in lines[0]
     khop = re.search(r", (\d+) K-hop walks and (\d+) memo hits$", lines[0])
     assert khop and int(khop.group(1)) + int(khop.group(2)) == 20  # the first pass's
     passes = re.fullmatch(r"hub_probe: 3 passes: median (\d+\.\d{4}) CPU s a pass, "
@@ -134,6 +146,24 @@ def test_hub_probe_reports_rate_and_memory():
     assert passes
     q1, median, q3 = map(float, (passes.group(2), passes.group(1), passes.group(3)))
     assert 0 < q1 <= median <= q3
+    # every pass extracts its 10 triples afresh; the seconds are the passes'
+    extraction = EXTRACTION.fullmatch(lines[4])
+    assert extraction and extraction.group(1) == "3"
+    spent, total, built, array = map(float, extraction.groups()[1:])
+    assert 0 < spent <= total and total >= 3 * q1 and built == 10 and 0 <= array <= built
+
+
+def test_hub_probe_counts_the_array_route_on_hub_targets():
+    # at K = 2 some of classify-hub's first targets and negatives have
+    # intersections past the cut-over
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "hub_probe.py"),
+         "--hops", "2", "--variant", "base", "--targets", "20"],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    extraction = EXTRACTION.fullmatch(done.stdout.strip().splitlines()[-1])
+    assert extraction and int(extraction.group(4)) == 40
+    assert 0 < int(extraction.group(5)) < 40
 
 
 def test_hub_probe_ranks_rank_skewed_queries_on_both_sides():
@@ -143,7 +173,7 @@ def test_hub_probe_ranks_rank_skewed_queries_on_both_sides():
         check=True, capture_output=True, text=True, timeout=300,
     )
     lines = done.stdout.strip().splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     # 3 queries on both sides, the truth and 49 candidates each
     first = re.fullmatch(r"hub_probe: ne-ta K=2: 300 triples in (\d+\.\d\d) CPU s, "
                          r"(\d+\.\d) triples/s, peak RSS (\S+) MB, mrr (\d\.\d{4}), "
@@ -156,6 +186,8 @@ def test_hub_probe_ranks_rank_skewed_queries_on_both_sides():
     passes = re.fullmatch(r"hub_probe: 3 passes: median (\d+\.\d{4}) CPU s a pass, "
                           r"quartiles (\d+\.\d{4}) to (\d+\.\d{4})", lines[3])
     assert passes and 0 < float(passes.group(2)) <= float(passes.group(1)) <= float(passes.group(3))
+    extraction = EXTRACTION.fullmatch(lines[4])
+    assert extraction and int(extraction.group(4)) == 300
 
 
 def test_hub_probe_rejects_counts_below_one():

@@ -693,6 +693,124 @@ def test_targets_whose_balls_share_only_their_ends_walk_nothing(monkeypatch):
         subgraph.extract_enclosing_list(g, [Triple(1, 0, 3)], 1)
 
 
+# the cut-over that sends every intersection down one route
+ROUTES = {"array": 0, "loop": 1 << 30}
+
+
+def routed(route, extract, *args, **kwargs):
+    """An extraction with every intersection sent down one route."""
+    with mock.patch.object(subgraph, "ARRAY_ROUTE_ENTITIES", ROUTES[route]):
+        return extract(*args, **kwargs)
+
+
+def same_record_and_sharing(got, want):
+    """same_record, and an empty array is the shared NO_* one in both."""
+    return same_record(got, want) and all(
+        (a is shared) == (b is shared)
+        for a, b, shared in ((got.indexes, want.indexes, subgraph.NO_INDEXES),
+                             (got.levels, want.levels, subgraph.NO_LEVELS),
+                             (got.labels, want.labels, subgraph.NO_LABELS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_array_and_loop_routes_give_the_same_records(n_entities, n_triples, k, disclosing,
+                                                     seed):
+    # random graphs with self-loops and duplicate triples; entity n_entities
+    # is isolated, and relation 3 is in no triple, so that a target equals a
+    # graph triple only where one is copied in
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n_entities, 3, n_triples)
+    vocab = g.vocab
+    vocab.entity_id(f"e{n_entities}", create=True)
+    vocab.relation_id("r3", create=True)
+    g = KnowledgeGraph(vocab, g.triples)
+    ends = rng.integers(n_entities + 1, size=(12, 2)).tolist()
+    targets = [Triple(u, 3, v) for u, v in ends]
+    targets += [Triple(u, 3, u) for u, _ in ends[:3]]  # u == v
+    targets += [Triple(n_entities, 3, ends[0][0]), Triple(ends[1][0], 3, n_entities)]  # isolated
+    targets += g.triples[:5]  # targets equal to graph triples
+    routes = {route: routed(route, subgraph.extract_enclosing_list, g, targets, k,
+                            disclosing=disclosing) for route in ROUTES}
+    for i, t in enumerate(targets):
+        alone = {route: routed(route, extract_enclosing, g, t, k, disclosing=disclosing)
+                 for route in ROUTES}
+        assert same_record_and_sharing(routes["array"][i], routes["loop"][i])
+        assert same_record_and_sharing(alone["array"], alone["loop"])
+        assert same_record_and_sharing(alone["array"], routes["array"][i])
+        want_ent, want_triples = oracles.enclosing_subgraph(g, t, k)
+        assert list(alone["array"].triples[:-1]) == want_triples
+        assert entities(alone["array"]) == frozenset(want_ent)
+
+
+def hub_pair_graph(shared: int):
+    """u = 0 and v = 1, joined, and `shared` entities 2 .. shared + 1 each
+    joined to both, a self-loop at one and a second u–v instance: at K = 1
+    the intersection holds shared + 2 entities."""
+    rows = [Triple(0, 0, 1)]
+    for e in range(2, shared + 2):
+        rows += [Triple(0, 1, e), Triple(e, 2, 1)]
+    rows += [Triple(2, 0, 2), Triple(1, 1, 0), Triple(0, 0, 1)]
+    return KnowledgeGraph(make_vocab(shared + 2, 4), rows)
+
+
+def test_the_cut_over_sends_thirty_entities_down_the_array_route(monkeypatch):
+    # one entity below the cut-over takes the loop route, and builds no CSR
+    # index; an intersection of the cut-over's size takes the array route
+    assert subgraph.ARRAY_ROUTE_ENTITIES == 30
+    taken = []
+    array_enclosing = subgraph._array_enclosing
+
+    def spy(graph, target, common, k):
+        taken.append(len(common))
+        return array_enclosing(graph, target, common, k)
+
+    monkeypatch.setattr(subgraph, "_array_enclosing", spy)
+    target = Triple(0, 0, 1)  # equal to two graph triples, left out
+    for size, route in ((29, []), (30, [30])):
+        for targets in ([target], [target, Triple(1, 3, 0)]):
+            g = hub_pair_graph(size - 2)
+            taken.clear()
+            alone = extract_enclosing(g, target, 1)
+            assert taken == route
+            assert ("csr" in vars(g)) == bool(route)  # built at the first large target
+            listed = subgraph.extract_enclosing_list(g, targets, 1)
+            assert taken == route * (1 + len(targets))
+            assert same_record_and_sharing(listed[0], alone)
+            _, want_triples = oracles.enclosing_subgraph(g, target, 1)
+            assert list(alone.triples[:-1]) == want_triples
+            # the shared entities' triples, the self-loop, a level further, and
+            # the inverse u–v triple
+            assert alone.levels.tolist() == [1] * (2 * size - 4) + [2, 1]
+
+
+def test_array_route_on_a_hub_graph_matches_the_loop_route_and_the_oracles():
+    # intersections past the cut-over, as a hub's are, at the module's own
+    # cut-over, and in the level sets pruning would find
+    rng = np.random.default_rng(5)
+    g = random_graph(rng, 60, 4, 300)
+    targets = [Triple(int(u), 3, int(v)) for u, v in rng.integers(60, size=(20, 2))]
+    taken = []
+    array_enclosing = subgraph._array_enclosing
+    with mock.patch.object(subgraph, "_array_enclosing",
+                           lambda *args: taken.append(1) or array_enclosing(*args)):
+        for k in (1, 2):
+            got = subgraph.extract_enclosing_list(g, targets, k, disclosing=True)
+            for t, sub in zip(targets, got):
+                assert same_record_and_sharing(
+                    sub, routed("loop", extract_enclosing, g, t, k, disclosing=True))
+                _, want_triples = oracles.enclosing_subgraph(g, t, k)
+                assert list(sub.triples[:-1]) == want_triples
+                assert_levels_are_prunings_node_sets(sub, k)
+    assert len(taken) >= 20
+
+
 @pytest.mark.parametrize("variant", [ModelConfig(dim=4, hops=2),
                                      ModelConfig(dim=4, hops=3, use_disclosing=True,
                                                  target_attention=True)],
