@@ -152,8 +152,8 @@ class KnowledgeGraph:
     recovered; `entities` is a read-only view of its keys.  The index, its
     CSR form `csr`, the member set behind `has_triple`, `arrays`,
     `self_loops` and the sorted entity list are each built the first time
-    they are read.  `khop_memo`
-    holds the K-hop balls khop_ball handed out, least recently used first, and
+    they are read.  `khop_memo` holds the K-hop balls khop_ball handed out,
+    least recently used first, and
     `khop_memo_entries` their total size in ids; `khop_walks` counts the
     balls khop_ball walked the index for, and `khop_hits` those it found in
     the memo.

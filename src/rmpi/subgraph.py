@@ -277,8 +277,8 @@ def _search(large: np.ndarray, smalls: list[np.ndarray]) -> list[list[int]]:
 # about 50 numpy calls at K=2 whatever the size, about 40 us, where the
 # loop's cost grows with the rows it reads.  Per target at K=2 (best of 5,
 # one process, 2 shared CPUs): below 5 entities 6 us by the loop against
-# 40 us; at 100-300 entities 470 against 112 us on classify-hub's graph and
-# 860 against 193 us on a paper-like one (4,700 entities, 34,000 triples,
+# 39 us; at 100-299 entities 474 against 118 us on classify-hub's graph and
+# 861 against 193 us on a paper-like one (4,700 entities, 34,000 triples,
 # a=0.5).  The routes cross near 15 entities on classify-hub, 25 on the
 # paper-like graph and 60-100 on the sparser train-mild and rank-skewed
 # graphs, whose entities have fewer rows; at 30 the array route cuts
