@@ -17,7 +17,9 @@ query's 50 triples share its fixed entity.
 The first line gives the first pass and ends with the K-hop balls it walked
 and those it found in the graph's memo (kgstore.khop_ball).  A second line
 gives the incidence rows each layer summed, and all the rows of the scored
-batches' Incidences, totalled over the batches of a second, untimed pass.  A
+batches' Incidences, totalled over the batches of a second, untimed pass,
+and how many of the samples that pass scored were their target alone (no
+triple within K steps): those skip the layers and make no rows.  A
 third gives the largest heap peak that tracemalloc traces in one scored
 forward (`trainlab.score_sample`) above what was traced when it began, over
 a third, untimed pass: unlike peak RSS, it resolves changes of a fraction of
@@ -51,12 +53,15 @@ from rmpi import evalbench, rmpnet, subgraph, trainlab  # noqa: E402
 from rmpi.cli import VARIANTS, _count, _hops  # noqa: E402
 
 
-def summed_rows(run, hops: int) -> list[int]:
+def summed_rows(run, hops: int) -> tuple[list[int], int, int]:
     """The incidence rows each layer sums, then all the rows, totalled over
-    the batches of a second pass of `run`: counted outside the timed pass,
-    whose peak RSS the counting would move."""
+    the batches of a second pass of `run`, the samples it scored, and how
+    many of them were their target alone (no triple within `hops` steps),
+    which make no rows: counted outside the timed pass, whose peak RSS the
+    counting would move."""
     summed = [0] * (hops + 1)
-    incidences = rmpnet.scoring_incidences
+    samples = {"scored": 0, "alone": 0}
+    incidences, score_sample = rmpnet.scoring_incidences, trainlab.score_sample
 
     def counted(*batch):
         inc, order = incidences(*batch)
@@ -64,12 +69,17 @@ def summed_rows(run, hops: int) -> list[int]:
             summed[k] += rows
         return inc, order
 
-    rmpnet.scoring_incidences = counted
+    def scored(batch, *args, **kwargs):
+        samples["scored"] += len(batch)
+        samples["alone"] += sum(not (s.levels <= hops).any() for s in batch)
+        return score_sample(batch, *args, **kwargs)
+
+    rmpnet.scoring_incidences, trainlab.score_sample = counted, scored
     try:
         run()
     finally:
-        rmpnet.scoring_incidences = incidences
-    return summed
+        rmpnet.scoring_incidences, trainlab.score_sample = incidences, score_sample
+    return summed, samples["scored"], samples["alone"]
 
 
 def forward_peak(run) -> int:
@@ -178,9 +188,10 @@ def main(argv=None) -> int:
     print(f"hub_probe: {args.variant} K={args.hops}: {scored} triples in {seconds:.2f} CPU s, "
           f"{scored / seconds:.1f} triples/s, peak RSS {peak_mb:.1f} MB, {quality}, "
           f"{walks} K-hop walks and {hits} memo hits")
-    summed = summed_rows(run, args.hops)
+    summed, samples, alone = summed_rows(run, args.hops)
     print(f"hub_probe: incidence rows summed by layers 1..{args.hops}: "
-          f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}")
+          f"{', '.join(map(str, summed[:-1]))} of {summed[-1]}; "
+          f"{alone} of {samples} scored samples were their target alone")
     peak = forward_peak(run)
     print(f"hub_probe: largest traced peak of one scored forward: {peak / 2**20:.2f} MiB")
     if args.passes > 1:

@@ -23,6 +23,11 @@ thousands of rows holds a few columns, not the full width.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
+
 import numpy as np
 
 
@@ -227,7 +232,8 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     already over BLAS_CALL_SIZE still makes calls above it.  That happens
     in grouped_apply's weight gradient, g.T @ flat, whose row is as wide as
     the step has rows: with six types at d=32 (192 columns) a step of 1,366
-    or more rows does, and OpenBLAS threads in hub training.
+    or more rows does, so trainlab.train runs on one BLAS thread
+    (one_blas_thread).
     """
     m, n = a.shape[0], b.shape[1]
     rows = max(1, min(PRODUCT_ROWS, BLAS_CALL_SIZE // max(1, a.shape[1] * n)))
@@ -242,6 +248,44 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         tail[: m - full] = a[full:]
         out[full:] = (tail @ b)[: m - full]
     return out
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel loads from its numpy.libs directory, or None where there is no
+    such library or it lacks them (another BLAS or another build)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the handle numpy's own load already holds
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Within the block (or the decorated function), OpenBLAS runs on one
+    thread, and the caller's thread count is restored after.  A product
+    that makes calls above BLAS_CALL_SIZE would otherwise start worker
+    threads that double a hub training step's CPU time and do not shorten
+    it; they change no result.  Where numpy's BLAS is not the wheel's
+    OpenBLAS, it does nothing."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def grouped_apply(x: Var, ws: list[Var]) -> Var:

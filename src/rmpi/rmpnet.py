@@ -244,9 +244,14 @@ class SampleBatch:
     rows of its feature table: relation ids of the graph's vocabulary, 0 ..
     num_relations - 1, as stack_samples checks.  A training batch holds
     every triple of each sample's enclosing subgraph and, per layer, the
-    relation-view edges it reads, in (dst, type, src) order; a scoring
-    batch holds the nodes within K steps of each target and their
-    Incidences, None when every sample is its target alone.
+    relation-view edges it reads, in (dst, type, src) order, each sample's
+    target after its triples.  A scoring batch holds the nodes within K
+    steps of each target and their Incidences, None when every sample is
+    its target alone, and orders its nodes as scoring_incidences does, by
+    level: the targets of samples that hold a triple first, in sample
+    order, and the targets of samples that are their target alone last,
+    past every layer's receivers.  `targets` gives each sample's target
+    node in either layout.
     """
 
     labels: np.ndarray  # (L,) distinct labels, ascending
@@ -272,7 +277,10 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
     """One block-diagonal graph of a sequence of samples of one graph, laid
     out for the training forward or the scoring forward of a depth-`depth`
     model.  Each sample's nodes are its graph triples, then its target; the
-    scoring forward keeps those within `depth` steps of the target."""
+    scoring forward keeps those within `depth` steps of the target and
+    lays out only the samples that keep a triple: it hands
+    scoring_incidences the target of a sample that is its target alone at
+    level depth + 1, so that it makes no rows and no layer updates it."""
     samples = list(samples)
     if not samples:
         raise ModelError("cannot score an empty batch")
@@ -298,16 +306,28 @@ def stack_samples(samples, depth: int, training: bool = False) -> SampleBatch:
         kept = nodes[3] <= depth
         if not kept.all():
             nodes, node_sample, is_target = nodes[:, kept], node_sample[kept], is_target[kept]
-        if len(is_target) > len(samples):  # some sample has more than its target
-            incidences, order = scoring_incidences(nodes[ends], nodes[3], node_sample, depth)
+    targets = is_target.nonzero()[0]
+    if not training and len(targets) < len(is_target):  # some sample has more than its target
+        # the target of a sample that is its target alone sorts past every
+        # layer's receivers, at level K + 1, so it makes no row.  Such a
+        # target follows another target, or is node 0, before which index
+        # -1 reads the last node: a target too
+        alone = targets[is_target[targets - 1]]
+        if len(alone):
+            nodes[3, alone] = depth + 1
+        incidences, order = scoring_incidences(nodes[ends], nodes[3], node_sample, depth)
     disc_labels = np.concatenate([s.labels for s in samples])
     labels, label_rows = _label_table(np.concatenate([nodes[1], disc_labels]),
                                       graph.vocab.num_relations)
     node_rows, disc_rows = np.split(label_rows, [len(node_sample)])
-    if order is None:
-        targets = is_target.nonzero()[0]
-    else:
-        node_rows, node_sample, targets = node_rows[order], node_sample[order], sample_ids
+    if order is not None:
+        node_rows, node_sample = node_rows[order], node_sample[order]
+        if len(alone):
+            position = np.empty_like(order)  # of each node in that order
+            position[order] = np.arange(len(order))
+            targets = position[targets]
+        else:  # the targets are the first nodes, in sample order
+            targets = sample_ids
     return SampleBatch(
         labels=labels,
         node_rows=node_rows,
@@ -360,8 +380,11 @@ def propagate(
     every edge of a layer independently with the configured probability,
     one Boolean mask per layer from drop_rng.  The scoring forward, without
     dropout, reads every typed sum from the batch's Incidences; its nodes
-    are ordered by level, so each layer updates a prefix of them.  It
-    records no gradients: backward through its scores raises.
+    are ordered by level, so each layer, the last too, updates a prefix of
+    them, and a sample that is its target alone, whose target comes after
+    every layer's receivers, keeps its initial feature, as it would after
+    layers that add it nothing.  A batch of such samples alone skips the
+    layers.  It records no gradients: backward through its scores raises.
     """
     K = config.hops
     if batch.depth != K:
@@ -382,7 +405,7 @@ def propagate(
     h = nk.take(table, batch.node_rows)
     n = len(batch.node_rows)
     for layer, edges in enumerate(layers, start=1):
-        last = layer == K  # only the targets, each its sample's one receiver
+        last = layer == K  # only the targets (scoring: those of samples holding a triple)
         attend = config.target_attention and not last
         if training:
             if dropping and len(edges):
@@ -398,7 +421,14 @@ def propagate(
         typed = [pvars[layer_param(layer, e)] for e in range(NUM_EDGE_TYPES)]
         messages = nk.relu(nk.grouped_apply(summed, typed))
         if last:
-            return nk.add(messages, nk.take(h, batch.targets))
+            q = len(messages.value)
+            if q == batch.size:
+                return nk.add(messages, nk.take(h, batch.targets))
+            # scoring: the targets of the samples that hold a triple, the
+            # first q nodes, take the messages; the others keep their rows
+            out = h.value[batch.targets]
+            out[batch.targets < q] += messages.value
+            return nk.unrecorded([h, messages], out)
         if training:
             h = nk.add(messages, h)
         else:  # the receivers are the first nodes

@@ -599,8 +599,11 @@ class Incidences:
     """Where the scoring forward reads each receiver's typed message sums.
 
     The nodes of a scoring batch are ordered by level, so that the nodes
-    layer k updates are the first receivers[k-1], the targets first.  The
-    rows and spans are _end_rows' for the layer-1 receivers, each typed sum
+    layer k updates are the first receivers[k-1], the targets first: the
+    last layer's receivers.  The target of a sample that is its target
+    alone has level K + 1 (rmpnet.stack_samples), so it comes last, past
+    every layer's receivers, and has no row, run or span.  The rows and
+    spans are _end_rows' for the layer-1 receivers, each typed sum
     a span's rows (numkit.run_sums), except that PARA and LOOP read copies
     of the head rows, which follow the rows, each block of them a run of
     its own, so that their spans too are a run less a cut.  A span that
@@ -627,7 +630,10 @@ def scoring_incidences(ends: np.ndarray, level: np.ndarray, sample: np.ndarray,
     """The Incidences of a scoring batch whose node i, of level level[i]
     and from sample sample[i], has its head at ends[0, i] and its tail at
     ends[1, i], and the order of its nodes: by level, then as given, each
-    sample's nodes in subgraph order.
+    sample's nodes in subgraph order.  The receivers of layer k are the
+    nodes of level at most depth - k, so a node of level depth + 1, the
+    target of a sample that is its target alone, is none of them and
+    comes last.
 
     Small batches are common and numpy's calls cost microseconds each, so
     this uses array methods and np.concatenate over its wrapper functions.

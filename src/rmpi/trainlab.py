@@ -75,11 +75,12 @@ def build_sample(graph: KnowledgeGraph, triple: Triple, config: ModelConfig) -> 
 
 
 # Most rows score_triples stacks into one forward, counted by sample_rows.
-# On the benchmark's rank queries (ne-ta, K=2, d=32) the largest heap peak
-# of one query was 2.01 MB with this budget, and 1.97 MB with 1000 rows,
-# the peak of that query's largest sample alone; 4000 rows gave 3.20 MB and
-# an unbounded batch 7.24 MB.  Against 1000 rows it makes 178 forwards of
-# the 140 queries, not 257.
+# On the benchmark's rank queries (ne-ta, K=2, d=32; scripts/hub_probe.py
+# --task rank) the largest traced heap peak of one forward was 1.17 MiB
+# with this budget, as with 1000 rows or one sample a forward: the peak of
+# the largest sample alone; 4000 rows gave 1.90 MiB and an unbounded batch
+# 2.80 MiB.  Against 1000 rows it makes 175 forwards of the 140 queries,
+# not 239.
 SCORE_BATCH_ROWS = 2000
 
 # Most triples score_triples extracts at once: a rank query's 50 together.
@@ -93,9 +94,14 @@ def sample_rows(sample: Subgraph, depth: int) -> int:
     head end again); six typed sums per node layer 1 updates; and its
     disclosing neighbours.  Later layers sum and update no more.  A level
     is at most K + 1, so the nodes are the target and the graph triples not
-    of level K + 1, and the receivers those of them not of level K."""
+    of level K + 1, and the receivers those of them not of level K.  A
+    sample that is its target alone makes no rows and is no receiver
+    (rmpnet.stack_samples), so it counts its feature and its disclosing
+    neighbours alone."""
     levels = sample.levels.tobytes()  # one byte a level, counted without numpy's call overhead
     nodes = len(levels) + 1 - levels.count(depth + 1)
+    if nodes == 1:
+        return 1 + len(sample.labels)
     receivers = nodes - levels.count(depth)
     return 4 * nodes + 6 * receivers + len(sample.labels)
 
@@ -374,13 +380,15 @@ def score_triples(
 
 # ------------------------------------------------------------------ training
 
+@nk.one_blas_thread()
 def train(
     benchmark: Benchmark,
     config: TrainConfig,
     schema_vectors: dict[str, np.ndarray] | None = None,
     log=None,
 ) -> Checkpoint:
-    """Margin-ranking training with per-epoch validation model selection."""
+    """Margin-ranking training with per-epoch validation model selection,
+    its BLAS on one thread (numkit.one_blas_thread)."""
     say = log if log is not None else (lambda msg: None)
     vocab = benchmark.vocab
     graph = benchmark.train

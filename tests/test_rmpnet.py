@@ -991,10 +991,12 @@ def kept_nodes(graph, targets, hops):
 
 def scoring_incidences_of(kept, hops):
     """subgraph.scoring_incidences of a batch whose sample s keeps the
-    triples and levels kept[s]."""
+    triples and levels kept[s], a sample that keeps its target alone handed
+    over at level hops + 1, as stack_samples hands it."""
     nodes = [t for triples, _ in kept for t in triples]
     ends = np.array([[t.head for t in nodes], [t.tail for t in nodes]], dtype=np.intp)
-    level = np.array([level for _, levels in kept for level in levels])
+    level = np.array([level if len(levels) > 1 else hops + 1
+                      for _, levels in kept for level in levels])
     sample = np.repeat(np.arange(len(kept)), [len(triples) for triples, _ in kept])
     return subgraph.scoring_incidences(ends.reshape(2, -1), level, sample, hops)
 
@@ -1004,7 +1006,8 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
     # layer k sums the first rows, whole runs: exactly the runs in which a
     # span of a node it updates takes a row.  So the last layer sums the
     # rows at the targets' entities alone, a small share of a sample that
-    # reaches the hub; the second target has no neighbour, so no run
+    # reaches the hub; the second target has no neighbour, so it is the
+    # last node and makes no row
     graph = hub_twin_graph(np.random.default_rng(1))
     targets = [Triple(3, 4, 8), Triple(12, 4, 13)]
     kept = kept_nodes(graph, targets, hops)
@@ -1016,9 +1019,11 @@ def test_each_scoring_layer_sums_only_the_runs_its_receivers_read(hops):
         assert read == set(range(inc.runs.runs_in(inc.layer_rows[layer - 1])))
     nodes = [[t for ts, _ in kept for t in ts][i] for i in order]
     sample = np.repeat([0, 1], [len(ts) for ts, _ in kept])[order]
+    assert nodes[0] == targets[0] and nodes[-1] == targets[1] and sample[-1] == 1
+    assert inc.receivers[-1] == 1 and len(nodes) - 1 not in inc.rows
     near = {j for j, t in enumerate(nodes)
-            if j > 1 and {t.head, t.tail} & {targets[sample[j]].head, targets[sample[j]].tail}}
-    assert set(inc.rows[: inc.layer_rows[-1]].tolist()) - {0, 1} == near  # the targets are nodes 0, 1
+            if j > 0 and {t.head, t.tail} & {targets[sample[j]].head, targets[sample[j]].tail}}
+    assert set(inc.rows[: inc.layer_rows[-1]].tolist()) - {0} == near - {len(nodes) - 1}
     assert 0 < inc.layer_rows[-1] < len(inc.rows) / 4
     assert sum(0 in (t.head, t.tail) for t in kept[0][0]) > 5 and len(kept[1][0]) == 1  # the hub
 
@@ -1054,6 +1059,99 @@ def test_incidence_sums_in_blocks_of_columns_equal_one_block(monkeypatch, attent
         got = rmpnet._incidence_sums(h, inc, layer, logits)
         assert got.shape == want.shape == (inc.receivers[layer - 1] * 6, 20)
         assert np.array_equal(got, want)
+
+
+def mixed_empty_batch(rng, hops):
+    """A graph and samples of targets of which some hold a triple within
+    hops steps and some are their target alone: isolated ends, ends
+    outside every triple's reach, self-loops and graph triples."""
+    n = int(rng.integers(3, 9))
+    rows = [Triple(int(h), int(rng.integers(5)), int(t))
+            for h, t in rng.integers(n, size=(int(rng.integers(1, 14)), 2))]
+    graph = KnowledgeGraph(make_vocab(n + 3, 5), rows)  # n .. n + 2 isolated
+    targets = []
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.random()
+        if kind < 0.35:  # the target alone
+            targets.append(Triple(int(rng.integers(n, n + 3)), int(rng.integers(5)),
+                                  int(rng.integers(n + 3))))
+        elif kind < 0.5:
+            targets.append(rows[int(rng.integers(len(rows)))])
+        else:
+            u, v = (int(e) for e in rng.integers(n, size=2))
+            targets.append(Triple(u, int(rng.integers(5)), u if kind < 0.6 else v))
+    return graph, targets
+
+
+def holds_a_triple(sample, hops):
+    return bool((sample.levels <= hops).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["base", "ne-ta"]), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_batches_mixing_empty_samples_score_each_as_alone(variant, hops, seed):
+    # a sample that is its target alone skips the scoring layers in a batch
+    # that lays out others: every score, theirs and the others', is bit for
+    # bit the sample's forward alone
+    rng = np.random.default_rng(seed)
+    graph, targets = mixed_empty_batch(rng, hops)
+    config = rmpnet.variant_config(variant, hops=hops, dim=4, edge_dropout=0.0)
+    params = init_params(config, 5, np.random.default_rng(seed % 7))
+    samples = [build_sample(graph, t, config) for t in targets]
+    batched = score_batch(samples, config, params)
+    for s, got in zip(samples, batched):
+        assert got.tobytes() == score_batch([s], config, params)[0].tobytes()
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_incidences_leave_out_the_targets_of_empty_samples(hops):
+    # the target of a sample that is its target alone is no layer's
+    # receiver, makes no row and comes after every node laid out; the
+    # targets of the others are the first nodes, in sample order
+    rng = np.random.default_rng(hops)
+    seen = 0
+    for _ in range(40):
+        graph, targets = mixed_empty_batch(rng, hops)
+        config = ModelConfig(hops=hops, dim=4)
+        samples = [build_sample(graph, t, config) for t in targets]
+        held = np.array([holds_a_triple(s, hops) for s in samples])
+        batch = stack_samples(samples, hops)
+        if not held.any():
+            assert batch.incidences is None
+            continue
+        seen += not held.all()
+        inc, n = batch.incidences, len(batch.node_rows)
+        assert np.array_equal(batch.targets[held], np.arange(held.sum()))
+        assert np.array_equal(batch.targets[~held], np.arange(n - (~held).sum(), n))
+        assert inc.receivers[-1] == held.sum() and inc.receivers[0] <= n - (~held).sum()
+        assert len(inc.spans) == inc.receivers[0]
+        assert not np.isin(inc.rows, batch.targets[~held]).any()
+        assert np.array_equal(batch.node_sample[batch.targets], np.arange(len(samples)))
+    assert seen > 5
+
+
+def test_an_all_empty_batch_skips_the_layers(monkeypatch):
+    # a batch whose every sample is its target alone lays out nothing and
+    # scores each target from its initial feature
+    graph = random_graph(np.random.default_rng(5), 6, 5, 8)  # 6 .. 8 isolated
+    graph = KnowledgeGraph(make_vocab(9, 5), graph.triples)
+    config = rmpnet.variant_config("ne-ta", hops=2, dim=4, edge_dropout=0.0)
+    params = init_params(config, 5, np.random.default_rng(1))
+    samples = [build_sample(graph, t, config)
+               for t in (Triple(6, 1, 7), Triple(7, 3, 7), Triple(8, 4, 6), Triple(6, 1, 7))]
+    assert not any(holds_a_triple(s, 2) for s in samples)
+    alone = [score_batch([s], config, params)[0] for s in samples]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an all-empty batch reached the layers")
+
+    monkeypatch.setattr(rmpnet, "scoring_incidences", refuse)
+    monkeypatch.setattr(rmpnet, "_incidence_sums", refuse)
+    batch = stack_samples(samples, 2)
+    assert batch.incidences is None and np.array_equal(batch.targets, np.arange(4))
+    got = score_batch(samples, config, params)
+    assert [g.tobytes() for g in got] == [a.tobytes() for a in alone]
 
 
 # ----------------------------------------------------- gradients

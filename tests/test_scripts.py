@@ -99,6 +99,13 @@ def test_toy_benchmark_holds_out_a_fact_at_a_small_fraction(tmp_path):
         assert len(bench.test_graph.triples) == 2 * 12 + 11
 
 
+# hub_probe's second line: the incidence rows each layer summed and all
+# of them, and the scored samples that were their target alone
+INCIDENCE_ROWS = re.compile(
+    r"hub_probe: incidence rows summed by layers 1\.\.(\d): (\d+)(?:, \d+)* of (\d+); "
+    r"(\d+) of (\d+) scored samples were their target alone")
+
+
 # hub_probe's last line: the timed passes, their extraction and all CPU
 # seconds, the enclosing subgraphs a pass built and the array route's
 EXTRACTION = re.compile(
@@ -118,10 +125,10 @@ def test_hub_probe_reports_rate_and_memory():
     khop = re.search(r", (\d+) K-hop walks and (\d+) memo hits$", done.stdout.splitlines()[0])
     # 10 targets read 20 balls, at most 2 per distinct entity
     assert khop and 0 < int(khop.group(1)) and int(khop.group(1)) + int(khop.group(2)) == 20
-    head, counts = done.stdout.strip().splitlines()[1].split(": ", 2)[1:]
-    assert head == "incidence rows summed by layers 1..1"
-    summed, total = map(int, counts.split(" of "))
-    assert 0 < summed <= total
+    rows = INCIDENCE_ROWS.fullmatch(done.stdout.strip().splitlines()[1])
+    assert rows and rows.group(1) == "1"
+    summed, total, alone, samples = (int(rows.group(k)) for k in range(2, 6))
+    assert 0 < summed <= total and 0 <= alone < samples == 10
     peak = re.fullmatch(r"hub_probe: largest traced peak of one scored forward: (\d+\.\d\d) MiB",
                         done.stdout.strip().splitlines()[2])
     assert peak and float(peak.group(1)) > 0
@@ -181,7 +188,10 @@ def test_hub_probe_ranks_rank_skewed_queries_on_both_sides():
     assert first and float(first.group(2)) > 0 and 0 < float(first.group(4)) <= 1
     walks, hits = int(first.group(5)), int(first.group(6))
     assert 0 < walks and walks + hits == 600  # two balls a triple, the first pass's
-    assert lines[1].startswith("hub_probe: incidence rows summed by layers 1..2: ")
+    # most of a rank query's candidates have no triple within K steps
+    rows = INCIDENCE_ROWS.fullmatch(lines[1])
+    assert rows and rows.group(1) == "2" and int(rows.group(5)) == 300
+    assert 150 < int(rows.group(4)) < 300
     assert lines[2].startswith("hub_probe: largest traced peak of one scored forward: ")
     passes = re.fullmatch(r"hub_probe: 3 passes: median (\d+\.\d{4}) CPU s a pass, "
                           r"quartiles (\d+\.\d{4}) to (\d+\.\d{4})", lines[3])

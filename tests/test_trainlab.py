@@ -1,6 +1,10 @@
 import gc
+import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 import weakref
 from collections import Counter
@@ -9,7 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from rmpi import trainlab
+from rmpi import numkit, trainlab
 from rmpi.evalbench import rank_entities, rank_of
 from rmpi.kgstore import Benchmark, KnowledgeGraph, Triple, load_benchmark
 from rmpi.numkit import Tape
@@ -450,7 +454,28 @@ def test_sample_rows_counts_as_comparing_every_level(hops):
                 nodes = sum(level <= hops for level in levels)
                 receivers = sum(level < hops for level in levels)
                 want = 4 * nodes + 6 * receivers + len(sample.labels)
+                if nodes == 1:  # the target alone: its feature row
+                    want = 1 + len(sample.labels)
                 assert trainlab.sample_rows(sample, hops) == want
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3])
+def test_sample_rows_of_an_empty_sample_are_its_feature_and_labels(hops):
+    # a sample that is its target alone makes no incidence row and no typed
+    # sum: it counts its feature row and its disclosing neighbours
+    vocab = make_vocab(12, 3)
+    chain = [Triple(i, 0, i + 1) for i in range(8)]  # 0 - 1 - ... - 8
+    graph = KnowledgeGraph(vocab, chain + [Triple(9, 1, 10)])
+    for use_disclosing in (False, True):
+        config = ModelConfig(dim=4, hops=hops, use_disclosing=use_disclosing)
+        bare = build_sample(graph, Triple(11, 2, 11), config)
+        assert len(bare.indexes) == 0 and len(bare.labels) == 0
+        assert trainlab.sample_rows(bare, hops) == 1
+        lone = build_sample(graph, Triple(9, 2, 11), config)  # ne: 9's triple is a neighbour
+        assert len(lone.indexes) == 0
+        assert trainlab.sample_rows(lone, hops) == 1 + len(lone.labels) == 1 + use_disclosing
+        held = build_sample(graph, Triple(0, 2, 2), config)
+        assert trainlab.sample_rows(held, hops) > 10 + len(held.labels)
 
 
 def isomorphic_candidates_graph():
@@ -905,6 +930,42 @@ def test_train_same_seed_identical():
     assert a.history == b.history
     for name in a.params:
         assert np.array_equal(a.params[name], b.params[name])
+
+
+BLAS_THREADS_RUN = textwrap.dedent("""
+    import json
+
+    from rmpi import numkit, trainlab
+    from synth import toy_benchmark
+
+    get, put = numkit._openblas_threads()
+    put(3)  # the caller's count
+    seen = []
+    forward = trainlab.score_sample
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return forward(*args, **kwargs)
+
+    trainlab.score_sample = spy
+    config = trainlab.TrainConfig(model=trainlab.ModelConfig(dim=4, hops=2), epochs=1, batch_size=4)
+    trainlab.train(toy_benchmark(seed=2, n_entities=8, n_train=14, n_valid=4), config)
+    print(json.dumps([sorted(set(seen)), len(seen), get()]))
+""")
+
+
+@pytest.mark.skipif(numkit._openblas_threads() is None,
+                    reason="numpy's BLAS is not the wheel's OpenBLAS")
+def test_train_runs_blas_on_one_thread_and_restores_the_callers_count():
+    # in a fresh interpreter, whose OpenBLAS no other test has set: every
+    # forward of the training run, its steps and validation, reads one
+    # thread, and the caller's three are back when train returns
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], capture_output=True,
+                          text=True, timeout=120, check=True, env={**os.environ, "PYTHONPATH": path})
+    threads, forwards, after = json.loads(done.stdout)
+    assert threads == [1] and forwards >= 4 and after == 3
 
 
 def test_train_seed_changes_trajectory():
