@@ -200,7 +200,7 @@ def _rank(ckpt, graph, query, side, num_neg, seed, rng, relation_rows, id_vector
     """rank_entities' outcome, in the scoring context that rank_entities or
     rank_queries resolved (_scoring_context)."""
     truth = query.head if side == "head" else query.tail
-    pool = candidate_entities(graph.entity_list(), truth, num_neg, rng)
+    pool = candidate_entities(graph.entities, truth, num_neg, rng)
     if not pool:
         raise EvalError(
             f"no candidate entities to rank the {side} of query {tuple(query)} "

@@ -10,25 +10,25 @@ edge instance as a node of its own.
 A graph is fixed when built: it checks its ids and keeps its triples, and
 builds each structure derived from them the first time it is read, so a run
 indexes only the graph it reads (eval the test graph, training the training
-graph).  The adjacency index, `incident`, maps each entity to the (other
-end, triple index) pairs of the triples it is an end of, in triple order.
-Edges are read undirected, so a triple is listed under both of its ends and
-a self-loop once, under its entity.  `arrays` holds the same triples as one
-int32 array, so that subgraphs and samples can hold triple indices and
-gather their ends and relations in one step; `self_loops` lists each
-entity's self-loops, all a target whose ends are far apart keeps; `csr`
-holds `incident` as compressed sparse rows, int32 row pointers and per row
-the other end and the triple index, built at the first target whose
-intersection is large enough for extraction's array route.
-`bfs` walks that index; extraction walks it too, inside the neighbourhood a
-target's two ends share.  Extraction reads each K-hop ball through
-`khop_ball`, which memoises it on the graph per (entity, k) as an ascending
-int32 array of entity ids, so that the candidates of a rank query, which all
-share the query's fixed entity, and every later pass over the same targets
-walk each ball once.  The memo's budget scales with the graph's index:
-KHOP_MEMO_IDS_PER_ROW ids per incidence row in all (or one larger ball),
-evicting the least recently used balls.  `khop_neighbors` is the walk's
-distance map, unmemoised.
+graph).  The graph has one incidence index, `csr`: compressed sparse rows
+of int32 arrays, each entity's rows the other end and the index of one of
+its triples, in triple order.  Edges are read undirected, so a triple is
+listed under both of its ends and a self-loop once, under its entity.
+`incident` is the same rows as Python lists for loops, one per entity id,
+built from `csr` when the index is first read; `entities` are the ids with
+rows.  `arrays` holds the triples as one int32 array, so that subgraphs and
+samples can hold triple indices and gather their ends and relations in one
+step; `self_loops` lists each entity's self-loops, all a target whose ends
+are far apart keeps.  `bfs` walks the index; extraction walks it too, inside
+the neighbourhood a target's two ends share, by Python loops over
+`incident` or by array operations over `csr`.  Extraction reads each K-hop
+ball through `khop_ball`, which memoises it on the graph per (entity, k) as
+an ascending int32 array of entity ids, so that the candidates of a rank
+query, which all share the query's fixed entity, and every later pass over
+the same targets walk each ball once.  The memo's budget scales with the
+graph's index: KHOP_MEMO_IDS_PER_ROW ids per incidence row in all (or one
+larger ball), evicting the least recently used balls.  `khop_neighbors` is
+the walk's distance map, unmemoised.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 from collections import OrderedDict
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, KeysView, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -147,16 +147,18 @@ KHOP_MEMO_IDS_PER_ROW = 16
 class KnowledgeGraph:
     """A multiset of triples over a shared vocabulary, fixed when built.
 
-    `incident` maps each entity to the (other end, triple index) pairs of
-    its triples, so edge instances (not just endpoint pairs) can be
-    recovered; `entities` is a read-only view of its keys.  The index, its
-    CSR form `csr`, the member set behind `has_triple`, `arrays`,
-    `self_loops` and the sorted entity list are each built the first time
-    they are read.  `khop_memo` holds the K-hop balls khop_ball handed out,
-    least recently used first, and
-    `khop_memo_entries` their total size in ids; `khop_walks` counts the
-    balls khop_ball walked the index for, and `khop_hits` those it found in
-    the memo.
+    `csr` holds each entity's (other end, triple index) rows, so edge
+    instances (not just endpoint pairs) can be recovered, and `incident`
+    the same rows as one Python list per entity id; `entities` are the ids
+    with rows, ascending.  An entity the vocabulary gains after the index
+    is built has no rows: a walk from it extends `incident` with empty
+    rows up to it, and the array route reads past the end of `csr` as no
+    rows.  The index, the member set behind `has_triple`, `arrays` and
+    `self_loops` are each built the first time they are read.  `khop_memo`
+    holds the K-hop balls khop_ball handed out, least recently used first,
+    and `khop_memo_entries` their total size in ids; `khop_walks` counts
+    the balls khop_ball walked the index for, and `khop_hits` those it
+    found in the memo.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
@@ -175,18 +177,10 @@ class KnowledgeGraph:
         self.khop_hits = 0
 
     @cached_property
-    def incident(self) -> dict[int, list[tuple[int, int]]]:
-        incident: dict[int, list[tuple[int, int]]] = {}
-        for idx, (head, _, tail) in enumerate(self.triples):
-            incident.setdefault(head, []).append((tail, idx))
-            if tail != head:
-                incident.setdefault(tail, []).append((head, idx))
-        return incident
-
-    @cached_property
     def csr(self) -> IncidenceRows:
-        """`incident` as read-only int32 arrays (IncidenceRows), each
-        entity's rows in triple order."""
+        """The incidence index as read-only int32 arrays (IncidenceRows),
+        each entity's rows in triple order: under each end of a triple, a
+        self-loop once, under its entity."""
         heads, _, tails = self.arrays
         ids = np.arange(len(heads), dtype=np.int32)
         twice = heads != tails  # a self-loop has one row
@@ -202,6 +196,16 @@ class KnowledgeGraph:
         return IncidenceRows(starts, other, triple)
 
     @cached_property
+    def incident(self) -> list:
+        """`csr` for Python loops: entity e's rows as a list of (other end,
+        triple index) pairs at incident[e]; the entities without rows share
+        the empty tuple."""
+        starts, other, triple = self.csr
+        pairs = list(zip(other.tolist(), triple.tolist()))
+        bounds = starts.tolist()
+        return [pairs[a:b] if a < b else () for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
     def self_loops(self) -> dict[int, list[int]]:
         """Each entity with self-loops, mapped to their indices, ascending."""
         loops: dict[int, list[int]] = {}
@@ -210,18 +214,16 @@ class KnowledgeGraph:
                 loops.setdefault(head, []).append(idx)
         return loops
 
-    @cached_property
-    def _incidence_rows(self) -> int:
-        return sum(map(len, self.incident.values()))
-
     @property
     def khop_memo_budget(self) -> int:
         """Most ids the K-hop memo holds in all, but for one larger ball."""
-        return KHOP_MEMO_IDS_PER_ROW * self._incidence_rows
+        return KHOP_MEMO_IDS_PER_ROW * len(self.csr.other)
 
-    @property
-    def entities(self) -> KeysView[int]:
-        return self.incident.keys()
+    @cached_property
+    def entities(self) -> list[int]:
+        """The ids of the entities with rows in the index, ascending, so that
+        uniform sampling is reproducible across runs."""
+        return np.diff(self.csr.starts).nonzero()[0].tolist()
 
     @property
     def num_triples(self) -> int:
@@ -243,21 +245,14 @@ class KnowledgeGraph:
     def has_triple(self, t: Triple) -> bool:
         return Triple(*t) in self._members
 
-    @cached_property
-    def _sorted_entities(self) -> list[int]:
-        # sorted so that uniform sampling is reproducible across runs
-        return sorted(self.entities)
-
-    def entity_list(self) -> list[int]:
-        return self._sorted_entities
-
     def relations(self) -> frozenset[int]:
         return frozenset(t.relation for t in self.triples)
 
 
-def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
-    """Entities within k undirected hops of start in an incidence index,
-    mapped to their hop distance; start is at distance 0."""
+def bfs(incident: list, start: int, k: int) -> dict[int, int]:
+    """Entities within k undirected hops of start in an incidence index
+    (KnowledgeGraph.incident), mapped to their hop distance; start is at
+    distance 0."""
     dist = {start: 0}
     frontier = [start]
     d = 0
@@ -265,7 +260,7 @@ def bfs(incident: dict, start: int, k: int) -> dict[int, int]:
         d += 1
         nxt = []
         for e in frontier:
-            for n, _ in incident.get(e, ()):
+            for n, _ in incident[e]:
                 if n not in dist:
                     dist[n] = d
                     nxt.append(n)
@@ -278,6 +273,11 @@ def _check_walk(graph: KnowledgeGraph, center: int, k: int) -> None:
         raise KGError(f"unknown entity id: {center}")
     if k < 0:
         raise KGError(f"negative hop count: {k}")
+    # an entity the vocabulary gained after indexing has no rows; extraction
+    # walks both ends of a target before it reads their rows
+    incident = graph.incident
+    if center >= len(incident):
+        incident.extend([()] * (graph.vocab.num_entities - len(incident)))
 
 
 def khop_neighbors(graph: KnowledgeGraph, center: int, k: int) -> Mapping[int, int]:

@@ -431,10 +431,9 @@ def propagate(
             return nk.unrecorded([h, messages], out)
         if training:
             h = nk.add(messages, h)
-        else:  # the receivers are the first nodes
-            updated = h.value.copy()
-            updated[: len(messages.value)] += messages.value
-            h = nk.unrecorded([h, messages], updated)
+        else:  # the receivers are the first nodes of this forward's own h
+            h.value[: len(messages.value)] += messages.value
+            h = nk.unrecorded([h, messages], h.value)
     return nk.take(h, batch.targets)
 
 

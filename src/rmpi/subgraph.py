@@ -33,15 +33,16 @@ walked once while the memo holds it: the candidates of a rank query, which
 share its fixed entity, walk that entity's neighbourhood once, and a later
 pass over the same targets walks none; extract_enclosing_list searches a
 rank query's candidates in their fixed entity's ball at once.  Pruning walks
-the graph's incidence index inside the intersection, and the triples are
-then gathered at the entities it keeps, by one of two routes that give the
-same record bit for bit.  A small intersection, as most of a sparse graph's
-are, takes the loop route: Python over the `incident` dict, which reads
+the graph's incidence index (KnowledgeGraph.csr) inside the intersection,
+and the triples are then gathered at the entities it keeps, by one of two
+routes over that index that give the same record bit for bit.  A small
+intersection, as most of a sparse graph's are, takes the loop route: Python
+over the index's per-entity lists (KnowledgeGraph.incident), which reads
 only the rows it needs.  An intersection of at least ARRAY_ROUTE_ENTITIES
 entities, as a hub's is, takes the array route: a fixed number of numpy
-calls over the graph's CSR index (KnowledgeGraph.csr), which cost about as
-much for a few rows as for a hub's thousands, so that it is cheaper than
-the loop only past some tens of entities.
+calls over the index's arrays, which cost about as much for a few rows as
+for a hub's thousands, so that it is cheaper than the loop only past some
+tens of entities.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def _induced_triples(graph: KnowledgeGraph, entities, target: Triple) -> list[in
     triples, incident = graph.triples, graph.incident
     picked = []
     for e in entities:
-        for other, idx in incident.get(e, ()):
+        for other, idx in incident[e]:
             # a triple is listed under both ends: take it at its smaller one
             if other >= e and other in entities and triples[idx] != target:
                 picked.append(idx)
@@ -179,7 +180,7 @@ def _pruning_distances(graph: KnowledgeGraph, u: int, v: int, common,
         nxt = []
         for e in frontier:
             bits = ends[e]
-            for n, _ in incident.get(e, ()):
+            for n, _ in incident[e]:
                 if n not in dist:
                     if n in common:
                         dist[n] = d
@@ -296,10 +297,10 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
     least ARRAY_ROUTE_ENTITIES entities takes the array route: the walk,
     the gather and the levels as array operations over the graph's CSR
     index (_array_enclosing), each a fixed number of numpy calls per hop.
-    A smaller one takes the loop route, a walk of the graph's incidence
-    dict in Python (_pruning_distances, _induced_triples), which costs less
-    than those calls when there are few rows to read; most targets of a
-    sparse graph take it.
+    A smaller one takes the loop route, a walk of the same index's
+    per-entity lists in Python (_pruning_distances, _induced_triples),
+    which costs less than those calls when there are few rows to read;
+    most targets of a sparse graph take it.
     """
     labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     if len(common) >= ARRAY_ROUTE_ENTITIES:
@@ -414,9 +415,9 @@ def _disclosing_labels(graph: KnowledgeGraph, target: Triple) -> np.ndarray:
     """
     incident, triples = graph.incident, graph.triples
     u, _, v = target
-    idxs = [i for other, i in incident.get(u, ()) if other != v or triples[i] != target]
+    idxs = [i for other, i in incident[u] if other != v or triples[i] != target]
     if u != v:
-        idxs += [i for other, i in incident.get(v, ()) if other != u]
+        idxs += [i for other, i in incident[v] if other != u]
         idxs.sort()
     return graph.arrays[1].take(idxs) if idxs else NO_LABELS
 

@@ -170,7 +170,7 @@ def sample_negative(
     dense graphs.  The positive itself is never returned as long as any
     other corruption is constructible.
     """
-    entities = graph.entity_list()
+    entities = graph.entities
     if not entities:
         raise TrainError("cannot sample negatives from an empty graph")
     pos = Triple(*pos)

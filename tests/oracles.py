@@ -154,13 +154,12 @@ def disclosing_subgraph(graph, target, k):
 def disclosing_neighbors(graph, target):
     """One-hop neighborhood of the target in its disclosing view, as
     parent-graph triple indices, ascending: every triple instance at u or
-    v, once, less the instances equal to the target.  The set-and-sort
-    route the package read before its disclosing labels were gathered
-    inside extract_enclosing."""
+    v, once, less the instances equal to the target, by a scan of the
+    graph's triples, not of the incidence index under test."""
     target = tuple(target)
     u, _, v = target
-    idxs = {idx for e in (u, v) for _, idx in graph.incident.get(e, ())}
-    return [i for i in sorted(idxs) if tuple(graph.triples[i]) != target]
+    return [i for i, t in enumerate(graph.triples)
+            if (t.head in (u, v) or t.tail in (u, v)) and tuple(t) != target]
 
 
 def disclosing_one_hop(rvg):

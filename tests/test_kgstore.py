@@ -23,6 +23,14 @@ from oracles import floyd_warshall
 from synth import make_vocab, random_graph, write_benchmark_dir
 
 
+def brute_rows(triples, n_entities):
+    """Each entity's (other end, triple index) pairs, by a scan of the
+    triples: a triple under each of its ends, in triple order, a self-loop
+    once, under its entity."""
+    return [[(t if h == e else h, i) for i, (h, _, t) in enumerate(triples) if e in (h, t)]
+            for e in range(n_entities)]
+
+
 # ---------------------------------------------------------------- khop
 
 def test_khop_isolated_entity():
@@ -118,10 +126,15 @@ def test_csr_index_holds_the_incidence_rows_in_triple_order(seed):
     assert len(starts) == g.vocab.num_entities + 1 and starts[0] == 0
     for array in (starts, other, triple):
         assert array.dtype == np.int32 and not array.flags.writeable
-    for e in range(g.vocab.num_entities):
+    want = brute_rows(g.triples, g.vocab.num_entities)
+    assert len(g.incident) == len(want)
+    for e, pairs in enumerate(want):
         rows = slice(starts[e], starts[e + 1])
-        assert list(zip(other[rows].tolist(), triple[rows].tolist())) == g.incident.get(e, [])
-    assert starts[-1] == len(other) == len(triple) == sum(map(len, g.incident.values()))
+        assert list(zip(other[rows].tolist(), triple[rows].tolist())) == pairs
+        assert list(g.incident[e]) == pairs  # the loop route's view of the same rows
+    empty = [g.incident[e] for e, pairs in enumerate(want) if not pairs]
+    assert all(rows == () and rows is empty[0] for rows in empty)  # one shared tuple
+    assert starts[-1] == len(other) == len(triple) == sum(map(len, want))
 
 
 @pytest.mark.parametrize("per_row", [0, 1, 2, 3, 10, 16, 40])
@@ -129,7 +142,7 @@ def test_khop_memo_stays_within_its_cap(monkeypatch, per_row):
     monkeypatch.setattr(kgstore, "KHOP_MEMO_IDS_PER_ROW", per_row)
     rng = np.random.default_rng(per_row)
     g = random_graph(rng, 12, 3, 20)
-    rows = sum(len(pairs) for pairs in g.incident.values())
+    rows = sum(map(len, brute_rows(g.triples, 12)))
     assert g.khop_memo_budget == per_row * rows
     for _ in range(200):
         center, k = int(rng.integers(12)), int(rng.integers(4))
@@ -155,8 +168,8 @@ def test_duplicate_triples_are_distinct_instances():
 def test_incidence_lists_self_loop_once_and_parallel_pair_twice():
     vocab = make_vocab(3, 2)
     g = KnowledgeGraph(vocab, [Triple(0, 0, 0), Triple(0, 0, 1), Triple(1, 1, 0)])
-    assert g.incident == {0: [(0, 0), (1, 1), (1, 2)], 1: [(0, 1), (0, 2)]}
-    assert sorted(g.entities) == [0, 1]
+    assert g.incident == [[(0, 0), (1, 1), (1, 2)], [(0, 1), (0, 2)], ()]
+    assert g.entities == [0, 1]
 
 
 def test_out_of_range_ids_rejected():
@@ -170,7 +183,7 @@ def test_out_of_range_ids_rejected():
 def test_entity_list_sorted_and_membership():
     vocab = make_vocab(5, 1)
     g = KnowledgeGraph(vocab, [Triple(3, 0, 1), Triple(1, 0, 4)])
-    assert g.entity_list() == [1, 3, 4]
+    assert g.entities == [1, 3, 4]
     assert g.has_triple(Triple(3, 0, 1))
     assert not g.has_triple(Triple(3, 0, 4))
 
@@ -269,7 +282,7 @@ def test_benchmark_indexes_each_graph_once_when_first_read(tmp_path, graphs_buil
     assert graphs_built == [bench.test_graph]
     assert bench.train.has_triple(bench.train.triples[0])
     assert graphs_built == [bench.test_graph, bench.train]
-    assert bench.train.entity_list() and bench.test_graph.arrays.shape == (3, 2)
+    assert bench.train.entities and bench.test_graph.arrays.shape == (3, 2)
     assert bench.test_graph.incident is incident  # built once
     assert graphs_built == [bench.test_graph, bench.train]
 
@@ -326,11 +339,8 @@ def test_lazy_graphs_equal_graphs_indexed_at_load(tmp_path, seed):
         assert graph.triples == triples
         assert any(h == t for h, _, t in triples) and len(set(triples)) < len(triples)
         # under each end, in triple order; a self-loop once, under its entity
-        assert graph.incident == {
-            e: [(t if h == e else h, i) for i, (h, _, t) in enumerate(triples) if e in (h, t)]
-            for e in ends
-        }
-        assert graph.entity_list() == sorted(ends)
+        assert [list(pairs) for pairs in graph.incident] == brute_rows(triples, vocab.num_entities)
+        assert graph.entities == sorted(ends)
         assert graph.arrays.dtype == np.int32 and not graph.arrays.flags.writeable
         assert graph.arrays.tolist() == [[t[j] for t in triples] for j in range(3)]
         for cand in itertools.product(range(vocab.num_entities), range(vocab.num_relations),

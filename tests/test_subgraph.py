@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rmpi import kgstore, subgraph, trainlab
-from rmpi.kgstore import KnowledgeGraph, Triple
+from rmpi.kgstore import KnowledgeGraph, Triple, khop_neighbors
 from rmpi.rmpnet import ModelConfig, stack_samples
 from rmpi.subgraph import (
     EDGE_TYPE_NAMES,
@@ -749,6 +749,37 @@ def test_array_and_loop_routes_give_the_same_records(n_entities, n_triples, k, d
         assert entities(alone["array"]) == frozenset(want_ent)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("k", [1, 2])
+def test_an_entity_the_vocabulary_gains_after_indexing_has_no_rows(route, k):
+    # the graph is indexed, then its vocabulary gains entity 10: targets at
+    # it read no rows there, as on a graph indexed after the gain, and keep
+    # the other end's disclosing labels
+    def indexed_then_grown():
+        g = random_graph(np.random.default_rng(k), 10, 3, 30, allow_self_loops=False)
+        assert len(g.incident) == len(g.csr.starts) - 1 == 10
+        return g, g.vocab.entity_id("e10", create=True)
+
+    g, new = indexed_then_grown()
+    fresh = KnowledgeGraph(g.vocab, g.triples)
+    targets = [Triple(0, 1, new), Triple(new, 2, 3), Triple(new, 0, new)]
+    got = routed(route, subgraph.extract_enclosing_list, g, targets, k, disclosing=True)
+    g_alone = indexed_then_grown()[0]
+    for t, sub in zip(targets, got):
+        alone = routed(route, extract_enclosing, g_alone, t, k, disclosing=True)
+        want = routed(route, extract_enclosing, fresh, t, k, disclosing=True)
+        for record in (sub, alone):
+            assert record.indexes is subgraph.NO_INDEXES and record.levels is subgraph.NO_LEVELS
+            assert record.labels.tolist() == want.labels.tolist() == [
+                g.triples[i].relation for i in oracles.disclosing_neighbors(g, t)]
+        assert want.indexes is subgraph.NO_INDEXES
+    assert len(got[0].labels) and len(got[1].labels)  # the in-range ends have rows
+    g, new = indexed_then_grown()
+    assert khop_neighbors(g, new, k) == {new: 0}
+    assert extract_disclosing(g, targets[0], k).indexes.tolist() == \
+        extract_disclosing(fresh, targets[0], k).indexes.tolist()
+
+
 def hub_pair_graph(shared: int):
     """u = 0 and v = 1, joined, and `shared` entities 2 .. shared + 1 each
     joined to both, a self-loop at one and a second u–v instance: at K = 1
@@ -761,8 +792,9 @@ def hub_pair_graph(shared: int):
 
 
 def test_the_cut_over_sends_thirty_entities_down_the_array_route(monkeypatch):
-    # one entity below the cut-over takes the loop route, and builds no CSR
-    # index; an intersection of the cut-over's size takes the array route
+    # one entity below the cut-over takes the loop route, as the spy on the
+    # array route shows; an intersection of the cut-over's size takes the
+    # array route
     assert subgraph.ARRAY_ROUTE_ENTITIES == 30
     taken = []
     array_enclosing = subgraph._array_enclosing
@@ -779,7 +811,6 @@ def test_the_cut_over_sends_thirty_entities_down_the_array_route(monkeypatch):
             taken.clear()
             alone = extract_enclosing(g, target, 1)
             assert taken == route
-            assert ("csr" in vars(g)) == bool(route)  # built at the first large target
             listed = subgraph.extract_enclosing_list(g, targets, 1)
             assert taken == route * (1 + len(targets))
             assert same_record_and_sharing(listed[0], alone)
