@@ -18,17 +18,17 @@ listed under both of its ends and a self-loop once, under its entity.
 built from `csr` when the index is first read; `entities` are the ids with
 rows.  `arrays` holds the triples as one int32 array, so that subgraphs and
 samples can hold triple indices and gather their ends and relations in one
-step; `self_loops` lists each entity's self-loops, all a target whose ends
-are far apart keeps.  `bfs` walks the index; extraction walks it too, inside
-the neighbourhood a target's two ends share, by Python loops over
-`incident` or by array operations over `csr`.  Extraction reads each K-hop
-ball through `khop_ball`, which memoises it on the graph per (entity, k) as
-an ascending int32 array of entity ids, so that the candidates of a rank
-query, which all share the query's fixed entity, and every later pass over
-the same targets walk each ball once.  The memo's budget scales with the
-graph's index: KHOP_MEMO_IDS_PER_ROW ids per incidence row in all (or one
-larger ball), evicting the least recently used balls.  `khop_neighbors` is
-the walk's distance map, unmemoised.
+step.  `bfs` walks the index; extraction walks it too, inside the
+neighbourhood a target's two ends share, by Python loops over `incident` or
+by array operations over `csr`, and reads a target's self-loops there, under
+its ends.  Extraction reads each K-hop ball through `khop_ball`, which
+memoises it on the graph per (entity, k) as an ascending int32 array of
+entity ids, so that the candidates of a rank query, which all share the
+query's fixed entity, and every later pass over the same targets walk each
+ball once.  The memo's budget scales with the graph's index:
+KHOP_MEMO_IDS_PER_ROW ids per incidence row in all (or one larger ball),
+evicting the least recently used balls.  `khop_neighbors` is the walk's
+distance map, unmemoised.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ class Vocabulary:
     def relation_seen(self, rid: int) -> bool:
         return self._seen[rid]
 
-    def seen_relations(self) -> frozenset[int]:
-        return frozenset(r for r, s in enumerate(self._seen) if s)
-
     def digest(self) -> str:
         """Content hash of the id maps and seen flags."""
         h = hashlib.sha256()
@@ -153,12 +150,12 @@ class KnowledgeGraph:
     with rows, ascending.  An entity the vocabulary gains after the index
     is built has no rows: a walk from it extends `incident` with empty
     rows up to it, and the array route reads past the end of `csr` as no
-    rows.  The index, the member set behind `has_triple`, `arrays` and
-    `self_loops` are each built the first time they are read.  `khop_memo`
-    holds the K-hop balls khop_ball handed out, least recently used first,
-    and `khop_memo_entries` their total size in ids; `khop_walks` counts
-    the balls khop_ball walked the index for, and `khop_hits` those it
-    found in the memo.
+    rows.  The index, the member set behind `has_triple` and `arrays` are
+    each built the first time they are read.  `khop_memo` holds the K-hop
+    balls khop_ball handed out, least recently used first, and
+    `khop_memo_entries` their total size in ids; `khop_walks` counts the
+    balls khop_ball walked the index for, and `khop_hits` those it found in
+    the memo.
     """
 
     def __init__(self, vocab: Vocabulary, triples: Iterable[Triple]) -> None:
@@ -204,15 +201,6 @@ class KnowledgeGraph:
         pairs = list(zip(other.tolist(), triple.tolist()))
         bounds = starts.tolist()
         return [pairs[a:b] if a < b else () for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def self_loops(self) -> dict[int, list[int]]:
-        """Each entity with self-loops, mapped to their indices, ascending."""
-        loops: dict[int, list[int]] = {}
-        for idx, (head, _, tail) in enumerate(self.triples):
-            if head == tail:
-                loops.setdefault(head, []).append(idx)
-        return loops
 
     @property
     def khop_memo_budget(self) -> int:

@@ -221,11 +221,13 @@ def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
     candidates share their fixed entity's, so no more ids are searched than
     target by target.  The distances are measured by one walk of the graph's
     index within the intersection from u and v at once (_pruning_distances),
-    unless it holds only u and v, the walk's own seeds.  An intersection of
-    ARRAY_ROUTE_ENTITIES entities or more is walked and gathered by array
-    operations instead (_array_enclosing), to the same record: the loop's
-    Python cost grows with the rows it reads, and the arrays' numpy calls
-    cost more than that only on small intersections (_enclosing).
+    unless it holds no entity but u and v, the walk's own seeds (a far
+    target's, whose ends are more than K apart, holds none).  An
+    intersection of ARRAY_ROUTE_ENTITIES entities or more is walked and
+    gathered by array operations instead (_array_enclosing), to the same
+    record: the loop's Python cost grows with the rows it reads, and the
+    arrays' numpy calls cost more than that only on small intersections
+    (_enclosing).
 
     The same distances give each triple's level: N^0 is the target, and N^j
     the triples sharing an entity with one in N^(j-1), pruning's node sets,
@@ -240,10 +242,11 @@ def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
     Pruning comes first, so the triples are gathered at the kept entities
     alone (_induced_triples), which is exact: they are the intersection's
     triples with both ends kept.  A target keeping only u and v, at distance
-    0, has each of its triples at level 1; empty subgraphs share the
-    read-only NO_INDEXES and NO_LEVELS.  With `disclosing` set, the record
-    also carries the labels of the target's disclosing neighbours
-    (_disclosing_labels), as the ne variants' samples do; otherwise NO_LABELS.
+    0, has each of its triples, those joining u and v and their self-loops,
+    at level 1; empty subgraphs share the read-only NO_INDEXES and
+    NO_LEVELS.  With `disclosing` set, the record also carries the labels of
+    the target's disclosing neighbours (_disclosing_labels), as the ne
+    variants' samples do; otherwise NO_LABELS.
     """
     if not 1 <= k <= MAX_HOPS:
         raise SubgraphError(f"hop count must be in 1..{MAX_HOPS}, got {k}")
@@ -300,7 +303,8 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
     A smaller one takes the loop route, a walk of the same index's
     per-entity lists in Python (_pruning_distances, _induced_triples),
     which costs less than those calls when there are few rows to read;
-    most targets of a sparse graph take it.
+    most targets of a sparse graph take it.  It reads the triples among u
+    and v alone, with no walk, when the intersection holds no other entity.
     """
     labels = _disclosing_labels(graph, target) if disclosing else NO_LABELS
     if len(common) >= ARRAY_ROUTE_ENTITIES:
@@ -310,14 +314,10 @@ def _enclosing(graph: KnowledgeGraph, target: Triple, common: list[int], k: int,
         return Subgraph(graph, idxs, target, levels, labels)
     u, _, v = target
     inside = set(common)
-    joined = u in inside  # u and v are at most k apart, each in the other's ball
     inside.discard(u)
     inside.discard(v)
     near = _pruning_distances(graph, u, v, inside, k) if inside else {u: 0, v: 0}
-    if inside or joined:
-        idxs = _induced_triples(graph, near, target)
-    else:  # u and v are more than k apart, so no triple joins them
-        idxs = sorted([*graph.self_loops.get(u, ()), *graph.self_loops.get(v, ())])
+    idxs = _induced_triples(graph, near, target)
     if not idxs:
         return Subgraph(graph, NO_INDEXES, target, NO_LEVELS, labels)
     triples, levels = graph.triples, []

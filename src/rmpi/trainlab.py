@@ -109,35 +109,29 @@ def sample_rows(sample: Subgraph, depth: int) -> int:
 class SampleCache:
     """In-memory extraction memo for one graph and one model config.
 
-    It keeps only the samples its callers name: those `precompute` builds
-    (a training run's positives, scored every epoch) and those of the
-    triples named by `retain` (its fixed validation targets and negatives).
-    Every other triple, such as a transient negative or a held-out target,
-    is built on each use, so memory stays bounded by the graph and
-    validation sizes.  A training negative equal to a graph triple reads
-    that positive's precomputed sample.  A sample is a subgraph.Subgraph
-    record, compact arrays only: no edges, which grow with the square of
-    entity degree, outlive a training step.
+    It keeps exactly the samples `precompute` builds: a training run's
+    positives, scored every epoch, and its fixed validation targets and
+    negatives, kept from the first validation on.  Every other triple, such
+    as a transient negative or a held-out target, is built on each use, so
+    memory stays bounded by the graph and validation sizes.  A training
+    negative equal to a graph triple reads that positive's precomputed
+    sample.  A sample is a subgraph.Subgraph record, compact arrays only:
+    no edges, which grow with the square of entity degree, outlive a
+    training step.
     """
 
     def __init__(self, graph: KnowledgeGraph, config: ModelConfig):
         self.graph = graph
         self.config = config
         self._store: dict[Triple, Subgraph] = {}
-        self._retained: set[Triple] = set()
 
     def sample(self, triple: Triple) -> Subgraph:
         got = self._store.get(triple)
-        if got is not None:
-            return got
-        built = build_sample(self.graph, triple, self.config)
-        if triple in self._retained:
-            self._store[triple] = built
-        return built
+        return got if got is not None else build_sample(self.graph, triple, self.config)
 
     def samples(self, triples: list[Triple]) -> list[Subgraph]:
         """The samples of these triples: those stored, and the rest built at
-        once, each once (extract_enclosing_list), keeping the retained."""
+        once, each once (extract_enclosing_list)."""
         if len(triples) == 1:  # a lone triple skips the list's bookkeeping
             return [self.sample(triples[0])]
         store = self._store
@@ -145,12 +139,7 @@ class SampleCache:
         if built:
             built.update(zip(built, extract_enclosing_list(
                 self.graph, list(built), self.config.hops, disclosing=self.config.use_disclosing)))
-            store.update((t, s) for t, s in built.items() if t in self._retained)
         return [built[t] if t in built else store[t] for t in triples]
-
-    def retain(self, triples) -> None:
-        """Keep the samples of these triples too, once built."""
-        self._retained.update(Triple(*t) for t in triples)
 
     def precompute(self, triples):
         """Build and keep the samples of these triples."""
@@ -388,7 +377,9 @@ def train(
     log=None,
 ) -> Checkpoint:
     """Margin-ranking training with per-epoch validation model selection,
-    its BLAS on one thread (numkit.one_blas_thread)."""
+    its BLAS on one thread (numkit.one_blas_thread).  Its SampleCache keeps
+    the positives, built before the first step, and the validation targets
+    and their fixed negatives, built at the first validation."""
     say = log if log is not None else (lambda msg: None)
     vocab = benchmark.vocab
     graph = benchmark.train
@@ -397,9 +388,8 @@ def train(
     id_vectors = resolve_schema_vectors(schema_vectors, vocab, mc)
     rng_init = np.random.default_rng(config.seed)
     params = init_params(mc, vocab.num_relations, rng_init)
-    seen = vocab.seen_relations()
-    relation_rows = np.array([r if r in seen else -1 for r in range(vocab.num_relations)],
-                             dtype=np.intp)
+    seen = tuple(vocab.relation_seen(r) for r in range(vocab.num_relations))
+    relation_rows = np.array([r if s else -1 for r, s in enumerate(seen)], dtype=np.intp)
 
     cache = SampleCache(graph, mc)
     positives = list(graph.triples)
@@ -412,16 +402,16 @@ def train(
 
     valid = list(benchmark.valid)
     valid_negatives = [sample_negative(t, graph, rng_valneg) for t in valid]
-    cache.retain(valid + valid_negatives)  # scored after every epoch
 
     def validation_auc() -> float | None:
         if not valid:
             return None
         from .evalbench import auc_pr  # late import, evalbench imports this module
 
-        scores = score_triples(
-            params, mc, cache, valid + valid_negatives, relation_rows, id_vectors, config.seed
-        )
+        scored = valid + valid_negatives
+        if not val_history:  # the first validation keeps their samples for the later ones
+            cache.precompute(scored)
+        scores = score_triples(params, mc, cache, scored, relation_rows, id_vectors, config.seed)
         labels = np.array([1] * len(valid) + [0] * len(valid_negatives))
         return auc_pr(scores, labels)
 
@@ -497,7 +487,7 @@ def train(
         params=best_params,
         vocab_digest=vocab.digest(),
         relation_names=tuple(vocab.relation_names),
-        seen_flags=tuple(vocab.relation_seen(r) for r in range(vocab.num_relations)),
+        seen_flags=seen,
         best_val_auc=None if best_auc < 0 else best_auc,
         best_epoch=best_epoch,
         history={"train_loss": train_losses, "val_auc": val_history},

@@ -277,6 +277,24 @@ def test_train_writes_checkpoint_and_manifest(tmp_path):
     assert str(data) in manifest["inputs"]
 
 
+def test_accepted_float_flags_reach_the_configs_and_the_manifest(tmp_path, monkeypatch):
+    data, out = bench_dir(tmp_path), tmp_path / "ckpt"
+    configs = []
+    inner = cli.train
+
+    def spying(bench, config, **kwargs):
+        configs.append(config)
+        return inner(bench, config, **kwargs)
+
+    monkeypatch.setattr(cli, "train", spying)
+    assert main(train_args(data, out, ["--lr", "0.01", "--margin", "5", "--dropout", "0.25"])) == 0
+    (config,) = configs
+    assert (config.lr, config.margin, config.model.edge_dropout) == (0.01, 5.0, 0.25)
+    assert load_checkpoint(str(out)).config.edge_dropout == 0.25
+    flags = json.load(open(out / "run_manifest.json"))["flags"]
+    assert (flags["lr"], flags["margin"], flags["dropout"]) == (0.01, 5.0, 0.25)
+
+
 def test_train_reruns_reproduce_manifest_and_params(tmp_path):
     data = bench_dir(tmp_path)
     out = tmp_path / "ckpt"

@@ -1,6 +1,7 @@
 """The on-disk formats, pinned byte for byte, and their shared readers."""
 
 import numpy as np
+import pytest
 
 from rmpi.fileio import read_rows, write_rows
 from rmpi.rmpnet import ModelConfig, layer_param
@@ -186,3 +187,17 @@ def test_rows_of_any_width_and_value_type(tmp_path):
     assert path.read_text() == "unseen\nmrr\t0.5\na\tr\t3\n"
     write_rows(str(path), [("a", "r", 3), ("b", "s", "c")])
     assert read_rows(str(path), ValueError) == [("a", "r", "3"), ("b", "s", "c")]
+
+
+def test_blank_lines_are_skipped_and_still_numbered(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tr\tb\n\n\nc\ts\td\n\n")
+    assert read_rows(str(path), ValueError) == [("a", "r", "b"), ("c", "s", "d")]
+    with pytest.raises(ValueError, match=r"^rows\.tsv:4: no rows of s$"):
+        read_rows(str(path), ValueError, lambda row: "no rows of s" if row[1] == "s" else None)
+    path.write_text("a\tr\tb\n\n\nc\ts\n")
+    with pytest.raises(ValueError, match=r"^rows\.tsv:4: expected 3 tab-separated fields, got 2$"):
+        read_rows(str(path), ValueError)
+    path.write_text("\na\t\tb\n")
+    with pytest.raises(ValueError, match=r"^rows\.tsv:2: empty field$"):
+        read_rows(str(path), ValueError)

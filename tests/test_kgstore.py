@@ -209,7 +209,7 @@ def test_load_benchmark_counts_and_flags(tmp_path):
     assert bench.vocab.num_entities == 6
     assert bench.vocab.num_relations == 3
     names = bench.vocab.relation_names
-    seen = {names[r] for r in bench.vocab.seen_relations()}
+    seen = {name for r, name in enumerate(names) if bench.vocab.relation_seen(r)}
     assert seen == {"p", "q"}
     assert set(names) - seen == {"s"}
 
@@ -218,7 +218,7 @@ def test_load_benchmark_identity_split_has_no_unseen(tmp_path):
     train, valid, _, _ = _toy_rows()
     d = write_benchmark_dir(tmp_path / "bench", train, valid, train, valid)
     bench = load_benchmark(str(d))
-    assert bench.vocab.seen_relations() == frozenset(range(bench.vocab.num_relations))
+    assert all(bench.vocab.relation_seen(r) for r in range(bench.vocab.num_relations))
 
 
 def test_load_benchmark_shared_id_space(tmp_path):

@@ -641,6 +641,37 @@ def test_training_forward_without_stream_errors():
         run_score(g, Triple(0, 3, 1), config, params, training=True)
 
 
+class DropEveryEdge:
+    """A dropout stream whose draws are all 0, below any dropout rate, so
+    that every layer drops each of its edges."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+@pytest.mark.parametrize("ta", [False, True])
+def test_training_layers_that_keep_no_edge_pass_the_initial_features(ta):
+    # every layer of the training forward is skipped once dropout has left
+    # it no edge, the last one too, so each target keeps its initial
+    # feature row and no layer weight gets a gradient
+    g = random_graph(np.random.default_rng(41), 8, 4, 24)
+    config = ModelConfig(hops=2, dim=4, edge_dropout=0.5, target_attention=ta)
+    params = init_params(config, 4, np.random.default_rng(0))
+    samples = [build_sample(g, t, config) for t in (Triple(0, 3, 1), Triple(2, 1, 3))]
+    batch = stack_samples(samples, config.hops, training=True)
+    assert all(len(edges) for edges in batch.layer_edges)  # each layer has edges to drop
+    tape = Tape()
+    pvars = bind_params(tape, params)
+    table = make_source(tape, pvars, config).table(batch.labels)
+    h = propagate(batch, table, pvars, config, training=True, drop_rng=DropEveryEdge())
+    assert np.array_equal(h.value, table.value[batch.node_rows[batch.targets]])
+    grads = tape.backward(total(score(h, None, pvars, config)))
+    assert all(np.isfinite(grad).all() for grad in grads.values())
+    layers = [layer_param(k, e) for k in range(1, config.hops + 1) for e in range(6)]
+    assert all(not grads[name].any() for name in layers)
+    assert grads["rel_emb"].any()
+
+
 def test_empty_subgraph_scores_from_initial_embedding():
     vocab_entities, vocab_relations = 6, 4
     rng = np.random.default_rng(47)

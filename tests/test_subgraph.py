@@ -631,6 +631,18 @@ def same_record(got, want):
         for a, b in pairs)
 
 
+@pytest.mark.parametrize("disclosing", [False, True])
+def test_a_plain_tuple_target_gives_the_triples_record(disclosing):
+    # near, bare and far targets, and one equal to a graph triple
+    g = KnowledgeGraph(make_vocab(6, 3), [Triple(e, 0, e + 1) for e in range(5)]
+                       + [Triple(5, 1, 5), Triple(0, 1, 0), Triple(2, 2, 3)])
+    for target in (Triple(1, 2, 3), Triple(5, 0, 4), Triple(0, 2, 5), Triple(2, 2, 3)):
+        for k in (1, 2):
+            got = extract_enclosing(g, tuple(target), k, disclosing=disclosing)
+            assert type(got.target) is Triple
+            assert same_record(got, extract_enclosing(g, target, k, disclosing=disclosing))
+
+
 def rank_query(rng, graph, fixed, side, n):
     """A query at the fixed entity and n candidates of its other side, the
     fixed entity among them, as a rank query's triples share it."""

@@ -210,7 +210,7 @@ def test_built_sample_decodes_to_its_extraction(hops):
         for config in (ModelConfig(dim=4, hops=hops),
                        ModelConfig(dim=4, hops=hops, use_disclosing=True)):
             cache = SampleCache(graph, config)
-            cache.retain(targets)
+            cache.precompute(targets)
             for target in targets:
                 sample = cache.sample(target)
                 assert cache.sample(target) is sample
@@ -696,15 +696,23 @@ def test_train_builds_each_validation_triple_once(monkeypatch):
     assert all(built[t] == 1 for t in scored[0])
 
 
-def test_retained_samples_are_kept_once_built():
+def test_precompute_keeps_exactly_the_triples_it_is_handed(monkeypatch):
+    # a triple off the graph, as a validation negative is, is kept like a
+    # positive; a triple already kept is not built again; nothing else is kept
     graph = random_graph(np.random.default_rng(2), 8, 2, 16)
     cache = SampleCache(graph, ModelConfig(dim=4, hops=2))
     outsider = Triple(0, 0, 1)
     while graph.has_triple(outsider):
         outsider = Triple(outsider.head, 0, outsider.tail + 1)
-    cache.retain([outsider])
-    assert outsider not in cache._store  # built on first use, not before
-    assert cache.sample(outsider) is cache.sample(outsider)
+    handed = [outsider, graph.triples[0], outsider]
+    cache.precompute(handed)
+    assert set(cache._store) == set(handed)
+    kept = dict(cache._store)
+    assert cache.sample(outsider) is cache.sample(outsider) is kept[outsider]
+    monkeypatch.setattr(trainlab, "build_sample", pytest.fail)
+    cache.precompute(handed)
+    assert cache._store == kept
+    assert cache.samples(handed) == [kept[t] for t in handed]
 
 
 def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
@@ -718,7 +726,7 @@ def test_stored_samples_in_a_list_are_never_extracted_again(monkeypatch):
     outsiders = [Triple(h, 0, t) for h in range(8) for t in range(8)
                  if not graph.has_triple(Triple(h, 0, t))][:6]
     kept, passing = outsiders[:3], outsiders[3:]
-    cache.retain(kept)
+    cache.precompute(kept)
     first = cache.samples(kept + passing + kept)
     assert all(first[i] is first[i + 6] is cache._store[t] for i, t in enumerate(kept))
     assert not set(passing) & set(cache._store)
