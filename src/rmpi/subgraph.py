@@ -222,7 +222,7 @@ def extract_enclosing_list(graph: KnowledgeGraph, targets, k: int, *,
     target by target.  The distances are measured by one walk of the graph's
     index within the intersection from u and v at once (_pruning_distances),
     unless it holds no entity but u and v, the walk's own seeds (a far
-    target's, whose ends are more than K apart, holds none).  An
+    target's, whose ends are more than 2K apart, holds none at all).  An
     intersection of ARRAY_ROUTE_ENTITIES entities or more is walked and
     gathered by array operations instead (_array_enclosing), to the same
     record: the loop's Python cost grows with the rows it reads, and the
